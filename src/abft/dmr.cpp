@@ -1,61 +1,132 @@
 #include "abft/dmr.hpp"
 
-#include <vector>
+#include <algorithm>
 
+#include "common/env.hpp"
+#include "common/error.hpp"
 #include "common/math_util.hpp"
+#include "common/plan_registry.hpp"
+#include "simd/dispatch.hpp"
 
 namespace ftfft::abft {
 namespace {
 
-// Recurrence resync cadence; matches the checksum generator's choice.
-constexpr std::size_t kResyncInterval = 64;
+// entry a = omega_n^(a << shift), a in [0, len).
+std::vector<cplx> build_table(std::size_t n, std::size_t len,
+                              unsigned shift) {
+  std::vector<cplx> t(len);
+  for (std::size_t a = 0; a < len; ++a) {
+    t[a] = simd::twiddle_table_entry(n,
+                                     static_cast<std::uint64_t>(a) << shift);
+  }
+  return t;
+}
 
-// One twiddle-multiply pass: dst[i] = src[i*stride] * scale * omega_n^(i*step).
-// The twiddle runs on the w *= base recurrence with periodic exact resync.
-void twiddle_pass(const cplx* src, std::size_t stride, cplx* dst,
-                  std::size_t len, std::size_t n, std::size_t step,
-                  cplx scale) {
-  const cplx base = omega(n, step);
-  cplx w = scale;
+// Builds one table into both pairs, separately, and cross-checks them: a
+// fault in either build is outvoted by a third (the tables feed every later
+// DMR evaluation, so they get the rA vector's build-time DMR).
+void build_dmr(std::size_t n, std::size_t len, unsigned shift,
+               std::vector<cplx>& a, std::vector<cplx>& b) {
+  a = build_table(n, len, shift);
+  b = build_table(n, len, shift);
+  if (a == b) return;
+  const auto third = build_table(n, len, shift);
   for (std::size_t i = 0; i < len; ++i) {
-    if (i % kResyncInterval == 0) {
-      w = cmul(scale, omega(n, static_cast<std::uint64_t>(i) * step));
-    }
-    dst[i] = cmul(src[i * stride], w);
-    w = cmul(w, base);
+    if (a[i] != b[i]) a[i] = b[i] = (b[i] == third[i]) ? b[i] : third[i];
   }
 }
 
+std::uint64_t seal_tables(const TwiddleTables& t) {
+  StateSpans spans;
+  t.collect_state(spans);
+  return seal_spans(spans);
+}
+
+PlanRegistry<std::size_t, TwiddleTables>& registry() {
+  static PlanRegistry<std::size_t, TwiddleTables> instance(
+      plan_cache_capacity(), seal_tables);
+  return instance;
+}
+
+// Enroll in plan_cache_stats() / scrub_plan_caches() before main; lazy for
+// the same reason as the other caches (env knobs latch at first use).
+const bool registry_registered =
+    (ftfft::detail::register_plan_cache(ftfft::detail::PlanCacheHooks{
+         [] { return registry().snapshot("twiddle-tables"); },
+         [] { return registry().scrub(); },
+         [](std::size_t k) { registry().set_verify_interval(k); }}),
+     true);
+
+struct InjectorHook {
+  fault::Injector* inj;
+  std::size_t unit;
+  static void call(void* self, cplx* data, std::size_t n) {
+    auto* h = static_cast<InjectorHook*>(self);
+    h->inj->apply(fault::Phase::kTwiddleDmrCopy, h->unit, data, n);
+  }
+};
+
 }  // namespace
+
+TwiddleTables::TwiddleTables(std::size_t n) : n_(n) {
+  ftfft::detail::require(n >= 1, "TwiddleTables: n must be >= 1");
+  const unsigned bits = log2_floor(n) + (is_pow2(n) ? 0 : 1);
+  shift_ = (bits + 1) / 2;
+  const std::size_t lo_len = std::min(n, std::size_t{1} << shift_);
+  const std::size_t hi_len = ((n - 1) >> shift_) + 1;
+  build_dmr(n, lo_len, 0, lo_[0], lo_[1]);
+  build_dmr(n, hi_len, shift_, hi_[0], hi_[1]);
+}
+
+std::shared_ptr<const TwiddleTables> TwiddleTables::get(std::size_t n) {
+  return registry().get_or_build(
+      n, [&] { return std::make_shared<const TwiddleTables>(n); });
+}
+
+cplx TwiddleTables::twiddle(std::size_t j, int copy) const {
+  return simd::scalar_table_twiddle(view(), copy, j);
+}
+
+cplx TwiddleTables::exact_twiddle(std::size_t j) const {
+  return simd::scalar_exact_twiddle(view(), j);
+}
 
 std::size_t dmr_twiddle_multiply(const cplx* src, std::size_t stride,
                                  cplx* dst, std::size_t len, std::size_t n,
                                  std::size_t factor_step, std::size_t unit,
-                                 fault::Injector* injector, cplx scale) {
-  twiddle_pass(src, stride, dst, len, n, factor_step, scale);
-  if (injector != nullptr) {
-    injector->apply(fault::Phase::kTwiddleDmrCopy, unit, dst, len);
-  }
-  // Second redundant execution into a thread-local staging buffer.
-  thread_local std::vector<cplx> second;
-  if (second.size() < len) second.resize(len);
-  twiddle_pass(src, stride, second.data(), len, n, factor_step, scale);
+                                 fault::Injector* injector, std::size_t j0) {
+  const auto tables = TwiddleTables::get(n);
+  return dmr_twiddle_multiply(*tables, src, stride, dst, len, factor_step, j0,
+                              unit, injector);
+}
 
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < len; ++i) {
-    if (dst[i] != second[i]) {
-      // Third execution of just this element, exact table lookup; majority
-      // vote between the three results.
-      const cplx third = cmul(
-          src[i * stride],
-          cmul(scale, omega(n, static_cast<std::uint64_t>(i) * factor_step)));
-      dst[i] = (second[i] == third) ? second[i]
-               : (dst[i] == third)  ? dst[i]
-                                    : third;
-      ++mismatches;
-    }
-  }
-  return mismatches;
+std::size_t dmr_twiddle_multiply(const TwiddleTables& tables,
+                                 const cplx* src, std::size_t stride,
+                                 cplx* dst, std::size_t len,
+                                 std::size_t factor_step, std::size_t j0,
+                                 std::size_t unit, fault::Injector* injector,
+                                 const cplx* weights,
+                                 checksum::SumEnergy* se) {
+  ftfft::detail::require(
+      len == 0 || j0 + (len - 1) * factor_step < tables.n(),
+      "dmr_twiddle_multiply: exponent j0 + (len-1)*step >= n");
+  // The hook only exists for injection: without an armed kTwiddleDmrCopy
+  // fault both copies stay in registers (one pass instead of two).
+  InjectorHook hook{injector, unit};
+  const bool strike =
+      injector != nullptr && injector->pending(fault::Phase::kTwiddleDmrCopy);
+  return simd::fft_kernels().dmr_twiddle(
+      src, stride, dst, len, j0, factor_step, tables.view(), true,
+      strike ? &InjectorHook::call : nullptr, &hook, weights, se);
+}
+
+void twiddle_multiply(const TwiddleTables& tables, cplx* data,
+                      std::size_t len, std::size_t step, std::size_t j0) {
+  ftfft::detail::require(len == 0 || j0 + (len - 1) * step < tables.n(),
+                         "twiddle_multiply: exponent j0 + (len-1)*step >= n");
+  simd::fft_kernels().dmr_twiddle(data, 1, data, len, j0, step,
+                                  tables.view(), false, nullptr, nullptr,
+                                  nullptr, nullptr);
 }
 
 }  // namespace ftfft::abft

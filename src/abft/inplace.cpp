@@ -302,8 +302,8 @@ class InplaceRun {
       }
 
       // TM1: element offset i of block b gets omega_n^(i*b).
-      stats_.dmr_mismatches +=
-          dmr_twiddle_multiply(block, 1, bb.data(), blk_, n_, b, b, inj());
+      stats_.dmr_mismatches += dmr_twiddle_multiply(
+          *plan_.twiddles(), block, 1, bb.data(), blk_, b, 0, b, inj());
 
       if (r_ > 1) middle_layer(b, bb.data());
 
@@ -381,28 +381,31 @@ class InplaceRun {
   }
 
   // DMR-protected middle layer: k_ r-point sub-FFTs at stride k_ within the
-  // block, fused with the TM2 twiddle omega_blk^(i*t). Everything is
-  // computed twice and voted with a third evaluation on mismatch.
+  // block, fused with the TM2 twiddle omega_blk^(i*t) = omega_n^(i*t*k).
+  // Everything is computed twice — each pass reading its own table pair —
+  // and voted with a third, table-free evaluation on mismatch.
   void middle_layer(std::size_t b, cplx* bb) {
-    std::vector<cplx> in(r_), out1(r_), out2(r_);
+    const TwiddleTables& tw = *plan_.twiddles();
+    std::vector<cplx> in(r_), out1(r_), out2(r_), out3(r_);
     for (std::size_t i = 0; i < k_; ++i) {
       for (std::size_t s = 0; s < r_; ++s) in[s] = bb[s * k_ + i];
-      auto pass = [&](cplx* out) {
+      auto pass = [&](cplx* out, int copy) {
         dft::codelet_dft(r_, in.data(), 1, out, 1);
         for (std::size_t t = 0; t < r_; ++t) {
-          out[t] = cmul(out[t], omega(blk_, static_cast<std::uint64_t>(i) * t));
+          const std::size_t j = i * t * k_;
+          out[t] = cmul(out[t], copy < 2 ? tw.twiddle(j, copy)
+                                         : tw.exact_twiddle(j));
         }
       };
-      pass(out1.data());
+      pass(out1.data(), 0);
       if (inj() != nullptr) {
         inj()->apply(Phase::kMiddleDmrCopy, b * k_ + i, out1.data(), r_);
       }
-      pass(out2.data());
+      pass(out2.data(), 1);
       for (std::size_t t = 0; t < r_; ++t) {
         if (out1[t] != out2[t]) {
           // Third evaluation + majority vote.
-          std::vector<cplx> out3(r_);
-          pass(out3.data());
+          pass(out3.data(), 2);
           out1[t] = (out2[t] == out3[t]) ? out2[t] : out1[t];
           ++stats_.dmr_mismatches;
         }

@@ -474,9 +474,6 @@ class OnlineRun {
       }
     }
 
-    // Twiddle (DMR) + CCG. tw[i] = col[i] * omega_n^(i*c).
-    stats_.dmr_mismatches +=
-        dmr_twiddle_multiply(col, stride, tw, k_, n_, c, c, inj());
     // tw is always contiguous, so the fused engine applies to both staged
     // and unstaged columns — at the sub-sizes where it profits on the
     // DMR-hot data (same gate as the rows, and as the recompute below).
@@ -485,10 +482,15 @@ class OnlineRun {
                 (opts_.fused_ignore_profitability || fused_profitable(k_))
             ? plan_.fused_plan_k()
             : nullptr;
+    // Twiddle (DMR), tw[i] = col[i] * omega_n^(i*c). Without the fused
+    // engine the CCG and the column energy ride the same pass.
+    checksum::SumEnergy se;
+    stats_.dmr_mismatches += dmr_twiddle_multiply(
+        *plan_.twiddles(), col, stride, tw, k_, c, 0, c, inj(),
+        fused == nullptr ? ck_ : nullptr, &se);
     cplx ccg{0.0, 0.0};
     bool have_ccg = false;
     if (fused == nullptr) {
-      const auto se = checksum::weighted_sum_energy(ck_, tw, k_);
       ccg = se.sum;
       have_ccg = true;
       if (!opts_.memory_ft) sigma_col = sigma_from_energy(se.energy, k_);
@@ -592,14 +594,15 @@ class OnlineRun {
       // fused mode that is the in-place plan — so a repaired column is
       // bit-identical to a never-corrupted run.
       for (std::size_t i = 0; i < k_; ++i) colbuf[i] = backup_[i * m_ + c];
-      stats_.dmr_mismatches +=
-          dmr_twiddle_multiply(colbuf.data(), 1, tw.data(), k_, n_, c, c,
-                               nullptr);
       const fft::InplaceRadix2Plan* fused =
           opts_.fused_checksums &&
                   (opts_.fused_ignore_profitability || fused_profitable(k_))
               ? plan_.fused_plan_k()
               : nullptr;
+      checksum::SumEnergy se;
+      stats_.dmr_mismatches += dmr_twiddle_multiply(
+          *plan_.twiddles(), colbuf.data(), 1, tw.data(), k_, c, 0, c,
+          nullptr, fused == nullptr ? ck_ : nullptr, &se);
       cplx ccg, rx2;
       if (fused != nullptr) {
         fft::InplaceRadix2Plan::FusedDots dots;
@@ -608,7 +611,7 @@ class OnlineRun {
         ccg = dots.in_sum;
         rx2 = dots.out_sum;
       } else {
-        ccg = checksum::weighted_sum(ck_, tw.data(), k_);
+        ccg = se.sum;
         fftk.execute(tw.data(), res.data());
         rx2 = checksum::omega3_weighted_sum(res.data(), k_);
       }

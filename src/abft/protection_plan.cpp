@@ -139,6 +139,7 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
         sn_m_ = checksum::shared_syndrome_nodes(m_);
         sn_k_ = checksum::shared_syndrome_nodes(k_);
       }
+      tw_ = TwiddleTables::get(n);
       break;
     }
     case Scheme::kOnlineInplace: {
@@ -158,6 +159,7 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
         sn_m_ = checksum::shared_syndrome_nodes(blk_);
         sn_k_ = checksum::shared_syndrome_nodes(k_);
       }
+      tw_ = TwiddleTables::get(n);
       break;
     }
   }

@@ -21,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "abft/dmr.hpp"
 #include "abft/options.hpp"
 #include "checksum/multi_error.hpp"
 #include "checksum/weights.hpp"
@@ -144,12 +145,19 @@ class ProtectionPlan {
     return sn_k_ ? sn_k_->data() : nullptr;
   }
 
+  /// Twiddle tables of the inter-layer stages (kOnline: layer-2 twiddle;
+  /// kOnlineInplace: TM1 and the middle layer's TM2). nullptr for
+  /// kOffline.
+  [[nodiscard]] const TwiddleTables* twiddles() const noexcept {
+    return tw_.get();
+  }
+
   /// Appends every cached payload the plan references — checksum-weight and
-  /// omega3 vectors, syndrome node tables, and (transitively) the fused
-  /// in-place sub-plans — to `out`. This span set is what the
-  /// protection-plan registry seals: the seal stays valid even after the
-  /// referenced vectors' own caches evicted them, because the shared_ptr
-  /// handles pin the exact bytes hashed at build time.
+  /// omega3 vectors, syndrome node tables, (transitively) the fused
+  /// in-place sub-plans, and the twiddle tables last — to `out`. This span
+  /// set is what the protection-plan registry seals: the seal stays valid
+  /// even after the referenced vectors' own caches evicted them, because
+  /// the shared_ptr handles pin the exact bytes hashed at build time.
   void collect_state(StateSpans& out) const {
     if (wm_) out.add_vec(*wm_);
     if (wk_) out.add_vec(*wk_);
@@ -159,6 +167,7 @@ class ProtectionPlan {
     if (sn_k_) out.add_vec(*sn_k_);
     if (fused_m_) fused_m_->collect_state(out);
     if (fused_k_) fused_k_->collect_state(out);
+    if (tw_) tw_->collect_state(out);
   }
 
   /// kOnline staging layout (section 4.4), resolved from the options once:
@@ -194,6 +203,7 @@ class ProtectionPlan {
   int max_errors_ = 1;
   std::shared_ptr<const std::vector<double>> sn_m_;
   std::shared_ptr<const std::vector<double>> sn_k_;
+  std::shared_ptr<const TwiddleTables> tw_;
   EtaCoeffs eta_m_, eta_k_, eta_block_, eta_whole_;
   std::size_t layer1_batch_ = 1;
   std::size_t layer2_cols_ = 1;

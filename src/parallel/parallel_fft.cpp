@@ -20,7 +20,6 @@ namespace ftfft::parallel {
 namespace {
 
 using checksum::DualSum;
-using detail::plain_twiddle;
 using detail::sigma_of;
 
 constexpr int kTagT1 = 100;
@@ -169,15 +168,14 @@ class RankRun {
     t.phase = 2;
     std::vector<cplx> tmp(bsz_);
     t.on_block = [this, &tmp](std::size_t src, cplx* block, std::size_t len) {
-      const cplx scale =
-          omega(n_, static_cast<std::uint64_t>(src) * bsz_ % n_ *
-                        static_cast<std::uint64_t>(r_));
+      const std::size_t j0 = r_ * src * bsz_;
       if (opts_.protect) {
         std::memcpy(tmp.data(), block, len * sizeof(cplx));
         stats_.dmr_mismatches += abft::dmr_twiddle_multiply(
-            tmp.data(), 1, block, len, n_, r_, src, &ctx_.injector(), scale);
+            plan_.twiddles(), tmp.data(), 1, block, len, r_, j0, src,
+            &ctx_.injector());
       } else {
-        plain_twiddle(block, len, n_, r_, scale);
+        abft::twiddle_multiply(plan_.twiddles(), block, len, r_, j0);
       }
     };
     block_transpose(ctx_, local_.data(), bsz_, t, comm_, kTagT2);

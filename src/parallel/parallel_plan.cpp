@@ -67,6 +67,7 @@ ParallelPlan::ParallelPlan(std::size_t p, std::size_t n, bool protect,
                   "parallel plan: rank count divisible by 3 degenerates the "
                   "checksum encoding");
   detail::require(n % (p * p) == 0, "parallel plan: N must be divisible by p^2");
+  tw_ = abft::TwiddleTables::get(n_);
 
   if (protect) {
     cp_ = checksum::shared_input_checksum_vector(

@@ -23,6 +23,7 @@
 #include <memory>
 #include <vector>
 
+#include "abft/dmr.hpp"
 #include "abft/protection_plan.hpp"
 #include "common/complex.hpp"
 #include "common/error.hpp"
@@ -86,13 +87,20 @@ class ParallelPlan {
     return sn_block_ ? sn_block_->data() : nullptr;
   }
 
-  /// Appends the rA vector, the block syndrome node table and
-  /// (transitively) the FFT2 ProtectionPlan's cached payloads to `out`
-  /// (plan-state sealing; see common/seal.hpp).
+  /// Twiddle tables for the n-point step-3 twiddle omega_N^(r*(q*bsz+u)),
+  /// shared by the protected (DMR) and unprotected paths.
+  [[nodiscard]] const abft::TwiddleTables& twiddles() const noexcept {
+    return *tw_;
+  }
+
+  /// Appends the rA vector, the block syndrome node table,
+  /// (transitively) the FFT2 ProtectionPlan's cached payloads and the
+  /// twiddle tables to `out` (plan-state sealing; see common/seal.hpp).
   void collect_state(StateSpans& out) const {
     if (cp_) out.add_vec(*cp_);
     if (sn_block_) out.add_vec(*sn_block_);
     if (fft2_) fft2_->collect_state(out);
+    tw_->collect_state(out);
   }
 
   // ---- cache introspection (tests, benches, monitoring) ----
@@ -109,6 +117,7 @@ class ParallelPlan {
   std::shared_ptr<const std::vector<cplx>> cp_;
   std::shared_ptr<const std::vector<double>> sn_block_;
   std::shared_ptr<const abft::ProtectionPlan> fft2_;
+  std::shared_ptr<const abft::TwiddleTables> tw_;
   double eta_fft1_coeff_ = 0.0;
   double eta_block_coeff_ = 0.0;
 };
@@ -131,22 +140,10 @@ using ftfft::detail::require;
 
 // The shared six-step arithmetic helpers. Exactly one definition serves the
 // thread-per-rank reference path and the engine-sharded path, so the two
-// stay bit-identical by construction, not by parallel maintenance.
-
-/// Unprotected twiddle: block[u] *= scale * omega_n^(u*step), recurrence
-/// with periodic resync (single pass, no redundancy).
-inline void plain_twiddle(cplx* block, std::size_t len, std::size_t n,
-                          std::size_t step, cplx scale) {
-  const cplx base = omega(n, step);
-  cplx w = scale;
-  for (std::size_t u = 0; u < len; ++u) {
-    if (u % 64 == 0) {
-      w = cmul(scale, omega(n, static_cast<std::uint64_t>(u) * step));
-    }
-    block[u] = cmul(block[u], w);
-    w = cmul(w, base);
-  }
-}
+// stay bit-identical by construction, not by parallel maintenance. (Both
+// twiddle through abft::dmr_twiddle_multiply / abft::twiddle_multiply over
+// ParallelPlan::twiddles(), one kernel whose plain pass equals its DMR
+// output bitwise.)
 
 /// RMS element scale from a total energy over n complex values.
 inline double sigma_of(double energy, std::size_t n) {

@@ -184,7 +184,6 @@ namespace {
 
 using checksum::DualSum;
 using detail::ShardedState;
-using detail::plain_twiddle;
 using detail::sigma_of;
 
 /// Per-worker-thread scratch, grown on demand and reused across phases and
@@ -417,7 +416,7 @@ void phase2(ShardedState& st, std::size_t r, TransposeStats& tstats,
             abft::Stats& stats) {
   const ParallelOptions& opts = st.opts;
   const ParallelPlan& plan = *st.plan;
-  const std::size_t p = st.p, n = st.n, n_loc = st.n_loc, bsz = st.bsz;
+  const std::size_t p = st.p, n_loc = st.n_loc, bsz = st.bsz;
   const bool protect = opts.protect;
   const bool checksums = protect && opts.memory_ft;
   const double eta =
@@ -429,15 +428,13 @@ void phase2(ShardedState& st, std::size_t r, TransposeStats& tstats,
     const cplx* src = st.buf1 + q * n_loc + r * bsz;
     cplx* dst = slice + q * bsz;
     pull_block(st, r, q, src, dst, checksums, eta, tstats);
-    const cplx scale =
-        omega(n, static_cast<std::uint64_t>(q) * bsz % n *
-                     static_cast<std::uint64_t>(r));
+    const std::size_t j0 = r * q * bsz;
     if (protect) {
       std::memcpy(tmp, dst, bsz * sizeof(cplx));
       stats.dmr_mismatches += abft::dmr_twiddle_multiply(
-          tmp, 1, dst, bsz, n, r, q, &st.injectors[r], scale);
+          plan.twiddles(), tmp, 1, dst, bsz, r, j0, q, &st.injectors[r]);
     } else {
-      plain_twiddle(dst, bsz, n, r, scale);
+      abft::twiddle_multiply(plan.twiddles(), dst, bsz, r, j0);
     }
   }
 

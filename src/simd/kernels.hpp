@@ -4,7 +4,9 @@
 //   * the in-place radix-4 butterfly stages (fft/inplace_radix2.cpp),
 //   * the out-of-place executor's combine loop and the size-4/8/16 leaf
 //     codelets (fft/executor.cpp, dft/codelets.cpp),
-//   * the stride-1 checksum dot products (checksum/dot.cpp).
+//   * the stride-1 checksum dot products (checksum/dot.cpp),
+//   * the table-driven DMR twiddle multiply between the ABFT layers
+//     (abft/dmr.cpp).
 //
 // Each backend TU (kernels_scalar.cpp, kernels_avx2.cpp, kernels_neon.cpp)
 // fills one static table; the getters below return nullptr when the backend
@@ -14,11 +16,27 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "checksum/dot.hpp"
 #include "common/complex.hpp"
 
 namespace ftfft::simd {
+
+/// Read-only view of the two-table twiddle factorization (abft::
+/// TwiddleTables): omega_n^j == hi[c][j >> shift] * lo[c][j & (2^shift - 1)]
+/// for every j < n, with c = 0 / 1 selecting one of two separately
+/// allocated, value-identical table pairs.
+struct TwiddleTableView {
+  const cplx* hi[2];
+  const cplx* lo[2];
+  unsigned shift;
+  std::size_t n;
+};
+
+/// Callback given copy 1 of a DMR twiddle multiply before it is verified
+/// (the fault injector's kTwiddleDmrCopy strike).
+using TwiddleHook = void (*)(void* ctx, cplx* data, std::size_t n);
 
 /// Stride-1 checksum reductions. Semantics match the checksum::* functions
 /// of the same name with stride == 1; see checksum/dot.hpp.
@@ -178,6 +196,34 @@ struct FftKernels {
   void (*r2c_last_stage16)(cplx* dst, std::size_t nc, const cplx* w1a,
                            const cplx* w2a, const cplx* w1b, const cplx* w2b,
                            const cplx* wq);
+  // ---- Table-driven DMR twiddle multiply (the stage between the ABFT
+  // layers, paper section 3.1; contract and tables in abft/dmr.hpp).
+  /// dst[i] = src[i*stride] * omega_n^(j0 + i*step) for i < len, with
+  /// j0 + (len-1)*step < t.n (the caller checks). Each twiddle is
+  /// cmul_nofma(hi, lo) and the product cmul_nofma(src, twiddle), so dst is
+  /// bitwise identical across every backend; remainder lanes and the vote
+  /// run in the contraction-pinned scalar TU.
+  /// redundant == false: one write pass over table pair 0 (src may equal
+  /// dst; hook and cw are ignored). Returns 0.
+  /// redundant == true (src/dst must not overlap): copy 1 is evaluated from
+  /// pair 0 and copy 2 from pair 1 — the two evaluations never read the
+  /// same table word — and compared lane by lane. With a hook, copy 1 is
+  /// written to dst and handed to it first, then a second pass recomputes
+  /// copy 2 in registers against the stored copy; without one, a single
+  /// pass evaluates both copies in registers and stores copy 1. Any
+  /// disagreement sends the run through the scalar TU once more: every
+  /// mismatching element is settled by majority vote against a third,
+  /// table-free evaluation of the same formula (the entries recomputed),
+  /// so a fault in either copy or in either table pair is repaired bitwise
+  /// to the clean value. Returns the number of mismatching elements. When
+  /// cw is non-null, *se receives sum_i cw[i]*dst[i] and sum_i |dst[i]|^2
+  /// over the verified outputs, with the exact accumulator structure of
+  /// weighted_sum_energy (bit-identical to that sweep on the same backend).
+  std::size_t (*dmr_twiddle)(const cplx* src, std::size_t stride, cplx* dst,
+                             std::size_t len, std::size_t j0,
+                             std::size_t step, const TwiddleTableView& t,
+                             bool redundant, TwiddleHook hook, void* hook_ctx,
+                             const cplx* cw, checksum::SumEnergy* se);
 };
 
 /// Backend tables. A getter returns nullptr when that backend is not
@@ -232,5 +278,36 @@ void scalar_c2r_prepare_range(cplx* dst, const cplx* src, std::size_t nc,
                               const cplx* wq, bool conjugate,
                               std::size_t begin, std::size_t end,
                               const cplx* cw, cplx* cs);
+
+/// One twiddle-table entry omega_n^k, evaluated in extended precision and
+/// rounded to double (more accurate than omega(), whose angle rounding
+/// dominates at large n). The table builder and the vote's third
+/// evaluation both call this, so their bits agree.
+cplx twiddle_table_entry(std::size_t n, std::uint64_t k);
+
+/// Reference scalar table twiddle omega_n^j from table pair `copy`
+/// (cmul of the hi and lo entries, contraction pinned off).
+cplx scalar_table_twiddle(const TwiddleTableView& t, int copy, std::size_t j);
+
+/// The table-free third evaluation: the same hi * lo product over entries
+/// recomputed with twiddle_table_entry, bitwise equal to a clean lookup.
+cplx scalar_exact_twiddle(const TwiddleTableView& t, std::size_t j);
+
+/// Reference write pass of dmr_twiddle (pair 0) over i in [begin, end).
+void scalar_twiddle_write_range(const cplx* src, std::size_t stride,
+                                cplx* dst, std::size_t begin, std::size_t end,
+                                std::size_t j0, std::size_t step,
+                                const TwiddleTableView& t);
+
+/// Reference verify pass of dmr_twiddle over i in [begin, end): copy 2 from
+/// pair 1 against dst (or, when `both`, against copy 1 from pair 0 written
+/// here first). A mismatching element gets the majority of the two copies
+/// and x * scalar_exact_twiddle(j) (the third itself when no two agree).
+/// Returns the mismatch count.
+std::size_t scalar_twiddle_verify_range(const cplx* src, std::size_t stride,
+                                        cplx* dst, std::size_t begin,
+                                        std::size_t end, std::size_t j0,
+                                        std::size_t step,
+                                        const TwiddleTableView& t, bool both);
 
 }  // namespace ftfft::simd

@@ -214,6 +214,7 @@ constexpr FftKernels kAvx2Fft = {
     impl::k_c2r_prepare_cs<V>,
     impl::k_r2c_last_stage4<V>,
     impl::k_r2c_last_stage16<V>,
+    impl::k_dmr_twiddle<V>,
 };
 
 constexpr ChecksumKernels kAvx2Checksum = {

@@ -1107,6 +1107,135 @@ cplx k_c2r_prepare_cs(cplx* dst, const cplx* src, std::size_t nc,
   return k_c2r_prepare_t<V, true>(dst, src, nc, wq, conjugate, cw);
 }
 
+// =========================================== DMR twiddle (see kernels.hpp)
+//
+// omega_n^j = hi[j >> shift] * lo[j & mask] from one of the two table pairs,
+// lane l carrying j + l*step. Every product is cmul_nofma, so a lane's bits
+// do not depend on the backend; remainders and votes call the scalar TU.
+
+/// Twiddles for lanes j, j + step, ... from table pair c.
+template <class V>
+inline V table_twiddles(const TwiddleTableView& t, int c, std::size_t j,
+                        std::size_t step) {
+  const std::size_t mask = (std::size_t{1} << t.shift) - 1;
+  const cplx* hp[V::width];
+  const cplx* lp[V::width];
+  for (std::size_t l = 0; l < V::width; ++l) {
+    const std::size_t jl = j + l * step;
+    hp[l] = t.hi[c] + (jl >> t.shift);
+    lp[l] = t.lo[c] + (jl & mask);
+  }
+  return V::gather_ptrs(hp).cmul_nofma(V::gather_ptrs(lp));
+}
+
+/// Copy 1 (pair 0) written to dst[0..len).
+template <class V>
+void twiddle_write(const cplx* src, std::size_t stride, cplx* dst,
+                   std::size_t len, std::size_t j0, std::size_t step,
+                   const TwiddleTableView& t) {
+  constexpr std::size_t W = V::width;
+  std::size_t i = 0;
+  for (; i + W <= len; i += W) {
+    V::gather(src + i * stride, stride)
+        .cmul_nofma(table_twiddles<V>(t, 0, j0 + i * step, step))
+        .store(dst + i);
+  }
+  scalar_twiddle_write_range(src, stride, dst, i, len, j0, step, t);
+}
+
+/// Copies 1 and 2 of lanes [i, i+W): copy 2 from pair 1, copy 1 either
+/// already in dst (InRegs == false, after the hook) or evaluated here from
+/// pair 0 and stored. Clears `agree` on any lane mismatch; returns copy 1.
+template <class V, bool InRegs>
+inline V dmr_lanes(const cplx* src, std::size_t stride, cplx* dst,
+                   std::size_t i, std::size_t j, std::size_t step,
+                   const TwiddleTableView& t, bool& agree) {
+  const V x = V::gather(src + i * stride, stride);
+  const V c2 = x.cmul_nofma(table_twiddles<V>(t, 1, j, step));
+  V c1 = V::load(dst + i);
+  if constexpr (InRegs) {
+    c1 = x.cmul_nofma(table_twiddles<V>(t, 0, j, step));
+    c1.store(dst + i);
+  }
+  agree = agree && V::all_eq(c1, c2);
+  return c1;
+}
+
+/// Verify pass. The vector loop only flags disagreement; faults are rare,
+/// so a flagged run is re-verified element by element in the scalar TU
+/// (copy 2 recomputed bitwise, mismatches voted) and its weighted sum
+/// recomputed over the voted output with the same accumulator structure.
+/// Either way the optional sum + energy follow weighted_sum_energy's order.
+template <class V, bool InRegs>
+std::size_t twiddle_verify(const cplx* src, std::size_t stride, cplx* dst,
+                           std::size_t len, std::size_t j0, std::size_t step,
+                           const TwiddleTableView& t, const cplx* cw,
+                           checksum::SumEnergy* se) {
+  constexpr std::size_t W = V::width;
+  bool agree = true;
+  std::size_t i = 0;
+  V s0 = V::zero(), s1 = V::zero();
+  V e0 = V::zero(), e1 = V::zero();
+  if (cw == nullptr) {
+    for (; i + W <= len; i += W) {
+      (void)dmr_lanes<V, InRegs>(src, stride, dst, i, j0 + i * step, step, t,
+                                 agree);
+    }
+  } else {
+    for (; i + 2 * W <= len; i += 2 * W) {
+      const V v0 = dmr_lanes<V, InRegs>(src, stride, dst, i, j0 + i * step,
+                                        step, t, agree);
+      const V v1 = dmr_lanes<V, InRegs>(src, stride, dst, i + W,
+                                        j0 + (i + W) * step, step, t, agree);
+      s0 = s0 + V::load(cw + i).cmul(v0);
+      s1 = s1 + V::load(cw + i + W).cmul(v1);
+      e0 = v0.fmadd_elem(v0, e0);
+      e1 = v1.fmadd_elem(v1, e1);
+    }
+    for (; i + W <= len; i += W) {
+      const V v0 = dmr_lanes<V, InRegs>(src, stride, dst, i, j0 + i * step,
+                                        step, t, agree);
+      s0 = s0 + V::load(cw + i).cmul(v0);
+      e0 = v0.fmadd_elem(v0, e0);
+    }
+  }
+  std::size_t mismatches = scalar_twiddle_verify_range(
+      src, stride, dst, i, len, j0, step, t, InRegs);
+  if (!agree) {
+    mismatches += scalar_twiddle_verify_range(src, stride, dst, 0, i, j0,
+                                              step, t, false);
+    if (cw != nullptr) *se = k_weighted_sum_energy<V>(cw, dst, len);
+    return mismatches;
+  }
+  if (cw != nullptr) {
+    se->sum = (s0 + s1).hsum();
+    se->energy = (e0 + e1).hsum_slots();
+    for (; i < len; ++i) {
+      se->sum += cmul(cw[i], dst[i]);
+      se->energy += norm2(dst[i]);
+    }
+  }
+  return mismatches;
+}
+
+template <class V>
+std::size_t k_dmr_twiddle(const cplx* src, std::size_t stride, cplx* dst,
+                          std::size_t len, std::size_t j0, std::size_t step,
+                          const TwiddleTableView& t, bool redundant,
+                          TwiddleHook hook, void* hook_ctx, const cplx* cw,
+                          checksum::SumEnergy* se) {
+  if (!redundant) {
+    twiddle_write<V>(src, stride, dst, len, j0, step, t);
+    return 0;
+  }
+  if (hook == nullptr) {
+    return twiddle_verify<V, true>(src, stride, dst, len, j0, step, t, cw, se);
+  }
+  twiddle_write<V>(src, stride, dst, len, j0, step, t);
+  hook(hook_ctx, dst, len);
+  return twiddle_verify<V, false>(src, stride, dst, len, j0, step, t, cw, se);
+}
+
 // ============================================== vertical DFTs for combine
 
 // The codelet math from dft/codelets.cpp transliterated onto vectors: each

@@ -55,6 +55,7 @@ constexpr FftKernels kNeonFft = {
     impl::k_c2r_prepare_cs<V>,
     impl::k_r2c_last_stage4<V>,
     impl::k_r2c_last_stage16<V>,
+    impl::k_dmr_twiddle<V>,
 };
 
 constexpr ChecksumKernels kNeonChecksum = {

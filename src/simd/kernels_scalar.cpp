@@ -4,6 +4,8 @@
 // 4-mul/2-add sequence regardless of compiler contraction defaults — the
 // cross-backend comparison tests rely on that baseline being stable.
 #include <cassert>
+#include <cmath>
+#include <numbers>
 
 #include "dft/codelets.hpp"
 #include "simd/kernels.hpp"
@@ -165,6 +167,60 @@ void scalar_c2r_prepare_range(cplx* dst, const cplx* src, std::size_t nc,
   }
 }
 
+cplx twiddle_table_entry(std::size_t n, std::uint64_t k) {
+  // Extended precision, rounded once per component: the angle's own
+  // rounding is what limits a double evaluation (omega() is ~7e-16 off at
+  // n = 2^20), and two such entries multiplied would drift past 1e-15.
+  const long double ang = -2.0L * std::numbers::pi_v<long double> *
+                          static_cast<long double>(k % n) /
+                          static_cast<long double>(n);
+  return {static_cast<double>(std::cos(ang)),
+          static_cast<double>(std::sin(ang))};
+}
+
+cplx scalar_table_twiddle(const TwiddleTableView& t, int copy,
+                          std::size_t j) {
+  const std::size_t mask = (std::size_t{1} << t.shift) - 1;
+  return cmul(t.hi[copy][j >> t.shift], t.lo[copy][j & mask]);
+}
+
+cplx scalar_exact_twiddle(const TwiddleTableView& t, std::size_t j) {
+  // Exactly the entries abft::TwiddleTables stores, recomputed instead of
+  // loaded.
+  const std::size_t mask = (std::size_t{1} << t.shift) - 1;
+  return cmul(twiddle_table_entry(t.n, (j >> t.shift) << t.shift),
+              twiddle_table_entry(t.n, j & mask));
+}
+
+void scalar_twiddle_write_range(const cplx* src, std::size_t stride,
+                                cplx* dst, std::size_t begin, std::size_t end,
+                                std::size_t j0, std::size_t step,
+                                const TwiddleTableView& t) {
+  for (std::size_t i = begin; i < end; ++i) {
+    dst[i] = cmul(src[i * stride], scalar_table_twiddle(t, 0, j0 + i * step));
+  }
+}
+
+std::size_t scalar_twiddle_verify_range(const cplx* src, std::size_t stride,
+                                        cplx* dst, std::size_t begin,
+                                        std::size_t end, std::size_t j0,
+                                        std::size_t step,
+                                        const TwiddleTableView& t, bool both) {
+  std::size_t mismatches = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t j = j0 + i * step;
+    const cplx x = src[i * stride];
+    if (both) dst[i] = cmul(x, scalar_table_twiddle(t, 0, j));
+    const cplx first = dst[i];
+    const cplx second = cmul(x, scalar_table_twiddle(t, 1, j));
+    if (first == second) continue;
+    const cplx third = cmul(x, scalar_exact_twiddle(t, j));
+    dst[i] = (second == third) ? second : (first == third) ? first : third;
+    ++mismatches;
+  }
+  return mismatches;
+}
+
 namespace {
 
 using V = ScalarVec;
@@ -212,6 +268,7 @@ constexpr FftKernels kScalarFft = {
     impl::k_c2r_prepare_cs<V>,
     impl::k_r2c_last_stage4<V>,
     impl::k_r2c_last_stage16<V>,
+    impl::k_dmr_twiddle<V>,
 };
 
 constexpr ChecksumKernels kScalarChecksum = {

@@ -4,7 +4,8 @@
 // re,im,re,im,...) into one register and exposes the small op set the
 // kernel templates in kernels_impl.hpp need: loads/stores, add/sub, complex
 // multiply, +/-i rotation, elementwise (real) FMA for energy and
-// index-weighted sums, and the compare/blend pair the argmax trackers use.
+// index-weighted sums, the compare/blend pair the argmax trackers use, and
+// the pointer gather + lane compare of the DMR twiddle kernel.
 //
 // Backends:
 //   ScalarVec - width 1, plain std::complex arithmetic. This is the
@@ -49,6 +50,11 @@ struct ScalarVec {
   }
   /// Loads `width` elements p[0], p[stride], ...
   static ScalarVec gather(const cplx* p, std::size_t) noexcept { return {*p}; }
+  /// Loads `width` elements *p[0], *p[1], ... from independent addresses
+  /// (table lookups whose indices are not an arithmetic stride).
+  static ScalarVec gather_ptrs(const cplx* const* p) noexcept {
+    return {*p[0]};
+  }
   void store(cplx* p) const noexcept { *p = v; }
   /// Dumps the 2*width underlying doubles.
   void store_raw(double* p) const noexcept {
@@ -116,6 +122,9 @@ struct ScalarVec {
     return {cplx{mask.v.real() != 0.0 ? b.v.real() : a.v.real(),
                  mask.v.imag() != 0.0 ? b.v.imag() : a.v.imag()}};
   }
+  /// True iff every slot of a compares equal (IEEE ==) to b's: the DMR
+  /// lane compare (NaN never matches, -0.0 matches +0.0, like cplx ==).
+  static bool all_eq(ScalarVec a, ScalarVec b) noexcept { return a.v == b.v; }
 };
 
 // ------------------------------------------------------------------- AVX2
@@ -136,6 +145,11 @@ struct Avx2Vec {
     const __m128d lo = _mm_loadu_pd(reinterpret_cast<const double*>(p));
     const __m128d hi =
         _mm_loadu_pd(reinterpret_cast<const double*>(p + stride));
+    return {_mm256_set_m128d(hi, lo)};
+  }
+  static Avx2Vec gather_ptrs(const cplx* const* p) noexcept {
+    const __m128d lo = _mm_loadu_pd(reinterpret_cast<const double*>(p[0]));
+    const __m128d hi = _mm_loadu_pd(reinterpret_cast<const double*>(p[1]));
     return {_mm256_set_m128d(hi, lo)};
   }
   void store(cplx* p) const noexcept {
@@ -222,6 +236,9 @@ struct Avx2Vec {
   static Avx2Vec blend(Avx2Vec a, Avx2Vec b, Avx2Vec mask) noexcept {
     return {_mm256_blendv_pd(a.v, b.v, mask.v)};
   }
+  static bool all_eq(Avx2Vec a, Avx2Vec b) noexcept {
+    return _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_EQ_OQ)) == 0xF;
+  }
 };
 
 #endif  // FTFFT_VEC_HAVE_AVX2
@@ -240,6 +257,9 @@ struct NeonVec {
   static NeonVec load_raw(const double* p) noexcept { return {vld1q_f64(p)}; }
   static NeonVec gather(const cplx* p, std::size_t) noexcept {
     return load(p);
+  }
+  static NeonVec gather_ptrs(const cplx* const* p) noexcept {
+    return load(p[0]);
   }
   void store(cplx* p) const noexcept {
     vst1q_f64(reinterpret_cast<double*>(p), v);
@@ -316,6 +336,10 @@ struct NeonVec {
   }
   static NeonVec blend(NeonVec a, NeonVec b, NeonVec mask) noexcept {
     return {vbslq_f64(vreinterpretq_u64_f64(mask.v), b.v, a.v)};
+  }
+  static bool all_eq(NeonVec a, NeonVec b) noexcept {
+    const uint64x2_t eq = vceqq_f64(a.v, b.v);
+    return (vgetq_lane_u64(eq, 0) & vgetq_lane_u64(eq, 1)) == ~0ull;
   }
 };
 
