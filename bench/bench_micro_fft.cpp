@@ -36,12 +36,15 @@ void BM_FftForward(benchmark::State& state, bool dispatched) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK_CAPTURE(BM_FftForward, scalar, false)
-    ->RangeMultiplier(4)
-    ->Range(1 << 10, 1 << 20);
-BENCHMARK_CAPTURE(BM_FftForward, dispatched, true)
-    ->RangeMultiplier(4)
-    ->Range(1 << 10, 1 << 20);
+// Every power of two from 2^7 to 2^11, so a snapshot records both sides of
+// fft::Fft's engine crossover (fft::kInplaceEngineMinSize), then every
+// second power up to 2^20.
+void fft_forward_sizes(benchmark::internal::Benchmark* b) {
+  for (std::int64_t n = 1 << 7; n <= 1 << 11; n *= 2) b->Arg(n);
+  for (std::int64_t n = 1 << 12; n <= 1 << 20; n *= 4) b->Arg(n);
+}
+BENCHMARK_CAPTURE(BM_FftForward, scalar, false)->Apply(fft_forward_sizes);
+BENCHMARK_CAPTURE(BM_FftForward, dispatched, true)->Apply(fft_forward_sizes);
 
 void BM_FftInplaceRadix2(benchmark::State& state, bool dispatched) {
   use_backend(state, dispatched);

@@ -79,16 +79,17 @@ bool fused_eligible(std::size_t n) { return n >= 8 && is_pow2(n); }
 bool fused_profitable(std::size_t n) noexcept {
   // Inside the schemes every sub-FFT input was just staged (gathered rows,
   // DMR-multiplied columns), so the separate checksum sweep the fusion
-  // would remove is a cache-resident re-read, not a DRAM pass — the fused
-  // win has to come from "copy + in-place engine" beating the out-of-place
-  // codelet executor by more than the copy costs on hot data. Measured
-  // (AVX2 dev box, min-of-9 x high-rep, hot buffers): loses at n <= 256
-  // (+2..+24%) and at n = 2048 (+9..+13%, the engine's L1-edge worst
-  // case); break-even at 4096; wins everywhere else (-12..-36%, the
-  // whole-array tail sizes from the streamed cs-stage on top). The
-  // whole-transform offline scheme is NOT gated: its input comes in cold
-  // and its interesting sizes live in the streaming tail regime where the
-  // in-kernel output dot saves a real DRAM sweep.
+  // would remove is a cache-resident re-read, not a DRAM pass. Below 512
+  // the separate path's fft::Fft runs the codelet tree, which beats
+  // "copy + in-place engine" (AVX2 dev box, min-of-9 x high-rep, hot
+  // buffers: fused loses +2..+24% at n <= 256). From 512 up
+  // (fft::kInplaceEngineMinSize) both sides run the in-place engine, so
+  // the gate weighs only the fused sweeps: they lose at 2048 (+9..+13%,
+  // measured against the tree, which ties the engine there), break even
+  // at 4096 and win elsewhere (-12..-36%). The whole-transform offline
+  // scheme is NOT gated: its input comes in cold and its interesting sizes
+  // live in the streaming tail regime where the in-kernel output dot saves
+  // a real DRAM sweep.
   return n >= 512 && n != 2048;
 }
 

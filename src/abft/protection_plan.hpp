@@ -211,9 +211,9 @@ class ProtectionPlan {
 
 /// Measured profitability gate for fused execution of one scheme-level
 /// sub-FFT. Scheme sub-inputs are staged cache-hot, so the sweep the
-/// fusion removes is cheap and the decision reduces to whether
-/// "copy + in-place engine" outruns the out-of-place executor on hot
-/// data: false for n <= 256 and n == 2048 (see protection_plan.cpp for
+/// fusion removes is cheap: false for n <= 256, where fft::Fft's codelet
+/// tree outruns "copy + in-place engine", and for n == 2048, where the
+/// fused sweeps lose on the shared engine (see protection_plan.cpp for
 /// the numbers). The online/in-place schemes fall back to the
 /// separate-pass path when this is false (unless
 /// Options::fused_ignore_profitability overrides for tests/benches); the

@@ -2,20 +2,23 @@
 
 #include "abft/protection_plan.hpp"
 #include "common/error.hpp"
-#include "fft/inplace_radix2.hpp"
-#include "fft/plan.hpp"
+#include "common/math_util.hpp"
+#include "fft/fft.hpp"
 
 namespace ftfft {
 
 namespace {
 
-// Materializes the unprotected-executor plans one transform of size n will
-// touch: the mixed-radix decomposition tree and, for power-of-two sizes,
-// the iterative in-place plan (Fft::execute_inplace dispatches to it).
+// Materializes the plan fft::Fft::execute runs at size n: the iterative
+// in-place plan from fft::kInplaceEngineMinSize up, else the decomposition
+// tree.
 void warm_fft_plans(std::size_t n) {
   if (n < 2) return;
-  (void)fft::make_plan(n);
-  if ((n & (n - 1)) == 0) (void)fft::InplaceRadix2Plan::get(n);
+  if (fft::uses_inplace_engine(n)) {
+    (void)fft::InplaceRadix2Plan::get(n);
+  } else {
+    (void)fft::make_plan(n);
+  }
 }
 
 }  // namespace
@@ -112,7 +115,10 @@ std::size_t warm_plans(std::span<const std::size_t> sizes,
         // fail per lane, so there is nothing to prepay.
       }
     }
+    // The unprotected transforms: Fft::execute's plan and, for powers of
+    // two, the in-place plan Fft::execute_inplace runs.
     warm_fft_plans(n);
+    if (n >= 2 && is_pow2(n)) (void)fft::InplaceRadix2Plan::get(n);
   }
   return resident;
 }

@@ -46,26 +46,6 @@ void execute_plan(const PlanNode& node, const cplx* in, std::size_t is,
   const std::size_t r = node.radix;
   const std::size_t m = node.n / r;
 
-  // Two consecutive radix-2 levels fuse into one radix-4 pass, mirroring the
-  // in-place kernel's fused schedule: run the four n/4-point grandchild
-  // sub-transforms directly, then combine both levels while the quarter
-  // elements are in registers. The quarter blocks are laid out in
-  // bit-reversed subsequence order (j mod 4 = 0,2,1,3) — exactly what the
-  // fused butterfly expects — and the two levels' twiddles are the plans'
-  // own tables: w1 = omega_{n/2}^k (inner node), w2 = omega_n^k (this node).
-  if (r == 2 && node.sub->kind == PlanNode::Kind::kCooleyTukey &&
-      node.sub->radix == 2) {
-    const PlanNode& grand = *node.sub->sub;
-    const std::size_t q = node.n / 4;
-    execute_plan(grand, in, 4 * is, out, os, scratch);
-    execute_plan(grand, in + 2 * is, 4 * is, out + q * os, os, scratch);
-    execute_plan(grand, in + is, 4 * is, out + 2 * q * os, os, scratch);
-    execute_plan(grand, in + 3 * is, 4 * is, out + 3 * q * os, os, scratch);
-    simd::fft_kernels().combine_radix4_fused(
-        out, os, q, node.sub->twiddles.data(), node.twiddles.data());
-    return;
-  }
-
   // Sub-transform t1 reads x[t2*r + t1] (stride r*is) and writes its result
   // contiguously (in units of os) to out[m*t1 ...].
   for (std::size_t t1 = 0; t1 < r; ++t1) {

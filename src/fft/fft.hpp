@@ -1,17 +1,19 @@
 // User-facing FFT engine: plan + per-instance workspace.
 //
 // An `Fft` object owns the scratch its plan needs, so `execute` allocates
-// nothing. One instance is not safe for concurrent calls (the scratch is
-// shared state); create one per thread — plans themselves are shared through
-// the process-wide cache, so extra instances are cheap.
+// nothing (strided output on the in-place engine allocates its staging
+// buffer once, on first use). One instance is not safe for concurrent calls
+// (the scratch is shared state); create one per thread — plans themselves
+// are shared through the process-wide cache, so extra instances are cheap.
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/complex.hpp"
+#include "common/math_util.hpp"
+#include "fft/inplace_radix2.hpp"
 #include "fft/plan.hpp"
 
 namespace ftfft::fft {
@@ -19,7 +21,21 @@ namespace ftfft::fft {
 /// Transform direction. Inverse applies the 1/n normalization.
 enum class Direction { kForward, kInverse };
 
-/// Reusable n-point transform engine.
+/// Measured engine crossover (AVX2 host, medians of 31): the recursive
+/// codelet tree wins at 128 (0.56 vs 0.72-0.96 us) and 256 (1.0 vs
+/// 1.35-1.6 us); the in-place engine wins at 512 (3.2 vs 4.8 us), ties at
+/// 2048 and wins 6.0 vs 14.7 ms at 2^18.
+inline constexpr std::size_t kInplaceEngineMinSize = 512;
+
+/// True when `Fft` of size n runs on InplaceRadix2Plan.
+[[nodiscard]] constexpr bool uses_inplace_engine(std::size_t n) noexcept {
+  return n >= kInplaceEngineMinSize && is_pow2(n);
+}
+
+/// Reusable n-point transform engine. Powers of two from
+/// kInplaceEngineMinSize up run on the cached InplaceRadix2Plan (outputs
+/// bitwise those of forward_copy() / inverse()); smaller powers of two,
+/// other composites and Bluestein sizes run on the recursive executor.
 class Fft {
  public:
   explicit Fft(std::size_t n, Direction dir = Direction::kForward);
@@ -40,15 +56,19 @@ class Fft {
 
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
   [[nodiscard]] Direction direction() const noexcept { return dir_; }
-  [[nodiscard]] const PlanNode& plan() const noexcept { return *plan_; }
-  [[nodiscard]] std::string describe() const;
 
  private:
+  void execute_on_inplace_plan(const cplx* in, std::size_t is, cplx* out,
+                               std::size_t os);
+  /// Runs the tree on dir_scratch_ (conjugated for the inverse) into out.
+  void execute_staged(cplx* out, std::size_t os);
+
   std::size_t n_;
   Direction dir_;
-  std::shared_ptr<const PlanNode> plan_;
+  std::shared_ptr<const InplaceRadix2Plan> inplace_;  // uses_inplace_engine
+  std::shared_ptr<const PlanNode> plan_;              // every other size
   std::vector<cplx> scratch_;       // Bluestein workspace (often empty)
-  std::vector<cplx> dir_scratch_;   // conjugation staging for inverse/in-place
+  std::vector<cplx> dir_scratch_;   // conjugation / strided-output staging
 };
 
 /// One-shot convenience transforms (allocate internally).

@@ -2,9 +2,12 @@
 //
 // This is the "in-place, no auxiliary O(N) array" engine the parallel scheme
 // of the paper relies on (section 5): bit-reversal permutation followed by
-// butterfly stages over the data itself. The ABFT in-place protection
-// (src/abft/inplace.hpp) wraps this engine, which is exactly why it exists
-// separately from the recursive out-of-place executor.
+// butterfly stages over the data itself. It is also the library's
+// power-of-two engine from fft::kInplaceEngineMinSize (512) points up:
+// fft::Fft runs those sizes through forward_copy() / forward() / inverse(),
+// so every protected scheme's sub-FFTs and the unprotected baseline share
+// its kernels. The recursive executor (fft/executor.hpp) keeps the smaller
+// powers of two, where its codelet tree is faster, and every other size.
 //
 // Execution paths, slowest to fastest:
 //   * forward_radix2(): one radix-2 pass per level, pair-swap permutation.

@@ -72,7 +72,6 @@ std::shared_ptr<const PlanNode> build_bluestein(std::size_t n) {
   // conv_n is a power of two, so conv_plan needs no scratch of its own and
   // the Bluestein scratch layout in the executor (2 * conv_n) is exact.
   node->chirp_fft.resize(node->conv_n);
-  std::vector<cplx> chirp_fft_scratch;  // pow2 plan: no scratch needed
   execute_plan(*node->conv_plan, b.data(), 1, node->chirp_fft.data(), 1,
                nullptr);
   node->scratch_need = 2 * node->conv_n;

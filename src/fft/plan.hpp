@@ -11,9 +11,13 @@
 // immutable after construction and safely shared across threads; per-call
 // scratch lives in the Fft executor object (src/fft/fft.hpp).
 //
+// fft::Fft builds no tree for powers of two from fft::kInplaceEngineMinSize
+// up (those run on fft/inplace_radix2.hpp); Bluestein's power-of-two
+// convolution (conv_plan) is still a tree at any size.
+//
 // The online ABFT scheme (src/abft) performs the *top-level* m*k split
 // itself — mirroring how the paper instruments FFTW's first decomposition
-// level — and uses these plans for the sub-transforms.
+// level — and runs the sub-transforms through fft::Fft.
 #pragma once
 
 #include <cstddef>

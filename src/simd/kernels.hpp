@@ -1,8 +1,9 @@
 // Per-backend kernel tables for the SIMD-dispatched hot paths.
 //
 // Three layers go through these tables (see ISSUE/ROADMAP: SIMD codelets):
-//   * the in-place radix-4 butterfly stages (fft/inplace_radix2.cpp),
-//   * the out-of-place executor's combine loop and the size-4/8/16 leaf
+//   * the in-place radix-4 butterfly stages (fft/inplace_radix2.cpp), which
+//     run every power-of-two fft::Fft from 512 points up,
+//   * the recursive executor's combine loop and the size-4/8/16 leaf
 //     codelets (fft/executor.cpp, dft/codelets.cpp),
 //   * the stride-1 checksum dot products (checksum/dot.cpp),
 //   * the table-driven DMR twiddle multiply between the ABFT layers
@@ -114,12 +115,6 @@ struct FftKernels {
   /// back to the same index set. r <= 64.
   void (*combine)(cplx* out, std::size_t os, std::size_t m, std::size_t r,
                   const cplx* tw);
-  /// Fused combine of two consecutive radix-2 levels (forward only): the
-  /// four q-point quarter blocks of out hold the sub-DFTs of the input
-  /// subsequences j = 0,2,1,3 (mod 4); w1 = omega_{4q/2}^k (k < q) from the
-  /// inner level, w2 = omega_{4q}^k from the outer level.
-  void (*combine_radix4_fused)(cplx* out, std::size_t os, std::size_t q,
-                               const cplx* w1, const cplx* w2);
   /// Strided-input, contiguous-output leaf codelets (os == 1). nullptr means
   /// "use the scalar codelet"; only backends with width > 1 provide them.
   void (*dft4)(const cplx* in, std::size_t is, cplx* out);
@@ -241,10 +236,6 @@ const FftKernels* neon_fft_kernels();
 void scalar_combine_columns(cplx* out, std::size_t os, std::size_t m,
                             std::size_t r, const cplx* tw,
                             std::size_t k1_begin, std::size_t k1_end);
-
-/// Reference scalar fused radix-2x2 combine (any os).
-void scalar_combine_radix4_fused(cplx* out, std::size_t os, std::size_t q,
-                                 const cplx* w1, const cplx* w2);
 
 /// Reference scalar radix-2 pair pass over data[begin..end) (begin/end are
 /// element indices, must be even).

@@ -201,7 +201,6 @@ constexpr FftKernels kAvx2Fft = {
     a_radix4_stage,
     impl::k_radix16_stage<V>,
     impl::k_combine<V>,
-    impl::k_combine_radix4_fused<V>,
     a_dft4,
     a_dft8,
     a_dft16,

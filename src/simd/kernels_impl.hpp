@@ -1349,16 +1349,4 @@ void k_combine(cplx* out, std::size_t os, std::size_t m, std::size_t r,
   scalar_combine_columns(out, os, m, r, tw, 0, m);
 }
 
-template <class V>
-void k_combine_radix4_fused(cplx* out, std::size_t os, std::size_t q,
-                            const cplx* w1, const cplx* w2) {
-  if (os == 1 && q % V::width == 0 && q >= V::width) {
-    // A fused combine is exactly one radix-4 stage whose block spans the
-    // whole 4q-element range.
-    k_radix4_stage_t<V, false, false>(out, 4 * q, 4 * q, w1, w2, 1.0);
-    return;
-  }
-  scalar_combine_radix4_fused(out, os, q, w1, w2);
-}
-
 }  // namespace ftfft::simd::impl

@@ -42,7 +42,6 @@ constexpr FftKernels kNeonFft = {
     impl::k_radix4_stage<V>,
     impl::k_radix16_stage<V>,
     impl::k_combine<V>,
-    impl::k_combine_radix4_fused<V>,
     nullptr,  // dft4: width-1 backend, scalar codelets are already optimal
     nullptr,  // dft8
     nullptr,  // dft16

@@ -37,28 +37,6 @@ void scalar_combine_columns(cplx* out, std::size_t os, std::size_t m,
   }
 }
 
-void scalar_combine_radix4_fused(cplx* out, std::size_t os, std::size_t q,
-                                 const cplx* w1, const cplx* w2) {
-  for (std::size_t j = 0; j < q; ++j) {
-    const cplx a = out[j * os];
-    const cplx b = out[(j + q) * os];
-    const cplx c = out[(j + 2 * q) * os];
-    const cplx d = out[(j + 3 * q) * os];
-    const cplx t0 = cmul(b, w1[j]);
-    const cplx a1 = a + t0;
-    const cplx b1 = a - t0;
-    const cplx t1 = cmul(d, w1[j]);
-    const cplx c1 = c + t1;
-    const cplx d1 = c - t1;
-    const cplx t2 = cmul(c1, w2[j]);
-    const cplx t3 = mul_neg_i(cmul(d1, w2[j]));
-    out[j * os] = a1 + t2;
-    out[(j + 2 * q) * os] = a1 - t2;
-    out[(j + q) * os] = b1 + t3;
-    out[(j + 3 * q) * os] = b1 - t3;
-  }
-}
-
 void scalar_radix2_stage0_range(cplx* data, std::size_t begin,
                                 std::size_t end) {
   for (std::size_t base = begin; base + 1 < end; base += 2) {
@@ -255,7 +233,6 @@ constexpr FftKernels kScalarFft = {
     impl::k_radix4_stage<V>,
     impl::k_radix16_stage<V>,
     s_combine,
-    scalar_combine_radix4_fused,
     nullptr,  // dft4: width-1 backend, scalar codelets are already optimal
     nullptr,  // dft8
     nullptr,  // dft16

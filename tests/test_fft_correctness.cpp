@@ -1,34 +1,62 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "common/complex.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
+#include "core/ftfft.hpp"
 #include "dft/reference_dft.hpp"
 #include "fft/fft.hpp"
 #include "fft/inplace_radix2.hpp"
+#include "simd/dispatch.hpp"
 
 namespace ftfft {
 namespace {
 
 using fft::Direction;
 using fft::Fft;
+using fft::InplaceRadix2Plan;
+using simd::Backend;
+
+std::vector<Backend> available_backends() {
+  std::vector<Backend> out{Backend::kScalar};
+  if (simd::backend_available(Backend::kAvx2)) out.push_back(Backend::kAvx2);
+  if (simd::backend_available(Backend::kNeon)) out.push_back(Backend::kNeon);
+  return out;
+}
+
+struct BackendGuard {
+  Backend prev = simd::active_backend();
+  ~BackendGuard() { simd::set_backend(prev); }
+};
+
+// Bitwise equality of got[j * stride] and want[j] for j < want.size().
+void expect_bitwise_equal(const cplx* got, std::size_t stride,
+                          const std::vector<cplx>& want, const char* what,
+                          Backend b) {
+  for (std::size_t j = 0; j < want.size(); ++j) {
+    ASSERT_EQ(std::memcmp(&got[j * stride], &want[j], sizeof(cplx)), 0)
+        << what << " first divergence at j=" << j << " n=" << want.size()
+        << " backend=" << simd::backend_name(b) << " got=" << got[j * stride]
+        << " want=" << want[j];
+  }
+}
 
 // Tolerance scaled to the transform: output magnitudes grow like sqrt(n) and
 // the O(n^2) reference oracle itself accumulates ~n*eps error.
 double tol_for(std::size_t n) { return 1e-11 * static_cast<double>(n); }
 
-void expect_matches_reference(const std::vector<cplx>& x,
+void expect_matches_reference(const std::vector<cplx>& want,
                               const std::vector<cplx>& got) {
-  const auto want = dft::reference_dft(x);
-  const double tol = tol_for(x.size());
+  const double tol = tol_for(want.size());
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t j = 0; j < want.size(); ++j) {
     ASSERT_NEAR(got[j].real(), want[j].real(), tol)
-        << "n=" << x.size() << " j=" << j;
+        << "n=" << want.size() << " j=" << j;
     ASSERT_NEAR(got[j].imag(), want[j].imag(), tol)
-        << "n=" << x.size() << " j=" << j;
+        << "n=" << want.size() << " j=" << j;
   }
 }
 
@@ -36,11 +64,17 @@ class FftSize : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FftSize, ForwardMatchesReference) {
   const std::size_t n = GetParam();
+  BackendGuard guard;
   auto x = random_vector(n, InputDistribution::kUniform, 1000 + n);
-  std::vector<cplx> out(n);
+  const auto want = dft::reference_dft(x);
   Fft engine(n);
-  engine.execute(x.data(), out.data());
-  expect_matches_reference(x, out);
+  for (Backend b : available_backends()) {
+    SCOPED_TRACE(simd::backend_name(b));
+    ASSERT_TRUE(simd::set_backend(b));
+    std::vector<cplx> out(n);
+    engine.execute(x.data(), out.data());
+    expect_matches_reference(want, out);
+  }
 }
 
 TEST_P(FftSize, InverseRoundTrips) {
@@ -88,6 +122,100 @@ INSTANTIATE_TEST_SUITE_P(
     PrimesAndAwkward, FftSize,
     ::testing::Values(7, 17, 31, 37, 97, 101, 251, 509, 74, 202, 1111),
     [](const ::testing::TestParamInfo<std::size_t>& pi) { return "n" + std::to_string(pi.param); });
+
+// Power-of-two sizes from fft::kInplaceEngineMinSize up run on the cached
+// InplaceRadix2Plan: every entry point must reproduce its bits exactly.
+class FftInplaceEngine : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FftInplaceEngine, ForwardIsForwardCopyBitwise) {
+  const std::size_t n = GetParam();
+  ASSERT_TRUE(fft::uses_inplace_engine(n));
+  BackendGuard guard;
+  const auto x = random_vector(n, InputDistribution::kNormal, 4000 + n);
+  const auto plan = InplaceRadix2Plan::get(n);
+  Fft engine(n);
+  for (Backend b : available_backends()) {
+    ASSERT_TRUE(simd::set_backend(b));
+    std::vector<cplx> want(n), got(n);
+    plan->forward_copy(x.data(), want.data());
+    engine.execute(x.data(), got.data());
+    expect_bitwise_equal(got.data(), 1, want, "execute", b);
+    got = x;
+    engine.execute_inplace(got.data());
+    expect_bitwise_equal(got.data(), 1, want, "execute_inplace", b);
+  }
+}
+
+TEST_P(FftInplaceEngine, StridedMatchesContiguousBitwise) {
+  const std::size_t n = GetParam();
+  BackendGuard guard;
+  const auto x = random_vector(n, InputDistribution::kUniform, 5000 + n);
+  const std::size_t is = 3;
+  std::vector<cplx> in(n * is);
+  for (std::size_t t = 0; t < n; ++t) in[t * is] = x[t];
+  for (const Direction dir : {Direction::kForward, Direction::kInverse}) {
+    Fft engine(n, dir);
+    for (Backend b : available_backends()) {
+      ASSERT_TRUE(simd::set_backend(b));
+      std::vector<cplx> want(n);
+      engine.execute(x.data(), want.data());
+      for (const std::size_t os : {1ul, 2ul}) {
+        std::vector<cplx> out(n * os);
+        engine.execute_strided(in.data(), is, out.data(), os);
+        expect_bitwise_equal(out.data(), os, want,
+                             os == 1 ? "is=3 os=1" : "is=3 os=2", b);
+      }
+    }
+  }
+}
+
+TEST_P(FftInplaceEngine, InverseIsPlanInverseBitwiseAndRoundTrips) {
+  const std::size_t n = GetParam();
+  BackendGuard guard;
+  const auto x = random_vector(n, InputDistribution::kNormal, 6000 + n);
+  const auto plan = InplaceRadix2Plan::get(n);
+  Fft fwd(n, Direction::kForward);
+  Fft inv(n, Direction::kInverse);
+  for (Backend b : available_backends()) {
+    ASSERT_TRUE(simd::set_backend(b));
+    std::vector<cplx> freq(n), back(n);
+    fwd.execute(x.data(), freq.data());
+    std::vector<cplx> want = freq;
+    plan->inverse(want.data());
+    inv.execute(freq.data(), back.data());
+    expect_bitwise_equal(back.data(), 1, want, "inverse", b);
+    double err = 0.0;
+    for (std::size_t t = 0; t < n; ++t) {
+      err = std::max(err, std::abs(back[t] - x[t]));
+    }
+    EXPECT_LT(err, 1e-12 * static_cast<double>(log2_floor(n)))
+        << "n=" << n << " backend=" << simd::backend_name(b);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PowersOfTwo, FftInplaceEngine,
+    ::testing::Values(512, 1024, 2048, 4096, 1 << 16, 1 << 18),
+    [](const ::testing::TestParamInfo<std::size_t>& pi) { return "n" + std::to_string(pi.param); });
+
+TEST(Fft, OfflineProtectedOutputIsForwardCopyBitwise) {
+  // The offline scheme verifies the plain transform's own output, so a clean
+  // run returns exactly the in-place engine's bits.
+  const std::size_t n = 1 << 18;
+  BackendGuard guard;
+  const auto x = random_vector(n, InputDistribution::kNormal, 7000);
+  PlanConfig cfg;
+  cfg.protection = Protection::kOffline;
+  FtPlan plan(n, cfg);
+  for (Backend b : available_backends()) {
+    ASSERT_TRUE(simd::set_backend(b));
+    std::vector<cplx> want(n);
+    InplaceRadix2Plan::get(n)->forward_copy(x.data(), want.data());
+    const auto got = plan.forward(x);
+    expect_bitwise_equal(got.data(), 1, want, "offline FtPlan", b);
+    EXPECT_EQ(plan.last_stats().comp_errors_detected, 0u);
+  }
+}
 
 TEST(Fft, StridedExecutionMatches) {
   const std::size_t n = 256, is = 2, os = 3;

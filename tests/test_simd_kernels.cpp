@@ -22,7 +22,6 @@
 #include "dft/reference_dft.hpp"
 #include "fault/bitflip.hpp"
 #include "fault/injector.hpp"
-#include "fft/executor.hpp"
 #include "fft/fft.hpp"
 #include "fft/inplace_radix2.hpp"
 #include "simd/dispatch.hpp"
@@ -291,9 +290,11 @@ TEST(SimdFft, InplaceMatchesReferenceDftOnEveryBackend) {
 TEST(SimdFft, OutOfPlaceExecutorAgreesAcrossBackends) {
   BackendGuard guard;
   // Covers vectorized combines (r = 2/4/8/16), scalar combines (r = 3/5),
-  // leaf codelets, generic codelets, and Bluestein.
+  // leaf codelets, generic codelets, and Bluestein; 12288 = 3 * 2^12 keeps
+  // a large-m vectorized combine on the recursive executor now that
+  // powers of two from 512 up run on the in-place engine.
   for (std::size_t n : {4ul, 8ul, 16ul, 30ul, 48ul, 60ul, 100ul, 240ul,
-                        1024ul, 4096ul, 4099ul, 65536ul}) {
+                        1024ul, 4096ul, 4099ul, 12288ul, 65536ul}) {
     auto x = random_vector(n, InputDistribution::kUniform, 909);
     fft::Fft engine(n);
     ASSERT_TRUE(simd::set_backend(Backend::kScalar));
@@ -332,52 +333,6 @@ TEST(SimdFft, StridedCodeletsAgreeWithGenericOnEveryBackend) {
           EXPECT_LT(std::abs(strided[2 * k] - want[k]),
                     1e-11 * (1.0 + inf_norm(want.data(), n)));
         }
-      }
-    }
-  }
-}
-
-// Hand-built radix-2 -> radix-2 plan chains: the planner prefers larger
-// radices, so the fused radix-4 combine path is exercised explicitly here.
-std::shared_ptr<const fft::PlanNode> build_radix2_chain(std::size_t n) {
-  if (n <= 2) {
-    auto leaf = std::make_shared<fft::PlanNode>();
-    leaf->n = n;
-    leaf->kind = fft::PlanNode::Kind::kCodelet;
-    return leaf;
-  }
-  auto node = std::make_shared<fft::PlanNode>();
-  node->n = n;
-  node->kind = fft::PlanNode::Kind::kCooleyTukey;
-  node->radix = 2;
-  node->sub = build_radix2_chain(n / 2);
-  const std::size_t m = n / 2;
-  node->twiddles.resize(m);
-  for (std::size_t k1 = 0; k1 < m; ++k1) node->twiddles[k1] = omega(n, k1);
-  return node;
-}
-
-TEST(SimdFft, FusedRadix2x2CombineMatchesReferenceDft) {
-  BackendGuard guard;
-  for (std::size_t n : {4ul, 8ul, 16ul, 32ul, 64ul, 128ul}) {
-    auto x = random_vector(n, InputDistribution::kUniform, 222);
-    std::vector<cplx> want(n);
-    dft::reference_dft(x.data(), want.data(), n);
-    const auto plan = build_radix2_chain(n);
-    for (Backend b : available_backends()) {
-      ASSERT_TRUE(simd::set_backend(b));
-      std::vector<cplx> out(n);
-      fft::execute_plan(*plan, x.data(), 1, out.data(), 1, nullptr);
-      EXPECT_LT(inf_diff(out.data(), want.data(), n),
-                1e-10 * (1.0 + inf_norm(want.data(), n)))
-          << "n=" << n << " backend=" << simd::backend_name(b);
-      // Strided output goes down the scalar fused path; same answer.
-      std::vector<cplx> strided(3 * n);
-      fft::execute_plan(*plan, x.data(), 1, strided.data(), 3, nullptr);
-      for (std::size_t k = 0; k < n; ++k) {
-        EXPECT_LT(std::abs(strided[3 * k] - want[k]),
-                  1e-10 * (1.0 + inf_norm(want.data(), n)))
-            << "n=" << n << " backend=" << simd::backend_name(b);
       }
     }
   }
