@@ -15,6 +15,7 @@
 #include "abft/protected_fft.hpp"
 #include "bench_backend.hpp"
 #include "common/rng.hpp"
+#include "common/tile_transpose.hpp"
 #include "fft/fft.hpp"
 #include "fft/inplace_radix2.hpp"
 
@@ -216,6 +217,40 @@ BENCHMARK(BM_OnlineComp)->RangeMultiplier(4)->Range(1 << 12, 1 << 18);
 BENCHMARK(BM_OnlineCompFused)->RangeMultiplier(4)->Range(1 << 12, 1 << 18);
 BENCHMARK(BM_OnlineMem)->RangeMultiplier(4)->Range(1 << 12, 1 << 18);
 BENCHMARK(BM_OnlineMemFused)->RangeMultiplier(4)->Range(1 << 12, 1 << 18);
+
+// Staging-transpose rows at the 2^18 protected-scheme shapes: the 512x64
+// gather of 64 strided columns (row stride 512) into contiguous staging and
+// the 64x512 scatter back, each as the naive loop and as the cache-tiled
+// primitive. Successive iterations walk the 8 column batches of the array,
+// as the schemes do.
+void BM_TransposeTiled(benchmark::State& state, bool scatter, bool tiled) {
+  constexpr std::size_t kLd = 512, kBatch = 64, kN = kLd * kLd;
+  auto a = random_vector(kN, InputDistribution::kUniform, 7);
+  std::vector<cplx> stage(kBatch * kLd);
+  std::size_t i0 = 0;
+  for (auto _ : state) {
+    const cplx* src = scatter ? stage.data() : a.data() + i0;
+    cplx* dst = scatter ? a.data() + i0 : stage.data();
+    const std::size_t rows = scatter ? kBatch : kLd;
+    const std::size_t cols = scatter ? kLd : kBatch;
+    if (tiled) {
+      transpose_tiled(src, kLd, dst, kLd, rows, cols);
+    } else {
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) dst[c * kLd + r] = src[r * kLd + c];
+      }
+    }
+    benchmark::DoNotOptimize(dst);
+    benchmark::ClobberMemory();
+    i0 = (i0 + kBatch) % kLd;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBatch * kLd));
+}
+BENCHMARK_CAPTURE(BM_TransposeTiled, gather_naive, false, false);
+BENCHMARK_CAPTURE(BM_TransposeTiled, gather_tiled, false, true);
+BENCHMARK_CAPTURE(BM_TransposeTiled, scatter_naive, true, false);
+BENCHMARK_CAPTURE(BM_TransposeTiled, scatter_tiled, true, true);
 
 void BM_InplaceOnline(benchmark::State& state) {
   use_backend(state, true);

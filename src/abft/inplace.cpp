@@ -1,5 +1,6 @@
 #include "abft/inplace.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "checksum/weights.hpp"
 #include "common/error.hpp"
 #include "common/math_util.hpp"
+#include "common/tile_transpose.hpp"
 #include "dft/codelets.hpp"
 #include "fft/fft.hpp"
 #include "fft/inplace_radix2.hpp"
@@ -111,12 +113,18 @@ class InplaceRun {
     if (inj() != nullptr) inj()->apply(Phase::kInputAfterChecksum, 0, x_, n_);
   }
 
-  // Layer 1: blk_ sub-FFTs of size k_ at stride blk_. The gathered buffer
-  // is the Fig. 4 input backup: it stays untouched until the output has
-  // verified, so a retry never needs the (about to be overwritten) array.
+  // Layer 1: blk_ sub-FFTs of size k_ at stride blk_, staged B =
+  // plan_.layer1_batch() columns at a time (the 32768-element staging rule
+  // the online scheme's layer 1 uses: B = 64 at k = 512, 128 at k = 256).
+  // One tiled transpose (kTransposeTile) gathers the B strided columns into
+  // `stage`; every unit then runs exactly as if unbatched from its own
+  // staged column into `ostage`, and one tiled transpose scatters the B
+  // verified results back. A staged column is the Fig. 4 input backup: it
+  // stays untouched until its own output has verified, so a retry never
+  // needs the array.
   void layer1() {
     fft::Fft fftk(k_);
-    // Fused checksums (PR 6): the gathered buffer is contiguous, so the
+    // Fused checksums (PR 6): the staged column is contiguous, so the
     // in-place engine can run it and accumulate both checksum dots in the
     // butterfly passes instead of the standalone sweeps below — at the
     // sub-sizes where the engine swap profits on the gather-hot buffer
@@ -127,92 +135,96 @@ class InplaceRun {
                 (opts_.fused_ignore_profitability || fused_profitable(k_))
             ? plan_.fused_plan_k()
             : nullptr;
-    std::vector<cplx> buf(k_), res(k_);
+    const std::size_t batch = plan_.layer1_batch();
+    std::vector<cplx> stage(batch * k_), ostage(batch * k_);
     if (opts_.memory_ft) {
       b1_.assign(k_, DualSum{});
       e_blk_.assign(k_, 0.0);
     }
-    for (std::size_t i = 0; i < blk_; ++i) {
-      double energy = 0.0;
-      for (std::size_t s = 0; s < k_; ++s) {
-        buf[s] = x_[s * blk_ + i];
-        energy += norm2(buf[s]);
+    for (std::size_t i0 = 0; i0 < blk_; i0 += batch) {
+      const std::size_t bw = std::min(batch, blk_ - i0);
+      transpose_tiled(x_ + i0, blk_, stage.data(), k_, k_, bw);
+      for (std::size_t il = 0; il < bw; ++il) {
+        layer1_unit(i0 + il, stage.data() + il * k_,
+                    ostage.data() + il * k_, combined_ccg, fused, fftk);
       }
-      if (opts_.memory_ft && e_in_[i] > 0.0) energy = e_in_[i];
+      transpose_tiled(ostage.data(), k_, x_ + i0, blk_, bw, k_);
+    }
+  }
 
-      cplx ccg{0.0, 0.0};
-      bool have_ccg = false;
-      if (combined_ccg) {
-        ccg = s1_[i];
+  // One protected layer-1 sub-FFT from its staged input column `buf` into
+  // `res`, then the fold of the verified output into the per-block
+  // checksums that protect the window until layer 2 consumes the block.
+  void layer1_unit(std::size_t i, cplx* buf, cplx* res, bool combined_ccg,
+                   const fft::InplaceRadix2Plan* fused, fft::Fft& fftk) {
+    double energy = 0.0;
+    for (std::size_t s = 0; s < k_; ++s) energy += norm2(buf[s]);
+    if (opts_.memory_ft && e_in_[i] > 0.0) energy = e_in_[i];
+
+    cplx ccg{0.0, 0.0};
+    bool have_ccg = false;
+    if (combined_ccg) {
+      ccg = s1_[i];
+      have_ccg = true;
+      if (!opts_.postpone_mcv) repair_input_slot(i, buf);
+    } else {
+      if (opts_.memory_ft && !opts_.postpone_mcv) repair_input_slot(i, buf);
+      if (fused == nullptr) {
+        ccg = checksum::weighted_sum(ck_, buf, k_);
         have_ccg = true;
-        if (!opts_.postpone_mcv) repair_input_slot(i, buf.data());
-      } else {
-        if (opts_.memory_ft && !opts_.postpone_mcv) {
-          repair_input_slot(i, buf.data());
-        }
-        if (fused == nullptr) {
-          ccg = checksum::weighted_sum(ck_, buf.data(), k_);
+      }
+      // else: ccg rides on the first fused pass below.
+    }
+
+    const double eta = eta_comp(energy);
+    stats_.eta_m = std::max(stats_.eta_m, eta);
+    for (int attempt = 0;; ++attempt) {
+      cplx rx;
+      if (fused != nullptr) {
+        fft::InplaceRadix2Plan::FusedDots dots;
+        InjectorHook hook{inj(), Phase::kMFftOutput, i};
+        fused->forward_fused(buf, res, have_ccg ? nullptr : ck_,
+                             plan_.weights_omega3_k(), dots,
+                             inj() != nullptr ? &InjectorHook::call : nullptr,
+                             &hook);
+        if (!have_ccg) {
+          ccg = dots.in_sum;
           have_ccg = true;
         }
-        // else: ccg rides on the first fused pass below.
+        rx = dots.out_sum;
+      } else {
+        fftk.execute(buf, res);
+        if (inj() != nullptr) inj()->apply(Phase::kMFftOutput, i, res, k_);
+        rx = checksum::omega3_weighted_sum(res, k_);
       }
-
-      const double eta = eta_comp(energy);
-      stats_.eta_m = std::max(stats_.eta_m, eta);
-      for (int attempt = 0;; ++attempt) {
-        cplx rx;
-        if (fused != nullptr) {
-          fft::InplaceRadix2Plan::FusedDots dots;
-          InjectorHook hook{inj(), Phase::kMFftOutput, i};
-          fused->forward_fused(buf.data(), res.data(),
-                               have_ccg ? nullptr : ck_,
-                               plan_.weights_omega3_k(), dots,
-                               inj() != nullptr ? &InjectorHook::call
-                                                : nullptr,
-                               &hook);
-          if (!have_ccg) {
-            ccg = dots.in_sum;
-            have_ccg = true;
-          }
-          rx = dots.out_sum;
-        } else {
-          fftk.execute(buf.data(), res.data());
-          if (inj() != nullptr) {
-            inj()->apply(Phase::kMFftOutput, i, res.data(), k_);
-          }
-          rx = checksum::omega3_weighted_sum(res.data(), k_);
-        }
-        ++stats_.verifications;
-        if (std::abs(rx - ccg) <= eta) break;
-        if (attempt >= opts_.max_retries) {
-          throw UncorrectableError(
-              "inplace ABFT: layer-1 sub-FFT kept failing verification");
-        }
-        ++stats_.sub_fft_retries;
-        if (opts_.memory_ft) {
-          if (repair_input_slot(i, buf.data())) {
-            if (!opts_.combined_checksums) {
-              if (fused != nullptr) {
-                have_ccg = false;  // re-derived in flight from repaired buf
-              } else {
-                ccg = checksum::weighted_sum(ck_, buf.data(), k_);
-              }
+      ++stats_.verifications;
+      if (std::abs(rx - ccg) <= eta) break;
+      if (attempt >= opts_.max_retries) {
+        throw UncorrectableError(
+            "inplace ABFT: layer-1 sub-FFT kept failing verification");
+      }
+      ++stats_.sub_fft_retries;
+      if (opts_.memory_ft) {
+        if (repair_input_slot(i, buf)) {
+          if (!opts_.combined_checksums) {
+            if (fused != nullptr) {
+              have_ccg = false;  // re-derived in flight from repaired buf
+            } else {
+              ccg = checksum::weighted_sum(ck_, buf, k_);
             }
-            continue;
           }
+          continue;
         }
-        ++stats_.comp_errors_detected;
       }
+      ++stats_.comp_errors_detected;
+    }
 
-      // Scatter back; fold the output into the per-block checksums that
-      // protect the window until layer 2 consumes the block.
+    if (opts_.memory_ft) {
+      const double id = static_cast<double>(i);
       for (std::size_t s = 0; s < k_; ++s) {
-        x_[s * blk_ + i] = res[s];
-        if (opts_.memory_ft) {
-          b1_[s].plain += res[s];
-          b1_[s].indexed += static_cast<double>(i) * res[s];
-          e_blk_[s] += norm2(res[s]);
-        }
+        b1_[s].plain += res[s];
+        b1_[s].indexed += id * res[s];
+        e_blk_[s] += norm2(res[s]);
       }
     }
   }
@@ -518,15 +530,10 @@ InplaceShape inplace_shape(std::size_t n) {
 }
 
 void krk_digit_reverse_permute(cplx* data, std::size_t k, std::size_t r) {
-  const std::size_t blk = r * k;
-  for (std::size_t d2 = 0; d2 < k; ++d2) {
-    for (std::size_t d1 = 0; d1 < r; ++d1) {
-      for (std::size_t d0 = 0; d0 < k; ++d0) {
-        const std::size_t p = d0 + d1 * k + d2 * blk;
-        const std::size_t q = d2 + d1 * k + d0 * blk;
-        if (p < q) std::swap(data[p], data[q]);
-      }
-    }
+  // For each middle digit d1 the swap set is the transpose of the k x k
+  // slice data[d1*k + d2*r*k + d0] (row d2, column d0).
+  for (std::size_t d1 = 0; d1 < r; ++d1) {
+    transpose_square_inplace(data + d1 * k, k, r * k);
   }
 }
 

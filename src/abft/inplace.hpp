@@ -37,12 +37,14 @@ struct InplaceShape {
 
 /// In-place digit-reversal permutation for the palindromic radix vector
 /// (k, r, k): position d0 + d1*k + d2*r*k swaps with d2 + d1*k + d0*r*k.
-/// Self-inverse, runs as plain swaps. Exposed for tests and the parallel
+/// Self-inverse: for each d1 it is one tiled in-place transpose of a k x k
+/// slice with leading dimension r*k. Exposed for tests and the parallel
 /// local-adjustment step.
 void krk_digit_reverse_permute(cplx* data, std::size_t k, std::size_t r);
 
 /// Protected in-place forward DFT of data[0..n). Uses O(sqrt(n) * r)
-/// auxiliary buffers only. Honors opts.memory_ft, ra_method, postpone_mcv
+/// auxiliary buffers plus a layer-1 staging block of at most 2 * 32768
+/// elements. Honors opts.memory_ft, ra_method, postpone_mcv
 /// (naive mode verifies every block before use; optimized mode postpones
 /// into the computational checks), eta_override, max_retries and injector;
 /// contiguous staging is inherent to the algorithm.

@@ -13,6 +13,7 @@
 #include "checksum/weights.hpp"
 #include "common/error.hpp"
 #include "common/math_util.hpp"
+#include "common/tile_transpose.hpp"
 #include "fft/fft.hpp"
 #include "fft/inplace_radix2.hpp"
 #include "roundoff/model.hpp"
@@ -122,21 +123,18 @@ class OnlineRun {
       r1_.assign(k_, DualSum{});
     }
 
-    // Section 4.4 staging: gather a batch of sub-FFT inputs with a tiled
-    // transpose — the input is read row-wise (contiguous runs of `batch`),
-    // and the batch keeps only `batch` destination cache lines live — then
-    // every checksum/FFT pass runs over contiguous buffers. The width was
-    // resolved once at plan build (1 = unbuffered).
+    // Section 4.4 staging: one tiled transpose (kTransposeTile) gathers a
+    // batch of `batch` strided sub-FFT inputs into contiguous columns of
+    // `bufblock`, then every checksum/FFT pass runs over contiguous
+    // buffers. The plan resolves batch = 32768 / m (clamped to [min(4, k),
+    // k]) once, i.e. a ~512 KiB staging block; 1 = unbuffered.
     const std::size_t batch = plan_.layer1_batch();
     std::vector<cplx> bufblock(opts_.contiguous_buffering ? batch * m_ : 0);
 
     for (std::size_t i0 = 0; i0 < k_; i0 += batch) {
       const std::size_t bw = std::min(batch, k_ - i0);
       if (opts_.contiguous_buffering) {
-        for (std::size_t t = 0; t < m_; ++t) {
-          const cplx* row = x_ + t * k_ + i0;
-          for (std::size_t i = 0; i < bw; ++i) bufblock[i * m_ + t] = row[i];
-        }
+        transpose_tiled(x_ + i0, k_, bufblock.data(), m_, m_, bw);
       }
       for (std::size_t il = 0; il < bw; ++il) {
         run_sub_fft(i0 + il,
@@ -393,9 +391,11 @@ class OnlineRun {
     if (opts_.memory_ft && !opts_.postpone_mcv) f1_.assign(m_, DualSum{});
 
     // Stage `s` columns at a time (section 4.4 on the second layer, the
-    // paper's "s k-FFTs"): the strided intermediate is loaded row-wise into
-    // a column-major block, every per-column pass then runs contiguous, and
-    // the verified results are written back row-wise in one batched pass.
+    // paper's "s k-FFTs"; the plan resolves s = 32768 / k unless
+    // Options::batch_columns pins it): one tiled transpose (kTransposeTile)
+    // loads the strided intermediate into a column-major block, every
+    // per-column pass then runs contiguous, and a second tiled transpose
+    // writes the verified results back to their natural-order rows.
     const std::size_t s = plan_.layer2_cols();
     std::vector<cplx> stage(opts_.contiguous_buffering ? s * k_ : 0);
     std::vector<cplx> ostage(opts_.contiguous_buffering ? s * k_ : 0);
@@ -403,21 +403,13 @@ class OnlineRun {
     for (std::size_t c0 = 0; c0 < m_; c0 += s) {
       const std::size_t sc = std::min(s, m_ - c0);
       if (opts_.contiguous_buffering) {
-        // Row-wise load into column-major staging.
-        for (std::size_t i = 0; i < k_; ++i) {
-          const cplx* row = out_ + i * m_ + c0;
-          for (std::size_t c = 0; c < sc; ++c) stage[c * k_ + i] = row[c];
-        }
+        transpose_tiled(out_ + c0, m_, stage.data(), k_, k_, sc);
         for (std::size_t c = 0; c < sc; ++c) {
           process_column(c0 + c, stage.data() + c * k_, 1, fftk, tw.data(),
                          ostage.data() + c * k_);
         }
-        // Row-wise write-back of the verified results: out[j*m + c] gets
-        // result element j of column c.
-        for (std::size_t j = 0; j < k_; ++j) {
-          cplx* row = out_ + j * m_ + c0;
-          for (std::size_t c = 0; c < sc; ++c) row[c] = ostage[c * k_ + j];
-        }
+        // out[j*m + c] gets result element j of column c.
+        transpose_tiled(ostage.data(), k_, out_ + c0, m_, sc, k_);
       } else {
         for (std::size_t c = 0; c < sc; ++c) {
           process_column(c0 + c, out_ + c0 + c, m_, fftk, tw.data(),

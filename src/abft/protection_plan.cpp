@@ -13,8 +13,8 @@ namespace ftfft::abft {
 namespace {
 
 // Staging block target in complex elements (~512 KiB): the online scheme's
-// section-4.4 buffering stages strided sub-FFT inputs / intermediate columns
-// through blocks of this footprint.
+// section-4.4 buffering and the in-place scheme's layer 1 stage strided
+// sub-FFT inputs / intermediate columns through blocks of this footprint.
 constexpr std::size_t kStageElems = 32768;
 
 std::atomic<std::uint64_t> plan_builds{0};
@@ -152,6 +152,10 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
       eta_k_ = eta_coeffs(k_);
       eta_block_ = eta_coeffs(blk_);
       eta_whole_ = eta_coeffs(n);
+      // Layer 1 always stages (it is the scheme's input backup), so the
+      // width ignores contiguous_buffering: same rule as kOnline's layer 1.
+      layer1_batch_ = std::clamp<std::size_t>(
+          kStageElems / k_, std::min<std::size_t>(4, blk_), blk_);
       if (fused_eligible(k_)) {
         fused_k_ = fft::InplaceRadix2Plan::get(k_);
         w3k_ = checksum::shared_comp_weights(k_);

@@ -170,9 +170,11 @@ class ProtectionPlan {
     if (tw_) tw_->collect_state(out);
   }
 
-  /// kOnline staging layout (section 4.4), resolved from the options once:
-  /// sub-FFTs gathered per first-layer staging block and columns staged per
-  /// second-layer pass. Both are 1 when contiguous_buffering is off.
+  /// Staging layout (section 4.4), resolved once: sub-FFTs gathered per
+  /// first-layer staging block (kOnline and kOnlineInplace, 32768 / sub-FFT
+  /// size clamped to [min(4, count), count]) and columns staged per
+  /// second-layer pass (kOnline). kOnline's are both 1 when
+  /// contiguous_buffering is off; kOnlineInplace always stages.
   [[nodiscard]] std::size_t layer1_batch() const noexcept {
     return layer1_batch_;
   }

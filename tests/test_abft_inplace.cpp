@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "abft/options.hpp"
@@ -9,6 +11,7 @@
 #include "common/rng.hpp"
 #include "dft/reference_dft.hpp"
 #include "fault/injector.hpp"
+#include "fft/fft.hpp"
 
 namespace ftfft {
 namespace {
@@ -26,6 +29,39 @@ void expect_matches_reference(const std::vector<cplx>& x,
   for (std::size_t j = 0; j < x.size(); ++j) {
     ASSERT_NEAR(got[j].real(), want[j].real(), tol) << "j=" << j;
     ASSERT_NEAR(got[j].imag(), want[j].imag(), tol) << "j=" << j;
+  }
+}
+
+// Same bound, with the unprotected transform as the oracle: the O(n^2)
+// reference DFT is too slow at the batch-boundary sizes.
+void expect_matches_unprotected(const std::vector<cplx>& x,
+                                const std::vector<cplx>& got) {
+  std::vector<cplx> want(x.size());
+  fft::Fft(x.size()).execute(x.data(), want.data());
+  const double tol = 1e-10 * static_cast<double>(x.size());
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    ASSERT_NEAR(got[j].real(), want[j].real(), tol) << "j=" << j;
+    ASSERT_NEAR(got[j].imag(), want[j].imag(), tol) << "j=" << j;
+  }
+}
+
+bool bitwise_equal(const std::vector<cplx>& a, const std::vector<cplx>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+// Reference digit reversal for the radix vector (k, r, k): the direct
+// triple loop of swaps p = d0 + d1*k + d2*r*k <-> q = d2 + d1*k + d0*r*k.
+void krk_digit_reverse_reference(cplx* data, std::size_t k, std::size_t r) {
+  const std::size_t blk = r * k;
+  for (std::size_t d2 = 0; d2 < k; ++d2) {
+    for (std::size_t d1 = 0; d1 < r; ++d1) {
+      for (std::size_t d0 = 0; d0 < k; ++d0) {
+        const std::size_t p = d0 + d1 * k + d2 * blk;
+        const std::size_t q = d2 + d1 * k + d0 * blk;
+        if (p < q) std::swap(data[p], data[q]);
+      }
+    }
   }
 }
 
@@ -53,20 +89,21 @@ TEST(DigitReversePermute, IsAnInvolution) {
   for (const auto& [k, r] : {std::pair<std::size_t, std::size_t>{4, 1},
                             {4, 2},
                             {8, 3},
-                            {5, 2}}) {
+                            {5, 2},
+                            {512, 1},
+                            {256, 2}}) {
     const std::size_t n = k * k * r;
     auto x = random_vector(n, InputDistribution::kUniform, 600 + n);
     auto once = x;
     abft::krk_digit_reverse_permute(once.data(), k, r);
+    auto want = x;
+    krk_digit_reverse_reference(want.data(), k, r);
+    EXPECT_TRUE(bitwise_equal(once, want)) << "k " << k << " r " << r;
     auto twice = once;
     abft::krk_digit_reverse_permute(twice.data(), k, r);
-    for (std::size_t j = 0; j < n; ++j) EXPECT_EQ(twice[j], x[j]) << j;
+    EXPECT_TRUE(bitwise_equal(twice, x)) << "k " << k << " r " << r;
     // And it is not the identity for nontrivial shapes.
-    bool moved = false;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (once[j] != x[j]) moved = true;
-    }
-    EXPECT_TRUE(moved);
+    EXPECT_FALSE(bitwise_equal(once, x)) << "k " << k << " r " << r;
   }
 }
 
@@ -92,18 +129,49 @@ TEST_P(InplaceMode, FaultFreeMatchesReferenceAcrossSizes) {
 }
 
 TEST_P(InplaceMode, Layer1ComputationalFaultCorrected) {
-  const std::size_t n = 512;  // k = 16, r = 2
-  auto x = random_vector(n, InputDistribution::kUniform, 61);
-  const auto pristine = x;
-  Injector inj;
-  inj.schedule(FaultSpec::computational(Phase::kMFftOutput, 11, 3, {4.0, 4.0}));
-  Options o = opts();
-  o.injector = &inj;
-  Stats stats;
-  abft::inplace_online_transform(x.data(), n, o, stats);
-  expect_matches_reference(pristine, x);
-  EXPECT_EQ(stats.comp_errors_detected, 1u);
-  EXPECT_EQ(stats.sub_fft_retries, 1u);
+  // 512: k = 16, r = 2. 200: k = 10, r = 2, so every staging transpose
+  // ends in a partial tile.
+  for (const std::size_t n : {512, 200}) {
+    auto x = random_vector(n, InputDistribution::kUniform, 61);
+    const auto pristine = x;
+    Injector inj;
+    inj.schedule(
+        FaultSpec::computational(Phase::kMFftOutput, 11, 3, {4.0, 4.0}));
+    Options o = opts();
+    o.injector = &inj;
+    Stats stats;
+    abft::inplace_online_transform(x.data(), n, o, stats);
+    expect_matches_reference(pristine, x);
+    EXPECT_EQ(stats.comp_errors_detected, 1u) << n;
+    EXPECT_EQ(stats.sub_fft_retries, 1u) << n;
+  }
+}
+
+// n = 2^16: k = 256, r = 1, so layer 1 runs blk = 256 units staged in two
+// batches of 128. Faults on the first and last unit of each batch must be
+// retried from that unit's own staged column, bit-identically to a clean
+// run.
+TEST_P(InplaceMode, Layer1FaultAtBatchBoundaryRetriedBitwise) {
+  const std::size_t n = std::size_t{1} << 16;
+  const auto x = random_vector(n, InputDistribution::kNormal, 81);
+  auto clean = x;
+  Stats clean_stats;
+  abft::inplace_online_transform(clean.data(), n, opts(), clean_stats);
+  expect_matches_unprotected(x, clean);
+  for (const std::size_t unit : {0, 127, 128, 255}) {
+    auto y = x;
+    Injector inj;
+    inj.schedule(
+        FaultSpec::computational(Phase::kMFftOutput, unit, 9, {4.0, -3.0}));
+    Options o = opts();
+    o.injector = &inj;
+    Stats stats;
+    abft::inplace_online_transform(y.data(), n, o, stats);
+    EXPECT_EQ(inj.fired_count(), 1u) << unit;
+    EXPECT_EQ(stats.comp_errors_detected, 1u) << unit;
+    EXPECT_EQ(stats.sub_fft_retries, 1u) << unit;
+    EXPECT_TRUE(bitwise_equal(y, clean)) << "unit " << unit;
+  }
 }
 
 TEST_P(InplaceMode, Layer3ComputationalFaultCorrected) {
@@ -167,6 +235,23 @@ TEST(InplaceAbft, InputMemoryFaultCorrected) {
   Stats stats;
   abft::inplace_online_transform(x.data(), n, o, stats);
   expect_matches_reference(pristine, x);
+  EXPECT_EQ(stats.mem_errors_corrected, 1u);
+}
+
+TEST(InplaceAbft, InputMemoryFaultInLastColumnOfBatchRepaired) {
+  // n = 2^16 stages layer 1 in batches of 128 columns; column 127 is the
+  // last one of the first batch. Row 100 of it is element 100*256 + 127.
+  const std::size_t n = std::size_t{1} << 16;
+  auto x = random_vector(n, InputDistribution::kUniform, 83);
+  const auto pristine = x;
+  Injector inj;
+  inj.schedule(FaultSpec::memory_set(Phase::kInputAfterChecksum, 0,
+                                     100 * 256 + 127, {25.0, -8.0}));
+  Options o = Options::online_opt(true);
+  o.injector = &inj;
+  Stats stats;
+  abft::inplace_online_transform(x.data(), n, o, stats);
+  expect_matches_unprotected(pristine, x);
   EXPECT_EQ(stats.mem_errors_corrected, 1u);
 }
 

@@ -3,11 +3,15 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/aligned_buffer.hpp"
 #include "common/complex.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "common/tile_transpose.hpp"
 #include "common/timer.hpp"
 
 namespace ftfft {
@@ -38,6 +42,58 @@ TEST(AlignedBuffer, EmptyIsSafe) {
   AlignedBuffer<cplx> buf;
   EXPECT_TRUE(buf.empty());
   EXPECT_EQ(buf.begin(), buf.end());
+}
+
+// Distinct, exactly representable values so a misplaced element shows.
+std::vector<cplx> iota_matrix(std::size_t count) {
+  std::vector<cplx> v(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    v[i] = {static_cast<double>(i), -0.5 * static_cast<double>(i)};
+  }
+  return v;
+}
+
+bool bitwise_equal(const std::vector<cplx>& a, const std::vector<cplx>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+TEST(TileTranspose, RectangularMatchesNaiveLoop) {
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1}, {3, 5}, {17, 33}, {64, 512}, {512, 64}};
+  for (const auto& [rows, cols] : shapes) {
+    // Padded strides on both sides: the primitive must leave the gaps alone.
+    for (const std::size_t pad : {std::size_t{0}, std::size_t{3}}) {
+      const std::size_t ss = cols + pad, ds = rows + pad;
+      const auto src = iota_matrix(rows * ss);
+      std::vector<cplx> want(cols * ds, cplx{-1.0, -1.0});
+      auto got = want;
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          want[c * ds + r] = src[r * ss + c];
+        }
+      }
+      transpose_tiled(src.data(), ss, got.data(), ds, rows, cols);
+      EXPECT_TRUE(bitwise_equal(got, want))
+          << rows << "x" << cols << " pad " << pad;
+    }
+  }
+}
+
+TEST(TileTranspose, SquareInplaceMatchesNaiveSwap) {
+  for (const std::size_t n : {1, 15, 16, 33, 512}) {
+    for (const std::size_t lda : {n, n + 5}) {
+      auto want = iota_matrix(n * lda);
+      auto got = want;
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) {
+          std::swap(want[i * lda + j], want[j * lda + i]);
+        }
+      }
+      transpose_square_inplace(got.data(), n, lda);
+      EXPECT_TRUE(bitwise_equal(got, want)) << "n " << n << " lda " << lda;
+    }
+  }
 }
 
 TEST(Timers, WallTimerAdvances) {

@@ -164,6 +164,26 @@ TEST(ProtectionPlan, SchemesExposeTheirDecomposition) {
   EXPECT_GT(offline->eta_whole().comp, 0.0);
 }
 
+TEST(ProtectionPlan, InplaceLayer1BatchFollowsTheStagingRule) {
+  // 32768 elements per staging block, at most one block's worth of
+  // columns, whatever the buffering switch says.
+  for (const Options& opts :
+       {Options::online_opt(true), Options::online_naive(false)}) {
+    EXPECT_EQ(ProtectionPlan::get(1 << 12, Scheme::kOnlineInplace, opts)
+                  ->layer1_batch(),
+              64u);  // k = 64: clamped to the 64-column block
+    EXPECT_EQ(ProtectionPlan::get(1 << 18, Scheme::kOnlineInplace, opts)
+                  ->layer1_batch(),
+              64u);  // k = 512
+    EXPECT_EQ(ProtectionPlan::get(1 << 16, Scheme::kOnlineInplace, opts)
+                  ->layer1_batch(),
+              128u);  // k = 256
+    EXPECT_EQ(ProtectionPlan::get(1 << 17, Scheme::kOnlineInplace, opts)
+                  ->layer1_batch(),
+              128u);  // k = 256, r = 2
+  }
+}
+
 TEST(ProtectionPlan, UnbufferedOptionsDisableStaging) {
   const Options naive = Options::online_naive(false);
   const auto plan = ProtectionPlan::get(1 << 12, Scheme::kOnline, naive);
