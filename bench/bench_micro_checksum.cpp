@@ -59,23 +59,6 @@ BENCHMARK_CAPTURE(BM_DualWeightedSum, dispatched, true)
     ->RangeMultiplier(16)
     ->Range(1 << 10, 1 << 18);
 
-void BM_DualPlainSumRobust(benchmark::State& state, bool dispatched) {
-  use_backend(state, dispatched);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto x = random_vector(n, InputDistribution::kNormal, 6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(checksum::dual_plain_sum_robust(x.data(), n));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK_CAPTURE(BM_DualPlainSumRobust, scalar, false)
-    ->RangeMultiplier(16)
-    ->Range(1 << 10, 1 << 18);
-BENCHMARK_CAPTURE(BM_DualPlainSumRobust, dispatched, true)
-    ->RangeMultiplier(16)
-    ->Range(1 << 10, 1 << 18);
-
 // Syndrome generation for the multi-error budget (PR 9): 2t weighted
 // moment sums per protected block. t = 1 is the opt-in floor (twice the
 // dual-checksum moments), t = 4 the decoder's ceiling; the dispatched

@@ -87,28 +87,13 @@ class InplaceRun {
       // multi-error budget (t > 1) the same pass also folds each weighted
       // element into the slot's 2t syndrome moments (PR 9 escalation).
       const int nm = plan_.syndrome_moments();
-      s1_.assign(blk_, cplx{0, 0});
-      s2_.assign(blk_, cplx{0, 0});
-      e_in_.assign(blk_, 0.0);
-      if (nm > 0) {
-        checksum::SyndromeSet init;
-        init.moments = nm;
-        syn1_.assign(blk_, init);
-      }
-      const double inv_k = 1.0 / static_cast<double>(k_);
-      const cplx* w = opts_.combined_checksums ? ck_ : nullptr;
-      for (std::size_t s = 0; s < k_; ++s) {
-        const cplx ws = (w != nullptr) ? w[s] : cplx{1.0, 0.0};
-        const double sd = static_cast<double>(s);
-        const cplx* row = x_ + s * blk_;
-        for (std::size_t i = 0; i < blk_; ++i) {
-          const cplx p = cmul(ws, row[i]);
-          s1_[i] += p;
-          s2_[i] += sd * p;
-          e_in_[i] += norm2(row[i]);
-          if (nm > 0) syn1_[i].accumulate(s, p, inv_k);
-        }
-      }
+      s1_.resize(blk_);
+      s2_.resize(blk_);
+      e_in_.resize(blk_);
+      syn1_.resize(nm > 0 ? blk_ : 0);
+      checksum::input_slot_checksums(
+          x_, k_, blk_, opts_.combined_checksums ? ck_ : nullptr, nm,
+          s1_.data(), s2_.data(), e_in_.data(), syn1_.data());
     }
     if (inj() != nullptr) inj()->apply(Phase::kInputAfterChecksum, 0, x_, n_);
   }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <cstddef>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "abft/dmr.hpp"
@@ -83,31 +85,15 @@ class OnlineRun {
     e_in_.assign(k_, 0.0);
     if (opts_.memory_ft) {
       // CMCG: one contiguous pass over the input builds the per-sub-FFT
-      // dual checksums (slot i covers elements x[t*k + i]). With a
-      // multi-error budget (t > 1) the same pass also folds each weighted
-      // element into the slot's 2t syndrome moments — the only extra cost
-      // the escalation path adds to a fault-free run.
+      // dual checksums (slot i covers elements x[t*k + i]) and, with a
+      // multi-error budget (t > 1), each slot's 2t syndrome moments.
       const int nm = plan_.syndrome_moments();
-      s1_.assign(k_, cplx{0, 0});
-      s2_.assign(k_, cplx{0, 0});
-      if (nm > 0) {
-        checksum::SyndromeSet init;
-        init.moments = nm;
-        syn1_.assign(k_, init);
-      }
-      const double inv_m = 1.0 / static_cast<double>(m_);
-      for (std::size_t t = 0; t < m_; ++t) {
-        const cplx w = opts_.combined_checksums ? cm_[t] : cplx{1.0, 0.0};
-        const double td = static_cast<double>(t);
-        const cplx* row = x_ + t * k_;
-        for (std::size_t i = 0; i < k_; ++i) {
-          const cplx p = cmul(w, row[i]);
-          s1_[i] += p;
-          s2_[i] += td * p;
-          e_in_[i] += norm2(row[i]);
-          if (nm > 0) syn1_[i].accumulate(t, p, inv_m);
-        }
-      }
+      s1_.resize(k_);
+      s2_.resize(k_);
+      syn1_.resize(nm > 0 ? k_ : 0);
+      checksum::input_slot_checksums(
+          x_, m_, k_, opts_.combined_checksums ? cm_ : nullptr, nm,
+          s1_.data(), s2_.data(), e_in_.data(), syn1_.data());
     }
     if (inj() != nullptr) inj()->apply(Phase::kInputAfterChecksum, 0, x_, n_);
   }
@@ -255,14 +241,14 @@ class OnlineRun {
 
     if (opts_.memory_ft) {
       if (opts_.incremental_mcg) {
-        // Section 4.3: fold this sub-FFT's output into the column checksums
-        // of the second layer while it is still cache-hot. (Column energies
-        // are collected later, during the column MCV pass, to keep this hot
-        // loop lean.)
+        // Section 4.3: fold this sub-FFT's verified output into the column
+        // checksums and column energies of the second layer while it is
+        // still cache-hot.
         const double id = static_cast<double>(i);
         for (std::size_t c = 0; c < m_; ++c) {
           o1_[c] += yi[c];
           o2_[c] += id * yi[c];
+          e_mid_[c] += norm2(yi[c]);
         }
       } else {
         // Naive hierarchy: row checksums over this sub-FFT's output; the
@@ -369,16 +355,22 @@ class OnlineRun {
     }
 
     if (opts_.postpone_mcv) {
-      // Section 4.2: the per-column output verification is postponed to one
-      // final pass; recovery then needs the pre-second-layer state. Park it
-      // in the caller's input (paper's choice) or internal scratch.
+      // Section 4.2: the postponed final MCV recomputes a failing column
+      // from the intermediate, kept column-major (column c at backup_ + c*k)
+      // in the caller's input (paper's choice) or uninitialized scratch.
+      // second_layer copies each verified staged block into it; unstaged,
+      // one tiled transpose fills it here and the column MCV refreshes the
+      // slot of a column it repairs.
       if (opts_.backup_in_input) {
         backup_ = x_;
       } else {
-        backup_store_.resize(n_);
-        backup_ = backup_store_.data();
+        backup_store_ =
+            std::make_unique_for_overwrite<std::byte[]>(n_ * sizeof(cplx));
+        backup_ = std::launder(reinterpret_cast<cplx*>(backup_store_.get()));
       }
-      std::memcpy(backup_, out_, n_ * sizeof(cplx));
+      if (!opts_.contiguous_buffering) {
+        transpose_tiled(out_, m_, backup_, k_, k_, m_);
+      }
     }
   }
 
@@ -387,7 +379,6 @@ class OnlineRun {
     fft::Fft fftk(k_);
     std::vector<cplx> tw(k_), res(k_);
     col_ccv_.assign(m_, cplx{0, 0});
-    if (!opts_.memory_ft) e_mid_.assign(m_, 0.0);
     if (opts_.memory_ft && !opts_.postpone_mcv) f1_.assign(m_, DualSum{});
 
     // Stage `s` columns at a time (section 4.4 on the second layer, the
@@ -395,7 +386,8 @@ class OnlineRun {
     // Options::batch_columns pins it): one tiled transpose (kTransposeTile)
     // loads the strided intermediate into a column-major block, every
     // per-column pass then runs contiguous, and a second tiled transpose
-    // writes the verified results back to their natural-order rows.
+    // writes the verified results back to their natural-order rows. A done
+    // block of staged (and MCV-repaired) columns is the postponed backup.
     const std::size_t s = plan_.layer2_cols();
     std::vector<cplx> stage(opts_.contiguous_buffering ? s * k_ : 0);
     std::vector<cplx> ostage(opts_.contiguous_buffering ? s * k_ : 0);
@@ -407,6 +399,9 @@ class OnlineRun {
         for (std::size_t c = 0; c < sc; ++c) {
           process_column(c0 + c, stage.data() + c * k_, 1, fftk, tw.data(),
                          ostage.data() + c * k_);
+        }
+        if (backup_ != nullptr) {
+          std::copy_n(stage.data(), sc * k_, backup_ + c0 * k_);
         }
         // out[j*m + c] gets result element j of column c.
         transpose_tiled(ostage.data(), k_, out_ + c0, m_, sc, k_);
@@ -423,18 +418,18 @@ class OnlineRun {
     }
   }
 
-  // Processes column c: MCV, DMR twiddle, CCG, protected k-point FFT. The
-  // verified result lands in `res` (contiguous); the caller writes it back.
+  // Processes column c: plain-sum MCV, DMR twiddle, CCG, protected k-point
+  // FFT; memory FT scales both thresholds by e_mid_[c]. The verified result
+  // lands in `res` (contiguous); the caller writes it back.
   void process_column(std::size_t c, const cplx* col, std::size_t stride,
                       fft::Fft& fftk, cplx* tw, cplx* res) {
     double sigma_col = 0.0;
     if (opts_.memory_ft) {
-      // Column MCV against the (incrementally or regenerated) checksums.
-      // One fused pass yields the comparison sums and an outlier-robust
-      // scale estimate (the column may contain the corruption under test).
-      const auto cur = checksum::dual_plain_sum_robust(col, k_, stride);
-      sigma_col = sigma_from_energy(cur.robust_energy(), k_);
-      e_mid_[c] = cur.robust_energy();
+      // Column MCV against the (incrementally or regenerated) checksums:
+      // plain sum only, the repair recomputes the localization sum on a
+      // mismatch (section 4.2). The scale comes from the verified layer-1
+      // outputs, so a corrupted column cannot inflate its own threshold.
+      sigma_col = sigma_from_energy(e_mid_[c], k_);
       const double eta_mem =
           opts_.eta_override > 0.0
               ? opts_.eta_override
@@ -442,7 +437,8 @@ class OnlineRun {
       stats_.eta_mem = std::max(stats_.eta_mem, eta_mem);
       const DualSum stored{o1_[c], o2_[c]};
       ++stats_.verifications;
-      if (std::abs(cur.sums.plain - stored.plain) > eta_mem) {
+      if (std::abs(checksum::plain_sum(col, k_, stride) - stored.plain) >
+          eta_mem) {
         // Mismatch: repair the authoritative intermediate iteratively, then
         // refresh the staged copy. Derived checksums (these column duals
         // are accumulated from sub-FFT outputs, not generated over stored
@@ -457,11 +453,12 @@ class OnlineRun {
               "online ABFT: column memory error not localizable");
         }
         ++stats_.mem_errors_corrected;
-        if (col != out_ + c) {
-          cplx* staged = const_cast<cplx*>(col);
-          for (std::size_t i = 0; i < k_; ++i) {
-            staged[i * stride] = out_[i * m_ + c];
-          }
+        // Refresh the staged column or, unstaged, its slot in the backup.
+        cplx* copy = col != out_ + c   ? const_cast<cplx*>(col)
+                     : backup_ != nullptr ? backup_ + c * k_
+                                          : nullptr;
+        if (copy != nullptr) {
+          for (std::size_t i = 0; i < k_; ++i) copy[i] = out_[i * m_ + c];
         }
       }
     }
@@ -540,8 +537,8 @@ class OnlineRun {
     if (inj() != nullptr) inj()->apply(Phase::kFinalOutput, 0, out_, n_);
     if (!opts_.memory_ft) return;
 
-    // Final MCV: per-column omega_3-weighted sums of the output, computed
-    // in one contiguous sweep with the bucket-by-(j mod 3) trick.
+    // Final MCV: per-column omega_3-weighted sums of the output (one sweep,
+    // bucketed by j mod 3) against the saved CCGs, eta from e_mid_[c].
     std::vector<cplx> b0(m_, cplx{0, 0}), b1(m_, cplx{0, 0}),
         b2(m_, cplx{0, 0});
     for (std::size_t j = 0; j < k_; ++j) {
@@ -552,7 +549,7 @@ class OnlineRun {
     const cplx w1 = omega3_pow(1);
     const cplx w2 = omega3_pow(2);
     fft::Fft fftk(k_);
-    std::vector<cplx> tw(k_), res(k_), colbuf(k_);
+    std::vector<cplx> tw(k_), res(k_);
     for (std::size_t c = 0; c < m_; ++c) {
       const cplx rx = b0[c] + cmul(w1, b1[c]) + cmul(w2, b2[c]);
       const double sigma = sigma_from_energy(e_mid_[c], k_);
@@ -580,12 +577,11 @@ class OnlineRun {
         continue;
       }
 
-      // Postponed hierarchy: recompute the column from the parked
-      // intermediate backup (twiddle + k-FFT + verify + scatter). The
-      // recomputation must run the same engine process_column used — in
-      // fused mode that is the in-place plan — so a repaired column is
-      // bit-identical to a never-corrupted run.
-      for (std::size_t i = 0; i < k_; ++i) colbuf[i] = backup_[i * m_ + c];
+      // Postponed hierarchy: recompute the column from its backup column
+      // (twiddle + k-FFT + verify + scatter). The recomputation must run
+      // the same engine process_column used — in fused mode that is the
+      // in-place plan — so a repaired column is bit-identical to a
+      // never-corrupted run.
       const fft::InplaceRadix2Plan* fused =
           opts_.fused_checksums &&
                   (opts_.fused_ignore_profitability || fused_profitable(k_))
@@ -593,7 +589,7 @@ class OnlineRun {
               : nullptr;
       checksum::SumEnergy se;
       stats_.dmr_mismatches += dmr_twiddle_multiply(
-          *plan_.twiddles(), colbuf.data(), 1, tw.data(), k_, c, 0, c,
+          *plan_.twiddles(), backup_ + c * k_, 1, tw.data(), k_, c, 0, c,
           nullptr, fused == nullptr ? ck_ : nullptr, &se);
       cplx ccg, rx2;
       if (fused != nullptr) {
@@ -634,11 +630,11 @@ class OnlineRun {
   std::vector<double> e_in_;         // per-sub-FFT input energy
   std::vector<DualSum> r1_;          // naive row checksums of Y_i
   std::vector<cplx> o1_, o2_;        // column checksums of the intermediate
-  std::vector<double> e_mid_;        // per-column intermediate energy
+  std::vector<double> e_mid_;        // per-column verified layer-1 energy
   std::vector<cplx> col_ccv_;        // saved per-column CCG for final MCV
   std::vector<DualSum> f1_;          // naive output duals per column
-  cplx* backup_ = nullptr;           // parked intermediate (postponed MCV)
-  std::vector<cplx> backup_store_;   // internal backup when not in input
+  cplx* backup_ = nullptr;           // column-major intermediate backup
+  std::unique_ptr<std::byte[]> backup_store_;  // backup when not in input
 };
 
 }  // namespace

@@ -106,10 +106,11 @@ struct Options {
   /// Optional fault injector; hooks fire at the phases in fault/fault.hpp.
   fault::Injector* injector = nullptr;
 
-  /// Online memory-FT only: when the postponed final verification needs an
-  /// intermediate backup, copy it into the caller's input array (the paper's
-  /// zero-extra-memory choice, destroys the input) instead of an internal
-  /// scratch allocation.
+  /// Online memory-FT only: keep the postponed final verification's
+  /// intermediate backup in the caller's input array (the paper's
+  /// zero-extra-memory choice) instead of an internal scratch allocation.
+  /// The input then holds the intermediate column-major, as the second
+  /// layer staged it; its original contents are gone.
   bool backup_in_input = false;
 
   // ---- Named presets matching the paper's evaluated schemes ----

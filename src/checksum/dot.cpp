@@ -58,41 +58,21 @@ double energy(const cplx* x, std::size_t n, std::size_t stride) {
   return acc0 + acc1;
 }
 
-DualSumRobust dual_plain_sum_robust(const cplx* x, std::size_t n,
-                                    std::size_t stride) {
-  if (stride == 1) return simd::checksum_kernels().dual_plain_sum_robust(x, n);
-  DualSumRobust out;
-  std::size_t top_idx = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const cplx v = x[j * stride];
-    out.sums.plain += v;
-    out.sums.indexed += static_cast<double>(j) * v;
-    const double e = norm2(v);
-    if (e > out.max_norm2) {
-      out.max_norm2 = e;
-      top_idx = j;
-    }
-  }
-  // Second (cache-hot) pass summing everything but the top contributor: a
-  // huge outlier would absorb the rest of the sum in floating point, so
-  // subtracting it afterwards cannot work — exclude it instead.
-  double acc0 = 0.0;
-  double acc1 = 0.0;
+cplx plain_sum(const cplx* x, std::size_t n, std::size_t stride) {
+  cplx acc[4] = {};  // four chains hide the add latency
   std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    if (j != top_idx) acc0 += norm2(x[j * stride]);
-    if (j + 1 != top_idx) acc1 += norm2(x[(j + 1) * stride]);
+  for (; j + 4 <= n; j += 4) {
+    for (std::size_t u = 0; u < 4; ++u) acc[u] += x[(j + u) * stride];
   }
-  if (j < n && j != top_idx) acc0 += norm2(x[j * stride]);
-  out.energy = acc0 + acc1;
-  return out;
+  for (; j < n; ++j) acc[0] += x[j * stride];
+  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
 }
 
 double robust_energy(const cplx* x, std::size_t n, std::size_t stride) {
   if (stride == 1) return simd::checksum_kernels().robust_energy(x, n);
-  // Exclude the single largest contribution while summing (see
-  // dual_plain_sum_robust for why subtract-after does not work): find the
-  // top element first, then sum the rest.
+  // Exclude the single largest contribution while summing: a huge outlier
+  // would absorb the rest of the sum in floating point, so subtracting it
+  // afterwards cannot work. Find the top element first, then sum the rest.
   double top = -1.0;
   std::size_t top_idx = 0;
   for (std::size_t j = 0; j < n; ++j) {

@@ -44,6 +44,11 @@ struct DualSum {
 [[nodiscard]] DualSum dual_weighted_sum(const cplx* w, const cplx* x,
                                         std::size_t n, std::size_t stride = 1);
 
+/// Plain sum_j x_j: the all-ones checksum without its localization half.
+/// Not dispatched: a complex add is already one 128-bit vector add.
+[[nodiscard]] cplx plain_sum(const cplx* x, std::size_t n,
+                             std::size_t stride = 1);
+
 /// Energy sum_j |x_j|^2 over a strided range; used to estimate the input
 /// scale that feeds the detection thresholds.
 [[nodiscard]] double energy(const cplx* x, std::size_t n,
@@ -82,23 +87,6 @@ struct DualSumEnergy {
                                                      const cplx* x,
                                                      std::size_t n,
                                                      std::size_t stride = 1);
-
-/// All-ones dual sums fused with energy and the largest single |x_j|^2:
-/// one pass yields everything a memory verification needs — the sums to
-/// compare, and an outlier-robust scale (energy - max_norm2) for the
-/// threshold even when the data contains the very corruption being checked.
-struct DualSumRobust {
-  DualSum sums;
-  /// Energy excluding the single largest |x_j|^2 (already outlier-robust;
-  /// summed in a second cache-hot pass because a huge outlier absorbs the
-  /// rest of a naive sum in floating point).
-  double energy = 0.0;
-  double max_norm2 = 0.0;
-
-  [[nodiscard]] double robust_energy() const { return energy; }
-};
-[[nodiscard]] DualSumRobust dual_plain_sum_robust(const cplx* x, std::size_t n,
-                                                  std::size_t stride = 1);
 
 /// dst = src (contiguous, non-overlapping) copied in one pass fused with the
 /// all-ones dual checksum of the stream. The sums are bit-identical to

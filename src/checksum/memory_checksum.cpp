@@ -1,5 +1,6 @@
 #include "checksum/memory_checksum.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace ftfft::checksum {
@@ -63,6 +64,41 @@ RepairResult repair_single_error(const DualSum& stored, cplx* data,
   out.corrected =
       !locate_single_error(stored, cur, w, n, eta).mismatch;
   return out;
+}
+
+void input_slot_checksums(const cplx* x, std::size_t rows, std::size_t width,
+                          const cplx* w, int moments, cplx* s1, cplx* s2,
+                          double* energy, SyndromeSet* syn) {
+  std::fill_n(s1, width, cplx{0.0, 0.0});
+  std::fill_n(s2, width, cplx{0.0, 0.0});
+  std::fill_n(energy, width, 0.0);
+  if (moments > 0) {
+    SyndromeSet init;
+    init.moments = moments;
+    std::fill_n(syn, width, init);
+  }
+  const double inv_rows = 1.0 / static_cast<double>(rows);
+  // Slots are independent, so vectorizing the slot loop (restrict locals,
+  // syndromes folded in their own loop) leaves every sum bit-identical.
+  for (std::size_t r = 0; r < rows; ++r) {
+    const cplx wr = w != nullptr ? w[r] : cplx{1.0, 0.0};
+    const double rd = static_cast<double>(r);
+    const cplx* __restrict row = x + r * width;
+    cplx* __restrict a1 = s1;
+    cplx* __restrict a2 = s2;
+    double* __restrict e = energy;
+    for (std::size_t i = 0; i < width; ++i) {
+      const cplx p = cmul(wr, row[i]);
+      a1[i] += p;
+      a2[i] += rd * p;
+      e[i] += norm2(row[i]);
+    }
+    if (moments > 0) {
+      for (std::size_t i = 0; i < width; ++i) {
+        syn[i].accumulate(r, cmul(wr, row[i]), inv_rows);
+      }
+    }
+  }
 }
 
 }  // namespace ftfft::checksum

@@ -13,6 +13,7 @@
 #include <cstddef>
 
 #include "checksum/dot.hpp"
+#include "checksum/multi_error.hpp"
 #include "common/complex.hpp"
 
 namespace ftfft::checksum {
@@ -56,5 +57,15 @@ struct RepairResult {
                                                cplx* data, std::size_t stride,
                                                const cplx* w, std::size_t n,
                                                double eta, int max_iters = 4);
+
+/// CMCG (section 3.2 input memory checksums) in one sweep over a row-major
+/// rows x width block: slot i gets s1[i] = sum_r w_r x[r*width+i],
+/// s2[i] = sum_r r w_r x[r*width+i] and energy[i] = sum_r |x[r*width+i]|^2
+/// (w == nullptr: all ones), and with moments > 0 also its syndromes syn[i]
+/// over the virtual index r. Outputs are overwritten; syn may be null when
+/// moments == 0.
+void input_slot_checksums(const cplx* x, std::size_t rows, std::size_t width,
+                          const cplx* w, int moments, cplx* s1, cplx* s2,
+                          double* energy, SyndromeSet* syn);
 
 }  // namespace ftfft::checksum

@@ -47,8 +47,6 @@ struct ChecksumKernels {
                                          std::size_t n);
   double (*energy)(const cplx* x, std::size_t n);
   double (*robust_energy)(const cplx* x, std::size_t n);
-  checksum::DualSumRobust (*dual_plain_sum_robust)(const cplx* x,
-                                                   std::size_t n);
   checksum::SumEnergy (*weighted_sum_energy)(const cplx* w, const cplx* x,
                                              std::size_t n);
   checksum::DualSumEnergy (*dual_weighted_sum_energy)(const cplx* w,

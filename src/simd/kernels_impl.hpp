@@ -272,18 +272,6 @@ double k_robust_energy(const cplx* x, std::size_t n) {
 }
 
 template <class V>
-checksum::DualSumRobust k_dual_plain_sum_robust(const cplx* x,
-                                                std::size_t n) {
-  checksum::DualSumRobust out;
-  if (n == 0) return out;
-  out.sums = k_dual_weighted_sum<V>(nullptr, x, n);
-  std::size_t ti;
-  k_find_max_norm2<V>(x, n, out.max_norm2, ti);
-  out.energy = k_energy_excluding<V>(x, n, ti);
-  return out;
-}
-
-template <class V>
 checksum::SumEnergy k_weighted_sum_energy(const cplx* w, const cplx* x,
                                           std::size_t n) {
   constexpr std::size_t W = V::width;

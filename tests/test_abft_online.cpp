@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <numbers>
 #include <vector>
 
 #include "abft/options.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/ftfft.hpp"
 #include "dft/reference_dft.hpp"
 #include "fault/injector.hpp"
+#include "fft/inplace_radix2.hpp"
 
 namespace ftfft {
 namespace {
@@ -292,6 +297,165 @@ TEST(OnlineAbft, RejectsTinySizes) {
                                       Options::online_opt(false), stats),
                std::invalid_argument);
 }
+
+// ---- Clean-run regressions: inputs whose intermediate columns are
+// dominated by one element or nearly empty. Their column thresholds must
+// follow the verified layer-1 energy; an outlier-robust estimate of the
+// stored column drops the very element that carries the column.
+
+std::vector<cplx> unit_chirp(std::size_t n) {
+  std::vector<cplx> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double ph = std::numbers::pi * static_cast<double>(i) *
+                      static_cast<double>(i) / static_cast<double>(n);
+    x[i] = {std::cos(ph), std::sin(ph)};
+  }
+  return x;
+}
+
+std::vector<cplx> impulse_in_noise(std::size_t n) {
+  auto x = random_vector(n, InputDistribution::kNormal, 61 + n);
+  for (auto& v : x) v *= 1e-6;
+  x[n / 3] += cplx{1e6, 0.0};
+  return x;
+}
+
+std::vector<cplx> pulse_train(std::size_t n) {
+  std::vector<cplx> x(n);
+  for (std::size_t i = 0; i < n; i += 64) x[i] = {1.0, 0.0};
+  return x;
+}
+
+void expect_default_plan_matches_plain(const std::vector<cplx>& x) {
+  const std::size_t n = x.size();
+  std::vector<cplx> want(n);
+  fft::InplaceRadix2Plan(n).forward_copy(x.data(), want.data());
+  FtPlan plan(n);
+  const auto got = plan.forward(x);
+  double peak = 0.0;
+  for (const cplx& v : want) peak = std::max(peak, std::abs(v));
+  EXPECT_LE(inf_diff(got.data(), want.data(), n), 1e-9 * peak) << "n=" << n;
+}
+
+TEST(OnlineMemoryClean, UnitChirpDoesNotFalseAlarm) {
+  for (std::size_t n : {std::size_t{1} << 10, std::size_t{1} << 14}) {
+    expect_default_plan_matches_plain(unit_chirp(n));
+  }
+}
+
+TEST(OnlineMemoryClean, ImpulseInNoiseDoesNotFalseAlarm) {
+  for (std::size_t n :
+       {std::size_t{1} << 10, std::size_t{1} << 14, std::size_t{1} << 16}) {
+    expect_default_plan_matches_plain(impulse_in_noise(n));
+  }
+}
+
+TEST(OnlineMemoryClean, PulseTrainDoesNotFalseAlarm) {
+  expect_default_plan_matches_plain(pulse_train(std::size_t{1} << 10));
+}
+
+// ---- Memory faults against the column-major, stage-written backup at
+// n = 2^16 (m = k = 256): the column scale comes from the verified layer-1
+// outputs and the postponed recovery recomputes from the backup.
+
+struct BackupLayout {
+  const char* name;
+  bool backup_in_input;
+  bool contiguous_buffering;
+};
+
+class OnlineBackup : public ::testing::TestWithParam<BackupLayout> {
+ protected:
+  static constexpr std::size_t kN = std::size_t{1} << 16;
+
+  Options options() const {
+    Options o = Options::online_opt(true);
+    o.backup_in_input = GetParam().backup_in_input;
+    o.contiguous_buffering = GetParam().contiguous_buffering;
+    return o;
+  }
+
+  // Runs the transform on a fresh copy of the input; returns the output.
+  std::vector<cplx> run(const std::vector<cplx>& input, Injector* inj,
+                        Stats& stats) const {
+    auto x = input;
+    Options o = options();
+    o.injector = inj;
+    std::vector<cplx> out(kN);
+    abft::online_transform(x.data(), out.data(), kN, o, stats);
+    return out;
+  }
+};
+
+TEST_P(OnlineBackup, IntermediateExponentFlipsLeaveOutputAndScaleUnchanged) {
+  const auto x = random_vector(kN, InputDistribution::kUniform, 63);
+  Stats clean_stats;
+  const auto clean = run(x, nullptr, clean_stats);
+  const double peak = inf_norm(clean.data(), kN);
+  for (unsigned bit : {52u, 62u}) {
+    Injector inj;
+    inj.schedule(
+        FaultSpec::bit_flip(Phase::kIntermediate, 0, 40000, bit, false));
+    Stats stats;
+    const auto out = run(x, &inj, stats);
+    EXPECT_EQ(inj.fired_count(), 1u) << "bit " << bit;
+    EXPECT_EQ(stats.mem_errors_detected, 1u) << "bit " << bit;
+    EXPECT_EQ(stats.mem_errors_corrected, 1u) << "bit " << bit;
+    // The checksum repair restores the element to within the round-off of
+    // the column sums, not bit for bit.
+    EXPECT_LE(inf_diff(out.data(), clean.data(), kN), 1e-12 * peak)
+        << "bit " << bit;
+    // The corrupted column must not move any threshold.
+    EXPECT_EQ(stats.eta_k, clean_stats.eta_k) << "bit " << bit;
+    EXPECT_EQ(stats.eta_mem, clean_stats.eta_mem) << "bit " << bit;
+  }
+}
+
+TEST_P(OnlineBackup, FinalOutputFaultRecomputesFromBackup) {
+  const auto x = random_vector(kN, InputDistribution::kNormal, 65);
+  Stats clean_stats;
+  const auto clean = run(x, nullptr, clean_stats);
+  Injector inj;
+  inj.schedule(
+      FaultSpec::memory_set(Phase::kFinalOutput, 0, 12345, {50.0, -20.0}));
+  Stats stats;
+  const auto out = run(x, &inj, stats);
+  EXPECT_EQ(inj.fired_count(), 1u);
+  EXPECT_EQ(stats.mem_errors_detected, 1u);
+  EXPECT_EQ(stats.mem_errors_corrected, 1u);
+  EXPECT_EQ(stats.sub_fft_retries, 1u);  // the one column recompute
+  EXPECT_EQ(std::memcmp(out.data(), clean.data(), kN * sizeof(cplx)), 0);
+}
+
+TEST_P(OnlineBackup, RecomputeUsesTheRepairedIntermediate) {
+  // An intermediate fault repaired by the column check, then an output
+  // fault in the same column: the recompute must start from the repaired
+  // column, not from a copy taken before the repair.
+  const auto x = random_vector(kN, InputDistribution::kUniform, 67);
+  Stats clean_stats;
+  const auto clean = run(x, nullptr, clean_stats);
+  const std::size_t m = 256, col = 40000 % m;
+  Injector inj;
+  inj.schedule(FaultSpec::bit_flip(Phase::kIntermediate, 0, 40000, 52, true));
+  inj.schedule(FaultSpec::memory_set(Phase::kFinalOutput, 0, col + m * 10,
+                                     {50.0, -20.0}));
+  Stats stats;
+  const auto out = run(x, &inj, stats);
+  EXPECT_EQ(inj.fired_count(), 2u);
+  EXPECT_EQ(stats.mem_errors_detected, 2u);
+  EXPECT_EQ(stats.mem_errors_corrected, 2u);
+  EXPECT_LE(inf_diff(out.data(), clean.data(), kN),
+            1e-12 * inf_norm(clean.data(), kN));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, OnlineBackup,
+    ::testing::Values(BackupLayout{"scratch", false, true},
+                      BackupLayout{"in_input", true, true},
+                      BackupLayout{"unstaged", false, false}),
+    [](const ::testing::TestParamInfo<BackupLayout>& pi) {
+      return std::string(pi.param.name);
+    });
 
 }  // namespace
 }  // namespace ftfft

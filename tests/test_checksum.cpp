@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "checksum/dot.hpp"
 #include "checksum/memory_checksum.hpp"
+#include "checksum/multi_error.hpp"
 #include "checksum/weights.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
@@ -254,6 +256,89 @@ TEST(Locate, StridedCorrection) {
   checksum::apply_correction(flat.data(), stride, loc);
   for (std::size_t j = 0; j < flat.size(); ++j) {
     EXPECT_NEAR(std::abs(flat[j] - pristine[j]), 0.0, 1e-9);
+  }
+}
+
+// The per-element CMCG loop the online and in-place schemes ran before the
+// sweep moved into checksum::input_slot_checksums: the oracle that sweep must
+// reproduce bit for bit.
+struct SlotChecksums {
+  std::vector<cplx> s1, s2;
+  std::vector<double> energy;
+  std::vector<checksum::SyndromeSet> syn;
+};
+
+SlotChecksums cmcg_oracle(const cplx* x, std::size_t rows, std::size_t width,
+                          const cplx* w, int moments) {
+  SlotChecksums o;
+  o.s1.assign(width, cplx{0, 0});
+  o.s2.assign(width, cplx{0, 0});
+  o.energy.assign(width, 0.0);
+  if (moments > 0) {
+    checksum::SyndromeSet init;
+    init.moments = moments;
+    o.syn.assign(width, init);
+  }
+  const double inv_rows = 1.0 / static_cast<double>(rows);
+  for (std::size_t t = 0; t < rows; ++t) {
+    const cplx wt = w != nullptr ? w[t] : cplx{1.0, 0.0};
+    const double td = static_cast<double>(t);
+    const cplx* row = x + t * width;
+    for (std::size_t i = 0; i < width; ++i) {
+      const cplx p = cmul(wt, row[i]);
+      o.s1[i] += p;
+      o.s2[i] += td * p;
+      o.energy[i] += norm2(row[i]);
+      if (moments > 0) o.syn[i].accumulate(t, p, inv_rows);
+    }
+  }
+  return o;
+}
+
+template <class T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+TEST(InputSlotChecksums, BitwiseEqualToPerElementLoop) {
+  struct Shape {
+    std::size_t rows, width;
+  };
+  for (const Shape sh : {Shape{512, 512}, Shape{64, 256}, Shape{37, 19}}) {
+    const auto x = random_vector(sh.rows * sh.width,
+                                 InputDistribution::kNormal, 71 + sh.width);
+    const auto rA =
+        checksum::input_checksum_vector(sh.rows, RaGenMethod::kClosedForm);
+    for (const cplx* w : {rA.data(), static_cast<const cplx*>(nullptr)}) {
+      for (int t : {1, 2}) {
+        const int moments = t > 1 ? 2 * t : 0;
+        const auto want = cmcg_oracle(x.data(), sh.rows, sh.width, w, moments);
+        // Stale contents must be overwritten, not accumulated into.
+        SlotChecksums got;
+        got.s1.assign(sh.width, cplx{3.0, 4.0});
+        got.s2.assign(sh.width, cplx{5.0, 6.0});
+        got.energy.assign(sh.width, 7.0);
+        got.syn.resize(moments > 0 ? sh.width : 0);
+        checksum::input_slot_checksums(x.data(), sh.rows, sh.width, w,
+                                       moments, got.s1.data(), got.s2.data(),
+                                       got.energy.data(), got.syn.data());
+        const auto where = ::testing::Message()
+                           << sh.rows << "x" << sh.width << " t=" << t
+                           << (w != nullptr ? " combined" : " all-ones");
+        EXPECT_TRUE(same_bits(got.s1, want.s1)) << where;
+        EXPECT_TRUE(same_bits(got.s2, want.s2)) << where;
+        EXPECT_TRUE(same_bits(got.energy, want.energy)) << where;
+        ASSERT_EQ(got.syn.size(), want.syn.size()) << where;
+        for (std::size_t i = 0; i < got.syn.size(); ++i) {
+          ASSERT_EQ(got.syn[i].moments, moments) << where;
+          EXPECT_EQ(std::memcmp(got.syn[i].s.data(), want.syn[i].s.data(),
+                                sizeof(cplx) * moments),
+                    0)
+              << where << " slot " << i;
+        }
+      }
+    }
   }
 }
 
