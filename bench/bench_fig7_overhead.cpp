@@ -35,47 +35,11 @@ double run_scheme(std::size_t n, const abft::Options& opts, int reps) {
   });
 }
 
-// Times two option sets with their repetitions interleaved (A,B,A,B,...)
-// and min-reduced per side. The Opt-Online vs Fused-Online comparison is
-// within a couple percent at the largest sizes, which is smaller than the
-// slow clock/cache drift between two back-to-back timing blocks — pairing
-// the reps cancels that drift out of exactly the delta this figure is
-// read for.
-std::pair<double, double> run_scheme_pair(std::size_t n,
-                                          const abft::Options& a,
-                                          const abft::Options& b, int reps) {
-  auto x = random_vector(n, InputDistribution::kUniform, 42 + n);
-  std::vector<cplx> out(n);
-  abft::Stats stats;
-  abft::protected_transform(x.data(), out.data(), n, a, stats);
-  abft::protected_transform(x.data(), out.data(), n, b, stats);
-  double ta = 1e300, tb = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    {
-      abft::Stats s;
-      WallTimer timer;
-      abft::protected_transform(x.data(), out.data(), n, a, s);
-      ta = std::min(ta, timer.elapsed());
-    }
-    {
-      abft::Stats s;
-      WallTimer timer;
-      abft::protected_transform(x.data(), out.data(), n, b, s);
-      tb = std::min(tb, timer.elapsed());
-    }
-  }
-  return {ta, tb};
-}
-
 void run_panel(const char* title, bool memory_ft,
                const std::vector<std::size_t>& sizes, int reps) {
   std::printf("--- %s ---\n", title);
-  // "Fused-Online" is Opt-Online plus the PR-6 kernel fusion: the checksum
-  // dots accumulate inside the butterfly passes (TurboFFT-style) instead of
-  // separate sweeps; the separate-pass column stays as the reference.
   TablePrinter table({"Problem Size", "Offline", "Opt-Offline",
-                      memory_ft ? "Online" : "CFTO-Online", "Opt-Online",
-                      "Fused-Online"});
+                      memory_ft ? "Online" : "CFTO-Online", "Opt-Online"});
   for (std::size_t n : sizes) {
     const double t0 = run_scheme(n, abft::Options::none(), reps);
     const double t_off_naive =
@@ -84,19 +48,14 @@ void run_panel(const char* title, bool memory_ft,
         run_scheme(n, abft::Options::offline_opt(memory_ft), reps);
     const double t_on_naive =
         run_scheme(n, abft::Options::online_naive(memory_ft), reps);
-    abft::Options opt_online = abft::Options::online_opt(memory_ft);
-    opt_online.fused_checksums = false;
-    abft::Options fused_online = abft::Options::online_opt(memory_ft);
-    fused_online.fused_checksums = true;
-    const auto [t_on_opt, t_on_fused] =
-        run_scheme_pair(n, opt_online, fused_online, reps);
+    const double t_on_opt =
+        run_scheme(n, abft::Options::online_opt(memory_ft), reps);
     table.add_row(
         {size_label(n),
          TablePrinter::percent(bench::overhead_pct(t_off_naive, t0) / 100.0),
          TablePrinter::percent(bench::overhead_pct(t_off_opt, t0) / 100.0),
          TablePrinter::percent(bench::overhead_pct(t_on_naive, t0) / 100.0),
-         TablePrinter::percent(bench::overhead_pct(t_on_opt, t0) / 100.0),
-         TablePrinter::percent(bench::overhead_pct(t_on_fused, t0) / 100.0)});
+         TablePrinter::percent(bench::overhead_pct(t_on_opt, t0) / 100.0)});
   }
   table.print();
   std::printf("\n");
@@ -117,6 +76,6 @@ int main() {
   run_panel("(b) computational + memory FT", true, sizes, reps);
   std::printf(
       "shape check: Offline (naive) highest everywhere. At memory-bound sizes "
-      "(>= 2^21 here, 2^25+ in the paper) Opt-Online undercuts Opt-Offline in\n(a) and stays comparable in (b); at compute-bound sizes the explicit\ndecomposition is visible as structural overhead (see EXPERIMENTS.md).\nFused-Online undercuts Opt-Online wherever a sub-size passes the\nfused_profitable gate (>= 512, != 2048): the input dot rides the sub-FFT\nstaging copy and the output dot the final streaming stage. Sub-sizes the\ngate rejects run the identical separate-pass code in both columns, so\nthose rows read as 'even within noise' — e.g. 2^22 = 2048 x 2048 sits\nentirely at the gated L1-edge size. Expect Fused-Online at or below\nOpt-Online on every row, clearly below at 2^19/2^20.\n");
+      "(>= 2^21 here, 2^25+ in the paper) Opt-Online undercuts Opt-Offline in\n(a) and stays comparable in (b); at compute-bound sizes the explicit\ndecomposition is visible as structural overhead (see EXPERIMENTS.md).\n");
   return 0;
 }

@@ -199,24 +199,9 @@ void BM_OnlineComp(benchmark::State& state) {
 void BM_OnlineMem(benchmark::State& state) {
   protected_bench(state, abft::Options::online_opt(true));
 }
-// Fused-checksum rows (PR 6) next to their separate-pass references: the
-// same scheme with the checksum dots accumulated inside the FFT passes
-// (Options::fused_checksums) instead of standalone sweeps.
-void BM_OnlineCompFused(benchmark::State& state) {
-  abft::Options opts = abft::Options::online_opt(false);
-  opts.fused_checksums = true;
-  protected_bench(state, opts);
-}
-void BM_OnlineMemFused(benchmark::State& state) {
-  abft::Options opts = abft::Options::online_opt(true);
-  opts.fused_checksums = true;
-  protected_bench(state, opts);
-}
 BENCHMARK(BM_OfflineComp)->RangeMultiplier(4)->Range(1 << 12, 1 << 18);
 BENCHMARK(BM_OnlineComp)->RangeMultiplier(4)->Range(1 << 12, 1 << 18);
-BENCHMARK(BM_OnlineCompFused)->RangeMultiplier(4)->Range(1 << 12, 1 << 18);
 BENCHMARK(BM_OnlineMem)->RangeMultiplier(4)->Range(1 << 12, 1 << 18);
-BENCHMARK(BM_OnlineMemFused)->RangeMultiplier(4)->Range(1 << 12, 1 << 18);
 
 // Staging-transpose rows at the 2^18 protected-scheme shapes: the 512x64
 // gather of 64 strided columns (row stride 512) into contiguous staging and

@@ -91,13 +91,12 @@ BENCHMARK_CAPTURE(BM_C2r, dispatched, true)
     ->RangeMultiplier(4)
     ->Range(1 << 12, 1 << 20);
 
-void BM_ProtectedR2c(benchmark::State& state, bool fused) {
+void BM_ProtectedR2c(benchmark::State& state) {
   use_backend(state, true);
   const auto n = static_cast<std::size_t>(state.range(0));
   auto x = random_signal(n, 84);
   std::vector<cplx> spec(n / 2 + 1);
-  abft::Options opts = abft::Options::online_opt(true);
-  opts.fused_checksums = fused;
+  const abft::Options opts = abft::Options::online_opt(true);
   const auto plan = abft::RealProtectionPlan::get(n);
   const auto cplan = abft::resolve_real_packed_plan(n, opts);
   abft::Stats stats;
@@ -109,21 +108,15 @@ void BM_ProtectedR2c(benchmark::State& state, bool fused) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK_CAPTURE(BM_ProtectedR2c, separate, false)
-    ->RangeMultiplier(4)
-    ->Range(1 << 12, 1 << 20);
-BENCHMARK_CAPTURE(BM_ProtectedR2c, fused, true)
-    ->RangeMultiplier(4)
-    ->Range(1 << 12, 1 << 20);
+BENCHMARK(BM_ProtectedR2c)->RangeMultiplier(4)->Range(1 << 12, 1 << 20);
 
-void BM_ProtectedC2r(benchmark::State& state, bool fused) {
+void BM_ProtectedC2r(benchmark::State& state) {
   use_backend(state, true);
   const auto n = static_cast<std::size_t>(state.range(0));
   auto x = random_signal(n, 85);
   std::vector<cplx> spec(n / 2 + 1);
   std::vector<double> back(n);
-  abft::Options opts = abft::Options::online_opt(true);
-  opts.fused_checksums = fused;
+  const abft::Options opts = abft::Options::online_opt(true);
   const auto plan = abft::RealProtectionPlan::get(n);
   const auto cplan = abft::resolve_real_packed_plan(n, opts);
   plan->real_plan().r2c(x.data(), spec.data());
@@ -136,12 +129,7 @@ void BM_ProtectedC2r(benchmark::State& state, bool fused) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK_CAPTURE(BM_ProtectedC2r, separate, false)
-    ->RangeMultiplier(4)
-    ->Range(1 << 12, 1 << 20);
-BENCHMARK_CAPTURE(BM_ProtectedC2r, fused, true)
-    ->RangeMultiplier(4)
-    ->Range(1 << 12, 1 << 20);
+BENCHMARK(BM_ProtectedC2r)->RangeMultiplier(4)->Range(1 << 12, 1 << 20);
 
 }  // namespace
 

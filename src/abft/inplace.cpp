@@ -16,7 +16,6 @@
 #include "common/tile_transpose.hpp"
 #include "dft/codelets.hpp"
 #include "fft/fft.hpp"
-#include "fft/inplace_radix2.hpp"
 #include "roundoff/model.hpp"
 
 namespace ftfft::abft {
@@ -28,21 +27,6 @@ using fault::Phase;
 double sigma_of(double energy, std::size_t n) {
   return std::sqrt(energy / (2.0 * static_cast<double>(n)) + 1e-300);
 }
-
-// Adapter handing the fault injector to forward_fused's pre-final-stage
-// hook. The hook fires on dst before the checksum-accumulating final stage,
-// so an injected corruption propagates (linearly) into both the outputs and
-// the fused omega3 sum — the CCV still sees rx != ccg exactly as the
-// separate-pass path does when the injector hits the finished outputs.
-struct InjectorHook {
-  fault::Injector* inj;
-  Phase phase;
-  std::size_t unit;
-  static void call(void* self, cplx* data, std::size_t n) {
-    auto* h = static_cast<InjectorHook*>(self);
-    h->inj->apply(h->phase, h->unit, data, n);
-  }
-};
 
 class InplaceRun {
  public:
@@ -109,17 +93,7 @@ class InplaceRun {
   // needs the array.
   void layer1() {
     fft::Fft fftk(k_);
-    // Fused checksums (PR 6): the staged column is contiguous, so the
-    // in-place engine can run it and accumulate both checksum dots in the
-    // butterfly passes instead of the standalone sweeps below — at the
-    // sub-sizes where the engine swap profits on the gather-hot buffer
-    // (fused_profitable; tests override with fused_ignore_profitability).
     const bool combined_ccg = opts_.memory_ft && opts_.combined_checksums;
-    const fft::InplaceRadix2Plan* fused =
-        opts_.fused_checksums &&
-                (opts_.fused_ignore_profitability || fused_profitable(k_))
-            ? plan_.fused_plan_k()
-            : nullptr;
     const std::size_t batch = plan_.layer1_batch();
     std::vector<cplx> stage(batch * k_), ostage(batch * k_);
     if (opts_.memory_ft) {
@@ -131,7 +105,7 @@ class InplaceRun {
       transpose_tiled(x_ + i0, blk_, stage.data(), k_, k_, bw);
       for (std::size_t il = 0; il < bw; ++il) {
         layer1_unit(i0 + il, stage.data() + il * k_,
-                    ostage.data() + il * k_, combined_ccg, fused, fftk);
+                    ostage.data() + il * k_, combined_ccg, fftk);
       }
       transpose_tiled(ostage.data(), k_, x_ + i0, blk_, bw, k_);
     }
@@ -141,47 +115,26 @@ class InplaceRun {
   // `res`, then the fold of the verified output into the per-block
   // checksums that protect the window until layer 2 consumes the block.
   void layer1_unit(std::size_t i, cplx* buf, cplx* res, bool combined_ccg,
-                   const fft::InplaceRadix2Plan* fused, fft::Fft& fftk) {
+                   fft::Fft& fftk) {
     double energy = 0.0;
     for (std::size_t s = 0; s < k_; ++s) energy += norm2(buf[s]);
     if (opts_.memory_ft && e_in_[i] > 0.0) energy = e_in_[i];
 
     cplx ccg{0.0, 0.0};
-    bool have_ccg = false;
     if (combined_ccg) {
       ccg = s1_[i];
-      have_ccg = true;
       if (!opts_.postpone_mcv) repair_input_slot(i, buf);
     } else {
       if (opts_.memory_ft && !opts_.postpone_mcv) repair_input_slot(i, buf);
-      if (fused == nullptr) {
-        ccg = checksum::weighted_sum(ck_, buf, k_);
-        have_ccg = true;
-      }
-      // else: ccg rides on the first fused pass below.
+      ccg = checksum::weighted_sum(ck_, buf, k_);
     }
 
     const double eta = eta_comp(energy);
     stats_.eta_m = std::max(stats_.eta_m, eta);
     for (int attempt = 0;; ++attempt) {
-      cplx rx;
-      if (fused != nullptr) {
-        fft::InplaceRadix2Plan::FusedDots dots;
-        InjectorHook hook{inj(), Phase::kMFftOutput, i};
-        fused->forward_fused(buf, res, have_ccg ? nullptr : ck_,
-                             plan_.weights_omega3_k(), dots,
-                             inj() != nullptr ? &InjectorHook::call : nullptr,
-                             &hook);
-        if (!have_ccg) {
-          ccg = dots.in_sum;
-          have_ccg = true;
-        }
-        rx = dots.out_sum;
-      } else {
-        fftk.execute(buf, res);
-        if (inj() != nullptr) inj()->apply(Phase::kMFftOutput, i, res, k_);
-        rx = checksum::omega3_weighted_sum(res, k_);
-      }
+      fftk.execute(buf, res);
+      if (inj() != nullptr) inj()->apply(Phase::kMFftOutput, i, res, k_);
+      const cplx rx = checksum::omega3_weighted_sum(res, k_);
       ++stats_.verifications;
       if (std::abs(rx - ccg) <= eta) break;
       if (attempt >= opts_.max_retries) {
@@ -192,11 +145,7 @@ class InplaceRun {
       if (opts_.memory_ft) {
         if (repair_input_slot(i, buf)) {
           if (!opts_.combined_checksums) {
-            if (fused != nullptr) {
-              have_ccg = false;  // re-derived in flight from repaired buf
-            } else {
-              ccg = checksum::weighted_sum(ck_, buf, k_);
-            }
+            ccg = checksum::weighted_sum(ck_, buf, k_);
           }
           continue;
         }
@@ -262,11 +211,6 @@ class InplaceRun {
   // skipped when r == 1), then r protected k-point sub-FFTs.
   void layers2and3() {
     fft::Fft fftk(k_);
-    const fft::InplaceRadix2Plan* fused =
-        opts_.fused_checksums &&
-                (opts_.fused_ignore_profitability || fused_profitable(k_))
-            ? plan_.fused_plan_k()
-            : nullptr;
     std::vector<cplx> bb(blk_);   // staged block
     std::vector<cplx> seg(k_);    // layer-3 result staging
     std::vector<cplx> ra(r_), rb(r_), rc(r_);
@@ -308,45 +252,16 @@ class InplaceRun {
       for (std::size_t t = 0; t < r_; ++t) {
         cplx* src = bb.data() + t * k_;
         const std::size_t unit = b * r_ + t;
-        cplx ccg{0.0, 0.0};
-        double energy = 0.0;
-        bool have_ccg = false;
-        if (fused == nullptr) {
-          const auto se = checksum::weighted_sum_energy(ck_, src, k_);
-          ccg = se.sum;
-          energy = se.energy;
-          have_ccg = true;
-        }
-        // Fused: ccg and energy ride on the first fused pass, so the
-        // threshold is resolved lazily inside the loop.
-        double eta = -1.0;
+        const auto se = checksum::weighted_sum_energy(ck_, src, k_);
+        const cplx ccg = se.sum;
+        const double eta = eta_comp(se.energy);
+        stats_.eta_k = std::max(stats_.eta_k, eta);
         for (int attempt = 0;; ++attempt) {
-          cplx rx;
-          if (fused != nullptr) {
-            fft::InplaceRadix2Plan::FusedDots dots;
-            InjectorHook hook{inj(), Phase::kKFftOutput, unit};
-            fused->forward_fused(src, seg.data(), have_ccg ? nullptr : ck_,
-                                 plan_.weights_omega3_k(), dots,
-                                 inj() != nullptr ? &InjectorHook::call
-                                                  : nullptr,
-                                 &hook);
-            if (!have_ccg) {
-              ccg = dots.in_sum;
-              energy = dots.in_energy;
-              have_ccg = true;
-            }
-            rx = dots.out_sum;
-          } else {
-            fftk.execute(src, seg.data());
-            if (inj() != nullptr) {
-              inj()->apply(Phase::kKFftOutput, unit, seg.data(), k_);
-            }
-            rx = checksum::omega3_weighted_sum(seg.data(), k_);
+          fftk.execute(src, seg.data());
+          if (inj() != nullptr) {
+            inj()->apply(Phase::kKFftOutput, unit, seg.data(), k_);
           }
-          if (eta < 0.0) {
-            eta = eta_comp(energy);
-            stats_.eta_k = std::max(stats_.eta_k, eta);
-          }
+          const cplx rx = checksum::omega3_weighted_sum(seg.data(), k_);
           ++stats_.verifications;
           if (std::abs(rx - ccg) <= eta) break;
           if (attempt >= opts_.max_retries) {
@@ -370,7 +285,7 @@ class InplaceRun {
                                                plan_.syndrome_nodes_k());
         }
         fccv_[unit] = ccg;
-        e_seg_[unit] = energy;
+        e_seg_[unit] = se.energy;
         std::memcpy(src, seg.data(), k_ * sizeof(cplx));
       }
       std::memcpy(block, bb.data(), blk_ * sizeof(cplx));

@@ -10,32 +10,12 @@
 #include "checksum/weights.hpp"
 #include "common/error.hpp"
 #include "fft/fft.hpp"
-#include "fft/inplace_radix2.hpp"
 #include "roundoff/model.hpp"
 
 namespace ftfft::abft {
 
 using checksum::DualSum;
 using fault::Phase;
-
-namespace {
-
-// Adapter handing the fault injector to forward_fused's pre-final-stage
-// hook. The offline scheme fires all three of its output-phase injection
-// points at the single hook; the corruption propagates linearly through the
-// final stage into both the outputs and the fused omega3 sum, so detection
-// matches the separate-pass path (which injects into the finished output).
-struct OfflineHook {
-  fault::Injector* inj;
-  static void call(void* self, cplx* data, std::size_t n) {
-    auto* h = static_cast<OfflineHook*>(self);
-    h->inj->apply(Phase::kWholeFftOutput, 0, data, n);
-    h->inj->apply(Phase::kIntermediate, 0, data, n);
-    h->inj->apply(Phase::kFinalOutput, 0, data, n);
-  }
-};
-
-}  // namespace
 
 void offline_transform(cplx* in, cplx* out, const ProtectionPlan& plan,
                        const Options& opts, Stats& stats) {
@@ -104,33 +84,15 @@ void offline_transform(cplx* in, cplx* out, const ProtectionPlan& plan,
   if (inj != nullptr) inj->apply(Phase::kInputAfterChecksum, 0, in, n);
 
   // --- Compute + verify loop --------------------------------------------
-  // Fused checksums (PR 6): the output omega3 dot accumulates inside the
-  // final butterfly stage instead of a standalone post-pass sweep. The
-  // *input* dot stays a separate pass here (unlike the online layers):
-  // kInputAfterChecksum fires between checksum generation and execution,
-  // and fusing the input dot into the execute pass would move generation
-  // after that injection point, silently blessing the corruption.
-  const fft::InplaceRadix2Plan* fused =
-      opts.fused_checksums ? plan.fused_plan_m() : nullptr;
   fft::Fft engine(n);
   for (int attempt = 0;; ++attempt) {
-    cplx rx;
-    if (fused != nullptr) {
-      fft::InplaceRadix2Plan::FusedDots dots;
-      OfflineHook hook{inj};
-      fused->forward_fused(in, out, nullptr, plan.weights_omega3_m(), dots,
-                           inj != nullptr ? &OfflineHook::call : nullptr,
-                           &hook);
-      rx = dots.out_sum;
-    } else {
-      engine.execute(in, out);
-      if (inj != nullptr) {
-        inj->apply(Phase::kWholeFftOutput, 0, out, n);
-        inj->apply(Phase::kIntermediate, 0, out, n);
-        inj->apply(Phase::kFinalOutput, 0, out, n);
-      }
-      rx = checksum::omega3_weighted_sum(out, n);
+    engine.execute(in, out);
+    if (inj != nullptr) {
+      inj->apply(Phase::kWholeFftOutput, 0, out, n);
+      inj->apply(Phase::kIntermediate, 0, out, n);
+      inj->apply(Phase::kFinalOutput, 0, out, n);
     }
+    const cplx rx = checksum::omega3_weighted_sum(out, n);
     ++stats.verifications;
     if (std::abs(rx - ccg) <= eta) return;  // verified
 

@@ -17,7 +17,6 @@
 #include "common/math_util.hpp"
 #include "common/tile_transpose.hpp"
 #include "fft/fft.hpp"
-#include "fft/inplace_radix2.hpp"
 #include "roundoff/model.hpp"
 
 namespace ftfft::abft {
@@ -29,22 +28,6 @@ using fault::Phase;
 double sigma_from_energy(double energy, std::size_t n) {
   return std::sqrt(energy / (2.0 * static_cast<double>(n)) + 1e-300);
 }
-
-/// Adapts the fault injector to forward_fused's pre-final-stage hook: the
-/// injected corruption lands on the intermediate data and propagates
-/// linearly through the final stage into the outputs AND the fused output
-/// checksum consistently, so the verify against the independently derived
-/// CCG still detects it — same contract as injecting after a separate-pass
-/// execute, just inside the guarded window of the in-kernel checksum.
-struct InjectorHook {
-  fault::Injector* inj;
-  Phase phase;
-  std::size_t unit;
-  static void call(void* self, cplx* data, std::size_t n) {
-    auto* h = static_cast<InjectorHook*>(self);
-    h->inj->apply(h->phase, h->unit, data, n);
-  }
-};
 
 /// All state of one protected online transform run. The immutable
 /// per-size setup (split, checksum vectors, threshold coefficients,
@@ -136,73 +119,38 @@ class OnlineRun {
   void run_sub_fft(std::size_t i, cplx* buf, fft::Fft& fftm) {
     cplx ccg{0.0, 0.0};  // reference value the CCV compares against
     const bool have_cmcg = opts_.memory_ft;
-    // Fused-checksum execution (PR 6): staged contiguous inputs run through
-    // the in-place engine's forward_fused, which accumulates the input rA
-    // dot on its copy pass and the omega3 output checksum inside the
-    // streaming passes. Unbuffered strided sub-FFTs (and non-pow2 m) keep
-    // the separate-pass reference, as do the sub-sizes where the in-place
-    // engine swap measures slower on hot staged inputs
-    // (fused_profitable; tests override with fused_ignore_profitability).
     const bool combined_ccg = have_cmcg && opts_.combined_checksums;
-    const fft::InplaceRadix2Plan* fused =
-        opts_.fused_checksums && buf != nullptr &&
-                (opts_.fused_ignore_profitability || fused_profitable(m_))
-            ? plan_.fused_plan_m()
-            : nullptr;
 
     if (have_cmcg && !postpone1_) {
       // Naive hierarchy (Fig. 2): verify the input slot before use.
       if (verify_and_repair_input(i) && buf != nullptr) regather(i, buf);
     }
 
-    bool have_ccg = false;
     if (combined_ccg) {
       // Section 4.1: the stored combined checksum IS the CCG product.
       ccg = s1_[i];
-      have_ccg = true;
-    } else if (fused != nullptr) {
-      // ccg (and, without CMCG, the energy estimate) ride on the first
-      // fused pass below instead of a standalone sweep.
     } else if (buf != nullptr) {
       const auto se = checksum::weighted_sum_energy(cm_, buf, m_);
       ccg = se.sum;
-      have_ccg = true;
       if (!have_cmcg) e_in_[i] = se.energy;
     } else {
       // Strided CCG straight off the input: the expensive second strided
       // read the buffering optimization removes.
       const auto se = checksum::weighted_sum_energy(cm_, x_ + i, m_, k_);
       ccg = se.sum;
-      have_ccg = true;
       if (!have_cmcg) e_in_[i] = se.energy;
     }
 
     double eta = -1.0;  // resolved once the energy estimate is in hand
     cplx* yi = out_ + i * m_;
     for (int attempt = 0;; ++attempt) {
-      cplx rx;
-      if (fused != nullptr) {
-        fft::InplaceRadix2Plan::FusedDots dots;
-        InjectorHook hook{inj(), Phase::kMFftOutput, i};
-        fused->forward_fused(buf, yi, have_ccg ? nullptr : cm_,
-                             plan_.weights_omega3_m(), dots,
-                             inj() != nullptr ? &InjectorHook::call : nullptr,
-                             &hook);
-        if (!have_ccg) {
-          ccg = dots.in_sum;
-          if (!have_cmcg) e_in_[i] = dots.in_energy;
-          have_ccg = true;
-        }
-        rx = dots.out_sum;
+      if (buf != nullptr) {
+        fftm.execute(buf, yi);
       } else {
-        if (buf != nullptr) {
-          fftm.execute(buf, yi);
-        } else {
-          fftm.execute_strided(x_ + i, k_, yi, 1);
-        }
-        if (inj() != nullptr) inj()->apply(Phase::kMFftOutput, i, yi, m_);
-        rx = checksum::omega3_weighted_sum(yi, m_);
+        fftm.execute_strided(x_ + i, k_, yi, 1);
       }
+      if (inj() != nullptr) inj()->apply(Phase::kMFftOutput, i, yi, m_);
+      const cplx rx = checksum::omega3_weighted_sum(yi, m_);
       if (eta < 0.0) {
         const double sigma_i = sigma_from_energy(e_in_[i], m_);
         eta = opts_.eta_override > 0.0
@@ -224,14 +172,9 @@ class OnlineRun {
           if (buf != nullptr) regather(i, buf);
           if (!opts_.combined_checksums) {
             // Classic checksums: the CCG product must be rebuilt from the
-            // repaired input (the next fused pass re-derives it in flight).
-            if (fused != nullptr) {
-              have_ccg = false;
-            } else {
-              ccg = buf != nullptr
-                        ? checksum::weighted_sum(cm_, buf, m_)
-                        : checksum::weighted_sum(cm_, x_ + i, m_, k_);
-            }
+            // repaired input.
+            ccg = buf != nullptr ? checksum::weighted_sum(cm_, buf, m_)
+                                 : checksum::weighted_sum(cm_, x_ + i, m_, k_);
           }
           continue;
         }
@@ -463,51 +406,19 @@ class OnlineRun {
       }
     }
 
-    // tw is always contiguous, so the fused engine applies to both staged
-    // and unstaged columns — at the sub-sizes where it profits on the
-    // DMR-hot data (same gate as the rows, and as the recompute below).
-    const fft::InplaceRadix2Plan* fused =
-        opts_.fused_checksums &&
-                (opts_.fused_ignore_profitability || fused_profitable(k_))
-            ? plan_.fused_plan_k()
-            : nullptr;
-    // Twiddle (DMR), tw[i] = col[i] * omega_n^(i*c). Without the fused
-    // engine the CCG and the column energy ride the same pass.
+    // Twiddle (DMR), tw[i] = col[i] * omega_n^(i*c); the CCG and the column
+    // energy ride the same pass.
     checksum::SumEnergy se;
     stats_.dmr_mismatches += dmr_twiddle_multiply(
-        *plan_.twiddles(), col, stride, tw, k_, c, 0, c, inj(),
-        fused == nullptr ? ck_ : nullptr, &se);
-    cplx ccg{0.0, 0.0};
-    bool have_ccg = false;
-    if (fused == nullptr) {
-      ccg = se.sum;
-      have_ccg = true;
-      if (!opts_.memory_ft) sigma_col = sigma_from_energy(se.energy, k_);
-    }
+        *plan_.twiddles(), col, stride, tw, k_, c, 0, c, inj(), ck_, &se);
+    const cplx ccg = se.sum;
+    if (!opts_.memory_ft) sigma_col = sigma_from_energy(se.energy, k_);
     double eta = -1.0;  // resolved once the energy estimate is in hand
 
     for (int attempt = 0;; ++attempt) {
-      cplx rx;
-      if (fused != nullptr) {
-        fft::InplaceRadix2Plan::FusedDots dots;
-        InjectorHook hook{inj(), Phase::kKFftOutput, c};
-        fused->forward_fused(tw, res, have_ccg ? nullptr : ck_,
-                             plan_.weights_omega3_k(), dots,
-                             inj() != nullptr ? &InjectorHook::call : nullptr,
-                             &hook);
-        if (!have_ccg) {
-          ccg = dots.in_sum;
-          if (!opts_.memory_ft) {
-            sigma_col = sigma_from_energy(dots.in_energy, k_);
-          }
-          have_ccg = true;
-        }
-        rx = dots.out_sum;
-      } else {
-        fftk.execute(tw, res);
-        if (inj() != nullptr) inj()->apply(Phase::kKFftOutput, c, res, k_);
-        rx = checksum::omega3_weighted_sum(res, k_);
-      }
+      fftk.execute(tw, res);
+      if (inj() != nullptr) inj()->apply(Phase::kKFftOutput, c, res, k_);
+      const cplx rx = checksum::omega3_weighted_sum(res, k_);
       if (eta < 0.0) {
         eta = opts_.eta_override > 0.0
                   ? opts_.eta_override
@@ -578,32 +489,16 @@ class OnlineRun {
       }
 
       // Postponed hierarchy: recompute the column from its backup column
-      // (twiddle + k-FFT + verify + scatter). The recomputation must run
-      // the same engine process_column used — in fused mode that is the
-      // in-place plan — so a repaired column is bit-identical to a
-      // never-corrupted run.
-      const fft::InplaceRadix2Plan* fused =
-          opts_.fused_checksums &&
-                  (opts_.fused_ignore_profitability || fused_profitable(k_))
-              ? plan_.fused_plan_k()
-              : nullptr;
+      // (twiddle + k-FFT + verify + scatter). The recomputation runs the
+      // same engine process_column used, so a repaired column is
+      // bit-identical to a never-corrupted run.
       checksum::SumEnergy se;
       stats_.dmr_mismatches += dmr_twiddle_multiply(
           *plan_.twiddles(), backup_ + c * k_, 1, tw.data(), k_, c, 0, c,
-          nullptr, fused == nullptr ? ck_ : nullptr, &se);
-      cplx ccg, rx2;
-      if (fused != nullptr) {
-        fft::InplaceRadix2Plan::FusedDots dots;
-        fused->forward_fused(tw.data(), res.data(), ck_,
-                             plan_.weights_omega3_k(), dots);
-        ccg = dots.in_sum;
-        rx2 = dots.out_sum;
-      } else {
-        ccg = se.sum;
-        fftk.execute(tw.data(), res.data());
-        rx2 = checksum::omega3_weighted_sum(res.data(), k_);
-      }
-      if (std::abs(rx2 - ccg) > eta) {
+          nullptr, ck_, &se);
+      fftk.execute(tw.data(), res.data());
+      const cplx rx2 = checksum::omega3_weighted_sum(res.data(), k_);
+      if (std::abs(rx2 - se.sum) > eta) {
         throw UncorrectableError(
             "online ABFT: column recomputation failed verification");
       }

@@ -55,32 +55,6 @@ struct Options {
   /// from cache size).
   std::size_t batch_columns = 0;
 
-  /// Fuse the checksum dot products into the FFT passes (TurboFFT-style,
-  /// PR 6): sub-FFTs with a power-of-two size >= 8 run through
-  /// InplaceRadix2Plan::forward_fused, which accumulates the input rA dot
-  /// on the src -> dst copy and — for transforms with a DRAM-streaming
-  /// tail — the omega3 output checksum in the final butterfly stage's
-  /// registers, instead of the separate checksum/dot.cpp sweeps.
-  /// Detection/correction semantics are unchanged (the fault campaigns
-  /// prove the outcomes identical); the fused sums differ from the
-  /// separate-pass ones only by documented re-association round-off within
-  /// the detection thresholds (the input dot and the cache-resident output
-  /// sweep are bit-identical per backend). Ineligible shapes
-  /// (non-power-of-two sub-sizes, unstaged strided inputs) and scheme
-  /// sub-sizes where the engine swap measures slower on cache-hot staged
-  /// data (n <= 256 and n == 2048, see abft::fused_profitable) silently
-  /// keep the separate-pass reference, which also remains selectable by
-  /// leaving this off. Default from FTFFT_FUSED_CHECKSUMS (off when
-  /// unset).
-  bool fused_checksums = env_flag("FTFFT_FUSED_CHECKSUMS", false);
-
-  /// Testing/benching escape hatch: run fused execution even at sub-sizes
-  /// abft::fused_profitable rejects, so fault campaigns and parity tests
-  /// exercise the fused kernels at small sizes too. Never needed in
-  /// production — the gate exists because those sizes measured slower,
-  /// not because they are unsafe.
-  bool fused_ignore_profitability = false;
-
   /// Maximum number of simultaneously corrupted elements the memory-fault
   /// repair will correct per protected region (PR 9). The default 1 (from
   /// FTFFT_MAX_ERRORS, clamped to [1, checksum::kMaxCorrectableErrors] at

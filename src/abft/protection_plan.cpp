@@ -69,29 +69,7 @@ EtaCoeffs eta_coeffs(std::size_t n) {
           roundoff::practical_eta_memory_coeff(n)};
 }
 
-// Fused execution (forward_fused) needs the in-place schedule and wants a
-// final stage of len >= 8 to fuse the output dot into; smaller or
-// non-power-of-two sub-sizes keep the separate-pass path.
-bool fused_eligible(std::size_t n) { return n >= 8 && is_pow2(n); }
-
 }  // namespace
-
-bool fused_profitable(std::size_t n) noexcept {
-  // Inside the schemes every sub-FFT input was just staged (gathered rows,
-  // DMR-multiplied columns), so the separate checksum sweep the fusion
-  // would remove is a cache-resident re-read, not a DRAM pass. Below 512
-  // the separate path's fft::Fft runs the codelet tree, which beats
-  // "copy + in-place engine" (AVX2 dev box, min-of-9 x high-rep, hot
-  // buffers: fused loses +2..+24% at n <= 256). From 512 up
-  // (fft::kInplaceEngineMinSize) both sides run the in-place engine, so
-  // the gate weighs only the fused sweeps: they lose at 2048 (+9..+13%,
-  // measured against the tree, which ties the engine there), break even
-  // at 4096 and win elsewhere (-12..-36%). The whole-transform offline
-  // scheme is NOT gated: its input comes in cold and its interesting sizes
-  // live in the streaming tail regime where the in-kernel output dot saves
-  // a real DRAM sweep.
-  return n >= 512 && n != 2048;
-}
 
 ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
                                const Options& opts)
@@ -104,10 +82,6 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
       wm_ = checksum::shared_input_checksum_vector(n, opts.ra_method);
       eta_m_ = eta_coeffs(n);
       eta_whole_ = eta_m_;
-      if (fused_eligible(n)) {
-        fused_m_ = fft::InplaceRadix2Plan::get(n);
-        w3m_ = checksum::shared_comp_weights(n);
-      }
       if (max_errors_ > 1) sn_m_ = checksum::shared_syndrome_nodes(n);
       break;
     }
@@ -119,14 +93,6 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
       wk_ = checksum::shared_input_checksum_vector(k_, opts.ra_method);
       eta_m_ = eta_coeffs(m_);
       eta_k_ = eta_coeffs(k_);
-      if (fused_eligible(m_)) {
-        fused_m_ = fft::InplaceRadix2Plan::get(m_);
-        w3m_ = checksum::shared_comp_weights(m_);
-      }
-      if (fused_eligible(k_)) {
-        fused_k_ = fft::InplaceRadix2Plan::get(k_);
-        w3k_ = checksum::shared_comp_weights(k_);
-      }
       if (opts.contiguous_buffering) {
         layer1_batch_ = std::clamp<std::size_t>(
             kStageElems / m_, std::min<std::size_t>(4, k_), k_);
@@ -156,10 +122,6 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
       // width ignores contiguous_buffering: same rule as kOnline's layer 1.
       layer1_batch_ = std::clamp<std::size_t>(
           kStageElems / k_, std::min<std::size_t>(4, blk_), blk_);
-      if (fused_eligible(k_)) {
-        fused_k_ = fft::InplaceRadix2Plan::get(k_);
-        w3k_ = checksum::shared_comp_weights(k_);
-      }
       if (max_errors_ > 1) {
         sn_m_ = checksum::shared_syndrome_nodes(blk_);
         sn_k_ = checksum::shared_syndrome_nodes(k_);

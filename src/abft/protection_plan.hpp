@@ -28,7 +28,6 @@
 #include "common/complex.hpp"
 #include "common/error.hpp"
 #include "common/seal.hpp"
-#include "fft/inplace_radix2.hpp"
 
 namespace ftfft::abft {
 
@@ -84,32 +83,6 @@ class ProtectionPlan {
     return wk_ ? wk_->data() : nullptr;
   }
 
-  // ---- Fused-checksum support (PR 6). Built unconditionally (the handles
-  // are shared cache references, so the marginal cost is a few pointers);
-  // whether a run uses them is Options::fused_checksums at execution time,
-  // which deliberately stays out of the plan cache key.
-
-  /// Shared in-place sub-plan for the first-layer size m (kOnline) /
-  /// the whole transform (kOffline); nullptr when the size is not a
-  /// power of two >= 8 (fused execution falls back to separate passes).
-  [[nodiscard]] const fft::InplaceRadix2Plan* fused_plan_m() const noexcept {
-    return fused_m_.get();
-  }
-  /// Same for the second-layer / outer size k.
-  [[nodiscard]] const fft::InplaceRadix2Plan* fused_plan_k() const noexcept {
-    return fused_k_.get();
-  }
-
-  /// Materialized omega3 output-weight vector (w[j] = omega_3^(j mod 3)) of
-  /// the matching size, consumed by the fused final-stage checksum kernels;
-  /// nullptr exactly when the matching fused plan is.
-  [[nodiscard]] const cplx* weights_omega3_m() const noexcept {
-    return w3m_ ? w3m_->data() : nullptr;
-  }
-  [[nodiscard]] const cplx* weights_omega3_k() const noexcept {
-    return w3k_ ? w3k_->data() : nullptr;
-  }
-
   /// Threshold coefficients: eta_m for the m-layer (kOnline) or the whole
   /// transform (kOffline); eta_k for the k-layer; eta_block / eta_whole for
   /// the in-place scheme's block window and final permutation guard.
@@ -152,21 +125,16 @@ class ProtectionPlan {
     return tw_.get();
   }
 
-  /// Appends every cached payload the plan references — checksum-weight and
-  /// omega3 vectors, syndrome node tables, (transitively) the fused
-  /// in-place sub-plans, and the twiddle tables last — to `out`. This span
+  /// Appends every cached payload the plan references — checksum-weight
+  /// vectors, syndrome node tables, and the twiddle tables last — to `out`. This span
   /// set is what the protection-plan registry seals: the seal stays valid
   /// even after the referenced vectors' own caches evicted them, because
   /// the shared_ptr handles pin the exact bytes hashed at build time.
   void collect_state(StateSpans& out) const {
     if (wm_) out.add_vec(*wm_);
     if (wk_) out.add_vec(*wk_);
-    if (w3m_) out.add_vec(*w3m_);
-    if (w3k_) out.add_vec(*w3k_);
     if (sn_m_) out.add_vec(*sn_m_);
     if (sn_k_) out.add_vec(*sn_k_);
-    if (fused_m_) fused_m_->collect_state(out);
-    if (fused_k_) fused_k_->collect_state(out);
     if (tw_) tw_->collect_state(out);
   }
 
@@ -198,10 +166,6 @@ class ProtectionPlan {
   std::size_t m_ = 0, k_ = 0, r_ = 0, blk_ = 0;
   std::shared_ptr<const std::vector<cplx>> wm_;
   std::shared_ptr<const std::vector<cplx>> wk_;
-  std::shared_ptr<const fft::InplaceRadix2Plan> fused_m_;
-  std::shared_ptr<const fft::InplaceRadix2Plan> fused_k_;
-  std::shared_ptr<const std::vector<cplx>> w3m_;
-  std::shared_ptr<const std::vector<cplx>> w3k_;
   int max_errors_ = 1;
   std::shared_ptr<const std::vector<double>> sn_m_;
   std::shared_ptr<const std::vector<double>> sn_k_;
@@ -210,19 +174,6 @@ class ProtectionPlan {
   std::size_t layer1_batch_ = 1;
   std::size_t layer2_cols_ = 1;
 };
-
-/// Measured profitability gate for fused execution of one scheme-level
-/// sub-FFT. Scheme sub-inputs are staged cache-hot, so the sweep the
-/// fusion removes is cheap: false for n <= 256, where fft::Fft's codelet
-/// tree outruns "copy + in-place engine", and for n == 2048, where the
-/// fused sweeps lose on the shared engine (see protection_plan.cpp for
-/// the numbers). The online/in-place schemes fall back to the
-/// separate-pass path when this is false (unless
-/// Options::fused_ignore_profitability overrides for tests/benches); the
-/// decision is a pure function of the sub-size, so every retry and
-/// recomputation of the same unit picks the same engine. The offline
-/// whole-transform scheme is deliberately not gated.
-[[nodiscard]] bool fused_profitable(std::size_t n) noexcept;
 
 /// Resolves the cached plan the given options need for the out-of-place
 /// (inplace = false) or in-place entry point; nullptr for Mode::kNone

@@ -85,20 +85,22 @@ void resolve_real_plan(std::size_t n, const RealProtectionPlan*& plan,
 
 RealProtectionPlan::RealProtectionPlan(std::size_t n) : n_(n), nc_(n / 2) {
   rplan_ = fft::RealFftPlan::get(n);  // validates n (power of two >= 2)
-  w3_ = checksum::shared_comp_weights(nc_ + 1);
-  const cplx* c = w3_->data();
 
-  // Pullback of the omega3 output dot through the split map (see header):
+  // Pullback of the omega3 output dot (c_k = omega3_pow(k)) through the
+  // split map (see header):
   //   a_0 = c_0/2 (1-i) + c_nc/2 (1+i),   a_j = c_j/2 (1 - i W^j)
   //   g_0 = c_0/2 (1+i) + c_nc/2 (1-i),   g_j = c_{nc-j}/2 (1 + i W^{nc-j})
+  const cplx c0 = omega3_pow(0);
+  const cplx cn = omega3_pow(nc_);
   a_.resize(nc_);
   g_.resize(nc_);
-  a_[0] = cmul(c[0], cplx{0.5, -0.5}) + cmul(c[nc_], cplx{0.5, 0.5});
-  g_[0] = cmul(c[0], cplx{0.5, 0.5}) + cmul(c[nc_], cplx{0.5, -0.5});
+  a_[0] = cmul(c0, cplx{0.5, -0.5}) + cmul(cn, cplx{0.5, 0.5});
+  g_[0] = cmul(c0, cplx{0.5, 0.5}) + cmul(cn, cplx{0.5, -0.5});
   for (std::size_t j = 1; j < nc_; ++j) {
+    const cplx cj = omega3_pow(j);
     const cplx iw = mul_i(omega(n_, j));
-    a_[j] = cmul(c[j], 0.5 * (cplx{1.0, 0.0} - iw));
-    g_[nc_ - j] = cmul(c[j], 0.5 * (cplx{1.0, 0.0} + iw));
+    a_[j] = cmul(cj, 0.5 * (cplx{1.0, 0.0} - iw));
+    g_[nc_ - j] = cmul(cj, 0.5 * (cplx{1.0, 0.0} + iw));
   }
   gc_.resize(nc_);
   ac_.resize(nc_);
@@ -180,21 +182,13 @@ void protected_r2c(double* in, cplx* out, std::size_t n, const Options& opts,
       stats.eta_real = std::max(stats.eta_real, eta);
     }
     // The hook models a fault while the finalize sweep reads the packed
-    // spectrum: the corruption propagates linearly into the outputs AND,
-    // in fused mode, into the in-kernel output dot consistently — so the
-    // verify against the independently derived pullback still catches it,
-    // identically in fused and separate modes.
+    // spectrum: the corruption propagates linearly into the outputs, so the
+    // verify against the independently derived pullback catches it.
     if (opts.injector != nullptr) {
       opts.injector->apply(Phase::kRealPostPass, 0, zbuf, nc);
     }
-    cplx s;
-    if (opts.fused_checksums) {
-      s = simd::fft_kernels().r2c_finalize_cs(
-          out, zbuf, nc, rp.quarter_twiddles(), plan->weights_omega3());
-    } else {
-      simd::fft_kernels().r2c_finalize(out, zbuf, nc, rp.quarter_twiddles());
-      s = checksum::omega3_weighted_sum(out, nc + 1);
-    }
+    simd::fft_kernels().r2c_finalize(out, zbuf, nc, rp.quarter_twiddles());
+    const cplx s = checksum::omega3_weighted_sum(out, nc + 1);
     ++stats.verifications;
     if (std::abs(s - ref) <= eta) break;
     ++stats.comp_errors_detected;
@@ -222,29 +216,21 @@ void protected_c2r(cplx* in, double* out, std::size_t n, const Options& opts,
   resolve_real_plan(n, plan, owned);
   const fft::RealFftPlan& rp = plan->real_plan();
   const std::size_t nc = n / 2;
-  const cplx* w3 = plan->weights_omega3();
 
   // Unsplit under guard: the omega3 dot over the caller's half-spectrum is
   // the trusted side; the pullback over the prepare output must match it.
   std::vector<cplx> buf(nc);  // conjugated packed spectrum conj(Z)
   double eta = -1.0;
   for (int attempt = 0;; ++attempt) {
-    cplx s_in;
-    if (opts.fused_checksums) {
-      s_in = simd::fft_kernels().c2r_prepare_cs(
-          buf.data(), in, nc, rp.quarter_twiddles(), /*conjugate=*/true, w3);
-    } else {
-      simd::fft_kernels().c2r_prepare(buf.data(), in, nc,
-                                      rp.quarter_twiddles(),
-                                      /*conjugate=*/true);
-      s_in = checksum::omega3_weighted_sum(in, nc + 1);
-    }
+    simd::fft_kernels().c2r_prepare(buf.data(), in, nc, rp.quarter_twiddles(),
+                                    /*conjugate=*/true);
+    cplx s_in = checksum::omega3_weighted_sum(in, nc + 1);
     // The DC/Nyquist bins of a real signal's spectrum are structurally
     // real and the unsplit pass ignores their imaginary parts; mask them
     // out of the trusted dot too so a caller-supplied nonzero imaginary
     // component is ignored, not misdiagnosed as a fault.
-    s_in -= cmul(w3[0], cplx{0.0, in[0].imag()}) +
-            cmul(w3[nc], cplx{0.0, in[nc].imag()});
+    s_in -= cmul(omega3_pow(0), cplx{0.0, in[0].imag()}) +
+            cmul(omega3_pow(nc), cplx{0.0, in[nc].imag()});
     if (eta < 0.0) {
       // Threshold scale from the still-clean prepare output (the injector
       // hook has not fired yet), so a corruption under test can never

@@ -1,12 +1,12 @@
 // ABFT protection for the real-input transforms (fft/real_fft.hpp).
 //
 // The packed nc = n/2 complex transform runs through the existing protected
-// executors (offline / two-layer online, fused checksums and all), so the
-// only new attack surface is the conjugate-symmetry post-pass that splits
-// the packed spectrum Z into the half-spectrum X (r2c) or rebuilds Z from X
-// (c2r). That pass is linear, so it is guarded the same way the paper
-// guards every other linear stage: by a checksum identity that relates a
-// dot over its input to a dot over its output.
+// executors (offline / two-layer online), so the only new attack surface is
+// the conjugate-symmetry post-pass that splits the packed spectrum Z into
+// the half-spectrum X (r2c) or rebuilds Z from X (c2r). That pass is
+// linear, so it is guarded the same way the paper guards every other
+// linear stage: by a checksum identity that relates a dot over its input
+// to a dot over its output.
 //
 // Writing W = omega(n, .), the split map is, for every k in [1, nc-1]
 // (and, by periodicity of Z, for the DC/Nyquist edges too):
@@ -25,12 +25,9 @@
 // packed spectrum, before the post-pass runs) and conj(a) and g for c2r
 // (reference from the conjugated packed spectrum the prepare pass emits).
 // Verification compares the pullback against the omega3 dot over the
-// half-spectrum — fused into the post-pass sweep itself when
-// Options::fused_checksums is on (the dot rides the same streaming loop, so
-// unlike the sub-FFT engine swap there is nothing to profitability-gate) —
-// under the representation-specific threshold practical_eta_real. A
-// mismatch restarts the transform (the pass has no localization structure
-// worth exploiting; it is O(n) of the work).
+// half-spectrum under the representation-specific threshold
+// practical_eta_real. A mismatch restarts the transform (the pass has no
+// localization structure worth exploiting; it is O(n) of the work).
 #pragma once
 
 #include <cstddef>
@@ -48,8 +45,8 @@ namespace ftfft::abft {
 class ProtectionPlan;
 
 /// Immutable per-size state for one protected real transform: the shared
-/// fft::RealFftPlan, the omega3 weights over the nc+1 half-spectrum bins,
-/// the four pullback vectors and the post-pass threshold coefficient.
+/// fft::RealFftPlan, the four pullback vectors and the post-pass threshold
+/// coefficient.
 /// Cached process-wide under the "real-protection-plan" row of
 /// plan_cache_stats().
 class RealProtectionPlan {
@@ -69,11 +66,6 @@ class RealProtectionPlan {
   [[nodiscard]] const std::shared_ptr<const fft::RealFftPlan>&
   shared_real_plan() const noexcept {
     return rplan_;
-  }
-
-  /// omega3 output weights over the nc+1 half-spectrum bins.
-  [[nodiscard]] const cplx* weights_omega3() const noexcept {
-    return w3_->data();
   }
 
   /// r2c reference = ws(a, Z) + conj(ws(conj(g), Z)) over the packed
@@ -98,15 +90,14 @@ class RealProtectionPlan {
   /// yields the per-call threshold.
   [[nodiscard]] double eta_coeff() const noexcept { return eta_coeff_; }
 
-  /// Appends the pullback vectors, omega3 weights and (transitively) the
-  /// underlying real plan's cached state to `out` (plan-state sealing; see
+  /// Appends the pullback vectors and (transitively) the underlying real
+  /// plan's cached state to `out` (plan-state sealing; see
   /// common/seal.hpp).
   void collect_state(StateSpans& out) const {
     out.add_vec(a_);
     out.add_vec(gc_);
     out.add_vec(ac_);
     out.add_vec(g_);
-    if (w3_) out.add_vec(*w3_);
     if (rplan_) rplan_->collect_state(out);
   }
 
@@ -121,7 +112,6 @@ class RealProtectionPlan {
   std::size_t n_;
   std::size_t nc_;
   std::shared_ptr<const fft::RealFftPlan> rplan_;
-  std::shared_ptr<const std::vector<cplx>> w3_;
   std::vector<cplx> a_, gc_, ac_, g_;
   double eta_coeff_ = 0.0;
 };

@@ -134,31 +134,6 @@ std::shared_ptr<const std::vector<cplx>> shared_input_checksum_vector(
   });
 }
 
-namespace {
-
-PlanRegistry<std::size_t, std::vector<cplx>>& comp_weights_registry() {
-  static PlanRegistry<std::size_t, std::vector<cplx>> registry(
-      plan_cache_capacity(), seal_cplx_vec);
-  return registry;
-}
-
-const bool comp_weights_registry_registered =
-    (ftfft::detail::register_plan_cache(ftfft::detail::PlanCacheHooks{
-         [] { return comp_weights_registry().snapshot("comp-weights"); },
-         [] { return comp_weights_registry().scrub(); },
-         [](std::size_t k) {
-           comp_weights_registry().set_verify_interval(k);
-         }}),
-     true);
-
-}  // namespace
-
-std::shared_ptr<const std::vector<cplx>> shared_comp_weights(std::size_t n) {
-  return comp_weights_registry().get_or_build(n, [&] {
-    return std::make_shared<const std::vector<cplx>>(comp_weights(n));
-  });
-}
-
 std::uint64_t ra_generations() noexcept {
   return ra_generation_count.load(std::memory_order_relaxed);
 }

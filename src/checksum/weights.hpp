@@ -35,12 +35,6 @@ enum class RaGenMethod {
 /// r_j = omega_3^j for j in [0, n). Exact constants, no trig.
 std::vector<cplx> comp_weights(std::size_t n);
 
-/// Process-wide cached comp_weights(n), LRU-bounded through the shared
-/// PlanRegistry. The fused-checksum kernels (PR 6) consume the output
-/// weights as a materialized vector — the separate-pass omega3_weighted_sum
-/// never needed one — so plans share a single immutable copy per size.
-std::shared_ptr<const std::vector<cplx>> shared_comp_weights(std::size_t n);
-
 /// The input checksum vector rA for an n-point DFT. Throws
 /// std::invalid_argument when 3 divides n (degenerate encoding, see above).
 std::vector<cplx> input_checksum_vector(std::size_t n, RaGenMethod method);

@@ -15,12 +15,6 @@
 // by fft::default_inplace_tuning(); see fft/inplace_radix2.hpp for the
 // defaults and their rationale.
 //
-// FTFFT_FUSED_CHECKSUMS ("1"/"on"/"true"/"yes" to enable) flips the default
-// of abft::Options::fused_checksums: the protected transforms accumulate
-// their checksum dots inside the butterfly kernels (TurboFFT-style) instead
-// of separate sweeps. Off by default; the separate-pass path remains the
-// reference. Read when an Options struct is constructed.
-//
 // FTFFT_ENGINE_THREADS sets the worker count of every engine::BatchEngine
 // constructed with num_threads = 0 — including the process-wide shared()
 // engine behind the single-shot wrappers — so tests, CI and co-tenant

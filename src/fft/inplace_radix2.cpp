@@ -399,127 +399,6 @@ InplaceRadix2Plan::OpenLastStage InplaceRadix2Plan::forward_copy_open_last(
   return open_last_stages(dst, opener_fused);
 }
 
-void InplaceRadix2Plan::forward_fused(const cplx* src, cplx* dst,
-                                      const cplx* w_in, const cplx* w_out,
-                                      FusedDots& dots,
-                                      void (*hook)(void*, cplx*, std::size_t),
-                                      void* hook_ctx) const {
-  const auto& kernels = simd::fft_kernels();
-  if (n_ < 8) {
-    // Degenerate sizes: permuted copy + plain scalar dots. No stage here has
-    // enough butterflies to be worth fusing into (and the final stage can be
-    // the width-sensitive len == 4 opener).
-    if (w_in != nullptr) {
-      cplx s{0.0, 0.0};
-      double e = 0.0;
-      for (std::size_t j = 0; j < n_; ++j) {
-        s += cmul(w_in[j], src[j]);
-        e += norm2(src[j]);
-      }
-      dots.in_sum = s;
-      dots.in_energy = e;
-    }
-    for (std::size_t i = 0; i < n_; ++i) {
-      dst[i] = src[reverse_bits(i, log2n_)];
-    }
-    blocked_pass(dst, /*inverse=*/false, /*skip_opener=*/false, /*scale=*/1.0,
-                 block_log2_, blocked_stage_count_);
-    if (hook != nullptr) hook(hook_ctx, dst, n_);
-    dots.out_sum = simd::checksum_kernels().omega3_weighted_sum(dst, n_);
-    return;
-  }
-  // The input dot rides on the src -> dst copy: copy_weighted_sum_energy
-  // streams both sequentially and keeps the exact accumulator structure of
-  // the separate weighted_sum_energy sweep, so in_sum/in_energy are
-  // bit-identical to the separate pass on every backend. (An earlier cut
-  // fused the dot into scalar permute-with-opener kernels instead; their
-  // scattered scalar stores cost more than the whole extra copy at every
-  // cache-resident size, so the permutation now reuses the engine's own
-  // vectorized openers.) Above the COBRA threshold the tiled walk also
-  // absorbs the opener stage; below it permute_pairswap leaves the opener
-  // to the blocked schedule.
-  kernels.copy_weighted_sum_energy(dst, src, w_in, n_, &dots.in_sum,
-                                   &dots.in_energy);
-  bool opener_fused = false;
-  if (cobra_) {
-    permute_cobra_fused_opener(dst);
-    opener_fused = true;
-  } else {
-    permute_pairswap(dst);
-  }
-  // Remaining stages follow run_optimized's forward schedule exactly, except
-  // that the last stage (which touches every element once) runs through the
-  // fused-checksum kernel and returns the weighted output sum. The optional
-  // hook fires just before it — see the header contract.
-  const cplx* tw = stage_twiddles_.data();
-  if (!tail_.empty()) {
-    blocked_pass(dst, /*inverse=*/false, /*skip_opener=*/opener_fused,
-                 /*scale=*/1.0, block_log2_, blocked_stage_count_);
-    for (std::size_t i = 0; i + 1 < tail_.size(); ++i) {
-      const TailStage& st = tail_[i];
-      if (st.radix == 4) {
-        kernels.radix4_stage(dst, n_, st.len, tw + st.w1a_off,
-                             tw + st.w2a_off, /*inverse=*/false, 1.0);
-      } else {
-        kernels.radix16_stage(dst, n_, st.len, tw + st.w1a_off,
-                              tw + st.w2a_off, tw + st.w1b_off,
-                              tw + st.w2b_off, /*inverse=*/false, 1.0);
-      }
-    }
-    if (hook != nullptr) hook(hook_ctx, dst, n_);
-    const TailStage& last = tail_.back();
-    dots.out_sum =
-        last.radix == 4
-            ? kernels.radix4_stage_cs(dst, n_, last.len, tw + last.w1a_off,
-                                      tw + last.w2a_off, w_out)
-            : kernels.radix16_stage_cs(dst, n_, last.len, tw + last.w1a_off,
-                                       tw + last.w2a_off, tw + last.w1b_off,
-                                       tw + last.w2b_off, w_out);
-  } else {
-    // The whole transform fits one cache window (tail empty implies
-    // n <= window), so data stays cache-resident across passes. Two
-    // measured consequences shape this branch:
-    //  * Below the COBRA threshold, pairing the radix-4 stages through the
-    //    radix-16 kernel halves the passes and runs 6-19% faster at the
-    //    L1-boundary sizes (128..2048) this branch serves — bit-identical
-    //    to back-to-back radix-4 passes on the same twiddle packs. Above
-    //    the threshold the plain radix-4 sweeps stay faster (the same
-    //    result as the blocked_pass in-window fusion experiment).
-    //  * The in-register cs-stage beats a separate output sweep only when
-    //    the final stage streams from DRAM (the tail branch above). Here
-    //    the outputs are still cache-hot, and the weight-free 3-bucket
-    //    omega3 sweep costs less than the cs-stage's per-element weight
-    //    loads + complex multiplies — so the last stage runs plain and the
-    //    output dot is the same dispatched sweep the separate path uses
-    //    (making out_sum bit-identical to it on every backend).
-    if (opener_fused) {
-      // COBRA absorbed the opener (odd log2n: the radix-2 pair pass; even:
-      // stages_[0]).
-    } else if (log2n_ & 1u) {
-      kernels.radix2_stage0(dst, n_);
-    } else {
-      kernels.radix4_first_stage(dst, n_, /*inverse=*/false);
-    }
-    std::size_t i = (log2n_ & 1u) ? 0 : 1;
-    if (cobra_ == nullptr) {
-      for (; i + 1 < stages_.size(); i += 2) {
-        const FusedStage& a = stages_[i];
-        const FusedStage& b = stages_[i + 1];
-        kernels.radix16_stage(dst, n_, b.len, tw + a.w1_off, tw + a.w2_off,
-                              tw + b.w1_off, tw + b.w2_off, /*inverse=*/false,
-                              1.0);
-      }
-    }
-    for (; i < stages_.size(); ++i) {
-      const FusedStage& st = stages_[i];
-      kernels.radix4_stage(dst, n_, st.len, tw + st.w1_off, tw + st.w2_off,
-                           /*inverse=*/false, 1.0);
-    }
-    if (hook != nullptr) hook(hook_ctx, dst, n_);
-    dots.out_sum = simd::checksum_kernels().omega3_weighted_sum(dst, n_);
-  }
-}
-
 void InplaceRadix2Plan::inverse(cplx* data) const {
   run_optimized(data, true);
 }

@@ -114,45 +114,6 @@ class InplaceRadix2Plan {
   /// forward_copy() minus the final pass; see forward_open_last().
   OpenLastStage forward_copy_open_last(const cplx* src, cplx* dst) const;
 
-  /// Checksum dots accumulated by forward_fused().
-  struct FusedDots {
-    cplx in_sum{0.0, 0.0};    ///< sum_j w_in[j] * src[j] (w_in != nullptr)
-    double in_energy = 0.0;   ///< sum_j |src[j]|^2 (w_in != nullptr)
-    cplx out_sum{0.0, 0.0};   ///< sum_j w_out[j] * dst[j]
-  };
-
-  /// Out-of-place forward DFT (dst = FFT(src), src untouched, dst/src
-  /// disjoint) with the ABFT checksum dots fused into the streaming passes
-  /// (TurboFFT-style, see ROADMAP). The weighted input checksum + energy
-  /// always ride on the src -> dst copy (w_in == nullptr skips them) with
-  /// the exact accumulator structure of the separate sweep, so in_sum /
-  /// in_energy are bit-identical to it per backend. The weighted output
-  /// checksum is regime-dependent, picking whichever side of the trade
-  /// measures faster:
-  ///  * tail (DRAM-streaming) schedule: the final butterfly stage
-  ///    accumulates it in spare registers (radix4/16_stage_cs), saving a
-  ///    whole read sweep of dst; re-association vs the separate sweep is
-  ///    documented in simd/kernels_impl.hpp.
-  ///  * single-window (cache-resident) schedule: dst is still hot after the
-  ///    last stage, where the weight-free 3-bucket omega3 sweep is cheaper
-  ///    than in-loop weight loads — out_sum is then the same dispatched
-  ///    sweep the separate path runs, hence bit-identical to it.
-  /// dst is bit-identical to forward() run on a permuted copy of src in
-  /// both regimes: the butterfly kernels are shared, and the single-window
-  /// schedule's radix-16 stage pairing is a bit-exact re-schedule.
-  ///
-  /// `hook` (optional) is invoked on dst immediately *before* the final
-  /// checksum-relevant pass (the cs-stage in the tail regime, the output
-  /// sweep in the single-window regime): fault injection there propagates
-  /// into both the outputs and the fused output checksum consistently,
-  /// which is what keeps a post-transform verify against an independently
-  /// derived checksum meaningful (the guarded window of an in-kernel
-  /// checksum ends at the last store).
-  void forward_fused(const cplx* src, cplx* dst, const cplx* w_in,
-                     const cplx* w_out, FusedDots& dots,
-                     void (*hook)(void*, cplx*, std::size_t) = nullptr,
-                     void* hook_ctx = nullptr) const;
-
   /// Inverse DFT (1/n normalized) in place.
   void inverse(cplx* data) const;
 

@@ -190,7 +190,6 @@ class RankRun {
       aopts.eta_override = opts_.eta_override;
       aopts.max_retries = opts_.max_retries;
       aopts.injector = &ctx_.injector();
-      aopts.fused_checksums = opts_.fused_checksums;
       abft::inplace_online_transform(local_.data(), *plan_.fft2_plan(), aopts,
                                      stats_);
     } else {

@@ -45,12 +45,6 @@ struct ParallelOptions {
   // Appended after the positionally-initialized preset fields, so the four
   // Fig. 8 variants inherit these defaults.
 
-  /// Fuse the FFT2 checksum dot products into its butterfly passes
-  /// (abft::Options::fused_checksums, PR 6). Off by default — with it off
-  /// the sharded path is bit-identical to the reference path; detection /
-  /// correction outcomes are identical either way.
-  bool fused_checksums = env_flag("FTFFT_FUSED_CHECKSUMS", false);
-
   /// Sharded path (submit_parallel) only: whole-transform restarts allowed
   /// when a modeled rank failure (NetworkModel::fail_rank) kills a phase —
   /// the node-loss recovery the thread-per-rank reference path cannot
@@ -123,9 +117,9 @@ std::vector<cplx> parallel_fft(
 // through completion callbacks, so one submission pipelines across the
 // worker pool with no rank threads, no mailboxes and no barrier. All
 // arithmetic that touches data is shared with or identical to the
-// reference path, so with fused_checksums off the output is bit-identical
-// to parallel_fft; protection semantics (per-block verification and repair,
-// CMCG, DMR twiddle, k*r*k FFT2, final adjust guards) are unchanged.
+// reference path, so the output is bit-identical to parallel_fft;
+// protection semantics (per-block verification and repair, CMCG, DMR
+// twiddle, k*r*k FFT2, final adjust guards) are unchanged.
 
 namespace detail {
 struct ShardedState;  // completion state shared by executor and future

@@ -11,11 +11,11 @@
 // never blocks a caller thread and consecutive huge transforms pipeline
 // across the pool.
 //
-// Bit-compatibility contract (tested by ShardedMatchesReference*): with
-// fused_checksums off, the output equals parallel_fft's bit for bit,
-// because every operation that touches data — block copies, the FFT1
-// gather order and engine, the DMR / plain twiddle, the k*r*k FFT2, the
-// final scatter — is the same code or the same arithmetic. The only
+// Bit-compatibility contract (tested by ShardedMatchesReference*): the
+// output equals parallel_fft's bit for bit, because every operation that
+// touches data — block copies, the FFT1 gather order and engine, the DMR /
+// plain twiddle, the k*r*k FFT2, the final scatter — is the same code or
+// the same arithmetic. The only
 // differences are checksum accumulation order (ascending source rank here
 // vs resident-then-circle-schedule there), which changes checksum values
 // by round-off but never the data, and modeled-time bookkeeping.
@@ -443,7 +443,6 @@ void phase2(ShardedState& st, std::size_t r, TransposeStats& tstats,
     aopts.eta_override = opts.eta_override;
     aopts.max_retries = opts.max_retries;
     aopts.injector = &st.injectors[r];
-    aopts.fused_checksums = opts.fused_checksums;
     abft::inplace_online_transform(slice, *plan.fft2_plan(), aopts, stats);
   } else {
     fft::Fft engine(n_loc);

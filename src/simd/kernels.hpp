@@ -118,27 +118,6 @@ struct FftKernels {
   void (*dft4)(const cplx* in, std::size_t is, cplx* out);
   void (*dft8)(const cplx* in, std::size_t is, cplx* out);
   void (*dft16)(const cplx* in, std::size_t is, cplx* out);
-  // ---- Fused-checksum variants (forward-only; see InplaceRadix2Plan::
-  // forward_fused). The butterfly math is identical to radix4_stage /
-  // radix16_stage at scale == 1; the extra checksum reduction's summation
-  // order is documented in kernels_impl.hpp and checksum/dot.hpp.
-  /// radix4_stage (forward, scale 1) that also returns
-  /// sum_j cw[j] * data'[j] over the stage's outputs (cw: n entries).
-  cplx (*radix4_stage_cs)(cplx* data, std::size_t n, std::size_t len,
-                          const cplx* w1, const cplx* w2, const cplx* cw);
-  /// radix16_stage (forward, scale 1) with the same fused reduction.
-  cplx (*radix16_stage_cs)(cplx* data, std::size_t n, std::size_t len,
-                           const cplx* w1a, const cplx* w2a, const cplx* w1b,
-                           const cplx* w2b, const cplx* cw);
-  /// dst = src fused with the weighted input checksum + energy (w == nullptr
-  /// degrades to a plain copy): the opener of forward_fused. Keeps the exact
-  /// accumulator structure of weighted_sum_energy, so the fused input dot is
-  /// bit-identical to the separate sweep on the same backend. (Permute-fused
-  /// scalar openers with the dot on the scattered writes were tried first
-  /// and removed: slower than copy + the engine's vectorized openers at
-  /// every cache-resident size.)
-  void (*copy_weighted_sum_energy)(cplx* dst, const cplx* src, const cplx* w,
-                                   std::size_t n, cplx* sum, double* energy);
   // ---- Real-transform post-pass (PR 8). One streaming Hermitian sweep
   // converts between the nc-point complex transform of the packed real
   // signal and the nc+1 half-spectrum (see fft/real_fft.hpp for the
@@ -151,11 +130,6 @@ struct FftKernels {
   /// for k = 0..nc/2. dst may alias src (dst must have nc+1 slots).
   void (*r2c_finalize)(cplx* dst, const cplx* src, std::size_t nc,
                        const cplx* wq);
-  /// r2c_finalize that also returns sum_k cw[k] * dst[k] over the nc+1
-  /// outputs, accumulated while they are still in registers (the PR 6
-  /// fused-output-dot trick applied to the post-pass). cw: nc+1 entries.
-  cplx (*r2c_finalize_cs)(cplx* dst, const cplx* src, std::size_t nc,
-                          const cplx* wq, const cplx* cw);
   /// Pack: dst[0..nc) = nc-point spectrum whose inverse transform
   /// interleaves to the real signal with half-spectrum src[0..nc]
   /// (the exact inverse of r2c_finalize). `conjugate` writes conj(dst)
@@ -163,10 +137,6 @@ struct FftKernels {
   /// inverse. dst/src must not overlap.
   void (*c2r_prepare)(cplx* dst, const cplx* src, std::size_t nc,
                       const cplx* wq, bool conjugate);
-  /// c2r_prepare that also returns sum_k cw[k] * src[k] over the nc+1
-  /// inputs, fused into the same sweep. cw: nc+1 entries.
-  cplx (*c2r_prepare_cs)(cplx* dst, const cplx* src, std::size_t nc,
-                         const cplx* wq, bool conjugate, const cplx* cw);
   /// Final radix-4 butterfly stage of the packed forward (block length ==
   /// nc, i.e. the whole array is one block) fused with the r2c Hermitian
   /// unpack: dst[0..nc) holds the pre-stage data on entry and the nc+1
@@ -255,18 +225,15 @@ void scalar_radix4_first_stage_from_range(cplx* dst, const cplx* src,
 /// Reference Hermitian pair sweep of r2c_finalize over k in [begin, end)
 /// (1 <= begin, end <= nc/2; each k also writes the mirror nc-k). Lives in
 /// the contraction-pinned scalar TU so the vector backends' remainder pairs
-/// round exactly like the reference. When cw is non-null, the fused
-/// checksum contribution of the pairs is accumulated into *cs.
+/// round exactly like the reference.
 void scalar_r2c_finalize_range(cplx* dst, const cplx* src, std::size_t nc,
                                const cplx* wq, std::size_t begin,
-                               std::size_t end, const cplx* cw, cplx* cs);
+                               std::size_t end);
 
-/// Reference pair sweep of c2r_prepare over k in [begin, end); cw/cs as
-/// above (the prepare checksum reads src, the nc+1 half-spectrum inputs).
+/// Reference pair sweep of c2r_prepare over k in [begin, end).
 void scalar_c2r_prepare_range(cplx* dst, const cplx* src, std::size_t nc,
                               const cplx* wq, bool conjugate,
-                              std::size_t begin, std::size_t end,
-                              const cplx* cw, cplx* cs);
+                              std::size_t begin, std::size_t end);
 
 /// One twiddle-table entry omega_n^k, evaluated in extended precision and
 /// rounded to double (more accurate than omega(), whose angle rounding

@@ -204,13 +204,8 @@ constexpr FftKernels kAvx2Fft = {
     a_dft4,
     a_dft8,
     a_dft16,
-    impl::k_radix4_stage_cs<V>,
-    impl::k_radix16_stage_cs<V>,
-    impl::k_copy_weighted_sum_energy<V>,
     impl::k_r2c_finalize<V>,
-    impl::k_r2c_finalize_cs<V>,
     impl::k_c2r_prepare<V>,
-    impl::k_c2r_prepare_cs<V>,
     impl::k_r2c_last_stage4<V>,
     impl::k_r2c_last_stage16<V>,
     impl::k_dmr_twiddle<V>,

@@ -609,143 +609,6 @@ void k_radix16_stage(cplx* data, std::size_t n, std::size_t len,
   }
 }
 
-// ================================== fused-checksum stage variants (PR 6)
-//
-// TurboFFT-style fusion: the final butterfly stage of the in-place forward
-// schedule accumulates the weighted output checksum sum_j cw[j] * y[j] in
-// spare vector registers while the freshly computed outputs are still in
-// flight, replacing the separate omega3 sweep of checksum/dot.cpp. The
-// butterfly math is radix4_butterfly — the exact operation sequence of
-// k_radix4_stage_t / k_radix16_stage_t — so the transform outputs stay
-// bit-identical to the unfused kernels on every backend. The checksum
-// reduction itself uses four independent accumulators fed in store order
-// (one per output quarter / residue lane), which is a different summation
-// order from the 3-bucket omega3_weighted_sum trick: the difference is
-// ordinary re-association round-off, O(eps * sum |cw_j y_j|), absorbed by
-// the detection thresholds exactly like the backend-to-backend variance
-// documented in checksum/dot.hpp. The fused *input* dot instead rides the
-// src -> dst copy (k_copy_weighted_sum_energy below) with the exact
-// accumulator structure of k_weighted_sum_energy, so it is bit-identical to
-// the separate input sweep on the same backend; like every vectorized dot,
-// it differs across backends only by lane-count re-association.
-
-/// One fused radix-4 stage (forward, unscaled) that also returns
-/// sum_j cw[j] * data'[j] over the stage's freshly written outputs.
-/// Preconditions match k_radix4_stage_t; cw must have n entries.
-template <class V>
-cplx k_radix4_stage_cs(cplx* data, std::size_t n, std::size_t len,
-                       const cplx* w1, const cplx* w2, const cplx* cw) {
-  const std::size_t quarter = len >> 2;
-  V acc0 = V::zero(), acc1 = V::zero(), acc2 = V::zero(), acc3 = V::zero();
-  for (std::size_t base = 0; base < n; base += len) {
-    cplx* p = data + base;
-    const cplx* cp = cw + base;
-    for (std::size_t j = 0; j < quarter; j += V::width) {
-      const V vw1 = V::load(w1 + j);
-      const V vw2 = V::load(w2 + j);
-      V a = V::load(p + j);
-      V b = V::load(p + j + quarter);
-      V c = V::load(p + j + 2 * quarter);
-      V d = V::load(p + j + 3 * quarter);
-      radix4_butterfly<V, false>(a, b, c, d, vw1, vw2);
-      a.store(p + j);
-      b.store(p + j + quarter);
-      c.store(p + j + 2 * quarter);
-      d.store(p + j + 3 * quarter);
-      acc0 = acc0 + V::load(cp + j).cmul(a);
-      acc1 = acc1 + V::load(cp + j + quarter).cmul(b);
-      acc2 = acc2 + V::load(cp + j + 2 * quarter).cmul(c);
-      acc3 = acc3 + V::load(cp + j + 3 * quarter).cmul(d);
-    }
-  }
-  return ((acc0 + acc1) + (acc2 + acc3)).hsum();
-}
-
-/// Fused radix-16 stage (forward, unscaled) with the same in-register
-/// checksum accumulation; bit-identical transform to k_radix16_stage_t.
-template <class V>
-cplx k_radix16_stage_cs(cplx* data, std::size_t n, std::size_t len,
-                        const cplx* w1a, const cplx* w2a, const cplx* w1b,
-                        const cplx* w2b, const cplx* cw) {
-  const std::size_t e = len >> 4;
-  V acc[4] = {V::zero(), V::zero(), V::zero(), V::zero()};
-  for (std::size_t base = 0; base < n; base += len) {
-    cplx* p = data + base;
-    const cplx* cp = cw + base;
-    for (std::size_t j = 0; j < e; j += V::width) {
-      const V vw1a = V::load(w1a + j);
-      const V vw2a = V::load(w2a + j);
-      V x[16];
-      for (std::size_t k = 0; k < 16; ++k) {
-        x[k] = V::load(p + j + k * e);
-      }
-      for (std::size_t m = 0; m < 4; ++m) {
-        radix4_butterfly<V, false>(x[4 * m], x[4 * m + 1], x[4 * m + 2],
-                                   x[4 * m + 3], vw1a, vw2a);
-      }
-      for (std::size_t m = 0; m < 4; ++m) {
-        const V vw1b = V::load(w1b + j + m * e);
-        const V vw2b = V::load(w2b + j + m * e);
-        radix4_butterfly<V, false>(x[m], x[m + 4], x[m + 8], x[m + 12], vw1b,
-                                   vw2b);
-      }
-      for (std::size_t k = 0; k < 16; ++k) {
-        x[k].store(p + j + k * e);
-        acc[k % 4] = acc[k % 4] + V::load(cp + j + k * e).cmul(x[k]);
-      }
-    }
-  }
-  return ((acc[0] + acc[1]) + (acc[2] + acc[3])).hsum();
-}
-
-/// dst = src copied in one pass, fused with the weighted input checksum and
-/// energy over the same stream (the COBRA-path opener of forward_fused: the
-/// tiled permutation needs the data in dst first, so the input dot rides on
-/// the copy instead of a separate sweep). w == nullptr skips the reductions
-/// and degrades to a plain copy. Accumulator layout matches
-/// k_weighted_sum_energy, so at equal width the sum is bit-identical to it.
-template <class V>
-void k_copy_weighted_sum_energy(cplx* dst, const cplx* src, const cplx* w,
-                                std::size_t n, cplx* sum, double* energy) {
-  constexpr std::size_t W = V::width;
-  std::size_t j = 0;
-  if (w == nullptr) {
-    for (; j + 2 * W <= n; j += 2 * W) {
-      V::load(src + j).store(dst + j);
-      V::load(src + j + W).store(dst + j + W);
-    }
-    for (; j < n; ++j) dst[j] = src[j];
-    return;
-  }
-  V s0 = V::zero(), s1 = V::zero();
-  V e0 = V::zero(), e1 = V::zero();
-  for (; j + 2 * W <= n; j += 2 * W) {
-    const V v0 = V::load(src + j);
-    const V v1 = V::load(src + j + W);
-    v0.store(dst + j);
-    v1.store(dst + j + W);
-    s0 = s0 + V::load(w + j).cmul(v0);
-    s1 = s1 + V::load(w + j + W).cmul(v1);
-    e0 = v0.fmadd_elem(v0, e0);
-    e1 = v1.fmadd_elem(v1, e1);
-  }
-  for (; j + W <= n; j += W) {
-    const V v0 = V::load(src + j);
-    v0.store(dst + j);
-    s0 = s0 + V::load(w + j).cmul(v0);
-    e0 = v0.fmadd_elem(v0, e0);
-  }
-  cplx acc = (s0 + s1).hsum();
-  double eacc = (e0 + e1).hsum_slots();
-  for (; j < n; ++j) {
-    dst[j] = src[j];
-    acc += cmul(w[j], src[j]);
-    eacc += norm2(src[j]);
-  }
-  *sum = acc;
-  *energy = eacc;
-}
-
 // ================================= real-transform post-pass (see kernels.hpp)
 //
 // Conjugate-symmetry unpack/pack between the nc-point complex transform Z
@@ -761,21 +624,16 @@ void k_copy_weighted_sum_energy(cplx* dst, const cplx* src, const cplx* w,
 // line of both halves once. Every per-element operation is elementwise
 // add/sub/conj/±i-rotation, an exact scale by 0.5, or cmul_nofma — no FMA
 // anywhere — so dst is bitwise identical across all backends; remainder
-// pairs run through the contraction-pinned scalar range helpers. Only the
-// optional fused checksum reduction re-associates across lanes, which the
-// detection thresholds absorb like every other cross-backend dot variance.
+// pairs run through the contraction-pinned scalar range helpers.
 
-template <class V, bool Cs>
-cplx k_r2c_finalize_t(cplx* dst, const cplx* src, std::size_t nc,
-                      const cplx* wq, const cplx* cw) {
+template <class V>
+void k_r2c_finalize(cplx* dst, const cplx* src, std::size_t nc,
+                    const cplx* wq) {
   constexpr std::size_t W = V::width;
   const std::size_t half = nc / 2;
   const cplx z0 = src[0];  // read before the aliased dst[0] store
   dst[0] = cplx{z0.real() + z0.imag(), 0.0};
   dst[nc] = cplx{z0.real() - z0.imag(), 0.0};
-  cplx cs{0.0, 0.0};
-  if constexpr (Cs) cs = cmul(cw[0], dst[0]) + cmul(cw[nc], dst[nc]);
-  V a0 = V::zero(), a1 = V::zero();
   std::size_t k = 1;
   for (; k + W <= half; k += W) {
     const std::size_t jr = nc - k - (W - 1);  // mirror run, ascending base
@@ -784,37 +642,11 @@ cplx k_r2c_finalize_t(cplx* dst, const cplx* src, std::size_t nc,
     const V a = (zk + zjc).scale(0.5);
     const V b = (zk - zjc).scale(0.5);
     const V t = b.mul_neg_i().cmul_nofma(V::load(wq + k));
-    const V xk = a + t;
-    const V xjr = (a - t).conj_().reversed();
-    xk.store(dst + k);
-    xjr.store(dst + jr);
-    if constexpr (Cs) {
-      a0 = a0 + V::load(cw + k).cmul(xk);
-      a1 = a1 + V::load(cw + jr).cmul(xjr);
-    }
+    (a + t).store(dst + k);
+    (a - t).conj_().reversed().store(dst + jr);
   }
-  if constexpr (Cs) cs += (a0 + a1).hsum();
-  if (k < half) {
-    scalar_r2c_finalize_range(dst, src, nc, wq, k, half, Cs ? cw : nullptr,
-                              Cs ? &cs : nullptr);
-  }
-  if (half != 0) {
-    dst[half] = std::conj(src[half]);
-    if constexpr (Cs) cs += cmul(cw[half], dst[half]);
-  }
-  return cs;
-}
-
-template <class V>
-void k_r2c_finalize(cplx* dst, const cplx* src, std::size_t nc,
-                    const cplx* wq) {
-  k_r2c_finalize_t<V, false>(dst, src, nc, wq, nullptr);
-}
-
-template <class V>
-cplx k_r2c_finalize_cs(cplx* dst, const cplx* src, std::size_t nc,
-                       const cplx* wq, const cplx* cw) {
-  return k_r2c_finalize_t<V, true>(dst, src, nc, wq, cw);
+  if (k < half) scalar_r2c_finalize_range(dst, src, nc, wq, k, half);
+  if (half != 0) dst[half] = std::conj(src[half]);
 }
 
 // ------------------------- fused last-stage + Hermitian unpack (see
@@ -825,7 +657,7 @@ cplx k_r2c_finalize_cs(cplx* dst, const cplx* src, std::size_t nc,
 // lets the unpack consume the butterfly outputs in registers, deleting the
 // separate finalize read+write sweep. Butterfly ops are radix4_butterfly /
 // the scalar shape below (contraction per the enclosing TU, like every
-// butterfly kernel); unpack ops follow k_r2c_finalize_t / the scalar range
+// butterfly kernel); unpack ops follow k_r2c_finalize / the scalar range
 // helper. Unlike the post-pass kernels above, no cross-backend bitwise
 // claim is made — the butterflies already round per-backend — but for a
 // fixed backend the result is deterministic, and the strided gather path
@@ -866,7 +698,7 @@ inline void r2c_unpack_pair_s(cplx* dst, std::size_t nc, const cplx* wq,
 /// Vector Hermitian unpack of W pairs: zk holds Z at k..k+W-1 (natural
 /// order), zj_rev holds the mirrors Z_{nc-k-w} in lane w (i.e. a reversed
 /// load of the mirror run). Writes X at k.. and, reversed, at the mirror
-/// run nc-k-W+1... Op sequence of k_r2c_finalize_t's main loop.
+/// run nc-k-W+1... Op sequence of k_r2c_finalize's main loop.
 template <class V>
 inline void r2c_unpack_pair_v(cplx* dst, std::size_t nc, const cplx* wq,
                               std::size_t k, V zk, V zj_rev) {
@@ -1035,9 +867,9 @@ void k_r2c_last_stage16(cplx* dst, std::size_t nc, const cplx* w1a,
   }
 }
 
-template <class V, bool Cs>
-cplx k_c2r_prepare_t(cplx* dst, const cplx* src, std::size_t nc,
-                     const cplx* wq, bool conjugate, const cplx* cw) {
+template <class V>
+void k_c2r_prepare(cplx* dst, const cplx* src, std::size_t nc,
+                   const cplx* wq, bool conjugate) {
   constexpr std::size_t W = V::width;
   const std::size_t half = nc / 2;
   const cplx x0 = src[0];
@@ -1045,15 +877,11 @@ cplx k_c2r_prepare_t(cplx* dst, const cplx* src, std::size_t nc,
   const cplx z0{(x0.real() + xn.real()) * 0.5,
                 (x0.real() - xn.real()) * 0.5};
   dst[0] = conjugate ? std::conj(z0) : z0;
-  cplx cs{0.0, 0.0};
-  if constexpr (Cs) cs = cmul(cw[0], x0) + cmul(cw[nc], xn);
-  V a0 = V::zero(), a1 = V::zero();
   std::size_t k = 1;
   for (; k + W <= half; k += W) {
     const std::size_t jr = nc - k - (W - 1);
     const V xk = V::load(src + k);
-    const V xjlin = V::load(src + jr);
-    const V xjc = xjlin.reversed().conj_();
+    const V xjc = V::load(src + jr).reversed().conj_();
     const V a = (xk + xjc).scale(0.5);
     const V b = (xk - xjc).scale(0.5);
     const V u = b.cmul_nofma(V::load(wq + k).conj_()).mul_i();
@@ -1065,34 +893,14 @@ cplx k_c2r_prepare_t(cplx* dst, const cplx* src, std::size_t nc,
     }
     zk.store(dst + k);
     zj.reversed().store(dst + jr);
-    if constexpr (Cs) {
-      a0 = a0 + V::load(cw + k).cmul(xk);
-      a1 = a1 + V::load(cw + jr).cmul(xjlin);
-    }
   }
-  if constexpr (Cs) cs += (a0 + a1).hsum();
   if (k < half) {
-    scalar_c2r_prepare_range(dst, src, nc, wq, conjugate, k, half,
-                             Cs ? cw : nullptr, Cs ? &cs : nullptr);
+    scalar_c2r_prepare_range(dst, src, nc, wq, conjugate, k, half);
   }
   if (half != 0) {
     const cplx xh = src[half];
     dst[half] = conjugate ? xh : std::conj(xh);
-    if constexpr (Cs) cs += cmul(cw[half], xh);
   }
-  return cs;
-}
-
-template <class V>
-void k_c2r_prepare(cplx* dst, const cplx* src, std::size_t nc,
-                   const cplx* wq, bool conjugate) {
-  k_c2r_prepare_t<V, false>(dst, src, nc, wq, conjugate, nullptr);
-}
-
-template <class V>
-cplx k_c2r_prepare_cs(cplx* dst, const cplx* src, std::size_t nc,
-                      const cplx* wq, bool conjugate, const cplx* cw) {
-  return k_c2r_prepare_t<V, true>(dst, src, nc, wq, conjugate, cw);
 }
 
 // =========================================== DMR twiddle (see kernels.hpp)

@@ -98,9 +98,9 @@ void scalar_radix4_first_stage_from_range(cplx* dst, const cplx* src,
 
 void scalar_r2c_finalize_range(cplx* dst, const cplx* src, std::size_t nc,
                                const cplx* wq, std::size_t begin,
-                               std::size_t end, const cplx* cw, cplx* cs) {
+                               std::size_t end) {
   // One Hermitian pair per k; the op sequence is exactly the width-1 shape
-  // of impl::k_r2c_finalize_t (add, exact *0.5, -i rotation, schoolbook
+  // of impl::k_r2c_finalize (add, exact *0.5, -i rotation, schoolbook
   // cmul), and this TU pins contraction off, so vector backends calling in
   // for their remainder pairs land on the same bits.
   for (std::size_t k = begin; k < end; ++k) {
@@ -112,18 +112,14 @@ void scalar_r2c_finalize_range(cplx* dst, const cplx* src, std::size_t nc,
     const cplx b{(zk.real() - zjc.real()) * 0.5,
                  (zk.imag() - zjc.imag()) * 0.5};
     const cplx t = cmul(mul_neg_i(b), wq[k]);
-    const cplx xk = a + t;
-    const cplx xj = std::conj(a - t);
-    dst[k] = xk;
-    dst[j] = xj;
-    if (cw != nullptr) *cs += cmul(cw[k], xk) + cmul(cw[j], xj);
+    dst[k] = a + t;
+    dst[j] = std::conj(a - t);
   }
 }
 
 void scalar_c2r_prepare_range(cplx* dst, const cplx* src, std::size_t nc,
                               const cplx* wq, bool conjugate,
-                              std::size_t begin, std::size_t end,
-                              const cplx* cw, cplx* cs) {
+                              std::size_t begin, std::size_t end) {
   for (std::size_t k = begin; k < end; ++k) {
     const std::size_t j = nc - k;
     const cplx xk = src[k];
@@ -141,7 +137,6 @@ void scalar_c2r_prepare_range(cplx* dst, const cplx* src, std::size_t nc,
     }
     dst[k] = zk;
     dst[j] = zj;
-    if (cw != nullptr) *cs += cmul(cw[k], src[k]) + cmul(cw[j], src[j]);
   }
 }
 
@@ -236,13 +231,8 @@ constexpr FftKernels kScalarFft = {
     nullptr,  // dft4: width-1 backend, scalar codelets are already optimal
     nullptr,  // dft8
     nullptr,  // dft16
-    impl::k_radix4_stage_cs<V>,
-    impl::k_radix16_stage_cs<V>,
-    impl::k_copy_weighted_sum_energy<V>,
     impl::k_r2c_finalize<V>,
-    impl::k_r2c_finalize_cs<V>,
     impl::k_c2r_prepare<V>,
-    impl::k_c2r_prepare_cs<V>,
     impl::k_r2c_last_stage4<V>,
     impl::k_r2c_last_stage16<V>,
     impl::k_dmr_twiddle<V>,

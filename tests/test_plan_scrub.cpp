@@ -200,9 +200,9 @@ INSTANTIATE_TEST_SUITE_P(Schemes, PlanStateScheme, ::testing::Range(0, 3),
                          });
 
 // The detect/rebuild loop must behave identically whichever SIMD backend
-// executes and whether checksums run fused or as separate passes: same
-// fired count, same clean-vs-faulted bit identity per configuration.
-TEST(PlanStateCampaign, IdenticalAcrossBackendsAndFusionModes) {
+// executes: same fired count, same clean-vs-faulted bit identity per
+// backend.
+TEST(PlanStateCampaign, IdenticalAcrossBackends) {
   VerifyGuard guard;
   const std::size_t n = 512;
   const auto x = random_vector(n, InputDistribution::kNormal, 7100);
@@ -217,35 +217,29 @@ TEST(PlanStateCampaign, IdenticalAcrossBackendsAndFusionModes) {
   if (simd::backend_available(Backend::kNeon)) backends.push_back(Backend::kNeon);
 
   for (Backend b : backends) {
-    for (bool fused : {false, true}) {
-      ASSERT_TRUE(simd::set_backend(b));
-      Options opts = Options::online_opt(true);
-      opts.fused_checksums = fused;
-      opts.fused_ignore_profitability = fused;
+    ASSERT_TRUE(simd::set_backend(b));
+    const Options opts = Options::online_opt(true);
 
-      Stats stats;
-      auto in = x;
-      std::vector<cplx> clean(n);
-      abft::protected_transform(in.data(), clean.data(), n, opts, stats);
+    Stats stats;
+    auto in = x;
+    std::vector<cplx> clean(n);
+    abft::protected_transform(in.data(), clean.data(), n, opts, stats);
 
-      fault::Injector inj;
-      inj.schedule(FaultSpec::bit_flip(Phase::kPlanState, 0, 0, 40, false));
-      Options fo = opts;
-      fo.injector = &inj;
-      const std::uint64_t before = total_corruptions();
-      in = x;
-      std::vector<cplx> got(n);
-      abft::protected_transform(in.data(), got.data(), n, fo, stats);
-      EXPECT_EQ(inj.fired_count(), 1u)
-          << simd::backend_name(b) << " fused=" << fused;
-      EXPECT_GT(total_corruptions(), before)
-          << simd::backend_name(b) << " fused=" << fused;
-      for (std::size_t j = 0; j < n; ++j) {
-        ASSERT_EQ(got[j].real(), clean[j].real())
-            << simd::backend_name(b) << " fused=" << fused << " j=" << j;
-        ASSERT_EQ(got[j].imag(), clean[j].imag())
-            << simd::backend_name(b) << " fused=" << fused << " j=" << j;
-      }
+    fault::Injector inj;
+    inj.schedule(FaultSpec::bit_flip(Phase::kPlanState, 0, 0, 40, false));
+    Options fo = opts;
+    fo.injector = &inj;
+    const std::uint64_t before = total_corruptions();
+    in = x;
+    std::vector<cplx> got(n);
+    abft::protected_transform(in.data(), got.data(), n, fo, stats);
+    EXPECT_EQ(inj.fired_count(), 1u) << simd::backend_name(b);
+    EXPECT_GT(total_corruptions(), before) << simd::backend_name(b);
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(got[j].real(), clean[j].real())
+          << simd::backend_name(b) << " j=" << j;
+      ASSERT_EQ(got[j].imag(), clean[j].imag())
+          << simd::backend_name(b) << " j=" << j;
     }
   }
 }

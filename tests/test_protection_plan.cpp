@@ -164,6 +164,20 @@ TEST(ProtectionPlan, SchemesExposeTheirDecomposition) {
   EXPECT_GT(offline->eta_whole().comp, 0.0);
 }
 
+TEST(ProtectionPlan, OfflinePlanStateIsOnlyTheInputChecksum) {
+  // At t = 1 the whole-transform scheme needs nothing cached but its (rA)
+  // vector: one n-element span, the same bytes weights_m() points at.
+  Options opts = Options::offline_opt(true);
+  opts.max_correctable_errors = 1;
+  const std::size_t n = 1 << 12;
+  const auto plan = ProtectionPlan::get(n, Scheme::kOffline, opts);
+  StateSpans s;
+  plan->collect_state(s);
+  ASSERT_EQ(s.spans.size(), 1u);
+  EXPECT_EQ(s.spans[0].data, static_cast<const void*>(plan->weights_m()));
+  EXPECT_EQ(s.spans[0].bytes, n * sizeof(cplx));
+}
+
 TEST(ProtectionPlan, InplaceLayer1BatchFollowsTheStagingRule) {
   // 32768 elements per staging block, at most one block's worth of
   // columns, whatever the buffering switch says.

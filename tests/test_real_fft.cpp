@@ -9,8 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "checksum/dot.hpp"
-#include "checksum/weights.hpp"
 #include "common/math_util.hpp"
 #include "common/plan_registry.hpp"
 #include "common/rng.hpp"
@@ -171,44 +169,6 @@ TEST(RealFft, PostPassKernelsBitwiseIdenticalAcrossBackends) {
                                nc * sizeof(cplx)))
           << "c2r_prepare(conj) n=" << n
           << " backend=" << simd::backend_name(b);
-    }
-  }
-}
-
-// The checksum-fused kernel variants must write the same output bits as
-// the plain ones (the dot rides the sweep without touching its math) and
-// return the omega3 dot to round-off of the separate-pass sweep.
-TEST(RealFft, FusedDotVariantsMatchPlainKernelsBitwise) {
-  BackendGuard guard;
-  for (std::size_t n : {8u, 16u, 64u, 256u, 2048u, 32768u}) {
-    const std::size_t nc = n / 2;
-    const auto plan = fft::RealFftPlan::get(n);
-    const cplx* wq = plan->quarter_twiddles();
-    const auto z = random_vector(nc, InputDistribution::kNormal, 7000 + n);
-    const auto h = random_vector(nc + 1, InputDistribution::kNormal, 7500 + n);
-    const auto cw = checksum::shared_comp_weights(nc + 1);
-    for (Backend b : available_backends()) {
-      ASSERT_TRUE(simd::set_backend(b));
-      const auto& k = simd::fft_kernels();
-      std::vector<cplx> plain(nc + 1), fused(nc + 1);
-      k.r2c_finalize(plain.data(), z.data(), nc, wq);
-      const cplx s =
-          k.r2c_finalize_cs(fused.data(), z.data(), nc, wq, cw->data());
-      EXPECT_EQ(0, std::memcmp(plain.data(), fused.data(),
-                               plain.size() * sizeof(cplx)))
-          << "r2c n=" << n << " backend=" << simd::backend_name(b);
-      const cplx want_s = checksum::omega3_weighted_sum(fused.data(), nc + 1);
-      EXPECT_LT(std::abs(s - want_s), 1e-11 * (1.0 + std::abs(want_s)))
-          << "r2c dot n=" << n << " backend=" << simd::backend_name(b);
-      std::vector<cplx> pp(nc), pf(nc);
-      k.c2r_prepare(pp.data(), h.data(), nc, wq, true);
-      const cplx s2 =
-          k.c2r_prepare_cs(pf.data(), h.data(), nc, wq, true, cw->data());
-      EXPECT_EQ(0, std::memcmp(pp.data(), pf.data(), nc * sizeof(cplx)))
-          << "c2r n=" << n << " backend=" << simd::backend_name(b);
-      const cplx want_s2 = checksum::omega3_weighted_sum(h.data(), nc + 1);
-      EXPECT_LT(std::abs(s2 - want_s2), 1e-11 * (1.0 + std::abs(want_s2)))
-          << "c2r dot n=" << n << " backend=" << simd::backend_name(b);
     }
   }
 }

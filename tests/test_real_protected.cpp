@@ -1,7 +1,7 @@
 // Protected real transforms (abft/real_protection.hpp) and their batch
 // entry points: accuracy vs the unprotected path, kNone passthrough,
 // post-pass fault campaigns with identical outcomes across every SIMD
-// backend and fused/separate checksum mode, forced-uncorrectable behavior,
+// backend, forced-uncorrectable behavior,
 // the warm_real_plans zero-build contract, batch-vs-serial bit identity
 // and per-lane fault isolation.
 #include <gtest/gtest.h>
@@ -58,85 +58,34 @@ double max_dev(const std::vector<cplx>& a, const std::vector<cplx>& b) {
   return worst;
 }
 
-TEST(RealProtected, MatchesUnprotectedAcrossModesAndFusion) {
+TEST(RealProtected, MatchesUnprotectedAcrossModes) {
   for (std::size_t n : {4u, 8u, 64u, 256u, 2048u, 16384u}) {
     auto x = random_signal(n, 100 + n);
     std::vector<cplx> want(n / 2 + 1);
     fft::r2c(x.data(), n, want.data());
     const double scale = std::sqrt(static_cast<double>(n));
     for (const bool online : {false, true}) {
-      for (const bool fused : {false, true}) {
-        Options opts =
-            online ? Options::online_opt(true) : Options::offline_opt(true);
-        opts.fused_checksums = fused;
-        std::vector<cplx> spec(n / 2 + 1);
-        std::vector<double> back(n);
-        Stats stats;
-        auto copy = x;
-        abft::protected_r2c(copy.data(), spec.data(), n, opts, stats);
-        EXPECT_LT(max_dev(spec, want), 1e-9 * scale)
-            << "n=" << n << " online=" << online << " fused=" << fused;
-        EXPECT_GE(stats.verifications, 1u);
-        EXPECT_GT(stats.eta_real, 0.0);
-        Stats istats;
-        abft::protected_c2r(spec.data(), back.data(), n, opts, istats);
-        double worst = 0.0;
-        for (std::size_t j = 0; j < n; ++j) {
-          worst = std::max(worst, std::fabs(back[j] - x[j]));
-        }
-        EXPECT_LT(worst, 1e-11 * scale)
-            << "n=" << n << " online=" << online << " fused=" << fused;
-        EXPECT_GT(istats.eta_real, 0.0);
+      const Options opts =
+          online ? Options::online_opt(true) : Options::offline_opt(true);
+      std::vector<cplx> spec(n / 2 + 1);
+      std::vector<double> back(n);
+      Stats stats;
+      auto copy = x;
+      abft::protected_r2c(copy.data(), spec.data(), n, opts, stats);
+      EXPECT_LT(max_dev(spec, want), 1e-9 * scale)
+          << "n=" << n << " online=" << online;
+      EXPECT_GE(stats.verifications, 1u);
+      EXPECT_GT(stats.eta_real, 0.0);
+      Stats istats;
+      abft::protected_c2r(spec.data(), back.data(), n, opts, istats);
+      double worst = 0.0;
+      for (std::size_t j = 0; j < n; ++j) {
+        worst = std::max(worst, std::fabs(back[j] - x[j]));
       }
+      EXPECT_LT(worst, 1e-11 * scale) << "n=" << n << " online=" << online;
+      EXPECT_GT(istats.eta_real, 0.0);
     }
   }
-}
-
-TEST(RealProtected, FusedPostPassDotDoesNotPerturbOutputBits) {
-  // The fused post-pass dot rides the same sweep that writes the output,
-  // so fusing must not change a single output bit. Under the production
-  // profitability gate the packed transforms of these sizes (sub-FFT
-  // sizes <= 128) keep the separate-pass executors either way, isolating
-  // the post-pass fusion as the only difference between the two runs.
-  for (std::size_t n : {16u, 256u, 2048u, 32768u}) {
-    auto x = random_signal(n, 200 + n);
-    Options sep = Options::online_opt(true);
-    sep.fused_checksums = false;
-    Options fus = sep;
-    fus.fused_checksums = true;
-    std::vector<cplx> a(n / 2 + 1), b(n / 2 + 1);
-    Stats sa, sb;
-    auto ca = x, cb = x;
-    abft::protected_r2c(ca.data(), a.data(), n, sep, sa);
-    abft::protected_r2c(cb.data(), b.data(), n, fus, sb);
-    EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)))
-        << "n=" << n;
-    std::vector<double> ra(n), rb(n);
-    Stats ia, ib;
-    abft::protected_c2r(a.data(), ra.data(), n, sep, ia);
-    abft::protected_c2r(b.data(), rb.data(), n, fus, ib);
-    EXPECT_EQ(0, std::memcmp(ra.data(), rb.data(), n * sizeof(double)))
-        << "n=" << n;
-  }
-}
-
-TEST(RealProtected, ForcedFusedEngineAgreesWithinRoundOff) {
-  // Lifting the gate swaps the packed sub-FFT engine too; like the complex
-  // fused suite, that is held to round-off agreement and (above) identical
-  // campaign outcomes, not bit identity.
-  const std::size_t n = 8192;
-  auto x = random_signal(n, 250);
-  Options sep = Options::online_opt(true);
-  sep.fused_checksums = false;
-  Options fus = sep;
-  fus.fused_checksums = true;
-  fus.fused_ignore_profitability = true;
-  std::vector<cplx> a(n / 2 + 1), b(n / 2 + 1);
-  Stats sa, sb;
-  auto ca = x, cb = x;
-  abft::protected_r2c(ca.data(), a.data(), n, sep, sa);
-  abft::protected_r2c(cb.data(), b.data(), n, fus, sb);
-  EXPECT_LT(max_dev(a, b), 1e-10 * std::sqrt(static_cast<double>(n)));
 }
 
 TEST(RealProtected, ModeNoneIsBitwiseThePlainPath) {
@@ -185,12 +134,10 @@ FaultSpec post_pass_fault(int kind, std::size_t element) {
   }
 }
 
-Outcome run_r2c_campaign(std::size_t n, int kind, bool fused,
+Outcome run_r2c_campaign(std::size_t n, int kind,
                          const std::vector<double>& x,
                          const std::vector<cplx>& clean) {
   Options opts = Options::online_opt(true);
-  opts.fused_checksums = fused;
-  opts.fused_ignore_profitability = fused;
   Injector inj;
   inj.schedule(post_pass_fault(kind, (n / 2) / 3 + 1));
   opts.injector = &inj;
@@ -210,12 +157,9 @@ Outcome run_r2c_campaign(std::size_t n, int kind, bool fused,
   return o;
 }
 
-Outcome run_c2r_campaign(std::size_t n, int kind, bool fused,
-                         std::vector<cplx> spec,
+Outcome run_c2r_campaign(std::size_t n, int kind, std::vector<cplx> spec,
                          const std::vector<double>& clean) {
   Options opts = Options::online_opt(true);
-  opts.fused_checksums = fused;
-  opts.fused_ignore_profitability = fused;
   Injector inj;
   inj.schedule(post_pass_fault(kind, (n / 2) / 4 + 1));
   opts.injector = &inj;
@@ -237,7 +181,7 @@ Outcome run_c2r_campaign(std::size_t n, int kind, bool fused,
 // The headline parity requirement: an injected post-pass fault produces the
 // SAME campaign outcome — detection count, restart count, thrown-or-not,
 // and a delivered result identical to the fault-free run — on every
-// compiled-in backend and in both fused and separate checksum modes.
+// compiled-in backend.
 TEST(RealProtected, PostPassCampaignOutcomesIdenticalAcrossBackendsAndModes) {
   BackendGuard guard;
   for (std::size_t n : {8u, 64u, 1024u, 8192u}) {
@@ -247,44 +191,38 @@ TEST(RealProtected, PostPassCampaignOutcomesIdenticalAcrossBackendsAndModes) {
       Outcome ref;
       for (Backend b : available_backends()) {
         ASSERT_TRUE(simd::set_backend(b));
-        for (const bool fused : {false, true}) {
-          // Clean run under this exact backend+mode, for bit comparison.
-          Options clean_opts = Options::online_opt(true);
-          clean_opts.fused_checksums = fused;
-          clean_opts.fused_ignore_profitability = fused;
-          std::vector<cplx> clean_spec(n / 2 + 1);
-          Stats clean_stats;
-          auto copy = x;
-          abft::protected_r2c(copy.data(), clean_spec.data(), n, clean_opts,
-                              clean_stats);
-          std::vector<double> clean_back(n);
-          Stats clean_istats;
-          abft::protected_c2r(clean_spec.data(), clean_back.data(), n,
-                              clean_opts, clean_istats);
+        // Clean run under this exact backend, for bit comparison.
+        const Options clean_opts = Options::online_opt(true);
+        std::vector<cplx> clean_spec(n / 2 + 1);
+        Stats clean_stats;
+        auto copy = x;
+        abft::protected_r2c(copy.data(), clean_spec.data(), n, clean_opts,
+                            clean_stats);
+        std::vector<double> clean_back(n);
+        Stats clean_istats;
+        abft::protected_c2r(clean_spec.data(), clean_back.data(), n,
+                            clean_opts, clean_istats);
 
-          const Outcome fwd = run_r2c_campaign(n, kind, fused, x, clean_spec);
-          const Outcome inv =
-              run_c2r_campaign(n, kind, fused, clean_spec, clean_back);
-          const std::string where =
-              "n=" + std::to_string(n) + " kind=" + std::to_string(kind) +
-              " backend=" + simd::backend_name(b) +
-              " fused=" + std::to_string(fused);
-          // Within the single-fault model the post-pass restart must fully
-          // recover: fault detected, one restart, clean bits delivered.
-          EXPECT_EQ(fwd.detected, 1u) << where;
-          EXPECT_EQ(fwd.restarts, 1u) << where;
-          EXPECT_FALSE(fwd.threw) << where;
-          EXPECT_TRUE(fwd.output_clean) << where;
-          if (!have_ref) {
-            ref = fwd;
-            have_ref = true;
-          }
-          EXPECT_EQ(fwd, ref) << where;
-          EXPECT_EQ(inv.detected, 1u) << where;
-          EXPECT_EQ(inv.restarts, 1u) << where;
-          EXPECT_FALSE(inv.threw) << where;
-          EXPECT_TRUE(inv.output_clean) << where;
+        const Outcome fwd = run_r2c_campaign(n, kind, x, clean_spec);
+        const Outcome inv = run_c2r_campaign(n, kind, clean_spec, clean_back);
+        const std::string where = "n=" + std::to_string(n) +
+                                  " kind=" + std::to_string(kind) +
+                                  " backend=" + simd::backend_name(b);
+        // Within the single-fault model the post-pass restart must fully
+        // recover: fault detected, one restart, clean bits delivered.
+        EXPECT_EQ(fwd.detected, 1u) << where;
+        EXPECT_EQ(fwd.restarts, 1u) << where;
+        EXPECT_FALSE(fwd.threw) << where;
+        EXPECT_TRUE(fwd.output_clean) << where;
+        if (!have_ref) {
+          ref = fwd;
+          have_ref = true;
         }
+        EXPECT_EQ(fwd, ref) << where;
+        EXPECT_EQ(inv.detected, 1u) << where;
+        EXPECT_EQ(inv.restarts, 1u) << where;
+        EXPECT_FALSE(inv.threw) << where;
+        EXPECT_TRUE(inv.output_clean) << where;
       }
     }
   }
