@@ -7,6 +7,7 @@
 
 #include "abft/dmr.hpp"
 #include "abft/protection_plan.hpp"
+#include "abft/unit_check.hpp"
 #include "checksum/dot.hpp"
 #include "checksum/memory_checksum.hpp"
 #include "checksum/multi_error.hpp"
@@ -16,17 +17,12 @@
 #include "common/tile_transpose.hpp"
 #include "dft/codelets.hpp"
 #include "fft/fft.hpp"
-#include "roundoff/model.hpp"
 
 namespace ftfft::abft {
 namespace {
 
 using checksum::DualSum;
 using fault::Phase;
-
-double sigma_of(double energy, std::size_t n) {
-  return std::sqrt(energy / (2.0 * static_cast<double>(n)) + 1e-300);
-}
 
 class InplaceRun {
  public:
@@ -52,16 +48,10 @@ class InplaceRun {
 
  private:
   double eta_comp(double energy) const {
-    return opts_.eta_override > 0.0
-               ? opts_.eta_override
-               : roundoff::eta_from_coeff(plan_.eta_k().comp,
-                                          sigma_of(energy, k_));
+    return threshold(plan_.eta_k().comp, energy, k_, opts_.eta_override);
   }
   double eta_mem(double energy) const {
-    return opts_.eta_override > 0.0
-               ? opts_.eta_override
-               : roundoff::eta_from_coeff(plan_.eta_k().mem,
-                                          sigma_of(energy, k_));
+    return threshold(plan_.eta_k().mem, energy, k_, opts_.eta_override);
   }
 
   void setup() {
@@ -116,42 +106,35 @@ class InplaceRun {
   // checksums that protect the window until layer 2 consumes the block.
   void layer1_unit(std::size_t i, cplx* buf, cplx* res, bool combined_ccg,
                    fft::Fft& fftk) {
-    double energy = 0.0;
-    for (std::size_t s = 0; s < k_; ++s) energy += norm2(buf[s]);
-    if (opts_.memory_ft && e_in_[i] > 0.0) energy = e_in_[i];
-
-    cplx ccg{0.0, 0.0};
-    if (combined_ccg) {
-      ccg = s1_[i];
-      if (!opts_.postpone_mcv) repair_input_slot(i, buf);
-    } else {
-      if (opts_.memory_ft && !opts_.postpone_mcv) repair_input_slot(i, buf);
-      ccg = checksum::weighted_sum(ck_, buf, k_);
+    // Threshold scale: the CMCG slot energy under memory FT, else a sweep.
+    double energy = opts_.memory_ft ? e_in_[i] : 0.0;
+    if (!(energy > 0.0)) {
+      energy = 0.0;
+      for (std::size_t s = 0; s < k_; ++s) energy += norm2(buf[s]);
     }
+
+    // Naive hierarchy (Fig. 2): verify the input slot before use.
+    if (!opts_.postpone_mcv) repair_input_slot(i, buf);
+    cplx ccg =
+        combined_ccg ? s1_[i] : checksum::weighted_sum(ck_, buf, k_);
 
     const double eta = eta_comp(energy);
     stats_.eta_m = std::max(stats_.eta_m, eta);
-    for (int attempt = 0;; ++attempt) {
-      fftk.execute(buf, res);
-      if (inj() != nullptr) inj()->apply(Phase::kMFftOutput, i, res, k_);
-      const cplx rx = checksum::omega3_weighted_sum(res, k_);
-      ++stats_.verifications;
-      if (std::abs(rx - ccg) <= eta) break;
-      if (attempt >= opts_.max_retries) {
-        throw UncorrectableError(
-            "inplace ABFT: layer-1 sub-FFT kept failing verification");
-      }
-      ++stats_.sub_fft_retries;
-      if (opts_.memory_ft) {
-        if (repair_input_slot(i, buf)) {
+    verify_with_retry(
+        stats_, &Stats::sub_fft_retries, opts_.max_retries,
+        "inplace ABFT: layer-1 sub-FFT kept failing verification",
+        [&] {
+          fftk.execute(buf, res);
+          if (inj() != nullptr) inj()->apply(Phase::kMFftOutput, i, res, k_);
+          return omega3_check(res, k_, ccg, eta);
+        },
+        [&] {
+          if (!repair_input_slot(i, buf)) return false;
           if (!opts_.combined_checksums) {
             ccg = checksum::weighted_sum(ck_, buf, k_);
           }
-          continue;
-        }
-      }
-      ++stats_.comp_errors_detected;
-    }
+          return true;
+        });
 
     if (opts_.memory_ft) {
       const double id = static_cast<double>(i);
@@ -168,42 +151,21 @@ class InplaceRun {
   /// the array positions are about to be overwritten by the scatter).
   bool repair_input_slot(std::size_t i, cplx* buf) {
     if (!opts_.memory_ft) return false;
-    const cplx* w = opts_.combined_checksums ? ck_ : nullptr;
-    const DualSum stored{s1_[i], s2_[i]};
     // Combined checksums carry the large (rA) weights: computational-scale
     // threshold. Classic ones use the summation-scale memory threshold.
     const double eta =
         opts_.combined_checksums ? eta_comp(e_in_[i]) : eta_mem(e_in_[i]);
     stats_.eta_mem = std::max(stats_.eta_mem, eta);
-    bool mismatch, corrected;
-    if (!syn1_.empty()) {
-      // Multi-error budget (PR 9): decode the slot's 2t-moment syndromes
-      // instead of the dual-only repair, so a burst cannot be "explained"
-      // by one wrong-index write that merely balances the two dual values —
-      // every hypothesis must reproduce all 2t moments.
-      const auto mrep = checksum::repair_errors(
-          syn1_[i], buf, 1, w, k_, eta, plan_.max_errors(),
-          /*max_iters=*/6, plan_.syndrome_nodes_k());
-      mismatch = mrep.mismatch;
-      corrected = mrep.corrected;
-      if (mrep.corrected && mrep.errors >= 2) {
-        stats_.multi_errors_corrected += static_cast<std::size_t>(mrep.errors);
-      }
-    } else {
-      const auto rep = checksum::repair_single_error(stored, buf, 1, w, k_,
-                                                     eta, opts_.max_retries);
-      mismatch = rep.mismatch;
-      corrected = rep.corrected;
-    }
-    ++stats_.verifications;
-    if (!mismatch) return false;
-    ++stats_.mem_errors_detected;
-    if (!corrected) {
-      throw UncorrectableError(
-          "inplace ABFT: layer-1 input memory error not localizable");
-    }
-    ++stats_.mem_errors_corrected;
-    return true;
+    // Multi-error budget (t > 1): decode the slot's 2t-moment syndromes
+    // instead of the dual-only repair, so a burst cannot be "explained" by
+    // one wrong-index write that merely balances the two dual values —
+    // every hypothesis must reproduce all 2t moments.
+    return repair_region(
+        {{s1_[i], s2_[i]}, syn1_.empty() ? nullptr : &syn1_[i],
+         plan_.max_errors(), plan_.syndrome_nodes_k()},
+        buf, 1, opts_.combined_checksums ? ck_ : nullptr, k_, eta,
+        opts_.max_retries, RepairTally::of(stats_, true),
+        "inplace ABFT: layer-1 input memory error not localizable");
   }
 
   // Layers 2+3, block by block. Each block of blk_ = r*k contiguous
@@ -224,22 +186,11 @@ class InplaceRun {
     for (std::size_t b = 0; b < k_; ++b) {
       cplx* block = x_ + b * blk_;
       if (opts_.memory_ft) {
-        const double eta = opts_.eta_override > 0.0
-                               ? opts_.eta_override
-                               : roundoff::eta_from_coeff(
-                                     plan_.eta_block().mem,
-                                     sigma_of(e_blk_[b], blk_));
-        const auto rep = checksum::repair_single_error(
-            b1_[b], block, 1, nullptr, blk_, eta, opts_.max_retries);
-        ++stats_.verifications;
-        if (rep.mismatch) {
-          ++stats_.mem_errors_detected;
-          if (!rep.corrected) {
-            throw UncorrectableError(
-                "inplace ABFT: block memory error not localizable");
-          }
-          ++stats_.mem_errors_corrected;
-        }
+        repair_region({b1_[b]}, block, 1, nullptr, blk_,
+                      threshold(plan_.eta_block().mem, e_blk_[b], blk_,
+                                opts_.eta_override),
+                      opts_.max_retries, RepairTally::of(stats_, true),
+                      "inplace ABFT: block memory error not localizable");
       }
 
       // TM1: element offset i of block b gets omega_n^(i*b).
@@ -256,21 +207,15 @@ class InplaceRun {
         const cplx ccg = se.sum;
         const double eta = eta_comp(se.energy);
         stats_.eta_k = std::max(stats_.eta_k, eta);
-        for (int attempt = 0;; ++attempt) {
-          fftk.execute(src, seg.data());
-          if (inj() != nullptr) {
-            inj()->apply(Phase::kKFftOutput, unit, seg.data(), k_);
-          }
-          const cplx rx = checksum::omega3_weighted_sum(seg.data(), k_);
-          ++stats_.verifications;
-          if (std::abs(rx - ccg) <= eta) break;
-          if (attempt >= opts_.max_retries) {
-            throw UncorrectableError(
-                "inplace ABFT: layer-3 sub-FFT kept failing verification");
-          }
-          ++stats_.comp_errors_detected;
-          ++stats_.sub_fft_retries;
-        }
+        verify_with_retry(
+            stats_, &Stats::sub_fft_retries, opts_.max_retries,
+            "inplace ABFT: layer-3 sub-FFT kept failing verification", [&] {
+              fftk.execute(src, seg.data());
+              if (inj() != nullptr) {
+                inj()->apply(Phase::kKFftOutput, unit, seg.data(), k_);
+              }
+              return omega3_check(seg.data(), k_, ccg, eta);
+            });
         // Output MCG for the postponed final verification (dual sums allow
         // direct correction — an in-place plan has no backup to recompute
         // from once the block is overwritten). With a multi-error budget
@@ -340,34 +285,18 @@ class InplaceRun {
           const cplx rx = checksum::omega3_weighted_sum(seg, k_);
           ++stats_.verifications;
           if (std::abs(rx - fccv_[unit]) <= eta_comp(e_seg_[unit])) continue;
-          ++stats_.mem_errors_detected;
-          bool corrected;
-          if (!fsyn_.empty()) {
-            // Multi-error budget (PR 9): the in-place output region has no
-            // backup, so direct syndrome decode is the only recovery. Using
-            // it for every count (not just as an escalation) also prevents a
-            // burst from being mis-"corrected" by a one-element write that
-            // balances the two duals but not the higher moments.
-            const auto mrep = checksum::repair_errors(
-                fsyn_[unit], seg, 1, nullptr, k_, eta_mem(e_seg_[unit]),
-                plan_.max_errors(), /*max_iters=*/6,
-                plan_.syndrome_nodes_k());
-            corrected = mrep.corrected;
-            if (mrep.corrected && mrep.errors >= 2) {
-              stats_.multi_errors_corrected +=
-                  static_cast<std::size_t>(mrep.errors);
-            }
-          } else {
-            const auto rep = checksum::repair_single_error(
-                f1_[unit], seg, 1, nullptr, k_, eta_mem(e_seg_[unit]),
-                opts_.max_retries);
-            corrected = rep.corrected;
-          }
-          if (!corrected) {
-            throw UncorrectableError(
-                "inplace ABFT: final output memory error not localizable");
-          }
-          ++stats_.mem_errors_corrected;
+          // Multi-error budget (t > 1): the in-place output region has no
+          // backup, so direct syndrome decode is the only recovery. Using it
+          // for every count (not just as an escalation) also prevents a
+          // burst from being mis-"corrected" by a one-element write that
+          // balances the two duals but not the higher moments.
+          repair_region(
+              {f1_[unit], fsyn_.empty() ? nullptr : &fsyn_[unit],
+               plan_.max_errors(), plan_.syndrome_nodes_k()},
+              seg, 1, nullptr, k_, eta_mem(e_seg_[unit]), opts_.max_retries,
+              RepairTally::of(stats_, false),
+              "inplace ABFT: final output memory error not localizable",
+              /*flagged=*/true);
         }
       }
       // Permutation-invariant guard over the swap pass below.
@@ -380,13 +309,11 @@ class InplaceRun {
       cplx postsum{0, 0};
       for (std::size_t t = 0; t < n_; ++t) postsum += x_[t];
       ++stats_.verifications;
-      const double eta = opts_.eta_override > 0.0
-                             ? opts_.eta_override
-                             : roundoff::eta_from_coeff(
-                                   plan_.eta_whole().mem,
-                                   sigma_of(checksum::energy(x_, n_), n_));
+      const double eta = threshold(plan_.eta_whole().mem,
+                                   checksum::energy(x_, n_), n_,
+                                   opts_.eta_override);
       if (std::abs(postsum - presum) > eta) {
-        throw UncorrectableError(
+        uncorrectable(
             "inplace ABFT: memory fault during the final permutation "
             "(detect-only window)");
       }

@@ -9,6 +9,7 @@
 
 #include "abft/dmr.hpp"
 #include "abft/protection_plan.hpp"
+#include "abft/unit_check.hpp"
 #include "checksum/dot.hpp"
 #include "checksum/memory_checksum.hpp"
 #include "checksum/multi_error.hpp"
@@ -17,17 +18,12 @@
 #include "common/math_util.hpp"
 #include "common/tile_transpose.hpp"
 #include "fft/fft.hpp"
-#include "roundoff/model.hpp"
 
 namespace ftfft::abft {
 namespace {
 
 using checksum::DualSum;
 using fault::Phase;
-
-double sigma_from_energy(double energy, std::size_t n) {
-  return std::sqrt(energy / (2.0 * static_cast<double>(n)) + 1e-300);
-}
 
 /// All state of one protected online transform run. The immutable
 /// per-size setup (split, checksum vectors, threshold coefficients,
@@ -115,8 +111,12 @@ class OnlineRun {
   }
 
   // One protected m-point sub-FFT. `buf` is the staged contiguous input
-  // (nullptr = unbuffered strided execution straight off x_).
-  void run_sub_fft(std::size_t i, cplx* buf, fft::Fft& fftm) {
+  // (nullptr = unbuffered strided execution straight off x_). Kept out of
+  // line, like second_layer: GCC 12 inlines both once they are this small,
+  // and that layout measured ~2% slower (perfbench online_comp_x and
+  // online_mem_x on an AVX-512 Xeon).
+  [[gnu::noinline]] void run_sub_fft(std::size_t i, cplx* buf,
+                                     fft::Fft& fftm) {
     cplx ccg{0.0, 0.0};  // reference value the CCV compares against
     const bool have_cmcg = opts_.memory_ft;
     const bool combined_ccg = have_cmcg && opts_.combined_checksums;
@@ -129,46 +129,35 @@ class OnlineRun {
     if (combined_ccg) {
       // Section 4.1: the stored combined checksum IS the CCG product.
       ccg = s1_[i];
-    } else if (buf != nullptr) {
-      const auto se = checksum::weighted_sum_energy(cm_, buf, m_);
-      ccg = se.sum;
-      if (!have_cmcg) e_in_[i] = se.energy;
     } else {
-      // Strided CCG straight off the input: the expensive second strided
-      // read the buffering optimization removes.
-      const auto se = checksum::weighted_sum_energy(cm_, x_ + i, m_, k_);
+      // Unbuffered, the CCG reads the input strided a second time: the
+      // expensive read the buffering optimization removes.
+      const auto se = buf != nullptr
+                          ? checksum::weighted_sum_energy(cm_, buf, m_)
+                          : checksum::weighted_sum_energy(cm_, x_ + i, m_, k_);
       ccg = se.sum;
       if (!have_cmcg) e_in_[i] = se.energy;
     }
 
-    double eta = -1.0;  // resolved once the energy estimate is in hand
+    const double eta =
+        threshold(plan_.eta_m().comp, e_in_[i], m_, opts_.eta_override);
+    stats_.eta_m = std::max(stats_.eta_m, eta);
     cplx* yi = out_ + i * m_;
-    for (int attempt = 0;; ++attempt) {
-      if (buf != nullptr) {
-        fftm.execute(buf, yi);
-      } else {
-        fftm.execute_strided(x_ + i, k_, yi, 1);
-      }
-      if (inj() != nullptr) inj()->apply(Phase::kMFftOutput, i, yi, m_);
-      const cplx rx = checksum::omega3_weighted_sum(yi, m_);
-      if (eta < 0.0) {
-        const double sigma_i = sigma_from_energy(e_in_[i], m_);
-        eta = opts_.eta_override > 0.0
-                  ? opts_.eta_override
-                  : roundoff::eta_from_coeff(plan_.eta_m().comp, sigma_i);
-        stats_.eta_m = std::max(stats_.eta_m, eta);
-      }
-      ++stats_.verifications;
-      if (std::abs(rx - ccg) <= eta) break;
-      if (attempt >= opts_.max_retries) {
-        throw UncorrectableError(
-            "online ABFT: m-point sub-FFT kept failing verification");
-      }
-      ++stats_.sub_fft_retries;
-      if (opts_.memory_ft) {
-        // Postponed discrimination: is the input slot itself corrupted?
-        const bool repaired = verify_and_repair_input(i);
-        if (repaired) {
+    verify_with_retry(
+        stats_, &Stats::sub_fft_retries, opts_.max_retries,
+        "online ABFT: m-point sub-FFT kept failing verification",
+        [&] {
+          if (buf != nullptr) {
+            fftm.execute(buf, yi);
+          } else {
+            fftm.execute_strided(x_ + i, k_, yi, 1);
+          }
+          if (inj() != nullptr) inj()->apply(Phase::kMFftOutput, i, yi, m_);
+          return omega3_check(yi, m_, ccg, eta);
+        },
+        [&] {
+          // Postponed discrimination: is the input slot itself corrupted?
+          if (!opts_.memory_ft || !verify_and_repair_input(i)) return false;
           if (buf != nullptr) regather(i, buf);
           if (!opts_.combined_checksums) {
             // Classic checksums: the CCG product must be rebuilt from the
@@ -176,28 +165,30 @@ class OnlineRun {
             ccg = buf != nullptr ? checksum::weighted_sum(cm_, buf, m_)
                                  : checksum::weighted_sum(cm_, x_ + i, m_, k_);
           }
-          continue;
-        }
-      }
-      ++stats_.comp_errors_detected;
-    }
+          return true;
+        });
 
     if (opts_.memory_ft) {
       if (opts_.incremental_mcg) {
-        // Section 4.3: fold this sub-FFT's verified output into the column
-        // checksums and column energies of the second layer while it is
-        // still cache-hot.
-        const double id = static_cast<double>(i);
-        for (std::size_t c = 0; c < m_; ++c) {
-          o1_[c] += yi[c];
-          o2_[c] += id * yi[c];
-          e_mid_[c] += norm2(yi[c]);
-        }
+        // Section 4.3: fold this sub-FFT's verified output into the second
+        // layer's column sums while it is still cache-hot.
+        fold_row(i, yi);
       } else {
         // Naive hierarchy: row checksums over this sub-FFT's output; the
         // column checksums are regenerated in a separate pass later.
         r1_[i] = checksum::dual_weighted_sum(nullptr, yi, m_);
       }
+    }
+  }
+
+  // Folds verified sub-FFT output row i into the column checksums and
+  // column energies the second layer verifies against.
+  void fold_row(std::size_t i, const cplx* yi) {
+    const double id = static_cast<double>(i);
+    for (std::size_t c = 0; c < m_; ++c) {
+      o1_[c] += yi[c];
+      o2_[c] += id * yi[c];
+      e_mid_[c] += norm2(yi[c]);
     }
   }
 
@@ -211,48 +202,22 @@ class OnlineRun {
   /// the residual clears the threshold). Returns true if a corruption was
   /// found and fixed.
   bool verify_and_repair_input(std::size_t i) {
-    const cplx* weights = opts_.combined_checksums ? cm_ : nullptr;
-    const double sigma_i = sigma_from_energy(e_in_[i], m_);
-    const double eta_mem =
-        opts_.eta_override > 0.0
-            ? opts_.eta_override
-            : roundoff::eta_from_coeff(opts_.combined_checksums
-                                           ? plan_.eta_m().comp
-                                           : plan_.eta_m().mem,
-                                       sigma_i);
+    const double eta_mem = threshold(
+        opts_.combined_checksums ? plan_.eta_m().comp : plan_.eta_m().mem,
+        e_in_[i], m_, opts_.eta_override);
     stats_.eta_mem = std::max(stats_.eta_mem, eta_mem);
-    bool mismatch, corrected;
-    if (!syn1_.empty()) {
-      // Multi-error budget (PR 9): decode the slot's 2t-moment syndromes
-      // instead of the dual-only repair. The duals carry two values, so a
-      // multi-error burst whose residual ratio lands near an integer can be
-      // "explained" by one wrong-index write the dual repair accepts; the
-      // syndrome decoder checks every hypothesis against all 2t moments and
-      // decodes the burst at its true count.
-      const auto mrep = checksum::repair_errors(
-          syn1_[i], x_ + i, k_, weights, m_, eta_mem, plan_.max_errors(),
-          /*max_iters=*/6, plan_.syndrome_nodes_m());
-      mismatch = mrep.mismatch;
-      corrected = mrep.corrected;
-      if (mrep.corrected && mrep.errors >= 2) {
-        stats_.multi_errors_corrected += static_cast<std::size_t>(mrep.errors);
-      }
-    } else {
-      const auto rep = checksum::repair_single_error(
-          checksum::DualSum{s1_[i], s2_[i]}, x_ + i, k_, weights, m_, eta_mem,
-          opts_.max_retries);
-      mismatch = rep.mismatch;
-      corrected = rep.corrected;
-    }
-    ++stats_.verifications;
-    if (!mismatch) return false;
-    ++stats_.mem_errors_detected;
-    if (!corrected) {
-      throw UncorrectableError(
-          "online ABFT: input memory error detected but not localizable");
-    }
-    ++stats_.mem_errors_corrected;
-    return true;
+    // Multi-error budget (t > 1): decode the slot's 2t-moment syndromes
+    // instead of the dual-only repair. The duals carry two values, so a
+    // multi-error burst whose residual ratio lands near an integer can be
+    // "explained" by one wrong-index write the dual repair accepts; the
+    // syndrome decoder checks every hypothesis against all 2t moments and
+    // decodes the burst at its true count.
+    return repair_region(
+        {{s1_[i], s2_[i]}, syn1_.empty() ? nullptr : &syn1_[i],
+         plan_.max_errors(), plan_.syndrome_nodes_m()},
+        x_ + i, k_, opts_.combined_checksums ? cm_ : nullptr, m_, eta_mem,
+        opts_.max_retries, RepairTally::of(stats_, true),
+        "online ABFT: input memory error detected but not localizable");
   }
 
   // ------------------------------------------------------- between layers
@@ -271,29 +236,13 @@ class OnlineRun {
         cplx* yi = out_ + i * m_;
         // The row may hold the very corruption being hunted: use the
         // outlier-robust energy so eta is not inflated by it.
-        const double sigma =
-            sigma_from_energy(checksum::robust_energy(yi, m_), m_);
         const double eta_mem =
-            opts_.eta_override > 0.0
-                ? opts_.eta_override
-                : roundoff::eta_from_coeff(plan_.eta_m().mem, sigma);
-        const auto rep = checksum::repair_single_error(
-            r1_[i], yi, 1, nullptr, m_, eta_mem, opts_.max_retries);
-        ++stats_.verifications;
-        if (rep.mismatch) {
-          ++stats_.mem_errors_detected;
-          if (!rep.corrected) {
-            throw UncorrectableError(
-                "online ABFT: intermediate memory error not localizable");
-          }
-          ++stats_.mem_errors_corrected;
-        }
-        const double id = static_cast<double>(i);
-        for (std::size_t c = 0; c < m_; ++c) {
-          o1_[c] += yi[c];
-          o2_[c] += id * yi[c];
-          e_mid_[c] += norm2(yi[c]);
-        }
+            threshold(plan_.eta_m().mem, checksum::robust_energy(yi, m_), m_,
+                      opts_.eta_override);
+        repair_region({r1_[i]}, yi, 1, nullptr, m_, eta_mem,
+                      opts_.max_retries, RepairTally::of(stats_, true),
+                      "online ABFT: intermediate memory error not localizable");
+        fold_row(i, yi);
       }
     }
 
@@ -318,7 +267,7 @@ class OnlineRun {
   }
 
   // ---------------------------------------------------------- second layer
-  void second_layer() {
+  [[gnu::noinline]] void second_layer() {
     fft::Fft fftk(k_);
     std::vector<cplx> tw(k_), res(k_);
     col_ccv_.assign(m_, cplx{0, 0});
@@ -366,36 +315,26 @@ class OnlineRun {
   // lands in `res` (contiguous); the caller writes it back.
   void process_column(std::size_t c, const cplx* col, std::size_t stride,
                       fft::Fft& fftk, cplx* tw, cplx* res) {
-    double sigma_col = 0.0;
     if (opts_.memory_ft) {
       // Column MCV against the (incrementally or regenerated) checksums:
       // plain sum only, the repair recomputes the localization sum on a
       // mismatch (section 4.2). The scale comes from the verified layer-1
       // outputs, so a corrupted column cannot inflate its own threshold.
-      sigma_col = sigma_from_energy(e_mid_[c], k_);
       const double eta_mem =
-          opts_.eta_override > 0.0
-              ? opts_.eta_override
-              : roundoff::eta_from_coeff(plan_.eta_k().mem, sigma_col);
+          threshold(plan_.eta_k().mem, e_mid_[c], k_, opts_.eta_override);
       stats_.eta_mem = std::max(stats_.eta_mem, eta_mem);
-      const DualSum stored{o1_[c], o2_[c]};
       ++stats_.verifications;
-      if (std::abs(checksum::plain_sum(col, k_, stride) - stored.plain) >
-          eta_mem) {
+      if (std::abs(checksum::plain_sum(col, k_, stride) - o1_[c]) > eta_mem) {
         // Mismatch: repair the authoritative intermediate iteratively, then
         // refresh the staged copy. Derived checksums (these column duals
         // are accumulated from sub-FFT outputs, not generated over stored
         // data) deliberately stay single-error: a multi-error burst in the
         // short-lived intermediate is already caught by the postponed final
         // MCV, whose recovery recomputes the column from the backup.
-        ++stats_.mem_errors_detected;
-        const auto rep = checksum::repair_single_error(
-            stored, out_ + c, m_, nullptr, k_, eta_mem, opts_.max_retries);
-        if (!rep.corrected) {
-          throw UncorrectableError(
-              "online ABFT: column memory error not localizable");
-        }
-        ++stats_.mem_errors_corrected;
+        repair_region({{o1_[c], o2_[c]}}, out_ + c, m_, nullptr, k_, eta_mem,
+                      opts_.max_retries, RepairTally::of(stats_, false),
+                      "online ABFT: column memory error not localizable",
+                      /*flagged=*/true);
         // Refresh the staged column or, unstaged, its slot in the backup.
         cplx* copy = col != out_ + c   ? const_cast<cplx*>(col)
                      : backup_ != nullptr ? backup_ + c * k_
@@ -412,28 +351,17 @@ class OnlineRun {
     stats_.dmr_mismatches += dmr_twiddle_multiply(
         *plan_.twiddles(), col, stride, tw, k_, c, 0, c, inj(), ck_, &se);
     const cplx ccg = se.sum;
-    if (!opts_.memory_ft) sigma_col = sigma_from_energy(se.energy, k_);
-    double eta = -1.0;  // resolved once the energy estimate is in hand
-
-    for (int attempt = 0;; ++attempt) {
-      fftk.execute(tw, res);
-      if (inj() != nullptr) inj()->apply(Phase::kKFftOutput, c, res, k_);
-      const cplx rx = checksum::omega3_weighted_sum(res, k_);
-      if (eta < 0.0) {
-        eta = opts_.eta_override > 0.0
-                  ? opts_.eta_override
-                  : roundoff::eta_from_coeff(plan_.eta_k().comp, sigma_col);
-        stats_.eta_k = std::max(stats_.eta_k, eta);
-      }
-      ++stats_.verifications;
-      if (std::abs(rx - ccg) <= eta) break;
-      if (attempt >= opts_.max_retries) {
-        throw UncorrectableError(
-            "online ABFT: k-point sub-FFT kept failing verification");
-      }
-      ++stats_.comp_errors_detected;
-      ++stats_.sub_fft_retries;
-    }
+    const double eta =
+        threshold(plan_.eta_k().comp, opts_.memory_ft ? e_mid_[c] : se.energy,
+                  k_, opts_.eta_override);
+    stats_.eta_k = std::max(stats_.eta_k, eta);
+    verify_with_retry(
+        stats_, &Stats::sub_fft_retries, opts_.max_retries,
+        "online ABFT: k-point sub-FFT kept failing verification", [&] {
+          fftk.execute(tw, res);
+          if (inj() != nullptr) inj()->apply(Phase::kKFftOutput, c, res, k_);
+          return omega3_check(res, k_, ccg, eta);
+        });
 
     // Remember the column checksum for the postponed final verification;
     // the caller scatters `res` to the natural-order positions {c + m*j}.
@@ -463,30 +391,22 @@ class OnlineRun {
     std::vector<cplx> tw(k_), res(k_);
     for (std::size_t c = 0; c < m_; ++c) {
       const cplx rx = b0[c] + cmul(w1, b1[c]) + cmul(w2, b2[c]);
-      const double sigma = sigma_from_energy(e_mid_[c], k_);
       const double eta =
-          opts_.eta_override > 0.0
-              ? opts_.eta_override
-              : roundoff::eta_from_coeff(plan_.eta_k().comp, sigma);
+          threshold(plan_.eta_k().comp, e_mid_[c], k_, opts_.eta_override);
       ++stats_.verifications;
       if (std::abs(rx - col_ccv_[c]) <= eta) continue;
-      ++stats_.mem_errors_detected;
 
       if (!opts_.postpone_mcv) {
         // Naive hierarchy: localize directly with the stored output duals.
-        const auto rep = checksum::repair_single_error(
-            f1_[c], out_ + c, m_, nullptr, k_,
-            opts_.eta_override > 0.0
-                ? opts_.eta_override
-                : roundoff::eta_from_coeff(plan_.eta_k().mem, sigma),
-            opts_.max_retries);
-        if (!rep.corrected) {
-          throw UncorrectableError(
-              "online ABFT: final output memory error not localizable");
-        }
-        ++stats_.mem_errors_corrected;
+        repair_region(
+            {f1_[c]}, out_ + c, m_, nullptr, k_,
+            threshold(plan_.eta_k().mem, e_mid_[c], k_, opts_.eta_override),
+            opts_.max_retries, RepairTally::of(stats_, false),
+            "online ABFT: final output memory error not localizable",
+            /*flagged=*/true);
         continue;
       }
+      ++stats_.mem_errors_detected;
 
       // Postponed hierarchy: recompute the column from its backup column
       // (twiddle + k-FFT + verify + scatter). The recomputation runs the
@@ -499,8 +419,7 @@ class OnlineRun {
       fftk.execute(tw.data(), res.data());
       const cplx rx2 = checksum::omega3_weighted_sum(res.data(), k_);
       if (std::abs(rx2 - se.sum) > eta) {
-        throw UncorrectableError(
-            "online ABFT: column recomputation failed verification");
+        uncorrectable("online ABFT: column recomputation failed verification");
       }
       for (std::size_t j = 0; j < k_; ++j) out_[c + m_ * j] = res[j];
       ++stats_.mem_errors_corrected;

@@ -7,6 +7,7 @@
 // exactly.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "checksum/weights.hpp"
@@ -142,22 +143,52 @@ struct Options {
 
 /// Execution statistics; every protected transform fills one of these so
 /// callers (and the experiments) can see what the fault tolerance did.
+///
+/// Every check runs through abft/unit_check.hpp, so the counters follow one
+/// rule across schemes. A unit whose check fails is retried (computational
+/// fault) or repaired (memory fault); once its max_retries re-executions
+/// are spent, or a memory mismatch cannot be localized, the transform
+/// throws UncorrectableError.
 struct Stats {
-  std::size_t comp_errors_detected = 0;  ///< CCV mismatches blamed on compute
-  std::size_t mem_errors_detected = 0;   ///< checksum-localized memory faults
-  std::size_t mem_errors_corrected = 0;  ///< of those, corrected in place
-  std::size_t multi_errors_corrected = 0;  ///< corrections decoded from the
-                                           ///< t>1 syndrome escalation path
-  std::size_t sub_fft_retries = 0;       ///< sub-FFT re-executions (online)
-  std::size_t full_restarts = 0;         ///< whole-transform re-runs (offline)
+  /// Failed checks blamed on computation; each one triggered a re-run.
+  std::size_t comp_errors_detected = 0;
+  /// Stored-data mismatches (input, intermediate, output or backup).
+  std::size_t mem_errors_detected = 0;
+  /// Of those, regions repaired in place or recomputed from a backup.
+  std::size_t mem_errors_corrected = 0;
+  /// Elements fixed by t > 1 syndrome decodes that located >= 2 errors in
+  /// one region (a 2-burst adds 2).
+  std::size_t multi_errors_corrected = 0;
+  /// Re-executions of one sub-FFT unit (online, in-place, parallel FFT1).
+  std::size_t sub_fft_retries = 0;
+  /// Re-executions of a whole transform (offline, real post-pass).
+  std::size_t full_restarts = 0;
   std::size_t dmr_mismatches = 0;        ///< twiddle/DMR votes taken
-  std::size_t verifications = 0;         ///< checksum comparisons performed
+  /// Checksum comparisons performed, retries and repairs included.
+  std::size_t verifications = 0;
   double eta_m = 0.0;                    ///< threshold used, first layer
   double eta_k = 0.0;                    ///< threshold used, second layer
   double eta_mem = 0.0;                  ///< threshold used, memory checksums
   double eta_real = 0.0;                 ///< threshold used, real post-pass
 
   void reset() { *this = Stats{}; }
+
+  /// Merges another run's stats: counters add, thresholds keep the widest.
+  Stats& operator+=(const Stats& o) {
+    comp_errors_detected += o.comp_errors_detected;
+    mem_errors_detected += o.mem_errors_detected;
+    mem_errors_corrected += o.mem_errors_corrected;
+    multi_errors_corrected += o.multi_errors_corrected;
+    sub_fft_retries += o.sub_fft_retries;
+    full_restarts += o.full_restarts;
+    dmr_mismatches += o.dmr_mismatches;
+    verifications += o.verifications;
+    eta_m = std::max(eta_m, o.eta_m);
+    eta_k = std::max(eta_k, o.eta_k);
+    eta_mem = std::max(eta_mem, o.eta_mem);
+    eta_real = std::max(eta_real, o.eta_real);
+    return *this;
+  }
 };
 
 }  // namespace ftfft::abft

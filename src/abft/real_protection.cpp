@@ -8,6 +8,7 @@
 
 #include "abft/protected_fft.hpp"
 #include "abft/protection_plan.hpp"
+#include "abft/unit_check.hpp"
 #include "checksum/dot.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
@@ -42,10 +43,6 @@ const bool registry_registered =
          [] { return registry().scrub(); },
          [](std::size_t k) { registry().set_verify_interval(k); }}),
      true);
-
-double sigma_from_energy(double energy, std::size_t n) {
-  return std::sqrt(energy / (2.0 * static_cast<double>(n)) + 1e-300);
-}
 
 /// Effective options for the packed nc-point transform: the two-layer
 /// online scheme needs nc >= 4 (and composite), so the two tiny packed
@@ -163,42 +160,32 @@ void protected_r2c(double* in, cplx* out, std::size_t n, const Options& opts,
   std::vector<cplx> zin(nc);
   cplx* zbuf = out;  // packed spectrum staged in out[0..nc)
   double eta = -1.0;
-  for (int attempt = 0;; ++attempt) {
-    std::memcpy(static_cast<void*>(zin.data()), in, n * sizeof(double));
-    packed_protected_forward(zin.data(), zbuf, nc, opts, stats, cplan);
+  verify_with_retry(
+      stats, &Stats::full_restarts, opts.max_retries,
+      "real ABFT: r2c post-pass checksum mismatch persisted across retries",
+      [&] {
+        std::memcpy(static_cast<void*>(zin.data()), in, n * sizeof(double));
+        packed_protected_forward(zin.data(), zbuf, nc, opts, stats, cplan);
 
-    // Pullback reference over the (still clean) packed spectrum; the same
-    // sweep yields the energy the threshold scale comes from.
-    const auto se =
-        checksum::weighted_sum_energy(plan->pullback_fwd_a(), zbuf, nc);
-    const cplx ref =
-        se.sum +
-        std::conj(checksum::weighted_sum(plan->pullback_fwd_gc(), zbuf, nc));
-    if (eta < 0.0) {
-      const double sigma = sigma_from_energy(se.energy, nc);
-      eta = opts.eta_override > 0.0
-                ? opts.eta_override
-                : roundoff::eta_from_coeff(plan->eta_coeff(), sigma);
-      stats.eta_real = std::max(stats.eta_real, eta);
-    }
-    // The hook models a fault while the finalize sweep reads the packed
-    // spectrum: the corruption propagates linearly into the outputs, so the
-    // verify against the independently derived pullback catches it.
-    if (opts.injector != nullptr) {
-      opts.injector->apply(Phase::kRealPostPass, 0, zbuf, nc);
-    }
-    simd::fft_kernels().r2c_finalize(out, zbuf, nc, rp.quarter_twiddles());
-    const cplx s = checksum::omega3_weighted_sum(out, nc + 1);
-    ++stats.verifications;
-    if (std::abs(s - ref) <= eta) break;
-    ++stats.comp_errors_detected;
-    ++stats.full_restarts;
-    if (attempt >= opts.max_retries) {
-      throw UncorrectableError(
-          "real ABFT: r2c post-pass checksum mismatch persisted across "
-          "retries");
-    }
-  }
+        // Pullback reference over the (still clean) packed spectrum; the
+        // same sweep yields the energy the threshold scale comes from.
+        const auto se =
+            checksum::weighted_sum_energy(plan->pullback_fwd_a(), zbuf, nc);
+        const cplx ref = se.sum + std::conj(checksum::weighted_sum(
+                                      plan->pullback_fwd_gc(), zbuf, nc));
+        if (eta < 0.0) {
+          eta = threshold(plan->eta_coeff(), se.energy, nc, opts.eta_override);
+          stats.eta_real = std::max(stats.eta_real, eta);
+        }
+        // The hook models a fault while the finalize sweep reads the packed
+        // spectrum: the corruption propagates linearly into the outputs, so
+        // the verify against the independently derived pullback catches it.
+        if (opts.injector != nullptr) {
+          opts.injector->apply(Phase::kRealPostPass, 0, zbuf, nc);
+        }
+        simd::fft_kernels().r2c_finalize(out, zbuf, nc, rp.quarter_twiddles());
+        return omega3_check(out, nc + 1, ref, eta);
+      });
 }
 
 void protected_c2r(cplx* in, double* out, std::size_t n, const Options& opts,
@@ -221,44 +208,38 @@ void protected_c2r(cplx* in, double* out, std::size_t n, const Options& opts,
   // the trusted side; the pullback over the prepare output must match it.
   std::vector<cplx> buf(nc);  // conjugated packed spectrum conj(Z)
   double eta = -1.0;
-  for (int attempt = 0;; ++attempt) {
-    simd::fft_kernels().c2r_prepare(buf.data(), in, nc, rp.quarter_twiddles(),
-                                    /*conjugate=*/true);
-    cplx s_in = checksum::omega3_weighted_sum(in, nc + 1);
-    // The DC/Nyquist bins of a real signal's spectrum are structurally
-    // real and the unsplit pass ignores their imaginary parts; mask them
-    // out of the trusted dot too so a caller-supplied nonzero imaginary
-    // component is ignored, not misdiagnosed as a fault.
-    s_in -= cmul(omega3_pow(0), cplx{0.0, in[0].imag()}) +
-            cmul(omega3_pow(nc), cplx{0.0, in[nc].imag()});
-    if (eta < 0.0) {
-      // Threshold scale from the still-clean prepare output (the injector
-      // hook has not fired yet), so a corruption under test can never
-      // inflate its own detection threshold. First attempt only.
-      const double sigma =
-          sigma_from_energy(checksum::energy(buf.data(), nc), nc);
-      eta = opts.eta_override > 0.0
-                ? opts.eta_override
-                : roundoff::eta_from_coeff(plan->eta_coeff(), sigma);
-      stats.eta_real = std::max(stats.eta_real, eta);
-    }
-    if (opts.injector != nullptr) {
-      opts.injector->apply(Phase::kRealPostPass, 0, buf.data(), nc);
-    }
-    const cplx ref =
-        std::conj(
-            checksum::weighted_sum(plan->pullback_inv_ac(), buf.data(), nc)) +
-        checksum::weighted_sum(plan->pullback_inv_g(), buf.data(), nc);
-    ++stats.verifications;
-    if (std::abs(s_in - ref) <= eta) break;
-    ++stats.comp_errors_detected;
-    ++stats.full_restarts;
-    if (attempt >= opts.max_retries) {
-      throw UncorrectableError(
-          "real ABFT: c2r post-pass checksum mismatch persisted across "
-          "retries");
-    }
-  }
+  verify_with_retry(
+      stats, &Stats::full_restarts, opts.max_retries,
+      "real ABFT: c2r post-pass checksum mismatch persisted across retries",
+      [&] {
+        simd::fft_kernels().c2r_prepare(buf.data(), in, nc,
+                                        rp.quarter_twiddles(),
+                                        /*conjugate=*/true);
+        cplx s_in = checksum::omega3_weighted_sum(in, nc + 1);
+        // The DC/Nyquist bins of a real signal's spectrum are structurally
+        // real and the unsplit pass ignores their imaginary parts; mask
+        // them out of the trusted dot too so a caller-supplied nonzero
+        // imaginary component is ignored, not misdiagnosed as a fault.
+        s_in -= cmul(omega3_pow(0), cplx{0.0, in[0].imag()}) +
+                cmul(omega3_pow(nc), cplx{0.0, in[nc].imag()});
+        if (eta < 0.0) {
+          // Threshold scale from the still-clean prepare output (the
+          // injector hook has not fired yet), so a corruption under test
+          // can never inflate its own detection threshold. First attempt
+          // only.
+          eta = threshold(plan->eta_coeff(), checksum::energy(buf.data(), nc),
+                          nc, opts.eta_override);
+          stats.eta_real = std::max(stats.eta_real, eta);
+        }
+        if (opts.injector != nullptr) {
+          opts.injector->apply(Phase::kRealPostPass, 0, buf.data(), nc);
+        }
+        const cplx ref =
+            std::conj(checksum::weighted_sum(plan->pullback_inv_ac(),
+                                             buf.data(), nc)) +
+            checksum::weighted_sum(plan->pullback_inv_g(), buf.data(), nc);
+        return Check{std::abs(s_in - ref), eta};
+      });
 
   // Packed inverse as a protected forward on the conjugated spectrum
   // (DFT(conj(x)) = conj(IDFT(x)) up to ordering), then one exact sweep:

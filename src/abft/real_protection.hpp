@@ -25,9 +25,10 @@
 // packed spectrum, before the post-pass runs) and conj(a) and g for c2r
 // (reference from the conjugated packed spectrum the prepare pass emits).
 // Verification compares the pullback against the omega3 dot over the
-// half-spectrum under the representation-specific threshold
-// practical_eta_real. A mismatch restarts the transform (the pass has no
-// localization structure worth exploiting; it is O(n) of the work).
+// half-spectrum under the representation-specific threshold coefficient
+// roundoff::practical_eta_real_coeff. A mismatch restarts the transform
+// (the pass has no localization structure worth exploiting; it is O(n) of
+// the work).
 #pragma once
 
 #include <cstddef>

@@ -1,0 +1,126 @@
+// One protection unit: the verify-retry-repair step of the online scheme
+// (paper sections 3.1-3.2), written once for every scheme.
+//
+// Each protected unit — a sub-FFT, a whole transform, a stored region, a
+// transposed block — does the same thing: derive a detection threshold from
+// the round-off model, compare a checksum against its reference, re-run the
+// unit on a computational error, locate and correct a memory error, and give
+// up with UncorrectableError when the fault model is violated. The online,
+// in-place, offline and real schemes and both parallel paths run every check
+// through these three functions, so the counting rules (see Stats) and the
+// point where a unit gives up live here.
+#pragma once
+
+#include <cmath>
+#include <cstddef>
+
+#include "abft/options.hpp"
+#include "checksum/dot.hpp"
+#include "checksum/multi_error.hpp"
+#include "common/complex.hpp"
+#include "roundoff/model.hpp"
+
+namespace ftfft::abft {
+
+/// Detection threshold for a check over n values of total energy `energy`:
+/// eta_override when positive, else roundoff::eta_from_coeff(coeff, sigma)
+/// with sigma = sqrt(energy / 2n) the rms component scale.
+[[nodiscard]] inline double threshold(double coeff, double energy,
+                                      std::size_t n,
+                                      double eta_override) noexcept {
+  if (eta_override > 0.0) return eta_override;
+  return roundoff::eta_from_coeff(
+      coeff, std::sqrt(energy / (2.0 * static_cast<double>(n)) + 1e-300));
+}
+
+/// Throws UncorrectableError(what): the single point where a protection
+/// unit gives up.
+[[noreturn]] void uncorrectable(const char* what);
+
+/// Counters a repair_region call advances: `detected` per mismatch,
+/// `corrected` per repaired region, `multi` by the element count of a
+/// repair that decoded two or more errors, and `verifications` (when
+/// non-null) per comparison.
+struct RepairTally {
+  std::size_t& detected;
+  std::size_t& corrected;
+  std::size_t& multi;
+  std::size_t* verifications = nullptr;
+
+  /// The memory-fault counters of `stats`; `count_check` also counts the
+  /// comparison as a verification.
+  static RepairTally of(Stats& stats, bool count_check) {
+    return {stats.mem_errors_detected, stats.mem_errors_corrected,
+            stats.multi_errors_corrected,
+            count_check ? &stats.verifications : nullptr};
+  }
+};
+
+/// Checksums stored over a region: the dual pair, or (syn != nullptr) the
+/// 2t syndrome moments decoded for up to max_errors corruptions with the
+/// plan-cached node table `nodes` (may be null).
+struct StoredSums {
+  checksum::DualSum dual{};
+  const checksum::SyndromeSet* syn = nullptr;
+  int max_errors = 1;
+  const double* nodes = nullptr;
+};
+
+/// Recomputes `stored` over the n elements data[0], data[stride], ...
+/// (generation weights w, nullptr = all ones), and locates and corrects a
+/// mismatch beyond eta in place (the dual path iterates up to max_iters
+/// rounds). Returns true when a fault was found and corrected, false when
+/// the region verifies. Throws UncorrectableError(what) when a mismatch
+/// cannot be localized. `flagged`: the caller already saw a mismatch with
+/// a cheaper check, so a region that then verifies clean also throws.
+bool repair_region(const StoredSums& stored, cplx* data, std::size_t stride,
+                   const cplx* w, std::size_t n, double eta, int max_iters,
+                   const RepairTally& tally, const char* what,
+                   bool flagged = false);
+
+/// Outcome of one attempt of a unit: the residual of its checksum
+/// comparison and the threshold it must stay within.
+struct Check {
+  double residual;
+  double eta;
+};
+
+/// The CCV of a sub-FFT unit: |omega3 . y - ref| over its n outputs.
+[[nodiscard]] inline Check omega3_check(const cplx* y, std::size_t n,
+                                        cplx ref, double eta) {
+  return {std::abs(checksum::omega3_weighted_sum(y, n) - ref), eta};
+}
+
+/// Runs one protected unit until its check passes. `run()` executes
+/// the unit (firing its fault hooks) and returns its Check; every attempt
+/// counts one verification. A failed check is retried at most max_retries
+/// times, each retry advancing stats.*retries; `recover()` then returns
+/// true when it located and repaired a memory fault behind the failure,
+/// else the failure counts as a computational error. When the retries are
+/// spent the unit throws UncorrectableError(what): with max_retries = r a
+/// persistently failing unit reads r retries, r computational errors and
+/// r + 1 verifications.
+template <class Run, class Recover>
+void verify_with_retry(Stats& stats, std::size_t Stats::*retries,
+                       int max_retries, const char* what, Run&& run,
+                       Recover&& recover) {
+  for (int attempt = 0;; ++attempt) {
+    const Check c = run();
+    ++stats.verifications;
+    if (c.residual <= c.eta) return;
+    if (attempt >= max_retries) uncorrectable(what);
+    ++(stats.*retries);
+    if (!recover()) ++stats.comp_errors_detected;
+  }
+}
+
+/// verify_with_retry without a memory-fault split: every failure is
+/// computational.
+template <class Run>
+void verify_with_retry(Stats& stats, std::size_t Stats::*retries,
+                       int max_retries, const char* what, Run&& run) {
+  verify_with_retry(stats, retries, max_retries, what, run,
+                    [] { return false; });
+}
+
+}  // namespace ftfft::abft

@@ -59,22 +59,6 @@ const char* priority_name(Priority p) noexcept {
 
 namespace {
 
-void accumulate(abft::Stats& into, const abft::Stats& s) {
-  into.comp_errors_detected += s.comp_errors_detected;
-  into.mem_errors_detected += s.mem_errors_detected;
-  into.mem_errors_corrected += s.mem_errors_corrected;
-  into.sub_fft_retries += s.sub_fft_retries;
-  into.full_restarts += s.full_restarts;
-  into.dmr_mismatches += s.dmr_mismatches;
-  into.verifications += s.verifications;
-  // Thresholds are per-transform quantities; keep the widest one seen so
-  // the batch report still answers "what eta was in force".
-  into.eta_m = std::max(into.eta_m, s.eta_m);
-  into.eta_k = std::max(into.eta_k, s.eta_k);
-  into.eta_mem = std::max(into.eta_mem, s.eta_mem);
-  into.eta_real = std::max(into.eta_real, s.eta_real);
-}
-
 // Expands the contiguous batch layout (lane L at in + L*n / out + L*n)
 // into lane descriptors; out == nullptr means every lane is in place.
 std::vector<Lane> pack_lanes(cplx* in, cplx* out, std::size_t n,
@@ -759,7 +743,7 @@ struct BatchEngine::Impl {
       report.run_seconds = run_s;
       for (std::size_t i = 0; i < report.lanes; ++i) {
         if (report.errors[i].empty()) {
-          accumulate(report.totals, report.per_lane[i]);
+          report.totals += report.per_lane[i];
         } else {
           ++report.failed_lanes;
         }

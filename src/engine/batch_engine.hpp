@@ -222,7 +222,7 @@ struct BatchReport {
   Priority priority = Priority::kNormal;  ///< resolved scheduling class
   double queue_wait_seconds = 0.0;  ///< submission -> first worker claim
   double run_seconds = 0.0;         ///< first claim -> completion
-  abft::Stats totals;            ///< element-wise sum over per_lane
+  abft::Stats totals;            ///< per_lane merged by Stats::operator+=
   std::vector<abft::Stats> per_lane;
   /// Empty string = lane succeeded; otherwise the exception message.
   std::vector<std::string> errors;

@@ -1,26 +1,18 @@
 #include "parallel/parallel_fft.hpp"
 
-#include <cmath>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
 
 #include "abft/dmr.hpp"
 #include "checksum/dot.hpp"
-#include "checksum/memory_checksum.hpp"
-#include "checksum/weights.hpp"
 #include "common/error.hpp"
-#include "common/math_util.hpp"
 #include "fft/fft.hpp"
 #include "abft/inplace.hpp"
 #include "parallel/parallel_plan.hpp"
-#include "roundoff/model.hpp"
 
 namespace ftfft::parallel {
 namespace {
-
-using checksum::DualSum;
-using detail::sigma_of;
 
 constexpr int kTagT1 = 100;
 constexpr int kTagT2 = 200;
@@ -77,24 +69,11 @@ class RankRun {
   // Step 1: deliver column data; fuse the FFT1 input-checksum generation
   // (CMCG) into block reception so overlap can hide it.
   void transpose1() {
-    TransposeOptions t;
-    t.checksums = opts_.protect && opts_.memory_ft;
-    t.overlap = opts_.overlap;
-    t.eta = block_eta();
-    t.max_retries = opts_.max_retries;
-    t.max_errors = plan_.max_errors();
-    t.syndrome_nodes = plan_.syndrome_nodes_block();
-    t.phase = 1;
+    TransposeOptions t = transpose_options(1);
     if (opts_.protect) {
       t.on_block = [this](std::size_t src, cplx* block, std::size_t len) {
-        const cplx w = plan_.cp()[src];
-        const double sd = static_cast<double>(src);
-        for (std::size_t u = 0; u < len; ++u) {
-          const cplx pterm = cmul(w, block[u]);
-          s1_[u] += pterm;
-          s2_[u] += sd * pterm;
-          e_col_[u] += norm2(block[u]);
-        }
+        detail::fold_fft1_checksums(plan_, src, block, len, s1_.data(),
+                                    s2_.data(), e_col_.data());
       };
     }
     block_transpose(ctx_, local_.data(), bsz_, t, comm_, kTagT1);
@@ -105,52 +84,9 @@ class RankRun {
   void fft1() {
     ctx_.clock().begin_compute();
     fft::Fft fftp(p_);
-    std::vector<cplx> buf(p_), res(p_);
-    for (std::size_t u = 0; u < bsz_; ++u) {
-      for (std::size_t t = 0; t < p_; ++t) buf[t] = local_[t * bsz_ + u];
-      if (!opts_.protect) {
-        fftp.execute(buf.data(), res.data());
-        for (std::size_t t = 0; t < p_; ++t) local_[t * bsz_ + u] = res[t];
-        continue;
-      }
-      // eta_from_coeff(practical_eta_coeff(p), s) == practical_eta(p, s)
-      // bit-for-bit (roundoff/model.hpp), so reading the coefficient off
-      // the plan changes nothing but the per-column trig re-derivation.
-      const double eta = opts_.eta_override > 0.0
-                             ? opts_.eta_override
-                             : roundoff::eta_from_coeff(
-                                   plan_.eta_fft1_coeff(),
-                                   sigma_of(e_col_[u], p_));
-      stats_.eta_m = std::max(stats_.eta_m, eta);
-      const DualSum stored{s1_[u], s2_[u]};
-      for (int attempt = 0;; ++attempt) {
-        fftp.execute(buf.data(), res.data());
-        ctx_.injector().apply(fault::Phase::kRankFft1Output, u, res.data(),
-                              p_);
-        const cplx rx = checksum::omega3_weighted_sum(res.data(), p_);
-        ++stats_.verifications;
-        if (std::abs(rx - s1_[u]) <= eta) break;
-        if (attempt >= opts_.max_retries) {
-          throw UncorrectableError(
-              "parallel ABFT: FFT1 column kept failing verification");
-        }
-        ++stats_.sub_fft_retries;
-        // Memory-vs-compute discrimination on the backed-up input.
-        const auto rep = checksum::repair_single_error(
-            stored, buf.data(), 1, plan_.cp(), p_, eta, opts_.max_retries);
-        if (rep.mismatch) {
-          ++stats_.mem_errors_detected;
-          if (!rep.corrected) {
-            throw UncorrectableError(
-                "parallel ABFT: FFT1 input memory error not localizable");
-          }
-          ++stats_.mem_errors_corrected;
-        } else {
-          ++stats_.comp_errors_detected;
-        }
-      }
-      for (std::size_t t = 0; t < p_; ++t) local_[t * bsz_ + u] = res[t];
-    }
+    detail::fft1_columns(plan_, opts_, fftp, local_.data(), bsz_, 0, bsz_,
+                         s1_.data(), s2_.data(), e_col_.data(),
+                         ctx_.injector(), stats_);
     ctx_.clock().end_compute();
   }
 
@@ -158,14 +94,7 @@ class RankRun {
   // omega_N^(i * r) to every received block, DMR-protected and fused into
   // the reception pipeline.
   void transpose2_and_twiddle() {
-    TransposeOptions t;
-    t.checksums = opts_.protect && opts_.memory_ft;
-    t.overlap = opts_.overlap;
-    t.eta = block_eta();
-    t.max_retries = opts_.max_retries;
-    t.max_errors = plan_.max_errors();
-    t.syndrome_nodes = plan_.syndrome_nodes_block();
-    t.phase = 2;
+    TransposeOptions t = transpose_options(2);
     std::vector<cplx> tmp(bsz_);
     t.on_block = [this, &tmp](std::size_t src, cplx* block, std::size_t len) {
       const std::size_t j0 = r_ * src * bsz_;
@@ -201,14 +130,7 @@ class RankRun {
 
   // Step 5: deliver each rank its slice of the final spectrum.
   void transpose3() {
-    TransposeOptions t;
-    t.checksums = opts_.protect && opts_.memory_ft;
-    t.overlap = opts_.overlap;
-    t.eta = block_eta();
-    t.max_retries = opts_.max_retries;
-    t.max_errors = plan_.max_errors();
-    t.syndrome_nodes = plan_.syndrome_nodes_block();
-    t.phase = 3;
+    TransposeOptions t = transpose_options(3);
     block_transpose(ctx_, local_.data(), bsz_, t, comm_, kTagT3);
   }
 
@@ -219,15 +141,7 @@ class RankRun {
   // output after the adjustment.
   void local_adjust() {
     ctx_.clock().begin_compute();
-    std::vector<DualSum> guards;
-    const bool guard = opts_.protect && opts_.memory_ft;
-    if (guard) {
-      guards.resize(p_);
-      for (std::size_t q = 0; q < p_; ++q) {
-        guards[q] = checksum::dual_weighted_sum(
-            nullptr, local_.data() + q * bsz_, bsz_);
-      }
-    }
+    const auto guards = detail::adjust_guards(plan_, opts_, local_.data());
     std::vector<cplx> adjusted(n_loc_);
     for (std::size_t q = 0; q < p_; ++q) {
       for (std::size_t u = 0; u < bsz_; ++u) {
@@ -237,36 +151,23 @@ class RankRun {
     local_.swap(adjusted);
     ctx_.injector().apply(fault::Phase::kFinalOutput, 0, local_.data(),
                           n_loc_);
-    if (guard) {
-      const double eta = block_eta();
-      for (std::size_t q = 0; q < p_; ++q) {
-        const auto rep = checksum::repair_single_error(
-            guards[q], local_.data() + q, p_, nullptr, bsz_, eta,
-            opts_.max_retries);
-        ++stats_.verifications;
-        if (rep.mismatch) {
-          ++stats_.mem_errors_detected;
-          if (!rep.corrected) {
-            throw UncorrectableError(
-                "parallel ABFT: final output memory error not localizable");
-          }
-          ++stats_.mem_errors_corrected;
-        }
-      }
-    }
+    detail::verify_adjusted(local_.data(), guards, plan_, opts_, stats_);
     ctx_.clock().end_compute();
   }
 
-  // Threshold for one transposed block: the block holds intermediate values
-  // whose scale grows along the pipeline; a plain-summation threshold on the
-  // local data scale is sufficient for all three transposes.
-  double block_eta() {
-    if (opts_.eta_override > 0.0) return opts_.eta_override;
-    const double sigma =
-        sigma_of(checksum::robust_energy(local_.data(), n_loc_), n_loc_);
-    // Plan-cached coefficient; identical to practical_eta_memory(bsz, sigma)
-    // for protected runs (unprotected runs never read the threshold).
-    return roundoff::eta_from_coeff(plan_.eta_block_coeff(), sigma);
+  // Options for the transpose of six-step phase `phase`. The blocks hold
+  // intermediate values whose scale grows along the pipeline, so the block
+  // threshold is a plain-summation one on the current local data scale.
+  TransposeOptions transpose_options(int phase) {
+    TransposeOptions t;
+    t.checksums = opts_.protect && opts_.memory_ft;
+    t.overlap = opts_.overlap;
+    t.eta = detail::block_eta(plan_, opts_.eta_override, local_.data());
+    t.max_retries = opts_.max_retries;
+    t.max_errors = plan_.max_errors();
+    t.syndrome_nodes = plan_.syndrome_nodes_block();
+    t.phase = phase;
+    return t;
   }
 
   RankCtx& ctx_;
@@ -315,17 +216,7 @@ std::vector<cplx> parallel_fft(
     RankRun run(ctx, input, out, opts, *plan);
     const RankOutcome outcome = run.run();
     std::scoped_lock lock(agg_mu);
-    agg.stats.comp_errors_detected += outcome.stats.comp_errors_detected;
-    agg.stats.mem_errors_detected += outcome.stats.mem_errors_detected;
-    agg.stats.mem_errors_corrected += outcome.stats.mem_errors_corrected;
-    agg.stats.multi_errors_corrected += outcome.stats.multi_errors_corrected;
-    agg.stats.sub_fft_retries += outcome.stats.sub_fft_retries;
-    agg.stats.full_restarts += outcome.stats.full_restarts;
-    agg.stats.dmr_mismatches += outcome.stats.dmr_mismatches;
-    agg.stats.verifications += outcome.stats.verifications;
-    agg.stats.eta_m = std::max(agg.stats.eta_m, outcome.stats.eta_m);
-    agg.stats.eta_k = std::max(agg.stats.eta_k, outcome.stats.eta_k);
-    agg.stats.eta_mem = std::max(agg.stats.eta_mem, outcome.stats.eta_mem);
+    agg.stats += outcome.stats;
     agg.comm_stats += outcome.comm;
     agg.bytes_per_rank = std::max(agg.bytes_per_rank, outcome.comm.bytes_sent);
   });

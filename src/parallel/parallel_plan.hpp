@@ -17,7 +17,6 @@
 // ftfft::plan_cache_stats() as "parallel-plan".
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -25,9 +24,15 @@
 
 #include "abft/dmr.hpp"
 #include "abft/protection_plan.hpp"
+#include "checksum/dot.hpp"
 #include "common/complex.hpp"
 #include "common/error.hpp"
 #include "common/math_util.hpp"
+#include "parallel/parallel_fft.hpp"
+
+namespace ftfft::fft {
+class Fft;
+}  // namespace ftfft::fft
 
 namespace ftfft::parallel {
 
@@ -138,17 +143,51 @@ namespace detail {
 
 using ftfft::detail::require;
 
-// The shared six-step arithmetic helpers. Exactly one definition serves the
+// The shared six-step helpers. Exactly one definition serves the
 // thread-per-rank reference path and the engine-sharded path, so the two
 // stay bit-identical by construction, not by parallel maintenance. (Both
 // twiddle through abft::dmr_twiddle_multiply / abft::twiddle_multiply over
 // ParallelPlan::twiddles(), one kernel whose plain pass equals its DMR
 // output bitwise.)
 
-/// RMS element scale from a total energy over n complex values.
-inline double sigma_of(double energy, std::size_t n) {
-  return std::sqrt(energy / (2.0 * static_cast<double>(n)) + 1e-300);
-}
+/// Memory-check threshold for one rank's bsz-element blocks, scaled by the
+/// outlier-robust energy of its n_loc-element `slice` (the transposes and
+/// the final-output guard). Both paths read the slice a transpose is about
+/// to send, so their thresholds agree bitwise.
+[[nodiscard]] double block_eta(const ParallelPlan& plan, double eta_override,
+                               const cplx* slice);
+
+/// CMCG fused into reception: folds received block `src` (len elements,
+/// one per FFT1 column) into the column checksums s1 += cp[src] x,
+/// s2 += src cp[src] x and energies e += |x|^2.
+void fold_fft1_checksums(const ParallelPlan& plan, std::size_t src,
+                         const cplx* block, std::size_t len, cplx* s1,
+                         cplx* s2, double* e);
+
+/// FFT1 in place over `cols` p-point columns of a row-major block (column
+/// c at data[c], data[stride + c], ...; it is FFT1 column u = u0 + c).
+/// Each column is gathered into a buffer, the Fig. 4 restart backup.
+/// Protected runs verify column u against its CMCG sums s1[u], s2[u] and
+/// energy e[u], retry, and repair a localized input memory fault in the
+/// backup.
+void fft1_columns(const ParallelPlan& plan, const ParallelOptions& opts,
+                  fft::Fft& fftp, cplx* data, std::size_t stride,
+                  std::size_t u0, std::size_t cols, const cplx* s1,
+                  const cplx* s2, const double* e, fault::Injector& inj,
+                  abft::Stats& stats);
+
+/// Final-output guard of the local adjust: dual sums of the p contiguous
+/// bsz-element blocks of a rank's slice, taken before the adjust moves
+/// block q to stride p. Empty unless opts.protect && opts.memory_ft.
+[[nodiscard]] std::vector<checksum::DualSum> adjust_guards(
+    const ParallelPlan& plan, const ParallelOptions& opts, const cplx* loc);
+
+/// Verifies the adjusted slice `out` against adjust_guards' sums (a block
+/// keeps its within-block index) and corrects a localized memory fault.
+/// No-op for empty guards.
+void verify_adjusted(cplx* out, const std::vector<checksum::DualSum>& guards,
+                     const ParallelPlan& plan, const ParallelOptions& opts,
+                     abft::Stats& stats);
 
 }  // namespace detail
 

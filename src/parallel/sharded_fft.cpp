@@ -35,7 +35,6 @@
 #include "abft/dmr.hpp"
 #include "abft/inplace.hpp"
 #include "checksum/dot.hpp"
-#include "checksum/memory_checksum.hpp"
 #include "checksum/multi_error.hpp"
 #include "common/error.hpp"
 #include "common/math_util.hpp"
@@ -44,7 +43,6 @@
 #include "fft/fft.hpp"
 #include "parallel/parallel_fft.hpp"
 #include "parallel/parallel_plan.hpp"
-#include "roundoff/model.hpp"
 
 namespace ftfft::parallel {
 
@@ -182,9 +180,7 @@ ShardedState::~ShardedState() {
 
 namespace {
 
-using checksum::DualSum;
 using detail::ShardedState;
-using detail::sigma_of;
 
 /// Per-worker-thread scratch, grown on demand and reused across phases and
 /// submissions (engine workers are persistent, so steady-state runs do no
@@ -194,65 +190,6 @@ cplx* thread_scratch(std::size_t n) {
   static thread_local std::vector<cplx> buf;
   if (buf.size() < n) buf.resize(n);
   return buf.data();
-}
-
-void accumulate(abft::Stats& dst, const abft::Stats& s) {
-  dst.comp_errors_detected += s.comp_errors_detected;
-  dst.mem_errors_detected += s.mem_errors_detected;
-  dst.mem_errors_corrected += s.mem_errors_corrected;
-  dst.multi_errors_corrected += s.multi_errors_corrected;
-  dst.sub_fft_retries += s.sub_fft_retries;
-  dst.full_restarts += s.full_restarts;
-  dst.dmr_mismatches += s.dmr_mismatches;
-  dst.verifications += s.verifications;
-  dst.eta_m = std::max(dst.eta_m, s.eta_m);
-  dst.eta_k = std::max(dst.eta_k, s.eta_k);
-  dst.eta_mem = std::max(dst.eta_mem, s.eta_mem);
-}
-
-// Same repair/throw semantics as the reference transpose receive path.
-void verify_block(cplx* block, std::size_t len, const DualSum& stored,
-                  double eta, int max_retries, TransposeStats& stats) {
-  const auto rep = checksum::repair_single_error(stored, block, 1, nullptr,
-                                                 len, eta, max_retries);
-  if (!rep.mismatch) return;
-  ++stats.comm_errors_detected;
-  if (!rep.corrected) {
-    throw UncorrectableError(
-        "block transpose: received block failed verification beyond repair");
-  }
-  ++stats.comm_errors_corrected;
-}
-
-// Multi-error variant (plan max_errors > 1), mirroring the reference path.
-void verify_block_multi(cplx* block, std::size_t len,
-                        const checksum::SyndromeSet& stored, double eta,
-                        int max_errors, const double* nodes,
-                        TransposeStats& stats) {
-  const auto rep = checksum::repair_errors(stored, block, 1, nullptr, len,
-                                           eta, max_errors, /*max_iters=*/6,
-                                           nodes);
-  if (!rep.mismatch) return;
-  ++stats.comm_errors_detected;
-  if (!rep.corrected) {
-    throw UncorrectableError(
-        "block transpose: received block failed verification beyond repair");
-  }
-  ++stats.comm_errors_corrected;
-  if (rep.errors >= 2) {
-    stats.comm_multi_corrected += static_cast<std::size_t>(rep.errors);
-  }
-}
-
-/// Receiver-side block threshold, from this rank's pre-transpose slice —
-/// the same timing (and therefore the same value) as the reference path's
-/// block_eta(). Only called when the transpose actually carries checksums,
-/// so unprotected variants skip the energy sweep entirely.
-double transpose_eta(const ShardedState& st, const cplx* slice) {
-  if (st.opts.eta_override > 0.0) return st.opts.eta_override;
-  const double sigma =
-      sigma_of(checksum::robust_energy(slice, st.n_loc), st.n_loc);
-  return roundoff::eta_from_coeff(st.plan->eta_block_coeff(), sigma);
 }
 
 /// One transposed block, pulled straight from the previous phase's shared
@@ -285,29 +222,25 @@ void pull_block(ShardedState& st, std::size_t r, std::size_t q,
     return;
   }
   const int t_max = st.plan->max_errors();
+  abft::StoredSums stored;
+  checksum::SyndromeSet syn;
   if (t_max > 1) {
     // Multi-error trailer: the "message" carries 2t syndrome moments,
     // generated over the copied block before the in-flight fault window —
     // the exact sender-side timing of the reference pack pass.
     std::memcpy(dst, src, bsz * sizeof(cplx));
-    const auto stored = checksum::syndrome_sum(
-        nullptr, dst, bsz, 1, 2 * t_max, st.plan->syndrome_nodes_block());
-    ++tstats.messages_received;
-    if (net.corrupt_every != 0 && nth_message() % net.corrupt_every == 0) {
-      corrupt_in_flight(dst);
-    }
-    st.injectors[r].apply(fault::Phase::kCommBlock, q, dst, bsz);
-    verify_block_multi(dst, bsz, stored, eta, t_max,
-                       st.plan->syndrome_nodes_block(), tstats);
-    return;
+    syn = checksum::syndrome_sum(nullptr, dst, bsz, 1, 2 * t_max,
+                                 st.plan->syndrome_nodes_block());
+    stored = {{}, &syn, t_max, st.plan->syndrome_nodes_block()};
+  } else {
+    stored.dual = checksum::copy_dual_sum(dst, src, bsz);
   }
-  const DualSum stored = checksum::copy_dual_sum(dst, src, bsz);
   ++tstats.messages_received;
   if (net.corrupt_every != 0 && nth_message() % net.corrupt_every == 0) {
     corrupt_in_flight(dst);
   }
   st.injectors[r].apply(fault::Phase::kCommBlock, q, dst, bsz);
-  verify_block(dst, bsz, stored, eta, st.opts.max_retries, tstats);
+  detail::verify_block(dst, bsz, stored, eta, st.opts.max_retries, tstats);
 }
 
 // Phase 1: transpose1 pull + CMCG + FFT1 (bsz p-point column FFTs).
@@ -319,7 +252,9 @@ void phase1(ShardedState& st, std::size_t r, TransposeStats& tstats,
   const bool protect = opts.protect;
   const bool checksums = protect && opts.memory_ft;
   const double eta =
-      checksums ? transpose_eta(st, st.in.data() + r * n_loc) : 0.0;
+      checksums ? detail::block_eta(plan, opts.eta_override,
+                                    st.in.data() + r * n_loc)
+                : 0.0;
 
   cplx* slice = st.buf1 + r * n_loc;
   std::vector<cplx> s1, s2;
@@ -337,14 +272,8 @@ void phase1(ShardedState& st, std::size_t r, TransposeStats& tstats,
       // CMCG fused into reception, like the reference on_block hook (the
       // accumulation order is ascending q here — a round-off-level
       // difference in the checksum values, never in the data).
-      const cplx w = plan.cp()[q];
-      const double sd = static_cast<double>(q);
-      for (std::size_t u = 0; u < bsz; ++u) {
-        const cplx pterm = cmul(w, dst[u]);
-        s1[u] += pterm;
-        s2[u] += sd * pterm;
-        e_col[u] += norm2(dst[u]);
-      }
+      detail::fold_fft1_checksums(plan, q, dst, bsz, s1.data(), s2.data(),
+                                  e_col.data());
     }
   }
 
@@ -354,55 +283,16 @@ void phase1(ShardedState& st, std::size_t r, TransposeStats& tstats,
   fft::Fft fftp(p);
   const std::size_t tc =
       std::max<std::size_t>(4, std::size_t{1024} / (p == 0 ? 1 : p));
-  std::vector<cplx> tile(p * tc), buf(p), res(p);
+  std::vector<cplx> tile(p * tc);
   for (std::size_t u0 = 0; u0 < bsz; u0 += tc) {
     const std::size_t cols = std::min(tc, bsz - u0);
     for (std::size_t t = 0; t < p; ++t) {
       std::memcpy(tile.data() + t * cols, slice + t * bsz + u0,
                   cols * sizeof(cplx));
     }
-    for (std::size_t c = 0; c < cols; ++c) {
-      const std::size_t u = u0 + c;
-      for (std::size_t t = 0; t < p; ++t) buf[t] = tile[t * cols + c];
-      if (!protect) {
-        fftp.execute(buf.data(), res.data());
-        for (std::size_t t = 0; t < p; ++t) tile[t * cols + c] = res[t];
-        continue;
-      }
-      const double ceta =
-          opts.eta_override > 0.0
-              ? opts.eta_override
-              : roundoff::eta_from_coeff(plan.eta_fft1_coeff(),
-                                         sigma_of(e_col[u], p));
-      stats.eta_m = std::max(stats.eta_m, ceta);
-      const DualSum stored{s1[u], s2[u]};
-      for (int attempt = 0;; ++attempt) {
-        fftp.execute(buf.data(), res.data());
-        st.injectors[r].apply(fault::Phase::kRankFft1Output, u, res.data(), p);
-        const cplx rx = checksum::omega3_weighted_sum(res.data(), p);
-        ++stats.verifications;
-        if (std::abs(rx - s1[u]) <= ceta) break;
-        if (attempt >= opts.max_retries) {
-          throw UncorrectableError(
-              "parallel ABFT: FFT1 column kept failing verification");
-        }
-        ++stats.sub_fft_retries;
-        // Memory-vs-compute discrimination on the backed-up input.
-        const auto rep = checksum::repair_single_error(
-            stored, buf.data(), 1, plan.cp(), p, ceta, opts.max_retries);
-        if (rep.mismatch) {
-          ++stats.mem_errors_detected;
-          if (!rep.corrected) {
-            throw UncorrectableError(
-                "parallel ABFT: FFT1 input memory error not localizable");
-          }
-          ++stats.mem_errors_corrected;
-        } else {
-          ++stats.comp_errors_detected;
-        }
-      }
-      for (std::size_t t = 0; t < p; ++t) tile[t * cols + c] = res[t];
-    }
+    detail::fft1_columns(plan, opts, fftp, tile.data(), cols, u0, cols,
+                         s1.data(), s2.data(), e_col.data(), st.injectors[r],
+                         stats);
     for (std::size_t t = 0; t < p; ++t) {
       std::memcpy(slice + t * bsz + u0, tile.data() + t * cols,
                   cols * sizeof(cplx));
@@ -420,7 +310,9 @@ void phase2(ShardedState& st, std::size_t r, TransposeStats& tstats,
   const bool protect = opts.protect;
   const bool checksums = protect && opts.memory_ft;
   const double eta =
-      checksums ? transpose_eta(st, st.buf1 + r * n_loc) : 0.0;
+      checksums ? detail::block_eta(plan, opts.eta_override,
+                                    st.buf1 + r * n_loc)
+                : 0.0;
 
   cplx* slice = st.buf2 + r * n_loc;
   cplx* tmp = thread_scratch(bsz);
@@ -457,10 +349,11 @@ void phase3(ShardedState& st, std::size_t r, TransposeStats& tstats,
   const ParallelOptions& opts = st.opts;
   const ParallelPlan& plan = *st.plan;
   const std::size_t p = st.p, n_loc = st.n_loc, bsz = st.bsz;
-  const bool protect = opts.protect;
-  const bool checksums = protect && opts.memory_ft;
+  const bool checksums = opts.protect && opts.memory_ft;
   const double eta =
-      checksums ? transpose_eta(st, st.buf2 + r * n_loc) : 0.0;
+      checksums ? detail::block_eta(plan, opts.eta_override,
+                                    st.buf2 + r * n_loc)
+                : 0.0;
 
   cplx* loc = thread_scratch(n_loc);
   for (std::size_t q = 0; q < p; ++q) {
@@ -468,13 +361,7 @@ void phase3(ShardedState& st, std::size_t r, TransposeStats& tstats,
     pull_block(st, r, q, src, loc + q * bsz, checksums, eta, tstats);
   }
 
-  std::vector<DualSum> guards;
-  if (checksums) {
-    guards.resize(p);
-    for (std::size_t q = 0; q < p; ++q) {
-      guards[q] = checksum::dual_weighted_sum(nullptr, loc + q * bsz, bsz);
-    }
-  }
+  const auto guards = detail::adjust_guards(plan, opts, loc);
 
   // bsz x p scatter into natural order, u-chunked so the p-strided write
   // window (p * tu * 16 bytes) stays L1-resident instead of touching p
@@ -492,27 +379,7 @@ void phase3(ShardedState& st, std::size_t r, TransposeStats& tstats,
   }
   st.injectors[r].apply(fault::Phase::kFinalOutput, 0, out, n_loc);
 
-  if (checksums) {
-    const double aeta =
-        opts.eta_override > 0.0
-            ? opts.eta_override
-            : roundoff::eta_from_coeff(
-                  plan.eta_block_coeff(),
-                  sigma_of(checksum::robust_energy(out, n_loc), n_loc));
-    for (std::size_t q = 0; q < p; ++q) {
-      const auto rep = checksum::repair_single_error(
-          guards[q], out + q, p, nullptr, bsz, aeta, opts.max_retries);
-      ++stats.verifications;
-      if (rep.mismatch) {
-        ++stats.mem_errors_detected;
-        if (!rep.corrected) {
-          throw UncorrectableError(
-              "parallel ABFT: final output memory error not localizable");
-        }
-        ++stats.mem_errors_corrected;
-      }
-    }
-  }
+  detail::verify_adjusted(out, guards, plan, opts, stats);
 }
 
 void run_phase(ShardedState& st, int phase, std::size_t r) {
@@ -538,7 +405,7 @@ void run_phase(ShardedState& st, int phase, std::size_t r) {
   const double t = cpu.elapsed();
 
   st.rank_comm[r] += tstats;
-  accumulate(st.rank_stats[r], astats);
+  st.rank_stats[r] += astats;
   st.phase_cpu[phase][r] = t;
   st.rank_cpu[r] += t;
 
@@ -577,7 +444,7 @@ void finalize(const std::shared_ptr<ShardedState>& st) {
   rep.sharded = true;
   rep.rank_restarts = static_cast<std::size_t>(st->restarts_done);
   for (std::size_t r = 0; r < st->p; ++r) {
-    accumulate(rep.stats, st->rank_stats[r]);
+    rep.stats += st->rank_stats[r];
     rep.comm_stats += st->rank_comm[r];
     rep.bytes_per_rank =
         std::max(rep.bytes_per_rank, st->rank_comm[r].bytes_sent);

@@ -5,54 +5,23 @@
 #include <vector>
 
 #include "checksum/dot.hpp"
-#include "checksum/memory_checksum.hpp"
 #include "checksum/multi_error.hpp"
 #include "common/error.hpp"
 
 namespace ftfft::parallel {
-namespace {
 
-using checksum::DualSum;
+namespace detail {
 
-// Verifies a received block against its trailing dual checksums and repairs
-// a single corrupted element. Returns true if a corruption was repaired.
-bool verify_block(cplx* block, std::size_t len, const DualSum& stored,
+void verify_block(cplx* block, std::size_t len, const abft::StoredSums& stored,
                   double eta, int max_retries, TransposeStats& stats) {
-  const auto rep = checksum::repair_single_error(stored, block, 1, nullptr,
-                                                 len, eta, max_retries);
-  if (!rep.mismatch) return false;
-  ++stats.comm_errors_detected;
-  if (!rep.corrected) {
-    throw UncorrectableError(
-        "block transpose: received block failed verification beyond repair");
-  }
-  ++stats.comm_errors_corrected;
-  return true;
+  abft::repair_region(
+      stored, block, 1, nullptr, len, eta, max_retries,
+      {stats.comm_errors_detected, stats.comm_errors_corrected,
+       stats.comm_multi_corrected},
+      "block transpose: received block failed verification beyond repair");
 }
 
-// Multi-error variant (max_errors > 1): the trailer carries 2t syndrome
-// moments and the decoder corrects up to t simultaneous corruptions.
-bool verify_block_multi(cplx* block, std::size_t len,
-                        const checksum::SyndromeSet& stored, double eta,
-                        int max_errors, const double* nodes,
-                        TransposeStats& stats) {
-  const auto rep = checksum::repair_errors(stored, block, 1, nullptr, len,
-                                           eta, max_errors, /*max_iters=*/6,
-                                           nodes);
-  if (!rep.mismatch) return false;
-  ++stats.comm_errors_detected;
-  if (!rep.corrected) {
-    throw UncorrectableError(
-        "block transpose: received block failed verification beyond repair");
-  }
-  ++stats.comm_errors_corrected;
-  if (rep.errors >= 2) {
-    stats.comm_multi_corrected += static_cast<std::size_t>(rep.errors);
-  }
-  return true;
-}
-
-}  // namespace
+}  // namespace detail
 
 void block_transpose(RankCtx& ctx, cplx* local, std::size_t block_len,
                      const TransposeOptions& opts, TransposeStats& stats,
@@ -120,7 +89,7 @@ void block_transpose(RankCtx& ctx, cplx* local, std::size_t block_len,
           payload[block_len + static_cast<std::size_t>(mo)] = syn.s[mo];
         }
       } else {
-        const DualSum d =
+        const checksum::DualSum d =
             checksum::dual_weighted_sum(nullptr, payload.data(), block_len);
         payload[block_len] = d.plain;
         payload[block_len + 1] = d.indexed;
@@ -151,20 +120,18 @@ void block_transpose(RankCtx& ctx, cplx* local, std::size_t block_len,
       // In-flight corruption hits the payload between sender checksum
       // generation and receiver verification.
       ctx.injector().apply(fault::Phase::kCommBlock, peer, dst, block_len);
+      abft::StoredSums stored{
+          {msg.payload[block_len], msg.payload[block_len + 1]}};
+      checksum::SyndromeSet syn;
       if (t_max > 1) {
-        checksum::SyndromeSet stored;
-        stored.moments = 2 * t_max;
+        syn.moments = 2 * t_max;
         for (int mo = 0; mo < 2 * t_max; ++mo) {
-          stored.s[mo] = msg.payload[block_len + static_cast<std::size_t>(mo)];
+          syn.s[mo] = msg.payload[block_len + static_cast<std::size_t>(mo)];
         }
-        verify_block_multi(dst, block_len, stored, opts.eta, t_max,
-                           opts.syndrome_nodes, stats);
-      } else {
-        const DualSum stored{msg.payload[block_len],
-                             msg.payload[block_len + 1]};
-        verify_block(dst, block_len, stored, opts.eta, opts.max_retries,
-                     stats);
+        stored = {{}, &syn, t_max, opts.syndrome_nodes};
       }
+      detail::verify_block(dst, block_len, stored, opts.eta, opts.max_retries,
+                           stats);
     }
     if (opts.on_block) opts.on_block(peer, dst, block_len);
     const double t_proc = clock.end_compute();

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <functional>
 
+#include "abft/unit_check.hpp"
 #include "common/complex.hpp"
 #include "parallel/comm.hpp"
 
@@ -75,6 +76,18 @@ struct TransposeStats {
     return *this;
   }
 };
+
+namespace detail {
+
+/// Receiver-side check of one transposed block against the trailer its
+/// sender computed (dual sums, or 2t syndrome moments under a multi-error
+/// budget): repairs what it locates into the comm counters of `stats` and
+/// throws UncorrectableError when the damage is not localizable. Shared by
+/// the reference and the engine-sharded paths.
+void verify_block(cplx* block, std::size_t len, const abft::StoredSums& stored,
+                  double eta, int max_retries, TransposeStats& stats);
+
+}  // namespace detail
 
 /// Executes the transpose on this rank. `local` holds nranks*block_len
 /// elements; on return block q holds the data that was block `rank` on rank

@@ -91,21 +91,4 @@ double practical_eta(std::size_t n, double sigma0) noexcept {
   return eta_from_coeff(practical_eta_coeff(n), sigma0);
 }
 
-double practical_eta_memory(std::size_t n, double sigma0) noexcept {
-  return eta_from_coeff(practical_eta_memory_coeff(n), sigma0);
-}
-
-double practical_eta_real(std::size_t nc, double sigma0) noexcept {
-  return eta_from_coeff(practical_eta_real_coeff(nc), sigma0);
-}
-
-OnlineEtas online_etas(std::size_t m, std::size_t k, double sigma0) noexcept {
-  OnlineEtas etas;
-  etas.eta_m = practical_eta(m, sigma0);
-  const double sigma_mid = std::sqrt(static_cast<double>(m)) * sigma0;
-  etas.eta_k = practical_eta(k, sigma_mid);
-  etas.eta_mem = practical_eta_memory(std::max(m, k), sigma_mid);
-  return etas;
-}
-
 }  // namespace ftfft::roundoff

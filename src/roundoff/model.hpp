@@ -51,53 +51,32 @@ namespace ftfft::roundoff {
 /// whose input components have std dev sigma0 (see file comment).
 [[nodiscard]] double practical_eta(std::size_t n, double sigma0) noexcept;
 
-/// Practical threshold for plain/index dual memory checksums over n elements
-/// of component sigma sigma0 (summation-only noise, section 8.2).
-[[nodiscard]] double practical_eta_memory(std::size_t n,
-                                          double sigma0) noexcept;
+// The practical thresholds factor as max(floor, coeff(n) * sigma0); the
+// sigma-independent coefficient is what an abft::ProtectionPlan precomputes
+// per layer so the per-sub-FFT threshold derivation in the hot path is one
+// multiply (abft::threshold in abft/unit_check.hpp). eta_from_coeff(
+// practical_eta_coeff(n), s) is bit-identical to practical_eta(n, s).
 
-/// Practical threshold for the real-transform post-pass verification over an
-/// nc-point packed transform of component sigma sigma0: both sides of the
-/// comparison are dots with unit-modulus weights (omega3 over the
+/// Coefficient of practical_eta: kSafety * eps * n^2.
+[[nodiscard]] double practical_eta_coeff(std::size_t n) noexcept;
+
+/// Threshold coefficient for plain/index dual memory checksums over n
+/// elements (summation-only noise, section 8.2): kSafety * eps * n * sqrt(n).
+[[nodiscard]] double practical_eta_memory_coeff(std::size_t n) noexcept;
+
+/// Threshold coefficient for the real-transform post-pass verification over
+/// an nc-point packed transform: kSafety * eps * nc * sqrt(nc), with a
+/// factor 2 for the half-spectrum's nc+1 bins riding on top of the nc-point
+/// pullback (the post-pass doubles element magnitudes at most). Both sides
+/// of that comparison are dots with unit-modulus weights (omega3 over the
 /// half-spectrum vs the conjugate-symmetry pullback over the packed
 /// transform — see abft/real_protection.hpp), so the residual has the
 /// plain-summation shape of the memory checksums, not the O(n)-weight rA
 /// shape. Re-derived for the packed representation per Elliott et al.'s
 /// observation that thresholds must follow the data representation.
-[[nodiscard]] double practical_eta_real(std::size_t nc,
-                                        double sigma0) noexcept;
-
-// The practical thresholds factor as max(floor, coeff(n) * sigma0); the
-// sigma-independent coefficient is what an abft::ProtectionPlan precomputes
-// per layer so the per-sub-FFT threshold derivation in the hot path is one
-// multiply. eta_from_coeff(practical_eta_coeff(n), s) is bit-identical to
-// practical_eta(n, s).
-
-/// Coefficient of practical_eta: kSafety * eps * n^2.
-[[nodiscard]] double practical_eta_coeff(std::size_t n) noexcept;
-
-/// Coefficient of practical_eta_memory: kSafety * eps * n * sqrt(n).
-[[nodiscard]] double practical_eta_memory_coeff(std::size_t n) noexcept;
-
-/// Coefficient of practical_eta_real: kSafety * eps * nc * sqrt(nc), with a
-/// factor 2 for the half-spectrum's nc+1 bins riding on top of the nc-point
-/// pullback (the post-pass doubles element magnitudes at most).
 [[nodiscard]] double practical_eta_real_coeff(std::size_t nc) noexcept;
 
 /// Applies a precomputed threshold coefficient: max(floor, coeff * sigma0).
 [[nodiscard]] double eta_from_coeff(double coeff, double sigma0) noexcept;
-
-/// Per-layer thresholds for the two-layer online scheme over N = m*k.
-struct OnlineEtas {
-  double eta_m = 0.0;    ///< m-point layer CCV threshold
-  double eta_k = 0.0;    ///< k-point layer CCV threshold
-  double eta_mem = 0.0;  ///< intermediate memory-checksum threshold
-};
-
-/// Computes all three from the top-level split and input sigma. The k-layer
-/// input is the (unnormalized) m-point FFT output, so its component sigma is
-/// sqrt(m) * sigma0.
-[[nodiscard]] OnlineEtas online_etas(std::size_t m, std::size_t k,
-                                     double sigma0) noexcept;
 
 }  // namespace ftfft::roundoff

@@ -59,16 +59,6 @@ TEST(RoundoffModel, EtasGrowWithSize) {
   }
 }
 
-TEST(RoundoffModel, OnlineEtasRelations) {
-  const auto etas = roundoff::online_etas(1024, 512, 0.577);
-  EXPECT_GT(etas.eta_m, 0.0);
-  EXPECT_GT(etas.eta_k, 0.0);
-  EXPECT_GT(etas.eta_mem, 0.0);
-  // The k-layer input has sqrt(m)-amplified components, so with m >= k its
-  // threshold dominates the m-layer one.
-  EXPECT_GT(etas.eta_k, etas.eta_m);
-}
-
 // The property that makes the whole library usable: across many random
 // transforms, the fault-free checksum residual stays below practical_eta,
 // i.e. the detector has (essentially) no false positives.

@@ -1,0 +1,271 @@
+// The shared protection-unit primitive (abft/unit_check.hpp): the threshold
+// step, region repair and the verify-retry loop, plus the counting rules
+// every scheme inherits from it — the same reading when retries run out and
+// batch totals that carry every counter.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <vector>
+
+#include "abft/inplace.hpp"
+#include "abft/offline.hpp"
+#include "abft/online.hpp"
+#include "abft/real_protection.hpp"
+#include "abft/unit_check.hpp"
+#include "checksum/dot.hpp"
+#include "checksum/multi_error.hpp"
+#include "common/error.hpp"
+#include "common/rng.hpp"
+#include "engine/batch_engine.hpp"
+#include "roundoff/model.hpp"
+
+namespace ftfft {
+namespace {
+
+using abft::Options;
+using abft::RepairTally;
+using abft::Stats;
+using fault::FaultSpec;
+using fault::Phase;
+
+double max_dev(const std::vector<cplx>& a, const std::vector<cplx>& b) {
+  double d = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    d = std::max(d, std::abs(a[i] - b[i]));
+  }
+  return d;
+}
+
+TEST(UnitCheck, ThresholdIsTheRoundoffModelsSigmaStep) {
+  for (std::size_t n : {4u, 64u, 1000u, 1u << 18}) {
+    for (double energy : {0.0, 1e-12, 0.5, 3.0e5}) {
+      const double coeff = roundoff::practical_eta_coeff(n);
+      const double want = roundoff::eta_from_coeff(
+          coeff, std::sqrt(energy / (2.0 * static_cast<double>(n)) + 1e-300));
+      EXPECT_EQ(abft::threshold(coeff, energy, n, 0.0), want);
+      EXPECT_EQ(abft::threshold(coeff, energy, n, 2.5e-7), 2.5e-7);
+    }
+  }
+}
+
+struct Counters {
+  std::size_t detected = 0, corrected = 0, multi = 0, checks = 0;
+  RepairTally tally() { return {detected, corrected, multi, &checks}; }
+};
+
+TEST(UnitCheck, RepairRegionCorrectsOneStridedError) {
+  const std::size_t n = 64, stride = 3;
+  auto data = random_vector(n * stride, InputDistribution::kNormal, 11);
+  const auto clean = data;
+  const auto stored = checksum::dual_weighted_sum(nullptr, data.data(), n,
+                                                  stride);
+  Counters c;
+  EXPECT_FALSE(abft::repair_region({stored}, data.data(), stride, nullptr, n,
+                                   1e-9, 4, c.tally(), "clean"));
+  EXPECT_EQ(c.checks, 1u);
+  EXPECT_EQ(c.detected, 0u);
+
+  data[17 * stride] += cplx{5.0, -2.0};
+  EXPECT_TRUE(abft::repair_region({stored}, data.data(), stride, nullptr, n,
+                                  1e-9, 4, c.tally(), "one error"));
+  EXPECT_LT(max_dev(data, clean), 1e-12);
+  EXPECT_EQ(c.checks, 2u);
+  EXPECT_EQ(c.detected, 1u);
+  EXPECT_EQ(c.corrected, 1u);
+  EXPECT_EQ(c.multi, 0u);
+}
+
+TEST(UnitCheck, RepairRegionThrowsWhenNotLocalizable) {
+  const std::size_t n = 64;
+  auto data = random_vector(n, InputDistribution::kUniform, 12);
+  const auto stored = checksum::dual_weighted_sum(nullptr, data.data(), n);
+  data[3] += cplx{1.0, 0.0};
+  data[40] += cplx{0.0, 7.0};
+  Counters c;
+  EXPECT_THROW(abft::repair_region({stored}, data.data(), 1, nullptr, n, 1e-9,
+                                   4, c.tally(), "two errors"),
+               UncorrectableError);
+  EXPECT_EQ(c.detected, 1u);
+  EXPECT_EQ(c.corrected, 0u);
+}
+
+TEST(UnitCheck, FlaggedRegionThatVerifiesCleanThrows) {
+  // The caller's cheaper check saw a mismatch the region cannot reproduce:
+  // nothing to repair, so the fault is not localizable.
+  const std::size_t n = 32;
+  auto data = random_vector(n, InputDistribution::kUniform, 13);
+  const auto stored = checksum::dual_weighted_sum(nullptr, data.data(), n);
+  Counters c;
+  EXPECT_THROW(abft::repair_region({stored}, data.data(), 1, nullptr, n, 1e-9,
+                                   4, c.tally(), "flagged", /*flagged=*/true),
+               UncorrectableError);
+  EXPECT_EQ(c.detected, 1u);
+}
+
+TEST(UnitCheck, SyndromeRepairCountsEveryDecodedElement) {
+  const std::size_t n = 256;
+  auto data = random_vector(n, InputDistribution::kNormal, 14);
+  const auto clean = data;
+  const auto syn = checksum::syndrome_sum(nullptr, data.data(), n, 1, 4);
+  data[9] += cplx{3.0, 1.0};
+  data[200] += cplx{-2.0, 4.0};
+  Counters c;
+  EXPECT_TRUE(abft::repair_region({{}, &syn, 2, nullptr}, data.data(), 1,
+                                  nullptr, n, 1e-9, 4, c.tally(), "burst"));
+  EXPECT_LT(max_dev(data, clean), 1e-9);
+  EXPECT_EQ(c.detected, 1u);
+  EXPECT_EQ(c.corrected, 1u);
+  EXPECT_EQ(c.multi, 2u);
+}
+
+TEST(UnitCheck, VerifyWithRetrySplitsMemoryFromComputationalFaults) {
+  // Fails twice: the first failure is a repaired memory fault, the second a
+  // computational one; the third attempt passes.
+  Stats stats;
+  int runs = 0, recovers = 0;
+  abft::verify_with_retry(
+      stats, &Stats::sub_fft_retries, 4, "unit",
+      [&] { return abft::Check{++runs < 3 ? 1.0 : 0.0, 0.5}; },
+      [&] { return ++recovers == 1; });
+  EXPECT_EQ(runs, 3);
+  EXPECT_EQ(stats.verifications, 3u);
+  EXPECT_EQ(stats.sub_fft_retries, 2u);
+  EXPECT_EQ(stats.comp_errors_detected, 1u);
+  EXPECT_EQ(stats.full_restarts, 0u);
+}
+
+TEST(UnitCheck, VerifyWithRetryThrowsOnceRetriesAreSpent) {
+  Stats stats;
+  EXPECT_THROW(abft::verify_with_retry(stats, &Stats::full_restarts, 2, "unit",
+                                       [] { return abft::Check{1.0, 0.5}; }),
+               UncorrectableError);
+  EXPECT_EQ(stats.verifications, 3u);
+  EXPECT_EQ(stats.full_restarts, 2u);
+  EXPECT_EQ(stats.comp_errors_detected, 2u);
+}
+
+// One counting rule when retries run out: with max_retries = 2 every scheme
+// throws after 2 re-executions, reading 2 computational errors, 2 retries or
+// restarts and 3 verifications.
+TEST(UnitCheck, RetriesExhaustedReadTheSameInEveryScheme) {
+  const std::size_t n = 1024;
+  Options opts = Options::online_opt(false);
+  opts.eta_override = 1e-30;
+  opts.max_retries = 2;
+  const auto x = random_vector(n, InputDistribution::kUniform, 15);
+
+  {
+    auto in = x;
+    std::vector<cplx> out(n);
+    Stats s;
+    EXPECT_THROW(abft::online_transform(in.data(), out.data(), n, opts, s),
+                 UncorrectableError);
+    EXPECT_EQ(s.comp_errors_detected, 2u);
+    EXPECT_EQ(s.sub_fft_retries, 2u);
+    EXPECT_EQ(s.verifications, 3u);
+  }
+  {
+    auto data = x;
+    Stats s;
+    EXPECT_THROW(abft::inplace_online_transform(data.data(), n, opts, s),
+                 UncorrectableError);
+    EXPECT_EQ(s.comp_errors_detected, 2u);
+    EXPECT_EQ(s.sub_fft_retries, 2u);
+    EXPECT_EQ(s.verifications, 3u);
+  }
+  {
+    auto in = x;
+    std::vector<cplx> out(n);
+    Options off = Options::offline_opt(false);
+    off.eta_override = opts.eta_override;
+    off.max_retries = opts.max_retries;
+    Stats s;
+    EXPECT_THROW(abft::offline_transform(in.data(), out.data(), n, off, s),
+                 UncorrectableError);
+    EXPECT_EQ(s.comp_errors_detected, 2u);
+    EXPECT_EQ(s.full_restarts, 2u);
+    EXPECT_EQ(s.verifications, 3u);
+  }
+  {
+    std::vector<cplx> spec(x.begin(), x.begin() + n / 2 + 1);
+    std::vector<double> out(n);
+    Stats s;
+    EXPECT_THROW(abft::protected_c2r(spec.data(), out.data(), n, opts, s),
+                 UncorrectableError);
+    EXPECT_EQ(s.comp_errors_detected, 2u);
+    EXPECT_EQ(s.full_restarts, 2u);
+    EXPECT_EQ(s.verifications, 3u);
+  }
+}
+
+TEST(UnitCheck, StatsMergeAddsCountersAndKeepsWidestThresholds) {
+  Stats a, b;
+  a.comp_errors_detected = 1;
+  a.multi_errors_corrected = 2;
+  a.eta_m = 3.0;
+  a.eta_real = 1.0;
+  b.mem_errors_detected = 4;
+  b.mem_errors_corrected = 4;
+  b.multi_errors_corrected = 3;
+  b.sub_fft_retries = 5;
+  b.full_restarts = 6;
+  b.dmr_mismatches = 7;
+  b.verifications = 8;
+  b.eta_m = 2.0;
+  b.eta_k = 9.0;
+  b.eta_mem = 10.0;
+  b.eta_real = 11.0;
+  a += b;
+  EXPECT_EQ(a.comp_errors_detected, 1u);
+  EXPECT_EQ(a.mem_errors_detected, 4u);
+  EXPECT_EQ(a.mem_errors_corrected, 4u);
+  EXPECT_EQ(a.multi_errors_corrected, 5u);
+  EXPECT_EQ(a.sub_fft_retries, 5u);
+  EXPECT_EQ(a.full_restarts, 6u);
+  EXPECT_EQ(a.dmr_mismatches, 7u);
+  EXPECT_EQ(a.verifications, 8u);
+  EXPECT_EQ(a.eta_m, 3.0);
+  EXPECT_EQ(a.eta_k, 9.0);
+  EXPECT_EQ(a.eta_mem, 10.0);
+  EXPECT_EQ(a.eta_real, 11.0);
+}
+
+// Batch totals carry the multi-error count: two faults in one first-layer
+// slot of lane 0 (the MultiErrorScheme.OnlineDoubleFaultInOneSlot drill)
+// decode at t = 2 and must show up in BatchReport::totals, not only in
+// per_lane.
+TEST(UnitCheck, BatchTotalsCarryMultiErrorCorrections) {
+  const std::size_t n = 1024, k = 32, lanes = 2;
+  std::vector<cplx> in(lanes * n), out(lanes * n);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const auto x = random_vector(n, InputDistribution::kNormal, 1002 + l);
+    std::copy(x.begin(), x.end(), in.begin() + l * n);
+  }
+  std::vector<fault::Injector> injs(lanes);
+  injs[0].schedule(
+      FaultSpec::memory_set(Phase::kInputAfterChecksum, 0, 5, {7.0, 1.0}));
+  injs[0].schedule(
+      FaultSpec::memory_set(Phase::kInputAfterChecksum, 0, 5 + k, {-2.0, 6.0}));
+  std::vector<engine::Lane> ls(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    ls[l].in = in.data() + l * n;
+    ls[l].out = out.data() + l * n;
+    ls[l].injector = &injs[l];
+  }
+  engine::BatchOptions bo;
+  bo.abft = Options::online_opt(true);
+  bo.abft.max_correctable_errors = 2;
+  engine::BatchEngine eng(2);
+  const auto rep = eng.transform_batch(ls, n, bo);
+  ASSERT_TRUE(rep.all_ok());
+  EXPECT_EQ(rep.per_lane[0].multi_errors_corrected, 2u);
+  EXPECT_EQ(rep.totals.multi_errors_corrected, 2u);
+  Stats sum;
+  for (const auto& s : rep.per_lane) sum += s;
+  EXPECT_EQ(std::memcmp(&sum, &rep.totals, sizeof(Stats)), 0);
+}
+
+}  // namespace
+}  // namespace ftfft
