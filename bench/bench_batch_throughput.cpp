@@ -47,7 +47,7 @@ double batch_seconds(engine::BatchEngine& eng,
       ins[l] = inputs[l];
       batch[l] = {ins[l].data(), outs[l].data(), nullptr};
     }
-    (void)eng.transform_batch(batch, n, opts);
+    (void)eng.submit_batch(batch, n, opts).get();
   });
 }
 
@@ -188,8 +188,10 @@ int main() {
     const double t_blocking = bench::time_best(reps, [&] {
       reset_lanes();
       for (std::size_t j = 0; j < jobs; ++j) {
-        (void)eng.transform_batch(
-            {all_lanes.data() + j * lanes_per_job, lanes_per_job}, n, opts);
+        (void)eng.submit_batch(
+                     {all_lanes.data() + j * lanes_per_job, lanes_per_job}, n,
+                     opts)
+            .get();
       }
     });
     const double t_pipelined = bench::time_best(reps, [&] {

@@ -52,7 +52,8 @@ int main() {
                                  1000 + 10 * w + l);
       wave.lanes[l] = {wave.in[l].data(), wave.out[l].data(), nullptr};
     }
-    wave.future = submit_batch(wave.lanes, wave.n, config);
+    wave.future = engine::BatchEngine::shared().submit_batch(
+        wave.lanes, wave.n, {make_abft_options(config)});
     wave.future.then([&verifications](engine::BatchReport& report) {
       // Completion callback on the worker that retired the job: feed a
       // monitoring counter without blocking anyone.
@@ -94,12 +95,18 @@ int main() {
       },
       background, /*chunk=*/1);
 
-  // The queue is at capacity: same-class traffic is refused immediately
-  // (the try-form of the QueueFullError a blocking submit would throw).
-  auto refused = eng.try_submit_tasks(
-      2, [](std::size_t, abft::Stats&) {}, background);
-  std::printf("try_submit with the queue full: %s\n",
-              refused.has_value() ? "admitted" : "rejected (queue full)");
+  // The queue is at capacity: same-class traffic submitted with a zero
+  // admission timeout is refused immediately with QueueFullError instead
+  // of waiting for space.
+  engine::SubmitOptions fail_fast = background;
+  fail_fast.admission_timeout = std::chrono::nanoseconds::zero();
+  const char* outcome = "admitted";
+  try {
+    (void)eng.submit_tasks(2, [](std::size_t, abft::Stats&) {}, fail_fast);
+  } catch (const QueueFullError&) {
+    outcome = "rejected (queue full)";
+  }
+  std::printf("fail-fast submit with the queue full: %s\n", outcome);
 
   // A high-priority transform wave with a deadline sheds the cancellable
   // background lanes instead of queueing behind them.

@@ -78,7 +78,10 @@ int main(int argc, char** argv) {
         0, d.element, d.bit, d.imag));
     batch[l] = {ins[l].data(), outs[l].data(), &injectors[l]};
   }
-  const engine::BatchReport report = transform_batch(batch, n);
+  const engine::BatchReport report =
+      engine::BatchEngine::shared()
+          .submit_batch(batch, n, {make_abft_options(PlanConfig{})})
+          .get();
 
   std::size_t corrected = 0, uncorrectable = 0, undetected_damage = 0;
   SampleSet residuals;

@@ -5,7 +5,6 @@
 #include "abft/online.hpp"
 #include "abft/protection_plan.hpp"
 #include "common/error.hpp"
-#include "engine/batch_engine.hpp"
 #include "fft/fft.hpp"
 
 namespace ftfft::abft {
@@ -89,13 +88,12 @@ void protected_transform_inplace(cplx* data, std::size_t n,
 }
 
 std::vector<cplx> protected_fft(std::vector<cplx> input, const Options& opts) {
-  // Single shot = a blocking batch of one on the shared engine. This shape
-  // (out-of-place, no staging) takes the engine's inline fast path: it runs
-  // on the calling thread through the same lane code the workers use, so
-  // it neither pays queue dispatch nor waits behind queued batches.
-  std::vector<cplx> out(input.size());
-  engine::BatchEngine::shared().transform_one(input.data(), out.data(),
-                                              input.size(), opts);
+  const std::size_t n = input.size();
+  detail::require(n >= 1, "protected_fft: size must be >= 1");
+  std::vector<cplx> out(n);
+  Stats stats;
+  protected_transform(input.data(), out.data(), n, opts, stats,
+                      resolve_protection_plan(n, opts, false).get());
   return out;
 }
 

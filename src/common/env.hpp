@@ -17,16 +17,16 @@
 //
 // FTFFT_ENGINE_THREADS sets the worker count of every engine::BatchEngine
 // constructed with num_threads = 0 — including the process-wide shared()
-// engine behind the single-shot wrappers — so tests, CI and co-tenant
+// engine — so tests, CI and co-tenant
 // deployments can bound the pool without code changes; 0/unset falls back
 // to std::thread::hardware_concurrency(). Read at engine construction.
 //
 // FTFFT_ENGINE_QUEUE_CAP bounds each BatchEngine's pending-lane count
 // (lanes, not jobs, so a 1000-lane batch occupies 1000 slots; 0/unset =
-// unbounded). When the cap is reached, try_submit_* fail fast, blocking
-// submit_* wait up to SubmitOptions::admission_timeout then throw
-// QueueFullError, and admission of a higher-priority job may shed queued
-// cancellable lower-class lanes. Read at engine construction;
+// unbounded). When the cap is reached, admission of a higher-priority job
+// may shed queued cancellable lower-class lanes; otherwise a submission
+// waits up to SubmitOptions::admission_timeout, then throws QueueFullError
+// (admission_timeout = 0 fails fast). Read at engine construction;
 // BatchEngine::set_queue_cap overrides at runtime.
 //
 // FTFFT_ENGINE_DEFAULT_PRIORITY ("high" | "normal" | "low"; default

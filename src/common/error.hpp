@@ -40,8 +40,7 @@ class CancelledError : public std::runtime_error {
 /// Thrown by engine admission control when a bounded work queue
 /// (FTFFT_ENGINE_QUEUE_CAP) cannot accept a submission: immediately when the
 /// admission timeout is zero, or after the optional admission timeout
-/// elapsed without space freeing up. try_submit_* report the same condition
-/// as an empty optional instead of throwing. Backpressure, not a machine
+/// elapsed without space freeing up. Backpressure, not a machine
 /// fault: the caller should retry later, shed load upstream, or submit at a
 /// higher priority.
 class QueueFullError : public std::runtime_error {

@@ -53,33 +53,6 @@ abft::Options make_abft_options(const PlanConfig& config) {
   return o;
 }
 
-engine::BatchReport transform_batch(std::span<const engine::Lane> lanes,
-                                    std::size_t n, const PlanConfig& config) {
-  engine::BatchOptions opts;
-  opts.abft = make_abft_options(config);
-  // The engine's blocking wrapper rather than submit(...).get(): it keeps
-  // the inline single-lane fast path.
-  return engine::BatchEngine::shared().transform_batch(lanes, n, opts);
-}
-
-engine::BatchFuture submit_batch(std::span<const engine::Lane> lanes,
-                                 std::size_t n, const PlanConfig& config,
-                                 const engine::SubmitOptions& submit) {
-  engine::BatchOptions opts;
-  opts.abft = make_abft_options(config);
-  opts.submit = submit;
-  return engine::BatchEngine::shared().submit_batch(lanes, n, opts);
-}
-
-std::optional<engine::BatchFuture> try_submit_batch(
-    std::span<const engine::Lane> lanes, std::size_t n,
-    const PlanConfig& config, const engine::SubmitOptions& submit) {
-  engine::BatchOptions opts;
-  opts.abft = make_abft_options(config);
-  opts.submit = submit;
-  return engine::BatchEngine::shared().try_submit_batch(lanes, n, opts);
-}
-
 std::size_t warm_plans(std::span<const std::size_t> sizes,
                        const PlanConfig& config) {
   const abft::Options opts = make_abft_options(config);
@@ -161,42 +134,6 @@ std::size_t warm_real_plans(std::span<const std::size_t> sizes,
     }
   }
   return resident;
-}
-
-engine::BatchReport transform_real_batch(
-    std::span<const engine::RealLane> lanes, std::size_t n,
-    engine::RealDirection dir, const PlanConfig& config) {
-  engine::BatchOptions opts;
-  opts.abft = make_abft_options(config);
-  return engine::BatchEngine::shared().transform_real_batch(lanes, n, dir,
-                                                            opts);
-}
-
-engine::BatchFuture submit_real_batch(std::span<const engine::RealLane> lanes,
-                                      std::size_t n, engine::RealDirection dir,
-                                      const PlanConfig& config,
-                                      const engine::SubmitOptions& submit) {
-  engine::BatchOptions opts;
-  opts.abft = make_abft_options(config);
-  opts.submit = submit;
-  return engine::BatchEngine::shared().submit_real_batch(lanes, n, dir, opts);
-}
-
-std::optional<engine::BatchFuture> try_submit_real_batch(
-    std::span<const engine::RealLane> lanes, std::size_t n,
-    engine::RealDirection dir, const PlanConfig& config,
-    const engine::SubmitOptions& submit) {
-  engine::BatchOptions opts;
-  opts.abft = make_abft_options(config);
-  opts.submit = submit;
-  return engine::BatchEngine::shared().try_submit_real_batch(lanes, n, dir,
-                                                             opts);
-}
-
-engine::BatchFuture FtPlan::submit_batch(
-    std::span<const engine::Lane> lanes,
-    const engine::SubmitOptions& submit) const {
-  return ftfft::submit_batch(lanes, n_, config_, submit);
 }
 
 abft::Options FtPlan::abft_options() const {

@@ -15,7 +15,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -63,40 +62,11 @@ struct PlanConfig {
 };
 
 /// Translates the plan-level configuration into the ABFT option set used by
-/// both FtPlan and the batch entry points. Exposed so batch callers can
-/// tweak individual switches before submitting.
+/// FtPlan. Batch callers submit with it to the engine directly —
+/// `engine::BatchEngine::shared().submit_batch(lanes, n,
+/// {make_abft_options(config)})` — after tweaking individual switches if
+/// they need to.
 [[nodiscard]] abft::Options make_abft_options(const PlanConfig& config);
-
-/// Runs the protected n-point transform on every lane concurrently on the
-/// process-wide shared BatchEngine, blocking until the batch completes.
-/// Lanes share `config`; schedule per-lane injectors through
-/// engine::Lane::injector. See engine/batch_engine.hpp for the full
-/// contract (per-lane stats, failure isolation).
-engine::BatchReport transform_batch(std::span<const engine::Lane> lanes,
-                                    std::size_t n,
-                                    const PlanConfig& config = {});
-
-/// Queues the batch on the process-wide shared BatchEngine and returns
-/// immediately; overlap admission/I-O with in-flight transforms and
-/// collect the report through the future. The lane descriptors are copied,
-/// but the buffers they point to must stay alive until the future is
-/// ready. Thread-safe: any number of serving threads may submit
-/// concurrently.
-/// `submit` carries the serving-grade scheduling knobs — priority class,
-/// deadline, shedding eligibility and admission timeout (see
-/// engine::SubmitOptions); the default is the engine's env-configured
-/// class with no deadline.
-engine::BatchFuture submit_batch(std::span<const engine::Lane> lanes,
-                                 std::size_t n, const PlanConfig& config = {},
-                                 const engine::SubmitOptions& submit = {});
-
-/// Non-blocking admission on the shared engine: when the pending-lane cap
-/// (FTFFT_ENGINE_QUEUE_CAP) is reached and shedding cannot make room,
-/// returns an empty optional immediately instead of waiting — the serving
-/// front door's fail-fast path. Misuse still throws std::invalid_argument.
-std::optional<engine::BatchFuture> try_submit_batch(
-    std::span<const engine::Lane> lanes, std::size_t n,
-    const PlanConfig& config = {}, const engine::SubmitOptions& submit = {});
 
 /// Pre-resolves every plan a serving layer with a known size distribution
 /// will need — FFT decomposition plans (including the sub-FFT sizes the
@@ -119,27 +89,6 @@ std::size_t warm_plans(std::span<const std::size_t> sizes,
 /// the requested sizes.
 std::size_t warm_real_plans(std::span<const std::size_t> sizes,
                             const PlanConfig& config = {});
-
-/// Runs the protected real n-point transform (r2c or c2r per `dir`) on
-/// every lane concurrently on the process-wide shared BatchEngine,
-/// blocking until the batch completes. See engine/batch_engine.hpp.
-engine::BatchReport transform_real_batch(
-    std::span<const engine::RealLane> lanes, std::size_t n,
-    engine::RealDirection dir, const PlanConfig& config = {});
-
-/// Queues the real batch on the process-wide shared BatchEngine and
-/// returns immediately; same buffer-lifetime contract and scheduling
-/// knobs as submit_batch.
-engine::BatchFuture submit_real_batch(std::span<const engine::RealLane> lanes,
-                                      std::size_t n, engine::RealDirection dir,
-                                      const PlanConfig& config = {},
-                                      const engine::SubmitOptions& submit = {});
-
-/// Non-blocking admission for real batches (see try_submit_batch).
-std::optional<engine::BatchFuture> try_submit_real_batch(
-    std::span<const engine::RealLane> lanes, std::size_t n,
-    engine::RealDirection dir, const PlanConfig& config = {},
-    const engine::SubmitOptions& submit = {});
 
 /// A reusable soft-error-protected transform of one size.
 ///
@@ -166,16 +115,6 @@ class FtPlan {
   /// of a protected forward transform; the conjugation passes themselves
   /// are unprotected O(n) copies.
   void backward(cplx* in, cplx* out);
-
-  /// Queues a batch of this plan's size and configuration on the shared
-  /// BatchEngine and returns immediately (see ftfft::submit_batch). Unlike
-  /// forward(), this does not touch the plan's per-execution statistics —
-  /// per-lane stats arrive in the future's BatchReport — so one FtPlan may
-  /// issue submissions from many threads. `submit` carries the scheduling
-  /// class/deadline/shedding knobs.
-  [[nodiscard]] engine::BatchFuture submit_batch(
-      std::span<const engine::Lane> lanes,
-      const engine::SubmitOptions& submit = {}) const;
 
   /// Statistics of the most recent execution on this plan.
   [[nodiscard]] const abft::Stats& last_stats() const { return stats_; }

@@ -59,20 +59,6 @@ const char* priority_name(Priority p) noexcept {
 
 namespace {
 
-// Expands the contiguous batch layout (lane L at in + L*n / out + L*n)
-// into lane descriptors; out == nullptr means every lane is in place.
-std::vector<Lane> pack_lanes(cplx* in, cplx* out, std::size_t n,
-                             std::size_t count) {
-  ftfft::detail::require(in != nullptr,
-                         "BatchEngine: batch input must not be null");
-  std::vector<Lane> lanes(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    lanes[i].in = in + i * n;
-    lanes[i].out = out == nullptr ? nullptr : out + i * n;
-  }
-  return lanes;
-}
-
 std::size_t pick_chunk(std::size_t lanes, std::size_t threads,
                        std::size_t requested) {
   if (requested > 0) return requested;
@@ -284,6 +270,14 @@ struct BatchEngine::Impl {
     }
   };
 
+  // Runs item `index` of a job: the transform of lane `index` for batch
+  // submissions, the caller's callable for task fan-outs. Built once per
+  // job at submission (plans resolved, lanes copied) and shared by every
+  // worker draining the job; `stats` is the item's pre-sized
+  // BatchReport::per_lane slot and `arena` the running worker's staging.
+  using ItemFn =
+      std::function<void(std::size_t index, abft::Stats& stats, Arena& arena)>;
+
   // One queued submission. Heap-owned and held in its class's queue list;
   // kept alive by shared_ptrs held by the queue, by every worker currently
   // draining it, and (through `state`) by the caller's
@@ -292,35 +286,10 @@ struct BatchEngine::Impl {
   // under the queue mutex and never mutated afterwards; the queue/timing
   // block is guarded by mu_.
   struct Job {
-    std::vector<Lane> lanes;
-    std::size_t n = 0;
-    BatchOptions opts;
-    // Protection plans resolved once at submission and shared by every
-    // lane (rA generation and threshold derivation drop from O(lanes * n)
-    // to O(n) per batch); the shared_ptrs pin them however long the job
-    // waits in the queue, even if the LRU cache evicts them. Resolution
-    // failures are parked as exception_ptrs so they surface per lane,
-    // preserving the report's failure isolation.
-    std::shared_ptr<const abft::ProtectionPlan> plan;          // out-of-place
-    std::shared_ptr<const abft::ProtectionPlan> plan_inplace;  // in-place
-    std::exception_ptr plan_error;
-    std::exception_ptr plan_inplace_error;
+    std::size_t count = 0;  // items; never mutated after publication
+    const char* kind = "lane";  // "lane" | "task", for skip messages
+    ItemFn run;                 // released by finish()
     std::shared_ptr<detail::BatchShared> state;
-    // Real-lane job (submit_real_batch): when `real_lanes` is non-empty,
-    // `lanes` stays empty and the items run through run_real_lane with the
-    // plans below — same claiming, cancellation and failure isolation.
-    std::vector<RealLane> real_lanes;
-    RealDirection real_dir = RealDirection::kForward;
-    std::shared_ptr<const fft::RealFftPlan> real_fft_plan;  // Mode::kNone
-    std::shared_ptr<const abft::RealProtectionPlan> real_plan;
-    std::shared_ptr<const abft::ProtectionPlan> real_cplan;  // packed n/2
-    std::exception_ptr real_plan_error;
-    // Generic task job (submit_tasks): when `task` is set, `lanes` stays
-    // empty and `task_count` work items run through it instead of
-    // run_lane — same cursor/chunk claiming, same cancellation, same
-    // per-item failure isolation.
-    std::function<void(std::size_t, abft::Stats&)> task;
-    std::size_t task_count = 0;
 
     // Scheduling state, resolved once by apply_submit before publication.
     Priority priority = Priority::kNormal;
@@ -330,12 +299,7 @@ struct BatchEngine::Impl {
     Clock::time_point deadline{};
     std::chrono::nanoseconds admission_timeout{-1};
 
-    // Queue membership and first-claim timing, guarded by mu_. `enqueued`
-    // and `counted_pending` are written before the job becomes visible to
-    // other threads (still under mu_) and are stable afterwards, so
-    // work_on/finish may read them without the lock.
-    bool enqueued = false;
-    bool counted_pending = false;
+    // Queue membership and first-claim timing, guarded by mu_.
     bool in_queue = false;
     std::list<std::shared_ptr<Job>>::iterator queue_pos{};
     bool started = false;
@@ -352,14 +316,6 @@ struct BatchEngine::Impl {
     // every not-yet-started item then fails via skip_item.
     std::atomic<bool> shed_flag{false};
     std::size_t chunk = 1;
-
-    // Reads only pre-publication fields (task_count is non-zero exactly
-    // for task jobs and never mutated), so it stays safe after finish()
-    // has released the task closure.
-    [[nodiscard]] std::size_t item_count() const noexcept {
-      if (task_count > 0) return task_count;
-      return real_lanes.empty() ? lanes.size() : real_lanes.size();
-    }
   };
 
   // Lifetime scheduler counters + latency rings of one class, guarded by
@@ -453,8 +409,11 @@ struct BatchEngine::Impl {
 
   // Resolves the submission's scheduling knobs against the engine's env
   // defaults; runs on the submitting thread before the job is published.
-  void apply_submit(Job& job, const SubmitOptions& submit) const {
-    job.submit_time = Clock::now();
+  // `submitted` is when the submitting call started, so the deadline and
+  // the queue wait include plan resolution.
+  void apply_submit(Job& job, const SubmitOptions& submit,
+                    Clock::time_point submitted) const {
+    job.submit_time = submitted;
     Priority p = submit.priority == Priority::kDefault ? default_priority_
                                                        : submit.priority;
     job.priority = static_cast<Priority>(class_index(p));
@@ -535,10 +494,10 @@ struct BatchEngine::Impl {
   // when preemptible, until the scheduler has something more urgent — then
   // retires an exhausted job from its class queue (so workers move on
   // while stragglers finish this one) and, if this worker ran the job's
-  // final item, fulfills its future. preemptible=false on the inline
-  // run_sync and shed-drain paths, which must complete in one call.
+  // final item, fulfills its future. preemptible=false on the shed-drain
+  // path, which must complete in one call.
   void work_on(Job& job, Arena& arena, bool preemptible) {
-    const std::size_t count = job.item_count();
+    const std::size_t count = job.count;
     const std::uint64_t seen = sched_version_.load(std::memory_order_acquire);
     std::size_t done = 0;
     bool exhausted = false;
@@ -550,19 +509,11 @@ struct BatchEngine::Impl {
         break;
       }
       const std::size_t end = std::min(begin + job.chunk, count);
-      for (std::size_t i = begin; i < end; ++i) {
-        if (job.task) {
-          run_task(job, i);
-        } else if (!job.real_lanes.empty()) {
-          run_real_lane(job, i);
-        } else {
-          run_lane(job, i, arena);
-        }
-      }
+      for (std::size_t i = begin; i < end; ++i) run_item(job, i, arena);
       done += end - begin;
       if (preemptible && should_reschedule(job, seen)) break;
     }
-    if (exhausted && job.enqueued) retire_from_queue(job);
+    if (exhausted) retire_from_queue(job);
     // Trim bookkeeping happens before this worker's lanes are subtracted
     // from `remaining`, so a ready future implies no worker still touches
     // an arena on this job's behalf (staging_capacity() stays readable
@@ -588,9 +539,10 @@ struct BatchEngine::Impl {
   // Checks, in taxonomy order, whether this item must fail fast instead of
   // executing: ticket cancellation, overload shedding, deadline expiry.
   // Items already executing are never touched — this runs before the item
-  // starts. `kind` is "lane" or "task" (the messages are part of the
-  // report contract).
-  bool skip_item(Job& job, std::size_t index, const char* kind) {
+  // starts. The messages name the job's kind, "lane" or "task" (they are
+  // part of the report contract).
+  bool skip_item(Job& job, std::size_t index) {
+    const char* kind = job.kind;
     BatchReport& report = job.state->report;
     if (job.state->cancel.load(std::memory_order_relaxed)) {
       report.errors[index] = std::string(kind) + " cancelled before execution";
@@ -623,84 +575,14 @@ struct BatchEngine::Impl {
     return false;
   }
 
-  // One generic work item: the cancellation and failure-isolation contract
-  // of run_lane, minus staging and plan state (the callable brings its own).
-  void run_task(Job& job, std::size_t index) {
-    if (skip_item(job, index, "task")) return;
+  // One item of any job kind: fail fast through skip_item, otherwise run
+  // it and record a throw in the item's report slots without disturbing
+  // the other items.
+  void run_item(Job& job, std::size_t index, Arena& arena) {
+    if (skip_item(job, index)) return;
     BatchReport& report = job.state->report;
     try {
-      job.task(index, report.per_lane[index]);
-    } catch (const std::exception& e) {
-      report.errors[index] = e.what();
-      report.exceptions[index] = std::current_exception();
-    } catch (...) {
-      report.errors[index] = "unknown exception";
-      report.exceptions[index] = std::current_exception();
-    }
-  }
-
-  void run_lane(Job& job, std::size_t index, Arena& arena) {
-    if (skip_item(job, index, "lane")) return;
-    BatchReport& report = job.state->report;
-    const Lane& lane = job.lanes[index];
-    const std::size_t n = job.n;
-    abft::Options opts = job.opts.abft;
-    if (lane.injector != nullptr) opts.injector = lane.injector;
-    try {
-      const bool inplace = lane.out == nullptr;
-      if (inplace && job.plan_inplace_error) {
-        std::rethrow_exception(job.plan_inplace_error);
-      }
-      if (!inplace && job.plan_error) std::rethrow_exception(job.plan_error);
-      cplx* in = lane.in;
-      if (job.opts.preserve_inputs || lane.out == lane.in) {
-        cplx* staged = arena.ensure(n);
-        std::copy(lane.in, lane.in + n, staged);
-        in = staged;
-      }
-      abft::Stats& stats = report.per_lane[index];
-      if (inplace) {
-        abft::protected_transform_inplace(in, n, opts, stats,
-                                          job.plan_inplace.get());
-        if (in != lane.in) std::copy(in, in + n, lane.in);
-      } else {
-        abft::protected_transform(in, lane.out, n, opts, stats,
-                                  job.plan.get());
-      }
-    } catch (const std::exception& e) {
-      report.errors[index] = e.what();
-      report.exceptions[index] = std::current_exception();
-    } catch (...) {
-      report.errors[index] = "unknown exception";
-      report.exceptions[index] = std::current_exception();
-    }
-  }
-
-  // One real lane: run_lane's cancellation and failure-isolation contract
-  // without staging (real lanes never modify their source buffer — the
-  // protected paths work out of internal scratch).
-  void run_real_lane(Job& job, std::size_t index) {
-    if (skip_item(job, index, "lane")) return;
-    BatchReport& report = job.state->report;
-    const RealLane& lane = job.real_lanes[index];
-    abft::Options opts = job.opts.abft;
-    if (lane.injector != nullptr) opts.injector = lane.injector;
-    try {
-      if (job.real_plan_error) std::rethrow_exception(job.real_plan_error);
-      abft::Stats& stats = report.per_lane[index];
-      if (opts.mode == abft::Mode::kNone) {
-        if (job.real_dir == RealDirection::kForward) {
-          job.real_fft_plan->r2c(lane.re, lane.spec);
-        } else {
-          job.real_fft_plan->c2r(lane.spec, lane.re);
-        }
-      } else if (job.real_dir == RealDirection::kForward) {
-        abft::protected_r2c(lane.re, lane.spec, job.n, opts, stats,
-                            job.real_plan.get(), job.real_cplan.get());
-      } else {
-        abft::protected_c2r(lane.spec, lane.re, job.n, opts, stats,
-                            job.real_plan.get(), job.real_cplan.get());
-      }
+      job.run(index, report.per_lane[index], arena);
     } catch (const std::exception& e) {
       report.errors[index] = e.what();
       report.exceptions[index] = std::current_exception();
@@ -724,9 +606,9 @@ struct BatchEngine::Impl {
       std::scoped_lock lock(mu_);
       started = job.started;
       start_time = job.start_time;
-      if (job.counted_pending) pending_lanes_ -= job.item_count();
+      pending_lanes_ -= job.count;
     }
-    if (job.counted_pending) cv_space_.notify_all();
+    cv_space_.notify_all();
     double wait_s = 0.0;
     double run_s = 0.0;
     try {
@@ -753,7 +635,7 @@ struct BatchEngine::Impl {
     }
     record_completion(job, state.report, wait_s, run_s, started);
     inflight_jobs_.fetch_sub(1, std::memory_order_acq_rel);
-    // Destroy the task closure before publishing completion: closures own
+    // Destroy the item closure before publishing completion: closures own
     // caller state (the sharded FFT's phase chain keeps its shared state
     // alive through this function), and a waiter may tear the world down
     // the instant the future reads ready — releasing the closure only when
@@ -761,7 +643,7 @@ struct BatchEngine::Impl {
     // destructors concurrently with whatever follows the wait. All items
     // are retired once finish runs (remaining hit zero), so no other
     // worker can still touch the callable.
-    job.task = nullptr;
+    job.run = nullptr;
     fulfill(state);
   }
 
@@ -781,7 +663,7 @@ struct BatchEngine::Impl {
     std::scoped_lock lock(stats_mu_);
     ClassAccum& c = stats_[class_index(job.priority)];
     ++c.jobs_submitted;
-    c.lanes_submitted += job.item_count();
+    c.lanes_submitted += job.count;
   }
 
   void note_rejected(const Job& job) {
@@ -796,7 +678,7 @@ struct BatchEngine::Impl {
     ++c.jobs_completed;
     const std::size_t skipped = report.cancelled_lanes + report.shed_lanes +
                                 report.deadline_expired_lanes;
-    const std::size_t items = job.item_count();
+    const std::size_t items = job.count;
     c.lanes_completed += items > skipped ? items - skipped : 0;
     c.lanes_cancelled += report.cancelled_lanes;
     c.shed_lanes += report.shed_lanes;
@@ -807,154 +689,27 @@ struct BatchEngine::Impl {
     }
   }
 
-  struct MadeJob {
-    std::shared_ptr<Job> job;  // null for an empty batch (already ready)
-    std::shared_ptr<detail::BatchShared> state;
-  };
-
-  // Validation, report sizing, lane copy and plan resolution — everything a
-  // submission needs short of choosing where it executes (queue or inline).
-  MadeJob make_job(std::span<const Lane> lanes, std::size_t n,
-                   const BatchOptions& opts) {
-    ftfft::detail::require(n >= 1, "BatchEngine: size must be >= 1");
-    for (const Lane& lane : lanes) {
-      ftfft::detail::require(lane.in != nullptr,
-                      "BatchEngine: lane input must not be null");
-    }
-    // Injector::apply mutates armed-fault state; a single injector shared
-    // by concurrently executing lanes would race. Per-lane injectors are
-    // the supported way to fault a batch.
-    ftfft::detail::require(opts.abft.injector == nullptr || lanes.size() <= 1 ||
-                        num_threads_ == 1,
-                    "BatchEngine: a batch-wide injector is not thread-safe; "
-                    "use per-lane Lane::injector instead");
-
-    auto state = std::make_shared<detail::BatchShared>();
-    BatchReport& report = state->report;
-    report.lanes = lanes.size();
-    report.per_lane.resize(lanes.size());
-    report.errors.resize(lanes.size());
-    report.exceptions.resize(lanes.size());
-    if (lanes.empty()) {
-      // Nothing to run; ready before anyone looks.
-      state->ready.store(true, std::memory_order_release);
-      return {nullptr, std::move(state)};
-    }
-
-    auto job = std::make_shared<Job>();
-    job->lanes.assign(lanes.begin(), lanes.end());
-    job->n = n;
-    job->opts = opts;
-    job->state = state;
-    job->remaining.store(lanes.size(), std::memory_order_relaxed);
-    job->chunk = pick_chunk(lanes.size(), num_threads_, opts.chunk);
-    apply_submit(*job, opts.submit);
-
-    // Resolve the ProtectionPlan(s) at submission time: on a warm cache
-    // (see ftfft::warm_plans) this is a lock + hash lookup, so submission
-    // cost is independent of n. A resolution failure (unsupported size for
-    // the options) is reported per lane, matching the old per-lane throw.
-    bool need_oop = false;
-    bool need_inplace = false;
-    for (const Lane& lane : lanes) {
-      (lane.out == nullptr ? need_inplace : need_oop) = true;
-    }
-    if (need_oop) {
-      try {
-        job->plan = abft::resolve_protection_plan(n, opts.abft, false);
-      } catch (...) {
-        job->plan_error = std::current_exception();
-      }
-    }
-    if (need_inplace) {
-      try {
-        job->plan_inplace = abft::resolve_protection_plan(n, opts.abft, true);
-      } catch (...) {
-        job->plan_inplace_error = std::current_exception();
-      }
-    }
-
-    inflight_jobs_.fetch_add(1, std::memory_order_relaxed);
-    return {std::move(job), std::move(state)};
-  }
-
-  // Real-lane analogue of make_job: validation, report sizing, lane copy
-  // and one-time resolution of the three plans every lane shares. A
-  // resolution failure (n not a power of two >= 2) is parked and surfaces
-  // per lane, like complex plan failures.
-  MadeJob make_real_job(std::span<const RealLane> lanes, std::size_t n,
-                        RealDirection dir, const BatchOptions& opts) {
-    ftfft::detail::require(n >= 1, "BatchEngine: size must be >= 1");
-    for (const RealLane& lane : lanes) {
-      ftfft::detail::require(lane.re != nullptr && lane.spec != nullptr,
-                             "BatchEngine: real lane buffers must not be null");
-    }
-    ftfft::detail::require(
-        opts.abft.injector == nullptr || lanes.size() <= 1 ||
-            num_threads_ == 1,
-        "BatchEngine: a batch-wide injector is not thread-safe; "
-        "use per-lane RealLane::injector instead");
-
-    auto state = std::make_shared<detail::BatchShared>();
-    BatchReport& report = state->report;
-    report.lanes = lanes.size();
-    report.per_lane.resize(lanes.size());
-    report.errors.resize(lanes.size());
-    report.exceptions.resize(lanes.size());
-    if (lanes.empty()) {
-      state->ready.store(true, std::memory_order_release);
-      return {nullptr, std::move(state)};
-    }
-
-    auto job = std::make_shared<Job>();
-    job->real_lanes.assign(lanes.begin(), lanes.end());
-    job->real_dir = dir;
-    job->n = n;
-    job->opts = opts;
-    job->state = state;
-    job->remaining.store(lanes.size(), std::memory_order_relaxed);
-    job->chunk = pick_chunk(lanes.size(), num_threads_, opts.chunk);
-    apply_submit(*job, opts.submit);
-    try {
-      if (opts.abft.mode == abft::Mode::kNone) {
-        job->real_fft_plan = fft::RealFftPlan::get(n);
-      } else {
-        job->real_plan = abft::RealProtectionPlan::get(n);
-        job->real_cplan = abft::resolve_real_packed_plan(n, opts.abft);
-      }
-    } catch (...) {
-      job->real_plan_error = std::current_exception();
-    }
-
-    inflight_jobs_.fetch_add(1, std::memory_order_relaxed);
-    return {std::move(job), std::move(state)};
-  }
-
-  // Task-job analogue of make_job.
-  MadeJob make_task_job(std::size_t count,
-                        std::function<void(std::size_t, abft::Stats&)> fn,
-                        const SubmitOptions& submit, std::size_t chunk) {
-    ftfft::detail::require(fn != nullptr,
-                           "BatchEngine::submit_tasks: null callable");
+  // The one job builder: item count, kind, item closure and resolved
+  // scheduling knobs. `count` >= 1 (empty submissions never build a job).
+  std::shared_ptr<Job> make_job(std::size_t count, const char* kind,
+                                ItemFn run, const SubmitOptions& submit,
+                                std::size_t chunk,
+                                Clock::time_point submitted) {
     auto state = std::make_shared<detail::BatchShared>();
     BatchReport& report = state->report;
     report.lanes = count;
     report.per_lane.resize(count);
     report.errors.resize(count);
     report.exceptions.resize(count);
-    if (count == 0) {
-      state->ready.store(true, std::memory_order_release);
-      return {nullptr, std::move(state)};
-    }
     auto job = std::make_shared<Job>();
-    job->task = std::move(fn);
-    job->task_count = count;
-    job->state = state;
+    job->count = count;
+    job->kind = kind;
+    job->run = std::move(run);
+    job->state = std::move(state);
     job->remaining.store(count, std::memory_order_relaxed);
     job->chunk = pick_chunk(count, num_threads_, chunk);
-    apply_submit(*job, submit);
-    inflight_jobs_.fetch_add(1, std::memory_order_relaxed);
-    return {std::move(job), std::move(state)};
+    apply_submit(*job, submit, submitted);
+    return job;
   }
 
   // Inserts a made job into its class queue in EDF position: deadlined
@@ -973,7 +728,6 @@ struct BatchEngine::Impl {
       }
     }
     job->queue_pos = q.insert(pos, job);
-    job->enqueued = true;
     job->in_queue = true;
     ++queued_jobs_;
     sched_version_.fetch_add(1, std::memory_order_release);
@@ -1028,23 +782,22 @@ struct BatchEngine::Impl {
   }
 
   // Admission control: accounts the job's items against the pending-lane
-  // cap, shedding lower-class cancellable queued work to make room, and —
-  // for blocking submits — waiting for space up to the admission timeout.
-  // On success the job is queued in EDF position and workers are woken
-  // (only as many as it has chunks — a stream of small jobs must not
-  // thundering-herd the whole pool awake; workers re-check the queues
-  // before parking, so no job is stranded by waking too few). Returns
-  // false when a non-blocking admission finds no room; throws
-  // QueueFullError when a blocking admission times out.
-  bool admit(const std::shared_ptr<Job>& job, bool blocking) {
-    const std::size_t need = job->item_count();
+  // cap, shedding lower-class cancellable queued work to make room, then
+  // waiting for space up to the admission timeout. On success the job is
+  // queued in EDF position and workers are woken (only as many as it has
+  // chunks — a stream of small jobs must not thundering-herd the whole
+  // pool awake; workers re-check the queues before parking, so no job is
+  // stranded by waking too few). Throws QueueFullError when the timeout
+  // elapses (at once for a zero timeout) with the queue still full.
+  void admit(const std::shared_ptr<Job>& job) {
+    const std::size_t need = job->count;
     const bool pool_thread = t_pool_thread == this;
     std::size_t wakes = 0;
     {
       std::unique_lock lock(mu_);
       const std::chrono::nanoseconds timeout = job->admission_timeout;
       Clock::time_point wait_deadline{};
-      if (blocking && timeout.count() > 0) {
+      if (timeout.count() > 0) {
         wait_deadline = Clock::now() + timeout;
       }
       for (;;) {
@@ -1069,11 +822,6 @@ struct BatchEngine::Impl {
           lock.lock();
           continue;
         }
-        if (!blocking) {
-          lock.unlock();
-          note_rejected(*job);
-          return false;
-        }
         if (timeout.count() == 0 ||
             (timeout.count() > 0 && Clock::now() >= wait_deadline)) {
           const std::size_t pending = pending_lanes_;
@@ -1091,123 +839,34 @@ struct BatchEngine::Impl {
         }
       }
       pending_lanes_ += need;
-      job->counted_pending = true;
       enqueue_locked(job);
       wakes = std::min(num_threads_, (need + job->chunk - 1) / job->chunk);
     }
     for (std::size_t i = 0; i < wakes; ++i) cv_work_.notify_one();
     note_admitted(*job);
-    return true;
   }
 
-  // Shared admission epilogue: a rejected job must give back its
-  // inflight-jobs count (make_* charged it optimistically).
-  bool queue_job(const std::shared_ptr<Job>& job, bool blocking) {
+  // The one submission path: builds the job and admits it. An empty
+  // submission is ready before anyone looks; a rejected job gives back its
+  // in-flight count.
+  BatchFuture submit(Clock::time_point submitted, std::size_t count,
+                     const char* kind, ItemFn run,
+                     const SubmitOptions& options, std::size_t chunk) {
+    if (count == 0) {
+      auto state = std::make_shared<detail::BatchShared>();
+      state->ready.store(true, std::memory_order_release);
+      return BatchFuture(std::move(state));
+    }
+    std::shared_ptr<Job> job =
+        make_job(count, kind, std::move(run), options, chunk, submitted);
+    inflight_jobs_.fetch_add(1, std::memory_order_relaxed);
     try {
-      if (!admit(job, blocking)) {
-        inflight_jobs_.fetch_sub(1, std::memory_order_acq_rel);
-        return false;
-      }
+      admit(job);
     } catch (...) {
       inflight_jobs_.fetch_sub(1, std::memory_order_acq_rel);
       throw;
     }
-    return true;
-  }
-
-  BatchFuture submit(std::span<const Lane> lanes, std::size_t n,
-                     const BatchOptions& opts) {
-    MadeJob made = make_job(lanes, n, opts);
-    if (made.job == nullptr) return BatchFuture(std::move(made.state));
-    queue_job(made.job, /*blocking=*/true);
-    return BatchFuture(std::move(made.state));
-  }
-
-  std::optional<BatchFuture> try_submit(std::span<const Lane> lanes,
-                                        std::size_t n,
-                                        const BatchOptions& opts) {
-    MadeJob made = make_job(lanes, n, opts);
-    if (made.job == nullptr) return BatchFuture(std::move(made.state));
-    if (!queue_job(made.job, /*blocking=*/false)) return std::nullopt;
-    return BatchFuture(std::move(made.state));
-  }
-
-  BatchFuture submit_real(std::span<const RealLane> lanes, std::size_t n,
-                          RealDirection dir, const BatchOptions& opts) {
-    MadeJob made = make_real_job(lanes, n, dir, opts);
-    if (made.job == nullptr) return BatchFuture(std::move(made.state));
-    queue_job(made.job, /*blocking=*/true);
-    return BatchFuture(std::move(made.state));
-  }
-
-  std::optional<BatchFuture> try_submit_real(std::span<const RealLane> lanes,
-                                             std::size_t n, RealDirection dir,
-                                             const BatchOptions& opts) {
-    MadeJob made = make_real_job(lanes, n, dir, opts);
-    if (made.job == nullptr) return BatchFuture(std::move(made.state));
-    if (!queue_job(made.job, /*blocking=*/false)) return std::nullopt;
-    return BatchFuture(std::move(made.state));
-  }
-
-  BatchFuture submit_tasks(std::size_t count,
-                           std::function<void(std::size_t, abft::Stats&)> fn,
-                           const SubmitOptions& submit, std::size_t chunk) {
-    MadeJob made = make_task_job(count, std::move(fn), submit, chunk);
-    if (made.job == nullptr) return BatchFuture(std::move(made.state));
-    queue_job(made.job, /*blocking=*/true);
-    return BatchFuture(std::move(made.state));
-  }
-
-  std::optional<BatchFuture> try_submit_tasks(
-      std::size_t count, std::function<void(std::size_t, abft::Stats&)> fn,
-      const SubmitOptions& submit, std::size_t chunk) {
-    MadeJob made = make_task_job(count, std::move(fn), submit, chunk);
-    if (made.job == nullptr) return BatchFuture(std::move(made.state));
-    if (!queue_job(made.job, /*blocking=*/false)) return std::nullopt;
-    return BatchFuture(std::move(made.state));
-  }
-
-  // Marks an inline job as claimed-at-submission so its report and class
-  // stats carry a meaningful queue-wait (~0) and run time.
-  void mark_inline_started(Job& job) {
-    job.started = true;  // same thread runs and finishes it; no sharing
-    job.start_time = Clock::now();
-  }
-
-  // Blocking real-batch entry point: a single lane always qualifies for
-  // the inline fast path (real lanes never stage through the arena).
-  BatchReport run_sync_real(std::span<const RealLane> lanes, std::size_t n,
-                            RealDirection dir, const BatchOptions& opts) {
-    if (lanes.size() != 1) return submit_real(lanes, n, dir, opts).get();
-    MadeJob made = make_real_job(lanes, n, dir, opts);
-    note_admitted(*made.job);
-    mark_inline_started(*made.job);
-    Arena scratch;  // never grows: real lanes are staging-free
-    work_on(*made.job, scratch, /*preemptible=*/false);
-    return BatchFuture(std::move(made.state)).get();
-  }
-
-  // Blocking entry point. A single lane that needs no staging (the
-  // single-shot protected_fft / transform_one shape) bypasses the queue —
-  // and the admission cap — entirely: the caller thread runs the job
-  // itself through the exact worker path (work_on -> run_lane -> finish),
-  // so single-shot latency pays no cross-thread dispatch and does not sit
-  // behind queued batches. The scratch arena is provably untouched
-  // (run_lane stages only under preserve_inputs or aliased in/out), which
-  // is what makes the inline run safe next to concurrent submitters
-  // without sharing worker arenas.
-  BatchReport run_sync(std::span<const Lane> lanes, std::size_t n,
-                       const BatchOptions& opts) {
-    const bool inline_eligible =
-        lanes.size() == 1 && !opts.preserve_inputs &&
-        lanes[0].out != lanes[0].in;
-    if (!inline_eligible) return submit(lanes, n, opts).get();
-    MadeJob made = make_job(lanes, n, opts);
-    note_admitted(*made.job);
-    mark_inline_started(*made.job);
-    Arena scratch;  // never grows: the lane qualifies as staging-free
-    work_on(*made.job, scratch, /*preemptible=*/false);
-    return BatchFuture(std::move(made.state)).get();
+    return BatchFuture(job->state);
   }
 
   [[nodiscard]] std::size_t staging_capacity() const {
@@ -1317,99 +976,144 @@ std::size_t BatchEngine::staging_capacity() const {
 BatchFuture BatchEngine::submit_batch(std::span<const Lane> lanes,
                                       std::size_t n,
                                       const BatchOptions& opts) {
-  return impl_->submit(lanes, n, opts);
-}
-
-BatchFuture BatchEngine::submit_batch(cplx* in, cplx* out, std::size_t n,
-                                      std::size_t count,
-                                      const BatchOptions& opts) {
-  return impl_->submit(pack_lanes(in, out, n, count), n, opts);
-}
-
-std::optional<BatchFuture> BatchEngine::try_submit_batch(
-    std::span<const Lane> lanes, std::size_t n, const BatchOptions& opts) {
-  return impl_->try_submit(lanes, n, opts);
-}
-
-namespace {
-
-// Contiguous real layout: lane L at re + L*n and spec + L*(n/2 + 1).
-std::vector<RealLane> pack_real_lanes(double* re, cplx* spec, std::size_t n,
-                                      std::size_t count) {
-  ftfft::detail::require(re != nullptr && spec != nullptr,
-                         "BatchEngine: real batch buffers must not be null");
-  std::vector<RealLane> lanes(count);
-  const std::size_t spectrum = n / 2 + 1;
-  for (std::size_t i = 0; i < count; ++i) {
-    lanes[i].re = re + i * n;
-    lanes[i].spec = spec + i * spectrum;
+  ftfft::detail::require(n >= 1, "BatchEngine: size must be >= 1");
+  for (const Lane& lane : lanes) {
+    ftfft::detail::require(lane.in != nullptr,
+                           "BatchEngine: lane input must not be null");
   }
-  return lanes;
+  // Injector::apply mutates armed-fault state; a single injector shared
+  // by concurrently executing lanes would race. Per-lane injectors are
+  // the supported way to fault a batch.
+  ftfft::detail::require(
+      opts.abft.injector == nullptr || lanes.size() <= 1 ||
+          impl_->num_threads_ == 1,
+      "BatchEngine: a batch-wide injector is not thread-safe; "
+      "use per-lane Lane::injector instead");
+  const auto submitted = Impl::Clock::now();
+  // Resolve the ProtectionPlan(s) at submission time: on a warm cache
+  // (see ftfft::warm_plans) this is a lock + hash lookup, so submission
+  // cost is independent of n, and the shared_ptrs pin the plans however
+  // long the job waits in the queue. A resolution failure (unsupported
+  // size for the options) is parked and rethrown per lane, preserving the
+  // report's failure isolation.
+  std::shared_ptr<const abft::ProtectionPlan> plan, plan_inplace;
+  std::exception_ptr plan_error, plan_inplace_error;
+  bool need_oop = false;
+  bool need_inplace = false;
+  for (const Lane& lane : lanes) {
+    (lane.out == nullptr ? need_inplace : need_oop) = true;
+  }
+  if (need_oop) {
+    try {
+      plan = abft::resolve_protection_plan(n, opts.abft, false);
+    } catch (...) {
+      plan_error = std::current_exception();
+    }
+  }
+  if (need_inplace) {
+    try {
+      plan_inplace = abft::resolve_protection_plan(n, opts.abft, true);
+    } catch (...) {
+      plan_inplace_error = std::current_exception();
+    }
+  }
+  auto run = [lanes = std::vector<Lane>(lanes.begin(), lanes.end()), n,
+              base = opts.abft, preserve = opts.preserve_inputs, plan,
+              plan_inplace, plan_error, plan_inplace_error](
+                 std::size_t i, abft::Stats& stats, Impl::Arena& arena) {
+    const Lane& lane = lanes[i];
+    abft::Options o = base;
+    if (lane.injector != nullptr) o.injector = lane.injector;
+    const bool inplace = lane.out == nullptr;
+    if (inplace && plan_inplace_error) {
+      std::rethrow_exception(plan_inplace_error);
+    }
+    if (!inplace && plan_error) std::rethrow_exception(plan_error);
+    cplx* in = lane.in;
+    if (preserve || lane.out == lane.in) {
+      cplx* staged = arena.ensure(n);
+      std::copy(lane.in, lane.in + n, staged);
+      in = staged;
+    }
+    if (inplace) {
+      abft::protected_transform_inplace(in, n, o, stats, plan_inplace.get());
+      if (in != lane.in) std::copy(in, in + n, lane.in);
+    } else {
+      abft::protected_transform(in, lane.out, n, o, stats, plan.get());
+    }
+  };
+  return impl_->submit(submitted, lanes.size(), "lane", std::move(run),
+                       opts.submit, opts.chunk);
 }
-
-}  // namespace
 
 BatchFuture BatchEngine::submit_real_batch(std::span<const RealLane> lanes,
                                            std::size_t n, RealDirection dir,
                                            const BatchOptions& opts) {
-  return impl_->submit_real(lanes, n, dir, opts);
-}
-
-BatchFuture BatchEngine::submit_real_batch(double* re, cplx* spec,
-                                           std::size_t n, std::size_t count,
-                                           RealDirection dir,
-                                           const BatchOptions& opts) {
-  return impl_->submit_real(pack_real_lanes(re, spec, n, count), n, dir,
-                            opts);
-}
-
-std::optional<BatchFuture> BatchEngine::try_submit_real_batch(
-    std::span<const RealLane> lanes, std::size_t n, RealDirection dir,
-    const BatchOptions& opts) {
-  return impl_->try_submit_real(lanes, n, dir, opts);
-}
-
-BatchReport BatchEngine::transform_real_batch(std::span<const RealLane> lanes,
-                                              std::size_t n, RealDirection dir,
-                                              const BatchOptions& opts) {
-  return impl_->run_sync_real(lanes, n, dir, opts);
+  ftfft::detail::require(n >= 1, "BatchEngine: size must be >= 1");
+  for (const RealLane& lane : lanes) {
+    ftfft::detail::require(lane.re != nullptr && lane.spec != nullptr,
+                           "BatchEngine: real lane buffers must not be null");
+  }
+  ftfft::detail::require(
+      opts.abft.injector == nullptr || lanes.size() <= 1 ||
+          impl_->num_threads_ == 1,
+      "BatchEngine: a batch-wide injector is not thread-safe; "
+      "use per-lane RealLane::injector instead");
+  const auto submitted = Impl::Clock::now();
+  // The three plans every lane shares, resolved once; a failure (n not a
+  // power of two >= 2) surfaces per lane, like complex plan failures.
+  std::shared_ptr<const fft::RealFftPlan> fft_plan;  // Mode::kNone
+  std::shared_ptr<const abft::RealProtectionPlan> real_plan;
+  std::shared_ptr<const abft::ProtectionPlan> cplan;  // packed n/2
+  std::exception_ptr plan_error;
+  if (!lanes.empty()) {
+    try {
+      if (opts.abft.mode == abft::Mode::kNone) {
+        fft_plan = fft::RealFftPlan::get(n);
+      } else {
+        real_plan = abft::RealProtectionPlan::get(n);
+        cplan = abft::resolve_real_packed_plan(n, opts.abft);
+      }
+    } catch (...) {
+      plan_error = std::current_exception();
+    }
+  }
+  // Real lanes never modify their source buffer (the protected paths work
+  // out of internal scratch), so they never stage through the arena.
+  auto run = [lanes = std::vector<RealLane>(lanes.begin(), lanes.end()), n,
+              dir, base = opts.abft, fft_plan, real_plan, cplan, plan_error](
+                 std::size_t i, abft::Stats& stats, Impl::Arena&) {
+    const RealLane& lane = lanes[i];
+    abft::Options o = base;
+    if (lane.injector != nullptr) o.injector = lane.injector;
+    if (plan_error) std::rethrow_exception(plan_error);
+    if (o.mode == abft::Mode::kNone) {
+      if (dir == RealDirection::kForward) {
+        fft_plan->r2c(lane.re, lane.spec);
+      } else {
+        fft_plan->c2r(lane.spec, lane.re);
+      }
+    } else if (dir == RealDirection::kForward) {
+      abft::protected_r2c(lane.re, lane.spec, n, o, stats, real_plan.get(),
+                          cplan.get());
+    } else {
+      abft::protected_c2r(lane.spec, lane.re, n, o, stats, real_plan.get(),
+                          cplan.get());
+    }
+  };
+  return impl_->submit(submitted, lanes.size(), "lane", std::move(run),
+                       opts.submit, opts.chunk);
 }
 
 BatchFuture BatchEngine::submit_tasks(
     std::size_t count, std::function<void(std::size_t, abft::Stats&)> fn,
     const SubmitOptions& submit, std::size_t chunk) {
-  return impl_->submit_tasks(count, std::move(fn), submit, chunk);
-}
-
-std::optional<BatchFuture> BatchEngine::try_submit_tasks(
-    std::size_t count, std::function<void(std::size_t, abft::Stats&)> fn,
-    const SubmitOptions& submit, std::size_t chunk) {
-  return impl_->try_submit_tasks(count, std::move(fn), submit, chunk);
-}
-
-BatchReport BatchEngine::transform_batch(std::span<const Lane> lanes,
-                                         std::size_t n,
-                                         const BatchOptions& opts) {
-  return impl_->run_sync(lanes, n, opts);
-}
-
-BatchReport BatchEngine::transform_batch(cplx* in, cplx* out, std::size_t n,
-                                         std::size_t count,
-                                         const BatchOptions& opts) {
-  return impl_->run_sync(pack_lanes(in, out, n, count), n, opts);
-}
-
-abft::Stats BatchEngine::transform_one(cplx* in, cplx* out, std::size_t n,
-                                       const abft::Options& opts) {
-  Lane lane{in, out, nullptr};
-  BatchOptions batch_opts;
-  batch_opts.abft = opts;
-  BatchReport report = impl_->run_sync({&lane, 1}, n, batch_opts);
-  // Rethrow the lane's original exception so single-shot callers keep the
-  // documented taxonomy (invalid_argument for misuse, UncorrectableError
-  // for fault-model violations).
-  if (report.failed_lanes > 0) std::rethrow_exception(report.exceptions[0]);
-  return report.per_lane[0];
+  ftfft::detail::require(fn != nullptr,
+                         "BatchEngine::submit_tasks: null callable");
+  auto run = [fn = std::move(fn)](std::size_t i, abft::Stats& stats,
+                                  Impl::Arena&) { fn(i, stats); };
+  return impl_->submit(Impl::Clock::now(), count, "task", std::move(run),
+                       submit, chunk);
 }
 
 BatchEngine& BatchEngine::shared() {

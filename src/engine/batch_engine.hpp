@@ -5,17 +5,20 @@
 // production deployment runs many independent transforms ("lanes") in
 // flight at once, and a serving layer on top of it cannot afford to block
 // a request thread for every batch. BatchEngine therefore separates
-// submission from completion: submit_batch() validates a batch, resolves
-// its shared ProtectionPlan(s), appends a heap-owned job to a per-class
-// work queue and immediately returns a BatchFuture. A persistent pool
-// of worker threads pulls lanes across all queued jobs — lanes of a job
-// are claimed from its atomic cursor in contiguous chunks, and a worker
-// that exhausts a job's cursor moves on to the next job while
-// stragglers finish the previous one, so checksum setup, transform and
-// verification of consecutive batches overlap (the CPU analogue of
-// TurboFFT's pipelined batching). The blocking transform_batch() and
-// transform_one() are thin wrappers that submit and wait; there is exactly
-// one execution path.
+// submission from completion. There are three entry points —
+// submit_batch (complex lanes), submit_real_batch (r2c/c2r lanes) and
+// submit_tasks (generic work items) — and each builds the same kind of
+// job: an item count plus one item function, resolved once at submission
+// (plans, lane copies). The job enters a per-class work queue through one
+// admission path and the call immediately returns a BatchFuture; callers
+// that want to block call .get(). A persistent pool of worker threads
+// pulls items across all queued jobs — items of a job are claimed from
+// its atomic cursor in contiguous chunks, and a worker that exhausts a
+// job's cursor moves on to the next job while stragglers finish the
+// previous one, so checksum setup, transform and verification of
+// consecutive batches overlap (the CPU analogue of TurboFFT's pipelined
+// batching). Every item, whatever its kind, runs through one runner with
+// one skip path and one failure-isolation path.
 //
 // Scheduling is something you could put behind an RPC front door:
 //
@@ -29,10 +32,9 @@
 //    job at the next chunk boundary (no preemption of running lanes).
 //  * Bounded-queue backpressure. FTFFT_ENGINE_QUEUE_CAP (or
 //    set_queue_cap) bounds the pending-lane count — lanes, not jobs, so
-//    a 1000-lane batch occupies 1000 slots. When full, try_submit_*
-//    return an empty optional immediately, and the blocking submit_*
-//    wait for space up to SubmitOptions::admission_timeout, then throw
-//    QueueFullError.
+//    a 1000-lane batch occupies 1000 slots. When full, a submission waits
+//    for space up to SubmitOptions::admission_timeout, then throws
+//    QueueFullError; admission_timeout = 0 is the fail-fast form.
 //  * Deadline enforcement. A lane whose job deadline passes before it
 //    starts fails fast with DeadlineExceededError — queued work is never
 //    silently run late. Lanes already executing run to completion.
@@ -66,7 +68,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -151,10 +152,11 @@ struct SubmitOptions {
   /// them (CancelledError per lane, counted in BatchReport::shed_lanes)
   /// instead of rejecting the newcomer.
   bool cancellable = false;
-  /// How long a blocking submit_* may wait for queue space when the
-  /// pending-lane cap is reached before throwing QueueFullError: negative
-  /// (default) = wait as long as it takes, 0 = fail immediately, positive
-  /// = bounded wait. Ignored by try_submit_* (always immediate).
+  /// How long a submission may wait for queue space when the pending-lane
+  /// cap is reached (and shedding cannot make room) before throwing
+  /// QueueFullError: negative (default) = wait as long as it takes, 0 =
+  /// fail immediately (the fail-fast path of a serving front door),
+  /// positive = bounded wait.
   std::chrono::nanoseconds admission_timeout{-1};
 };
 
@@ -184,9 +186,9 @@ struct LatencyPercentiles {
 
 /// Scheduler counters and latency distributions for one priority class.
 struct PriorityClassStats {
-  std::size_t jobs_submitted = 0;  ///< admitted (queued or run inline)
+  std::size_t jobs_submitted = 0;  ///< admitted to the queue
   std::size_t jobs_completed = 0;  ///< futures fulfilled
-  std::size_t jobs_rejected = 0;   ///< try_submit refusals + QueueFullError
+  std::size_t jobs_rejected = 0;   ///< QueueFullError refusals
   std::size_t lanes_submitted = 0;
   std::size_t lanes_completed = 0;  ///< executed (success or lane failure)
   std::size_t lanes_cancelled = 0;  ///< skipped via BatchTicket::cancel
@@ -309,7 +311,7 @@ class BatchFuture {
 /// Workers are spawned lazily on the first submission and parked on a
 /// condition variable while the queues are empty, so an engine is cheap to
 /// construct. Submission is thread-safe: any number of threads may call
-/// submit_batch / transform_batch concurrently; jobs are claimed highest
+/// the submit_* methods concurrently; jobs are claimed highest
 /// priority class first (EDF within a class, FIFO among deadline-free
 /// jobs) and may complete out of order (a small job queued behind a large
 /// one finishes as soon as its lanes are done). Destroying the engine
@@ -369,21 +371,6 @@ class BatchEngine {
   BatchFuture submit_batch(std::span<const Lane> lanes, std::size_t n,
                            const BatchOptions& opts = {});
 
-  /// Convenience: `count` lanes packed contiguously, lane L reading
-  /// in + L*n and writing out + L*n (out == nullptr → in place).
-  BatchFuture submit_batch(cplx* in, cplx* out, std::size_t n,
-                           std::size_t count, const BatchOptions& opts = {});
-
-  /// Non-blocking admission: like submit_batch, but when the pending-lane
-  /// cap is reached (and shedding cannot make room) returns an empty
-  /// optional immediately instead of waiting — the try-form of the
-  /// QueueFullError the blocking submit would throw. Misuse still throws
-  /// std::invalid_argument synchronously. SubmitOptions::admission_timeout
-  /// is ignored (always immediate).
-  std::optional<BatchFuture> try_submit_batch(std::span<const Lane> lanes,
-                                              std::size_t n,
-                                              const BatchOptions& opts = {});
-
   /// Queues the protected real n-point transform (r2c or c2r per `dir`) of
   /// every lane through the same worker pool, FIFO queue and completion
   /// machinery as complex batches: the RealProtectionPlan, the underlying
@@ -397,24 +384,6 @@ class BatchEngine {
   BatchFuture submit_real_batch(std::span<const RealLane> lanes,
                                 std::size_t n, RealDirection dir,
                                 const BatchOptions& opts = {});
-
-  /// Convenience: `count` real lanes packed contiguously, lane L using
-  /// re + L*n and spec + L*(n/2 + 1).
-  BatchFuture submit_real_batch(double* re, cplx* spec, std::size_t n,
-                                std::size_t count, RealDirection dir,
-                                const BatchOptions& opts = {});
-
-  /// Non-blocking admission for real batches (see try_submit_batch).
-  std::optional<BatchFuture> try_submit_real_batch(
-      std::span<const RealLane> lanes, std::size_t n, RealDirection dir,
-      const BatchOptions& opts = {});
-
-  /// Blocking convenience: submit_real_batch(...).get(), with the same
-  /// single-lane inline fast path as transform_batch (real lanes never
-  /// stage, so one lane always qualifies).
-  BatchReport transform_real_batch(std::span<const RealLane> lanes,
-                                   std::size_t n, RealDirection dir,
-                                   const BatchOptions& opts = {});
 
   /// Queues `count` generic work items through the same worker pool, FIFO
   /// queue and completion machinery as transform batches: item i runs
@@ -435,31 +404,8 @@ class BatchEngine {
                            const SubmitOptions& submit = {},
                            std::size_t chunk = 0);
 
-  /// Non-blocking admission for task fan-outs (see try_submit_batch).
-  std::optional<BatchFuture> try_submit_tasks(
-      std::size_t count, std::function<void(std::size_t, abft::Stats&)> fn,
-      const SubmitOptions& submit = {}, std::size_t chunk = 0);
-
-  /// Blocking convenience: submit_batch(...).get(), with one shortcut — a
-  /// single lane that needs no staging (no preserve_inputs, out != in)
-  /// runs inline on the calling thread through the same worker code path,
-  /// so single-shot calls pay no queue dispatch and never wait behind
-  /// batches queued by other threads.
-  BatchReport transform_batch(std::span<const Lane> lanes, std::size_t n,
-                              const BatchOptions& opts = {});
-
-  /// Blocking convenience over the contiguous layout.
-  BatchReport transform_batch(cplx* in, cplx* out, std::size_t n,
-                              std::size_t count,
-                              const BatchOptions& opts = {});
-
-  /// Single-shot protected transform: a blocking batch of one (runs inline
-  /// on the caller for out != in — see transform_batch).
-  abft::Stats transform_one(cplx* in, cplx* out, std::size_t n,
-                            const abft::Options& opts = {});
-
-  /// Process-wide shared engine used by the single-shot convenience
-  /// wrappers and ftfft::submit_batch. Worker count from
+  /// Process-wide shared engine for callers that do not manage their own
+  /// (examples, the sharded FFT's default pool). Worker count from
   /// FTFFT_ENGINE_THREADS (default: hardware_concurrency). Safe to submit
   /// to from multiple threads.
   static BatchEngine& shared();

@@ -240,30 +240,6 @@ TEST(AsyncEngine, GetOnCopyInvalidatesThenOnOtherCopies) {
   EXPECT_THROW((void)f2.get(), std::invalid_argument);
 }
 
-TEST(AsyncEngine, SingleShotBypassesTheQueueUnderLoad) {
-  // The blocking single-lane fast path runs on the calling thread, so a
-  // single-shot transform completes while a heavyweight queued batch is
-  // still in flight — single-shot latency is not head-of-line blocked.
-  const abft::Options opts = abft::Options::online_opt(true);
-  engine::BatchEngine eng(1);
-  Workload blocker(4, 1 << 16, 13000);
-  engine::BatchOptions bopts;
-  bopts.abft = opts;
-  auto fb = eng.submit_batch(blocker.lanes, 1 << 16, bopts);
-
-  const std::size_t n = 256;
-  auto in = random_vector(n, InputDistribution::kUniform, 13100);
-  const auto reference = serial_reference({in}, n, opts);
-  std::vector<cplx> out(n);
-  auto x = in;
-  const abft::Stats stats = eng.transform_one(x.data(), out.data(), n, opts);
-  EXPECT_GT(stats.verifications, 0u);
-  EXPECT_TRUE(bit_identical(out, reference[0]));
-  // The queued batch is still pending: the single shot did not wait on it.
-  EXPECT_GE(eng.pending_jobs(), 1u);
-  EXPECT_TRUE(fb.get().all_ok());
-}
-
 TEST(AsyncEngine, SubmissionMisuseThrowsSynchronously) {
   engine::BatchEngine eng(2);
   engine::Lane null_lane{nullptr, nullptr, nullptr};
@@ -292,30 +268,53 @@ TEST(AsyncEngine, EmptySubmissionIsImmediatelyReady) {
 TEST(AsyncEngine, CancelSkipsQueuedLanesWithCancelledTaxonomy) {
   const abft::Options opts = abft::Options::online_opt(true);
   // One worker: the heavyweight front job keeps it busy long enough that
-  // the cancel lands before any lane of the queued job starts.
+  // the cancel lands before any lane of the queued jobs starts.
   engine::BatchEngine eng(1);
   Workload blocker(4, 1 << 16, 5100);
   Workload victim(8, 256, 5200);
+  // A real-lane victim too: r2c lanes whose spectra must stay unwritten.
+  const std::size_t rn = 256;
+  const std::size_t rlanes = 3;
+  const cplx sentinel{-7.0, 7.0};
+  std::vector<double> re(rlanes * rn, 1.0);
+  std::vector<cplx> spec(rlanes * (rn / 2 + 1), sentinel);
+  std::vector<engine::RealLane> real_victim(rlanes);
+  for (std::size_t l = 0; l < rlanes; ++l) {
+    real_victim[l] = {re.data() + l * rn, spec.data() + l * (rn / 2 + 1),
+                      nullptr};
+  }
   engine::BatchOptions bopts;
   bopts.abft = opts;
   auto fb = eng.submit_batch(blocker.lanes, 1 << 16, bopts);
   auto fv = eng.submit_batch(victim.lanes, 256, bopts);
+  auto fr = eng.submit_real_batch(real_victim, rn,
+                                  engine::RealDirection::kForward, bopts);
   engine::BatchTicket ticket = fv.ticket();
   EXPECT_FALSE(ticket.cancelled());
   ticket.cancel();
   EXPECT_TRUE(ticket.cancelled());
+  fr.ticket().cancel();
 
-  const auto victim_report = fv.get();
-  EXPECT_EQ(victim_report.lanes, 8u);
-  EXPECT_EQ(victim_report.cancelled_lanes, 8u);
-  EXPECT_EQ(victim_report.failed_lanes, 8u);
-  EXPECT_FALSE(victim_report.all_ok());
-  for (std::size_t l = 0; l < victim_report.lanes; ++l) {
-    ASSERT_TRUE(victim_report.exceptions[l]) << "lane=" << l;
-    EXPECT_THROW(std::rethrow_exception(victim_report.exceptions[l]),
-                 CancelledError)
-        << "lane=" << l;
+  for (auto* f : {&fv, &fr}) {
+    const auto victim_report = f->get();
+    const std::size_t lanes = f == &fv ? 8u : rlanes;
+    EXPECT_EQ(victim_report.lanes, lanes);
+    EXPECT_EQ(victim_report.cancelled_lanes, lanes);
+    EXPECT_EQ(victim_report.failed_lanes, lanes);
+    EXPECT_FALSE(victim_report.all_ok());
+    for (std::size_t l = 0; l < victim_report.lanes; ++l) {
+      ASSERT_TRUE(victim_report.exceptions[l]) << "lane=" << l;
+      EXPECT_THROW(std::rethrow_exception(victim_report.exceptions[l]),
+                   CancelledError)
+          << "lane=" << l;
+      EXPECT_EQ(victim_report.errors[l], "lane cancelled before execution");
+    }
   }
+  // Skipped lanes never touched their outputs.
+  for (const auto& out : victim.outs) {
+    EXPECT_EQ(out, std::vector<cplx>(256));
+  }
+  EXPECT_EQ(spec, std::vector<cplx>(spec.size(), sentinel));
   const auto blocker_report = fb.get();
   EXPECT_TRUE(blocker_report.all_ok());  // cancel touched only its own job
 
@@ -420,47 +419,6 @@ TEST(AsyncEngine, ThenCallbackFiresOnWorkerAfterCompletion) {
   EXPECT_TRUE(future.get().all_ok());
 }
 
-TEST(AsyncEngine, CoreSubmitBatchAndFtPlanWrapper) {
-  const std::size_t n = 256;
-  PlanConfig config;
-  const abft::Options opts = make_abft_options(config);
-  Workload w1(5, n, 8000);
-  Workload w2(5, n, 8100);
-  const auto ref1 = serial_reference(w1.ins, n, opts);
-  const auto ref2 = serial_reference(w2.ins, n, opts);
-
-  auto f1 = submit_batch(w1.lanes, n, config);
-  FtPlan plan(n, config);
-  auto f2 = plan.submit_batch(w2.lanes);
-  const auto r1 = f1.get();
-  const auto r2 = f2.get();
-  EXPECT_TRUE(r1.all_ok());
-  EXPECT_TRUE(r2.all_ok());
-  for (std::size_t l = 0; l < 5; ++l) {
-    EXPECT_TRUE(bit_identical(w1.outs[l], ref1[l])) << "lane=" << l;
-    EXPECT_TRUE(bit_identical(w2.outs[l], ref2[l])) << "lane=" << l;
-  }
-}
-
-TEST(AsyncEngine, BlockingTransformBatchIsTheAsyncPath) {
-  const std::size_t n = 512;
-  const abft::Options opts = abft::Options::online_opt(true);
-  Workload via_submit(7, n, 9000);
-  Workload via_block(7, n, 9000);  // same seed: identical inputs
-
-  engine::BatchEngine eng(3);
-  engine::BatchOptions bopts;
-  bopts.abft = opts;
-  const auto r_async = eng.submit_batch(via_submit.lanes, n, bopts).get();
-  const auto r_block = eng.transform_batch(via_block.lanes, n, bopts);
-  EXPECT_TRUE(r_async.all_ok());
-  EXPECT_TRUE(r_block.all_ok());
-  for (std::size_t l = 0; l < 7; ++l) {
-    EXPECT_TRUE(bit_identical(via_submit.outs[l], via_block.outs[l]))
-        << "lane=" << l;
-  }
-}
-
 // ------------------------------------------------------------ warm plans
 
 TEST(WarmPlans, FirstSubmissionAfterWarmupDoesZeroRaGeneration) {
@@ -480,8 +438,9 @@ TEST(WarmPlans, FirstSubmissionAfterWarmupDoesZeroRaGeneration) {
   Workload w(4, n, 10000);
   const auto gens_before_submit = checksum::ra_generations();
   const auto builds_before_submit = abft::ProtectionPlan::build_count();
-  auto future = submit_batch(w.lanes, n, config);
-  const auto report = future.get();
+  const auto report = engine::BatchEngine::shared()
+                          .submit_batch(w.lanes, n, {make_abft_options(config)})
+                          .get();
   EXPECT_TRUE(report.all_ok());
   // The whole point: submission found every plan resident — zero rA
   // passes, zero ProtectionPlan builds.

@@ -67,7 +67,7 @@ TEST(BatchEngine, BitIdenticalToSerialLoopAcrossThreadCounts) {
     }
     engine::BatchOptions bopts;
     bopts.abft = opts;
-    const auto report = eng.transform_batch(batch, n, bopts);
+    const auto report = eng.submit_batch(batch, n, bopts).get();
     EXPECT_EQ(report.lanes, lanes);
     EXPECT_EQ(report.failed_lanes, 0u);
     EXPECT_TRUE(report.all_ok());
@@ -95,7 +95,7 @@ TEST(BatchEngine, SmallChunksExerciseTheSchedulerIdentically) {
   engine::BatchOptions bopts;
   bopts.abft = opts;
   bopts.chunk = 1;  // maximum scheduler churn
-  const auto report = eng.transform_batch(batch, n, bopts);
+  const auto report = eng.submit_batch(batch, n, bopts).get();
   EXPECT_EQ(report.failed_lanes, 0u);
   for (std::size_t l = 0; l < lanes; ++l) {
     EXPECT_TRUE(bit_identical(outs[l], reference[l])) << "lane=" << l;
@@ -126,7 +126,7 @@ TEST(BatchEngine, FaultInOneLaneIsCorrectedWithoutCrossLaneInterference) {
   }
   engine::BatchOptions bopts;
   bopts.abft = opts;
-  const auto report = eng.transform_batch(batch, n, bopts);
+  const auto report = eng.submit_batch(batch, n, bopts).get();
 
   EXPECT_EQ(report.failed_lanes, 0u);
   std::size_t corrected_total = 0;
@@ -166,7 +166,7 @@ TEST(BatchEngine, InPlaceLanesMatchOutOfPlace) {
   }
   engine::BatchOptions bopts;
   bopts.abft = opts;
-  const auto report = eng.transform_batch(batch, n, bopts);
+  const auto report = eng.submit_batch(batch, n, bopts).get();
   EXPECT_EQ(report.failed_lanes, 0u);
   const double tol = 1e-10 * static_cast<double>(n);
   for (std::size_t l = 0; l < lanes; ++l) {
@@ -190,7 +190,7 @@ TEST(BatchEngine, PreserveInputsLeavesCallerBuffersUntouched) {
   engine::BatchOptions bopts;
   bopts.abft = abft::Options::online_opt(true);
   bopts.preserve_inputs = true;
-  const auto report = eng.transform_batch(batch, n, bopts);
+  const auto report = eng.submit_batch(batch, n, bopts).get();
   EXPECT_EQ(report.failed_lanes, 0u);
   for (std::size_t l = 0; l < lanes; ++l) {
     EXPECT_TRUE(bit_identical(ins[l], inputs[l])) << "lane=" << l;
@@ -208,39 +208,14 @@ TEST(BatchEngine, AliasedInOutLaneIsStagedCorrectly) {
   engine::Lane lane{data.data(), data.data(), nullptr};  // out aliases in
   engine::BatchOptions bopts;
   bopts.abft = opts;
-  const auto report = eng.transform_batch({&lane, 1}, n, bopts);
+  const auto report = eng.submit_batch({&lane, 1}, n, bopts).get();
   EXPECT_EQ(report.failed_lanes, 0u);
   EXPECT_TRUE(bit_identical(data, reference[0]));
 }
 
-TEST(BatchEngine, ContiguousOverloadMatchesLaneSpans) {
-  const std::size_t n = 64;
-  const std::size_t lanes = 10;
-  const auto inputs = lane_inputs(lanes, n, 777);
-  const abft::Options opts = abft::Options::online_opt(false);
-  const auto reference = serial_reference(inputs, n, opts);
-
-  std::vector<cplx> packed_in(lanes * n);
-  std::vector<cplx> packed_out(lanes * n);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    std::copy(inputs[l].begin(), inputs[l].end(), packed_in.begin() + l * n);
-  }
-  engine::BatchEngine eng(2);
-  engine::BatchOptions bopts;
-  bopts.abft = opts;
-  const auto report =
-      eng.transform_batch(packed_in.data(), packed_out.data(), n, lanes,
-                          bopts);
-  EXPECT_EQ(report.failed_lanes, 0u);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    EXPECT_EQ(std::memcmp(packed_out.data() + l * n, reference[l].data(),
-                          n * sizeof(cplx)),
-              0)
-        << "lane=" << l;
-  }
-}
-
-TEST(BatchEngine, SingleShotDelegatesToBatchOfOne) {
+TEST(BatchEngine, ProtectedFftMatchesBatchOfOne) {
+  // The single-shot wrapper runs on the caller, outside the engine; a
+  // batch of one must produce the same spectrum and the same statistics.
   const std::size_t n = 2048;
   auto input = random_vector(n, InputDistribution::kNormal, 888);
   const abft::Options opts = abft::Options::online_opt(true);
@@ -248,13 +223,14 @@ TEST(BatchEngine, SingleShotDelegatesToBatchOfOne) {
 
   auto x = input;
   std::vector<cplx> out(n);
-  const abft::Stats stats =
-      engine::BatchEngine::shared().transform_one(x.data(), out.data(), n,
-                                                  opts);
+  const engine::Lane lane{x.data(), out.data(), nullptr};
+  const auto report = engine::BatchEngine::shared()
+                          .submit_batch({&lane, 1}, n, {.abft = opts})
+                          .get();
+  ASSERT_TRUE(report.all_ok());
   EXPECT_TRUE(bit_identical(out, reference[0]));
-  EXPECT_GT(stats.verifications, 0u);
+  EXPECT_GT(report.per_lane[0].verifications, 0u);
 
-  // The allocating convenience wrapper takes the same path.
   const auto spectrum = abft::protected_fft(input, opts);
   EXPECT_TRUE(bit_identical(spectrum, reference[0]));
 }
@@ -273,7 +249,10 @@ TEST(BatchEngine, CoreTransformBatchUsesPlanConfig) {
   for (std::size_t l = 0; l < lanes; ++l) {
     batch[l] = {ins[l].data(), outs[l].data(), nullptr};
   }
-  const auto report = transform_batch(batch, n, config);
+  // The core configuration reaches the engine through make_abft_options.
+  const auto report = engine::BatchEngine::shared()
+                          .submit_batch(batch, n, {make_abft_options(config)})
+                          .get();
   EXPECT_EQ(report.failed_lanes, 0u);
   for (std::size_t l = 0; l < lanes; ++l) {
     EXPECT_TRUE(bit_identical(outs[l], reference[l])) << "lane=" << l;
@@ -302,11 +281,11 @@ TEST(BatchEngine, RejectsBatchWideInjectorOnMultiThreadBatches) {
   bopts.abft.injector = &injector;  // shared mutable state: racy if allowed
 
   engine::BatchEngine multi(2);
-  EXPECT_THROW((void)multi.transform_batch(batch, n, bopts),
+  EXPECT_THROW((void)multi.submit_batch(batch, n, bopts),
                std::invalid_argument);
   // Single-threaded engines and single-lane batches stay legal.
   engine::BatchEngine solo(1);
-  const auto report = solo.transform_batch(batch, n, bopts);
+  const auto report = solo.submit_batch(batch, n, bopts).get();
   EXPECT_EQ(report.failed_lanes, 0u);
 }
 
@@ -323,7 +302,7 @@ TEST(BatchEngine, FailedLaneCarriesOriginalException) {
   engine::BatchOptions bopts;
   bopts.abft = abft::Options::online_opt(true);
   engine::BatchEngine eng(1);
-  const auto report = eng.transform_batch(batch, n, bopts);
+  const auto report = eng.submit_batch(batch, n, bopts).get();
   EXPECT_EQ(report.failed_lanes, 1u);
   EXPECT_TRUE(report.errors[0].empty());
   ASSERT_FALSE(report.errors[1].empty());
@@ -334,16 +313,17 @@ TEST(BatchEngine, FailedLaneCarriesOriginalException) {
 
 TEST(BatchEngine, EmptyBatchAndBadArgs) {
   engine::BatchEngine eng(2);
-  const auto report = eng.transform_batch(std::span<const engine::Lane>{}, 8);
+  const auto report =
+      eng.submit_batch(std::span<const engine::Lane>{}, 8).get();
   EXPECT_EQ(report.lanes, 0u);
   EXPECT_TRUE(report.all_ok());
 
   engine::Lane null_lane{nullptr, nullptr, nullptr};
-  EXPECT_THROW((void)eng.transform_batch({&null_lane, 1}, 8),
+  EXPECT_THROW((void)eng.submit_batch({&null_lane, 1}, 8),
                std::invalid_argument);
   cplx one{1.0, 0.0};
   engine::Lane lane{&one, nullptr, nullptr};
-  EXPECT_THROW((void)eng.transform_batch({&lane, 1}, 0),
+  EXPECT_THROW((void)eng.submit_batch({&lane, 1}, 0),
                std::invalid_argument);
 }
 

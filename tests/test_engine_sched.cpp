@@ -1,6 +1,6 @@
 // Serving-grade admission control of BatchEngine: priority classes with
-// EDF within a class, bounded-queue backpressure (try_submit fail-fast,
-// blocking admission timeouts, QueueFullError), deadline enforcement
+// EDF within a class, bounded-queue backpressure (zero-timeout fail-fast,
+// bounded and unbounded admission waits, QueueFullError), deadline enforcement
 // (DeadlineExceededError fail-fast for queued work), load shedding of
 // cancellable lower-class lanes, per-class scheduler statistics, the env
 // knobs that configure all of it, and the invariant that carries the rest:
@@ -31,6 +31,14 @@ using engine::Priority;
 using simd::Backend;
 
 constexpr auto kNoop = [](std::size_t, abft::Stats&) {};
+
+// Admission that throws QueueFullError at once instead of waiting.
+engine::SubmitOptions fail_fast(Priority priority = Priority::kDefault) {
+  engine::SubmitOptions so;
+  so.priority = priority;
+  so.admission_timeout = std::chrono::nanoseconds::zero();
+  return so;
+}
 
 std::vector<Backend> available_backends() {
   std::vector<Backend> out{Backend::kScalar};
@@ -287,13 +295,9 @@ TEST(EngineSched, BackpressureRejectsAndThrowsWhenCapReached) {
   gate.wait_entered(1);
   auto queued = eng.submit_tasks(1, kNoop);  // pending 2 == cap
 
-  // Non-blocking admission fails fast with an empty optional.
-  EXPECT_FALSE(eng.try_submit_tasks(1, kNoop).has_value());
-  // Blocking admission: zero timeout fails immediately, a bounded timeout
-  // waits it out first; both surface QueueFullError.
-  engine::SubmitOptions fail_fast;
-  fail_fast.admission_timeout = std::chrono::nanoseconds::zero();
-  EXPECT_THROW((void)eng.submit_tasks(1, kNoop, fail_fast),
+  // A zero admission timeout fails immediately, a bounded timeout waits
+  // it out first; both surface QueueFullError.
+  EXPECT_THROW((void)eng.submit_tasks(1, kNoop, fail_fast()),
                QueueFullError);
   engine::SubmitOptions brief;
   brief.admission_timeout = std::chrono::milliseconds(5);
@@ -302,15 +306,13 @@ TEST(EngineSched, BackpressureRejectsAndThrowsWhenCapReached) {
   auto st = eng.scheduler_stats();
   EXPECT_EQ(st.queue_cap, 2u);
   EXPECT_EQ(st.pending_lanes, 2u);
-  EXPECT_EQ(st.at(Priority::kNormal).jobs_rejected, 3u);
+  EXPECT_EQ(st.at(Priority::kNormal).jobs_rejected, 2u);
 
   gate.release();
   EXPECT_TRUE(blocker.get().all_ok());
   EXPECT_TRUE(queued.get().all_ok());
-  // Capacity freed: the same submission is admitted now.
-  auto retry = eng.try_submit_tasks(1, kNoop);
-  ASSERT_TRUE(retry.has_value());
-  EXPECT_TRUE(retry->get().all_ok());
+  // Capacity freed: the same fail-fast submission is admitted now.
+  EXPECT_TRUE(eng.submit_tasks(1, kNoop, fail_fast()).get().all_ok());
 }
 
 TEST(EngineSched, BlockedSubmitterAdmitsWhenSpaceFrees) {
@@ -349,16 +351,42 @@ TEST(EngineSched, TrySubmitBatchRejectsThenAdmitsTransformLanes) {
   for (std::size_t l = 0; l < 4; ++l) {
     lanes[l] = {in.data() + l * n, out.data() + l * n, nullptr};
   }
+  std::vector<double> re(2 * n, 0.5);
+  std::vector<cplx> spec(2 * (n / 2 + 1));
+  const std::vector<engine::RealLane> real_lanes{
+      {re.data(), spec.data(), nullptr},
+      {re.data() + n, spec.data() + (n / 2 + 1), nullptr}};
   engine::BatchOptions bopts;
   bopts.abft = abft::Options::online_opt(true);
-  EXPECT_FALSE(eng.try_submit_batch(lanes, n, bopts).has_value());
+  bopts.submit = fail_fast();
+
+  // Every job kind is refused the same way: QueueFullError at once, one
+  // more rejected job, and no pending lanes charged.
+  const auto expect_refused = [&](const auto& submit) {
+    const auto before = eng.scheduler_stats();
+    EXPECT_THROW((void)submit(), QueueFullError);
+    const auto after = eng.scheduler_stats();
+    EXPECT_EQ(after.at(Priority::kNormal).jobs_rejected,
+              before.at(Priority::kNormal).jobs_rejected + 1);
+    EXPECT_EQ(after.pending_lanes, before.pending_lanes);
+  };
+  expect_refused([&] { return eng.submit_batch(lanes, n, bopts); });
+  expect_refused([&] {
+    return eng.submit_real_batch(real_lanes, n,
+                                 engine::RealDirection::kForward, bopts);
+  });
+  expect_refused([&] { return eng.submit_tasks(2, kNoop, bopts.submit); });
+  EXPECT_EQ(eng.scheduler_stats().at(Priority::kNormal).jobs_rejected, 3u);
 
   gate.release();
   EXPECT_TRUE(blocker.get().all_ok());
   eng.set_queue_cap(8);
-  auto f = eng.try_submit_batch(lanes, n, bopts);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_TRUE(f->get().all_ok());
+  // Under the cap, complex and real jobs are both admitted at once.
+  auto f = eng.submit_batch(lanes, n, bopts);
+  auto fr = eng.submit_real_batch(real_lanes, n,
+                                  engine::RealDirection::kForward, bopts);
+  EXPECT_TRUE(f.get().all_ok());
+  EXPECT_TRUE(fr.get().all_ok());
 }
 
 TEST(EngineSched, OversizedJobIsAdmittedWhenQueueIsEmpty) {
@@ -388,6 +416,19 @@ TEST(EngineSched, ExpiredQueuedJobFailsFastWithDeadlineTaxonomy) {
   auto fd = eng.submit_tasks(3, [&](std::size_t, abft::Stats&) {
     ran.fetch_add(1);
   }, dl);
+  // A real-lane job with the same deadline: c2r lanes whose time-domain
+  // outputs must stay unwritten.
+  const std::size_t n = 256;
+  std::vector<cplx> spec(2 * (n / 2 + 1), cplx{1.0, 0.0});
+  std::vector<double> re(2 * n, -3.0);
+  const std::vector<engine::RealLane> real_lanes{
+      {re.data(), spec.data(), nullptr},
+      {re.data() + n, spec.data() + (n / 2 + 1), nullptr}};
+  engine::BatchOptions bopts;
+  bopts.abft = abft::Options::online_opt(true);
+  bopts.submit = dl;
+  auto fr = eng.submit_real_batch(real_lanes, n,
+                                  engine::RealDirection::kInverse, bopts);
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   gate.release();
 
@@ -404,9 +445,21 @@ TEST(EngineSched, ExpiredQueuedJobFailsFastWithDeadlineTaxonomy) {
                  DeadlineExceededError);
     EXPECT_NE(r.errors[i].find("deadline exceeded"), std::string::npos);
   }
+  const auto rr = fr.get();
+  EXPECT_EQ(rr.lanes, 2u);
+  EXPECT_EQ(rr.deadline_expired_lanes, 2u);
+  EXPECT_EQ(rr.failed_lanes, 2u);
+  EXPECT_EQ(rr.cancelled_lanes, 0u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(rr.exceptions[i]) << i;
+    EXPECT_THROW(std::rethrow_exception(rr.exceptions[i]),
+                 DeadlineExceededError);
+    EXPECT_EQ(rr.errors[i], "lane deadline exceeded before execution");
+  }
+  EXPECT_EQ(re, std::vector<double>(2 * n, -3.0));
   EXPECT_TRUE(blocker.get().all_ok());
   const auto st = eng.scheduler_stats();
-  EXPECT_EQ(st.at(Priority::kNormal).deadline_expired_lanes, 3u);
+  EXPECT_EQ(st.at(Priority::kNormal).deadline_expired_lanes, 5u);
 }
 
 TEST(EngineSched, GenerousDeadlineIsMetAndReportsLatencies) {
@@ -447,17 +500,16 @@ TEST(EngineSched, AdmissionShedsCancellableLowerClassLanes) {
   }, low_shed);  // queued; pending 3 == cap
 
   // An equal-or-lower-class arrival may not shed the victim: rejected.
-  EXPECT_FALSE(eng.try_submit_tasks(1, kNoop, low_shed).has_value());
+  EXPECT_THROW((void)eng.submit_tasks(1, kNoop, fail_fast(Priority::kLow)),
+               QueueFullError);
 
   // A high-class arrival sheds the queued cancellable low job to make
-  // room, synchronously, and is admitted.
+  // room, synchronously, and is admitted without waiting.
   std::atomic<int> winner_ran{0};
-  engine::SubmitOptions hi;
-  hi.priority = Priority::kHigh;
-  auto winner = eng.try_submit_tasks(2, [&](std::size_t, abft::Stats&) {
+  auto winner = eng.submit_tasks(2, [&](std::size_t, abft::Stats&) {
     winner_ran.fetch_add(1);
-  }, hi);
-  ASSERT_TRUE(winner.has_value());
+  }, fail_fast(Priority::kHigh));
+  ASSERT_TRUE(winner.valid());
 
   // The shed future is fulfilled immediately with the shed taxonomy.
   EXPECT_TRUE(victim.wait_for(std::chrono::minutes(1)));
@@ -473,7 +525,7 @@ TEST(EngineSched, AdmissionShedsCancellableLowerClassLanes) {
   }
 
   gate.release();
-  EXPECT_TRUE(winner->get().all_ok());
+  EXPECT_TRUE(winner.get().all_ok());
   EXPECT_EQ(winner_ran.load(), 2);
   EXPECT_TRUE(blocker.get().all_ok());
 
@@ -493,9 +545,8 @@ TEST(EngineSched, NonCancellableLanesAreNeverShed) {
   low_pinned.priority = Priority::kLow;  // lower class but NOT cancellable
   auto pinned = eng.submit_tasks(1, kNoop, low_pinned);
 
-  engine::SubmitOptions hi;
-  hi.priority = Priority::kHigh;
-  EXPECT_FALSE(eng.try_submit_tasks(1, kNoop, hi).has_value());
+  EXPECT_THROW((void)eng.submit_tasks(1, kNoop, fail_fast(Priority::kHigh)),
+               QueueFullError);
 
   gate.release();
   EXPECT_TRUE(blocker.get().all_ok());
@@ -538,7 +589,11 @@ TEST(EngineSched, SharedEngineSnapshotExportedViaFreeFunction) {
   std::vector<cplx> out(n);
   std::vector<engine::Lane> lanes{{in.data(), out.data(), nullptr}};
   const auto before = engine::scheduler_stats();
-  EXPECT_TRUE(ftfft::submit_batch(lanes, n).get().all_ok());
+  const engine::BatchOptions bopts{make_abft_options(PlanConfig{})};
+  EXPECT_TRUE(engine::BatchEngine::shared()
+                  .submit_batch(lanes, n, bopts)
+                  .get()
+                  .all_ok());
   const auto after = engine::scheduler_stats();
   std::size_t before_jobs = 0, after_jobs = 0;
   for (const auto& c : before.classes) before_jobs += c.jobs_completed;
@@ -711,26 +766,18 @@ TEST(EngineSchedStress, SaturatedMixedWorkloadLosesNoFutures) {
           so.deadline = std::chrono::microseconds(200 * (j % 5 + 1));
         }
         const std::size_t count = 1 + static_cast<std::size_t>(j % 3);
-        std::optional<engine::BatchFuture> f;
-        if (j % 4 == 0) {
-          f = eng.try_submit_tasks(count, work, so);
-          if (!f) {
-            rejected.fetch_add(1);
-            continue;
-          }
-        } else {
-          so.admission_timeout = (j % 4 == 1)
-                                     ? std::chrono::nanoseconds::zero()
-                                     : std::chrono::nanoseconds{-1};
-          try {
-            f = eng.submit_tasks(count, work, so);
-          } catch (const QueueFullError&) {
-            rejected.fetch_add(1);
-            continue;
-          }
+        // Half the submitters fail fast, half wait for space.
+        so.admission_timeout = (j % 4 <= 1) ? std::chrono::nanoseconds::zero()
+                                            : std::chrono::nanoseconds{-1};
+        engine::BatchFuture f;
+        try {
+          f = eng.submit_tasks(count, work, so);
+        } catch (const QueueFullError&) {
+          rejected.fetch_add(1);
+          continue;
         }
         std::scoped_lock lk(futs_mu);
-        futs.push_back(std::move(*f));
+        futs.push_back(std::move(f));
       }
     });
   }

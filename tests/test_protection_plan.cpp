@@ -301,7 +301,7 @@ TEST(ProtectionPlanBatch, BatchOutputBitIdenticalToPerCallPath) {
     }
     engine::BatchOptions bopts;
     bopts.abft = opts;
-    const auto report = eng.transform_batch(batch, n, bopts);
+    const auto report = eng.submit_batch(batch, n, bopts).get();
     ASSERT_TRUE(report.all_ok());
     for (std::size_t l = 0; l < lanes; ++l) {
       EXPECT_EQ(std::memcmp(serial_out[l].data(), batch_out[l].data(),
@@ -337,7 +337,7 @@ TEST(ProtectionPlanBatch, InplaceBatchBitIdenticalToPerCallPath) {
     }
     engine::BatchOptions bopts;
     bopts.abft = opts;
-    const auto report = eng.transform_batch(batch, n, bopts);
+    const auto report = eng.submit_batch(batch, n, bopts).get();
     ASSERT_TRUE(report.all_ok());
     for (std::size_t l = 0; l < lanes; ++l) {
       EXPECT_EQ(std::memcmp(serial_data[l].data(), batch_data[l].data(),
@@ -370,7 +370,7 @@ TEST(ProtectionPlanBatch, RaGenerationAmortizedAcrossLanes) {
     for (std::size_t l = 0; l < lanes; ++l) {
       batch[l] = {ins[l].data(), outs[l].data(), nullptr};
     }
-    const auto report = eng.transform_batch(batch, n, bopts);
+    const auto report = eng.submit_batch(batch, n, bopts).get();
     ASSERT_TRUE(report.all_ok());
   };
 
@@ -390,9 +390,12 @@ TEST(ProtectionPlanBatch, ResolutionFailureIsIsolatedPerLane) {
   const std::size_t n = 12;
   engine::BatchEngine eng(2);
   std::vector<cplx> in(n * 2, cplx{1.0, 0.0}), out(n * 2);
+  const std::vector<engine::Lane> lanes{{in.data(), out.data(), nullptr},
+                                        {in.data() + n, out.data() + n,
+                                         nullptr}};
   engine::BatchOptions bopts;
   bopts.abft = Options::online_opt(true);
-  const auto report = eng.transform_batch(in.data(), out.data(), n, 2, bopts);
+  const auto report = eng.submit_batch(lanes, n, bopts).get();
   EXPECT_EQ(report.failed_lanes, 2u);
   for (const auto& err : report.errors) EXPECT_FALSE(err.empty());
   for (const auto& ex : report.exceptions) {
@@ -410,21 +413,22 @@ TEST(ProtectionPlanBatch, ArenaHighWaterTrimReleasesStaging) {
   const std::size_t big = 1 << 14;
   auto big_in = random_vector(big, InputDistribution::kUniform, 3);
   std::vector<cplx> big_out(big);
-  (void)eng.transform_batch(big_in.data(), big_out.data(), big, 1, bopts);
+  const engine::Lane big_lane{big_in.data(), big_out.data(), nullptr};
+  (void)eng.submit_batch({&big_lane, 1}, big, bopts).get();
   EXPECT_GE(eng.staging_capacity(), big);
 
   const std::size_t small = 1 << 6;
   auto small_in = random_vector(small, InputDistribution::kUniform, 4);
   std::vector<cplx> small_out(small);
+  const engine::Lane small_lane{small_in.data(), small_out.data(), nullptr};
   for (int i = 0; i < 4; ++i) {
-    (void)eng.transform_batch(small_in.data(), small_out.data(), small, 1,
-                              bopts);
+    (void)eng.submit_batch({&small_lane, 1}, small, bopts).get();
   }
   EXPECT_LE(eng.staging_capacity(), small)
       << "arena should trim to the recent high-water mark";
 
   // And it grows right back when demand returns.
-  (void)eng.transform_batch(big_in.data(), big_out.data(), big, 1, bopts);
+  (void)eng.submit_batch({&big_lane, 1}, big, bopts).get();
   EXPECT_GE(eng.staging_capacity(), big);
 }
 

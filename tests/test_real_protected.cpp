@@ -279,17 +279,19 @@ TEST(RealProtected, WarmedRealBatchDoesZeroBuildsAndZeroRaGenerations) {
     const auto x = random_signal(n, 500 + l);
     std::copy(x.begin(), x.end(), re.begin() + l * n);
   }
-  auto fwd = submit_real_batch(
+  engine::BatchEngine& eng = engine::BatchEngine::shared();
+  const engine::BatchOptions bopts{make_abft_options(config)};
+  auto fwd = eng.submit_real_batch(
       std::vector<engine::RealLane>{
           {re.data(), spec.data(), nullptr},
           {re.data() + n, spec.data() + (n / 2 + 1), nullptr},
           {re.data() + 2 * n, spec.data() + 2 * (n / 2 + 1), nullptr}},
-      n, engine::RealDirection::kForward, config);
+      n, engine::RealDirection::kForward, bopts);
   auto rep = fwd.get();
   EXPECT_TRUE(rep.all_ok());
-  auto inv = submit_real_batch(
+  auto inv = eng.submit_real_batch(
       std::vector<engine::RealLane>{{re.data(), spec.data(), nullptr}}, n,
-      engine::RealDirection::kInverse, config);
+      engine::RealDirection::kInverse, bopts);
   EXPECT_TRUE(inv.get().all_ok());
 
   EXPECT_EQ(fft::RealFftPlan::build_count(), real_builds);
@@ -322,12 +324,13 @@ TEST(RealProtected, BatchMatchesSerialBitwise) {
 
   std::vector<double> re(kLanes * n);
   std::vector<cplx> spec(kLanes * (n / 2 + 1));
+  std::vector<engine::RealLane> lanes(kLanes);
   for (std::size_t l = 0; l < kLanes; ++l) {
     std::copy(xs[l].begin(), xs[l].end(), re.begin() + l * n);
+    lanes[l] = {re.data() + l * n, spec.data() + l * (n / 2 + 1), nullptr};
   }
   auto rep = engine::BatchEngine::shared().submit_real_batch(
-      re.data(), spec.data(), n, kLanes, engine::RealDirection::kForward,
-      {.abft = opts});
+      lanes, n, engine::RealDirection::kForward, {.abft = opts});
   EXPECT_TRUE(rep.get().all_ok());
   for (std::size_t l = 0; l < kLanes; ++l) {
     EXPECT_EQ(0, std::memcmp(spec.data() + l * (n / 2 + 1),
@@ -336,8 +339,7 @@ TEST(RealProtected, BatchMatchesSerialBitwise) {
         << "lane " << l;
   }
   auto irep = engine::BatchEngine::shared().submit_real_batch(
-      re.data(), spec.data(), n, kLanes, engine::RealDirection::kInverse,
-      {.abft = opts});
+      lanes, n, engine::RealDirection::kInverse, {.abft = opts});
   EXPECT_TRUE(irep.get().all_ok());
   for (std::size_t l = 0; l < kLanes; ++l) {
     EXPECT_EQ(0, std::memcmp(re.data() + l * n, want_backs[l].data(),
@@ -356,7 +358,8 @@ TEST(RealProtected, PerLaneFaultIsolation) {
     const auto x = random_signal(n, 700 + l);
     std::copy(x.begin(), x.end(), re.begin() + l * n);
   }
-  const PlanConfig config{};
+  engine::BatchEngine& eng = engine::BatchEngine::shared();
+  const engine::BatchOptions bopts{make_abft_options(PlanConfig{})};
   // Fault-free reference batch.
   {
     std::vector<engine::RealLane> lanes;
@@ -364,8 +367,9 @@ TEST(RealProtected, PerLaneFaultIsolation) {
       lanes.push_back({re.data() + l * n, clean.data() + l * (n / 2 + 1),
                        nullptr});
     }
-    EXPECT_TRUE(transform_real_batch(lanes, n,
-                                     engine::RealDirection::kForward, config)
+    EXPECT_TRUE(eng.submit_real_batch(lanes, n,
+                                      engine::RealDirection::kForward, bopts)
+                    .get()
                     .all_ok());
   }
   Injector inj;
@@ -376,8 +380,9 @@ TEST(RealProtected, PerLaneFaultIsolation) {
     lanes.push_back({re.data() + l * n, spec.data() + l * (n / 2 + 1),
                      l == 2 ? &inj : nullptr});
   }
-  const auto rep = transform_real_batch(
-      lanes, n, engine::RealDirection::kForward, config);
+  const auto rep =
+      eng.submit_real_batch(lanes, n, engine::RealDirection::kForward, bopts)
+          .get();
   EXPECT_TRUE(rep.all_ok());
   EXPECT_EQ(inj.fired_count(), 1u);
   for (std::size_t l = 0; l < kLanes; ++l) {

@@ -258,7 +258,7 @@ TEST(UnitCheck, BatchTotalsCarryMultiErrorCorrections) {
   bo.abft = Options::online_opt(true);
   bo.abft.max_correctable_errors = 2;
   engine::BatchEngine eng(2);
-  const auto rep = eng.transform_batch(ls, n, bo);
+  const auto rep = eng.submit_batch(ls, n, bo).get();
   ASSERT_TRUE(rep.all_ok());
   EXPECT_EQ(rep.per_lane[0].multi_errors_corrected, 2u);
   EXPECT_EQ(rep.totals.multi_errors_corrected, 2u);
