@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <vector>
+#include <span>
 
 #include "abft/dmr.hpp"
 #include "abft/protection_plan.hpp"
@@ -14,6 +14,7 @@
 #include "checksum/weights.hpp"
 #include "common/error.hpp"
 #include "common/math_util.hpp"
+#include "common/scratch.hpp"
 #include "common/tile_transpose.hpp"
 #include "dft/codelets.hpp"
 #include "fft/fft.hpp"
@@ -24,6 +25,8 @@ namespace {
 using checksum::DualSum;
 using fault::Phase;
 
+/// All state of one protected in-place transform run; its buffers all live
+/// on one frame of the thread's scratch workspace.
 class InplaceRun {
  public:
   InplaceRun(cplx* data, const ProtectionPlan& plan, const Options& opts,
@@ -36,7 +39,8 @@ class InplaceRun {
         blk_(plan.block()),  // block length; also stride and count of layer 1
         ck_(plan.weights_k()),
         opts_(opts),
-        stats_(stats) {}
+        stats_(stats),
+        fftk_(k_) {}
 
   void run() {
     setup();
@@ -61,10 +65,10 @@ class InplaceRun {
       // multi-error budget (t > 1) the same pass also folds each weighted
       // element into the slot's 2t syndrome moments (PR 9 escalation).
       const int nm = plan_.syndrome_moments();
-      s1_.resize(blk_);
-      s2_.resize(blk_);
-      e_in_.resize(blk_);
-      syn1_.resize(nm > 0 ? blk_ : 0);
+      s1_ = frame_.take<cplx>(blk_);
+      s2_ = frame_.take<cplx>(blk_);
+      e_in_ = frame_.take<double>(blk_);
+      syn1_ = frame_.take<checksum::SyndromeSet>(nm > 0 ? blk_ : 0);
       checksum::input_slot_checksums(
           x_, k_, blk_, opts_.combined_checksums ? ck_ : nullptr, nm,
           s1_.data(), s2_.data(), e_in_.data(), syn1_.data());
@@ -82,20 +86,20 @@ class InplaceRun {
   // stays untouched until its own output has verified, so a retry never
   // needs the array.
   void layer1() {
-    fft::Fft fftk(k_);
     const bool combined_ccg = opts_.memory_ft && opts_.combined_checksums;
     const std::size_t batch = plan_.layer1_batch();
-    std::vector<cplx> stage(batch * k_), ostage(batch * k_);
+    const std::span<cplx> stage = frame_.take<cplx>(batch * k_);
+    const std::span<cplx> ostage = frame_.take<cplx>(batch * k_);
     if (opts_.memory_ft) {
-      b1_.assign(k_, DualSum{});
-      e_blk_.assign(k_, 0.0);
+      b1_ = frame_.take_zeroed<DualSum>(k_);
+      e_blk_ = frame_.take_zeroed<double>(k_);
     }
     for (std::size_t i0 = 0; i0 < blk_; i0 += batch) {
       const std::size_t bw = std::min(batch, blk_ - i0);
       transpose_tiled(x_ + i0, blk_, stage.data(), k_, k_, bw);
       for (std::size_t il = 0; il < bw; ++il) {
         layer1_unit(i0 + il, stage.data() + il * k_,
-                    ostage.data() + il * k_, combined_ccg, fftk);
+                    ostage.data() + il * k_, combined_ccg);
       }
       transpose_tiled(ostage.data(), k_, x_ + i0, blk_, bw, k_);
     }
@@ -104,8 +108,7 @@ class InplaceRun {
   // One protected layer-1 sub-FFT from its staged input column `buf` into
   // `res`, then the fold of the verified output into the per-block
   // checksums that protect the window until layer 2 consumes the block.
-  void layer1_unit(std::size_t i, cplx* buf, cplx* res, bool combined_ccg,
-                   fft::Fft& fftk) {
+  void layer1_unit(std::size_t i, cplx* buf, cplx* res, bool combined_ccg) {
     // Threshold scale: the CMCG slot energy under memory FT, else a sweep.
     double energy = opts_.memory_ft ? e_in_[i] : 0.0;
     if (!(energy > 0.0)) {
@@ -124,7 +127,7 @@ class InplaceRun {
         stats_, &Stats::sub_fft_retries, opts_.max_retries,
         "inplace ABFT: layer-1 sub-FFT kept failing verification",
         [&] {
-          fftk.execute(buf, res);
+          fftk_.execute(buf, res);
           if (inj() != nullptr) inj()->apply(Phase::kMFftOutput, i, res, k_);
           return omega3_check(res, k_, ccg, eta);
         },
@@ -172,15 +175,15 @@ class InplaceRun {
   // elements gets: MCV, TM1 (DMR), the r-point middle layer + TM2 (DMR,
   // skipped when r == 1), then r protected k-point sub-FFTs.
   void layers2and3() {
-    fft::Fft fftk(k_);
-    std::vector<cplx> bb(blk_);   // staged block
-    std::vector<cplx> seg(k_);    // layer-3 result staging
-    std::vector<cplx> ra(r_), rb(r_), rc(r_);
-    f1_.assign(k_ * r_, DualSum{});
-    fccv_.assign(k_ * r_, cplx{0, 0});
-    e_seg_.assign(k_ * r_, 0.0);
+    const std::span<cplx> bb = frame_.take<cplx>(blk_);  // staged block
+    const std::span<cplx> seg = frame_.take<cplx>(k_);   // layer-3 result
+    if (r_ > 1) mid_ = frame_.take<cplx>(4 * r_);
+    // Every layer-3 unit writes its own slot of the per-segment state.
+    f1_ = frame_.take<DualSum>(k_ * r_);
+    fccv_ = frame_.take<cplx>(k_ * r_);
+    e_seg_ = frame_.take<double>(k_ * r_);
     if (opts_.memory_ft && plan_.syndrome_moments() > 0) {
-      fsyn_.assign(k_ * r_, checksum::SyndromeSet{});
+      fsyn_ = frame_.take<checksum::SyndromeSet>(k_ * r_);
     }
 
     for (std::size_t b = 0; b < k_; ++b) {
@@ -210,7 +213,7 @@ class InplaceRun {
         verify_with_retry(
             stats_, &Stats::sub_fft_retries, opts_.max_retries,
             "inplace ABFT: layer-3 sub-FFT kept failing verification", [&] {
-              fftk.execute(src, seg.data());
+              fftk_.execute(src, seg.data());
               if (inj() != nullptr) {
                 inj()->apply(Phase::kKFftOutput, unit, seg.data(), k_);
               }
@@ -243,26 +246,29 @@ class InplaceRun {
   // and voted with a third, table-free evaluation on mismatch.
   void middle_layer(std::size_t b, cplx* bb) {
     const TwiddleTables& tw = *plan_.twiddles();
-    std::vector<cplx> in(r_), out1(r_), out2(r_), out3(r_);
+    cplx* in = mid_.data();
+    cplx* out1 = in + r_;
+    cplx* out2 = out1 + r_;
+    cplx* out3 = out2 + r_;
     for (std::size_t i = 0; i < k_; ++i) {
       for (std::size_t s = 0; s < r_; ++s) in[s] = bb[s * k_ + i];
       auto pass = [&](cplx* out, int copy) {
-        dft::codelet_dft(r_, in.data(), 1, out, 1);
+        dft::codelet_dft(r_, in, 1, out, 1);
         for (std::size_t t = 0; t < r_; ++t) {
           const std::size_t j = i * t * k_;
           out[t] = cmul(out[t], copy < 2 ? tw.twiddle(j, copy)
                                          : tw.exact_twiddle(j));
         }
       };
-      pass(out1.data(), 0);
+      pass(out1, 0);
       if (inj() != nullptr) {
-        inj()->apply(Phase::kMiddleDmrCopy, b * k_ + i, out1.data(), r_);
+        inj()->apply(Phase::kMiddleDmrCopy, b * k_ + i, out1, r_);
       }
-      pass(out2.data(), 1);
+      pass(out2, 1);
       for (std::size_t t = 0; t < r_; ++t) {
         if (out1[t] != out2[t]) {
           // Third evaluation + majority vote.
-          pass(out3.data(), 2);
+          pass(out3, 2);
           out1[t] = (out2[t] == out3[t]) ? out2[t] : out1[t];
           ++stats_.dmr_mismatches;
         }
@@ -328,16 +334,20 @@ class InplaceRun {
   const cplx* ck_;                // outer checksum vector, owned by the plan
   const Options& opts_;
   Stats& stats_;
+  fft::Fft fftk_;                 // layer-1 and layer-3 sub-FFT engine
 
-  std::vector<cplx> s1_, s2_;     // CMCG slots (layer-1 inputs)
-  std::vector<checksum::SyndromeSet> syn1_;  // per-slot 2t moments (t > 1)
-  std::vector<double> e_in_;
-  std::vector<DualSum> b1_;       // per-block checksums (intermediate window)
-  std::vector<double> e_blk_;
-  std::vector<DualSum> f1_;       // per-segment output duals
-  std::vector<checksum::SyndromeSet> fsyn_;  // per-segment moments (t > 1)
-  std::vector<cplx> fccv_;        // per-segment computational checksums
-  std::vector<double> e_seg_;
+  scratch::Frame frame_;          // holds every buffer below
+  std::span<cplx> s1_, s2_;       // CMCG slots (layer-1 inputs)
+  std::span<checksum::SyndromeSet> syn1_;  // per-slot 2t moments (t > 1)
+  std::span<double> e_in_;
+  std::span<DualSum> b1_;         // per-block checksums (intermediate window)
+  std::span<double> e_blk_;
+  std::span<cplx> mid_;           // middle layer (r > 1): gather, 2 DMR
+                                  //   copies and the vote, r each
+  std::span<DualSum> f1_;         // per-segment output duals
+  std::span<checksum::SyndromeSet> fsyn_;  // per-segment moments (t > 1)
+  std::span<cplx> fccv_;          // per-segment computational checksums
+  std::span<double> e_seg_;
 };
 
 }  // namespace

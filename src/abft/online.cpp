@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <memory>
-#include <new>
-#include <vector>
+#include <span>
 
 #include "abft/dmr.hpp"
 #include "abft/protection_plan.hpp"
@@ -16,6 +14,7 @@
 #include "checksum/weights.hpp"
 #include "common/error.hpp"
 #include "common/math_util.hpp"
+#include "common/scratch.hpp"
 #include "common/tile_transpose.hpp"
 #include "fft/fft.hpp"
 
@@ -28,7 +27,8 @@ using fault::Phase;
 /// All state of one protected online transform run. The immutable
 /// per-size setup (split, checksum vectors, threshold coefficients,
 /// staging layout) comes from the shared ProtectionPlan; this class holds
-/// only the per-call mutable state.
+/// only the per-call mutable state, whose buffers all live on one frame of
+/// the thread's scratch workspace.
 class OnlineRun {
  public:
   OnlineRun(cplx* in, cplx* out, const ProtectionPlan& plan,
@@ -42,7 +42,9 @@ class OnlineRun {
         cm_(plan.weights_m()),
         ck_(plan.weights_k()),
         opts_(opts),
-        stats_(stats) {
+        stats_(stats),
+        fftm_(m_),
+        fftk_(k_) {
     // Postponing the first-layer MCV into the CCV is only sound when the
     // memory checksum *is* the computational one (section 4.1 + 4.2).
     postpone1_ = opts_.postpone_mcv && opts_.combined_checksums;
@@ -61,15 +63,16 @@ class OnlineRun {
   void setup() {
     if (inj() != nullptr) inj()->apply(Phase::kInputBeforeChecksum, 0, x_, n_);
 
-    e_in_.assign(k_, 0.0);
+    // Without memory FT each sub-FFT writes its own energy slot.
+    e_in_ = frame_.take<double>(k_);
     if (opts_.memory_ft) {
       // CMCG: one contiguous pass over the input builds the per-sub-FFT
       // dual checksums (slot i covers elements x[t*k + i]) and, with a
       // multi-error budget (t > 1), each slot's 2t syndrome moments.
       const int nm = plan_.syndrome_moments();
-      s1_.resize(k_);
-      s2_.resize(k_);
-      syn1_.resize(nm > 0 ? k_ : 0);
+      s1_ = frame_.take<cplx>(k_);
+      s2_ = frame_.take<cplx>(k_);
+      syn1_ = frame_.take<checksum::SyndromeSet>(nm > 0 ? k_ : 0);
       checksum::input_slot_checksums(
           x_, m_, k_, opts_.combined_checksums ? cm_ : nullptr, nm,
           s1_.data(), s2_.data(), e_in_.data(), syn1_.data());
@@ -79,13 +82,10 @@ class OnlineRun {
 
   // ---------------------------------------------------------- first layer
   void first_layer() {
-    fft::Fft fftm(m_);
     if (opts_.memory_ft && opts_.incremental_mcg) {
-      o1_.assign(m_, cplx{0, 0});
-      o2_.assign(m_, cplx{0, 0});
-      e_mid_.assign(m_, 0.0);
+      take_column_sums();
     } else if (opts_.memory_ft) {
-      r1_.assign(k_, DualSum{});
+      r1_ = frame_.take<DualSum>(k_);  // every slot written by its sub-FFT
     }
 
     // Section 4.4 staging: one tiled transpose (kTransposeTile) gathers a
@@ -94,7 +94,8 @@ class OnlineRun {
     // buffers. The plan resolves batch = 32768 / m (clamped to [min(4, k),
     // k]) once, i.e. a ~512 KiB staging block; 1 = unbuffered.
     const std::size_t batch = plan_.layer1_batch();
-    std::vector<cplx> bufblock(opts_.contiguous_buffering ? batch * m_ : 0);
+    const std::span<cplx> bufblock =
+        frame_.take<cplx>(opts_.contiguous_buffering ? batch * m_ : 0);
 
     for (std::size_t i0 = 0; i0 < k_; i0 += batch) {
       const std::size_t bw = std::min(batch, k_ - i0);
@@ -104,8 +105,7 @@ class OnlineRun {
       for (std::size_t il = 0; il < bw; ++il) {
         run_sub_fft(i0 + il,
                     opts_.contiguous_buffering ? bufblock.data() + il * m_
-                                               : nullptr,
-                    fftm);
+                                               : nullptr);
       }
     }
   }
@@ -115,8 +115,7 @@ class OnlineRun {
   // line, like second_layer: GCC 12 inlines both once they are this small,
   // and that layout measured ~2% slower (perfbench online_comp_x and
   // online_mem_x on an AVX-512 Xeon).
-  [[gnu::noinline]] void run_sub_fft(std::size_t i, cplx* buf,
-                                     fft::Fft& fftm) {
+  [[gnu::noinline]] void run_sub_fft(std::size_t i, cplx* buf) {
     cplx ccg{0.0, 0.0};  // reference value the CCV compares against
     const bool have_cmcg = opts_.memory_ft;
     const bool combined_ccg = have_cmcg && opts_.combined_checksums;
@@ -148,9 +147,9 @@ class OnlineRun {
         "online ABFT: m-point sub-FFT kept failing verification",
         [&] {
           if (buf != nullptr) {
-            fftm.execute(buf, yi);
+            fftm_.execute(buf, yi);
           } else {
-            fftm.execute_strided(x_ + i, k_, yi, 1);
+            fftm_.execute_strided(x_ + i, k_, yi, 1);
           }
           if (inj() != nullptr) inj()->apply(Phase::kMFftOutput, i, yi, m_);
           return omega3_check(yi, m_, ccg, eta);
@@ -179,6 +178,13 @@ class OnlineRun {
         r1_[i] = checksum::dual_weighted_sum(nullptr, yi, m_);
       }
     }
+  }
+
+  // Zeroed column checksums and energies of the intermediate.
+  void take_column_sums() {
+    o1_ = frame_.take_zeroed<cplx>(m_);
+    o2_ = frame_.take_zeroed<cplx>(m_);
+    e_mid_ = frame_.take_zeroed<double>(m_);
   }
 
   // Folds verified sub-FFT output row i into the column checksums and
@@ -229,9 +235,7 @@ class OnlineRun {
       // Fig. 2 regeneration pass: verify every row checksum, then build the
       // column checksums the second layer verifies against. This touches
       // every element a second time — the cost section 4.3 eliminates.
-      o1_.assign(m_, cplx{0, 0});
-      o2_.assign(m_, cplx{0, 0});
-      e_mid_.assign(m_, 0.0);
+      take_column_sums();
       for (std::size_t i = 0; i < k_; ++i) {
         cplx* yi = out_ + i * m_;
         // The row may hold the very corruption being hunted: use the
@@ -249,17 +253,11 @@ class OnlineRun {
     if (opts_.postpone_mcv) {
       // Section 4.2: the postponed final MCV recomputes a failing column
       // from the intermediate, kept column-major (column c at backup_ + c*k)
-      // in the caller's input (paper's choice) or uninitialized scratch.
-      // second_layer copies each verified staged block into it; unstaged,
-      // one tiled transpose fills it here and the column MCV refreshes the
-      // slot of a column it repairs.
-      if (opts_.backup_in_input) {
-        backup_ = x_;
-      } else {
-        backup_store_ =
-            std::make_unique_for_overwrite<std::byte[]>(n_ * sizeof(cplx));
-        backup_ = std::launder(reinterpret_cast<cplx*>(backup_store_.get()));
-      }
+      // in the caller's input (paper's choice) or an n-element scratch
+      // block. second_layer copies each verified staged block into it;
+      // unstaged, one tiled transpose fills it here and the column MCV
+      // refreshes the slot of a column it repairs.
+      backup_ = opts_.backup_in_input ? x_ : frame_.take<cplx>(n_).data();
       if (!opts_.contiguous_buffering) {
         transpose_tiled(out_, m_, backup_, k_, k_, m_);
       }
@@ -268,10 +266,11 @@ class OnlineRun {
 
   // ---------------------------------------------------------- second layer
   [[gnu::noinline]] void second_layer() {
-    fft::Fft fftk(k_);
-    std::vector<cplx> tw(k_), res(k_);
-    col_ccv_.assign(m_, cplx{0, 0});
-    if (opts_.memory_ft && !opts_.postpone_mcv) f1_.assign(m_, DualSum{});
+    // Every column writes its own col_ccv_ / f1_ slot.
+    tw_ = frame_.take<cplx>(k_);
+    res_ = frame_.take<cplx>(k_);
+    col_ccv_ = frame_.take<cplx>(m_);
+    if (opts_.memory_ft && !opts_.postpone_mcv) f1_ = frame_.take<DualSum>(m_);
 
     // Stage `s` columns at a time (section 4.4 on the second layer, the
     // paper's "s k-FFTs"; the plan resolves s = 32768 / k unless
@@ -281,15 +280,17 @@ class OnlineRun {
     // writes the verified results back to their natural-order rows. A done
     // block of staged (and MCV-repaired) columns is the postponed backup.
     const std::size_t s = plan_.layer2_cols();
-    std::vector<cplx> stage(opts_.contiguous_buffering ? s * k_ : 0);
-    std::vector<cplx> ostage(opts_.contiguous_buffering ? s * k_ : 0);
+    const std::span<cplx> stage =
+        frame_.take<cplx>(opts_.contiguous_buffering ? s * k_ : 0);
+    const std::span<cplx> ostage =
+        frame_.take<cplx>(opts_.contiguous_buffering ? s * k_ : 0);
 
     for (std::size_t c0 = 0; c0 < m_; c0 += s) {
       const std::size_t sc = std::min(s, m_ - c0);
       if (opts_.contiguous_buffering) {
         transpose_tiled(out_ + c0, m_, stage.data(), k_, k_, sc);
         for (std::size_t c = 0; c < sc; ++c) {
-          process_column(c0 + c, stage.data() + c * k_, 1, fftk, tw.data(),
+          process_column(c0 + c, stage.data() + c * k_, 1,
                          ostage.data() + c * k_);
         }
         if (backup_ != nullptr) {
@@ -299,11 +300,10 @@ class OnlineRun {
         transpose_tiled(ostage.data(), k_, out_ + c0, m_, sc, k_);
       } else {
         for (std::size_t c = 0; c < sc; ++c) {
-          process_column(c0 + c, out_ + c0 + c, m_, fftk, tw.data(),
-                         res.data());
+          process_column(c0 + c, out_ + c0 + c, m_, res_.data());
           // Unstaged: scatter the result column directly.
           for (std::size_t j = 0; j < k_; ++j) {
-            out_[(c0 + c) + m_ * j] = res[j];
+            out_[(c0 + c) + m_ * j] = res_[j];
           }
         }
       }
@@ -314,7 +314,7 @@ class OnlineRun {
   // FFT; memory FT scales both thresholds by e_mid_[c]. The verified result
   // lands in `res` (contiguous); the caller writes it back.
   void process_column(std::size_t c, const cplx* col, std::size_t stride,
-                      fft::Fft& fftk, cplx* tw, cplx* res) {
+                      cplx* res) {
     if (opts_.memory_ft) {
       // Column MCV against the (incrementally or regenerated) checksums:
       // plain sum only, the repair recomputes the localization sum on a
@@ -345,11 +345,12 @@ class OnlineRun {
       }
     }
 
-    // Twiddle (DMR), tw[i] = col[i] * omega_n^(i*c); the CCG and the column
-    // energy ride the same pass.
+    // Twiddle (DMR), tw_[i] = col[i] * omega_n^(i*c); the CCG and the
+    // column energy ride the same pass.
     checksum::SumEnergy se;
-    stats_.dmr_mismatches += dmr_twiddle_multiply(
-        *plan_.twiddles(), col, stride, tw, k_, c, 0, c, inj(), ck_, &se);
+    stats_.dmr_mismatches +=
+        dmr_twiddle_multiply(*plan_.twiddles(), col, stride, tw_.data(), k_, c,
+                             0, c, inj(), ck_, &se);
     const cplx ccg = se.sum;
     const double eta =
         threshold(plan_.eta_k().comp, opts_.memory_ft ? e_mid_[c] : se.energy,
@@ -358,7 +359,7 @@ class OnlineRun {
     verify_with_retry(
         stats_, &Stats::sub_fft_retries, opts_.max_retries,
         "online ABFT: k-point sub-FFT kept failing verification", [&] {
-          fftk.execute(tw, res);
+          fftk_.execute(tw_.data(), res);
           if (inj() != nullptr) inj()->apply(Phase::kKFftOutput, c, res, k_);
           return omega3_check(res, k_, ccg, eta);
         });
@@ -378,17 +379,16 @@ class OnlineRun {
 
     // Final MCV: per-column omega_3-weighted sums of the output (one sweep,
     // bucketed by j mod 3) against the saved CCGs, eta from e_mid_[c].
-    std::vector<cplx> b0(m_, cplx{0, 0}), b1(m_, cplx{0, 0}),
-        b2(m_, cplx{0, 0});
+    const std::span<cplx> b0 = frame_.take_zeroed<cplx>(m_);
+    const std::span<cplx> b1 = frame_.take_zeroed<cplx>(m_);
+    const std::span<cplx> b2 = frame_.take_zeroed<cplx>(m_);
     for (std::size_t j = 0; j < k_; ++j) {
       const cplx* row = out_ + j * m_;
-      std::vector<cplx>& bucket = (j % 3 == 0) ? b0 : (j % 3 == 1) ? b1 : b2;
+      cplx* bucket = ((j % 3 == 0) ? b0 : (j % 3 == 1) ? b1 : b2).data();
       for (std::size_t c = 0; c < m_; ++c) bucket[c] += row[c];
     }
     const cplx w1 = omega3_pow(1);
     const cplx w2 = omega3_pow(2);
-    fft::Fft fftk(k_);
-    std::vector<cplx> tw(k_), res(k_);
     for (std::size_t c = 0; c < m_; ++c) {
       const cplx rx = b0[c] + cmul(w1, b1[c]) + cmul(w2, b2[c]);
       const double eta =
@@ -410,18 +410,18 @@ class OnlineRun {
 
       // Postponed hierarchy: recompute the column from its backup column
       // (twiddle + k-FFT + verify + scatter). The recomputation runs the
-      // same engine process_column used, so a repaired column is
-      // bit-identical to a never-corrupted run.
+      // same engine and buffers process_column used, so a repaired column
+      // is bit-identical to a never-corrupted run.
       checksum::SumEnergy se;
       stats_.dmr_mismatches += dmr_twiddle_multiply(
-          *plan_.twiddles(), backup_ + c * k_, 1, tw.data(), k_, c, 0, c,
+          *plan_.twiddles(), backup_ + c * k_, 1, tw_.data(), k_, c, 0, c,
           nullptr, ck_, &se);
-      fftk.execute(tw.data(), res.data());
-      const cplx rx2 = checksum::omega3_weighted_sum(res.data(), k_);
+      fftk_.execute(tw_.data(), res_.data());
+      const cplx rx2 = checksum::omega3_weighted_sum(res_.data(), k_);
       if (std::abs(rx2 - se.sum) > eta) {
         uncorrectable("online ABFT: column recomputation failed verification");
       }
-      for (std::size_t j = 0; j < k_; ++j) out_[c + m_ * j] = res[j];
+      for (std::size_t j = 0; j < k_; ++j) out_[c + m_ * j] = res_[j];
       ++stats_.mem_errors_corrected;
       ++stats_.sub_fft_retries;
     }
@@ -438,17 +438,19 @@ class OnlineRun {
   const Options& opts_;
   Stats& stats_;
   bool postpone1_ = false;
+  fft::Fft fftm_, fftk_;             // layer-1 and layer-2 sub-FFT engines
 
-  std::vector<cplx> s1_, s2_;        // CMCG slots per first-layer sub-FFT
-  std::vector<checksum::SyndromeSet> syn1_;  // per-slot 2t moments (t > 1)
-  std::vector<double> e_in_;         // per-sub-FFT input energy
-  std::vector<DualSum> r1_;          // naive row checksums of Y_i
-  std::vector<cplx> o1_, o2_;        // column checksums of the intermediate
-  std::vector<double> e_mid_;        // per-column verified layer-1 energy
-  std::vector<cplx> col_ccv_;        // saved per-column CCG for final MCV
-  std::vector<DualSum> f1_;          // naive output duals per column
+  scratch::Frame frame_;             // holds every buffer below
+  std::span<cplx> s1_, s2_;          // CMCG slots per first-layer sub-FFT
+  std::span<checksum::SyndromeSet> syn1_;  // per-slot 2t moments (t > 1)
+  std::span<double> e_in_;           // per-sub-FFT input energy
+  std::span<DualSum> r1_;            // naive row checksums of Y_i
+  std::span<cplx> o1_, o2_;          // column checksums of the intermediate
+  std::span<double> e_mid_;          // per-column verified layer-1 energy
+  std::span<cplx> tw_, res_;         // layer-2 twiddled column and result
+  std::span<cplx> col_ccv_;          // saved per-column CCG for final MCV
+  std::span<DualSum> f1_;            // naive output duals per column
   cplx* backup_ = nullptr;           // column-major intermediate backup
-  std::unique_ptr<std::byte[]> backup_store_;  // backup when not in input
 };
 
 }  // namespace

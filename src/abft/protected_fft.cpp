@@ -1,10 +1,14 @@
 #include "abft/protected_fft.hpp"
 
+#include <algorithm>
+#include <span>
+
 #include "abft/inplace.hpp"
 #include "abft/offline.hpp"
 #include "abft/online.hpp"
 #include "abft/protection_plan.hpp"
 #include "common/error.hpp"
+#include "common/scratch.hpp"
 #include "fft/fft.hpp"
 
 namespace ftfft::abft {
@@ -73,7 +77,9 @@ void protected_transform_inplace(cplx* data, std::size_t n,
       // Offline protection has no in-place recovery story (the restart
       // input is gone); stage through a copy so the checksummed transform
       // still sees an intact input while writing over `data`.
-      std::vector<cplx> copy(data, data + n);
+      scratch::Frame frame;
+      const std::span<cplx> copy = frame.take<cplx>(n);
+      std::copy_n(data, n, copy.data());
       protected_transform(copy.data(), data, n, opts, stats, plan);
       return;
     }

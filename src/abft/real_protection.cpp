@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <vector>
+#include <span>
 
 #include "abft/protected_fft.hpp"
 #include "abft/protection_plan.hpp"
@@ -14,6 +14,7 @@
 #include "common/error.hpp"
 #include "common/math_util.hpp"
 #include "common/plan_registry.hpp"
+#include "common/scratch.hpp"
 #include "fault/injector.hpp"
 #include "roundoff/model.hpp"
 #include "simd/dispatch.hpp"
@@ -157,7 +158,8 @@ void protected_r2c(double* in, cplx* out, std::size_t n, const Options& opts,
   // The packed input is the n reals reinterpreted — staged into scratch so
   // the inner transform's repair machinery never touches the caller's
   // signal, and so a post-pass restart can re-pack from pristine data.
-  std::vector<cplx> zin(nc);
+  scratch::Frame frame;
+  const std::span<cplx> zin = frame.take<cplx>(nc);
   cplx* zbuf = out;  // packed spectrum staged in out[0..nc)
   double eta = -1.0;
   verify_with_retry(
@@ -206,7 +208,8 @@ void protected_c2r(cplx* in, double* out, std::size_t n, const Options& opts,
 
   // Unsplit under guard: the omega3 dot over the caller's half-spectrum is
   // the trusted side; the pullback over the prepare output must match it.
-  std::vector<cplx> buf(nc);  // conjugated packed spectrum conj(Z)
+  scratch::Frame frame;
+  const std::span<cplx> buf = frame.take<cplx>(nc);  // conj(Z), packed
   double eta = -1.0;
   verify_with_retry(
       stats, &Stats::full_restarts, opts.max_retries,

@@ -20,6 +20,7 @@
 #include "common/aligned_buffer.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "common/scratch.hpp"
 #include "fft/real_fft.hpp"
 
 namespace ftfft::engine {
@@ -219,13 +220,6 @@ BatchTicket BatchFuture::ticket() const {
 struct BatchEngine::Impl {
   using Clock = std::chrono::steady_clock;
 
-  // Capacity/peak ratio beyond which an arena counts as oversized, and how
-  // many consecutive oversized jobs it takes before the excess is
-  // released. The patience keeps alternating big/small workloads from
-  // reallocating every job.
-  static constexpr std::size_t kTrimFactor = 4;
-  static constexpr int kTrimPatience = 2;
-
   // Most recent latency samples kept per class for the percentile
   // snapshot; lifetime counts and maxima are tracked separately.
   static constexpr std::size_t kLatencyRingCap = 4096;
@@ -234,37 +228,31 @@ struct BatchEngine::Impl {
   static constexpr std::int64_t kNoDeadline =
       std::numeric_limits<std::int64_t>::max();
 
-  // Per-worker staging storage, reused across lanes and jobs.
+  // Per-worker staging storage, reused across lanes and jobs. It grows to
+  // the largest lane staged through it and is trimmed by the high-water
+  // rule the scratch workspace uses (common/scratch.hpp). Jobs that never
+  // touched this arena are not evidence of shrinking demand
+  // (under-subscribed workloads rotate which workers win chunks); they
+  // leave the rule untouched so participation gaps don't cause
+  // free/realloc churn.
   struct Arena {
     AlignedBuffer<cplx> staging;
     std::size_t batch_peak = 0;  // largest request in the current job
-    int oversized_batches = 0;   // consecutive jobs far below capacity
+    HighWaterTrim trim;
 
     cplx* ensure(std::size_t n) {
       batch_peak = std::max(batch_peak, n);
       if (staging.size() < n) {
         staging = AlignedBuffer<cplx>(n);
-        oversized_batches = 0;
+        trim.reset();
       }
       return staging.data();
     }
 
-    // High-water trim: a one-off huge job should not pin its staging
-    // forever. After kTrimPatience consecutive jobs whose peak demand
-    // stayed kTrimFactor below the arena's capacity, shrink to that peak.
-    // Jobs that never touched this arena are not evidence of shrinking
-    // demand (under-subscribed workloads rotate which workers win chunks);
-    // they leave the counter untouched so participation gaps don't cause
-    // free/realloc churn.
     void end_batch() {
       if (batch_peak == 0) return;
-      if (!staging.empty() && batch_peak * kTrimFactor <= staging.size()) {
-        if (++oversized_batches >= kTrimPatience) {
-          staging = AlignedBuffer<cplx>(batch_peak);
-          oversized_batches = 0;
-        }
-      } else {
-        oversized_batches = 0;
+      if (const std::size_t to = trim.end_use(batch_peak, staging.size())) {
+        staging = AlignedBuffer<cplx>(to);
       }
       batch_peak = 0;
     }
@@ -501,17 +489,24 @@ struct BatchEngine::Impl {
     const std::uint64_t seen = sched_version_.load(std::memory_order_acquire);
     std::size_t done = 0;
     bool exhausted = false;
-    for (;;) {
-      const std::size_t begin =
-          job.cursor.fetch_add(job.chunk, std::memory_order_relaxed);
-      if (begin >= count) {
-        exhausted = true;
-        break;
+    {
+      // The items' scratch frames nest in one frame per visit, so the
+      // workspace's trim rule weighs this job's largest item, like the
+      // arena's, instead of each item on its own (a sharded transform's
+      // phases alternate small and large items).
+      scratch::Frame visit;
+      for (;;) {
+        const std::size_t begin =
+            job.cursor.fetch_add(job.chunk, std::memory_order_relaxed);
+        if (begin >= count) {
+          exhausted = true;
+          break;
+        }
+        const std::size_t end = std::min(begin + job.chunk, count);
+        for (std::size_t i = begin; i < end; ++i) run_item(job, i, arena);
+        done += end - begin;
+        if (preemptible && should_reschedule(job, seen)) break;
       }
-      const std::size_t end = std::min(begin + job.chunk, count);
-      for (std::size_t i = begin; i < end; ++i) run_item(job, i, arena);
-      done += end - begin;
-      if (preemptible && should_reschedule(job, seen)) break;
     }
     if (exhausted) retire_from_queue(job);
     // Trim bookkeeping happens before this worker's lanes are subtracted

@@ -52,9 +52,10 @@
 // is resolved once per job at submission time through the process-wide
 // LRU-bounded plan caches — a warm cache makes submission O(lanes) pointer
 // work — and handed to every lane by reference. Per-thread mutable state
-// (staging copies of lane inputs) lives in a per-worker aligned arena that
-// grows to its job high-water mark, is reused across lanes and jobs, and
-// is trimmed back after consecutive jobs that stay far below that mark.
+// has two homes, both reused across lanes and jobs and trimmed by one
+// high-water rule (common/scratch.hpp): staging copies of lane inputs live
+// in a per-worker aligned arena, and the protected transforms' own working
+// buffers in the worker thread's scratch workspace.
 // Per-lane abft::Stats land in pre-sized slots, so workers never contend
 // on shared counters.
 //

@@ -27,6 +27,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -38,6 +39,7 @@
 #include "checksum/multi_error.hpp"
 #include "common/error.hpp"
 #include "common/math_util.hpp"
+#include "common/scratch.hpp"
 #include "common/timer.hpp"
 #include "engine/batch_engine.hpp"
 #include "fft/fft.hpp"
@@ -75,6 +77,9 @@ struct ShardedState {
   // dominant cost of a fresh 2*N-double block is not the allocation but
   // faulting its pages in, and glibc hands blocks this size straight back
   // to the OS on free — pooling keeps the pages warm across submissions.
+  // A rank's per-phase working buffers (checksum slots, FFT1 tile, staged
+  // blocks) never outlive its phase task: they live on a frame of the
+  // running worker's scratch workspace (common/scratch.hpp).
   std::vector<cplx> in;  ///< owned input; faults injected at submission
   std::vector<cplx> a;   ///< restart mode only: separate output vector
   std::unique_ptr<double[]> s1_store, s2_store;  ///< uninitialized scratch
@@ -182,16 +187,6 @@ namespace {
 
 using detail::ShardedState;
 
-/// Per-worker-thread scratch, grown on demand and reused across phases and
-/// submissions (engine workers are persistent, so steady-state runs do no
-/// scratch allocation at all). Callers fully overwrite what they read, so
-/// the buffer carries no state between uses.
-cplx* thread_scratch(std::size_t n) {
-  static thread_local std::vector<cplx> buf;
-  if (buf.size() < n) buf.resize(n);
-  return buf.data();
-}
-
 /// One transposed block, pulled straight from the previous phase's shared
 /// array: the copy IS the message. For a checksummed pull the sender dual
 /// checksum is generated inside the copy pass, then the modeled link
@@ -257,13 +252,11 @@ void phase1(ShardedState& st, std::size_t r, TransposeStats& tstats,
                 : 0.0;
 
   cplx* slice = st.buf1 + r * n_loc;
-  std::vector<cplx> s1, s2;
-  std::vector<double> e_col;
-  if (protect) {
-    s1.assign(bsz, cplx{0, 0});
-    s2.assign(bsz, cplx{0, 0});
-    e_col.assign(bsz, 0.0);
-  }
+  scratch::Frame frame;
+  const std::size_t slots = protect ? bsz : 0;
+  const std::span<cplx> s1 = frame.take_zeroed<cplx>(slots);
+  const std::span<cplx> s2 = frame.take_zeroed<cplx>(slots);
+  const std::span<double> e_col = frame.take_zeroed<double>(slots);
   for (std::size_t q = 0; q < p; ++q) {
     const cplx* src = st.in.data() + q * n_loc + r * bsz;
     cplx* dst = slice + q * bsz;
@@ -283,7 +276,7 @@ void phase1(ShardedState& st, std::size_t r, TransposeStats& tstats,
   fft::Fft fftp(p);
   const std::size_t tc =
       std::max<std::size_t>(4, std::size_t{1024} / (p == 0 ? 1 : p));
-  std::vector<cplx> tile(p * tc);
+  const std::span<cplx> tile = frame.take<cplx>(p * tc);
   for (std::size_t u0 = 0; u0 < bsz; u0 += tc) {
     const std::size_t cols = std::min(tc, bsz - u0);
     for (std::size_t t = 0; t < p; ++t) {
@@ -315,7 +308,8 @@ void phase2(ShardedState& st, std::size_t r, TransposeStats& tstats,
                 : 0.0;
 
   cplx* slice = st.buf2 + r * n_loc;
-  cplx* tmp = thread_scratch(bsz);
+  scratch::Frame frame;
+  cplx* tmp = frame.take<cplx>(bsz).data();
   for (std::size_t q = 0; q < p; ++q) {
     const cplx* src = st.buf1 + q * n_loc + r * bsz;
     cplx* dst = slice + q * bsz;
@@ -355,7 +349,8 @@ void phase3(ShardedState& st, std::size_t r, TransposeStats& tstats,
                                     st.buf2 + r * n_loc)
                 : 0.0;
 
-  cplx* loc = thread_scratch(n_loc);
+  scratch::Frame frame;
+  cplx* loc = frame.take<cplx>(n_loc).data();
   for (std::size_t q = 0; q < p; ++q) {
     const cplx* src = st.buf2 + q * n_loc + r * bsz;
     pull_block(st, r, q, src, loc + q * bsz, checksums, eta, tstats);
