@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/math_util.hpp"
 #include "common/plan_registry.hpp"
@@ -36,26 +35,7 @@ void build_dmr(std::size_t n, std::size_t len, unsigned shift,
   }
 }
 
-std::uint64_t seal_tables(const TwiddleTables& t) {
-  StateSpans spans;
-  t.collect_state(spans);
-  return seal_spans(spans);
-}
-
-PlanRegistry<std::size_t, TwiddleTables>& registry() {
-  static PlanRegistry<std::size_t, TwiddleTables> instance(
-      plan_cache_capacity(), seal_tables);
-  return instance;
-}
-
-// Enroll in plan_cache_stats() / scrub_plan_caches() before main; lazy for
-// the same reason as the other caches (env knobs latch at first use).
-const bool registry_registered =
-    (ftfft::detail::register_plan_cache(ftfft::detail::PlanCacheHooks{
-         [] { return registry().snapshot("twiddle-tables"); },
-         [] { return registry().scrub(); },
-         [](std::size_t k) { registry().set_verify_interval(k); }}),
-     true);
+PlanRegistry<std::size_t, TwiddleTables> tables_cache("twiddle-tables");
 
 struct InjectorHook {
   fault::Injector* inj;
@@ -79,7 +59,7 @@ TwiddleTables::TwiddleTables(std::size_t n) : n_(n) {
 }
 
 std::shared_ptr<const TwiddleTables> TwiddleTables::get(std::size_t n) {
-  return registry().get_or_build(
+  return tables_cache.get_or_build(
       n, [&] { return std::make_shared<const TwiddleTables>(n); });
 }
 

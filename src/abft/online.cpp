@@ -273,12 +273,12 @@ class OnlineRun {
     if (opts_.memory_ft && !opts_.postpone_mcv) f1_ = frame_.take<DualSum>(m_);
 
     // Stage `s` columns at a time (section 4.4 on the second layer, the
-    // paper's "s k-FFTs"; the plan resolves s = 32768 / k unless
-    // Options::batch_columns pins it): one tiled transpose (kTransposeTile)
-    // loads the strided intermediate into a column-major block, every
-    // per-column pass then runs contiguous, and a second tiled transpose
-    // writes the verified results back to their natural-order rows. A done
-    // block of staged (and MCV-repaired) columns is the postponed backup.
+    // paper's "s k-FFTs"; the plan resolves s = 32768 / k): one tiled
+    // transpose (kTransposeTile) loads the strided intermediate into a
+    // column-major block, every per-column pass then runs contiguous, and
+    // a second tiled transpose writes the verified results back to their
+    // natural-order rows. A done block of staged (and MCV-repaired) columns
+    // is the postponed backup.
     const std::size_t s = plan_.layer2_cols();
     const std::span<cplx> stage =
         frame_.take<cplx>(opts_.contiguous_buffering ? s * k_ : 0);

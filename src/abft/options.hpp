@@ -52,10 +52,6 @@ struct Options {
   /// so checksum and transform read the data once from cache.
   bool contiguous_buffering = true;
 
-  /// Batch size s of second-layer k-point FFTs processed together (0 = pick
-  /// from cache size).
-  std::size_t batch_columns = 0;
-
   /// Maximum number of simultaneously corrupted elements the memory-fault
   /// repair will correct per protected region (PR 9). The default 1 (from
   /// FTFFT_MAX_ERRORS, clamped to [1, checksum::kMaxCorrectableErrors] at

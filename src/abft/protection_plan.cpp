@@ -1,10 +1,8 @@
 #include "abft/protection_plan.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "abft/inplace.hpp"
-#include "common/env.hpp"
 #include "common/math_util.hpp"
 #include "common/plan_registry.hpp"
 #include "roundoff/model.hpp"
@@ -17,14 +15,11 @@ namespace {
 // sub-FFT inputs / intermediate columns through blocks of this footprint.
 constexpr std::size_t kStageElems = 32768;
 
-std::atomic<std::uint64_t> plan_builds{0};
-
 struct PlanKey {
   std::size_t n;
   Scheme scheme;
   checksum::RaGenMethod ra_method;
   bool contiguous_buffering;
-  std::size_t batch_columns;
   int max_errors;
   bool operator==(const PlanKey&) const = default;
 };
@@ -35,34 +30,13 @@ struct PlanKeyHash {
     h = h * 31 + static_cast<std::size_t>(key.scheme);
     h = h * 31 + static_cast<std::size_t>(key.ra_method);
     h = h * 31 + static_cast<std::size_t>(key.contiguous_buffering);
-    h = h * 31 + key.batch_columns;
     h = h * 31 + static_cast<std::size_t>(key.max_errors);
     return h;
   }
 };
 
-std::uint64_t seal_protection_plan(const ProtectionPlan& plan) {
-  StateSpans spans;
-  plan.collect_state(spans);
-  return seal_spans(spans);
-}
-
-PlanRegistry<PlanKey, ProtectionPlan, PlanKeyHash>& registry() {
-  static PlanRegistry<PlanKey, ProtectionPlan, PlanKeyHash> instance(
-      plan_cache_capacity(), seal_protection_plan);
-  return instance;
-}
-
-// Enroll in plan_cache_stats() / scrub_plan_caches() before main. The
-// lambdas are lazy on purpose: the registry (and its FTFFT_PLAN_CACHE_CAP /
-// FTFFT_PLAN_VERIFY reads) is only materialized at first use or first stats
-// call, never during static initialization.
-const bool registry_registered =
-    (ftfft::detail::register_plan_cache(ftfft::detail::PlanCacheHooks{
-         [] { return registry().snapshot("protection-plan"); },
-         [] { return registry().scrub(); },
-         [](std::size_t k) { registry().set_verify_interval(k); }}),
-     true);
+PlanRegistry<PlanKey, ProtectionPlan, PlanKeyHash> plan_cache(
+    "protection-plan");
 
 EtaCoeffs eta_coeffs(std::size_t n) {
   return {roundoff::practical_eta_coeff(n),
@@ -76,7 +50,6 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
     : n_(n),
       scheme_(scheme),
       max_errors_(checksum::clamp_max_errors(opts.max_correctable_errors)) {
-  plan_builds.fetch_add(1, std::memory_order_relaxed);
   switch (scheme) {
     case Scheme::kOffline: {
       wm_ = checksum::shared_input_checksum_vector(n, opts.ra_method);
@@ -97,10 +70,7 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
         layer1_batch_ = std::clamp<std::size_t>(
             kStageElems / m_, std::min<std::size_t>(4, k_), k_);
         layer2_cols_ = std::clamp<std::size_t>(
-            opts.batch_columns != 0
-                ? opts.batch_columns
-                : kStageElems / std::max<std::size_t>(k_, 1),
-            1, m_);
+            kStageElems / std::max<std::size_t>(k_, 1), 1, m_);
       }
       if (max_errors_ > 1) {
         sn_m_ = checksum::shared_syndrome_nodes(m_);
@@ -135,36 +105,16 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
 std::shared_ptr<const ProtectionPlan> ProtectionPlan::get(std::size_t n,
                                                           Scheme scheme,
                                                           const Options& opts) {
-  // The staging-layout fields only shape kOnline plans (and batch_columns
-  // only buffered ones); normalize the irrelevant combinations out of the
-  // key so option sweeps don't dilute the LRU with identical entries.
-  const bool buffered = scheme == Scheme::kOnline && opts.contiguous_buffering;
-  const PlanKey key{n,
-                    scheme,
-                    opts.ra_method,
-                    buffered,
-                    buffered ? opts.batch_columns : 0,
+  // The staging layout only shapes kOnline plans; normalize the irrelevant
+  // combinations out of the key so option sweeps don't dilute the LRU with
+  // identical entries.
+  const PlanKey key{n, scheme, opts.ra_method,
+                    scheme == Scheme::kOnline && opts.contiguous_buffering,
                     checksum::clamp_max_errors(opts.max_correctable_errors)};
-  return registry().get_or_build(key, [&] {
+  return plan_cache.get_or_build(key, [&] {
     return std::make_shared<const ProtectionPlan>(n, scheme, opts);
   });
 }
-
-std::uint64_t ProtectionPlan::build_count() noexcept {
-  return plan_builds.load(std::memory_order_relaxed);
-}
-
-std::size_t ProtectionPlan::cache_size() { return registry().size(); }
-
-std::size_t ProtectionPlan::cache_capacity() {
-  return registry().capacity();
-}
-
-void ProtectionPlan::set_cache_capacity(std::size_t capacity) {
-  registry().set_capacity(capacity);
-}
-
-void ProtectionPlan::drop_cache() { registry().clear(); }
 
 std::shared_ptr<const ProtectionPlan> resolve_protection_plan(
     std::size_t n, const Options& opts, bool inplace) {

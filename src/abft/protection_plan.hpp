@@ -54,7 +54,8 @@ class ProtectionPlan {
   ProtectionPlan(std::size_t n, Scheme scheme, const Options& opts);
 
   /// Cached resolution keyed on (n, scheme, checksum-relevant Options
-  /// fields: ra_method, contiguous_buffering, batch_columns). Thread-safe.
+  /// fields: ra_method, contiguous_buffering, max_correctable_errors).
+  /// Thread-safe.
   static std::shared_ptr<const ProtectionPlan> get(std::size_t n,
                                                    Scheme scheme,
                                                    const Options& opts);
@@ -149,16 +150,6 @@ class ProtectionPlan {
   [[nodiscard]] std::size_t layer2_cols() const noexcept {
     return layer2_cols_;
   }
-
-  // ---- cache introspection (tests, benches, monitoring) ----
-
-  /// Plans constructed process-wide (cache misses + direct builds).
-  [[nodiscard]] static std::uint64_t build_count() noexcept;
-  [[nodiscard]] static std::size_t cache_size();
-  [[nodiscard]] static std::size_t cache_capacity();
-  /// Rebounds the plan cache (tests); does not touch the env default.
-  static void set_cache_capacity(std::size_t capacity);
-  static void drop_cache();
 
  private:
   std::size_t n_;

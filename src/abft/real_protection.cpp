@@ -1,7 +1,6 @@
 #include "abft/real_protection.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <span>
@@ -10,7 +9,6 @@
 #include "abft/protection_plan.hpp"
 #include "abft/unit_check.hpp"
 #include "checksum/dot.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/math_util.hpp"
 #include "common/plan_registry.hpp"
@@ -24,26 +22,8 @@ namespace {
 
 using fault::Phase;
 
-std::atomic<std::uint64_t> g_build_count{0};
-
-std::uint64_t seal_real_protection_plan(const RealProtectionPlan& plan) {
-  StateSpans spans;
-  plan.collect_state(spans);
-  return seal_spans(spans);
-}
-
-PlanRegistry<std::size_t, RealProtectionPlan>& registry() {
-  static PlanRegistry<std::size_t, RealProtectionPlan> instance(
-      plan_cache_capacity(), seal_real_protection_plan);
-  return instance;
-}
-
-const bool registry_registered =
-    (ftfft::detail::register_plan_cache(ftfft::detail::PlanCacheHooks{
-         [] { return registry().snapshot("real-protection-plan"); },
-         [] { return registry().scrub(); },
-         [](std::size_t k) { registry().set_verify_interval(k); }}),
-     true);
+PlanRegistry<std::size_t, RealProtectionPlan> real_plan_cache(
+    "real-protection-plan");
 
 /// Effective options for the packed nc-point transform: the two-layer
 /// online scheme needs nc >= 4 (and composite), so the two tiny packed
@@ -107,30 +87,13 @@ RealProtectionPlan::RealProtectionPlan(std::size_t n) : n_(n), nc_(n / 2) {
     ac_[j] = std::conj(a_[j]);
   }
   eta_coeff_ = roundoff::practical_eta_real_coeff(nc_);
-  g_build_count.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::shared_ptr<const RealProtectionPlan> RealProtectionPlan::get(
     std::size_t n) {
-  return registry().get_or_build(
+  return real_plan_cache.get_or_build(
       n, [n] { return std::make_shared<const RealProtectionPlan>(n); });
 }
-
-std::uint64_t RealProtectionPlan::build_count() noexcept {
-  return g_build_count.load(std::memory_order_relaxed);
-}
-
-std::size_t RealProtectionPlan::cache_size() { return registry().size(); }
-
-std::size_t RealProtectionPlan::cache_capacity() {
-  return registry().capacity();
-}
-
-void RealProtectionPlan::set_cache_capacity(std::size_t capacity) {
-  registry().set_capacity(capacity);
-}
-
-void RealProtectionPlan::drop_cache() { registry().clear(); }
 
 std::shared_ptr<const ProtectionPlan> resolve_real_packed_plan(
     std::size_t n, const Options& opts) {

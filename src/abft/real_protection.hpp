@@ -102,13 +102,6 @@ class RealProtectionPlan {
     if (rplan_) rplan_->collect_state(out);
   }
 
-  // ---- cache introspection (tests, benches, monitoring) ----
-  [[nodiscard]] static std::uint64_t build_count() noexcept;
-  [[nodiscard]] static std::size_t cache_size();
-  [[nodiscard]] static std::size_t cache_capacity();
-  static void set_cache_capacity(std::size_t capacity);
-  static void drop_cache();
-
  private:
   std::size_t n_;
   std::size_t nc_;

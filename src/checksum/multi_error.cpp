@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/env.hpp"
 #include "common/plan_registry.hpp"
 #include "common/seal.hpp"
 #include "simd/dispatch.hpp"
@@ -296,26 +295,16 @@ MultiRepairResult repair_errors(const SyndromeSet& stored, cplx* data,
 
 namespace {
 
-PlanRegistry<std::size_t, std::vector<double>>& nodes_registry() {
-  static PlanRegistry<std::size_t, std::vector<double>> registry(
-      plan_cache_capacity(), [](const std::vector<double>& v) {
-        return fnv1a(v.data(), v.size() * sizeof(double));
-      });
-  return registry;
-}
-
-const bool nodes_registry_registered =
-    (ftfft::detail::register_plan_cache(ftfft::detail::PlanCacheHooks{
-         [] { return nodes_registry().snapshot("syndrome-nodes"); },
-         [] { return nodes_registry().scrub(); },
-         [](std::size_t k) { nodes_registry().set_verify_interval(k); }}),
-     true);
+PlanRegistry<std::size_t, std::vector<double>> nodes_cache(
+    "syndrome-nodes", [](const std::vector<double>& v) {
+      return fnv1a(v.data(), v.size() * sizeof(double));
+    });
 
 }  // namespace
 
 std::shared_ptr<const std::vector<double>> shared_syndrome_nodes(
     std::size_t n) {
-  return nodes_registry().get_or_build(n, [&] {
+  return nodes_cache.get_or_build(n, [&] {
     std::vector<double> nodes(2 * n);
     const double inv_n = 1.0 / static_cast<double>(n);
     for (std::size_t j = 0; j < n; ++j) {

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/env.hpp"
 #include "common/math_util.hpp"
 #include "common/plan_registry.hpp"
 #include "common/seal.hpp"
@@ -103,32 +102,16 @@ std::vector<cplx> input_checksum_vector_dmr(std::size_t n, RaGenMethod method,
 
 namespace {
 
-std::uint64_t seal_cplx_vec(const std::vector<cplx>& v) {
-  return fnv1a(v.data(), v.size() * sizeof(cplx));
-}
-
-PlanRegistry<RaKey, std::vector<cplx>, RaKeyHash>& ra_registry() {
-  static PlanRegistry<RaKey, std::vector<cplx>, RaKeyHash> registry(
-      plan_cache_capacity(), seal_cplx_vec);
-  return registry;
-}
-
-// Enroll in plan_cache_stats() / scrub_plan_caches() before main. The
-// lambdas are lazy on purpose: the registry (and its FTFFT_PLAN_CACHE_CAP /
-// FTFFT_PLAN_VERIFY reads) is only materialized at first use or first stats
-// call, never during static initialization.
-const bool ra_registry_registered =
-    (ftfft::detail::register_plan_cache(ftfft::detail::PlanCacheHooks{
-         [] { return ra_registry().snapshot("checksum-weights"); },
-         [] { return ra_registry().scrub(); },
-         [](std::size_t k) { ra_registry().set_verify_interval(k); }}),
-     true);
+PlanRegistry<RaKey, std::vector<cplx>, RaKeyHash> ra_cache(
+    "checksum-weights", [](const std::vector<cplx>& v) {
+      return fnv1a(v.data(), v.size() * sizeof(cplx));
+    });
 
 }  // namespace
 
 std::shared_ptr<const std::vector<cplx>> shared_input_checksum_vector(
     std::size_t n, RaGenMethod method) {
-  return ra_registry().get_or_build(RaKey{n, method}, [&] {
+  return ra_cache.get_or_build(RaKey{n, method}, [&] {
     return std::make_shared<const std::vector<cplx>>(
         input_checksum_vector_dmr(n, method));
   });

@@ -11,7 +11,7 @@ namespace ftfft {
 
 namespace {
 
-// A typo'd knob (FTFFT_COBRA_TILE_BITS=4x, an out-of-range value, ...) used
+// A typo'd knob (FTFFT_ENGINE_THREADS=4x, an out-of-range value, ...) used
 // to be silently truncated by strtoull and could misconfigure a kernel;
 // now it falls back to the default and warns once per variable so the
 // message doesn't flood per-plan readers.

@@ -3,17 +3,13 @@
 // FTFFT_PLAN_CACHE_CAP bounds every process-wide plan cache (decomposition
 // trees, in-place plans, checksum weight vectors, ABFT ProtectionPlans) to
 // that many entries each, evicted least-recently-used; 0 removes the bound.
+// FTFFT_PLAN_VERIFY re-checks a cached plan's seal every k-th acquire (0 =
+// off). Both are read once, at the first plan-cache insertion or
+// plan_cache_stats() call (common/plan_registry.hpp), never before main().
 //
 // FTFFT_SIMD forces the SIMD kernel backend ("scalar" | "avx2" | "neon");
 // unset or unavailable values fall back to runtime detection. Read at first
 // kernel dispatch by src/simd/dispatch.cpp.
-//
-// FTFFT_INPLACE_BLOCK_LOG2 / FTFFT_COBRA_TILE_BITS / FTFFT_COBRA_MIN_LOG2
-// override the in-place engine's memory-hierarchy tuning (cache-window size
-// for stage blocking, COBRA bit-reversal tile width, and the size threshold
-// below which the pair-swap permutation is kept). Read at plan construction
-// by fft::default_inplace_tuning(); see fft/inplace_radix2.hpp for the
-// defaults and their rationale.
 //
 // FTFFT_ENGINE_THREADS sets the worker count of every engine::BatchEngine
 // constructed with num_threads = 0 — including the process-wide shared()

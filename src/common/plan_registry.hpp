@@ -9,18 +9,29 @@
 // (FTFFT_PLAN_CACHE_CAP by default, see common/env.hpp), and
 // hit/miss/eviction counters for tests and monitoring.
 //
+// An owning module declares its cache as one namespace-scope object:
+//
+//   PlanRegistry<std::size_t, RealFftPlan> cache("real-plan");
+//
+// The constructor enrolls it by name for plan_cache_stats(),
+// scrub_plan_caches() and set_plan_verify_interval(), so every cache a
+// binary links is listed before its first plan is built. Construction reads
+// no environment: FTFFT_PLAN_CACHE_CAP and FTFFT_PLAN_VERIFY are latched at
+// the first insertion or stats call, never before main(). Plan caches must
+// not be used from static initializers.
+//
 // Values are handed out as shared_ptr<const V>: eviction only drops the
 // registry's reference, so a plan still executing somewhere stays alive
 // until its last user releases it.
 //
-// Plan-state protection (see common/seal.hpp): a registry constructed with a
-// sealer hashes every value at insertion and can re-verify the bytes later —
-// on an acquire cadence (set_verify_interval, FTFFT_PLAN_VERIFY) and in an
-// explicit scrub() sweep. A seal mismatch means the cached bytes changed
-// after build (a hardware upset in long-lived plan memory); the entry is
-// evicted and the next acquire rebuilds it instead of serving poison.
-// Detected corruptions and verification sweeps are counted in
-// PlanCacheStats.
+// Plan-state protection (see common/seal.hpp): every value is sealed at
+// insertion — by default over the spans its collect_state() lists — and
+// the bytes can be re-verified later, on an acquire cadence
+// (set_verify_interval, FTFFT_PLAN_VERIFY) and in an explicit scrub()
+// sweep. A seal mismatch means the cached bytes changed after build (a
+// hardware upset in long-lived plan memory); the entry is evicted and the
+// next acquire rebuilds it instead of serving poison. Detected corruptions
+// and verification sweeps are counted in PlanCacheStats.
 #pragma once
 
 #include <cstddef>
@@ -29,9 +40,13 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include "common/seal.hpp"
 
 namespace ftfft {
 
@@ -41,7 +56,7 @@ struct PlanCacheStats {
   std::size_t size = 0;       ///< entries currently cached
   std::size_t capacity = 0;   ///< LRU bound (0 = unbounded)
   std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
+  std::uint64_t misses = 0;   ///< = builds: every miss runs the builder
   std::uint64_t evictions = 0;
   std::uint64_t verifications = 0;  ///< seal re-checks performed
   std::uint64_t corruptions = 0;    ///< seal mismatches (entries evicted)
@@ -60,46 +75,81 @@ std::size_t scrub_plan_caches();
 
 /// Sets the verify-on-acquire interval of every registered cache: an entry's
 /// seal is re-checked every `interval`-th acquire (1 = every acquire, 0 =
-/// off). Overrides the FTFFT_PLAN_VERIFY default process-wide.
+/// off). Overrides the FTFFT_PLAN_VERIFY default process-wide, also for
+/// caches first used after the call.
 void set_plan_verify_interval(std::size_t interval);
 
+/// The default sealer: FNV-1a over the spans `value.collect_state()` lists.
+template <typename V>
+std::uint64_t seal_state(const V& value) {
+  StateSpans spans;
+  value.collect_state(spans);
+  return seal_spans(spans);
+}
+
 namespace detail {
-/// A cache's registration record for the process-wide sweeps above. Only
-/// `snapshot` is required; caches without a sealer leave the others null.
-struct PlanCacheHooks {
-  std::function<PlanCacheStats()> snapshot;
-  std::function<std::size_t()> scrub;
-  std::function<void(std::size_t)> set_verify_interval;
+
+/// What every PlanRegistry enrolls under its name: the part of a cache the
+/// process-wide sweeps above can reach without knowing its key and value
+/// types.
+class PlanCache {
+ public:
+  PlanCache(const PlanCache&) = delete;
+  PlanCache& operator=(const PlanCache&) = delete;
+
+  [[nodiscard]] const char* name() const noexcept { return name_; }
+  [[nodiscard]] virtual PlanCacheStats snapshot() = 0;
+  virtual std::size_t scrub() = 0;
+  virtual void set_verify_interval(std::size_t interval) = 0;
+  virtual void set_capacity(std::size_t capacity) = 0;
+  virtual void clear() = 0;
+
+ protected:
+  explicit PlanCache(const char* name);  // enrolls
+  ~PlanCache();                          // withdraws
+
+  /// Resolves the settings nothing has set yet from FTFFT_PLAN_CACHE_CAP
+  /// and FTFFT_PLAN_VERIFY. Called under the owner's lock before the first
+  /// insertion and by snapshot().
+  void latch_env_defaults();
+
+  static constexpr std::size_t kFromEnv = SIZE_MAX;
+  const char* const name_;
+  std::size_t capacity_ = kFromEnv;
+  std::size_t verify_interval_ = kFromEnv;
 };
 
-/// Registers a cache for plan_cache_stats() / scrub_plan_caches(). Called
-/// from pre-main initializers in the modules that own a cache, so the
-/// callbacks must be lazy: they may construct the registry when invoked (and
-/// thereby latch FTFFT_PLAN_CACHE_CAP), but registration itself must not —
-/// applications set the env knobs as late as the top of main(). There is no
-/// unregister; registered caches are immortal function-local statics.
-void register_plan_cache(PlanCacheHooks hooks);
-void register_plan_cache(std::function<PlanCacheStats()> snapshot);
+/// FTFFT_PLAN_VERIFY as latched at first read (see common/env.hpp).
+std::size_t default_plan_verify_interval();
+
+/// Empties the cache enrolled as `name` and, given `capacity`, rebounds it.
+/// Throws std::invalid_argument for a name no cache is enrolled under. For
+/// tests that need a cold or tightly bounded cache.
+void reset_plan_cache(std::string_view name,
+                      std::optional<std::size_t> capacity = std::nullopt);
+
 }  // namespace detail
 
 /// Thread-safe LRU map from Key to shared immutable Value.
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
-class PlanRegistry {
+class PlanRegistry final : public detail::PlanCache {
  public:
   /// Hashes a value's immutable payload bytes at insertion time; re-run to
-  /// verify. Must be pure (same value => same seal).
-  using Sealer = std::function<std::uint64_t(const Value&)>;
+  /// verify. Must be pure (same value => same seal). nullptr disables
+  /// plan-state verification.
+  using Sealer = std::uint64_t (*)(const Value&);
 
-  /// capacity 0 = unbounded (the pre-eviction behavior). `sealer` enables
-  /// plan-state verification; `verify_interval` defaults from
-  /// FTFFT_PLAN_VERIFY (common/env.hpp) and is ignored without a sealer.
-  explicit PlanRegistry(std::size_t capacity, Sealer sealer = nullptr,
-                        std::size_t verify_interval = SIZE_MAX);
+  /// Enrolls the cache as `name` (a string literal: it is kept, not
+  /// copied). The capacity and verify interval default from the
+  /// environment at first use; see the file comment.
+  explicit PlanRegistry(const char* name, Sealer sealer = &seal_state<Value>)
+      : PlanCache(name), sealer_(sealer) {}
 
-  /// Counters snapshot under `name` for plan_cache_stats().
-  [[nodiscard]] PlanCacheStats snapshot(const char* name) const {
+  /// Counters snapshot under this cache's name for plan_cache_stats().
+  [[nodiscard]] PlanCacheStats snapshot() override {
     std::scoped_lock lock(mu_);
-    return {name,    lru_.size(), capacity_,      hits_,
+    latch_env_defaults();
+    return {name_,   lru_.size(), capacity_,      hits_,
             misses_, evictions_,  verifications_, corruptions_};
   }
 
@@ -137,6 +187,7 @@ class PlanRegistry {
       lru_.splice(lru_.begin(), lru_, it->second);
       return it->second->value;
     }
+    latch_env_defaults();  // entries exist only past this point
     lru_.push_front(Entry{key, std::move(built), seal, 0});
     map_.emplace(key, lru_.begin());
     evict_locked();
@@ -145,7 +196,7 @@ class PlanRegistry {
 
   /// Re-verifies every entry's seal, evicting corrupted ones. Returns the
   /// number evicted. No-op (returns 0) without a sealer.
-  std::size_t scrub() {
+  std::size_t scrub() override {
     if (!sealer_) return 0;
     std::scoped_lock lock(mu_);
     std::size_t evicted = 0;
@@ -167,58 +218,18 @@ class PlanRegistry {
   /// Seal re-check cadence on acquire: every `interval`-th hit of an entry
   /// (1 = every acquire). 0 disables acquire-time verification (scrub()
   /// still works).
-  void set_verify_interval(std::size_t interval) {
+  void set_verify_interval(std::size_t interval) override {
     std::scoped_lock lock(mu_);
     verify_interval_ = interval;
   }
 
-  [[nodiscard]] std::size_t verify_interval() const {
-    std::scoped_lock lock(mu_);
-    return verify_interval_;
-  }
-
-  void set_capacity(std::size_t capacity) {
+  void set_capacity(std::size_t capacity) override {
     std::scoped_lock lock(mu_);
     capacity_ = capacity;
     evict_locked();
   }
 
-  [[nodiscard]] std::size_t capacity() const {
-    std::scoped_lock lock(mu_);
-    return capacity_;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::scoped_lock lock(mu_);
-    return lru_.size();
-  }
-
-  [[nodiscard]] std::uint64_t hits() const {
-    std::scoped_lock lock(mu_);
-    return hits_;
-  }
-
-  [[nodiscard]] std::uint64_t misses() const {
-    std::scoped_lock lock(mu_);
-    return misses_;
-  }
-
-  [[nodiscard]] std::uint64_t evictions() const {
-    std::scoped_lock lock(mu_);
-    return evictions_;
-  }
-
-  [[nodiscard]] std::uint64_t corruptions() const {
-    std::scoped_lock lock(mu_);
-    return corruptions_;
-  }
-
-  [[nodiscard]] std::uint64_t verifications() const {
-    std::scoped_lock lock(mu_);
-    return verifications_;
-  }
-
-  void clear() {
+  void clear() override {
     std::scoped_lock lock(mu_);
     lru_.clear();
     map_.clear();
@@ -251,7 +262,7 @@ class PlanRegistry {
   }
 
   void evict_locked() {
-    if (capacity_ == 0) return;
+    if (capacity_ == 0) return;  // kFromEnv is SIZE_MAX: never exceeded
     while (lru_.size() > capacity_) {
       map_.erase(lru_.back().key);
       lru_.pop_back();
@@ -259,10 +270,8 @@ class PlanRegistry {
     }
   }
 
-  mutable std::mutex mu_;
-  std::size_t capacity_;
-  Sealer sealer_;
-  std::size_t verify_interval_;
+  std::mutex mu_;
+  const Sealer sealer_;
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<Key, EntryIter, Hash> map_;
   std::uint64_t hits_ = 0;
@@ -271,22 +280,5 @@ class PlanRegistry {
   std::uint64_t verifications_ = 0;
   std::uint64_t corruptions_ = 0;
 };
-
-namespace detail {
-/// FTFFT_PLAN_VERIFY as latched at first registry construction (see
-/// common/env.hpp); separated so the template constructor below stays
-/// header-only without including env.hpp everywhere.
-std::size_t default_plan_verify_interval();
-}  // namespace detail
-
-template <typename Key, typename Value, typename Hash>
-PlanRegistry<Key, Value, Hash>::PlanRegistry(std::size_t capacity,
-                                             Sealer sealer,
-                                             std::size_t verify_interval)
-    : capacity_(capacity),
-      sealer_(std::move(sealer)),
-      verify_interval_(verify_interval == SIZE_MAX
-                           ? detail::default_plan_verify_interval()
-                           : verify_interval) {}
 
 }  // namespace ftfft

@@ -19,9 +19,10 @@
 //
 // To grow, the workspace adds a chunk, so blocks held by outer frames stay
 // valid; when the outermost frame closes, the chunks merge into one block
-// sized to the frame's peak. The rule that trims the engine's lane-staging
-// arenas shrinks it, so one huge transform does not pin its scratch for
-// the rest of the thread's life.
+// sized to the frame's peak. A high-water trim shrinks it, so one huge
+// transform does not pin its scratch for the rest of the thread's life.
+// Engine workers open one frame per job visit, so there a "use" is one
+// job, lane staging copies included.
 #pragma once
 
 #include <algorithm>
@@ -39,11 +40,10 @@ namespace ftfft {
 inline constexpr std::size_t kTrimFactor = 4;
 inline constexpr int kTrimPatience = 2;
 
-/// The high-water trim rule shared by the scratch workspace and the
-/// engine's lane-staging arenas. A holder reports each finished use (one
-/// job, one outermost frame) with its peak demand; after kTrimPatience
-/// consecutive uses whose peak stayed kTrimFactor below capacity, it
-/// shrinks to the largest of those peaks.
+/// The scratch workspace's high-water trim rule. The holder reports each
+/// finished use (one outermost frame) with its peak demand; after
+/// kTrimPatience consecutive uses whose peak stayed kTrimFactor below
+/// capacity, it shrinks to the largest of those peaks.
 class HighWaterTrim {
  public:
   /// Records one use that peaked at `peak` units against `capacity`.

@@ -17,7 +17,6 @@
 #include "abft/protected_fft.hpp"
 #include "abft/protection_plan.hpp"
 #include "abft/real_protection.hpp"
-#include "common/aligned_buffer.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/scratch.hpp"
@@ -228,43 +227,12 @@ struct BatchEngine::Impl {
   static constexpr std::int64_t kNoDeadline =
       std::numeric_limits<std::int64_t>::max();
 
-  // Per-worker staging storage, reused across lanes and jobs. It grows to
-  // the largest lane staged through it and is trimmed by the high-water
-  // rule the scratch workspace uses (common/scratch.hpp). Jobs that never
-  // touched this arena are not evidence of shrinking demand
-  // (under-subscribed workloads rotate which workers win chunks); they
-  // leave the rule untouched so participation gaps don't cause
-  // free/realloc churn.
-  struct Arena {
-    AlignedBuffer<cplx> staging;
-    std::size_t batch_peak = 0;  // largest request in the current job
-    HighWaterTrim trim;
-
-    cplx* ensure(std::size_t n) {
-      batch_peak = std::max(batch_peak, n);
-      if (staging.size() < n) {
-        staging = AlignedBuffer<cplx>(n);
-        trim.reset();
-      }
-      return staging.data();
-    }
-
-    void end_batch() {
-      if (batch_peak == 0) return;
-      if (const std::size_t to = trim.end_use(batch_peak, staging.size())) {
-        staging = AlignedBuffer<cplx>(to);
-      }
-      batch_peak = 0;
-    }
-  };
-
   // Runs item `index` of a job: the transform of lane `index` for batch
   // submissions, the caller's callable for task fan-outs. Built once per
   // job at submission (plans resolved, lanes copied) and shared by every
   // worker draining the job; `stats` is the item's pre-sized
-  // BatchReport::per_lane slot and `arena` the running worker's staging.
-  using ItemFn =
-      std::function<void(std::size_t index, abft::Stats& stats, Arena& arena)>;
+  // BatchReport::per_lane slot.
+  using ItemFn = std::function<void(std::size_t index, abft::Stats& stats)>;
 
   // One queued submission. Heap-owned and held in its class's queue list;
   // kept alive by shared_ptrs held by the queue, by every worker currently
@@ -327,7 +295,6 @@ struct BatchEngine::Impl {
 
   explicit Impl(std::size_t num_threads)
       : num_threads_(resolve_threads(num_threads)),
-        arenas_(num_threads_),
         queue_cap_(env_size("FTFFT_ENGINE_QUEUE_CAP", 0)),
         default_priority_(resolve_default_priority()),
         default_deadline_(std::chrono::milliseconds(static_cast<std::int64_t>(
@@ -377,7 +344,7 @@ struct BatchEngine::Impl {
     if (!workers_.empty()) return;
     workers_.reserve(num_threads_);
     for (std::size_t w = 0; w < num_threads_; ++w) {
-      workers_.emplace_back([this, w] { worker_loop(w); });
+      workers_.emplace_back([this] { worker_loop(); });
     }
   }
 
@@ -415,9 +382,8 @@ struct BatchEngine::Impl {
     }
   }
 
-  void worker_loop(std::size_t arena_index) {
+  void worker_loop() {
     t_pool_thread = this;
-    Arena& arena = arenas_[arena_index];
     for (;;) {
       std::shared_ptr<Job> job;
       {
@@ -427,7 +393,7 @@ struct BatchEngine::Impl {
         job = pick_locked();
         if (job == nullptr) continue;
       }
-      work_on(*job, arena, /*preemptible=*/true);
+      work_on(*job, /*preemptible=*/true);
     }
   }
 
@@ -484,16 +450,18 @@ struct BatchEngine::Impl {
   // while stragglers finish this one) and, if this worker ran the job's
   // final item, fulfills its future. preemptible=false on the shed-drain
   // path, which must complete in one call.
-  void work_on(Job& job, Arena& arena, bool preemptible) {
+  void work_on(Job& job, bool preemptible) {
     const std::size_t count = job.count;
     const std::uint64_t seen = sched_version_.load(std::memory_order_acquire);
     std::size_t done = 0;
     bool exhausted = false;
     {
       // The items' scratch frames nest in one frame per visit, so the
-      // workspace's trim rule weighs this job's largest item, like the
-      // arena's, instead of each item on its own (a sharded transform's
-      // phases alternate small and large items).
+      // workspace's trim rule weighs this job's largest item instead of
+      // each item on its own (a sharded transform's phases alternate small
+      // and large items). The frame closes, and the trim settles, before
+      // this worker's items count down `remaining`: a ready future implies
+      // the workspace is quiescent.
       scratch::Frame visit;
       for (;;) {
         const std::size_t begin =
@@ -503,17 +471,12 @@ struct BatchEngine::Impl {
           break;
         }
         const std::size_t end = std::min(begin + job.chunk, count);
-        for (std::size_t i = begin; i < end; ++i) run_item(job, i, arena);
+        for (std::size_t i = begin; i < end; ++i) run_item(job, i);
         done += end - begin;
         if (preemptible && should_reschedule(job, seen)) break;
       }
     }
     if (exhausted) retire_from_queue(job);
-    // Trim bookkeeping happens before this worker's lanes are subtracted
-    // from `remaining`, so a ready future implies no worker still touches
-    // an arena on this job's behalf (staging_capacity() stays readable
-    // from the caller once the engine is idle).
-    arena.end_batch();
     if (done > 0 &&
         job.remaining.fetch_sub(done, std::memory_order_acq_rel) == done) {
       finish(job);
@@ -573,11 +536,11 @@ struct BatchEngine::Impl {
   // One item of any job kind: fail fast through skip_item, otherwise run
   // it and record a throw in the item's report slots without disturbing
   // the other items.
-  void run_item(Job& job, std::size_t index, Arena& arena) {
+  void run_item(Job& job, std::size_t index) {
     if (skip_item(job, index)) return;
     BatchReport& report = job.state->report;
     try {
-      job.run(index, report.per_lane[index], arena);
+      job.run(index, report.per_lane[index]);
     } catch (const std::exception& e) {
       report.errors[index] = e.what();
       report.exceptions[index] = std::current_exception();
@@ -771,8 +734,7 @@ struct BatchEngine::Impl {
   void drain_shed(Job& job) {
     Impl* prev = t_pool_thread;
     t_pool_thread = this;  // callbacks run here may re-submit; never block
-    Arena scratch;         // untouched: skipped items never stage
-    work_on(job, scratch, /*preemptible=*/false);
+    work_on(job, /*preemptible=*/false);
     t_pool_thread = prev;
   }
 
@@ -864,12 +826,6 @@ struct BatchEngine::Impl {
     return BatchFuture(job->state);
   }
 
-  [[nodiscard]] std::size_t staging_capacity() const {
-    std::size_t total = 0;
-    for (const Arena& arena : arenas_) total += arena.staging.size();
-    return total;
-  }
-
   [[nodiscard]] SchedulerStats snapshot_stats() const {
     SchedulerStats out;
     {
@@ -906,7 +862,6 @@ struct BatchEngine::Impl {
   static thread_local Impl* t_pool_thread;
 
   const std::size_t num_threads_;
-  std::vector<Arena> arenas_;
   std::vector<std::thread> workers_;
   std::atomic<std::size_t> inflight_jobs_{0};
 
@@ -964,10 +919,6 @@ SchedulerStats BatchEngine::scheduler_stats() const {
 
 void BatchEngine::reset_scheduler_stats() { impl_->reset_stats(); }
 
-std::size_t BatchEngine::staging_capacity() const {
-  return impl_->staging_capacity();
-}
-
 BatchFuture BatchEngine::submit_batch(std::span<const Lane> lanes,
                                       std::size_t n,
                                       const BatchOptions& opts) {
@@ -1015,7 +966,7 @@ BatchFuture BatchEngine::submit_batch(std::span<const Lane> lanes,
   auto run = [lanes = std::vector<Lane>(lanes.begin(), lanes.end()), n,
               base = opts.abft, preserve = opts.preserve_inputs, plan,
               plan_inplace, plan_error, plan_inplace_error](
-                 std::size_t i, abft::Stats& stats, Impl::Arena& arena) {
+                 std::size_t i, abft::Stats& stats) {
     const Lane& lane = lanes[i];
     abft::Options o = base;
     if (lane.injector != nullptr) o.injector = lane.injector;
@@ -1025,10 +976,11 @@ BatchFuture BatchEngine::submit_batch(std::span<const Lane> lanes,
     }
     if (!inplace && plan_error) std::rethrow_exception(plan_error);
     cplx* in = lane.in;
+    scratch::Frame frame;  // nests in the worker's per-visit frame
     if (preserve || lane.out == lane.in) {
-      cplx* staged = arena.ensure(n);
-      std::copy(lane.in, lane.in + n, staged);
-      in = staged;
+      const std::span<cplx> staged = frame.take<cplx>(n);
+      std::copy(lane.in, lane.in + n, staged.begin());
+      in = staged.data();
     }
     if (inplace) {
       abft::protected_transform_inplace(in, n, o, stats, plan_inplace.get());
@@ -1074,10 +1026,10 @@ BatchFuture BatchEngine::submit_real_batch(std::span<const RealLane> lanes,
     }
   }
   // Real lanes never modify their source buffer (the protected paths work
-  // out of internal scratch), so they never stage through the arena.
+  // out of internal scratch), so they never stage a copy.
   auto run = [lanes = std::vector<RealLane>(lanes.begin(), lanes.end()), n,
               dir, base = opts.abft, fft_plan, real_plan, cplan, plan_error](
-                 std::size_t i, abft::Stats& stats, Impl::Arena&) {
+                 std::size_t i, abft::Stats& stats) {
     const RealLane& lane = lanes[i];
     abft::Options o = base;
     if (lane.injector != nullptr) o.injector = lane.injector;
@@ -1105,9 +1057,7 @@ BatchFuture BatchEngine::submit_tasks(
     const SubmitOptions& submit, std::size_t chunk) {
   ftfft::detail::require(fn != nullptr,
                          "BatchEngine::submit_tasks: null callable");
-  auto run = [fn = std::move(fn)](std::size_t i, abft::Stats& stats,
-                                  Impl::Arena&) { fn(i, stats); };
-  return impl_->submit(Impl::Clock::now(), count, "task", std::move(run),
+  return impl_->submit(Impl::Clock::now(), count, "task", std::move(fn),
                        submit, chunk);
 }
 

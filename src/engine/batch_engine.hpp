@@ -52,10 +52,10 @@
 // is resolved once per job at submission time through the process-wide
 // LRU-bounded plan caches — a warm cache makes submission O(lanes) pointer
 // work — and handed to every lane by reference. Per-thread mutable state
-// has two homes, both reused across lanes and jobs and trimmed by one
-// high-water rule (common/scratch.hpp): staging copies of lane inputs live
-// in a per-worker aligned arena, and the protected transforms' own working
-// buffers in the worker thread's scratch workspace.
+// — staging copies of lane inputs and the protected transforms' own
+// working buffers — lives in the worker thread's scratch workspace
+// (common/scratch.hpp), reused across lanes and jobs and trimmed by its
+// high-water rule.
 // Per-lane abft::Stats land in pre-sized slots, so workers never contend
 // on shared counters.
 //
@@ -90,7 +90,7 @@ struct Lane {
   /// BatchOptions::preserve_inputs is set.
   cplx* in = nullptr;
   /// Output spectrum (n elements). nullptr = transform in place over `in`.
-  /// `out == in` is allowed and staged through the worker arena.
+  /// `out == in` is allowed and staged through worker scratch.
   cplx* out = nullptr;
   /// Optional per-lane fault injector (overrides the batch-wide one);
   /// campaigns schedule different faults into different lanes with this.
@@ -101,8 +101,8 @@ struct Lane {
 /// descriptor serves both directions: r2c reads `re` and writes `spec`,
 /// c2r reads `spec` and writes `re`. Real lanes never modify their source
 /// buffer (the protected paths work out of scratch), so
-/// BatchOptions::preserve_inputs is trivially satisfied and no arena
-/// staging is needed.
+/// BatchOptions::preserve_inputs is trivially satisfied and no staging
+/// copy is needed.
 struct RealLane {
   /// Time-domain signal, n doubles.
   double* re = nullptr;
@@ -168,7 +168,7 @@ struct BatchOptions {
   /// Lanes claimed per scheduler grab; 0 = pick from batch size and thread
   /// count. Bigger chunks amortize the atomic, smaller ones balance better.
   std::size_t chunk = 0;
-  /// Stage every lane input through the worker arena so the caller's input
+  /// Stage every lane input through worker scratch so the caller's input
   /// buffers are never written (fault repair then fixes the staged copy).
   bool preserve_inputs = false;
   /// Scheduling class, deadline, shedding eligibility, admission timeout.
@@ -350,13 +350,6 @@ class BatchEngine {
   /// Zeroes the scheduler counters and latency rings (tests, epoch-based
   /// monitoring). Does not touch the queue or the cap.
   void reset_scheduler_stats();
-
-  /// Total staging currently held across the per-worker arenas, in complex
-  /// elements. Arenas grow to the largest lane staged through them and are
-  /// trimmed back after consecutive jobs whose demand stayed far below
-  /// that high-water mark; exposed for tests and memory monitoring. Only
-  /// meaningful while no job is in flight.
-  [[nodiscard]] std::size_t staging_capacity() const;
 
   /// Queues the protected n-point transform of every lane and returns
   /// once admitted — immediately while the pending-lane count is under the

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/env.hpp"
 #include "common/math_util.hpp"
 #include "common/plan_registry.hpp"
 #include "simd/dispatch.hpp"
@@ -19,25 +18,8 @@ namespace {
 constexpr unsigned kReferenceBlockLog2 = 15;
 }  // namespace
 
-InplaceTuning default_inplace_tuning() {
-  InplaceTuning t;
-  const InplaceTuning defaults;
-  auto clamped = [](std::size_t v, unsigned lo, unsigned hi) {
-    if (v < lo) return lo;
-    if (v > hi) return hi;
-    return static_cast<unsigned>(v);
-  };
-  t.block_log2 = clamped(
-      env_size("FTFFT_INPLACE_BLOCK_LOG2", defaults.block_log2), 4, 28);
-  t.cobra_tile_bits = clamped(
-      env_size("FTFFT_COBRA_TILE_BITS", defaults.cobra_tile_bits), 0, 10);
-  t.cobra_min_log2 = clamped(
-      env_size("FTFFT_COBRA_MIN_LOG2", defaults.cobra_min_log2), 4, 64);
-  return t;
-}
-
 InplaceRadix2Plan::InplaceRadix2Plan(std::size_t n)
-    : InplaceRadix2Plan(n, default_inplace_tuning()) {}
+    : InplaceRadix2Plan(n, InplaceTuning{}) {}
 
 InplaceRadix2Plan::InplaceRadix2Plan(std::size_t n,
                                      const InplaceTuning& tuning)
@@ -438,36 +420,12 @@ std::size_t InplaceRadix2Plan::tail_radix4_stages() const noexcept {
 }
 
 namespace {
-
-std::uint64_t seal_inplace_plan(const InplaceRadix2Plan& plan) {
-  StateSpans spans;
-  plan.collect_state(spans);
-  return seal_spans(spans);
-}
-
-PlanRegistry<std::size_t, InplaceRadix2Plan>& inplace_registry() {
-  // LRU-bounded by FTFFT_PLAN_CACHE_CAP, like every other plan cache.
-  static PlanRegistry<std::size_t, InplaceRadix2Plan> registry(
-      plan_cache_capacity(), seal_inplace_plan);
-  return registry;
-}
-
-// Enroll in plan_cache_stats() / scrub_plan_caches() before main. The
-// lambdas are lazy on purpose: the registry (and its FTFFT_PLAN_CACHE_CAP /
-// FTFFT_PLAN_VERIFY reads) is only materialized at first use or first stats
-// call, never during static initialization.
-const bool inplace_registry_registered =
-    (ftfft::detail::register_plan_cache(ftfft::detail::PlanCacheHooks{
-         [] { return inplace_registry().snapshot("inplace-plan"); },
-         [] { return inplace_registry().scrub(); },
-         [](std::size_t k) { inplace_registry().set_verify_interval(k); }}),
-     true);
-
+PlanRegistry<std::size_t, InplaceRadix2Plan> inplace_cache("inplace-plan");
 }  // namespace
 
 std::shared_ptr<const InplaceRadix2Plan> InplaceRadix2Plan::get(
     std::size_t n) {
-  return inplace_registry().get_or_build(
+  return inplace_cache.get_or_build(
       n, [n] { return std::make_shared<const InplaceRadix2Plan>(n); });
 }
 

@@ -43,9 +43,9 @@
 
 namespace ftfft::fft {
 
-/// Memory-hierarchy tuning knobs of the in-place engine. Defaults come from
-/// default_inplace_tuning() (env-overridable); tests and benches construct
-/// plans with explicit values to force every code path at small sizes.
+/// Memory-hierarchy tuning knobs of the in-place engine. Production plans
+/// use these defaults; tests and benches construct plans with explicit
+/// values to force every code path at small sizes.
 struct InplaceTuning {
   /// log2 of the cache window (in elements) for stage blocking: stages with
   /// len <= 2^block_log2 run window-by-window in one streaming pass. The
@@ -64,17 +64,11 @@ struct InplaceTuning {
   unsigned cobra_min_log2 = 12;
 };
 
-/// Default tuning: InplaceTuning's initializers, overridable via the
-/// FTFFT_INPLACE_BLOCK_LOG2 / FTFFT_COBRA_TILE_BITS / FTFFT_COBRA_MIN_LOG2
-/// environment variables (read once per call; plans latch values at
-/// construction).
-[[nodiscard]] InplaceTuning default_inplace_tuning();
-
 /// Precomputed bit-reversal permutation + twiddle tables for one size.
 /// Immutable after construction; shareable across threads.
 class InplaceRadix2Plan {
  public:
-  /// n must be a power of two >= 1. Uses default_inplace_tuning().
+  /// n must be a power of two >= 1. Uses the default InplaceTuning.
   explicit InplaceRadix2Plan(std::size_t n);
   InplaceRadix2Plan(std::size_t n, const InplaceTuning& tuning);
 

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/env.hpp"
 #include "common/math_util.hpp"
 #include "common/plan_registry.hpp"
 #include "dft/codelets.hpp"
@@ -104,28 +103,12 @@ void collect_plan_state(const PlanNode& node, StateSpans& out) {
 
 namespace {
 
-std::uint64_t seal_plan_node(const PlanNode& root) {
-  StateSpans spans;
-  collect_plan_state(root, spans);
-  return seal_spans(spans);
-}
-
-PlanRegistry<std::size_t, PlanNode>& plan_registry() {
-  static PlanRegistry<std::size_t, PlanNode> registry(plan_cache_capacity(),
-                                                      seal_plan_node);
-  return registry;
-}
-
-// Enroll in plan_cache_stats() / scrub_plan_caches() before main. The
-// lambdas are lazy on purpose: the registry (and its FTFFT_PLAN_CACHE_CAP /
-// FTFFT_PLAN_VERIFY reads) is only materialized at first use or first stats
-// call, never during static initialization.
-const bool plan_registry_registered =
-    (ftfft::detail::register_plan_cache(ftfft::detail::PlanCacheHooks{
-         [] { return plan_registry().snapshot("fft-plan"); },
-         [] { return plan_registry().scrub(); },
-         [](std::size_t k) { plan_registry().set_verify_interval(k); }}),
-     true);
+PlanRegistry<std::size_t, PlanNode> plan_cache(
+    "fft-plan", [](const PlanNode& root) {
+      StateSpans spans;
+      collect_plan_state(root, spans);
+      return seal_spans(spans);
+    });
 
 }  // namespace
 
@@ -134,7 +117,7 @@ std::shared_ptr<const PlanNode> make_plan(std::size_t n) {
   // registry lock because plan construction may be slow for large n.
   // Eviction of a root node releases its whole subtree (sub-plans are not
   // cached individually).
-  return plan_registry().get_or_build(n, [n] { return build_plan(n); });
+  return plan_cache.get_or_build(n, [n] { return build_plan(n); });
 }
 
 std::string describe_plan(const PlanNode& node) {

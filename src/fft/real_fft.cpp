@@ -1,38 +1,15 @@
 #include "fft/real_fft.hpp"
 
-#include <atomic>
 #include <cstring>
 #include <stdexcept>
 
-#include "common/env.hpp"
 #include "common/math_util.hpp"
 #include "common/plan_registry.hpp"
 #include "simd/dispatch.hpp"
 
 namespace ftfft::fft {
 namespace {
-
-std::atomic<std::uint64_t> g_build_count{0};
-
-std::uint64_t seal_real_plan(const RealFftPlan& plan) {
-  StateSpans spans;
-  plan.collect_state(spans);
-  return seal_spans(spans);
-}
-
-PlanRegistry<std::size_t, RealFftPlan>& real_plan_registry() {
-  static PlanRegistry<std::size_t, RealFftPlan> registry(
-      plan_cache_capacity(), seal_real_plan);
-  return registry;
-}
-
-const bool real_plan_registry_registered =
-    (ftfft::detail::register_plan_cache(ftfft::detail::PlanCacheHooks{
-         [] { return real_plan_registry().snapshot("real-plan"); },
-         [] { return real_plan_registry().scrub(); },
-         [](std::size_t k) { real_plan_registry().set_verify_interval(k); }}),
-     true);
-
+PlanRegistry<std::size_t, RealFftPlan> real_plan_cache("real-plan");
 }  // namespace
 
 RealFftPlan::RealFftPlan(std::size_t n) : n_(n), nc_(n / 2) {
@@ -43,11 +20,6 @@ RealFftPlan::RealFftPlan(std::size_t n) : n_(n), nc_(n / 2) {
   cplan_ = InplaceRadix2Plan::get(nc_);
   wq_.resize(nc_ / 2 + 1);
   for (std::size_t k = 0; k < wq_.size(); ++k) wq_[k] = omega(n_, k);
-  g_build_count.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t RealFftPlan::build_count() {
-  return g_build_count.load(std::memory_order_relaxed);
 }
 
 void RealFftPlan::r2c(const double* in, cplx* out) const {
@@ -113,7 +85,7 @@ void RealFftPlan::c2r(const cplx* in, double* out) const {
 }
 
 std::shared_ptr<const RealFftPlan> RealFftPlan::get(std::size_t n) {
-  return real_plan_registry().get_or_build(
+  return real_plan_cache.get_or_build(
       n, [n] { return std::make_shared<const RealFftPlan>(n); });
 }
 

@@ -80,10 +80,6 @@ class RealFftPlan {
   /// Shared, cached plan for the given size. Thread-safe.
   static std::shared_ptr<const RealFftPlan> get(std::size_t n);
 
-  /// Total RealFftPlan constructions in this process (cache misses build;
-  /// hits do not) — the warm-plans tests pin this.
-  static std::uint64_t build_count();
-
  private:
   /// Dispatch the fused last-butterfly + Hermitian-unpack kernel matching
   /// the open-last descriptor (requires nc_ >= 8; out holds the nc packed

@@ -1,7 +1,6 @@
 #include "parallel/parallel_plan.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "abft/options.hpp"
 #include "abft/unit_check.hpp"
@@ -13,8 +12,6 @@
 
 namespace ftfft::parallel {
 namespace {
-
-std::atomic<std::uint64_t> plan_builds{0};
 
 struct PlanKey {
   std::size_t p;
@@ -33,28 +30,7 @@ struct PlanKeyHash {
   }
 };
 
-std::uint64_t seal_parallel_plan(const ParallelPlan& plan) {
-  StateSpans spans;
-  plan.collect_state(spans);
-  return seal_spans(spans);
-}
-
-PlanRegistry<PlanKey, ParallelPlan, PlanKeyHash>& registry() {
-  static PlanRegistry<PlanKey, ParallelPlan, PlanKeyHash> instance(
-      plan_cache_capacity(), seal_parallel_plan);
-  return instance;
-}
-
-// Enroll in plan_cache_stats() / scrub_plan_caches() before main. The
-// lambdas are lazy on purpose: the registry (and its FTFFT_PLAN_CACHE_CAP /
-// FTFFT_PLAN_VERIFY reads) is only materialized at first use or first stats
-// call, never during static initialization.
-const bool registry_registered =
-    (ftfft::detail::register_plan_cache(ftfft::detail::PlanCacheHooks{
-         [] { return registry().snapshot("parallel-plan"); },
-         [] { return registry().scrub(); },
-         [](std::size_t k) { registry().set_verify_interval(k); }}),
-     true);
+PlanRegistry<PlanKey, ParallelPlan, PlanKeyHash> plan_cache("parallel-plan");
 
 }  // namespace
 
@@ -63,7 +39,6 @@ ParallelPlan::ParallelPlan(std::size_t p, std::size_t n, bool protect,
     : p_(p), n_(n), n_loc_(p == 0 ? 0 : n / p),
       bsz_(p == 0 ? 0 : n / p / p), protect_(protect),
       max_errors_(checksum::clamp_max_errors(max_errors)) {
-  plan_builds.fetch_add(1, std::memory_order_relaxed);
   detail::require(p >= 2, "parallel plan: need at least 2 ranks");
   detail::require(p % 3 != 0,
                   "parallel plan: rank count divisible by 3 degenerates the "
@@ -108,18 +83,10 @@ std::shared_ptr<const ParallelPlan> ParallelPlan::get(std::size_t p,
                                                       bool protect,
                                                       int max_errors) {
   const int t = protect ? checksum::clamp_max_errors(max_errors) : 1;
-  return registry().get_or_build(PlanKey{p, n, protect, t}, [&] {
+  return plan_cache.get_or_build(PlanKey{p, n, protect, t}, [&] {
     return std::make_shared<const ParallelPlan>(p, n, protect, t);
   });
 }
-
-std::uint64_t ParallelPlan::build_count() noexcept {
-  return plan_builds.load(std::memory_order_relaxed);
-}
-
-std::size_t ParallelPlan::cache_size() { return registry().size(); }
-
-void ParallelPlan::drop_cache() { registry().clear(); }
 
 std::shared_ptr<const ParallelPlan> warm_plans(std::size_t p, std::size_t n,
                                                bool protect,

@@ -108,13 +108,6 @@ class ParallelPlan {
     tw_->collect_state(out);
   }
 
-  // ---- cache introspection (tests, benches, monitoring) ----
-
-  /// Plans constructed process-wide (cache misses + direct builds).
-  [[nodiscard]] static std::uint64_t build_count() noexcept;
-  [[nodiscard]] static std::size_t cache_size();
-  static void drop_cache();
-
  private:
   std::size_t p_, n_, n_loc_, bsz_;
   bool protect_;

@@ -73,7 +73,7 @@ struct ShardedState {
   //    (fail_rank armed and max_rank_restarts > 0), the input must stay
   //    pristine for the re-run, so `out` is a separate zero-filled vector.
   // The raw stores come from a process-wide pool (scratch_take/scratch_put)
-  // and go back to it when the state dies: for huge transforms the
+  // and go back to it when the transform completes: for huge transforms the
   // dominant cost of a fresh 2*N-double block is not the allocation but
   // faulting its pages in, and glibc hands blocks this size straight back
   // to the OS on free — pooling keeps the pages warm across submissions.
@@ -89,7 +89,6 @@ struct ShardedState {
   cplx* out = nullptr;   ///< final spectrum (in.data() or a.data())
   bool out_is_input = false;
 
-  ~ShardedState();
   std::vector<fault::Injector> injectors;  ///< one per simulated rank
 
   // Per-rank accumulators; each slot written only by its rank's task.
@@ -131,13 +130,12 @@ struct PooledBlock {
   std::unique_ptr<double[]> mem;
 };
 
-// Both statics are intentionally immortal (heap-allocated, never freed):
-// the last reference to a ShardedState can be dropped by an engine worker
-// inside future fulfillment — after the waiter's get() has already
-// returned — so ~ShardedState's scratch_put can run while the main thread
-// is in atexit teardown. A function-local static vector would be destroyed
-// there and the late put would write into freed storage; a leaked one is
-// reachable until process exit and always safe to push into.
+// Both statics are intentionally immortal (heap-allocated, never freed): a
+// transform nobody waits for completes on an engine worker whenever it
+// completes, so its scratch_put can run while the main thread is in atexit
+// teardown. A function-local static vector would be destroyed there and
+// the late put would write into freed storage; a leaked one is reachable
+// until process exit and always safe to push into.
 std::mutex& pool_mu() {
   static std::mutex* mu = new std::mutex;
   return *mu;
@@ -173,15 +171,6 @@ void scratch_put(std::size_t doubles, std::unique_ptr<double[]> mem) {
 }
 
 }  // namespace
-
-namespace detail {
-
-ShardedState::~ShardedState() {
-  scratch_put(store_doubles, std::move(s1_store));
-  scratch_put(store_doubles, std::move(s2_store));
-}
-
-}  // namespace detail
 
 namespace {
 
@@ -416,7 +405,13 @@ void run_phase(ShardedState& st, int phase, std::size_t r) {
   st.phase_comm[phase][r] = comm;
 }
 
+// Completes the transform, on success and on every error path. The raw
+// stores go back to the pool *before* `ready` is set: the waiter's get()
+// may return and submit the next transform while this worker still holds
+// the state, and that submission must find both stores pooled.
 void fulfill(const std::shared_ptr<ShardedState>& st, std::exception_ptr err) {
+  scratch_put(st->store_doubles, std::move(st->s1_store));
+  scratch_put(st->store_doubles, std::move(st->s2_store));
   std::lock_guard<std::mutex> lock(st->mu);
   st->error = std::move(err);
   st->ready = true;

@@ -1,13 +1,11 @@
-// Infrastructure pieces: aligned buffers, timers, env knobs, error helpers.
+// Infrastructure pieces: timers, env knobs, error helpers.
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
 #include <vector>
 
-#include "common/aligned_buffer.hpp"
 #include "common/complex.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
@@ -16,33 +14,6 @@
 
 namespace ftfft {
 namespace {
-
-TEST(AlignedBuffer, AlignmentAndZeroInit) {
-  AlignedBuffer<cplx> buf(1000);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) % 64, 0u);
-  EXPECT_EQ(buf.size(), 1000u);
-  for (const cplx& v : buf) EXPECT_EQ(v, (cplx{0.0, 0.0}));
-}
-
-TEST(AlignedBuffer, MoveTransfersOwnership) {
-  AlignedBuffer<double> a(16);
-  a[3] = 42.0;
-  double* raw = a.data();
-  AlignedBuffer<double> b = std::move(a);
-  EXPECT_EQ(b.data(), raw);
-  EXPECT_DOUBLE_EQ(b[3], 42.0);
-  EXPECT_EQ(a.data(), nullptr);
-  EXPECT_TRUE(a.empty());
-  AlignedBuffer<double> c(1);
-  c = std::move(b);
-  EXPECT_EQ(c.data(), raw);
-}
-
-TEST(AlignedBuffer, EmptyIsSafe) {
-  AlignedBuffer<cplx> buf;
-  EXPECT_TRUE(buf.empty());
-  EXPECT_EQ(buf.begin(), buf.end());
-}
 
 // Distinct, exactly representable values so a misplaced element shows.
 std::vector<cplx> iota_matrix(std::size_t count) {

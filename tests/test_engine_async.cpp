@@ -14,16 +14,20 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "abft/protection_plan.hpp"
+#include "abft/real_protection.hpp"
 #include "checksum/weights.hpp"
 #include "common/env.hpp"
 #include "common/rng.hpp"
 #include "core/ftfft.hpp"
+#include "parallel/parallel_plan.hpp"
 
 namespace ftfft {
 namespace {
@@ -421,6 +425,17 @@ TEST(AsyncEngine, ThenCallbackFiresOnWorkerAfterCompletion) {
 
 // ------------------------------------------------------------ warm plans
 
+// Row `name` of plan_cache_stats(). Its `misses` is the cache's build
+// count: every construction goes through the cache, and every miss runs
+// the builder once.
+PlanCacheStats cache_row(std::string_view name) {
+  for (const PlanCacheStats& s : plan_cache_stats()) {
+    if (name == s.name) return s;
+  }
+  ADD_FAILURE() << "plan_cache_stats has no row " << name;
+  return {};
+}
+
 TEST(WarmPlans, FirstSubmissionAfterWarmupDoesZeroRaGeneration) {
   // A size this binary has not touched: 1408 = 2^7 * 11 (3 does not divide
   // it, so the encoding is valid; it is square-free times a power of two,
@@ -437,7 +452,7 @@ TEST(WarmPlans, FirstSubmissionAfterWarmupDoesZeroRaGeneration) {
 
   Workload w(4, n, 10000);
   const auto gens_before_submit = checksum::ra_generations();
-  const auto builds_before_submit = abft::ProtectionPlan::build_count();
+  const auto builds_before_submit = cache_row("protection-plan").misses;
   const auto report = engine::BatchEngine::shared()
                           .submit_batch(w.lanes, n, {make_abft_options(config)})
                           .get();
@@ -445,7 +460,7 @@ TEST(WarmPlans, FirstSubmissionAfterWarmupDoesZeroRaGeneration) {
   // The whole point: submission found every plan resident — zero rA
   // passes, zero ProtectionPlan builds.
   EXPECT_EQ(checksum::ra_generations(), gens_before_submit);
-  EXPECT_EQ(abft::ProtectionPlan::build_count(), builds_before_submit);
+  EXPECT_EQ(cache_row("protection-plan").misses, builds_before_submit);
 }
 
 TEST(WarmPlans, OfflineSchemeCountsItsSingleSharedPlanOnce) {
@@ -514,39 +529,52 @@ TEST(AsyncEngine, WaitForOnInvalidFutureThrowsInvalidArgument) {
 
 // ------------------------------------------------------- plan cache stats
 
-TEST(PlanCacheStatsExport, ReportsAllFourCaches) {
+// Every process-wide plan cache, by the name it enrolls under.
+constexpr const char* kPlanCaches[] = {
+    "checksum-weights", "fft-plan",        "inplace-plan",
+    "parallel-plan",    "protection-plan", "real-plan",
+    "real-protection-plan", "syndrome-nodes", "twiddle-tables"};
+
+// ctest runs each test in its own process, so when this one runs there no
+// plan has been built yet: the caches enroll at static initialization.
+TEST(PlanCacheStatsExport, ListsAllNineCachesBeforeAnyPlanIsBuilt) {
   const auto stats = plan_cache_stats();
-  ASSERT_GE(stats.size(), 4u);
-  auto find = [&](const char* name) -> const PlanCacheStats* {
-    for (const auto& s : stats) {
-      if (std::string(s.name) == name) return &s;
-    }
-    return nullptr;
-  };
-  for (const char* name : {"checksum-weights", "fft-plan", "inplace-plan",
-                           "protection-plan"}) {
-    const PlanCacheStats* s = find(name);
-    ASSERT_NE(s, nullptr) << name;
-    EXPECT_EQ(s->capacity, plan_cache_capacity()) << name;
+  ASSERT_EQ(stats.size(), std::size(kPlanCaches));
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    EXPECT_STREQ(stats[i].name, kPlanCaches[i]);  // sorted by name
+    EXPECT_EQ(stats[i].capacity, plan_cache_capacity()) << stats[i].name;
   }
 }
 
+TEST(PlanCacheStatsExport, VerifyIntervalReachesCachesFirstUsedLater) {
+  set_plan_verify_interval(1);
+  const auto before = cache_row("real-protection-plan").verifications;
+  const std::size_t n = 1u << 7;  // used by no other test in this binary
+  (void)abft::RealProtectionPlan::get(n);
+  (void)abft::RealProtectionPlan::get(n);
+  EXPECT_GT(cache_row("real-protection-plan").verifications, before);
+  set_plan_verify_interval(detail::default_plan_verify_interval());
+}
+
+TEST(PlanCacheStatsExport, ReportsAllFourCaches) {
+  // The engine also hosts sharded transforms; their plans enroll too.
+  (void)parallel::warm_plans(4, 1024, /*protect=*/true);
+  for (const char* name : kPlanCaches) {
+    EXPECT_EQ(cache_row(name).capacity, plan_cache_capacity()) << name;
+  }
+  EXPECT_GE(cache_row("parallel-plan").size, 1u);
+}
+
 TEST(PlanCacheStatsExport, CountersMoveWithTraffic) {
-  auto find = [](const std::vector<PlanCacheStats>& stats, const char* name) {
-    for (const auto& s : stats) {
-      if (std::string(s.name) == name) return s;
-    }
-    return PlanCacheStats{};
-  };
   const std::size_t n = 704;  // 2^6 * 11: unused elsewhere in this binary
-  const auto before = find(plan_cache_stats(), "protection-plan");
+  const auto before = cache_row("protection-plan");
   auto x = random_vector(n, InputDistribution::kUniform, 11000);
   (void)abft::protected_fft(x, abft::Options::online_opt(true));
-  const auto mid = find(plan_cache_stats(), "protection-plan");
+  const auto mid = cache_row("protection-plan");
   EXPECT_GT(mid.misses, before.misses);
   EXPECT_GT(mid.size, 0u);
   (void)abft::protected_fft(x, abft::Options::online_opt(true));
-  const auto after = find(plan_cache_stats(), "protection-plan");
+  const auto after = cache_row("protection-plan");
   EXPECT_GT(after.hits, mid.hits);
 }
 

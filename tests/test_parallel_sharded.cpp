@@ -198,17 +198,28 @@ TEST(ShardedCampaign, StragglerRankRaisesModeledComm) {
             clean.max_comm + 3.0 * static_cast<double>(p - 1) * 1e-3 * 0.999);
 }
 
+// Row `name` of plan_cache_stats(). Its `misses` is the cache's build
+// count: every construction goes through the cache, and every miss runs
+// the builder once.
+PlanCacheStats cache_row(std::string_view name) {
+  for (const PlanCacheStats& s : plan_cache_stats()) {
+    if (name == s.name) return s;
+  }
+  ADD_FAILURE() << "plan_cache_stats has no row " << name;
+  return {};
+}
+
 TEST(ShardedPlan, WarmedSubmitDoesNoPlanOrRaWork) {
   // Unique geometry so no other test has warmed this entry.
   const std::size_t p = 8, n = 8 * 2048;
   parallel::warm_plans(p, n, /*protect=*/true);
-  const auto builds_before = parallel::ParallelPlan::build_count();
+  const auto builds_before = cache_row("parallel-plan").misses;
   const auto ra_before = checksum::ra_generations();
   auto x = random_vector(n, InputDistribution::kUniform, 78);
   auto fut = parallel::submit_parallel(p, std::move(x),
                                        ParallelOptions::opt_ft_fftw());
   (void)fut.get();
-  EXPECT_EQ(parallel::ParallelPlan::build_count(), builds_before)
+  EXPECT_EQ(cache_row("parallel-plan").misses, builds_before)
       << "submit after warm_plans must not build plans";
   EXPECT_EQ(checksum::ra_generations(), ra_before)
       << "submit after warm_plans must not regenerate checksum weights";
@@ -216,14 +227,7 @@ TEST(ShardedPlan, WarmedSubmitDoesNoPlanOrRaWork) {
 
 TEST(ShardedPlan, RegisteredInPlanCacheStats) {
   parallel::warm_plans(4, 1024, true);
-  bool found = false;
-  for (const auto& cache : plan_cache_stats()) {
-    if (std::string_view(cache.name) == "parallel-plan") {
-      found = true;
-      EXPECT_GE(cache.size, 1u);
-    }
-  }
-  EXPECT_TRUE(found);
+  EXPECT_GE(cache_row("parallel-plan").size, 1u);
 }
 
 }  // namespace

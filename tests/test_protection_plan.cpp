@@ -7,6 +7,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "checksum/weights.hpp"
 #include "common/plan_registry.hpp"
 #include "common/rng.hpp"
+#include "common/scratch.hpp"
 #include "core/ftfft.hpp"
 
 namespace ftfft {
@@ -33,10 +36,25 @@ using abft::Stats;
   return true;
 }();
 
+// Row `name` of plan_cache_stats(). Its `misses` is the cache's build
+// count: every construction goes through the cache, and every miss runs
+// the builder once.
+PlanCacheStats cache_row(std::string_view name) {
+  for (const PlanCacheStats& s : plan_cache_stats()) {
+    if (name == s.name) return s;
+  }
+  ADD_FAILURE() << "plan_cache_stats has no row " << name;
+  return {};
+}
+
 // --------------------------------------------------------- PlanRegistry
 
+// The registries below are test-local: they enroll like the process-wide
+// caches, unsealed, and withdraw when they go out of scope.
+
 TEST(PlanRegistry, BoundedLruEviction) {
-  PlanRegistry<int, int> reg(2);
+  PlanRegistry<int, int> reg("test-lru", nullptr);
+  reg.set_capacity(2);
   std::atomic<int> builds{0};
   auto build = [&](int v) {
     return [&builds, v] {
@@ -46,12 +64,12 @@ TEST(PlanRegistry, BoundedLruEviction) {
   };
   EXPECT_EQ(*reg.get_or_build(1, build(1)), 1);
   EXPECT_EQ(*reg.get_or_build(2, build(2)), 2);
-  EXPECT_EQ(reg.size(), 2u);
+  EXPECT_EQ(reg.snapshot().size, 2u);
   // Touch 1 so it is most recently used, then insert 3: 2 must go.
   EXPECT_EQ(*reg.get_or_build(1, build(-1)), 1);
   EXPECT_EQ(*reg.get_or_build(3, build(3)), 3);
-  EXPECT_EQ(reg.size(), 2u);
-  EXPECT_EQ(reg.evictions(), 1u);
+  EXPECT_EQ(reg.snapshot().size, 2u);
+  EXPECT_EQ(reg.snapshot().evictions, 1u);
   EXPECT_EQ(builds.load(), 3);
   // 1 survived (no rebuild); 2 was evicted and rebuilds.
   EXPECT_EQ(*reg.get_or_build(1, build(-1)), 1);
@@ -61,22 +79,24 @@ TEST(PlanRegistry, BoundedLruEviction) {
 }
 
 TEST(PlanRegistry, CapacityZeroIsUnbounded) {
-  PlanRegistry<int, int> reg(0);
+  PlanRegistry<int, int> reg("test-unbounded", nullptr);
+  reg.set_capacity(0);
   for (int i = 0; i < 100; ++i) {
     reg.get_or_build(i, [i] { return std::make_shared<const int>(i); });
   }
-  EXPECT_EQ(reg.size(), 100u);
-  EXPECT_EQ(reg.evictions(), 0u);
+  EXPECT_EQ(reg.snapshot().size, 100u);
+  EXPECT_EQ(reg.snapshot().evictions, 0u);
 }
 
 TEST(PlanRegistry, ShrinkingCapacityEvictsDownToBound) {
-  PlanRegistry<int, int> reg(8);
+  PlanRegistry<int, int> reg("test-shrink", nullptr);
+  reg.set_capacity(8);
   for (int i = 0; i < 8; ++i) {
     reg.get_or_build(i, [i] { return std::make_shared<const int>(i); });
   }
   reg.set_capacity(3);
-  EXPECT_EQ(reg.size(), 3u);
-  EXPECT_EQ(reg.evictions(), 5u);
+  EXPECT_EQ(reg.snapshot().size, 3u);
+  EXPECT_EQ(reg.snapshot().evictions, 5u);
   // The three most recently used keys (5, 6, 7) survive.
   std::atomic<int> rebuilds{0};
   for (int i = 5; i < 8; ++i) {
@@ -89,17 +109,19 @@ TEST(PlanRegistry, ShrinkingCapacityEvictsDownToBound) {
 }
 
 TEST(PlanRegistry, EvictedValueStaysAliveForHolders) {
-  PlanRegistry<int, std::vector<int>> reg(1);
+  PlanRegistry<int, std::vector<int>> reg("test-holders", nullptr);
+  reg.set_capacity(1);
   auto held = reg.get_or_build(
       1, [] { return std::make_shared<const std::vector<int>>(64, 7); });
   reg.get_or_build(
       2, [] { return std::make_shared<const std::vector<int>>(64, 8); });
-  EXPECT_EQ(reg.size(), 1u);
+  EXPECT_EQ(reg.snapshot().size, 1u);
   EXPECT_EQ((*held)[0], 7);  // eviction dropped only the cache reference
 }
 
 TEST(PlanRegistry, ConcurrentGetOrBuildIsConsistent) {
-  PlanRegistry<int, int> reg(16);
+  PlanRegistry<int, int> reg("test-concurrent", nullptr);
+  reg.set_capacity(16);
   constexpr int kThreads = 8;
   constexpr int kKeys = 4;
   std::vector<std::thread> threads;
@@ -116,7 +138,7 @@ TEST(PlanRegistry, ConcurrentGetOrBuildIsConsistent) {
   }
   for (auto& t : threads) t.join();
   EXPECT_TRUE(ok.load());
-  EXPECT_LE(reg.size(), static_cast<std::size_t>(kKeys));
+  EXPECT_LE(reg.snapshot().size, static_cast<std::size_t>(kKeys));
 }
 
 // -------------------------------------------------------- ProtectionPlan
@@ -216,7 +238,7 @@ TEST(ProtectionPlan, InvalidSizesThrowLikeThePerCallSetup) {
 }
 
 TEST(ProtectionPlan, ConcurrentGetYieldsOneSharedPlan) {
-  ProtectionPlan::drop_cache();
+  detail::reset_plan_cache("protection-plan");
   const Options opts = Options::online_opt(true);
   constexpr int kThreads = 8;
   std::vector<std::shared_ptr<const ProtectionPlan>> seen(kThreads);
@@ -233,36 +255,39 @@ TEST(ProtectionPlan, ConcurrentGetYieldsOneSharedPlan) {
 }
 
 TEST(ProtectionPlan, LruEvictionRebuildsEvictedPlans) {
-  const std::size_t restore = ProtectionPlan::cache_capacity();
-  ProtectionPlan::drop_cache();
-  ProtectionPlan::set_cache_capacity(2);
+  const std::size_t restore = cache_row("protection-plan").capacity;
+  detail::reset_plan_cache("protection-plan", 2);
   const Options opts = Options::online_opt(true);
 
   const auto p16 = ProtectionPlan::get(16, Scheme::kOnline, opts);
   ProtectionPlan::get(32, Scheme::kOnline, opts);
-  EXPECT_EQ(ProtectionPlan::cache_size(), 2u);
+  EXPECT_EQ(cache_row("protection-plan").size, 2u);
   ProtectionPlan::get(64, Scheme::kOnline, opts);  // evicts 16
-  EXPECT_EQ(ProtectionPlan::cache_size(), 2u);
+  EXPECT_EQ(cache_row("protection-plan").size, 2u);
 
-  const auto builds_before = ProtectionPlan::build_count();
+  const auto builds_before = cache_row("protection-plan").misses;
   const auto p16b = ProtectionPlan::get(16, Scheme::kOnline, opts);
-  EXPECT_EQ(ProtectionPlan::build_count(), builds_before + 1);  // rebuilt
-  EXPECT_NE(p16.get(), p16b.get());
+  EXPECT_EQ(cache_row("protection-plan").misses, builds_before + 1);
+  EXPECT_NE(p16.get(), p16b.get());  // rebuilt
   // The evicted instance is still fully usable by its holders.
   EXPECT_EQ(p16->m() * p16->k(), 16u);
 
-  ProtectionPlan::set_cache_capacity(restore);
-  ProtectionPlan::drop_cache();
+  detail::reset_plan_cache("protection-plan", restore);
 }
 
 TEST(ProtectionPlan, EnvKnobSetsCacheCapacity) {
   // FTFFT_PLAN_CACHE_CAP=3 was exported before main() (see kEnvPinned).
-  EXPECT_EQ(ProtectionPlan::cache_capacity(), 3u);
+  EXPECT_EQ(cache_row("protection-plan").capacity, 3u);
   const Options opts = Options::online_opt(true);
   for (std::size_t n : {16u, 32u, 64u, 128u, 256u}) {
     ProtectionPlan::get(n, Scheme::kOnline, opts);
   }
-  EXPECT_EQ(ProtectionPlan::cache_size(), 3u);
+  EXPECT_EQ(cache_row("protection-plan").size, 3u);
+}
+
+TEST(ProtectionPlan, ResetOfAnUnknownCacheThrows) {
+  EXPECT_THROW(detail::reset_plan_cache("no-such-cache"),
+               std::invalid_argument);
 }
 
 // ------------------------------------------- batch vs per-call identity
@@ -408,14 +433,27 @@ TEST(ProtectionPlanBatch, ArenaHighWaterTrimReleasesStaging) {
   engine::BatchEngine eng(1);
   engine::BatchOptions bopts;
   bopts.abft = Options::online_opt(true);
-  bopts.preserve_inputs = true;  // forces every lane through the arena
+  bopts.preserve_inputs = true;  // every lane stages a copy in scratch
+
+  // The one worker's scratch capacity in bytes, read on that worker. The
+  // task takes nothing, so its frame leaves the trim rule untouched.
+  auto worker_scratch = [&] {
+    std::size_t bytes = 0;
+    (void)eng
+        .submit_tasks(1, [&](std::size_t, Stats&) {
+          bytes = scratch::capacity();
+        })
+        .get();
+    return bytes;
+  };
 
   const std::size_t big = 1 << 14;
   auto big_in = random_vector(big, InputDistribution::kUniform, 3);
   std::vector<cplx> big_out(big);
   const engine::Lane big_lane{big_in.data(), big_out.data(), nullptr};
   (void)eng.submit_batch({&big_lane, 1}, big, bopts).get();
-  EXPECT_GE(eng.staging_capacity(), big);
+  const std::size_t after_big = worker_scratch();
+  EXPECT_GE(after_big, big * sizeof(cplx));
 
   const std::size_t small = 1 << 6;
   auto small_in = random_vector(small, InputDistribution::kUniform, 4);
@@ -424,12 +462,13 @@ TEST(ProtectionPlanBatch, ArenaHighWaterTrimReleasesStaging) {
   for (int i = 0; i < 4; ++i) {
     (void)eng.submit_batch({&small_lane, 1}, small, bopts).get();
   }
-  EXPECT_LE(eng.staging_capacity(), small)
-      << "arena should trim to the recent high-water mark";
+  const std::size_t after_small = worker_scratch();
+  EXPECT_LT(after_small, after_big / kTrimFactor)
+      << "worker scratch should trim to the recent high-water mark";
 
   // And it grows right back when demand returns.
   (void)eng.submit_batch({&big_lane, 1}, big, bopts).get();
-  EXPECT_GE(eng.staging_capacity(), big);
+  EXPECT_GE(worker_scratch(), after_big);
 }
 
 TEST(ProtectionPlanBatch, FtPlanReusesItsPlanAcrossCalls) {
@@ -437,10 +476,10 @@ TEST(ProtectionPlanBatch, FtPlanReusesItsPlanAcrossCalls) {
   FtPlan plan(n);
   auto x = random_vector(n, InputDistribution::kUniform, 11);
   (void)plan.forward(x);  // first call resolves and latches the plan
-  const auto builds_before = ProtectionPlan::build_count();
+  const auto builds_before = cache_row("protection-plan").misses;
   const auto gens_before = checksum::ra_generations();
   for (int i = 0; i < 10; ++i) (void)plan.forward(x);
-  EXPECT_EQ(ProtectionPlan::build_count(), builds_before);
+  EXPECT_EQ(cache_row("protection-plan").misses, builds_before);
   EXPECT_EQ(checksum::ra_generations(), gens_before);
 }
 

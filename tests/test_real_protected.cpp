@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -247,16 +248,20 @@ TEST(RealProtected, ImpossibleThresholdReportsUncorrectable) {
                UncorrectableError);
 }
 
+// Row `name` of plan_cache_stats(). Its `misses` is the cache's build
+// count: every construction goes through the cache, and every miss runs
+// the builder once.
+PlanCacheStats cache_row(std::string_view name) {
+  for (const PlanCacheStats& s : plan_cache_stats()) {
+    if (name == s.name) return s;
+  }
+  ADD_FAILURE() << "plan_cache_stats has no row " << name;
+  return {};
+}
+
 TEST(RealProtected, PlanCacheRowPresent) {
   (void)abft::RealProtectionPlan::get(256);
-  bool found = false;
-  for (const auto& row : plan_cache_stats()) {
-    if (std::string(row.name) == "real-protection-plan") {
-      found = true;
-      EXPECT_GE(row.size, 1u);
-    }
-  }
-  EXPECT_TRUE(found) << "plan_cache_stats has no real-protection-plan row";
+  EXPECT_GE(cache_row("real-protection-plan").size, 1u);
 }
 
 // Satellite 1: after warm_real_plans, a submit_real_batch of warmed sizes
@@ -267,9 +272,9 @@ TEST(RealProtected, WarmedRealBatchDoesZeroBuildsAndZeroRaGenerations) {
   const PlanConfig config{};  // online, memory FT, optimized
   EXPECT_GE(warm_real_plans(sizes, config), 1u);
 
-  const auto real_builds = fft::RealFftPlan::build_count();
-  const auto rprot_builds = abft::RealProtectionPlan::build_count();
-  const auto prot_builds = abft::ProtectionPlan::build_count();
+  const auto real_builds = cache_row("real-plan").misses;
+  const auto rprot_builds = cache_row("real-protection-plan").misses;
+  const auto prot_builds = cache_row("protection-plan").misses;
   const auto ra_gens = checksum::ra_generations();
 
   constexpr std::size_t kLanes = 3;
@@ -294,9 +299,9 @@ TEST(RealProtected, WarmedRealBatchDoesZeroBuildsAndZeroRaGenerations) {
       engine::RealDirection::kInverse, bopts);
   EXPECT_TRUE(inv.get().all_ok());
 
-  EXPECT_EQ(fft::RealFftPlan::build_count(), real_builds);
-  EXPECT_EQ(abft::RealProtectionPlan::build_count(), rprot_builds);
-  EXPECT_EQ(abft::ProtectionPlan::build_count(), prot_builds);
+  EXPECT_EQ(cache_row("real-plan").misses, real_builds);
+  EXPECT_EQ(cache_row("real-protection-plan").misses, rprot_builds);
+  EXPECT_EQ(cache_row("protection-plan").misses, prot_builds);
   EXPECT_EQ(checksum::ra_generations(), ra_gens);
 }
 

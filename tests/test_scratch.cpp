@@ -443,13 +443,6 @@ TEST(ScratchSteadyState, Sharded) {
         std::copy(x.begin(), x.end(), buf.begin());
         buf = parallel::submit_parallel(16, std::move(buf), opts, {}, &eng)
                   .get();
-        // get() can return while the worker still holds the finished
-        // transform's state, whose two n-sized phase arrays go back to
-        // the sharded pool only when that state dies; a submission racing
-        // it allocates fresh ones. That pool is not scratch, so a no-op
-        // round trip through the one worker lets it settle before the
-        // next call.
-        (void)eng.submit_tasks(1, [](std::size_t, abft::Stats&) {}).get();
       },
       RUSAGE_SELF);
 }
