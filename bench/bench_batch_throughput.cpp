@@ -124,10 +124,8 @@ int main() {
   // pre-plan cost).
   const double t_build = bench::time_best(
       static_cast<int>(scaled_runs(20)), [&] {
-        const auto cm =
-            checksum::input_checksum_vector_dmr(pplan->m(), popts.ra_method);
-        const auto ck =
-            checksum::input_checksum_vector_dmr(pplan->k(), popts.ra_method);
+        const auto cm = checksum::input_checksum_vector_dmr(pplan->m());
+        const auto ck = checksum::input_checksum_vector_dmr(pplan->k());
         (void)cm;
         (void)ck;
       });

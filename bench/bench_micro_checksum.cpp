@@ -24,8 +24,7 @@ void BM_WeightedSum(benchmark::State& state, bool dispatched) {
   use_backend(state, dispatched);
   const auto n = static_cast<std::size_t>(state.range(0));
   auto x = random_vector(n, InputDistribution::kUniform, 1);
-  auto w = checksum::input_checksum_vector(n,
-                                           checksum::RaGenMethod::kClosedForm);
+  auto w = checksum::input_checksum_vector(n);
   for (auto _ : state) {
     benchmark::DoNotOptimize(checksum::weighted_sum(w.data(), x.data(), n));
   }
@@ -43,8 +42,7 @@ void BM_DualWeightedSum(benchmark::State& state, bool dispatched) {
   use_backend(state, dispatched);
   const auto n = static_cast<std::size_t>(state.range(0));
   auto x = random_vector(n, InputDistribution::kUniform, 2);
-  auto w = checksum::input_checksum_vector(n,
-                                           checksum::RaGenMethod::kClosedForm);
+  auto w = checksum::input_checksum_vector(n);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         checksum::dual_weighted_sum(w.data(), x.data(), n));
@@ -68,8 +66,7 @@ void BM_SyndromeSum(benchmark::State& state, int t, bool dispatched) {
   use_backend(state, dispatched);
   const auto n = static_cast<std::size_t>(state.range(0));
   auto x = random_vector(n, InputDistribution::kUniform, 9);
-  auto w = checksum::input_checksum_vector(n,
-                                           checksum::RaGenMethod::kClosedForm);
+  auto w = checksum::input_checksum_vector(n);
   const auto nodes = checksum::shared_syndrome_nodes(n);
   const double* nodes2 = dispatched ? nodes->data() : nullptr;
   for (auto _ : state) {
@@ -99,8 +96,7 @@ BENCHMARK_CAPTURE(BM_SyndromeSum, t4_dispatched, 4, true)
 void BM_SyndromeDecode(benchmark::State& state, int t) {
   const std::size_t n = 1 << 16;
   auto x = random_vector(n, InputDistribution::kUniform, 10);
-  auto w = checksum::input_checksum_vector(n,
-                                           checksum::RaGenMethod::kClosedForm);
+  auto w = checksum::input_checksum_vector(n);
   const auto nodes = checksum::shared_syndrome_nodes(n);
   const auto stored =
       checksum::syndrome_sum(w.data(), x.data(), n, 1, 2 * t, nodes->data());
@@ -148,27 +144,17 @@ void BM_Omega3Sum(benchmark::State& state) {
 }
 BENCHMARK(BM_Omega3Sum)->RangeMultiplier(16)->Range(1 << 10, 1 << 18);
 
-void BM_RaGenNaive(benchmark::State& state) {
+// One exact rA generation (one tan per element); plans build it once per
+// size and cache it.
+void BM_RaGen(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(checksum::input_checksum_vector(
-        n, checksum::RaGenMethod::kNaiveTrig));
+    benchmark::DoNotOptimize(checksum::input_checksum_vector(n));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_RaGenNaive)->RangeMultiplier(16)->Range(1 << 10, 1 << 16);
-
-void BM_RaGenClosedForm(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(checksum::input_checksum_vector(
-        n, checksum::RaGenMethod::kClosedForm));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_RaGenClosedForm)->RangeMultiplier(16)->Range(1 << 10, 1 << 16);
+BENCHMARK(BM_RaGen)->Arg(1 << 18)->Arg(1 << 20);
 
 void BM_DmrTwiddle(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -36,10 +36,8 @@ struct LayerResult {
 void measure(std::size_t n, InputDistribution dist, std::size_t runs,
              LayerResult& layer1, LayerResult& layer2) {
   const auto [m, k] = balanced_split(n);
-  const auto cm = checksum::input_checksum_vector(
-      m, checksum::RaGenMethod::kClosedForm);
-  const auto ck = checksum::input_checksum_vector(
-      k, checksum::RaGenMethod::kClosedForm);
+  const auto cm = checksum::input_checksum_vector(m);
+  const auto ck = checksum::input_checksum_vector(k);
   fft::Fft fftm(m), fftk(k);
   const double sigma0 = component_sigma(dist);
   layer1.paper_est = roundoff::paper_eta(m, sigma0);

@@ -11,9 +11,9 @@ namespace ftfft::abft {
 namespace {
 
 // entry a = omega_n^(a << shift), a in [0, len).
-std::vector<cplx> build_table(std::size_t n, std::size_t len,
-                              unsigned shift) {
-  std::vector<cplx> t(len);
+AlignedVector<cplx> build_table(std::size_t n, std::size_t len,
+                                unsigned shift) {
+  AlignedVector<cplx> t(len);
   for (std::size_t a = 0; a < len; ++a) {
     t[a] = simd::twiddle_table_entry(n,
                                      static_cast<std::uint64_t>(a) << shift);
@@ -25,7 +25,7 @@ std::vector<cplx> build_table(std::size_t n, std::size_t len,
 // fault in either build is outvoted by a third (the tables feed every later
 // DMR evaluation, so they get the rA vector's build-time DMR).
 void build_dmr(std::size_t n, std::size_t len, unsigned shift,
-               std::vector<cplx>& a, std::vector<cplx>& b) {
+               AlignedVector<cplx>& a, AlignedVector<cplx>& b) {
   a = build_table(n, len, shift);
   b = build_table(n, len, shift);
   if (a == b) return;

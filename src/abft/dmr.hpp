@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "checksum/dot.hpp"
+#include "common/aligned.hpp"
 #include "common/complex.hpp"
 #include "common/seal.hpp"
 #include "fault/injector.hpp"
@@ -72,8 +73,8 @@ class TwiddleTables {
  private:
   std::size_t n_;
   unsigned shift_;
-  std::vector<cplx> hi_[2];
-  std::vector<cplx> lo_[2];
+  AlignedVector<cplx> hi_[2];
+  AlignedVector<cplx> lo_[2];
 };
 
 /// Computes dst[i] = src[i * stride] * omega_n^(j0 + i * factor_step) for

@@ -31,10 +31,6 @@ struct Options {
   /// (section 3.2 hierarchy; off = section 3.1 computational-only).
   bool memory_ft = false;
 
-  /// Input-checksum-vector generation (section 7.1.1): naive trig vs the
-  /// two-complex-multiplication recurrence.
-  checksum::RaGenMethod ra_method = checksum::RaGenMethod::kClosedForm;
-
   /// Section 4.1: reuse the computational weights (rA) as the memory
   /// checksum r1' so input MCV and CCG become the same dot product.
   bool combined_checksums = true;
@@ -86,12 +82,11 @@ struct Options {
 
   // ---- Named presets matching the paper's evaluated schemes ----
 
-  /// Fig. 7 "Offline": Algorithm 1 with per-element trig generation.
+  /// Fig. 7 "Offline": Algorithm 1 without the section-4 optimizations.
   static Options offline_naive(bool memory) {
     Options o;
     o.mode = Mode::kOffline;
     o.memory_ft = memory;
-    o.ra_method = checksum::RaGenMethod::kNaiveTrig;
     o.combined_checksums = false;
     o.postpone_mcv = false;
     o.incremental_mcg = false;

@@ -18,7 +18,6 @@ constexpr std::size_t kStageElems = 32768;
 struct PlanKey {
   std::size_t n;
   Scheme scheme;
-  checksum::RaGenMethod ra_method;
   bool contiguous_buffering;
   int max_errors;
   bool operator==(const PlanKey&) const = default;
@@ -28,7 +27,6 @@ struct PlanKeyHash {
   std::size_t operator()(const PlanKey& key) const noexcept {
     std::size_t h = key.n;
     h = h * 31 + static_cast<std::size_t>(key.scheme);
-    h = h * 31 + static_cast<std::size_t>(key.ra_method);
     h = h * 31 + static_cast<std::size_t>(key.contiguous_buffering);
     h = h * 31 + static_cast<std::size_t>(key.max_errors);
     return h;
@@ -52,7 +50,7 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
       max_errors_(checksum::clamp_max_errors(opts.max_correctable_errors)) {
   switch (scheme) {
     case Scheme::kOffline: {
-      wm_ = checksum::shared_input_checksum_vector(n, opts.ra_method);
+      wm_ = checksum::shared_input_checksum_vector(n);
       eta_m_ = eta_coeffs(n);
       eta_whole_ = eta_m_;
       if (max_errors_ > 1) sn_m_ = checksum::shared_syndrome_nodes(n);
@@ -62,8 +60,8 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
       const auto split = balanced_split(n);
       m_ = split.first;
       k_ = split.second;
-      wm_ = checksum::shared_input_checksum_vector(m_, opts.ra_method);
-      wk_ = checksum::shared_input_checksum_vector(k_, opts.ra_method);
+      wm_ = checksum::shared_input_checksum_vector(m_);
+      wk_ = checksum::shared_input_checksum_vector(k_);
       eta_m_ = eta_coeffs(m_);
       eta_k_ = eta_coeffs(k_);
       if (opts.contiguous_buffering) {
@@ -84,7 +82,7 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
       k_ = shape.k;
       r_ = shape.r;
       blk_ = r_ * k_;
-      wk_ = checksum::shared_input_checksum_vector(k_, opts.ra_method);
+      wk_ = checksum::shared_input_checksum_vector(k_);
       eta_k_ = eta_coeffs(k_);
       eta_block_ = eta_coeffs(blk_);
       eta_whole_ = eta_coeffs(n);
@@ -108,7 +106,7 @@ std::shared_ptr<const ProtectionPlan> ProtectionPlan::get(std::size_t n,
   // The staging layout only shapes kOnline plans; normalize the irrelevant
   // combinations out of the key so option sweeps don't dilute the LRU with
   // identical entries.
-  const PlanKey key{n, scheme, opts.ra_method,
+  const PlanKey key{n, scheme,
                     scheme == Scheme::kOnline && opts.contiguous_buffering,
                     checksum::clamp_max_errors(opts.max_correctable_errors)};
   return plan_cache.get_or_build(key, [&] {

@@ -54,7 +54,7 @@ class ProtectionPlan {
   ProtectionPlan(std::size_t n, Scheme scheme, const Options& opts);
 
   /// Cached resolution keyed on (n, scheme, checksum-relevant Options
-  /// fields: ra_method, contiguous_buffering, max_correctable_errors).
+  /// fields: contiguous_buffering, max_correctable_errors).
   /// Thread-safe.
   static std::shared_ptr<const ProtectionPlan> get(std::size_t n,
                                                    Scheme scheme,
@@ -155,8 +155,8 @@ class ProtectionPlan {
   std::size_t n_;
   Scheme scheme_;
   std::size_t m_ = 0, k_ = 0, r_ = 0, blk_ = 0;
-  std::shared_ptr<const std::vector<cplx>> wm_;
-  std::shared_ptr<const std::vector<cplx>> wk_;
+  std::shared_ptr<const AlignedVector<cplx>> wm_;
+  std::shared_ptr<const AlignedVector<cplx>> wk_;
   int max_errors_ = 1;
   std::shared_ptr<const std::vector<double>> sn_m_;
   std::shared_ptr<const std::vector<double>> sn_k_;

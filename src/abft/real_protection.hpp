@@ -64,10 +64,6 @@ class RealProtectionPlan {
   [[nodiscard]] const fft::RealFftPlan& real_plan() const noexcept {
     return *rplan_;
   }
-  [[nodiscard]] const std::shared_ptr<const fft::RealFftPlan>&
-  shared_real_plan() const noexcept {
-    return rplan_;
-  }
 
   /// r2c reference = ws(a, Z) + conj(ws(conj(g), Z)) over the packed
   /// spectrum Z (nc entries each).

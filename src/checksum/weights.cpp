@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <numbers>
 #include <stdexcept>
 #include <utility>
 
@@ -12,23 +13,7 @@
 namespace ftfft::checksum {
 namespace {
 
-// Resync the omega_n^t recurrence against libm every this many steps to keep
-// the accumulated drift below a few ulps regardless of n.
-constexpr std::size_t kResyncInterval = 512;
-
 std::atomic<std::uint64_t> ra_generation_count{0};
-
-struct RaKey {
-  std::size_t n;
-  RaGenMethod method;
-  bool operator==(const RaKey&) const = default;
-};
-
-struct RaKeyHash {
-  std::size_t operator()(const RaKey& k) const noexcept {
-    return k.n * 2 + static_cast<std::size_t>(k.method);
-  }
-};
 
 void check_size(std::size_t n) {
   if (n == 0) throw std::invalid_argument("checksum: n must be >= 1");
@@ -47,73 +32,54 @@ std::vector<cplx> comp_weights(std::size_t n) {
   return r;
 }
 
-std::vector<cplx> input_checksum_vector(std::size_t n, RaGenMethod method) {
+AlignedVector<cplx> input_checksum_vector(std::size_t n) {
   check_size(n);
   ra_generation_count.fetch_add(1, std::memory_order_relaxed);
-  const cplx num = cplx{1.0, 0.0} - omega3_pow(n);
-  const cplx w3 = omega3();
-  std::vector<cplx> ra(n);
-  switch (method) {
-    case RaGenMethod::kNaiveTrig: {
-      for (std::size_t t = 0; t < n; ++t) {
-        const cplx wt = omega(n, t);  // sin/cos every element
-        ra[t] = num / (cplx{1.0, 0.0} - w3 * wt);
-      }
-      break;
-    }
-    case RaGenMethod::kClosedForm: {
-      const cplx step = omega(n, 1);
-      cplx wt{1.0, 0.0};
-      for (std::size_t t = 0; t < n; ++t) {
-        if (t % kResyncInterval == 0) wt = omega(n, t);
-        ra[t] = num / (cplx{1.0, 0.0} - w3 * wt);
-        wt = cmul(wt, step);
-      }
-      break;
-    }
+  // (rA)_t = (1 - omega_3^n)/2 * (1 - i cot h), h = pi q / (3n), q the exact
+  // residue of n + 3t in (-3n/2, 3n/2]; q != 0 as 3 does not divide n.
+  const cplx half = 0.5 * (cplx{1.0, 0.0} - omega3_pow(n));
+  const std::uint64_t period = 3 * static_cast<std::uint64_t>(n);
+  const double scale = std::numbers::pi / static_cast<double>(period);
+  AlignedVector<cplx> ra(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    const std::uint64_t r = (n + 3 * static_cast<std::uint64_t>(t)) % period;
+    const double q = 2 * r > period ? -static_cast<double>(period - r)
+                                    : static_cast<double>(r);
+    const double cot = 1.0 / std::tan(scale * q);
+    ra[t] = {half.real() + half.imag() * cot, half.imag() - half.real() * cot};
   }
   return ra;
 }
 
-std::vector<cplx> input_checksum_vector_dmr(std::size_t n, RaGenMethod method,
-                                            int faulty_copy,
-                                            std::size_t corrupt_index) {
-  auto first = input_checksum_vector(n, method);
+AlignedVector<cplx> input_checksum_vector_dmr(std::size_t n, int faulty_copy,
+                                              std::size_t corrupt_index) {
+  auto first = input_checksum_vector(n);
   if (faulty_copy == 1 && corrupt_index < n) first[corrupt_index] += 1.0;
-  auto second = input_checksum_vector(n, method);
+  auto second = input_checksum_vector(n);
   if (faulty_copy == 2 && corrupt_index < n) second[corrupt_index] += 1.0;
-  bool match = true;
-  for (std::size_t t = 0; t < n; ++t) {
-    if (first[t] != second[t]) {
-      match = false;
-      break;
-    }
-  }
-  if (match) return first;
+  if (first == second) return first;
   // Disagreement: a fault hit one redundant execution. Vote with a third.
-  const auto third = input_checksum_vector(n, method);
+  const auto third = input_checksum_vector(n);
   for (std::size_t t = 0; t < n; ++t) {
-    if (first[t] != second[t]) {
-      first[t] = (second[t] == third[t]) ? second[t] : first[t];
-    }
+    if (first[t] != second[t] && second[t] == third[t]) first[t] = second[t];
   }
   return first;
 }
 
 namespace {
 
-PlanRegistry<RaKey, std::vector<cplx>, RaKeyHash> ra_cache(
-    "checksum-weights", [](const std::vector<cplx>& v) {
+PlanRegistry<std::size_t, AlignedVector<cplx>> ra_cache(
+    "checksum-weights", [](const AlignedVector<cplx>& v) {
       return fnv1a(v.data(), v.size() * sizeof(cplx));
     });
 
 }  // namespace
 
-std::shared_ptr<const std::vector<cplx>> shared_input_checksum_vector(
-    std::size_t n, RaGenMethod method) {
-  return ra_cache.get_or_build(RaKey{n, method}, [&] {
-    return std::make_shared<const std::vector<cplx>>(
-        input_checksum_vector_dmr(n, method));
+std::shared_ptr<const AlignedVector<cplx>> shared_input_checksum_vector(
+    std::size_t n) {
+  return ra_cache.get_or_build(n, [&] {
+    return std::make_shared<const AlignedVector<cplx>>(
+        input_checksum_vector_dmr(n));
   });
 }
 

@@ -22,12 +22,6 @@ using cplx = std::complex<double>;
           a.real() * b.imag() + a.imag() * b.real()};
 }
 
-/// a * conj(b).
-[[nodiscard]] inline cplx cmul_conj(cplx a, cplx b) noexcept {
-  return {a.real() * b.real() + a.imag() * b.imag(),
-          a.imag() * b.real() - a.real() * b.imag()};
-}
-
 /// Multiply by the imaginary unit: i*a.
 [[nodiscard]] inline cplx mul_i(cplx a) noexcept {
   return {-a.imag(), a.real()};

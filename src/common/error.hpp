@@ -21,13 +21,6 @@ class UncorrectableError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-/// Thrown when a plan is executed with mismatched geometry.
-class PlanMismatchError : public std::invalid_argument {
- public:
-  explicit PlanMismatchError(const std::string& what)
-      : std::invalid_argument(what) {}
-};
-
 /// Carried by batch-report lanes that were skipped because the submission
 /// was cancelled (engine::BatchTicket::cancel) before they started. Not a
 /// machine fault and not caller misuse — its own branch of the taxonomy.

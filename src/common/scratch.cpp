@@ -1,6 +1,15 @@
 #include "common/scratch.hpp"
 
 #include <sys/mman.h>
+// The arena has no redzones, so under ASan every byte no open block holds
+// (free space and the padding after each block) stays poisoned: a read
+// past a taken block is reported instead of landing in its neighbour.
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 #include <exception>
 #include <stdexcept>
@@ -23,7 +32,9 @@ std::size_t round_up(std::size_t bytes) noexcept {
 std::byte* map_chunk(std::size_t bytes) noexcept {
   void* mem = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  return mem == MAP_FAILED ? nullptr : static_cast<std::byte*>(mem);
+  if (mem == MAP_FAILED) return nullptr;
+  ASAN_POISON_MEMORY_REGION(mem, bytes);
+  return static_cast<std::byte*>(mem);
 }
 
 /// The calling thread's bump arena. The top is an offset into
@@ -45,6 +56,11 @@ class Workspace {
   }
 
   void close(const detail::Mark& m) noexcept {
+    for (std::size_t c = m.chunk; c < chunks_.size() && c <= cur_; ++c) {
+      const std::size_t from = c == m.chunk ? m.offset : 0;
+      ASAN_POISON_MEMORY_REGION(chunks_[c].mem + from,
+                                chunks_[c].bytes - from);
+    }
     cur_ = m.chunk;
     top_ = m.offset;
     used_ = m.used;
@@ -59,6 +75,7 @@ class Workspace {
     if (bytes > static_cast<std::size_t>(-1) - kAlignment) {
       throw std::bad_alloc{};
     }
+    const std::size_t want = bytes;
     bytes = round_up(bytes);
     if (chunks_.empty() || bytes > chunks_[cur_].bytes - top_) {
       // Move past the current chunk: reuse the next one if it fits, else
@@ -79,6 +96,7 @@ class Workspace {
       top_ = 0;
     }
     void* p = chunks_[cur_].mem + top_;
+    ASAN_UNPOISON_MEMORY_REGION(p, want);
     top_ += bytes;
     used_ += bytes;
     peak_ = std::max(peak_, used_);
@@ -118,7 +136,10 @@ class Workspace {
   }
 
   void release() noexcept {
-    for (const Chunk& c : chunks_) munmap(c.mem, c.bytes);
+    for (const Chunk& c : chunks_) {
+      ASAN_UNPOISON_MEMORY_REGION(c.mem, c.bytes);  // a later mmap may reuse it
+      munmap(c.mem, c.bytes);
+    }
     chunks_.clear();
     cur_ = 0;
     top_ = 0;

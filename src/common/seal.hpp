@@ -50,8 +50,8 @@ struct StateSpans {
   void add(const void* data, std::size_t bytes) {
     if (data != nullptr && bytes > 0) spans.push_back({data, bytes});
   }
-  template <typename T>
-  void add_vec(const std::vector<T>& v) {
+  template <typename T, typename Alloc>
+  void add_vec(const std::vector<T, Alloc>& v) {
     add(v.data(), v.size() * sizeof(T));
   }
 };

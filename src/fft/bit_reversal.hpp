@@ -93,7 +93,6 @@ class CobraBitReversal {
   }
 
   [[nodiscard]] unsigned tile_bits() const noexcept { return b_; }
-  [[nodiscard]] unsigned middle_bits() const noexcept { return mid_; }
   [[nodiscard]] std::size_t size() const noexcept {
     return std::size_t{1} << log2n_;
   }

@@ -39,8 +39,6 @@ class RealFftPlan {
   explicit RealFftPlan(std::size_t n);
 
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
-  /// Number of half-spectrum bins = n/2 + 1.
-  [[nodiscard]] std::size_t spectrum_size() const noexcept { return nc_ + 1; }
 
   /// out[0..n/2] = half-spectrum of in[0..n) (unnormalized forward).
   /// in and out must not overlap.
@@ -61,11 +59,6 @@ class RealFftPlan {
   /// omega(n, k) for k in [0, n/4] — the post-pass twiddles.
   [[nodiscard]] const cplx* quarter_twiddles() const noexcept {
     return wq_.data();
-  }
-  /// The underlying nc-point complex plan.
-  [[nodiscard]] const std::shared_ptr<const InplaceRadix2Plan>& complex_plan()
-      const noexcept {
-    return cplan_;
   }
 
   /// Appends the quarter twiddle table and (transitively) the underlying

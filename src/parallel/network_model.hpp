@@ -89,14 +89,6 @@ class RankClock {
     return t;
   }
 
-  /// Measures a compute segment without advancing the clock; used for work
-  /// that will be folded into an overlap max() by the caller.
-  double measure_compute(double* sink = nullptr) {
-    const double t = cpu_.elapsed();
-    if (sink != nullptr) *sink += t;
-    return t;
-  }
-
   /// Adds modeled communication time.
   void add_comm(double seconds) {
     now_ += seconds;

@@ -47,8 +47,7 @@ ParallelPlan::ParallelPlan(std::size_t p, std::size_t n, bool protect,
   tw_ = abft::TwiddleTables::get(n_);
 
   if (protect) {
-    cp_ = checksum::shared_input_checksum_vector(
-        p_, checksum::RaGenMethod::kClosedForm);
+    cp_ = checksum::shared_input_checksum_vector(p_);
     // Same cache entry abft::resolve_protection_plan yields for the
     // in-place entry point under online options (the kOnlineInplace key
     // normalizes the buffering fields away), so the execution-time lookup

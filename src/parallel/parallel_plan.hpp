@@ -112,7 +112,7 @@ class ParallelPlan {
   std::size_t p_, n_, n_loc_, bsz_;
   bool protect_;
   int max_errors_ = 1;
-  std::shared_ptr<const std::vector<cplx>> cp_;
+  std::shared_ptr<const AlignedVector<cplx>> cp_;
   std::shared_ptr<const std::vector<double>> sn_block_;
   std::shared_ptr<const abft::ProtectionPlan> fft2_;
   std::shared_ptr<const abft::TwiddleTables> tw_;

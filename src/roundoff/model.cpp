@@ -9,8 +9,9 @@ namespace {
 // Safety factor on the practical thresholds. Detection misses scale only
 // linearly with this, while false positives die off like exp(-c^2), so a
 // generous constant buys reliability for pennies of fault coverage.
-// Empirically the fault-free residual sits 5-25x below eps*n^2*sigma across
-// sizes 2^6..2^16, so 128 leaves an ~order-of-magnitude margin.
+// bench_table4_roundoff at 2^16 puts the largest clean residual ~3000x
+// below the threshold in both layers; 128 stays until the thresholds are
+// re-derived from error bounds.
 constexpr double kSafety = 128.0;
 
 // Absolute floor so an all-zero input still verifies cleanly.
@@ -54,10 +55,10 @@ double throughput(double eta, std::size_t n, double sigma) noexcept {
 }
 
 double practical_eta_coeff(std::size_t n) noexcept {
-  // The closed-form (rA) weights reach O(0.83 n), so the running partial
-  // sums of (rA)x are O(n sigma) across ~n additions: the residual of the
-  // checksum comparison grows like eps * n^2 * sigma. (This also matches
-  // the paper's measured Max round-off, e.g. ~1e-8 for m = 2^13.)
+  // Sized when (rA) carried eps * |rA_t|^2 of its own error near its
+  // poles (|rA_t| = O(n)); the exact generator leaves only the dot's
+  // rounding over weights up to O(n), so eps * n^2 * sigma is now margin
+  // (see model.hpp). Kept until the threshold is re-derived from a bound.
   const double nd = static_cast<double>(n);
   const double eps = 0x1.0p-52;
   return kSafety * eps * nd * nd;

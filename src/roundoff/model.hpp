@@ -5,13 +5,16 @@
 //  * paper_eta_*: the literal formulas of section 8 built on the
 //    Weinstein/Gentleman floating-point FFT noise model, reproduced for the
 //    Table 4 experiment (estimated eta vs measured max round-off).
-//  * practical_eta: the default the library actually verifies against. The
-//    closed-form input checksum vector (rA) has entries as large as
-//    O(0.83 n), so the dominant round-off in |rX - (rA)x| is the weighted
-//    input product, of order eps * n^2 * sigma. A safety factor keeps the
-//    false-positive rate effectively zero while staying orders of magnitude
-//    below any threshold an offline whole-transform scheme could use — which
-//    is exactly the detection-ability gap Tables 5 and 6 measure.
+//  * practical_eta: the default the library actually verifies against,
+//    kSafety * eps * n^2 * sigma. The n^2 was sized for an input checksum
+//    vector (rA) whose own rounding error grew as eps * |rA_t|^2 near its
+//    poles, where |rA_t| = O(n). rA is now exact to a few ulps
+//    (checksum/weights.hpp), so the n^2 term covers only the weighted dot
+//    over entries up to O(n) and is otherwise margin: clean residuals sit
+//    two to three decades below it. The thresholds are kept as they are
+//    until each is re-derived from an FFT and dot error bound. They stay
+//    orders of magnitude below any threshold an offline whole-transform
+//    scheme could use — the detection-ability gap Tables 5 and 6 measure.
 #pragma once
 
 #include <cstddef>

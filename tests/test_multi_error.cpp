@@ -161,8 +161,7 @@ TEST(MultiError, WeightedRegionDecodes) {
   const std::size_t n = 128;
   auto x = random_vector(n, InputDistribution::kUniform, 940);
   const auto pristine = x;
-  const auto ra = checksum::input_checksum_vector(
-      n, checksum::RaGenMethod::kClosedForm);
+  const auto ra = checksum::input_checksum_vector(n);
   const auto stored = checksum::syndrome_sum(ra.data(), x.data(), n, 1, 4);
   x[8] += cplx{0.9, -0.4};
   x[77] += cplx{-1.1, 0.3};

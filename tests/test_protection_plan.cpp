@@ -151,9 +151,9 @@ TEST(ProtectionPlan, CachedResolutionReturnsSameInstance) {
   // Different scheme or checksum-relevant option = different plan.
   const auto c = ProtectionPlan::get(1 << 10, Scheme::kOnlineInplace, opts);
   EXPECT_NE(a.get(), c.get());
-  Options naive = opts;
-  naive.ra_method = checksum::RaGenMethod::kNaiveTrig;
-  const auto d = ProtectionPlan::get(1 << 10, Scheme::kOnline, naive);
+  Options unbuffered = opts;
+  unbuffered.contiguous_buffering = false;
+  const auto d = ProtectionPlan::get(1 << 10, Scheme::kOnline, unbuffered);
   EXPECT_NE(a.get(), d.get());
   // Fields irrelevant to the setup (injector, retries, eta override,
   // memory_ft) share the entry.
@@ -184,6 +184,31 @@ TEST(ProtectionPlan, SchemesExposeTheirDecomposition) {
   const auto offline = ProtectionPlan::get(n, Scheme::kOffline, opts);
   EXPECT_NE(offline->weights_m(), nullptr);
   EXPECT_GT(offline->eta_whole().comp, 0.0);
+}
+
+TEST(ProtectionPlan, TablesAre64ByteAligned) {
+  // Cache-line aligned whatever the heap did before, so the kernels that
+  // stream them do not run at a speed set by allocation history.
+  const auto aligned = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) % kCacheLine == 0;
+  };
+  const Options opts = Options::online_opt(true);
+  for (std::size_t n : {std::size_t{1} << 16, std::size_t{1} << 18}) {
+    const auto online = ProtectionPlan::get(n, Scheme::kOnline, opts);
+    const auto inplace = ProtectionPlan::get(n, Scheme::kOnlineInplace, opts);
+    const auto offline = ProtectionPlan::get(n, Scheme::kOffline, opts);
+    for (const cplx* w : {online->weights_m(), online->weights_k(),
+                          inplace->weights_k(), offline->weights_m()}) {
+      EXPECT_TRUE(aligned(w)) << "n=" << n;
+    }
+    for (const auto* plan : {online.get(), inplace.get()}) {
+      const simd::TwiddleTableView v = plan->twiddles()->view();
+      for (int c = 0; c < 2; ++c) {
+        EXPECT_TRUE(aligned(v.hi[c])) << "n=" << n << " copy " << c;
+        EXPECT_TRUE(aligned(v.lo[c])) << "n=" << n << " copy " << c;
+      }
+    }
+  }
 }
 
 TEST(ProtectionPlan, OfflinePlanStateIsOnlyTheInputChecksum) {

@@ -67,8 +67,7 @@ class NoFalsePositives
 
 TEST_P(NoFalsePositives, ResidualBelowPracticalEta) {
   const auto [n, dist] = GetParam();
-  const auto ra = checksum::input_checksum_vector(
-      n, checksum::RaGenMethod::kClosedForm);
+  const auto ra = checksum::input_checksum_vector(n);
   fft::Fft engine(n);
   std::vector<cplx> out(n);
   Rng rng(1234 + n);

@@ -15,7 +15,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -59,6 +61,22 @@ TEST(Scratch, BlocksAre64ByteAligned) {
   }
   EXPECT_TRUE(frame.take<cplx>(0).empty());
 }
+
+#if defined(__SANITIZE_ADDRESS__)
+// The arena has no redzones; it poisons the padding and free space instead.
+TEST(ScratchDeathTest, ReadOnePastATakenBlockIsReported) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        scratch::Frame frame;
+        const std::span<cplx> block = frame.take<cplx>(3);
+        const auto* past =
+            reinterpret_cast<const volatile double*>(block.data() + 3);
+        std::printf("%g\n", *past);
+      },
+      "use-after-poison");
+}
+#endif
 
 TEST(Scratch, TakeZeroedValueInitializes) {
   reserve(1u << 16);

@@ -181,8 +181,7 @@ TEST(SimdChecksum, OddStridesTakeTheScalarPathOnEveryBackend) {
   const std::size_t n = 257;
   for (std::size_t stride : {2ul, 3ul, 5ul}) {
     auto x = random_vector(n * stride, InputDistribution::kUniform, 505);
-    auto w = checksum::input_checksum_vector(
-        n, checksum::RaGenMethod::kClosedForm);
+    auto w = checksum::input_checksum_vector(n);
     const cplx want = naive_weighted_sum(w.data(), x.data(), n, stride);
     const double e = naive_energy(x.data(), n, stride);
     for (Backend b : available_backends()) {
