@@ -67,6 +67,69 @@ TEST(InputChecksumVector, MatchesLongDoubleSummationAtEveryIndex) {
   }
 }
 
+// Two evaluations of the direct sum (rA)_t = sum_s omega3^s omega_n^(s*t):
+// `naive` adds the n terms in double with the library's twiddles; `closed`
+// sums the geometric series, (1 - omega3^n) / (1 - omega3 omega_n^t), in long
+// double. Neither shares code with the generator.
+enum class RaReference : int { kNaiveSum, kGeometricSeries };
+
+cplx ra_reference(RaReference how, std::size_t n, std::size_t t) {
+  if (how == RaReference::kNaiveSum) {
+    cplx acc{0, 0};
+    for (std::size_t s = 0; s < n; ++s) acc += omega3_pow(s) * omega(n, s * t);
+    return acc;
+  }
+  using cl = std::complex<long double>;
+  const long double pi = 3.141592653589793238462643383279502884L;
+  const long double h3 = std::sqrt(3.0L) / 2;
+  const cl w3[3] = {{1.0L, 0.0L}, {-0.5L, -h3}, {-0.5L, h3}};
+  const long double ang =
+      -2.0L * pi * static_cast<long double>(t) / static_cast<long double>(n);
+  const cl wt{std::cos(ang), std::sin(ang)};
+  const cl r = (cl{1.0L, 0.0L} - w3[n % 3]) / (cl{1.0L, 0.0L} - w3[1] * wt);
+  return {static_cast<double>(r.real()), static_cast<double>(r.imag())};
+}
+
+class RaMethod : public ::testing::TestWithParam<RaReference> {};
+
+TEST_P(RaMethod, MatchesDirectSummation) {
+  for (std::size_t n : {4, 8, 16, 32, 100, 128, 250}) {
+    const auto ra = checksum::input_checksum_vector(n);
+    ASSERT_EQ(ra.size(), n);
+    for (std::size_t t = 0; t < n; t += (n > 32 ? 17 : 1)) {
+      const cplx want = ra_reference(GetParam(), n, t);
+      // Entries reach O(n) at the poles; the tolerance scales with them.
+      const double tol = 1e-11 * (1.0 + std::abs(want));
+      EXPECT_NEAR(ra[t].real(), want.real(), tol) << "n=" << n << " t=" << t;
+      EXPECT_NEAR(ra[t].imag(), want.imag(), tol) << "n=" << n << " t=" << t;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothMethods, RaMethod,
+                         ::testing::Values(RaReference::kNaiveSum,
+                                           RaReference::kGeometricSeries),
+                         [](const ::testing::TestParamInfo<RaReference>& pi) {
+                           return pi.param == RaReference::kNaiveSum
+                                      ? "naive"
+                                      : "closed";
+                         });
+
+// The three ways to obtain rA (plain generation, DMR generation with its
+// vote, the shared per-n cache) hand out bitwise-identical vectors.
+TEST(InputChecksumVector, MethodsAgree) {
+  const std::size_t n = 1 << 12;
+  const auto plain = checksum::input_checksum_vector(n);
+  const auto dmr = checksum::input_checksum_vector_dmr(n);
+  const auto shared = checksum::shared_input_checksum_vector(n);
+  ASSERT_EQ(dmr.size(), n);
+  ASSERT_EQ(shared->size(), n);
+  for (std::size_t t = 0; t < n; ++t) {
+    EXPECT_EQ(dmr[t], plain[t]) << t;
+    EXPECT_EQ((*shared)[t], plain[t]) << t;
+  }
+}
+
 TEST(InputChecksumVector, RejectsMultiplesOfThree) {
   EXPECT_THROW(checksum::input_checksum_vector(9),
                std::invalid_argument);
