@@ -1,9 +1,10 @@
 // Reproduces Fig. 8: parallel execution time (no faults) of FFTW /
 // FT-FFTW / opt-FFTW / opt-FT-FFTW in (a) strong scaling and (b) weak
-// scaling, on the simulated message-passing substrate.
+// scaling, on the engine-sharded six-step executor (submit_parallel).
 //
-// The reported numbers are *simulated makespans*: per-rank thread-CPU
-// compute time + an alpha-beta network model, max over ranks (see
+// The reported numbers are *simulated makespans*: per rank and phase,
+// thread-CPU compute time and an alpha-beta network model, added (blocking)
+// or overlapped (opt-*: the longer of the two), max over ranks (see
 // src/parallel/network_model.hpp). Expected shape (paper section 9.3.1):
 // FT-FFTW carries checksum overhead over FFTW; overlap (opt-*) claws most
 // of it back, with opt-FT-FFTW close to — and opt-FFTW at or below — the
@@ -12,9 +13,7 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "engine/batch_engine.hpp"
 #include "parallel/parallel_fft.hpp"
-#include "parallel/parallel_plan.hpp"
 
 namespace {
 
@@ -28,23 +27,22 @@ double run_variant(std::size_t p, const std::vector<cplx>& x,
   // One warm-up run (plan caches, twiddle tables, first-touch pages), then
   // the best of two measured runs.
   ParallelReport report;
-  (void)parallel::parallel_fft(p, x, opts, &report);
+  (void)parallel::submit_parallel(p, x, opts).get(&report);
   double best = 1e300;
   for (int rep = 0; rep < 2; ++rep) {
-    (void)parallel::parallel_fft(p, x, opts, &report);
+    (void)parallel::submit_parallel(p, x, opts).get(&report);
     best = std::min(best, report.makespan);
   }
   return best;
 }
 
-void add_variant_rows(TablePrinter& table, const char* col_kind,
+void add_variant_rows(TablePrinter& table,
                       const std::vector<std::pair<std::string,
                                                   ParallelOptions>>& variants,
                       const std::vector<std::size_t>& axis,
                       const std::function<std::pair<std::size_t,
                                                     std::size_t>(std::size_t)>&
                           geometry) {
-  (void)col_kind;
   for (const auto& [name, opts] : variants) {
     std::vector<std::string> row{name};
     for (std::size_t a : axis) {
@@ -77,7 +75,7 @@ int main() {
                 size_label(n).c_str());
     std::vector<std::size_t> ps = {4, 8, 16, 32};
     TablePrinter table({"Variant", "p=4", "p=8", "p=16", "p=32"});
-    add_variant_rows(table, "p", variants, ps, [&](std::size_t p) {
+    add_variant_rows(table, variants, ps, [&](std::size_t p) {
       return std::make_pair(p, n);
     });
     table.print();
@@ -91,50 +89,15 @@ int main() {
                 size_label(per_rank).c_str());
     std::vector<std::size_t> ps = {4, 8, 16, 32};
     TablePrinter table({"Variant", "p=4", "p=8", "p=16", "p=32"});
-    add_variant_rows(table, "N", variants, ps, [&](std::size_t p) {
+    add_variant_rows(table, variants, ps, [&](std::size_t p) {
       return std::make_pair(p, per_rank * p);
     });
     table.print();
     std::printf("\n");
   }
 
-  // (c) execution substrate: the thread-per-rank reference path vs the
-  // engine-sharded path (submit_parallel), same algorithm, same binary,
-  // host wall-clock this time — the simulated makespan above deliberately
-  // excludes the substrate overheads (thread spawns, mailbox handoffs,
-  // per-message payload copies) that sharding exists to remove.
-  {
-    const std::size_t n = scaled_size(std::size_t{1} << 22);
-    const std::size_t p = 16;
-    const int reps = std::max(1, static_cast<int>(3 * bench_runs_percent() /
-                                                  100));
-    std::printf("--- (c) substrate: thread-per-rank vs engine-sharded, "
-                "N = %s, p = %zu (host wall clock) ---\n",
-                size_label(n).c_str(), p);
-    engine::BatchEngine& eng = engine::BatchEngine::shared();
-    parallel::warm_plans(p, n, /*protect=*/true);
-    parallel::warm_plans(p, n, /*protect=*/false);
-    TablePrinter table({"Variant", "reference", "sharded", "speedup"});
-    for (const auto& [name, opts] : variants) {
-      auto x = random_vector(n, InputDistribution::kUniform, 91 + p);
-      // One warm-up pass per path, then best-of-reps.
-      (void)parallel::parallel_fft(p, x, opts);
-      const double t_ref = bench::time_best(
-          reps, [&] { (void)parallel::parallel_fft(p, x, opts); });
-      (void)parallel::submit_parallel(p, x, opts, {}, &eng).get();
-      const double t_sh = bench::time_best(reps, [&] {
-        (void)parallel::submit_parallel(p, x, opts, {}, &eng).get();
-      });
-      table.add_row({name, TablePrinter::fixed(t_ref * 1e3, 1) + " ms",
-                     TablePrinter::fixed(t_sh * 1e3, 1) + " ms",
-                     TablePrinter::fixed(t_ref / t_sh, 2) + "x"});
-    }
-    table.print();
-    std::printf("\n");
-  }
-
   std::printf(
       "shape check: FT-FFTW > FFTW (checksum overhead); opt-FT-FFTW close "
-      "to FFTW; opt-FFTW <= FFTW; sharded >= 1.5x reference at 2^22.\n");
+      "to FFTW; opt-FFTW <= FFTW.\n");
   return 0;
 }

@@ -43,6 +43,7 @@ void BM_FftForward(benchmark::State& state, bool dispatched) {
 void fft_forward_sizes(benchmark::internal::Benchmark* b) {
   for (std::int64_t n = 1 << 7; n <= 1 << 11; n *= 2) b->Arg(n);
   for (std::int64_t n = 1 << 12; n <= 1 << 20; n *= 4) b->Arg(n);
+  b->Arg(100003);  // prime: the Bluestein path (power-of-two convolution)
 }
 BENCHMARK_CAPTURE(BM_FftForward, scalar, false)->Apply(fft_forward_sizes);
 BENCHMARK_CAPTURE(BM_FftForward, dispatched, true)->Apply(fft_forward_sizes);

@@ -50,11 +50,13 @@ double run_case(std::size_t p, std::size_t n, Load load) {
   auto x = random_vector(n, InputDistribution::kUniform, 3 + n + p);
   ParallelReport report;
   // Warm-up (no faults), then best of two measured fault-injected runs.
-  (void)parallel::parallel_fft(p, x, ParallelOptions::opt_ft_fftw(), &report);
+  (void)parallel::submit_parallel(p, x, ParallelOptions::opt_ft_fftw())
+      .get(&report);
   double best = 1e300;
   for (int rep = 0; rep < 2; ++rep) {
-    (void)parallel::parallel_fft(p, x, ParallelOptions::opt_ft_fftw(),
-                                 &report, make_arm(load));
+    (void)parallel::submit_parallel(p, x, ParallelOptions::opt_ft_fftw(),
+                                    make_arm(load))
+        .get(&report);
     best = std::min(best, report.makespan);
   }
   return best;

@@ -70,12 +70,13 @@ int main() {
       auto x = random_vector(n, InputDistribution::kUniform, 9 + n);
       ParallelReport report;
       // Warm-up, then best of two measured fault-injected runs.
-      (void)parallel::parallel_fft(p, x, ParallelOptions::opt_ft_fftw(),
-                                   &report);
+      (void)parallel::submit_parallel(p, x, ParallelOptions::opt_ft_fftw())
+          .get(&report);
       double best = 1e300;
       for (int rep = 0; rep < 2; ++rep) {
-        (void)parallel::parallel_fft(p, x, ParallelOptions::opt_ft_fftw(),
-                                     &report, make_arm(load));
+        (void)parallel::submit_parallel(p, x, ParallelOptions::opt_ft_fftw(),
+                                        make_arm(load))
+            .get(&report);
         best = std::min(best, report.makespan);
       }
       row.push_back(TablePrinter::fixed(best * 1e3, 3) + " ms");

@@ -83,7 +83,7 @@ int main() {
   failing.net.fail_phase = 2;
   failing.max_rank_restarts = 1;
   parallel::ParallelReport recovered;
-  const auto y = parallel::parallel_fft_sharded(p, x, failing, &recovered);
+  const auto y = parallel::submit_parallel(p, x, failing).get(&recovered);
   worst = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     worst = std::max(worst, std::abs(y[j] - want[j]));

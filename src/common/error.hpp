@@ -54,10 +54,10 @@ class DeadlineExceededError : public std::runtime_error {
 };
 
 /// Thrown by the parallel runtime when a simulated rank fails outright
-/// (NetworkModel::fail_rank — a modeled node loss, not a data fault). The
-/// engine-sharded path can absorb a bounded number of these by restarting
-/// the transform from its input (ParallelOptions::max_rank_restarts); the
-/// thread-per-rank reference path always propagates it.
+/// (NetworkModel::fail_rank — a modeled node loss, not a data fault).
+/// submit_parallel absorbs a bounded number of these by restarting the
+/// transform from its input (ParallelOptions::max_rank_restarts) and
+/// propagates the one past that budget.
 class RankFailedError : public std::runtime_error {
  public:
   explicit RankFailedError(const std::string& what)

@@ -8,8 +8,9 @@
 //   auto spectrum = plan.forward(signal);  // soft-error-protected transform
 //   plan.last_stats();                     // what the fault tolerance did
 //
-// FtPlan wraps the sequential schemes (abft/); the distributed transform
-// lives in parallel/parallel_fft.hpp and the raw unprotected engine in
+// FtPlan wraps the sequential schemes (abft/); the distributed six-step
+// transform (parallel::submit_parallel, one engine-sharded executor) lives
+// in parallel/parallel_fft.hpp and the raw unprotected engine in
 // fft/fft.hpp. All of those headers are re-exported here.
 #pragma once
 

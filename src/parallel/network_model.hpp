@@ -1,15 +1,15 @@
-// Simulated-time accounting for the parallel runtime.
+// Modeled network of the distributed six-step FFT.
 //
 // The paper's parallel experiments ran on Tianhe-2 (MPI over TH Express-2).
-// This reproduction executes ranks as host threads — typically on fewer
-// physical cores than ranks — so wall-clock time cannot measure scaling.
-// Instead each rank carries a RankClock: compute segments advance it by the
-// thread's *CPU* time (CLOCK_THREAD_CPUTIME_ID, unaffected by time slicing),
-// communication advances it by an alpha-beta network model, and
-// synchronization advances it to the peer's clock. The simulated makespan
-// (max final clock) reproduces the *shape* of the paper's Fig. 8 and
-// Tables 2-3; absolute values depend on the host CPU and the model
-// parameters, which default to TH Express-2-like numbers.
+// This reproduction runs the p simulated ranks as task fan-outs on one
+// host's BatchEngine, so wall-clock time cannot measure scaling. Instead a
+// rank's time per six-step phase is its measured thread-CPU seconds
+// (CLOCK_THREAD_CPUTIME_ID, unaffected by time slicing) plus the modeled
+// alpha-beta cost of the messages it exchanges there (or the larger of the
+// two, under Algorithm 3's overlap); the simulated makespan (max over
+// ranks) reproduces the *shape* of the paper's Fig. 8 and Tables 2-3.
+// Absolute values depend on the host CPU and on the model parameters, which
+// default to TH Express-2-like numbers.
 #pragma once
 
 #include <cstddef>
@@ -17,7 +17,6 @@
 #include <cstring>
 
 #include "common/complex.hpp"
-#include "common/timer.hpp"
 
 namespace ftfft::parallel {
 
@@ -48,9 +47,9 @@ struct NetworkModel {
 
   /// Rank that fails outright (throws RankFailedError) when it reaches the
   /// numbered six-step communication phase (1..3 = the three transposes).
-  /// The reference path propagates the failure; the sharded path treats it
-  /// as a one-shot node loss and can restart the transform
-  /// (ParallelOptions::max_rank_restarts). kNoRank = none.
+  /// The failure is a one-shot node loss: the transform restarts from its
+  /// input while ParallelOptions::max_rank_restarts allows, and
+  /// RankFailedError propagates once the budget is spent. kNoRank = none.
   std::size_t fail_rank = kNoRank;
   int fail_phase = 1;
 
@@ -62,8 +61,7 @@ struct NetworkModel {
 
 /// The modeled link corruption: flips mantissa bit 44 of the first
 /// element's real part (~2^-8 relative error — far above every detection
-/// threshold, well within single-error repair). Shared by the reference
-/// and sharded receive paths so campaign outcomes are comparable.
+/// threshold, well within single-error repair).
 inline void corrupt_in_flight(cplx* block) {
   double re = block[0].real();
   std::uint64_t bits;
@@ -72,49 +70,5 @@ inline void corrupt_in_flight(cplx* block) {
   std::memcpy(&re, &bits, sizeof(bits));
   block[0] = cplx{re, block[0].imag()};
 }
-
-/// Per-rank simulated clock. Not thread-safe; each rank owns one.
-class RankClock {
- public:
-  /// Starts a measured compute segment.
-  void begin_compute() { cpu_.reset(); }
-
-  /// Ends the segment, adds the measured CPU seconds to the clock, and
-  /// returns them (so callers can also account the same work elsewhere,
-  /// e.g. when deciding overlap).
-  double end_compute() {
-    const double t = cpu_.elapsed();
-    now_ += t;
-    compute_ += t;
-    return t;
-  }
-
-  /// Adds modeled communication time.
-  void add_comm(double seconds) {
-    now_ += seconds;
-    comm_ += seconds;
-  }
-
-  /// Adds pre-measured compute time (overlap bookkeeping).
-  void add_compute(double seconds) {
-    now_ += seconds;
-    compute_ += seconds;
-  }
-
-  /// Synchronizes with another event: the clock cannot be earlier than it.
-  void advance_to(double t) {
-    if (t > now_) now_ = t;
-  }
-
-  [[nodiscard]] double now() const { return now_; }
-  [[nodiscard]] double compute_seconds() const { return compute_; }
-  [[nodiscard]] double comm_seconds() const { return comm_; }
-
- private:
-  double now_ = 0.0;
-  double compute_ = 0.0;
-  double comm_ = 0.0;
-  ThreadCpuTimer cpu_;
-};
 
 }  // namespace ftfft::parallel

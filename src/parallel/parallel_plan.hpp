@@ -1,17 +1,16 @@
 // ParallelPlan: the immutable shared state of one (p, N) six-step
 // distributed transform, resolved once and cached process-wide.
 //
-// Before this existed every simulated rank rebuilt the setup on every call:
-// the p-point FFT1 input-checksum vector (rA) ran its DMR generation p
-// times per transform, the FFT2 k*r*k protection state was re-derived per
-// rank, and the mixed-radix sub-plans were resolved through the caches p
-// times from p concurrent threads. A ParallelPlan hoists all of it: the
-// checksum vector and the FFT2 ProtectionPlan are shared cache references,
-// the sub-FFT plan trees (p, k, r / n_loc) are pre-touched at build, and
-// the sigma-independent threshold coefficients are precomputed so the hot
-// path only pays roundoff::eta_from_coeff. Both parallel executors — the
-// thread-per-rank reference path (parallel_fft) and the engine-sharded path
-// (submit_parallel) — resolve the same plan, once per call / submission.
+// Without it every simulated rank would rebuild the setup on every call:
+// the p-point FFT1 input-checksum vector (rA) would run its DMR generation
+// p times per transform, the FFT2 k*r*k protection state would be
+// re-derived per rank, and the mixed-radix sub-plans would be resolved
+// through the caches p times from p concurrent workers. A ParallelPlan
+// hoists all of it: the checksum vector and the FFT2 ProtectionPlan are
+// shared cache references, the sub-FFT plan trees (p, k, r / n_loc) are
+// pre-touched at build, and the sigma-independent threshold coefficients
+// are precomputed so the hot path only pays roundoff::eta_from_coeff.
+// submit_parallel resolves the plan once per submission.
 //
 // Plans live behind the shared LRU-bounded PlanRegistry and show up in
 // ftfft::plan_cache_stats() as "parallel-plan".
@@ -123,7 +122,7 @@ class ParallelPlan {
 /// Pre-resolves everything a (p, n) distributed transform of the given
 /// protection level touches — the ParallelPlan itself, the rA vector, the
 /// FFT2 ProtectionPlan and the p / k / r / n_loc sub-FFT plan trees — so
-/// the first submit_parallel / parallel_fft call afterwards performs zero
+/// the first submit_parallel call afterwards performs zero
 /// rA generations and no plan builds. Returns the plan handle (keeping it
 /// alive pins the entry against LRU eviction).
 /// max_correctable_errors: 0 = the FTFFT_MAX_ERRORS process default, i.e.
@@ -131,57 +130,5 @@ class ParallelPlan {
 std::shared_ptr<const ParallelPlan> warm_plans(std::size_t p, std::size_t n,
                                                bool protect = true,
                                                int max_correctable_errors = 0);
-
-namespace detail {
-
-using ftfft::detail::require;
-
-// The shared six-step helpers. Exactly one definition serves the
-// thread-per-rank reference path and the engine-sharded path, so the two
-// stay bit-identical by construction, not by parallel maintenance. (Both
-// twiddle through abft::dmr_twiddle_multiply / abft::twiddle_multiply over
-// ParallelPlan::twiddles(), one kernel whose plain pass equals its DMR
-// output bitwise.)
-
-/// Memory-check threshold for one rank's bsz-element blocks, scaled by the
-/// outlier-robust energy of its n_loc-element `slice` (the transposes and
-/// the final-output guard). Both paths read the slice a transpose is about
-/// to send, so their thresholds agree bitwise.
-[[nodiscard]] double block_eta(const ParallelPlan& plan, double eta_override,
-                               const cplx* slice);
-
-/// CMCG fused into reception: folds received block `src` (len elements,
-/// one per FFT1 column) into the column checksums s1 += cp[src] x,
-/// s2 += src cp[src] x and energies e += |x|^2.
-void fold_fft1_checksums(const ParallelPlan& plan, std::size_t src,
-                         const cplx* block, std::size_t len, cplx* s1,
-                         cplx* s2, double* e);
-
-/// FFT1 in place over `cols` p-point columns of a row-major block (column
-/// c at data[c], data[stride + c], ...; it is FFT1 column u = u0 + c).
-/// Each column is gathered into a buffer, the Fig. 4 restart backup.
-/// Protected runs verify column u against its CMCG sums s1[u], s2[u] and
-/// energy e[u], retry, and repair a localized input memory fault in the
-/// backup.
-void fft1_columns(const ParallelPlan& plan, const ParallelOptions& opts,
-                  fft::Fft& fftp, cplx* data, std::size_t stride,
-                  std::size_t u0, std::size_t cols, const cplx* s1,
-                  const cplx* s2, const double* e, fault::Injector& inj,
-                  abft::Stats& stats);
-
-/// Final-output guard of the local adjust: dual sums of the p contiguous
-/// bsz-element blocks of a rank's slice, taken before the adjust moves
-/// block q to stride p. Empty unless opts.protect && opts.memory_ft.
-[[nodiscard]] std::vector<checksum::DualSum> adjust_guards(
-    const ParallelPlan& plan, const ParallelOptions& opts, const cplx* loc);
-
-/// Verifies the adjusted slice `out` against adjust_guards' sums (a block
-/// keeps its within-block index) and corrects a localized memory fault.
-/// No-op for empty guards.
-void verify_adjusted(cplx* out, const std::vector<checksum::DualSum>& guards,
-                     const ParallelPlan& plan, const ParallelOptions& opts,
-                     abft::Stats& stats);
-
-}  // namespace detail
 
 }  // namespace ftfft::parallel

@@ -1,24 +1,20 @@
-// Engine-sharded six-step FFT (submit_parallel / parallel_fft_sharded).
+// The distributed six-step executor (submit_parallel).
 //
-// Same algorithm, same arithmetic, different execution substrate than
-// parallel_fft.cpp: the p simulated ranks become p work items per phase on
-// a BatchEngine, and the three transposes become direct cache-blocked
-// copies between shared arrays — rank r's "receive of block q" is a single
-// pass that copies in[q] -> out[r], generates the sender's dual message
-// checksum inside that copy (checksum::copy_dual_sum, the communication
-// analogue of PR 6's staged-copy fusion) and verifies it on the receiver
+// The p simulated ranks are p work items per phase on a BatchEngine, and
+// the three transposes are direct cache-blocked copies between shared
+// arrays: rank r's "receive of block q" is a single pass that copies
+// in[q] -> out[r], generates the sender's dual message checksum inside
+// that copy (checksum::copy_dual_sum, the communication analogue of the
+// sequential schemes' staged-copy fusion) and verifies it on the receiver
 // side. Phases chain through BatchFuture::then callbacks, so a submission
 // never blocks a caller thread and consecutive huge transforms pipeline
 // across the pool.
 //
-// Bit-compatibility contract (tested by ShardedMatchesReference*): the
-// output equals parallel_fft's bit for bit, because every operation that
-// touches data — block copies, the FFT1 gather order and engine, the DMR /
-// plain twiddle, the k*r*k FFT2, the final scatter — is the same code or
-// the same arithmetic. The only
-// differences are checksum accumulation order (ascending source rank here
-// vs resident-then-circle-schedule there), which changes checksum values
-// by round-off but never the data, and modeled-time bookkeeping.
+// Determinism contract (tested by ShardedMatchesReferenceBitExact): every
+// rank writes only its own slice and accumulator slots, so the spectrum
+// and the counters are bit-identical for any engine worker count. Timing
+// is modeled per rank and phase: measured thread-CPU seconds plus the
+// alpha-beta cost of the phase's p - 1 messages (network_model.hpp).
 
 #include <algorithm>
 #include <atomic>
@@ -35,6 +31,7 @@
 
 #include "abft/dmr.hpp"
 #include "abft/inplace.hpp"
+#include "abft/unit_check.hpp"
 #include "checksum/dot.hpp"
 #include "checksum/multi_error.hpp"
 #include "common/error.hpp"
@@ -176,11 +173,130 @@ namespace {
 
 using detail::ShardedState;
 
+// ------------------------------------------------------- six-step helpers
+
+/// Receiver-side check of one transposed block against the trailer its
+/// sender computed (dual sums, or 2t syndrome moments under a multi-error
+/// budget): repairs what it locates into the comm counters of `stats` and
+/// throws UncorrectableError when the damage is not localizable.
+void verify_block(cplx* block, std::size_t len, const abft::StoredSums& stored,
+                  double eta, int max_retries, TransposeStats& stats) {
+  abft::repair_region(
+      stored, block, 1, nullptr, len, eta, max_retries,
+      {stats.comm_errors_detected, stats.comm_errors_corrected,
+       stats.comm_multi_corrected},
+      "block transpose: received block failed verification beyond repair");
+}
+
+/// Memory-check threshold for one rank's bsz-element blocks, scaled by the
+/// outlier-robust energy of its n_loc-element `slice` (the transposes and
+/// the final-output guard read the slice a transpose is about to send).
+double block_eta(const ParallelPlan& plan, double eta_override,
+                 const cplx* slice) {
+  return abft::threshold(plan.eta_block_coeff(),
+                         checksum::robust_energy(slice, plan.n_loc()),
+                         plan.n_loc(), eta_override);
+}
+
+/// CMCG fused into reception: folds received block `src` (len elements,
+/// one per FFT1 column) into the column checksums s1 += cp[src] x,
+/// s2 += src cp[src] x and energies e += |x|^2.
+void fold_fft1_checksums(const ParallelPlan& plan, std::size_t src,
+                         const cplx* block, std::size_t len, cplx* s1,
+                         cplx* s2, double* e) {
+  const cplx w = plan.cp()[src];
+  const double sd = static_cast<double>(src);
+  for (std::size_t u = 0; u < len; ++u) {
+    const cplx pterm = cmul(w, block[u]);
+    s1[u] += pterm;
+    s2[u] += sd * pterm;
+    e[u] += norm2(block[u]);
+  }
+}
+
+/// FFT1 in place over the `cols` p-point columns of a row-major p x cols
+/// tile (column c at data[c], data[cols + c], ...; it is FFT1 column
+/// u = u0 + c).
+/// Each column is gathered into a buffer, the Fig. 4 restart backup.
+/// Protected runs verify column u against its CMCG sums s1[u], s2[u] and
+/// energy e[u], retry, and repair a localized input memory fault in the
+/// backup.
+void fft1_columns(const ParallelPlan& plan, const ParallelOptions& opts,
+                  fft::Fft& fftp, cplx* data, std::size_t u0,
+                  std::size_t cols, const cplx* s1,
+                  const cplx* s2, const double* e, fault::Injector& inj,
+                  abft::Stats& stats) {
+  const std::size_t p = plan.p();
+  std::vector<cplx> buf(p), res(p);
+  for (std::size_t c = 0; c < cols; ++c) {
+    const std::size_t u = u0 + c;
+    for (std::size_t t = 0; t < p; ++t) buf[t] = data[t * cols + c];
+    if (!opts.protect) {
+      fftp.execute(buf.data(), res.data());
+    } else {
+      const double eta =
+          abft::threshold(plan.eta_fft1_coeff(), e[u], p, opts.eta_override);
+      stats.eta_m = std::max(stats.eta_m, eta);
+      const checksum::DualSum sums{s1[u], s2[u]};
+      abft::verify_with_retry(
+          stats, &abft::Stats::sub_fft_retries, opts.max_retries,
+          "parallel ABFT: FFT1 column kept failing verification",
+          [&] {
+            fftp.execute(buf.data(), res.data());
+            inj.apply(fault::Phase::kRankFft1Output, u, res.data(), p);
+            return abft::omega3_check(res.data(), p, sums.plain, eta);
+          },
+          [&] {
+            // Memory-vs-compute discrimination on the backed-up input.
+            return abft::repair_region(
+                {sums}, buf.data(), 1, plan.cp(), p, eta, opts.max_retries,
+                abft::RepairTally::of(stats, false),
+                "parallel ABFT: FFT1 input memory error not localizable");
+          });
+    }
+    for (std::size_t t = 0; t < p; ++t) data[t * cols + c] = res[t];
+  }
+}
+
+/// Final-output guard of the local adjust: dual sums of the p contiguous
+/// bsz-element blocks of a rank's slice, taken before the adjust moves
+/// block q to stride p. Empty unless opts.protect && opts.memory_ft.
+std::vector<checksum::DualSum> adjust_guards(const ParallelPlan& plan,
+                                             const ParallelOptions& opts,
+                                             const cplx* loc) {
+  std::vector<checksum::DualSum> guards;
+  if (!opts.protect || !opts.memory_ft) return guards;
+  guards.resize(plan.p());
+  for (std::size_t q = 0; q < plan.p(); ++q) {
+    guards[q] =
+        checksum::dual_weighted_sum(nullptr, loc + q * plan.bsz(), plan.bsz());
+  }
+  return guards;
+}
+
+/// Verifies the adjusted slice `out` against adjust_guards' sums (a block
+/// keeps its within-block index) and corrects a localized memory fault.
+/// No-op for empty guards.
+void verify_adjusted(cplx* out, const std::vector<checksum::DualSum>& guards,
+                     const ParallelPlan& plan, const ParallelOptions& opts,
+                     abft::Stats& stats) {
+  if (guards.empty()) return;
+  const double eta = block_eta(plan, opts.eta_override, out);
+  for (std::size_t q = 0; q < guards.size(); ++q) {
+    abft::repair_region(
+        {guards[q]}, out + q, plan.p(), nullptr, plan.bsz(), eta,
+        opts.max_retries, abft::RepairTally::of(stats, true),
+        "parallel ABFT: final output memory error not localizable");
+  }
+}
+
+// ----------------------------------------------------------------- phases
+
 /// One transposed block, pulled straight from the previous phase's shared
 /// array: the copy IS the message. For a checksummed pull the sender dual
 /// checksum is generated inside the copy pass, then the modeled link
 /// corruption, the injected kCommBlock fault and the verification hit the
-/// received data — the exact fault window of the reference receive path.
+/// received data — the in-flight window between sender and receiver.
 void pull_block(ShardedState& st, std::size_t r, std::size_t q,
                 const cplx* src, cplx* dst, bool checksums, double eta,
                 TransposeStats& tstats) {
@@ -193,7 +309,7 @@ void pull_block(ShardedState& st, std::size_t r, std::size_t q,
   tstats.bytes_sent += (bsz + (checksums ? 2 : 0)) * sizeof(cplx);
   // The corruption clock ticks on this rank's receive count across the
   // whole transform (previous phases live in rank_comm, the current one in
-  // tstats), matching the reference path's per-rank accumulated counter.
+  // tstats).
   const auto nth_message = [&] {
     return st.rank_comm[r].messages_received + tstats.messages_received;
   };
@@ -210,8 +326,7 @@ void pull_block(ShardedState& st, std::size_t r, std::size_t q,
   checksum::SyndromeSet syn;
   if (t_max > 1) {
     // Multi-error trailer: the "message" carries 2t syndrome moments,
-    // generated over the copied block before the in-flight fault window —
-    // the exact sender-side timing of the reference pack pass.
+    // generated over the copied block before the in-flight fault window.
     std::memcpy(dst, src, bsz * sizeof(cplx));
     syn = checksum::syndrome_sum(nullptr, dst, bsz, 1, 2 * t_max,
                                  st.plan->syndrome_nodes_block());
@@ -224,7 +339,7 @@ void pull_block(ShardedState& st, std::size_t r, std::size_t q,
     corrupt_in_flight(dst);
   }
   st.injectors[r].apply(fault::Phase::kCommBlock, q, dst, bsz);
-  detail::verify_block(dst, bsz, stored, eta, st.opts.max_retries, tstats);
+  verify_block(dst, bsz, stored, eta, st.opts.max_retries, tstats);
 }
 
 // Phase 1: transpose1 pull + CMCG + FFT1 (bsz p-point column FFTs).
@@ -236,8 +351,7 @@ void phase1(ShardedState& st, std::size_t r, TransposeStats& tstats,
   const bool protect = opts.protect;
   const bool checksums = protect && opts.memory_ft;
   const double eta =
-      checksums ? detail::block_eta(plan, opts.eta_override,
-                                    st.in.data() + r * n_loc)
+      checksums ? block_eta(plan, opts.eta_override, st.in.data() + r * n_loc)
                 : 0.0;
 
   cplx* slice = st.buf1 + r * n_loc;
@@ -251,11 +365,9 @@ void phase1(ShardedState& st, std::size_t r, TransposeStats& tstats,
     cplx* dst = slice + q * bsz;
     pull_block(st, r, q, src, dst, checksums, eta, tstats);
     if (protect) {
-      // CMCG fused into reception, like the reference on_block hook (the
-      // accumulation order is ascending q here — a round-off-level
-      // difference in the checksum values, never in the data).
-      detail::fold_fft1_checksums(plan, q, dst, bsz, s1.data(), s2.data(),
-                                  e_col.data());
+      // CMCG fused into reception, accumulated in ascending q.
+      fold_fft1_checksums(plan, q, dst, bsz, s1.data(), s2.data(),
+                          e_col.data());
     }
   }
 
@@ -272,9 +384,8 @@ void phase1(ShardedState& st, std::size_t r, TransposeStats& tstats,
       std::memcpy(tile.data() + t * cols, slice + t * bsz + u0,
                   cols * sizeof(cplx));
     }
-    detail::fft1_columns(plan, opts, fftp, tile.data(), cols, u0, cols,
-                         s1.data(), s2.data(), e_col.data(), st.injectors[r],
-                         stats);
+    fft1_columns(plan, opts, fftp, tile.data(), u0, cols, s1.data(),
+                 s2.data(), e_col.data(), st.injectors[r], stats);
     for (std::size_t t = 0; t < p; ++t) {
       std::memcpy(slice + t * bsz + u0, tile.data() + t * cols,
                   cols * sizeof(cplx));
@@ -292,8 +403,7 @@ void phase2(ShardedState& st, std::size_t r, TransposeStats& tstats,
   const bool protect = opts.protect;
   const bool checksums = protect && opts.memory_ft;
   const double eta =
-      checksums ? detail::block_eta(plan, opts.eta_override,
-                                    st.buf1 + r * n_loc)
+      checksums ? block_eta(plan, opts.eta_override, st.buf1 + r * n_loc)
                 : 0.0;
 
   cplx* slice = st.buf2 + r * n_loc;
@@ -334,8 +444,7 @@ void phase3(ShardedState& st, std::size_t r, TransposeStats& tstats,
   const std::size_t p = st.p, n_loc = st.n_loc, bsz = st.bsz;
   const bool checksums = opts.protect && opts.memory_ft;
   const double eta =
-      checksums ? detail::block_eta(plan, opts.eta_override,
-                                    st.buf2 + r * n_loc)
+      checksums ? block_eta(plan, opts.eta_override, st.buf2 + r * n_loc)
                 : 0.0;
 
   scratch::Frame frame;
@@ -345,7 +454,7 @@ void phase3(ShardedState& st, std::size_t r, TransposeStats& tstats,
     pull_block(st, r, q, src, loc + q * bsz, checksums, eta, tstats);
   }
 
-  const auto guards = detail::adjust_guards(plan, opts, loc);
+  const auto guards = adjust_guards(plan, opts, loc);
 
   // bsz x p scatter into natural order, u-chunked so the p-strided write
   // window (p * tu * 16 bytes) stays L1-resident instead of touching p
@@ -363,7 +472,7 @@ void phase3(ShardedState& st, std::size_t r, TransposeStats& tstats,
   }
   st.injectors[r].apply(fault::Phase::kFinalOutput, 0, out, n_loc);
 
-  detail::verify_adjusted(out, guards, plan, opts, stats);
+  verify_adjusted(out, guards, plan, opts, stats);
 }
 
 void run_phase(ShardedState& st, int phase, std::size_t r) {
@@ -393,8 +502,8 @@ void run_phase(ShardedState& st, int phase, std::size_t r) {
   st.phase_cpu[phase][r] = t;
   st.rank_cpu[r] += t;
 
-  // Modeled communication of this rank's p-1 exchanges (same alpha-beta
-  // model as the reference path), plus the straggler penalty.
+  // Modeled communication of this rank's p-1 exchanges, plus the
+  // straggler penalty.
   const bool checksums = st.opts.protect && st.opts.memory_ft;
   const std::size_t payload = st.bsz + (checksums ? 2 : 0);
   double comm =
@@ -431,18 +540,23 @@ void reset_accumulators(ShardedState& st) {
 
 void finalize(const std::shared_ptr<ShardedState>& st) {
   ParallelReport rep;
-  rep.sharded = true;
   rep.rank_restarts = static_cast<std::size_t>(st->restarts_done);
   for (std::size_t r = 0; r < st->p; ++r) {
     rep.stats += st->rank_stats[r];
     rep.comm_stats += st->rank_comm[r];
     rep.bytes_per_rank =
         std::max(rep.bytes_per_rank, st->rank_comm[r].bytes_sent);
-    double comm_total = 0.0;
-    for (int ph = 0; ph < 3; ++ph) comm_total += st->phase_comm[ph][r];
+    // Algorithm 3: with overlap a phase's messages ride under its compute,
+    // so the phase costs the longer of the two; blocking pays both.
+    double comm_total = 0.0, span = 0.0;
+    for (int ph = 0; ph < 3; ++ph) {
+      const double cpu = st->phase_cpu[ph][r], comm = st->phase_comm[ph][r];
+      comm_total += comm;
+      span += st->opts.overlap ? std::max(cpu, comm) : cpu + comm;
+    }
     rep.max_compute = std::max(rep.max_compute, st->rank_cpu[r]);
     rep.max_comm = std::max(rep.max_comm, comm_total);
-    rep.makespan = std::max(rep.makespan, st->rank_cpu[r] + comm_total);
+    rep.makespan = std::max(rep.makespan, span);
   }
   for (int ph = 0; ph < 3; ++ph) {
     rep.phases[ph].wall_seconds = st->phase_wall[ph];
@@ -535,12 +649,9 @@ ParallelFuture submit_parallel(
     const std::function<void(std::size_t, fault::Injector&)>& arm,
     engine::BatchEngine* engine) {
   const std::size_t n = input.size();
-  detail::require(p >= 2, "parallel_fft: need at least 2 ranks");
-  detail::require(p % 3 != 0,
-                  "parallel_fft: rank count divisible by 3 degenerates the "
-                  "checksum encoding");
-  detail::require(n % (p * p) == 0,
-                  "parallel_fft: N must be divisible by p^2");
+  // Throws std::invalid_argument on bad geometry or an unsupported n_loc.
+  auto plan =
+      ParallelPlan::get(p, n, opts.protect, opts.max_correctable_errors);
 
   auto st = std::make_shared<ShardedState>();
   st->p = p;
@@ -548,8 +659,7 @@ ParallelFuture submit_parallel(
   st->n_loc = n / p;
   st->bsz = n / p / p;
   st->opts = opts;
-  st->plan = ParallelPlan::get(p, n, opts.protect,
-                               opts.max_correctable_errors);  // throws on bad n_loc
+  st->plan = std::move(plan);
   st->eng = engine != nullptr ? engine : &engine::BatchEngine::shared();
   st->in = std::move(input);
   st->out_is_input = opts.net.fail_rank == NetworkModel::kNoRank ||
@@ -587,25 +697,17 @@ ParallelFuture submit_parallel(
   return ParallelFuture(std::move(st));
 }
 
-std::vector<cplx> parallel_fft_sharded(
-    std::size_t p, const std::vector<cplx>& input, const ParallelOptions& opts,
-    ParallelReport* report,
-    const std::function<void(std::size_t, fault::Injector&)>& arm) {
-  ParallelFuture fut = submit_parallel(p, input, opts, arm, nullptr);
-  return fut.get(report);
-}
-
 ParallelFuture::ParallelFuture(std::shared_ptr<detail::ShardedState> state)
     : state_(std::move(state)) {}
 
 bool ParallelFuture::ready() const {
-  detail::require(state_ != nullptr, "ParallelFuture: invalid future");
+  ftfft::detail::require(state_ != nullptr, "ParallelFuture: invalid future");
   std::lock_guard<std::mutex> lock(state_->mu);
   return state_->ready;
 }
 
 void ParallelFuture::wait() const {
-  detail::require(state_ != nullptr, "ParallelFuture: invalid future");
+  ftfft::detail::require(state_ != nullptr, "ParallelFuture: invalid future");
   std::unique_lock<std::mutex> lock(state_->mu);
   state_->cv.wait(lock, [&] { return state_->ready; });
 }

@@ -193,7 +193,7 @@ std::vector<cplx> protected_run(Surface s, std::vector<cplx> x,
     case Surface::kSharded: {
       auto opts = parallel::ParallelOptions::opt_ft_fftw();
       opts.max_correctable_errors = t;
-      return parallel::parallel_fft_sharded(kRanks, x, opts);
+      return parallel::submit_parallel(kRanks, x, opts).get();
     }
   }
   return out;

@@ -460,7 +460,7 @@ TEST(MultiErrorParallel, DoubleCommFaultInOneBlock) {
     auto opts = parallel::ParallelOptions::opt_ft_fftw();
     opts.max_correctable_errors = 1;
     parallel::ParallelReport report;
-    EXPECT_THROW(parallel::parallel_fft(p, x, opts, &report, arm),
+    EXPECT_THROW(parallel::submit_parallel(p, x, opts, arm).get(&report),
                  UncorrectableError);
   }
 
@@ -468,7 +468,7 @@ TEST(MultiErrorParallel, DoubleCommFaultInOneBlock) {
     auto opts = parallel::ParallelOptions::opt_ft_fftw();
     opts.max_correctable_errors = 2;
     parallel::ParallelReport report;
-    const auto got = parallel::parallel_fft(p, x, opts, &report, arm);
+    const auto got = parallel::submit_parallel(p, x, opts, arm).get(&report);
     const double tol = 1e-9 * static_cast<double>(n);
     for (std::size_t j = 0; j < n; ++j) {
       ASSERT_NEAR(got[j].real(), want[j].real(), tol) << j;
@@ -486,15 +486,17 @@ TEST(MultiErrorParallel, ShardedPathMatches) {
   auto opts = parallel::ParallelOptions::opt_ft_fftw();
   opts.max_correctable_errors = 2;
   parallel::ParallelReport report;
-  const auto got = parallel::parallel_fft_sharded(
-      p, x, opts, &report, [](std::size_t rank, fault::Injector& inj) {
-        if (rank == 1) {
-          inj.schedule(
-              FaultSpec::computational(Phase::kCommBlock, 3, 2, {9.0, -2.0}));
-          inj.schedule(
-              FaultSpec::computational(Phase::kCommBlock, 3, 50, {1.0, 7.0}));
-        }
-      });
+  const auto got =
+      parallel::submit_parallel(p, x, opts,
+                                [](std::size_t rank, fault::Injector& inj) {
+                                  if (rank == 1) {
+                                    inj.schedule(FaultSpec::computational(
+                                        Phase::kCommBlock, 3, 2, {9.0, -2.0}));
+                                    inj.schedule(FaultSpec::computational(
+                                        Phase::kCommBlock, 3, 50, {1.0, 7.0}));
+                                  }
+                                })
+          .get(&report);
   const double tol = 1e-9 * static_cast<double>(n);
   for (std::size_t j = 0; j < n; ++j) {
     ASSERT_NEAR(got[j].real(), want[j].real(), tol) << j;

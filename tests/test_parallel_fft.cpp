@@ -1,3 +1,7 @@
+// The distributed six-step FFT (submit_parallel): every Fig. 8 variant
+// against the sequential engine, determinism across engine worker counts,
+// one fault class per test (computation, communication, memory, modeled
+// link and rank faults) and the modeled network cost.
 #include "parallel/parallel_fft.hpp"
 
 #include <gtest/gtest.h>
@@ -49,7 +53,8 @@ TEST_P(ParallelVariant, MatchesSequentialAcrossShapes) {
            {2, 64}, {4, 256}, {4, 1024}, {8, 1024}, {8, 4096}, {16, 4096}}) {
     auto x = random_vector(n, InputDistribution::kUniform, 900 + n + p);
     ParallelReport report;
-    const auto got = parallel::parallel_fft(p, x, variant(GetParam()), &report);
+    const auto got =
+        parallel::submit_parallel(p, x, variant(GetParam())).get(&report);
     expect_matches_sequential(x, got);
     EXPECT_GT(report.makespan, 0.0) << "p=" << p << " n=" << n;
     EXPECT_EQ(report.stats.comp_errors_detected, 0u);
@@ -59,21 +64,31 @@ TEST_P(ParallelVariant, MatchesSequentialAcrossShapes) {
 }
 
 TEST_P(ParallelVariant, ShardedMatchesReferenceBitExact) {
-  // The engine-sharded executor must reproduce the thread-per-rank path bit
-  // for bit, for every variant, independent of how many workers the engine
-  // shards across.
+  // The reference is the one-worker engine run: every rank writes only its
+  // own slice and counters, so the spectrum and the report's counters must
+  // not depend on how many workers the engine shards the ranks across.
   const ParallelOptions opts = variant(GetParam());
   for (const auto& [p, n] : std::vector<std::pair<std::size_t, std::size_t>>{
            {4, 1024}, {8, 4096}}) {
     auto x = random_vector(n, InputDistribution::kUniform, 500 + n + p);
-    const auto want = parallel::parallel_fft(p, x, opts);
+    engine::BatchEngine one(1);
+    ParallelReport want_report;
+    const auto want =
+        parallel::submit_parallel(p, x, opts, {}, &one).get(&want_report);
+    expect_matches_sequential(x, want);
     for (std::size_t threads : {1u, 2u, 4u}) {
       engine::BatchEngine eng(threads);
-      auto fut = parallel::submit_parallel(p, x, opts, {}, &eng);
-      const auto got = fut.get();
+      ParallelReport report;
+      const auto got =
+          parallel::submit_parallel(p, x, opts, {}, &eng).get(&report);
       ASSERT_EQ(got.size(), want.size());
       EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(cplx)), 0)
           << "p=" << p << " n=" << n << " threads=" << threads;
+      EXPECT_EQ(report.stats.verifications, want_report.stats.verifications);
+      EXPECT_EQ(report.stats.dmr_mismatches, want_report.stats.dmr_mismatches);
+      EXPECT_EQ(report.comm_stats.messages_received,
+                want_report.comm_stats.messages_received);
+      EXPECT_EQ(report.bytes_per_rank, want_report.bytes_per_rank);
     }
   }
 }
@@ -92,7 +107,7 @@ TEST(ParallelFft, OddPowerLocalSizesWork) {
   const std::size_t p = 4, n = 2048;
   auto x = random_vector(n, InputDistribution::kNormal, 31);
   const auto got =
-      parallel::parallel_fft(p, x, ParallelOptions::opt_ft_fftw());
+      parallel::submit_parallel(p, x, ParallelOptions::opt_ft_fftw()).get();
   expect_matches_sequential(x, got);
 }
 
@@ -100,14 +115,14 @@ TEST(ParallelFft, Fft1ComputationalFaultCorrected) {
   const std::size_t p = 4, n = 1024;
   auto x = random_vector(n, InputDistribution::kUniform, 33);
   ParallelReport report;
-  const auto got = parallel::parallel_fft(
-      p, x, ParallelOptions::opt_ft_fftw(), &report,
+  const auto got = parallel::submit_parallel(
+      p, x, ParallelOptions::opt_ft_fftw(),
       [](std::size_t rank, fault::Injector& inj) {
         if (rank == 1) {
           inj.schedule(fault::FaultSpec::computational(
               fault::Phase::kRankFft1Output, 3, 2, {7.0, -2.0}));
         }
-      });
+      }).get(&report);
   expect_matches_sequential(x, got);
   EXPECT_EQ(report.stats.comp_errors_detected, 1u);
   EXPECT_EQ(report.stats.sub_fft_retries, 1u);
@@ -117,8 +132,8 @@ TEST(ParallelFft, Fft2FaultsCorrectedInsideInplaceScheme) {
   const std::size_t p = 4, n = 4096;  // n_loc = 1024
   auto x = random_vector(n, InputDistribution::kUniform, 35);
   ParallelReport report;
-  const auto got = parallel::parallel_fft(
-      p, x, ParallelOptions::opt_ft_fftw(), &report,
+  const auto got = parallel::submit_parallel(
+      p, x, ParallelOptions::opt_ft_fftw(),
       [](std::size_t rank, fault::Injector& inj) {
         if (rank == 2) {
           inj.schedule(fault::FaultSpec::computational(
@@ -128,7 +143,7 @@ TEST(ParallelFft, Fft2FaultsCorrectedInsideInplaceScheme) {
           inj.schedule(fault::FaultSpec::computational(
               fault::Phase::kKFftOutput, 7, 2, {-3.0, 1.0}));
         }
-      });
+      }).get(&report);
   expect_matches_sequential(x, got);
   EXPECT_EQ(report.stats.comp_errors_detected, 2u);
 }
@@ -137,14 +152,14 @@ TEST(ParallelFft, CommunicationFaultCorrected) {
   const std::size_t p = 4, n = 1024;
   auto x = random_vector(n, InputDistribution::kNormal, 37);
   ParallelReport report;
-  const auto got = parallel::parallel_fft(
-      p, x, ParallelOptions::opt_ft_fftw(), &report,
+  const auto got = parallel::submit_parallel(
+      p, x, ParallelOptions::opt_ft_fftw(),
       [](std::size_t rank, fault::Injector& inj) {
         if (rank == 0) {
           inj.schedule(fault::FaultSpec::computational(
               fault::Phase::kCommBlock, 2, 9, {11.0, 3.0}));
         }
-      });
+      }).get(&report);
   expect_matches_sequential(x, got);
   EXPECT_EQ(report.comm_stats.comm_errors_corrected, 1u);
 }
@@ -153,14 +168,14 @@ TEST(ParallelFft, FinalOutputMemoryFaultCorrected) {
   const std::size_t p = 4, n = 1024;
   auto x = random_vector(n, InputDistribution::kUniform, 39);
   ParallelReport report;
-  const auto got = parallel::parallel_fft(
-      p, x, ParallelOptions::opt_ft_fftw(), &report,
+  const auto got = parallel::submit_parallel(
+      p, x, ParallelOptions::opt_ft_fftw(),
       [](std::size_t rank, fault::Injector& inj) {
         if (rank == 1) {
           inj.schedule(fault::FaultSpec::memory_set(
               fault::Phase::kFinalOutput, 0, 100, {42.0, -42.0}));
         }
-      });
+      }).get(&report);
   expect_matches_sequential(x, got);
   EXPECT_EQ(report.stats.mem_errors_corrected, 1u);
 }
@@ -171,8 +186,8 @@ TEST(ParallelFft, TheTable2Scenario2m2c) {
   const std::size_t p = 8, n = 4096;
   auto x = random_vector(n, InputDistribution::kUniform, 41);
   ParallelReport report;
-  const auto got = parallel::parallel_fft(
-      p, x, ParallelOptions::opt_ft_fftw(), &report,
+  const auto got = parallel::submit_parallel(
+      p, x, ParallelOptions::opt_ft_fftw(),
       [](std::size_t rank, fault::Injector& inj) {
         if (rank == 0) {
           inj.schedule(fault::FaultSpec::computational(
@@ -190,38 +205,12 @@ TEST(ParallelFft, TheTable2Scenario2m2c) {
           inj.schedule(fault::FaultSpec::memory_set(
               fault::Phase::kFinalOutput, 0, 11, {-19.0, 8.0}));
         }
-      });
+      }).get(&report);
   expect_matches_sequential(x, got);
   EXPECT_GE(report.stats.comp_errors_detected +
                 report.stats.mem_errors_corrected +
                 report.comm_stats.comm_errors_corrected,
             4u);
-}
-
-TEST(ParallelFft, OverlapNeverSlowerThanBlocking) {
-  // ft_fftw and opt_ft_fftw differ only in the transpose schedule, which
-  // moves the clock only through the communication it charges. Each run is
-  // held to the alpha-beta cost of its own three transposes (p - 1
-  // messages each per rank): blocking pays it in full, overlap strictly
-  // less. Comparing the two runs' makespans would also compare their
-  // CPU-time noise.
-  const std::size_t p = 8, n = 1 << 14;
-  auto x = random_vector(n, InputDistribution::kUniform, 43);
-  const parallel::NetworkModel net;
-  for (const ParallelOptions& opts :
-       {ParallelOptions::ft_fftw(), ParallelOptions::opt_ft_fftw()}) {
-    ParallelReport report;
-    parallel::parallel_fft(p, x, opts, &report);
-    const double full =
-        static_cast<double>(3 * (p - 1)) * net.latency_s +
-        static_cast<double>(report.bytes_per_rank) / net.bytes_per_s;
-    EXPECT_GT(report.max_compute, 0.0);
-    if (opts.overlap) {
-      EXPECT_LT(report.max_comm, full);
-    } else {
-      EXPECT_NEAR(report.max_comm, full, 1e-9 * full);
-    }
-  }
 }
 
 TEST(ParallelFft, ReportsCommunicationBytes) {
@@ -232,7 +221,7 @@ TEST(ParallelFft, ReportsCommunicationBytes) {
   // and 2t syndrome moments above (the wire format under test here).
   opts.max_correctable_errors = 1;
   ParallelReport report;
-  parallel::parallel_fft(p, x, opts, &report);
+  parallel::submit_parallel(p, x, opts).get(&report);
   // Three transposes, each sending (p-1) blocks of (bsz + 2) complex.
   const std::size_t bsz = n / (p * p);
   EXPECT_EQ(report.bytes_per_rank,
@@ -242,20 +231,23 @@ TEST(ParallelFft, ReportsCommunicationBytes) {
 TEST(ParallelFft, LinkCorruptionCorrectedIdenticallyOnBothPaths) {
   // Modeled link corruption (every 5th received block per rank): each rank
   // receives 9 blocks across the three transposes, so exactly one fires per
-  // rank on either execution substrate, and all are repaired in place.
+  // rank, and all are repaired in place. The corruption clock counts each
+  // rank's own messages, so a one-worker and a four-worker engine see the
+  // same faults and return the same bits.
   const std::size_t p = 4, n = 1024;
   auto x = random_vector(n, InputDistribution::kUniform, 49);
   ParallelOptions opts = ParallelOptions::opt_ft_fftw();
   opts.net.corrupt_every = 5;
-  ParallelReport ref, sh;
-  const auto want = parallel::parallel_fft(p, x, opts, &ref);
-  const auto got = parallel::parallel_fft_sharded(p, x, opts, &sh);
-  expect_matches_sequential(x, want);
-  expect_matches_sequential(x, got);
-  EXPECT_EQ(ref.comm_stats.comm_errors_detected, p);
-  EXPECT_EQ(ref.comm_stats.comm_errors_corrected, p);
-  EXPECT_EQ(sh.comm_stats.comm_errors_detected, p);
-  EXPECT_EQ(sh.comm_stats.comm_errors_corrected, p);
+  engine::BatchEngine one(1), four(4);
+  ParallelReport r1, r4;
+  const auto got1 = parallel::submit_parallel(p, x, opts, {}, &one).get(&r1);
+  const auto got4 = parallel::submit_parallel(p, x, opts, {}, &four).get(&r4);
+  expect_matches_sequential(x, got1);
+  EXPECT_EQ(std::memcmp(got1.data(), got4.data(), n * sizeof(cplx)), 0);
+  for (const ParallelReport* r : {&r1, &r4}) {
+    EXPECT_EQ(r->comm_stats.comm_errors_detected, p);
+    EXPECT_EQ(r->comm_stats.comm_errors_corrected, p);
+  }
 }
 
 TEST(ParallelFft, LinkCorruptionSilentlyPoisonsUnprotectedVariant) {
@@ -266,7 +258,7 @@ TEST(ParallelFft, LinkCorruptionSilentlyPoisonsUnprotectedVariant) {
   auto x = random_vector(n, InputDistribution::kUniform, 51);
   ParallelOptions opts = ParallelOptions::opt_fftw();
   opts.net.corrupt_every = 7;
-  const auto got = parallel::parallel_fft(p, x, opts);
+  const auto got = parallel::submit_parallel(p, x, opts).get();
   const auto want = fft::fft(x);
   const double tol = 1e-9 * static_cast<double>(n);
   bool corrupted = false;
@@ -276,34 +268,44 @@ TEST(ParallelFft, LinkCorruptionSilentlyPoisonsUnprotectedVariant) {
   EXPECT_TRUE(corrupted);
 }
 
-TEST(ParallelFft, RankFailurePropagatesOnReferencePath) {
+TEST(ParallelFft, RankFailurePropagatesWithoutRestartBudget) {
   const std::size_t p = 4, n = 1024;
   auto x = random_vector(n, InputDistribution::kUniform, 53);
   ParallelOptions opts = ParallelOptions::opt_ft_fftw();
   opts.net.fail_rank = 2;
   opts.net.fail_phase = 2;
-  EXPECT_THROW(parallel::parallel_fft(p, x, opts), RankFailedError);
+  ASSERT_EQ(opts.max_rank_restarts, 0);
+  EXPECT_THROW(parallel::submit_parallel(p, x, opts).get(), RankFailedError);
 }
 
 TEST(ParallelFft, StragglerRankSlowsSimulatedMakespan) {
   const std::size_t p = 4, n = 4096;
   auto x = random_vector(n, InputDistribution::kUniform, 55);
   ParallelReport clean, stalled;
-  parallel::parallel_fft(p, x, ParallelOptions::ft_fftw(), &clean);
+  parallel::submit_parallel(p, x, ParallelOptions::ft_fftw()).get(&clean);
   ParallelOptions opts = ParallelOptions::ft_fftw();
   opts.net.stall_rank = 1;
   opts.net.stall_seconds = 1e-3;
-  const auto got = parallel::parallel_fft(p, x, opts, &stalled);
+  const auto got = parallel::submit_parallel(p, x, opts).get(&stalled);
   expect_matches_sequential(x, got);
   EXPECT_GT(stalled.makespan, clean.makespan + 1e-3);
 }
 
 TEST(ParallelFft, RejectsBadGeometry) {
   auto x = random_vector(96, InputDistribution::kUniform, 47);
-  EXPECT_THROW(parallel::parallel_fft(3, x, ParallelOptions::fftw()),
+  EXPECT_THROW(parallel::submit_parallel(3, x, ParallelOptions::fftw()),
                std::invalid_argument);  // p divisible by 3
-  EXPECT_THROW(parallel::parallel_fft(8, x, ParallelOptions::fftw()),
+  EXPECT_THROW(parallel::submit_parallel(8, x, ParallelOptions::fftw()),
                std::invalid_argument);  // 96 not divisible by 64
+  EXPECT_THROW(parallel::submit_parallel(1, x, ParallelOptions::fftw()),
+               std::invalid_argument);  // fewer than 2 ranks
+}
+
+TEST(NetworkModel, CostIsAffine) {
+  parallel::NetworkModel net{1e-6, 1e9};
+  EXPECT_DOUBLE_EQ(net.cost(0), 1e-6);
+  EXPECT_DOUBLE_EQ(net.cost(1000000000), 1.0 + 1e-6);
+  EXPECT_GT(net.cost(2048), net.cost(1024));
 }
 
 }  // namespace
