@@ -1,13 +1,16 @@
 // Reproduces Table 1: execution time of the sequential schemes when faults
 // strike mid-run.
 //
-// Rows: FFTW(0), Opt-Offline(0), Opt-Offline(1m), Opt-Online(0),
-// Opt-Online(1c), Opt-Online(1m+1c), Opt-Online(1m+2c).
+// Rows: FFTW(0), Opt-Offline(0), Opt-Offline(1m), Opt-Offline(1c),
+// Opt-Online(0), Opt-Online(1c), Opt-Online(1m+1c), Opt-Online(1m+2c).
 //
-// Expected shape (paper section 9.2.2): one memory fault roughly doubles
-// the offline scheme's time (full re-execution) while the online scheme's
-// time barely moves no matter how many single-unit faults are injected
-// (each recovery re-runs only a Theta(sqrt(N))-point sub-FFT).
+// Expected shape: a computational fault roughly doubles the offline
+// scheme's time (full re-execution, paper section 9.2.2), while the online
+// scheme's time barely moves no matter how many single-unit faults are
+// injected (each recovery re-runs only a Theta(sqrt(N))-point sub-FFT).
+// Here the offline row departs from the paper's Table 1: a located input
+// memory fault (1m) is removed from the computed spectrum by an O(N) update
+// and a re-check, so it costs well under the paper's ~2x.
 #include <vector>
 
 #include "abft/options.hpp"
@@ -57,6 +60,9 @@ void arm_offline(fault::Injector& inj, Load load) {
   if (load == Load::kOneMem) {
     inj.schedule(FaultSpec::memory_set(Phase::kInputAfterChecksum, 0, 1234,
                                        {25.0, -3.0}));
+  } else if (load == Load::kOneComp) {
+    inj.schedule(
+        FaultSpec::computational(Phase::kWholeFftOutput, 0, 7, {4.0, 4.0}));
   }
 }
 
@@ -114,6 +120,8 @@ int main() {
           true);
   add_row("Opt-Offline (1m)", abft::Options::offline_opt(true), Load::kOneMem,
           true);
+  add_row("Opt-Offline (1c)", abft::Options::offline_opt(true),
+          Load::kOneComp, true);
   add_row("Opt-Online (0)", abft::Options::online_opt(true), Load::kNone,
           false);
   add_row("Opt-Online (1c)", abft::Options::online_opt(true), Load::kOneComp,
@@ -124,7 +132,8 @@ int main() {
           Load::kOneMemTwoComp, false);
   table.print();
   std::printf(
-      "\nshape check: Opt-Offline(1m) ~ 2x Opt-Offline(0); Opt-Online rows "
-      "stay flat as the fault count grows.\n");
+      "\nshape check: Opt-Offline(1c) ~ 2x Opt-Offline(0) (re-execution); "
+      "Opt-Offline(1m) well under 2x (O(N) spectrum update); Opt-Online "
+      "rows stay flat as the fault count grows.\n");
   return 0;
 }

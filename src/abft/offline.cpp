@@ -1,15 +1,59 @@
 #include "abft/offline.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
+
+#include "abft/dmr.hpp"
 #include "abft/protection_plan.hpp"
 #include "abft/unit_check.hpp"
 #include "checksum/dot.hpp"
 #include "checksum/multi_error.hpp"
 #include "common/error.hpp"
+#include "common/scratch.hpp"
 #include "fft/fft.hpp"
 
 namespace ftfft::abft {
 
 using fault::Phase;
+
+namespace {
+
+// Removes repaired input errors from a spectrum computed over the corrupted
+// input. The DFT is linear, so an error delta added to x_j added
+// delta * omega_n^(jk) to every out[k]. Writing k = a*L + b with L the low
+// table length of TwiddleTables, omega_n^(jk) = omega_n^(jaL) *
+// omega_n^(jb): one row v_b = delta * omega_n^(jb) per error, then one
+// complex multiply per output element, all twiddles from the cached tables.
+void subtract_input_errors(cplx* out, std::size_t n,
+                           const checksum::Corrections& fix) {
+  const auto tables = TwiddleTables::get(n);
+  const std::size_t len = std::min(n, std::size_t{1} << tables->shift());
+  scratch::Frame frame;
+  cplx* row = frame.take<cplx>(len).data();
+  for (int e = 0; e < fix.count; ++e) {
+    const std::size_t j = fix.index[e];
+    std::size_t jb = 0;  // (j * b) mod n
+    for (std::size_t b = 0; b < len; ++b) {
+      row[b] = cmul(fix.delta[e], tables->twiddle(jb, 0));
+      jb += j;
+      if (jb >= n) jb -= n;
+    }
+    const std::size_t step = (j * len) % n;
+    std::size_t jal = 0;  // (j * a * L) mod n
+    for (std::size_t k0 = 0; k0 < n; k0 += len) {
+      const cplx c = tables->twiddle(jal, 0);
+      const std::size_t cnt = std::min(len, n - k0);
+      cplx* __restrict o = out + k0;
+      const cplx* __restrict v = row;
+      for (std::size_t b = 0; b < cnt; ++b) o[b] -= cmul(c, v[b]);
+      jal += step;
+      if (jal >= n) jal -= n;
+    }
+  }
+}
+
+}  // namespace
 
 void offline_transform(cplx* in, cplx* out, const ProtectionPlan& plan,
                        const Options& opts, Stats& stats) {
@@ -75,18 +119,29 @@ void offline_transform(cplx* in, cplx* out, const ProtectionPlan& plan,
   if (inj != nullptr) inj->apply(Phase::kInputAfterChecksum, 0, in, n);
 
   // --- Compute + verify loop --------------------------------------------
-  // Offline recovery is always a full re-execution of the transform.
+  // A computational error costs a full re-execution of the transform. A
+  // repaired input memory error need not: its (index, delta) pairs update
+  // the spectrum already computed, in O(n) per error, and the next attempt
+  // only re-checks it. The update is taken when the repaired errors are
+  // small against the input (sum |delta| <= ||x||_2), so the corrupted
+  // input at most doubled the transform's norm-wise error bound; larger
+  // ones (an exponent-bit flip) and an update that fails its re-check fall
+  // back to re-execution.
+  const double update_gate = std::sqrt(energy);
+  bool updated = false;  // out holds an updated spectrum awaiting its check
   fft::Fft engine(n);
   verify_with_retry(
       stats, &Stats::full_restarts, opts.max_retries,
       "offline ABFT: verification failed after max_retries; "
       "single-fault model violated or threshold too tight",
       [&] {
-        engine.execute(in, out);
-        if (inj != nullptr) {
-          inj->apply(Phase::kWholeFftOutput, 0, out, n);
-          inj->apply(Phase::kIntermediate, 0, out, n);
-          inj->apply(Phase::kFinalOutput, 0, out, n);
+        if (!std::exchange(updated, false)) {
+          engine.execute(in, out);
+          if (inj != nullptr) {
+            inj->apply(Phase::kWholeFftOutput, 0, out, n);
+            inj->apply(Phase::kIntermediate, 0, out, n);
+            inj->apply(Phase::kFinalOutput, 0, out, n);
+          }
         }
         return omega3_check(out, n, ccg, eta);
       },
@@ -105,13 +160,27 @@ void offline_transform(cplx* in, cplx* out, const ProtectionPlan& plan,
         // syndrome decoder checks every hypothesis against all 2t moments,
         // so a single-error fix of a multi-error burst is rejected and the
         // burst decodes at its true count.
-        return opts.memory_ft &&
-               repair_region(
-                   mem_ref, in, 1, mem_weights, n,
-                   opts.combined_checksums ? eta : eta_mem, opts.max_retries,
-                   RepairTally::of(stats, false),
-                   "offline ABFT: input memory error detected but could not "
-                   "be localized");
+        checksum::Corrections fix;
+        if (!opts.memory_ft ||
+            !repair_region(
+                mem_ref, in, 1, mem_weights, n,
+                opts.combined_checksums ? eta : eta_mem, opts.max_retries,
+                RepairTally::of(stats, false),
+                "offline ABFT: input memory error detected but could not "
+                "be localized",
+                /*flagged=*/false, &fix)) {
+          return false;
+        }
+        double mass = 0.0;
+        for (int e = 0; e < fix.count; ++e) mass += std::abs(fix.delta[e]);
+        if (fix.complete && mass <= update_gate) {
+          subtract_input_errors(out, n, fix);
+          updated = true;
+          // The retry verify_with_retry just counted re-checks the updated
+          // spectrum; nothing is re-executed.
+          --stats.full_restarts;
+        }
+        return true;
       });
 }
 

@@ -5,6 +5,13 @@
 // omega_3-weighted output sum. Detection therefore happens only after the
 // full transform, and a computational error costs a complete re-execution —
 // the inefficiency the online scheme (online.hpp) removes.
+//
+// An input memory error need not cost one. Unlike the paper, which
+// re-executes on every failed check, a repair that located its errors
+// (j, delta) subtracts delta * omega_n^(jk) from the computed spectrum in
+// O(N) per error and re-checks it, without re-running the FFT
+// (Stats::full_restarts stays 0). This holds while sum |delta| <= ||x||_2;
+// larger errors and an update that fails its re-check are re-executed.
 #pragma once
 
 #include <cstddef>

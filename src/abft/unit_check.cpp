@@ -9,7 +9,8 @@ void uncorrectable(const char* what) { throw UncorrectableError(what); }
 
 bool repair_region(const StoredSums& stored, cplx* data, std::size_t stride,
                    const cplx* w, std::size_t n, double eta, int max_iters,
-                   const RepairTally& tally, const char* what, bool flagged) {
+                   const RepairTally& tally, const char* what, bool flagged,
+                   checksum::Corrections* applied) {
   bool mismatch, corrected;
   int errors = 1;
   if (stored.syn != nullptr) {
@@ -20,11 +21,13 @@ bool repair_region(const StoredSums& stored, cplx* data, std::size_t stride,
     mismatch = rep.mismatch;
     corrected = rep.corrected;
     errors = rep.errors;
+    if (applied != nullptr) *applied = rep.applied;
   } else {
     const auto rep = checksum::repair_single_error(stored.dual, data, stride,
                                                    w, n, eta, max_iters);
     mismatch = rep.mismatch;
     corrected = rep.corrected;
+    if (applied != nullptr) *applied = rep.applied;
   }
   if (tally.verifications != nullptr) ++*tally.verifications;
   if (!mismatch && !flagged) return false;

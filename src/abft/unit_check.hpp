@@ -73,10 +73,12 @@ struct StoredSums {
 /// the region verifies. Throws UncorrectableError(what) when a mismatch
 /// cannot be localized. `flagged`: the caller already saw a mismatch with
 /// a cheaper check, so a region that then verifies clean also throws.
+/// `applied` (when non-null) receives the corrections the repair made.
 bool repair_region(const StoredSums& stored, cplx* data, std::size_t stride,
                    const cplx* w, std::size_t n, double eta, int max_iters,
                    const RepairTally& tally, const char* what,
-                   bool flagged = false);
+                   bool flagged = false,
+                   checksum::Corrections* applied = nullptr);
 
 /// Outcome of one attempt of a unit: the residual of its checksum
 /// comparison and the threshold it must stay within.

@@ -56,7 +56,7 @@ RepairResult repair_single_error(const DualSum& stored, cplx* data,
     out.mismatch = true;
     if (!loc.valid) return out;  // not localizable
     apply_correction(data, stride, loc);
-    out.index = loc.index;
+    out.applied.add(loc.index, loc.delta);
     ++out.iterations;
   }
   // Ran out of iterations: check whether the last correction landed.

@@ -42,8 +42,8 @@ void apply_correction(cplx* data, std::size_t stride,
 struct RepairResult {
   bool mismatch = false;    ///< checksums disagreed at least once
   bool corrected = false;   ///< data now verifies against `stored`
-  std::size_t index = 0;    ///< (last) corrected element
   int iterations = 0;       ///< locate/correct rounds performed
+  Corrections applied;      ///< every correction, summed per element
 };
 
 /// Locates and corrects a single corrupted element, iterating until the

@@ -283,6 +283,9 @@ MultiRepairResult repair_errors(const SyndromeSet& stored, cplx* data,
     out.mismatch = true;
     if (!loc.valid) return out;  // not explainable by <= t errors
     apply_corrections(data, stride, loc);
+    for (int i = 0; i < loc.count; ++i) {
+      out.applied.add(loc.index[i], loc.delta[i]);
+    }
     out.errors = loc.count;
     ++out.iterations;
   }

@@ -111,12 +111,41 @@ struct MultiLocateResult {
 void apply_corrections(cplx* data, std::size_t stride,
                        const MultiLocateResult& loc);
 
+/// The corrections a repair session applied, one (index, delta) pair per
+/// element it touched: delta sums everything subtracted from that element
+/// over all rounds. Past kMaxCorrectableErrors distinct elements the list
+/// stops growing and `complete` turns false.
+struct Corrections {
+  int count = 0;
+  bool complete = true;
+  std::array<std::size_t, kMaxCorrectableErrors> index{};
+  std::array<cplx, kMaxCorrectableErrors> delta{};
+
+  /// Records that `d` was subtracted from element j.
+  void add(std::size_t j, cplx d) noexcept {
+    for (int i = 0; i < count; ++i) {
+      if (index[i] == j) {
+        delta[i] += d;
+        return;
+      }
+    }
+    if (count == kMaxCorrectableErrors) {
+      complete = false;
+      return;
+    }
+    index[count] = j;
+    delta[count] = d;
+    ++count;
+  }
+};
+
 /// Outcome of an iterative multi-error repair session.
 struct MultiRepairResult {
   bool mismatch = false;   ///< syndromes disagreed at least once
   bool corrected = false;  ///< data now verifies against `stored`
   int errors = 0;          ///< errors corrected in the final decode
   int iterations = 0;      ///< locate/correct rounds performed
+  Corrections applied;     ///< every correction, summed per element
 };
 
 /// Locates and corrects up to `max_errors` corrupted elements, iterating

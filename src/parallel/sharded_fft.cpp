@@ -227,7 +227,9 @@ void fft1_columns(const ParallelPlan& plan, const ParallelOptions& opts,
                   const cplx* s2, const double* e, fault::Injector& inj,
                   abft::Stats& stats) {
   const std::size_t p = plan.p();
-  std::vector<cplx> buf(p), res(p);
+  scratch::Frame frame;
+  const std::span<cplx> buf = frame.take<cplx>(p);
+  const std::span<cplx> res = frame.take<cplx>(p);
   for (std::size_t c = 0; c < cols; ++c) {
     const std::size_t u = u0 + c;
     for (std::size_t t = 0; t < p; ++t) buf[t] = data[t * cols + c];
@@ -292,6 +294,14 @@ void verify_adjusted(cplx* out, const std::vector<checksum::DualSum>& guards,
 
 // ----------------------------------------------------------------- phases
 
+/// Complex values a message carries besides its block: none unchecked, the
+/// dual checksum pair at t = 1, the 2t syndrome moments under a
+/// multi-error budget.
+std::size_t trailer_values(const ShardedState& st) {
+  const bool checksums = st.opts.protect && st.opts.memory_ft;
+  return checksums ? 2 * static_cast<std::size_t>(st.plan->max_errors()) : 0;
+}
+
 /// One transposed block, pulled straight from the previous phase's shared
 /// array: the copy IS the message. For a checksummed pull the sender dual
 /// checksum is generated inside the copy pass, then the modeled link
@@ -306,7 +316,7 @@ void pull_block(ShardedState& st, std::size_t r, std::size_t q,
     return;
   }
   const NetworkModel& net = st.opts.net;
-  tstats.bytes_sent += (bsz + (checksums ? 2 : 0)) * sizeof(cplx);
+  tstats.bytes_sent += (bsz + trailer_values(st)) * sizeof(cplx);
   // The corruption clock ticks on this rank's receive count across the
   // whole transform (previous phases live in rank_comm, the current one in
   // tstats).
@@ -504,8 +514,7 @@ void run_phase(ShardedState& st, int phase, std::size_t r) {
 
   // Modeled communication of this rank's p-1 exchanges, plus the
   // straggler penalty.
-  const bool checksums = st.opts.protect && st.opts.memory_ft;
-  const std::size_t payload = st.bsz + (checksums ? 2 : 0);
+  const std::size_t payload = st.bsz + trailer_values(st);
   double comm =
       static_cast<double>(st.p - 1) * net.cost(payload * sizeof(cplx));
   if (r == net.stall_rank) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "abft/options.hpp"
@@ -195,6 +198,162 @@ TEST(OfflineAbft, EtaOverrideForcesSensitivity) {
   Stats stats;
   abft::offline_transform(x.data(), out.data(), n, opts, stats);
   EXPECT_EQ(stats.full_restarts, 1u);  // caught thanks to the tighter eta
+}
+
+// A located input memory fault small against the input (sum |delta| <=
+// ||x||_2) is removed from the computed spectrum by an O(n) update that is
+// then re-checked; the transform is not re-executed.
+void expect_near_plain_fft(const std::vector<cplx>& pristine,
+                           const std::vector<cplx>& got) {
+  const std::vector<cplx> want = fft::fft(pristine);
+  double peak = 0.0;
+  for (const cplx& v : want) peak = std::max(peak, std::abs(v));
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    ASSERT_LE(std::abs(got[k] - want[k]), 1e-12 * peak) << k;
+  }
+}
+
+void expect_repaired(const std::vector<cplx>& x,
+                     const std::vector<cplx>& pristine) {
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    ASSERT_LE(std::abs(x[j] - pristine[j]), 1e-9) << j;
+  }
+}
+
+// A re-execution over the repaired input x would return fft::fft(x)
+// bitwise; an updated spectrum keeps the rounding of the first transform.
+void expect_not_reexecuted(const std::vector<cplx>& x,
+                           const std::vector<cplx>& got) {
+  EXPECT_NE(got, fft::fft(x));
+}
+
+struct UpdateCase {
+  std::size_t n;
+  InputDistribution dist;
+};
+
+class OfflineAbftUpdate : public ::testing::TestWithParam<UpdateCase> {};
+
+TEST_P(OfflineAbftUpdate, InGateInputFaultUpdatesSpectrum) {
+  const auto [n, dist] = GetParam();
+  auto x = random_vector(n, dist, 21 + n);
+  const auto pristine = x;
+  Injector inj;
+  inj.schedule(FaultSpec::computational(Phase::kInputAfterChecksum, 0,
+                                        n / 3 + 5, {3.0, -2.0}));
+  Options opts = Options::offline_opt(true);
+  opts.max_correctable_errors = 1;
+  opts.injector = &inj;
+  std::vector<cplx> out(n);
+  Stats stats;
+  abft::offline_transform(x.data(), out.data(), n, opts, stats);
+  expect_near_plain_fft(pristine, out);
+  expect_repaired(x, pristine);
+  expect_not_reexecuted(x, out);
+  EXPECT_EQ(stats.full_restarts, 0u);
+  EXPECT_EQ(stats.comp_errors_detected, 0u);
+  EXPECT_EQ(stats.mem_errors_detected, 1u);
+  EXPECT_EQ(stats.mem_errors_corrected, 1u);
+  EXPECT_EQ(stats.verifications, 2u);
+}
+
+std::string update_case_name(
+    const ::testing::TestParamInfo<UpdateCase>& pi) {
+  return "n" + std::to_string(pi.param.n) +
+         (pi.param.dist == InputDistribution::kUniform ? "_uniform"
+                                                       : "_normal");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndInputs, OfflineAbftUpdate,
+    ::testing::Values(UpdateCase{4096, InputDistribution::kUniform},
+                      UpdateCase{4096, InputDistribution::kNormal},
+                      UpdateCase{1000, InputDistribution::kUniform},
+                      UpdateCase{1000, InputDistribution::kNormal},
+                      UpdateCase{1 << 16, InputDistribution::kUniform},
+                      UpdateCase{1 << 16, InputDistribution::kNormal}),
+    update_case_name);
+
+TEST(OfflineAbft, TwoFarApartInputErrorsUpdateSpectrum) {
+  const std::size_t n = 4096;
+  auto x = random_vector(n, InputDistribution::kUniform, 23);
+  const auto pristine = x;
+  Injector inj;
+  inj.schedule(FaultSpec::computational(Phase::kInputAfterChecksum, 0, 300,
+                                        {4.0, 1.0}));
+  inj.schedule(FaultSpec::computational(Phase::kInputAfterChecksum, 0, 3500,
+                                        {-2.0, 5.0}));
+  Options opts = Options::offline_opt(true);
+  opts.max_correctable_errors = 2;
+  opts.injector = &inj;
+  std::vector<cplx> out(n);
+  Stats stats;
+  abft::offline_transform(x.data(), out.data(), n, opts, stats);
+  expect_near_plain_fft(pristine, out);
+  expect_repaired(x, pristine);
+  expect_not_reexecuted(x, out);
+  EXPECT_EQ(stats.full_restarts, 0u);
+  EXPECT_EQ(stats.mem_errors_detected, 1u);
+  EXPECT_EQ(stats.mem_errors_corrected, 1u);
+  EXPECT_EQ(stats.multi_errors_corrected, 2u);
+  EXPECT_EQ(stats.verifications, 2u);
+}
+
+TEST(OfflineAbft, ExponentBitFlipOutsideUpdateGateReexecutes) {
+  // Bit 56 is exponent bit 4: it scales an element in [2, 4) by 2^16, far
+  // past ||x||_2, so the repaired input is transformed again.
+  const std::size_t n = 4096;
+  auto x = random_vector(n, InputDistribution::kNormal, 25);
+  const auto pristine = x;
+  const auto hit = std::find_if(x.begin(), x.end(), [](cplx v) {
+    return std::abs(v.real()) >= 2.0 && std::abs(v.real()) < 4.0;
+  });
+  ASSERT_NE(hit, x.end());
+  Injector inj;
+  inj.schedule(FaultSpec::bit_flip(Phase::kInputAfterChecksum, 0,
+                                   static_cast<std::size_t>(hit - x.begin()),
+                                   56, false));
+  Options opts = Options::offline_opt(true);
+  opts.max_correctable_errors = 1;
+  opts.injector = &inj;
+  std::vector<cplx> out(n);
+  Stats stats;
+  abft::offline_transform(x.data(), out.data(), n, opts, stats);
+  expect_near_plain_fft(pristine, out);
+  expect_repaired(x, pristine);
+  EXPECT_EQ(out, fft::fft(x));  // re-executed over the repaired input
+  EXPECT_EQ(inj.fired_count(), 1u);
+  EXPECT_EQ(stats.full_restarts, 1u);
+  EXPECT_EQ(stats.comp_errors_detected, 0u);
+  EXPECT_EQ(stats.mem_errors_corrected, 1u);
+  EXPECT_EQ(stats.verifications, 2u);
+}
+
+TEST(OfflineAbft, FailedUpdateRecheckFallsBackToReexecution) {
+  // The output fault survives the input update, so the re-check fails and
+  // the transform runs again.
+  const std::size_t n = 4096;
+  auto x = random_vector(n, InputDistribution::kUniform, 27);
+  const auto pristine = x;
+  Injector inj;
+  inj.schedule(FaultSpec::computational(Phase::kInputAfterChecksum, 0, 77,
+                                        {2.0, 2.0}));
+  inj.schedule(FaultSpec::computational(Phase::kWholeFftOutput, 0, 1900,
+                                        {5.0, -3.0}));
+  Options opts = Options::offline_opt(true);
+  opts.max_correctable_errors = 1;
+  opts.injector = &inj;
+  std::vector<cplx> out(n);
+  Stats stats;
+  abft::offline_transform(x.data(), out.data(), n, opts, stats);
+  expect_near_plain_fft(pristine, out);
+  expect_repaired(x, pristine);
+  EXPECT_EQ(out, fft::fft(x));  // re-executed over the repaired input
+  EXPECT_EQ(inj.fired_count(), 2u);
+  EXPECT_EQ(stats.mem_errors_corrected, 1u);
+  EXPECT_EQ(stats.comp_errors_detected, 1u);
+  EXPECT_EQ(stats.full_restarts, 1u);
+  EXPECT_EQ(stats.verifications, 3u);
 }
 
 TEST(OfflineAbft, RejectsDegenerateSizes) {

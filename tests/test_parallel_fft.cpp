@@ -228,6 +228,22 @@ TEST(ParallelFft, ReportsCommunicationBytes) {
             3 * (p - 1) * (bsz + 2) * sizeof(cplx));
 }
 
+TEST(ParallelFft, ChargesTwoTMomentTrailerUnderMultiErrorBudget) {
+  // p = 4, N = 1024: each rank sends 3 transposes x 3 blocks of 64 complex
+  // values plus the trailer, 2 values (the dual pair) at t = 1 and 2t = 4
+  // syndrome moments at t = 2.
+  const std::size_t p = 4, n = 1024;
+  auto x = random_vector(n, InputDistribution::kUniform, 47);
+  ParallelOptions opts = ParallelOptions::opt_ft_fftw();
+  ParallelReport report;
+  opts.max_correctable_errors = 1;
+  parallel::submit_parallel(p, x, opts).get(&report);
+  EXPECT_EQ(report.bytes_per_rank, 9504u);
+  opts.max_correctable_errors = 2;
+  parallel::submit_parallel(p, x, opts).get(&report);
+  EXPECT_EQ(report.bytes_per_rank, 9792u);
+}
+
 TEST(ParallelFft, LinkCorruptionCorrectedIdenticallyOnBothPaths) {
   // Modeled link corruption (every 5th received block per rank): each rank
   // receives 9 blocks across the three transposes, so exactly one fires per
