@@ -86,6 +86,7 @@ class OnlineRun {
       take_column_sums();
     } else if (opts_.memory_ft) {
       r1_ = frame_.take<DualSum>(k_);  // every slot written by its sub-FFT
+      e_row_ = frame_.take<double>(k_);
     }
 
     // Section 4.4 staging: one tiled transpose (kTransposeTile) gathers a
@@ -173,9 +174,12 @@ class OnlineRun {
         // layer's column sums while it is still cache-hot.
         fold_row(i, yi);
       } else {
-        // Naive hierarchy: row checksums over this sub-FFT's output; the
-        // column checksums are regenerated in a separate pass later.
-        r1_[i] = checksum::dual_weighted_sum(nullptr, yi, m_);
+        // Naive hierarchy: row checksums and energy over this sub-FFT's
+        // verified output; the column checksums are regenerated in a
+        // separate pass later.
+        const auto row = checksum::dual_weighted_sum_energy(nullptr, yi, m_);
+        r1_[i] = row.sums;
+        e_row_[i] = row.energy;
       }
     }
   }
@@ -238,11 +242,11 @@ class OnlineRun {
       take_column_sums();
       for (std::size_t i = 0; i < k_; ++i) {
         cplx* yi = out_ + i * m_;
-        // The row may hold the very corruption being hunted: use the
-        // outlier-robust energy so eta is not inflated by it.
+        // The row may hold the very corruption being hunted: scale eta by
+        // the energy of the verified sub-FFT output, so it cannot inflate
+        // its own threshold.
         const double eta_mem =
-            threshold(plan_.eta_m().mem, checksum::robust_energy(yi, m_), m_,
-                      opts_.eta_override);
+            threshold(plan_.eta_m().mem, e_row_[i], m_, opts_.eta_override);
         repair_region({r1_[i]}, yi, 1, nullptr, m_, eta_mem,
                       opts_.max_retries, RepairTally::of(stats_, true),
                       "online ABFT: intermediate memory error not localizable");
@@ -445,6 +449,7 @@ class OnlineRun {
   std::span<checksum::SyndromeSet> syn1_;  // per-slot 2t moments (t > 1)
   std::span<double> e_in_;           // per-sub-FFT input energy
   std::span<DualSum> r1_;            // naive row checksums of Y_i
+  std::span<double> e_row_;          // naive row energies of verified Y_i
   std::span<cplx> o1_, o2_;          // column checksums of the intermediate
   std::span<double> e_mid_;          // per-column verified layer-1 energy
   std::span<cplx> tw_, res_;         // layer-2 twiddled column and result

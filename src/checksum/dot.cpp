@@ -68,31 +68,6 @@ cplx plain_sum(const cplx* x, std::size_t n, std::size_t stride) {
   return (acc[0] + acc[1]) + (acc[2] + acc[3]);
 }
 
-double robust_energy(const cplx* x, std::size_t n, std::size_t stride) {
-  if (stride == 1) return simd::checksum_kernels().robust_energy(x, n);
-  // Exclude the single largest contribution while summing: a huge outlier
-  // would absorb the rest of the sum in floating point, so subtracting it
-  // afterwards cannot work. Find the top element first, then sum the rest.
-  double top = -1.0;
-  std::size_t top_idx = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const double e = norm2(x[j * stride]);
-    if (e > top) {
-      top = e;
-      top_idx = j;
-    }
-  }
-  double acc0 = 0.0;
-  double acc1 = 0.0;
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    if (j != top_idx) acc0 += norm2(x[j * stride]);
-    if (j + 1 != top_idx) acc1 += norm2(x[(j + 1) * stride]);
-  }
-  if (j < n && j != top_idx) acc0 += norm2(x[j * stride]);
-  return acc0 + acc1;
-}
-
 cplx omega3_weighted_sum(const cplx* x, std::size_t n, std::size_t stride) {
   if (stride == 1) return simd::checksum_kernels().omega3_weighted_sum(x, n);
   cplx b0{0.0, 0.0}, b1{0.0, 0.0}, b2{0.0, 0.0};
@@ -107,8 +82,9 @@ cplx omega3_weighted_sum(const cplx* x, std::size_t n, std::size_t stride) {
   return b0 + cmul(omega3_pow(1), b1) + cmul(omega3_pow(2), b2);
 }
 
-DualSum copy_dual_sum(cplx* dst, const cplx* src, std::size_t n) {
-  return simd::checksum_kernels().copy_dual_sum(dst, src, n);
+DualSum copy_dual_sum(cplx* dst, const cplx* src, std::size_t n,
+                      double* energy) {
+  return simd::checksum_kernels().copy_dual_sum(dst, src, n, energy);
 }
 
 SumEnergy weighted_sum_energy(const cplx* w, const cplx* x, std::size_t n,

@@ -54,14 +54,6 @@ struct DualSum {
 [[nodiscard]] double energy(const cplx* x, std::size_t n,
                             std::size_t stride = 1);
 
-/// Energy with the single largest |x_j|^2 contribution removed. Under the
-/// single-fault model a corrupted element can inflate the plain energy by
-/// many orders of magnitude, which would inflate the detection threshold
-/// derived from it and mask the very error being hunted; dropping the top
-/// contributor makes the scale estimate robust to exactly one outlier.
-[[nodiscard]] double robust_energy(const cplx* x, std::size_t n,
-                                   std::size_t stride = 1);
-
 /// sum_j omega_3^j x_j computed with the 3-cycle trick: bucket the elements
 /// by j mod 3 and apply the two nontrivial cube-root weights once at the
 /// end. This is the paper's 2-complex-multiplication CCV (section 7.1.1).
@@ -89,10 +81,13 @@ struct DualSumEnergy {
                                                      std::size_t stride = 1);
 
 /// dst = src (contiguous, non-overlapping) copied in one pass fused with the
-/// all-ones dual checksum of the stream. The sums are bit-identical to
-/// dual_weighted_sum(nullptr, src, n) on the same backend (the kernels share
-/// the accumulator structure); the parallel transpose uses this so the
-/// message checksum rides the pack/unpack copy instead of a second sweep.
-DualSum copy_dual_sum(cplx* dst, const cplx* src, std::size_t n);
+/// all-ones dual checksum of the stream and, when `energy` is non-null, its
+/// energy sum_j |src_j|^2. The sums are bit-identical to
+/// dual_weighted_sum(nullptr, src, n) and the energy to energy(src, n) on
+/// the same backend (the kernels share the accumulator structures); the
+/// parallel transpose uses this so the message checksum and its threshold
+/// scale ride the pack/unpack copy instead of further sweeps.
+DualSum copy_dual_sum(cplx* dst, const cplx* src, std::size_t n,
+                      double* energy = nullptr);
 
 }  // namespace ftfft::checksum

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace ftfft::checksum {
 namespace {
@@ -10,6 +11,47 @@ namespace {
 // localization unreliable. 0.25 splits the distance to the neighboring
 // index evenly between round-off slack and mislocation guard.
 constexpr double kIndexSlack = 0.25;
+
+constexpr double kEpsilon = std::numeric_limits<double>::epsilon();
+
+bool finite(const DualSum& s) {
+  return std::isfinite(s.plain.real()) && std::isfinite(s.plain.imag()) &&
+         std::isfinite(s.indexed.real()) && std::isfinite(s.indexed.imag());
+}
+
+/// Erasure repair of a corruption too large to locate iteratively: the
+/// element with the largest weighted term (a non-finite one first) is
+/// rebuilt from the plain sum of the others, (stored.plain -
+/// sum_{i != j} w_i x_i) / w_j, and kept only if both dual residuals then
+/// clear eta; otherwise the element is restored and false returned.
+bool rebuild_largest(const DualSum& stored, cplx* data, std::size_t stride,
+                     const cplx* w, std::size_t n, double eta,
+                     Corrections& applied) {
+  std::size_t j = 0;
+  double top = -1.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double mag =
+        std::abs(data[i * stride]) * (w == nullptr ? 1.0 : std::abs(w[i]));
+    if (!(mag <= top)) {  // NaN wins
+      top = mag;
+      j = i;
+      if (std::isnan(mag)) break;
+    }
+  }
+  cplx& x = data[j * stride];
+  const cplx old = x;
+  x = cplx{0.0, 0.0};
+  const DualSum rest = dual_weighted_sum(w, data, n, stride);
+  x = (stored.plain - rest.plain) / (w == nullptr ? cplx{1.0, 0.0} : w[j]);
+  const DualSum cur = dual_weighted_sum(w, data, n, stride);
+  if (std::abs(cur.plain - stored.plain) <= eta &&
+      std::abs(cur.indexed - stored.indexed) <= eta) {
+    applied.add(j, old - x);
+    return true;
+  }
+  x = old;
+  return false;
+}
 
 }  // namespace
 
@@ -26,7 +68,10 @@ LocateResult locate_single_error(const DualSum& stored, const DualSum& current,
   // The imaginary part of a clean single-error ratio is zero; allow it the
   // same slack as the real part, scaled to the index magnitude.
   const double imag_slack = kIndexSlack * (1.0 + std::abs(rounded));
-  if (std::abs(idx - rounded) > kIndexSlack ||
+  // A NaN/Inf ratio (non-finite data or overflowed sums) passes none of the
+  // comparisons below, so it is rejected first.
+  if (!std::isfinite(idx) || !std::isfinite(ratio.imag()) ||
+      std::abs(idx - rounded) > kIndexSlack ||
       std::abs(ratio.imag()) > imag_slack || rounded < 0.0 ||
       rounded >= static_cast<double>(n)) {
     return out;  // mismatch detected but not localizable
@@ -46,15 +91,31 @@ RepairResult repair_single_error(const DualSum& stored, cplx* data,
                                  std::size_t stride, const cplx* w,
                                  std::size_t n, double eta, int max_iters) {
   RepairResult out;
+  // Set when iterating cannot converge: a recomputed sum overflowed, or a
+  // correction is so large that its eps-relative rounding residue alone
+  // exceeds eta (each round shrinks that residue by a factor of ~eps, so a
+  // ~1e308 corruption needs some twenty rounds). A repair that then fails
+  // falls back to rebuild_largest.
+  bool too_large = false;
+  const auto give_up = [&] {
+    if (too_large) {
+      out.corrected = rebuild_largest(stored, data, stride, w, n, eta,
+                                      out.applied);
+    }
+    return out;
+  };
   for (int iter = 0; iter < max_iters; ++iter) {
     const DualSum cur = dual_weighted_sum(w, data, n, stride);
+    too_large = too_large || !finite(cur);
     const LocateResult loc = locate_single_error(stored, cur, w, n, eta);
     if (!loc.mismatch) {
       out.corrected = out.mismatch;  // clean now (trivially true if never bad)
       return out;
     }
     out.mismatch = true;
-    if (!loc.valid) return out;  // not localizable
+    if (!loc.valid) return give_up();  // not localizable
+    too_large = too_large ||
+                kEpsilon * std::abs(cur.plain - stored.plain) > eta;
     apply_correction(data, stride, loc);
     out.applied.add(loc.index, loc.delta);
     ++out.iterations;
@@ -63,7 +124,7 @@ RepairResult repair_single_error(const DualSum& stored, cplx* data,
   const DualSum cur = dual_weighted_sum(w, data, n, stride);
   out.corrected =
       !locate_single_error(stored, cur, w, n, eta).mismatch;
-  return out;
+  return out.corrected ? out : give_up();
 }
 
 void input_slot_checksums(const cplx* x, std::size_t rows, std::size_t width,

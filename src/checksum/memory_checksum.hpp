@@ -51,8 +51,13 @@ struct RepairResult {
 /// the corruption is huge (an exponent-bit flip), the first recovered delta
 /// carries an eps * |corruption| rounding residue that itself exceeds eta;
 /// each round shrinks the residue by ~eps until it vanishes below threshold.
-/// Returns corrected == false when the mismatch is not localizable (more
-/// than one error, or NaN/Inf contamination).
+/// A corruption too large for that (the sums overflow, or one correction's
+/// rounding residue alone exceeds eta — a top exponent-bit flip) that the
+/// rounds fail to repair is retried once as an erasure: the element with
+/// the largest weighted term is rebuilt from the plain sum of the others
+/// and kept only if both dual residuals then clear eta. Returns
+/// corrected == false when the mismatch is not localizable (more than one
+/// error, or an erasure rebuild that does not verify).
 [[nodiscard]] RepairResult repair_single_error(const DualSum& stored,
                                                cplx* data, std::size_t stride,
                                                const cplx* w, std::size_t n,

@@ -3,12 +3,16 @@
 // The p simulated ranks are p work items per phase on a BatchEngine, and
 // the three transposes are direct cache-blocked copies between shared
 // arrays: rank r's "receive of block q" is a single pass that copies
-// in[q] -> out[r], generates the sender's dual message checksum inside
-// that copy (checksum::copy_dual_sum, the communication analogue of the
-// sequential schemes' staged-copy fusion) and verifies it on the receiver
-// side. Phases chain through BatchFuture::then callbacks, so a submission
-// never blocks a caller thread and consecutive huge transforms pipeline
-// across the pool.
+// in[q] -> out[r] and generates the sender's message trailer inside that
+// copy (checksum::copy_dual_sum, the communication analogue of the
+// sequential schemes' staged-copy fusion). A message is the block, its
+// dual sums (or, under a multi-error budget, 2t syndrome moments taken
+// over the copy) and the sender's block energy; the receiver verifies the
+// block against a threshold scaled by that energy, so no rank sweeps a
+// slice just to size a threshold. Phase 3 reuses the sums and energies of
+// its p copies as the final-output guards of the local adjust. Phases
+// chain through BatchFuture::then callbacks, so a submission never blocks a
+// caller thread and consecutive huge transforms pipeline across the pool.
 //
 // Determinism contract (tested by ShardedMatchesReferenceBitExact): every
 // rank writes only its own slice and accumulator slots, so the spectrum
@@ -188,16 +192,6 @@ void verify_block(cplx* block, std::size_t len, const abft::StoredSums& stored,
       "block transpose: received block failed verification beyond repair");
 }
 
-/// Memory-check threshold for one rank's bsz-element blocks, scaled by the
-/// outlier-robust energy of its n_loc-element `slice` (the transposes and
-/// the final-output guard read the slice a transpose is about to send).
-double block_eta(const ParallelPlan& plan, double eta_override,
-                 const cplx* slice) {
-  return abft::threshold(plan.eta_block_coeff(),
-                         checksum::robust_energy(slice, plan.n_loc()),
-                         plan.n_loc(), eta_override);
-}
-
 /// CMCG fused into reception: folds received block `src` (len elements,
 /// one per FFT1 column) into the column checksums s1 += cp[src] x,
 /// s2 += src cp[src] x and energies e += |x|^2.
@@ -260,96 +254,66 @@ void fft1_columns(const ParallelPlan& plan, const ParallelOptions& opts,
   }
 }
 
-/// Final-output guard of the local adjust: dual sums of the p contiguous
-/// bsz-element blocks of a rank's slice, taken before the adjust moves
-/// block q to stride p. Empty unless opts.protect && opts.memory_ft.
-std::vector<checksum::DualSum> adjust_guards(const ParallelPlan& plan,
-                                             const ParallelOptions& opts,
-                                             const cplx* loc) {
-  std::vector<checksum::DualSum> guards;
-  if (!opts.protect || !opts.memory_ft) return guards;
-  guards.resize(plan.p());
-  for (std::size_t q = 0; q < plan.p(); ++q) {
-    guards[q] =
-        checksum::dual_weighted_sum(nullptr, loc + q * plan.bsz(), plan.bsz());
-  }
-  return guards;
-}
-
-/// Verifies the adjusted slice `out` against adjust_guards' sums (a block
-/// keeps its within-block index) and corrects a localized memory fault.
-/// No-op for empty guards.
-void verify_adjusted(cplx* out, const std::vector<checksum::DualSum>& guards,
-                     const ParallelPlan& plan, const ParallelOptions& opts,
-                     abft::Stats& stats) {
-  if (guards.empty()) return;
-  const double eta = block_eta(plan, opts.eta_override, out);
-  for (std::size_t q = 0; q < guards.size(); ++q) {
-    abft::repair_region(
-        {guards[q]}, out + q, plan.p(), nullptr, plan.bsz(), eta,
-        opts.max_retries, abft::RepairTally::of(stats, true),
-        "parallel ABFT: final output memory error not localizable");
-  }
-}
-
 // ----------------------------------------------------------------- phases
 
-/// Complex values a message carries besides its block: none unchecked, the
-/// dual checksum pair at t = 1, the 2t syndrome moments under a
-/// multi-error budget.
-std::size_t trailer_values(const ShardedState& st) {
-  const bool checksums = st.opts.protect && st.opts.memory_ft;
-  return checksums ? 2 * static_cast<std::size_t>(st.plan->max_errors()) : 0;
+/// Bytes one transposed block puts on the link: the block alone unchecked;
+/// with message checksums also the trailer (the dual pair at t = 1, the 2t
+/// syndrome moments under a multi-error budget) and the sender's block
+/// energy, one real that scales the receiver's threshold.
+std::size_t message_bytes(const ShardedState& st) {
+  if (!(st.opts.protect && st.opts.memory_ft)) return st.bsz * sizeof(cplx);
+  const auto trailer = 2 * static_cast<std::size_t>(st.plan->max_errors());
+  return (st.bsz + trailer) * sizeof(cplx) + sizeof(double);
 }
 
 /// One transposed block, pulled straight from the previous phase's shared
-/// array: the copy IS the message. For a checksummed pull the sender dual
-/// checksum is generated inside the copy pass, then the modeled link
-/// corruption, the injected kCommBlock fault and the verification hit the
-/// received data — the in-flight window between sender and receiver.
-void pull_block(ShardedState& st, std::size_t r, std::size_t q,
-                const cplx* src, cplx* dst, bool checksums, double eta,
-                TransposeStats& tstats) {
+/// array: the copy IS the message. A checksummed pull generates the
+/// sender's dual sums and block energy inside the copy pass (under a
+/// multi-error budget the 2t syndrome moments follow over the copied
+/// block), then the modeled link corruption, the injected kCommBlock fault
+/// and the verification hit the received data — the in-flight window
+/// between sender and receiver. Returns the sender's sums and energy; the
+/// resident block (q == r) gets them from the same copy but sends no
+/// message. An unchecked pull returns zeros.
+checksum::DualSumEnergy pull_block(ShardedState& st, std::size_t r,
+                                   std::size_t q, const cplx* src, cplx* dst,
+                                   bool checksums, TransposeStats& tstats) {
   const std::size_t bsz = st.bsz;
-  if (q == r) {  // resident block: no message
-    std::memcpy(dst, src, bsz * sizeof(cplx));
-    return;
-  }
   const NetworkModel& net = st.opts.net;
-  tstats.bytes_sent += (bsz + trailer_values(st)) * sizeof(cplx);
-  // The corruption clock ticks on this rank's receive count across the
-  // whole transform (previous phases live in rank_comm, the current one in
-  // tstats).
-  const auto nth_message = [&] {
-    return st.rank_comm[r].messages_received + tstats.messages_received;
-  };
-  if (!checksums) {
+  checksum::DualSumEnergy sent;
+  if (checksums) {
+    sent.sums = checksum::copy_dual_sum(dst, src, bsz, &sent.energy);
+  } else {
     std::memcpy(dst, src, bsz * sizeof(cplx));
-    ++tstats.messages_received;
-    if (net.corrupt_every != 0 && nth_message() % net.corrupt_every == 0) {
-      corrupt_in_flight(dst);  // silent: nothing verifies this variant
-    }
-    return;
   }
+  if (q == r) return sent;  // resident block: no message
+  tstats.bytes_sent += message_bytes(st);
   const int t_max = st.plan->max_errors();
-  abft::StoredSums stored;
+  abft::StoredSums stored{sent.sums};
   checksum::SyndromeSet syn;
-  if (t_max > 1) {
-    // Multi-error trailer: the "message" carries 2t syndrome moments,
-    // generated over the copied block before the in-flight fault window.
-    std::memcpy(dst, src, bsz * sizeof(cplx));
+  if (checksums && t_max > 1) {
     syn = checksum::syndrome_sum(nullptr, dst, bsz, 1, 2 * t_max,
                                  st.plan->syndrome_nodes_block());
     stored = {{}, &syn, t_max, st.plan->syndrome_nodes_block()};
-  } else {
-    stored.dual = checksum::copy_dual_sum(dst, src, bsz);
   }
+  // The corruption clock ticks on this rank's receive count across the
+  // whole transform (previous phases live in rank_comm, the current one in
+  // tstats).
   ++tstats.messages_received;
-  if (net.corrupt_every != 0 && nth_message() % net.corrupt_every == 0) {
+  const std::size_t nth =
+      st.rank_comm[r].messages_received + tstats.messages_received;
+  if (net.corrupt_every != 0 && nth % net.corrupt_every == 0) {
     corrupt_in_flight(dst);
   }
+  if (!checksums) return sent;  // silent: nothing verifies this variant
   st.injectors[r].apply(fault::Phase::kCommBlock, q, dst, bsz);
-  verify_block(dst, bsz, stored, eta, st.opts.max_retries, tstats);
+  // Scaled by the sender's energy, measured before the in-flight window: a
+  // corruption of the block cannot inflate its own threshold.
+  verify_block(dst, bsz, stored,
+               abft::threshold(st.plan->eta_block_coeff(), sent.energy, bsz,
+                               st.opts.eta_override),
+               st.opts.max_retries, tstats);
+  return sent;
 }
 
 // Phase 1: transpose1 pull + CMCG + FFT1 (bsz p-point column FFTs).
@@ -360,9 +324,6 @@ void phase1(ShardedState& st, std::size_t r, TransposeStats& tstats,
   const std::size_t p = st.p, n_loc = st.n_loc, bsz = st.bsz;
   const bool protect = opts.protect;
   const bool checksums = protect && opts.memory_ft;
-  const double eta =
-      checksums ? block_eta(plan, opts.eta_override, st.in.data() + r * n_loc)
-                : 0.0;
 
   cplx* slice = st.buf1 + r * n_loc;
   scratch::Frame frame;
@@ -373,7 +334,7 @@ void phase1(ShardedState& st, std::size_t r, TransposeStats& tstats,
   for (std::size_t q = 0; q < p; ++q) {
     const cplx* src = st.in.data() + q * n_loc + r * bsz;
     cplx* dst = slice + q * bsz;
-    pull_block(st, r, q, src, dst, checksums, eta, tstats);
+    pull_block(st, r, q, src, dst, checksums, tstats);
     if (protect) {
       // CMCG fused into reception, accumulated in ascending q.
       fold_fft1_checksums(plan, q, dst, bsz, s1.data(), s2.data(),
@@ -412,23 +373,23 @@ void phase2(ShardedState& st, std::size_t r, TransposeStats& tstats,
   const std::size_t p = st.p, n_loc = st.n_loc, bsz = st.bsz;
   const bool protect = opts.protect;
   const bool checksums = protect && opts.memory_ft;
-  const double eta =
-      checksums ? block_eta(plan, opts.eta_override, st.buf1 + r * n_loc)
-                : 0.0;
 
   cplx* slice = st.buf2 + r * n_loc;
+  // Protected, a block is received into the staging buffer and
+  // DMR-twiddled from there into the slice (the DMR multiply needs
+  // disjoint source and destination).
   scratch::Frame frame;
-  cplx* tmp = frame.take<cplx>(bsz).data();
+  cplx* stage = frame.take<cplx>(protect ? bsz : 0).data();
   for (std::size_t q = 0; q < p; ++q) {
     const cplx* src = st.buf1 + q * n_loc + r * bsz;
     cplx* dst = slice + q * bsz;
-    pull_block(st, r, q, src, dst, checksums, eta, tstats);
     const std::size_t j0 = r * q * bsz;
     if (protect) {
-      std::memcpy(tmp, dst, bsz * sizeof(cplx));
+      pull_block(st, r, q, src, stage, checksums, tstats);
       stats.dmr_mismatches += abft::dmr_twiddle_multiply(
-          plan.twiddles(), tmp, 1, dst, bsz, r, j0, q, &st.injectors[r]);
+          plan.twiddles(), stage, 1, dst, bsz, r, j0, q, &st.injectors[r]);
     } else {
+      pull_block(st, r, q, src, dst, checksums, tstats);
       abft::twiddle_multiply(plan.twiddles(), dst, bsz, r, j0);
     }
   }
@@ -446,25 +407,26 @@ void phase2(ShardedState& st, std::size_t r, TransposeStats& tstats,
 }
 
 // Phase 3: transpose3 pull + cache-blocked local adjust with per-block
-// memory guards over the final output.
+// memory guards over the final output. The guards are the sums and
+// energies the p copies returned: block q keeps its within-block index
+// when the adjust moves it to stride p.
 void phase3(ShardedState& st, std::size_t r, TransposeStats& tstats,
             abft::Stats& stats) {
   const ParallelOptions& opts = st.opts;
   const ParallelPlan& plan = *st.plan;
   const std::size_t p = st.p, n_loc = st.n_loc, bsz = st.bsz;
   const bool checksums = opts.protect && opts.memory_ft;
-  const double eta =
-      checksums ? block_eta(plan, opts.eta_override, st.buf2 + r * n_loc)
-                : 0.0;
 
   scratch::Frame frame;
   cplx* loc = frame.take<cplx>(n_loc).data();
+  const std::span<checksum::DualSumEnergy> guards =
+      frame.take<checksum::DualSumEnergy>(checksums ? p : 0);
   for (std::size_t q = 0; q < p; ++q) {
     const cplx* src = st.buf2 + q * n_loc + r * bsz;
-    pull_block(st, r, q, src, loc + q * bsz, checksums, eta, tstats);
+    const auto sent = pull_block(st, r, q, src, loc + q * bsz, checksums,
+                                 tstats);
+    if (checksums) guards[q] = sent;
   }
-
-  const auto guards = adjust_guards(plan, opts, loc);
 
   // bsz x p scatter into natural order, u-chunked so the p-strided write
   // window (p * tu * 16 bytes) stays L1-resident instead of touching p
@@ -482,7 +444,14 @@ void phase3(ShardedState& st, std::size_t r, TransposeStats& tstats,
   }
   st.injectors[r].apply(fault::Phase::kFinalOutput, 0, out, n_loc);
 
-  verify_adjusted(out, guards, plan, opts, stats);
+  for (std::size_t q = 0; q < guards.size(); ++q) {
+    abft::repair_region(
+        {guards[q].sums}, out + q, p, nullptr, bsz,
+        abft::threshold(plan.eta_block_coeff(), guards[q].energy, bsz,
+                        opts.eta_override),
+        opts.max_retries, abft::RepairTally::of(stats, true),
+        "parallel ABFT: final output memory error not localizable");
+  }
 }
 
 void run_phase(ShardedState& st, int phase, std::size_t r) {
@@ -514,9 +483,7 @@ void run_phase(ShardedState& st, int phase, std::size_t r) {
 
   // Modeled communication of this rank's p-1 exchanges, plus the
   // straggler penalty.
-  const std::size_t payload = st.bsz + trailer_values(st);
-  double comm =
-      static_cast<double>(st.p - 1) * net.cost(payload * sizeof(cplx));
+  double comm = static_cast<double>(st.p - 1) * net.cost(message_bytes(st));
   if (r == net.stall_rank) {
     comm += static_cast<double>(st.p - 1) * net.stall_seconds;
   }

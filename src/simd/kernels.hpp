@@ -46,22 +46,22 @@ struct ChecksumKernels {
   checksum::DualSum (*dual_weighted_sum)(const cplx* w, const cplx* x,
                                          std::size_t n);
   double (*energy)(const cplx* x, std::size_t n);
-  double (*robust_energy)(const cplx* x, std::size_t n);
   checksum::SumEnergy (*weighted_sum_energy)(const cplx* w, const cplx* x,
                                              std::size_t n);
   checksum::DualSumEnergy (*dual_weighted_sum_energy)(const cplx* w,
                                                       const cplx* x,
                                                       std::size_t n);
   cplx (*omega3_weighted_sum)(const cplx* x, std::size_t n);
-  /// dst = src copied in one pass, fused with the all-ones dual checksum of
-  /// the stream. Keeps the exact accumulator structure of
-  /// dual_weighted_sum(nullptr, ...), so the sums are bit-identical to the
-  /// separate sweep on the same backend — the parallel six-step path uses
-  /// this so the transpose message checksum rides the pack/unpack copy
-  /// instead of re-reading the block (PR 6's staging-copy trick applied to
+  /// dst = src copied in one pass, fused with the all-ones dual checksum and
+  /// the energy of the stream (stored to *energy unless null). Keeps the
+  /// exact accumulator structures of dual_weighted_sum(nullptr, ...) and
+  /// energy(), so both are bit-identical to the separate sweeps on the same
+  /// backend — the parallel six-step path uses this so the transpose
+  /// message checksum and its threshold scale ride the pack/unpack copy
+  /// instead of re-reading the block (the staging-copy trick applied to
   /// communication).
   checksum::DualSum (*copy_dual_sum)(cplx* dst, const cplx* src,
-                                     std::size_t n);
+                                     std::size_t n, double* energy);
   /// out[m] = sum_j u_j^m * w_j * x_j for m in [0, moments), the 2t moment
   /// sums of the multi-error syndromes (checksum/multi_error.hpp). nodes2 is
   /// the duplicated node table from shared_syndrome_nodes(n); w == nullptr

@@ -215,7 +215,6 @@ constexpr ChecksumKernels kAvx2Checksum = {
     impl::k_weighted_sum<V>,
     impl::k_dual_weighted_sum<V>,
     impl::k_energy<V>,
-    impl::k_robust_energy<V>,
     impl::k_weighted_sum_energy<V>,
     impl::k_dual_weighted_sum_energy<V>,
     impl::k_omega3_weighted_sum<V>,

@@ -41,6 +41,18 @@ cplx k_weighted_sum(const cplx* w, const cplx* x, std::size_t n) {
   return acc;
 }
 
+/// Scalar tail step of every dual-sum kernel: adds term p of index j.
+/// Kept out of line so all callers of one backend share a single body — a
+/// backend TU compiled with FMA contraction could otherwise contract the
+/// inlined copies differently, and copy_dual_sum's sums must stay
+/// bit-identical to dual_weighted_sum's.
+template <class V>
+[[gnu::noinline]] void k_dual_tail(checksum::DualSum& out, cplx p,
+                                   std::size_t j) {
+  out.plain += p;
+  out.indexed += static_cast<double>(j) * p;
+}
+
 template <class V>
 checksum::DualSum k_dual_weighted_sum(const cplx* w, const cplx* x,
                                       std::size_t n) {
@@ -90,9 +102,7 @@ checksum::DualSum k_dual_weighted_sum(const cplx* w, const cplx* x,
   out.plain = (p0 + p1).hsum();
   out.indexed = (i0 + i1).hsum();
   for (; j < n; ++j) {
-    const cplx p = w == nullptr ? x[j] : cmul(w[j], x[j]);
-    out.plain += p;
-    out.indexed += static_cast<double>(j) * p;
+    k_dual_tail<V>(out, w == nullptr ? x[j] : cmul(w[j], x[j]), j);
   }
   return out;
 }
@@ -135,16 +145,20 @@ void k_syndrome_dot(const cplx* w, const cplx* x, const double* nodes2,
   for (int m = 0; m < moments; ++m) out[m] = sums[m];
 }
 
-/// dst = src with the all-ones dual checksum accumulated on the same pass.
-/// Mirrors k_dual_weighted_sum's w == nullptr branch exactly (same
+/// dst = src with the all-ones dual checksum and the energy of the stream
+/// accumulated on the same pass. The sums mirror k_dual_weighted_sum's
+/// w == nullptr branch exactly and the energy mirrors k_energy (same
 /// accumulator registers, same lane order), with a store added per load, so
-/// the returned sums are bit-identical to dual_weighted_sum(nullptr, src, n)
-/// on the same backend. dst and src must not overlap.
+/// both are bit-identical to the separate sweeps on the same backend. The
+/// energy is written to *energy unless energy is null. dst and src must not
+/// overlap.
 template <class V>
-checksum::DualSum k_copy_dual_sum(cplx* dst, const cplx* src, std::size_t n) {
+checksum::DualSum k_copy_dual_sum(cplx* dst, const cplx* src, std::size_t n,
+                                  double* energy) {
   constexpr std::size_t W = V::width;
   V p0 = V::zero(), p1 = V::zero();
   V i0 = V::zero(), i1 = V::zero();
+  V e0 = V::zero(), e1 = V::zero();
   V j0 = V::first_index();
   V j1 = j0 + V::index_step();
   const V step2 = V::index_step() + V::index_step();
@@ -158,6 +172,8 @@ checksum::DualSum k_copy_dual_sum(cplx* dst, const cplx* src, std::size_t n) {
     p1 = p1 + v1;
     i0 = v0.fmadd_elem(j0, i0);
     i1 = v1.fmadd_elem(j1, i1);
+    e0 = v0.fmadd_elem(v0, e0);
+    e1 = v1.fmadd_elem(v1, e1);
     j0 = j0 + step2;
     j1 = j1 + step2;
   }
@@ -166,17 +182,20 @@ checksum::DualSum k_copy_dual_sum(cplx* dst, const cplx* src, std::size_t n) {
     v0.store(dst + j);
     p0 = p0 + v0;
     i0 = v0.fmadd_elem(j0, i0);
+    e0 = v0.fmadd_elem(v0, e0);
     j0 = j0 + V::index_step();
   }
   checksum::DualSum out;
   out.plain = (p0 + p1).hsum();
   out.indexed = (i0 + i1).hsum();
+  double e = (e0 + e1).hsum_slots();
   for (; j < n; ++j) {
     const cplx v = src[j];
     dst[j] = v;
-    out.plain += v;
-    out.indexed += static_cast<double>(j) * v;
+    k_dual_tail<V>(out, v, j);
+    e += norm2(v);
   }
+  if (energy != nullptr) *energy = e;
   return out;
 }
 
@@ -199,76 +218,6 @@ double k_energy(const cplx* x, std::size_t n) {
   double acc = (a0 + a1).hsum_slots();
   for (; j < n; ++j) acc += norm2(x[j]);
   return acc;
-}
-
-/// Finds max |x_j|^2 and its first index. Per lane-stream the compare is
-/// strict, and ties across streams resolve to the smaller index, so the
-/// result matches a left-to-right scalar scan.
-template <class V>
-void k_find_max_norm2(const cplx* x, std::size_t n, double& max_out,
-                      std::size_t& idx_out) {
-  constexpr std::size_t W = V::width;
-  V maxv = V::broadcast(cplx{-1.0, -1.0});
-  V idxv = V::zero();
-  V jv = V::first_index();
-  std::size_t j = 0;
-  for (; j + W <= n; j += W) {
-    const V nd = V::norm2_dup(V::load(x + j));
-    const V m = V::cmp_gt(nd, maxv);
-    maxv = V::blend(maxv, nd, m);
-    idxv = V::blend(idxv, jv, m);
-    jv = jv + V::index_step();
-  }
-  double best = -1.0;
-  std::size_t bi = 0;
-  if (j > 0) {
-    double mraw[2 * W];
-    double iraw[2 * W];
-    maxv.store_raw(mraw);
-    idxv.store_raw(iraw);
-    for (std::size_t s = 0; s < W; ++s) {
-      const double cand = mraw[2 * s];
-      const auto cidx = static_cast<std::size_t>(iraw[2 * s]);
-      if (cand > best || (cand == best && cidx < bi)) {
-        best = cand;
-        bi = cidx;
-      }
-    }
-  }
-  for (; j < n; ++j) {
-    const double e = norm2(x[j]);
-    if (e > best) {
-      best = e;
-      bi = j;
-    }
-  }
-  max_out = best < 0.0 ? 0.0 : best;
-  idx_out = bi;
-}
-
-/// Energy over [0, n) excluding element `skip` (summed, not subtracted
-/// afterwards: a huge outlier would absorb the rest of the sum — see
-/// checksum/dot.cpp).
-template <class V>
-double k_energy_excluding(const cplx* x, std::size_t n, std::size_t skip) {
-  constexpr std::size_t W = V::width;
-  const std::size_t a = skip / W * W;          // chunk holding `skip`
-  const std::size_t b = a + W < n ? a + W : n;  // first element after it
-  double acc = k_energy<V>(x, a);
-  for (std::size_t j = a; j < b; ++j) {
-    if (j != skip) acc += norm2(x[j]);
-  }
-  acc += k_energy<V>(x + b, n - b);
-  return acc;
-}
-
-template <class V>
-double k_robust_energy(const cplx* x, std::size_t n) {
-  if (n == 0) return 0.0;
-  double mx;
-  std::size_t ti;
-  k_find_max_norm2<V>(x, n, mx, ti);
-  return k_energy_excluding<V>(x, n, ti);
 }
 
 template <class V>
@@ -340,9 +289,7 @@ checksum::DualSumEnergy k_dual_weighted_sum_energy(const cplx* w,
   out.sums.indexed = (i0 + i1).hsum();
   out.energy = (e0 + e1).hsum_slots();
   for (; j < n; ++j) {
-    const cplx p = w == nullptr ? x[j] : cmul(w[j], x[j]);
-    out.sums.plain += p;
-    out.sums.indexed += static_cast<double>(j) * p;
+    k_dual_tail<V>(out.sums, w == nullptr ? x[j] : cmul(w[j], x[j]), j);
     out.energy += norm2(x[j]);
   }
   return out;

@@ -4,8 +4,8 @@
 // re,im,re,im,...) into one register and exposes the small op set the
 // kernel templates in kernels_impl.hpp need: loads/stores, add/sub, complex
 // multiply, +/-i rotation, elementwise (real) FMA for energy and
-// index-weighted sums, the compare/blend pair the argmax trackers use, and
-// the pointer gather + lane compare of the DMR twiddle kernel.
+// index-weighted sums, and the pointer gather + lane compare of the DMR
+// twiddle kernel.
 //
 // Backends:
 //   ScalarVec - width 1, plain std::complex arithmetic. This is the
@@ -107,21 +107,6 @@ struct ScalarVec {
   static ScalarVec first_index() noexcept { return {cplx{0.0, 0.0}}; }
   static ScalarVec index_step() noexcept { return {cplx{1.0, 1.0}}; }
 
-  /// Per lane: both slots replaced by re^2 + im^2 of that lane.
-  static ScalarVec norm2_dup(ScalarVec x) noexcept {
-    const double n = norm2(x.v);
-    return {cplx{n, n}};
-  }
-  /// All-ones mask per slot where a > b.
-  static ScalarVec cmp_gt(ScalarVec a, ScalarVec b) noexcept {
-    return {cplx{a.v.real() > b.v.real() ? 1.0 : 0.0,
-                 a.v.imag() > b.v.imag() ? 1.0 : 0.0}};
-  }
-  /// mask-slot nonzero ? b : a.
-  static ScalarVec blend(ScalarVec a, ScalarVec b, ScalarVec mask) noexcept {
-    return {cplx{mask.v.real() != 0.0 ? b.v.real() : a.v.real(),
-                 mask.v.imag() != 0.0 ? b.v.imag() : a.v.imag()}};
-  }
   /// True iff every slot of a compares equal (IEEE ==) to b's: the DMR
   /// lane compare (NaN never matches, -0.0 matches +0.0, like cplx ==).
   static bool all_eq(ScalarVec a, ScalarVec b) noexcept { return a.v == b.v; }
@@ -226,16 +211,6 @@ struct Avx2Vec {
   }
   static Avx2Vec index_step() noexcept { return {_mm256_set1_pd(2.0)}; }
 
-  static Avx2Vec norm2_dup(Avx2Vec x) noexcept {
-    const __m256d sq = _mm256_mul_pd(x.v, x.v);
-    return {_mm256_hadd_pd(sq, sq)};  // [n0, n0, n1, n1]
-  }
-  static Avx2Vec cmp_gt(Avx2Vec a, Avx2Vec b) noexcept {
-    return {_mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ)};
-  }
-  static Avx2Vec blend(Avx2Vec a, Avx2Vec b, Avx2Vec mask) noexcept {
-    return {_mm256_blendv_pd(a.v, b.v, mask.v)};
-  }
   static bool all_eq(Avx2Vec a, Avx2Vec b) noexcept {
     return _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_EQ_OQ)) == 0xF;
   }
@@ -327,16 +302,6 @@ struct NeonVec {
   static NeonVec first_index() noexcept { return zero(); }
   static NeonVec index_step() noexcept { return {vdupq_n_f64(1.0)}; }
 
-  static NeonVec norm2_dup(NeonVec x) noexcept {
-    const float64x2_t sq = vmulq_f64(x.v, x.v);
-    return {vpaddq_f64(sq, sq)};  // [n, n]
-  }
-  static NeonVec cmp_gt(NeonVec a, NeonVec b) noexcept {
-    return {vreinterpretq_f64_u64(vcgtq_f64(a.v, b.v))};
-  }
-  static NeonVec blend(NeonVec a, NeonVec b, NeonVec mask) noexcept {
-    return {vbslq_f64(vreinterpretq_u64_f64(mask.v), b.v, a.v)};
-  }
   static bool all_eq(NeonVec a, NeonVec b) noexcept {
     const uint64x2_t eq = vceqq_f64(a.v, b.v);
     return (vgetq_lane_u64(eq, 0) & vgetq_lane_u64(eq, 1)) == ~0ull;

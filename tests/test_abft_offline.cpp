@@ -329,6 +329,36 @@ TEST(OfflineAbft, ExponentBitFlipOutsideUpdateGateReexecutes) {
   EXPECT_EQ(stats.verifications, 2u);
 }
 
+TEST(OfflineAbft, TopExponentBitFlipIsRebuiltAsAnErasure) {
+  // Bit 62 of a component in (-1, 1) scales it by 2^1024 (~1e308): the
+  // weighted sums overflow, so the element cannot be located from the dual
+  // ratio. It is rebuilt from the plain checksum of the others instead and
+  // the transform re-executed over the repaired input.
+  for (std::size_t n : {std::size_t{512}, std::size_t{4096}}) {
+    for (bool imag_part : {false, true}) {
+      auto x = random_vector(n, InputDistribution::kUniform, 29);
+      const auto pristine = x;
+      Injector inj;
+      inj.schedule(FaultSpec::bit_flip(Phase::kInputAfterChecksum, 0, 100, 62,
+                                       imag_part));
+      Options opts = Options::offline_opt(true);
+      opts.max_correctable_errors = 1;
+      opts.injector = &inj;
+      std::vector<cplx> out(n);
+      Stats stats;
+      abft::offline_transform(x.data(), out.data(), n, opts, stats);
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   (imag_part ? " imag" : " real"));
+      expect_near_plain_fft(pristine, out);
+      expect_repaired(x, pristine);
+      EXPECT_EQ(inj.fired_count(), 1u);
+      EXPECT_EQ(stats.mem_errors_detected, 1u);
+      EXPECT_EQ(stats.mem_errors_corrected, 1u);
+      EXPECT_EQ(stats.full_restarts, 1u);
+    }
+  }
+}
+
 TEST(OfflineAbft, FailedUpdateRecheckFallsBackToReexecution) {
   // The output fault survives the input update, so the re-check fails and
   // the transform runs again.

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -164,6 +166,43 @@ TEST(ParallelFft, CommunicationFaultCorrected) {
   EXPECT_EQ(report.comm_stats.comm_errors_corrected, 1u);
 }
 
+TEST(ParallelFft, CommFaultCorrectedWhenReceiverSliceIsQuiet) {
+  // Input only in the first quarter: ranks 8 and 10 own all-zero input
+  // slices but receive nonzero blocks from ranks 1 and 3 in transpose 1.
+  // The message threshold must follow the block's own (sender-measured)
+  // energy, not the receiver's slice, or the repair residue of a large
+  // fault fails a threshold sized for zeros.
+  const std::size_t p = 16, n = std::size_t{1} << 16;
+  std::vector<cplx> x(n, cplx{0.0, 0.0});
+  Rng rng(51);
+  for (std::size_t j = 0; j < n / 4; ++j) {
+    x[j] = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+  }
+  for (const auto& [rank, unit] :
+       std::vector<std::pair<std::size_t, std::size_t>>{{8, 1}, {10, 3}}) {
+    ParallelReport report;
+    const auto got =
+        parallel::submit_parallel(
+            p, x, ParallelOptions::opt_ft_fftw(),
+            [rank = rank, unit = unit](std::size_t r, fault::Injector& inj) {
+              if (r == rank) {
+                inj.schedule(fault::FaultSpec::computational(
+                    fault::Phase::kCommBlock, unit, 7, {50.0, -50.0}));
+              }
+            })
+            .get(&report);
+    EXPECT_EQ(report.comm_stats.comm_errors_detected, 1u) << "rank " << rank;
+    EXPECT_EQ(report.comm_stats.comm_errors_corrected, 1u) << "rank " << rank;
+    const auto want = fft::fft(x);
+    double peak = 0.0, err = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      peak = std::max(peak, std::abs(want[j]));
+      err = std::max(err, std::abs(got[j] - want[j]));
+    }
+    EXPECT_LE(err, 1e-9 * peak) << "rank " << rank;
+  }
+}
+
 TEST(ParallelFft, FinalOutputMemoryFaultCorrected) {
   const std::size_t p = 4, n = 1024;
   auto x = random_vector(n, InputDistribution::kUniform, 39);
@@ -222,26 +261,27 @@ TEST(ParallelFft, ReportsCommunicationBytes) {
   opts.max_correctable_errors = 1;
   ParallelReport report;
   parallel::submit_parallel(p, x, opts).get(&report);
-  // Three transposes, each sending (p-1) blocks of (bsz + 2) complex.
+  // Three transposes, each sending (p-1) blocks of (bsz + 2) complex plus
+  // the sender's block energy (one double).
   const std::size_t bsz = n / (p * p);
   EXPECT_EQ(report.bytes_per_rank,
-            3 * (p - 1) * (bsz + 2) * sizeof(cplx));
+            3 * (p - 1) * ((bsz + 2) * sizeof(cplx) + sizeof(double)));
 }
 
 TEST(ParallelFft, ChargesTwoTMomentTrailerUnderMultiErrorBudget) {
   // p = 4, N = 1024: each rank sends 3 transposes x 3 blocks of 64 complex
   // values plus the trailer, 2 values (the dual pair) at t = 1 and 2t = 4
-  // syndrome moments at t = 2.
+  // syndrome moments at t = 2, plus the sender's block energy (8 B).
   const std::size_t p = 4, n = 1024;
   auto x = random_vector(n, InputDistribution::kUniform, 47);
   ParallelOptions opts = ParallelOptions::opt_ft_fftw();
   ParallelReport report;
   opts.max_correctable_errors = 1;
   parallel::submit_parallel(p, x, opts).get(&report);
-  EXPECT_EQ(report.bytes_per_rank, 9504u);
+  EXPECT_EQ(report.bytes_per_rank, 9576u);
   opts.max_correctable_errors = 2;
   parallel::submit_parallel(p, x, opts).get(&report);
-  EXPECT_EQ(report.bytes_per_rank, 9792u);
+  EXPECT_EQ(report.bytes_per_rank, 9864u);
 }
 
 TEST(ParallelFft, LinkCorruptionCorrectedIdenticallyOnBothPaths) {

@@ -56,7 +56,9 @@ TEST(ShardedFuture, AsyncSubmitCompletesWithReport) {
     EXPECT_GT(report.phases[ph].modeled_comm, 0.0) << "phase " << ph;
   }
   const std::size_t bsz = n / (p * p);
-  EXPECT_EQ(report.bytes_per_rank, 3 * (p - 1) * (bsz + 2) * sizeof(cplx));
+  // Three transposes of p - 1 messages: block, dual pair, block energy.
+  EXPECT_EQ(report.bytes_per_rank,
+            3 * (p - 1) * ((bsz + 2) * sizeof(cplx) + sizeof(double)));
   EXPECT_THROW(parallel::ParallelFuture{}.wait(), std::invalid_argument);
 }
 
@@ -154,7 +156,9 @@ TEST(ShardedCampaign, RankFailureRecoversWithinRestartBudget) {
   EXPECT_EQ(report.comm_stats.comm_errors_detected, 0u);
   // Accumulators were reset on restart: bytes reflect one clean pass.
   const std::size_t bsz = n / (p * p);
-  EXPECT_EQ(report.bytes_per_rank, 3 * (p - 1) * (bsz + 2) * sizeof(cplx));
+  // Three transposes of p - 1 messages: block, dual pair, block energy.
+  EXPECT_EQ(report.bytes_per_rank,
+            3 * (p - 1) * ((bsz + 2) * sizeof(cplx) + sizeof(double)));
 }
 
 TEST(ShardedCampaign, RankFailurePlusTransientFaultStillExact) {
@@ -212,10 +216,12 @@ TEST(ShardedCampaign, OverlapChargesMaxNotSumPerPhase) {
     ParallelReport report;
     const auto got = parallel::submit_parallel(p, x, opts).get(&report);
     expect_matches_sequential(x, got);
-    // Each phase charges every rank p - 1 messages of bsz + 2 values.
+    // Each phase charges every rank p - 1 messages of bsz + 2 values and
+    // the block energy.
     const std::size_t bsz = n / (p * p);
-    const double phase_comm = static_cast<double>(p - 1) *
-                              opts.net.cost((bsz + 2) * sizeof(cplx));
+    const double phase_comm =
+        static_cast<double>(p - 1) *
+        opts.net.cost((bsz + 2) * sizeof(cplx) + sizeof(double));
     for (int ph = 0; ph < 3; ++ph) {
       EXPECT_DOUBLE_EQ(report.phases[ph].modeled_comm, phase_comm);
       EXPECT_LT(report.phases[ph].max_cpu_seconds, phase_comm);

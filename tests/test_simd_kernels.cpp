@@ -114,21 +114,9 @@ TEST(SimdChecksum, EnergyAndRobustVariantsMatchNaive) {
   BackendGuard guard;
   for (std::size_t n : kSizes) {
     auto x = random_vector(n == 0 ? 1 : n, InputDistribution::kUniform, 303);
-    // Plant one large outlier so the robust exclusion actually matters.
+    // One large outlier: the energy and the plain sum must carry it.
     if (n >= 8) x[n / 3] = cplx{1e6, -2e6};
     const double e_all = naive_energy(x.data(), n);
-    double top = -1.0;
-    std::size_t ti = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (norm2(x[j]) > top) {
-        top = norm2(x[j]);
-        ti = j;
-      }
-    }
-    double e_rob = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j != ti) e_rob += norm2(x[j]);
-    }
     cplx plain{0.0, 0.0};
     for (std::size_t j = 0; j < n; ++j) plain += x[j];
     for (Backend b : available_backends()) {
@@ -136,9 +124,6 @@ TEST(SimdChecksum, EnergyAndRobustVariantsMatchNaive) {
       const char* name = simd::backend_name(b);
       EXPECT_LT(std::abs(checksum::energy(x.data(), n) - e_all),
                 1e-11 * (1.0 + e_all))
-          << "n=" << n << " backend=" << name;
-      EXPECT_LT(std::abs(checksum::robust_energy(x.data(), n) - e_rob),
-                1e-11 * (1.0 + e_rob))
           << "n=" << n << " backend=" << name;
       EXPECT_LT(std::abs(checksum::plain_sum(x.data(), n) - plain),
                 1e-11 * (1.0 + std::abs(plain)))
@@ -194,21 +179,37 @@ TEST(SimdChecksum, OddStridesTakeTheScalarPathOnEveryBackend) {
       EXPECT_LT(std::abs(checksum::energy(x.data(), n, stride) - e),
                 1e-11 * (1.0 + e))
           << "stride=" << stride;
-      double top = -1.0;
-      std::size_t ti = 0;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (norm2(x[j * stride]) > top) {
-          top = norm2(x[j * stride]);
-          ti = j;
-        }
-      }
-      double e_rob = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j != ti) e_rob += norm2(x[j * stride]);
-      }
-      EXPECT_LT(std::abs(checksum::robust_energy(x.data(), n, stride) - e_rob),
-                1e-11 * (1.0 + e_rob))
-          << "stride=" << stride;
+    }
+  }
+}
+
+TEST(SimdChecksum, CopyDualSumEnergyMatchesEnergy) {
+  // The transpose copy carries the message's dual sums and the energy that
+  // scales its threshold: the sums must be exactly the separate sweep's,
+  // the energy that of checksum::energy, on every backend and odd tail.
+  BackendGuard guard;
+  for (std::size_t n : kSizes) {
+    const auto x =
+        random_vector(n == 0 ? 1 : n, InputDistribution::kNormal, 707);
+    std::vector<cplx> dst(x.size()), dst2(x.size());
+    for (Backend b : available_backends()) {
+      ASSERT_TRUE(simd::set_backend(b));
+      const char* name = simd::backend_name(b);
+      double e = -1.0;
+      const auto got = checksum::copy_dual_sum(dst.data(), x.data(), n, &e);
+      const auto want = checksum::dual_weighted_sum(nullptr, x.data(), n);
+      EXPECT_EQ(std::memcmp(dst.data(), x.data(), n * sizeof(cplx)), 0)
+          << "n=" << n << " backend=" << name;
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(got)), 0)
+          << "n=" << n << " backend=" << name;
+      const double e_want = checksum::energy(x.data(), n);
+      EXPECT_LE(std::abs(e - e_want), 1e-15 * e_want)
+          << "n=" << n << " backend=" << name;
+      const auto bare = checksum::copy_dual_sum(dst2.data(), x.data(), n);
+      EXPECT_EQ(std::memcmp(&bare, &want, sizeof(bare)), 0)
+          << "n=" << n << " backend=" << name;
+      EXPECT_EQ(std::memcmp(dst2.data(), x.data(), n * sizeof(cplx)), 0)
+          << "n=" << n << " backend=" << name;
     }
   }
 }
