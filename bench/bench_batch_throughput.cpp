@@ -7,8 +7,9 @@
 // transforms/second and the speedup over the serial loop. A second table
 // splits a batch into ABFT setup vs transform time to show the
 // ProtectionPlan amortization (setup once per batch instead of per lane),
-// and a third compares the fused radix-4 in-place kernel against the
-// classic radix-2 schedule on single transforms. A fourth table measures
+// and a third times single transforms on the recursive codelet tree against
+// the in-place engine at 2^7..2^12, the crossover behind
+// fft::kInplaceEngineMinSize. A fourth table measures
 // the async submission pipeline: the same work split into many jobs,
 // submitted blocking one-by-one vs queued all at once through
 // submit_batch futures (workers flow into the next job while stragglers
@@ -26,7 +27,10 @@
 #include "checksum/weights.hpp"
 #include "common/rng.hpp"
 #include "core/ftfft.hpp"
+#include "fft/executor.hpp"
+#include "fft/fft.hpp"
 #include "fft/inplace_radix2.hpp"
+#include "fft/plan.hpp"
 #include "simd/dispatch.hpp"
 
 namespace {
@@ -286,26 +290,38 @@ int main() {
     sched.print();
   }
 
-  std::printf("\nradix-4 vs radix-2 in-place kernel (single transform)\n\n");
-  TablePrinter kernel_table({"n", "radix-2 (us)", "radix-4 (us)", "speedup"});
-  for (std::size_t kn : {1u << 10, 1u << 12, 1u << 14, 1u << 16, 1u << 18}) {
+  // The measurement behind fft::kInplaceEngineMinSize: below the crossover
+  // the recursive codelet tree beats the in-place engine, above it the
+  // engine wins. Both run out of place on the same input.
+  std::printf("\nrecursive tree vs in-place engine (single transform, "
+              "engine from n = %zu)\n\n",
+              fft::kInplaceEngineMinSize);
+  TablePrinter kernel_table(
+      {"n", "tree (us)", "engine (us)", "tree / engine"});
+  for (std::size_t kn = 1u << 7; kn <= 1u << 12; kn *= 2) {
+    const auto tree = fft::make_plan(kn);
     const auto plan = fft::InplaceRadix2Plan::get(kn);
-    auto base = random_vector(kn, InputDistribution::kUniform, 7);
+    const auto base = random_vector(kn, InputDistribution::kUniform, 7);
     std::vector<cplx> work(kn);
+    // Each timed sample runs `calls` transforms so sub-microsecond sizes
+    // stay well above the timer's resolution.
     const int kernel_reps = static_cast<int>(scaled_runs(40));
-    const double t2 = bench::time_best(kernel_reps, [&] {
-      std::copy(base.begin(), base.end(), work.begin());
-      plan->forward_radix2(work.data());
-    });
-    const double t4 = bench::time_best(kernel_reps, [&] {
-      std::copy(base.begin(), base.end(), work.begin());
-      plan->forward(work.data());
-    });
-    char speedup[32];
-    std::snprintf(speedup, sizeof speedup, "%.2f", t2 / t4);
+    const std::size_t calls = (1u << 16) / kn;
+    const double tt = bench::time_best(kernel_reps, [&] {
+      for (std::size_t c = 0; c < calls; ++c) {
+        fft::execute_plan(*tree, base.data(), 1, work.data(), 1, nullptr);
+      }
+    }) / static_cast<double>(calls);
+    const double te = bench::time_best(kernel_reps, [&] {
+      for (std::size_t c = 0; c < calls; ++c) {
+        plan->forward_copy(base.data(), work.data());
+      }
+    }) / static_cast<double>(calls);
+    char ratio[32];
+    std::snprintf(ratio, sizeof ratio, "%.2f", tt / te);
     kernel_table.add_row({bench::size_label(kn),
-                          TablePrinter::fixed(t2 * 1e6, 1),
-                          TablePrinter::fixed(t4 * 1e6, 1), speedup});
+                          TablePrinter::fixed(tt * 1e6, 2),
+                          TablePrinter::fixed(te * 1e6, 2), ratio});
   }
   kernel_table.print();
 

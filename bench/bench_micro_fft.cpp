@@ -7,15 +7,17 @@
 // single-lane SIMD speedup is the ratio of the two rows at equal size.
 #include <benchmark/benchmark.h>
 
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "abft/options.hpp"
 #include "abft/inplace.hpp"
 #include "abft/protected_fft.hpp"
 #include "bench_backend.hpp"
+#include "common/math_util.hpp"
 #include "common/rng.hpp"
 #include "common/tile_transpose.hpp"
+#include "fft/bit_reversal.hpp"
 #include "fft/fft.hpp"
 #include "fft/inplace_radix2.hpp"
 
@@ -39,11 +41,13 @@ void BM_FftForward(benchmark::State& state, bool dispatched) {
 }
 // Every power of two from 2^7 to 2^11, so a snapshot records both sides of
 // fft::Fft's engine crossover (fft::kInplaceEngineMinSize), then every
-// second power up to 2^20.
+// second power up to 2^20, then primes on the Bluestein path, whose
+// power-of-two convolution (256, 512, 16384 and 262144 points) runs on the
+// in-place engine.
 void fft_forward_sizes(benchmark::internal::Benchmark* b) {
   for (std::int64_t n = 1 << 7; n <= 1 << 11; n *= 2) b->Arg(n);
   for (std::int64_t n = 1 << 12; n <= 1 << 20; n *= 4) b->Arg(n);
-  b->Arg(100003);  // prime: the Bluestein path (power-of-two convolution)
+  for (std::int64_t n : {101, 251, 4099, 100003}) b->Arg(n);
 }
 BENCHMARK_CAPTURE(BM_FftForward, scalar, false)->Apply(fft_forward_sizes);
 BENCHMARK_CAPTURE(BM_FftForward, dispatched, true)->Apply(fft_forward_sizes);
@@ -67,47 +71,34 @@ BENCHMARK_CAPTURE(BM_FftInplaceRadix2, dispatched, true)
     ->RangeMultiplier(4)
     ->Range(1 << 10, 1 << 20);
 
-// The retained PR 4 schedule (pair-swap permute + radix-4 stages): the
-// optimized/reference row pair at equal size is the PR 5 speedup.
-void BM_FftInplaceRadix2Reference(benchmark::State& state) {
-  use_backend(state, true);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto x = random_vector(n, InputDistribution::kUniform, 2);
-  const auto plan = fft::InplaceRadix2Plan::get(n);
-  for (auto _ : state) {
-    plan->forward_radix4_reference(x.data());
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_FftInplaceRadix2Reference)
-    ->RangeMultiplier(4)
-    ->Range(1 << 10, 1 << 20);
-
-// Permute-only rows: the scattered pair-swap walk vs the COBRA tiled walk
-// vs COBRA with the opener stage fused into tile write-back. These isolate
-// the former ~35%-of-forward bit-reversal cost as tracked numbers.
+// Permute-only rows: the scattered pair-swap walk the engine runs below
+// its COBRA threshold vs a CobraBitReversal built here with the engine's
+// default tile width, as a pure permutation and with the opener stage fused
+// into tile write-back. These isolate the former ~35%-of-forward
+// bit-reversal cost as tracked numbers.
 void BM_InplacePermute(benchmark::State& state, int mode, bool dispatched) {
   use_backend(state, dispatched);
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto plan = fft::InplaceRadix2Plan::get(n);
-  if (mode > 0 && !plan->cobra_enabled()) {
-    state.SkipWithError("COBRA disabled at this size (below threshold)");
-    return;
+  const unsigned log2n = log2_floor(n);
+  const fft::CobraBitReversal cobra(log2n,
+                                    fft::InplaceTuning{}.cobra_tile_bits);
+  const auto opener = mode < 2 ? fft::CobraBitReversal::Opener::kNone
+                      : (log2n & 1u)
+                          ? fft::CobraBitReversal::Opener::kRadix2Pairs
+                          : fft::CobraBitReversal::Opener::kRadix4First;
+  std::vector<std::size_t> pairs;  // (i, rev(i)) with i < rev(i)
+  for (std::size_t i = 0; mode == 0 && i < n; ++i) {
+    const std::size_t r = fft::reverse_bits(i, log2n);
+    if (i < r) pairs.insert(pairs.end(), {i, r});
   }
   auto x = random_vector(n, InputDistribution::kUniform, 6);
   for (auto _ : state) {
-    switch (mode) {
-      case 0:
-        plan->permute_pairswap(x.data());
-        break;
-      case 1:
-        plan->permute_cobra(x.data());
-        break;
-      default:
-        plan->permute_cobra_fused_opener(x.data());
-        break;
+    if (mode == 0) {
+      for (std::size_t p = 0; p < pairs.size(); p += 2) {
+        std::swap(x[pairs[p]], x[pairs[p + 1]]);
+      }
+    } else {
+      cobra.run(x.data(), opener, /*inverse=*/false);
     }
     benchmark::DoNotOptimize(x.data());
   }
@@ -123,43 +114,6 @@ BENCHMARK_CAPTURE(BM_InplacePermute, cobra, 1, true)
 BENCHMARK_CAPTURE(BM_InplacePermute, cobra_fused_opener, 2, true)
     ->RangeMultiplier(4)
     ->Range(1 << 12, 1 << 20);
-
-// Per-stage-group rows: the cache-blocked small-stage streaming pass vs the
-// whole-array tail passes (radix-16/radix-4 beyond the window). Together
-// with the permute rows these decompose the full forward() cost.
-void BM_InplaceStageGroup(benchmark::State& state, int group,
-                          bool dispatched) {
-  use_backend(state, dispatched);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto plan = fft::InplaceRadix2Plan::get(n);
-  auto x = random_vector(n, InputDistribution::kUniform, 7);
-  if (group == 1) {
-    if (plan->tail_radix16_stages() + plan->tail_radix4_stages() == 0) {
-      state.SkipWithError("no tail at this size (fits the cache window)");
-      return;
-    }
-    std::string label = simd::simd_backend_name();
-    label += " r16x" + std::to_string(plan->tail_radix16_stages()) + " r4x" +
-             std::to_string(plan->tail_radix4_stages());
-    state.SetLabel(label);
-  }
-  for (auto _ : state) {
-    if (group == 0) {
-      plan->blocked_stages_pass(x.data(), /*include_opener=*/true);
-    } else {
-      plan->tail_stages_pass(x.data());
-    }
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK_CAPTURE(BM_InplaceStageGroup, blocked, 0, true)
-    ->RangeMultiplier(4)
-    ->Range(1 << 12, 1 << 20);
-BENCHMARK_CAPTURE(BM_InplaceStageGroup, tail, 1, true)
-    ->RangeMultiplier(4)
-    ->Range(1 << 18, 1 << 20);
 
 void BM_FftBluestein(benchmark::State& state) {
   use_backend(state, true);

@@ -19,40 +19,6 @@ bool finite(const DualSum& s) {
          std::isfinite(s.indexed.real()) && std::isfinite(s.indexed.imag());
 }
 
-/// Erasure repair of a corruption too large to locate iteratively: the
-/// element with the largest weighted term (a non-finite one first) is
-/// rebuilt from the plain sum of the others, (stored.plain -
-/// sum_{i != j} w_i x_i) / w_j, and kept only if both dual residuals then
-/// clear eta; otherwise the element is restored and false returned.
-bool rebuild_largest(const DualSum& stored, cplx* data, std::size_t stride,
-                     const cplx* w, std::size_t n, double eta,
-                     Corrections& applied) {
-  std::size_t j = 0;
-  double top = -1.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double mag =
-        std::abs(data[i * stride]) * (w == nullptr ? 1.0 : std::abs(w[i]));
-    if (!(mag <= top)) {  // NaN wins
-      top = mag;
-      j = i;
-      if (std::isnan(mag)) break;
-    }
-  }
-  cplx& x = data[j * stride];
-  const cplx old = x;
-  x = cplx{0.0, 0.0};
-  const DualSum rest = dual_weighted_sum(w, data, n, stride);
-  x = (stored.plain - rest.plain) / (w == nullptr ? cplx{1.0, 0.0} : w[j]);
-  const DualSum cur = dual_weighted_sum(w, data, n, stride);
-  if (std::abs(cur.plain - stored.plain) <= eta &&
-      std::abs(cur.indexed - stored.indexed) <= eta) {
-    applied.add(j, old - x);
-    return true;
-  }
-  x = old;
-  return false;
-}
-
 }  // namespace
 
 LocateResult locate_single_error(const DualSum& stored, const DualSum& current,
@@ -99,8 +65,12 @@ RepairResult repair_single_error(const DualSum& stored, cplx* data,
   bool too_large = false;
   const auto give_up = [&] {
     if (too_large) {
-      out.corrected = rebuild_largest(stored, data, stride, w, n, eta,
-                                      out.applied);
+      out.corrected =
+          rebuild_largest(stored.plain, data, stride, w, n, out.applied, [&] {
+            const DualSum cur = dual_weighted_sum(w, data, n, stride);
+            return std::abs(cur.plain - stored.plain) <= eta &&
+                   std::abs(cur.indexed - stored.indexed) <= eta;
+          });
     }
     return out;
   };

@@ -182,7 +182,7 @@ MultiLocateResult locate_errors(const SyndromeSet& stored,
     const double a = std::abs(d[m]);
     finite = finite && std::isfinite(a);
     maxd = std::max(maxd, a);
-    any = any || a > eta;
+    any = any || !(a <= eta);  // NaN compares false: a mismatch too
   }
   if (!any) return out;  // within round-off: no mismatch
   out.mismatch = true;
@@ -266,11 +266,32 @@ void apply_corrections(cplx* data, std::size_t stride,
   }
 }
 
+std::size_t largest_weighted_term(const cplx* data, std::size_t stride,
+                                  const cplx* w, std::size_t n) {
+  std::size_t j = 0;
+  double top = -1.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double mag =
+        std::abs(data[i * stride]) * (w == nullptr ? 1.0 : std::abs(w[i]));
+    if (!(mag <= top)) {  // NaN wins
+      top = mag;
+      j = i;
+      if (std::isnan(mag)) break;
+    }
+  }
+  return j;
+}
+
 MultiRepairResult repair_errors(const SyndromeSet& stored, cplx* data,
                                 std::size_t stride, const cplx* w,
                                 std::size_t n, double eta, int max_errors,
                                 int max_iters, const double* nodes2) {
   MultiRepairResult out;
+  const auto verifies = [&] {
+    const SyndromeSet cur =
+        syndrome_sum(w, data, n, stride, stored.moments, nodes2);
+    return !locate_errors(stored, cur, w, n, eta, max_errors).mismatch;
+  };
   for (int iter = 0; iter < max_iters; ++iter) {
     const SyndromeSet cur =
         syndrome_sum(w, data, n, stride, stored.moments, nodes2);
@@ -281,7 +302,22 @@ MultiRepairResult repair_errors(const SyndromeSet& stored, cplx* data,
       return out;
     }
     out.mismatch = true;
-    if (!loc.valid) return out;  // not explainable by <= t errors
+    if (!loc.valid) {
+      // Not explainable by <= t errors. A non-finite element poisons every
+      // moment, so it gets one erasure rebuild instead.
+      bool finite = true;
+      for (int m = 0; m < cur.moments; ++m) {
+        finite = finite && std::isfinite(cur.s[m].real()) &&
+                 std::isfinite(cur.s[m].imag());
+      }
+      if (!finite &&
+          rebuild_largest(stored.s[0], data, stride, w, n, out.applied,
+                          verifies)) {
+        out.corrected = true;
+        out.errors = 1;
+      }
+      return out;
+    }
     apply_corrections(data, stride, loc);
     for (int i = 0; i < loc.count; ++i) {
       out.applied.add(loc.index[i], loc.delta[i]);
@@ -290,9 +326,7 @@ MultiRepairResult repair_errors(const SyndromeSet& stored, cplx* data,
     ++out.iterations;
   }
   // Ran out of iterations: check whether the last correction landed.
-  const SyndromeSet cur =
-      syndrome_sum(w, data, n, stride, stored.moments, nodes2);
-  out.corrected = !locate_errors(stored, cur, w, n, eta, max_errors).mismatch;
+  out.corrected = verifies();
   return out;
 }
 

@@ -31,6 +31,7 @@
 #include <memory>
 #include <vector>
 
+#include "checksum/dot.hpp"
 #include "common/complex.hpp"
 
 namespace ftfft::checksum {
@@ -97,7 +98,8 @@ struct MultiLocateResult {
 };
 
 /// Compares stored vs current syndromes and attempts to locate up to
-/// `max_errors` simultaneous corruptions. Tries error counts e = 1..t in
+/// `max_errors` simultaneous corruptions. A non-finite difference counts as
+/// a mismatch that cannot be located. Tries error counts e = 1..t in
 /// ascending order and accepts the first hypothesis whose reconstruction
 /// explains every moment within tolerance, so a single error decodes
 /// through the same path as the dual-checksum scheme.
@@ -139,6 +141,35 @@ struct Corrections {
   }
 };
 
+/// Index of the element with the largest weighted term |w_j x_j| (w ==
+/// nullptr: all ones), a non-finite one first.
+[[nodiscard]] std::size_t largest_weighted_term(const cplx* data,
+                                                std::size_t stride,
+                                                const cplx* w, std::size_t n);
+
+/// Erasure repair shared by the dual and the syndrome decoder, for a
+/// corruption too large to locate (non-finite data, overflowing sums): the
+/// element with the largest weighted term is rebuilt from the plain sum of
+/// the others, (s0 - sum_{i != j} w_i x_i) / w_j, where s0 is the stored
+/// plain sum. It is kept, and recorded in `applied`, only if `verifies()`
+/// then accepts the data; otherwise it is restored and false returned.
+template <class Verifies>
+bool rebuild_largest(cplx s0, cplx* data, std::size_t stride, const cplx* w,
+                     std::size_t n, Corrections& applied, Verifies verifies) {
+  const std::size_t j = largest_weighted_term(data, stride, w, n);
+  cplx& x = data[j * stride];
+  const cplx old = x;
+  x = cplx{0.0, 0.0};
+  const cplx rest = dual_weighted_sum(w, data, n, stride).plain;
+  x = (s0 - rest) / (w == nullptr ? cplx{1.0, 0.0} : w[j]);
+  if (verifies()) {
+    applied.add(j, old - x);
+    return true;
+  }
+  x = old;
+  return false;
+}
+
 /// Outcome of an iterative multi-error repair session.
 struct MultiRepairResult {
   bool mismatch = false;   ///< syndromes disagreed at least once
@@ -152,9 +183,12 @@ struct MultiRepairResult {
 /// until the recomputed syndromes match `stored` within eta — the same
 /// residue-shrink discipline as repair_single_error: a huge corruption's
 /// first recovered delta carries an eps * |corruption| rounding residue that
-/// itself exceeds eta, and each round shrinks it by ~eps. Returns
-/// corrected == false when the mismatch is not explainable by <= max_errors
-/// corruptions (graceful degradation: detected, uncorrected).
+/// itself exceeds eta, and each round shrinks it by ~eps. A non-finite
+/// mismatch (a NaN or Inf element) that does not decode is retried once as
+/// an erasure (rebuild_largest from S_0), kept only if every stored moment
+/// then matches within eta. Returns corrected == false when the mismatch is
+/// not explainable by <= max_errors corruptions (graceful degradation:
+/// detected, uncorrected).
 [[nodiscard]] MultiRepairResult repair_errors(const SyndromeSet& stored,
                                               cplx* data, std::size_t stride,
                                               const cplx* w, std::size_t n,

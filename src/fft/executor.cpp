@@ -10,22 +10,16 @@ void exec_bluestein(const PlanNode& node, const cplx* in, std::size_t is,
                     cplx* out, std::size_t os, cplx* scratch) {
   const std::size_t n = node.n;
   const std::size_t m = node.conv_n;
-  cplx* a = scratch;          // chirp-premultiplied input, zero padded
-  cplx* fa = scratch + m;     // its transform / convolution workspace
+  // Chirp-premultiplied input, zero padded to the convolution size, then
+  // convolved in place: forward, multiply by the precomputed chirp
+  // transform, inverse (1/m folded into its last stage).
+  cplx* a = scratch;
   for (std::size_t t = 0; t < n; ++t) a[t] = cmul(in[t * is], node.chirp[t]);
   for (std::size_t t = n; t < m; ++t) a[t] = cplx{0.0, 0.0};
-  // Forward transform of a (pow2 plan: no scratch).
-  execute_plan(*node.conv_plan, a, 1, fa, 1, nullptr);
-  // Pointwise multiply with the precomputed chirp transform.
-  for (std::size_t t = 0; t < m; ++t) fa[t] = cmul(fa[t], node.chirp_fft[t]);
-  // Inverse transform via conjugation: ifft(y) = conj(fft(conj(y))) / m.
-  for (std::size_t t = 0; t < m; ++t) fa[t] = std::conj(fa[t]);
-  execute_plan(*node.conv_plan, fa, 1, a, 1, nullptr);
-  const double inv_m = 1.0 / static_cast<double>(m);
-  for (std::size_t j = 0; j < n; ++j) {
-    const cplx conv = std::conj(a[j]) * inv_m;
-    out[j * os] = cmul(conv, node.chirp[j]);
-  }
+  node.conv_plan->forward(a);
+  for (std::size_t t = 0; t < m; ++t) a[t] = cmul(a[t], node.chirp_fft[t]);
+  node.conv_plan->inverse(a);
+  for (std::size_t j = 0; j < n; ++j) out[j * os] = cmul(a[j], node.chirp[j]);
 }
 
 }  // namespace

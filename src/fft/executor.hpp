@@ -2,10 +2,10 @@
 //
 // Scratch contract: `scratch` must point at `plan.scratch_need` writable
 // complex elements (nullptr allowed when scratch_need == 0). Only Bluestein
-// nodes consume scratch — 2*conv_n elements from offset 0 — and a plan tree
-// can never nest one Bluestein inside another (the convolution size is a
-// power of two, which plans to pure Cooley-Tukey), so a single region sized
-// by the tree maximum is sufficient and offsets never collide.
+// nodes consume scratch — conv_n elements from offset 0, convolved in place
+// on the in-place engine, which needs none of its own — and a plan tree can
+// never nest one Bluestein inside another, so a single region sized by the
+// tree maximum is sufficient and offsets never collide.
 #pragma once
 
 #include <cstddef>

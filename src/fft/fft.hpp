@@ -35,7 +35,9 @@ inline constexpr std::size_t kInplaceEngineMinSize = 512;
 /// Reusable n-point transform engine. Powers of two from
 /// kInplaceEngineMinSize up run on the cached InplaceRadix2Plan (outputs
 /// bitwise those of forward_copy() / inverse()); smaller powers of two,
-/// other composites and Bluestein sizes run on the recursive executor.
+/// other composites and Bluestein sizes run on the recursive executor, whose
+/// Bluestein nodes convolve on InplaceRadix2Plan in a conv_n-element scratch
+/// held by the instance.
 class Fft {
  public:
   explicit Fft(std::size_t n, Direction dir = Direction::kForward);
@@ -67,7 +69,7 @@ class Fft {
   Direction dir_;
   std::shared_ptr<const InplaceRadix2Plan> inplace_;  // uses_inplace_engine
   std::shared_ptr<const PlanNode> plan_;              // every other size
-  std::vector<cplx> scratch_;       // Bluestein workspace (often empty)
+  std::vector<cplx> scratch_;       // Bluestein convolution buffer, or empty
   std::vector<cplx> dir_scratch_;   // conjugation / strided-output staging
 };
 

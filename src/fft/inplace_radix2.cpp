@@ -1,5 +1,6 @@
 #include "fft/inplace_radix2.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -10,13 +11,6 @@
 #include "simd/dispatch.hpp"
 
 namespace ftfft::fft {
-
-namespace {
-/// The cache window of the retained PR 4 schedule (2^15 elements = 512 KiB):
-/// the reference path keeps it regardless of tuning so the baseline the
-/// optimized path is measured against stays exactly what PR 4 shipped.
-constexpr unsigned kReferenceBlockLog2 = 15;
-}  // namespace
 
 InplaceRadix2Plan::InplaceRadix2Plan(std::size_t n)
     : InplaceRadix2Plan(n, InplaceTuning{}) {}
@@ -70,24 +64,20 @@ InplaceRadix2Plan::InplaceRadix2Plan(std::size_t n,
   // Split the schedule at the cache window: stages with len <= the window
   // run window-by-window in one streaming pass; the rest stream the whole
   // array once per pass and form the tail.
-  const auto count_blocked = [this](unsigned block_log2) {
-    const std::size_t window = n_ < (std::size_t{1} << block_log2)
-                                   ? n_
-                                   : (std::size_t{1} << block_log2);
-    std::size_t count = 0;
-    while (count < stages_.size() && stages_[count].len <= window) ++count;
-    return count;
-  };
-  blocked_stage_count_ = count_blocked(block_log2_);
-  ref_blocked_stage_count_ = count_blocked(kReferenceBlockLog2);
+  const std::size_t window = std::min(n_, std::size_t{1} << block_log2_);
+  blocked_stage_count_ = 0;
+  while (blocked_stage_count_ < stages_.size() &&
+         stages_[blocked_stage_count_].len <= window) {
+    ++blocked_stage_count_;
+  }
   // Regroup the tail: fuse consecutive radix-4 stage pairs into radix-16
   // passes (four radix-2 levels per stream over the array), leaving at most
   // one radix-4 stage when the tail count is odd. The fused pass runs both
   // stages' exact butterfly sequences on their unchanged twiddle packs, so
-  // it is bit-identical to the reference while halving the streaming
-  // passes. (Three-level radix-8 groups were rejected: they misalign with
-  // the radix-4 pairing, and under FMA a pre-rotated twiddle cannot
-  // reproduce the reference's (x*w)*(-i) rounding.)
+  // it is bit-identical to the two radix-4 passes while halving the
+  // streaming passes. (Three-level radix-8 groups were rejected: they
+  // misalign with the radix-4 pairing, and under FMA a pre-rotated twiddle
+  // cannot reproduce the radix-4 stage's (x*w)*(-i) rounding.)
   const std::size_t t4 = stages_.size() - blocked_stage_count_;
   if (t4 > 0) {
     std::size_t i = blocked_stage_count_;
@@ -115,92 +105,39 @@ InplaceRadix2Plan::InplaceRadix2Plan(std::size_t n,
   }
 }
 
-void InplaceRadix2Plan::permute_pairswap(cplx* data) const {
-  for (std::size_t p = 0; p + 1 < bit_reverse_.size(); p += 2) {
-    std::swap(data[bit_reverse_[p]], data[bit_reverse_[p + 1]]);
+bool InplaceRadix2Plan::permute(const cplx* src, cplx* dst,
+                                bool inverse) const {
+  const auto opener = (log2n_ & 1u) ? CobraBitReversal::Opener::kRadix2Pairs
+                                    : CobraBitReversal::Opener::kRadix4First;
+  // The out-of-place gather only pays when src AND dst together stay
+  // cache-resident (log2n + 1 <= block_log2): there it deletes a whole
+  // read+write sweep. Once the pair spills the cache window the gather's
+  // doubled working set thrashes L2 against the in-place walk's single
+  // array, and memcpy (streaming, no reuse needed) + in-place COBRA wins —
+  // measured crossover matches the window boundary exactly.
+  if (cobra_ && src != dst && log2n_ + 1 <= block_log2_) {
+    cobra_->run_copy(dst, src, opener, inverse);
+    return true;
   }
-}
-
-void InplaceRadix2Plan::permute_cobra(cplx* data) const {
+  if (src != dst) std::memcpy(static_cast<void*>(dst), src, n_ * sizeof(cplx));
   if (cobra_) {
-    cobra_->permute(data);
-  } else {
-    permute_pairswap(data);
+    cobra_->run(dst, opener, inverse);
+    return true;
   }
-}
-
-void InplaceRadix2Plan::permute_cobra_fused_opener(cplx* data) const {
-  if (!cobra_) {
-    throw std::logic_error(
-        "permute_cobra_fused_opener: plan is below the COBRA threshold");
+  // Below the COBRA threshold the array is cache-resident and the
+  // vectorized pair-swap walk beats a scalar per-element gather, so the
+  // copy stays separate — it is cheap at these sizes.
+  for (std::size_t p = 0; p + 1 < bit_reverse_.size(); p += 2) {
+    std::swap(dst[bit_reverse_[p]], dst[bit_reverse_[p + 1]]);
   }
-  cobra_->run(data,
-              (log2n_ & 1u) ? CobraBitReversal::Opener::kRadix2Pairs
-                            : CobraBitReversal::Opener::kRadix4First,
-              /*inverse=*/false);
-}
-
-void InplaceRadix2Plan::run_radix2(cplx* data, bool inverse) const {
-  permute_pairswap(data);
-  // Stage s merges blocks of half = 2^(s-1). The twiddle for butterfly j of
-  // stage s is omega_{2^s}^j = omega_n^(j * n / 2^s).
-  for (unsigned s = 1; s <= log2n_; ++s) {
-    const std::size_t len = std::size_t{1} << s;
-    const std::size_t half = len >> 1;
-    const std::size_t step = n_ >> s;  // twiddle index stride
-    for (std::size_t base = 0; base < n_; base += len) {
-      std::size_t tw = 0;
-      for (std::size_t j = 0; j < half; ++j, tw += step) {
-        const cplx w = inverse ? std::conj(twiddle_half_[tw])
-                               : twiddle_half_[tw];
-        const cplx u = data[base + j];
-        const cplx t = cmul(data[base + j + half], w);
-        data[base + j] = u + t;
-        data[base + j + half] = u - t;
-      }
-    }
-  }
-}
-
-void InplaceRadix2Plan::run_radix4_reference(cplx* data, bool inverse) const {
-  permute_pairswap(data);
-  // Fused stages s and s+1: one pass performs the radix-2 butterflies of
-  // both levels while the four quarter elements are in registers. Within a
-  // block of len = 2^(s+1), butterfly j uses
-  //   w1 = omega_{2^s}^j       (level-s twiddle)
-  //   w2 = omega_{2^(s+1)}^j   (level-(s+1) twiddle)
-  //   omega_{2^(s+1)}^(j+q) = w2 * (-i)  [forward; +i inverse]
-  // both repacked contiguously per stage at construction. The butterfly
-  // passes run through the dispatched SIMD backend; when log2(n) is odd one
-  // level is burned first with the twiddle-free radix-2 pass so the
-  // remaining level count pairs up into radix-4 stages.
-  //
-  // Cache blocking: a stage with len <= the window only ever couples
-  // elements inside an aligned window, so all such stages run to completion
-  // window by window while the window is cache-hot — one streaming pass
-  // over the array instead of one per stage. Blocks are independent, so
-  // this reorders no butterfly's arithmetic: results are bit-identical to
-  // the unblocked schedule. Stages with len > the window (couplings wider
-  // than it) still run as whole-array radix-4 passes here; the optimized
-  // path fuses them pairwise into radix-16 passes instead.
-  blocked_pass(data, inverse, /*skip_opener=*/false, /*scale=*/1.0,
-               kReferenceBlockLog2, ref_blocked_stage_count_);
-  const auto& kernels = simd::fft_kernels();
-  for (std::size_t i = ref_blocked_stage_count_; i < stages_.size(); ++i) {
-    const FusedStage& st = stages_[i];
-    kernels.radix4_stage(data, n_, st.len, stage_twiddles_.data() + st.w1_off,
-                         stage_twiddles_.data() + st.w2_off, inverse, 1.0);
-  }
+  return false;
 }
 
 void InplaceRadix2Plan::blocked_pass(cplx* data, bool inverse,
                                      bool skip_opener, double scale,
-                                     unsigned block_log2,
                                      std::size_t stage_count) const {
   const auto& kernels = simd::fft_kernels();
-  const std::size_t block =
-      n_ < (std::size_t{1} << block_log2) ? n_
-                                          : (std::size_t{1} << block_log2);
+  const std::size_t block = std::min(n_, std::size_t{1} << block_log2_);
   // When the opener was fused into the permutation: for odd log2n it was the
   // radix-2 pair pass, for even log2n it was stages_[0] (len == 4).
   //
@@ -230,12 +167,12 @@ void InplaceRadix2Plan::blocked_pass(cplx* data, bool inverse,
   }
 }
 
-void InplaceRadix2Plan::tail_pass(cplx* data, bool inverse,
-                                  double scale) const {
+void InplaceRadix2Plan::tail_pass(cplx* data, bool inverse, double scale,
+                                  std::size_t stage_count) const {
   const auto& kernels = simd::fft_kernels();
-  for (std::size_t i = 0; i < tail_.size(); ++i) {
+  for (std::size_t i = 0; i < stage_count; ++i) {
     const TailStage& st = tail_[i];
-    const double s = (scale != 1.0 && i + 1 == tail_.size()) ? scale : 1.0;
+    const double s = (scale != 1.0 && i + 1 == stage_count) ? scale : 1.0;
     if (st.radix == 4) {
       kernels.radix4_stage(data, n_, st.len,
                            stage_twiddles_.data() + st.w1a_off,
@@ -250,91 +187,50 @@ void InplaceRadix2Plan::tail_pass(cplx* data, bool inverse,
   }
 }
 
-void InplaceRadix2Plan::run_optimized(cplx* data, bool inverse) const {
+void InplaceRadix2Plan::run(const cplx* src, cplx* dst, bool inverse) const {
   const double scale = inverse ? 1.0 / static_cast<double>(n_) : 1.0;
   // n >= 8 guarantees the final stage is a radix-4/radix-16 pass that can
   // absorb the 1/n factor; below that the separate sweep is free anyway.
   const bool fuse_scale = inverse && n_ >= 8;
-  bool opener_fused = false;
-  if (cobra_) {
-    cobra_->run(data,
-                (log2n_ & 1u) ? CobraBitReversal::Opener::kRadix2Pairs
-                              : CobraBitReversal::Opener::kRadix4First,
-                inverse);
-    opener_fused = true;
-  } else {
-    permute_pairswap(data);
-  }
-  blocked_pass(data, inverse, opener_fused,
-               fuse_scale && tail_.empty() ? scale : 1.0, block_log2_,
+  const bool opener_fused = permute(src, dst, inverse);
+  blocked_pass(dst, inverse, opener_fused,
+               fuse_scale && tail_.empty() ? scale : 1.0,
                blocked_stage_count_);
-  tail_pass(data, inverse, fuse_scale ? scale : 1.0);
+  tail_pass(dst, inverse, fuse_scale ? scale : 1.0, tail_.size());
   if (inverse && !fuse_scale && scale != 1.0) {
-    for (std::size_t i = 0; i < n_; ++i) data[i] *= scale;
+    for (std::size_t i = 0; i < n_; ++i) dst[i] *= scale;
   }
 }
 
 void InplaceRadix2Plan::forward(cplx* data) const {
-  run_optimized(data, false);
+  run(data, data, /*inverse=*/false);
 }
 
 void InplaceRadix2Plan::forward_copy(const cplx* src, cplx* dst) const {
-  bool opener_fused = false;
-  // The out-of-place gather only pays when src AND dst together stay
-  // cache-resident (log2n + 1 <= block_log2): there it deletes a whole
-  // read+write sweep. Once the pair spills the cache window the gather's
-  // doubled working set thrashes L2 against the in-place walk's single
-  // array, and memcpy (streaming, no reuse needed) + in-place COBRA wins —
-  // measured crossover matches the window boundary exactly.
-  if (cobra_ && log2n_ + 1 <= block_log2_) {
-    cobra_->run_copy(dst, src,
-                     (log2n_ & 1u) ? CobraBitReversal::Opener::kRadix2Pairs
-                                   : CobraBitReversal::Opener::kRadix4First,
-                     /*inverse=*/false);
-    opener_fused = true;
-  } else if (cobra_) {
-    std::memcpy(static_cast<void*>(dst), src, n_ * sizeof(cplx));
-    permute_cobra_fused_opener(dst);
-    opener_fused = true;
-  } else {
-    // Below the COBRA threshold the array is cache-resident and the
-    // vectorized pair-swap walk beats a scalar per-element gather, so the
-    // copy stays separate — it is cheap at these sizes.
-    std::memcpy(static_cast<void*>(dst), src, n_ * sizeof(cplx));
-    permute_pairswap(dst);
-  }
-  blocked_pass(dst, /*inverse=*/false, opener_fused, /*scale=*/1.0,
-               block_log2_, blocked_stage_count_);
-  tail_pass(dst, /*inverse=*/false, /*scale=*/1.0);
+  run(src, dst, /*inverse=*/false);
 }
 
-InplaceRadix2Plan::OpenLastStage InplaceRadix2Plan::open_last_stages(
-    cplx* data, bool opener_fused) const {
+void InplaceRadix2Plan::inverse(cplx* data) const {
+  run(data, data, /*inverse=*/true);
+}
+
+InplaceRadix2Plan::OpenLastStage InplaceRadix2Plan::forward_copy_open_last(
+    const cplx* src, cplx* dst) const {
   assert(n_ >= 8);
-  const auto& kernels = simd::fft_kernels();
+  const bool opener_fused = permute(src, dst, /*inverse=*/false);
   const cplx* tw = stage_twiddles_.data();
   if (tail_.empty()) {
     // Single-window schedule: the final stage is the last blocked one
     // (len == n, never the opener at n >= 8), so the windowed pass just
     // stops one stage short.
-    blocked_pass(data, /*inverse=*/false, opener_fused, /*scale=*/1.0,
-                 block_log2_, blocked_stage_count_ - 1);
+    blocked_pass(dst, /*inverse=*/false, opener_fused, /*scale=*/1.0,
+                 blocked_stage_count_ - 1);
     const FusedStage& st = stages_.back();
     return OpenLastStage{4, tw + st.w1_off, tw + st.w2_off, nullptr, nullptr};
   }
-  blocked_pass(data, /*inverse=*/false, opener_fused, /*scale=*/1.0,
-               block_log2_, blocked_stage_count_);
-  for (std::size_t i = 0; i + 1 < tail_.size(); ++i) {
-    const TailStage& st = tail_[i];
-    if (st.radix == 4) {
-      kernels.radix4_stage(data, n_, st.len, tw + st.w1a_off,
-                           tw + st.w2a_off, /*inverse=*/false, 1.0);
-    } else {
-      kernels.radix16_stage(data, n_, st.len, tw + st.w1a_off,
-                            tw + st.w2a_off, tw + st.w1b_off,
-                            tw + st.w2b_off, /*inverse=*/false, 1.0);
-    }
-  }
+  blocked_pass(dst, /*inverse=*/false, opener_fused, /*scale=*/1.0,
+               blocked_stage_count_);
+  tail_pass(dst, /*inverse=*/false, /*scale=*/1.0, tail_.size() - 1);
   const TailStage& st = tail_.back();
   if (st.radix == 4) {
     return OpenLastStage{4, tw + st.w1a_off, tw + st.w2a_off, nullptr,
@@ -342,71 +238,6 @@ InplaceRadix2Plan::OpenLastStage InplaceRadix2Plan::open_last_stages(
   }
   return OpenLastStage{16, tw + st.w1a_off, tw + st.w2a_off,
                        tw + st.w1b_off, tw + st.w2b_off};
-}
-
-InplaceRadix2Plan::OpenLastStage InplaceRadix2Plan::forward_open_last(
-    cplx* data) const {
-  bool opener_fused = false;
-  if (cobra_) {
-    cobra_->run(data,
-                (log2n_ & 1u) ? CobraBitReversal::Opener::kRadix2Pairs
-                              : CobraBitReversal::Opener::kRadix4First,
-                /*inverse=*/false);
-    opener_fused = true;
-  } else {
-    permute_pairswap(data);
-  }
-  return open_last_stages(data, opener_fused);
-}
-
-InplaceRadix2Plan::OpenLastStage InplaceRadix2Plan::forward_copy_open_last(
-    const cplx* src, cplx* dst) const {
-  bool opener_fused = false;
-  // Same permutation choice as forward_copy (and the same crossover
-  // rationale); only the stage schedule afterwards differs.
-  if (cobra_ && log2n_ + 1 <= block_log2_) {
-    cobra_->run_copy(dst, src,
-                     (log2n_ & 1u) ? CobraBitReversal::Opener::kRadix2Pairs
-                                   : CobraBitReversal::Opener::kRadix4First,
-                     /*inverse=*/false);
-    opener_fused = true;
-  } else if (cobra_) {
-    std::memcpy(static_cast<void*>(dst), src, n_ * sizeof(cplx));
-    permute_cobra_fused_opener(dst);
-    opener_fused = true;
-  } else {
-    std::memcpy(static_cast<void*>(dst), src, n_ * sizeof(cplx));
-    permute_pairswap(dst);
-  }
-  return open_last_stages(dst, opener_fused);
-}
-
-void InplaceRadix2Plan::inverse(cplx* data) const {
-  run_optimized(data, true);
-}
-
-void InplaceRadix2Plan::forward_radix2(cplx* data) const {
-  run_radix2(data, false);
-}
-
-void InplaceRadix2Plan::forward_radix4_reference(cplx* data) const {
-  run_radix4_reference(data, false);
-}
-
-void InplaceRadix2Plan::inverse_radix4_reference(cplx* data) const {
-  run_radix4_reference(data, true);
-  const double inv_n = 1.0 / static_cast<double>(n_);
-  for (std::size_t i = 0; i < n_; ++i) data[i] *= inv_n;
-}
-
-void InplaceRadix2Plan::blocked_stages_pass(cplx* data,
-                                            bool include_opener) const {
-  blocked_pass(data, /*inverse=*/false, /*skip_opener=*/!include_opener,
-               /*scale=*/1.0, block_log2_, blocked_stage_count_);
-}
-
-void InplaceRadix2Plan::tail_stages_pass(cplx* data) const {
-  tail_pass(data, /*inverse=*/false, /*scale=*/1.0);
 }
 
 std::size_t InplaceRadix2Plan::tail_radix16_stages() const noexcept {

@@ -7,7 +7,6 @@
 #include "common/math_util.hpp"
 #include "common/plan_registry.hpp"
 #include "dft/codelets.hpp"
-#include "fft/executor.hpp"
 
 namespace ftfft::fft {
 namespace {
@@ -67,13 +66,12 @@ std::shared_ptr<const PlanNode> build_bluestein(std::size_t n) {
     b[t] = std::conj(node->chirp[t]);
     b[node->conv_n - t] = std::conj(node->chirp[t]);
   }
-  node->conv_plan = build_plan(node->conv_n);
-  // conv_n is a power of two, so conv_plan needs no scratch of its own and
-  // the Bluestein scratch layout in the executor (2 * conv_n) is exact.
+  // The in-place engine needs no scratch of its own, so the convolution
+  // buffer (conv_n elements, see executor.hpp) is the whole need.
+  node->conv_plan = InplaceRadix2Plan::get(node->conv_n);
   node->chirp_fft.resize(node->conv_n);
-  execute_plan(*node->conv_plan, b.data(), 1, node->chirp_fft.data(), 1,
-               nullptr);
-  node->scratch_need = 2 * node->conv_n;
+  node->conv_plan->forward_copy(b.data(), node->chirp_fft.data());
+  node->scratch_need = node->conv_n;
   return node;
 }
 
@@ -98,7 +96,7 @@ void collect_plan_state(const PlanNode& node, StateSpans& out) {
   out.add_vec(node.chirp);
   out.add_vec(node.chirp_fft);
   if (node.sub) collect_plan_state(*node.sub, out);
-  if (node.conv_plan) collect_plan_state(*node.conv_plan, out);
+  if (node.conv_plan) node.conv_plan->collect_state(out);
 }
 
 namespace {
@@ -138,7 +136,7 @@ std::string describe_plan(const PlanNode& node) {
         break;
       case PlanNode::Kind::kBluestein:
         out << "bluestein(n=" << cur->n << ",conv=" << cur->conv_n << ")";
-        cur = cur->conv_plan.get();
+        cur = nullptr;
         break;
     }
   }

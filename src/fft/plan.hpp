@@ -5,15 +5,17 @@
 //   * kCooleyTukey  - n = r*m: r sub-DFTs of size m (stride r), twiddle,
 //                     m combine-DFTs of size r,
 //   * kBluestein    - chirp-z reformulation for sizes with a large prime
-//                     factor; internally a power-of-two convolution.
+//                     factor; internally a power-of-two convolution run on
+//                     the in-place engine (fft/inplace_radix2.hpp).
 //
 // Plans are shape-only (twiddle tables included, no workspace), so they are
 // immutable after construction and safely shared across threads; per-call
 // scratch lives in the Fft executor object (src/fft/fft.hpp).
 //
 // fft::Fft builds no tree for powers of two from fft::kInplaceEngineMinSize
-// up (those run on fft/inplace_radix2.hpp); Bluestein's power-of-two
-// convolution (conv_plan) is still a tree at any size.
+// up (those run on fft/inplace_radix2.hpp), and Bluestein's power-of-two
+// convolution (conv_plan) runs on that engine at every size, so every
+// power-of-two FFT of 512 points or more takes one code path.
 //
 // The online ABFT scheme (src/abft) performs the *top-level* m*k split
 // itself — mirroring how the paper instruments FFTW's first decomposition
@@ -27,6 +29,7 @@
 
 #include "common/complex.hpp"
 #include "common/seal.hpp"
+#include "fft/inplace_radix2.hpp"
 
 namespace ftfft::fft {
 
@@ -48,7 +51,7 @@ struct PlanNode {
   std::size_t conv_n = 0;                   ///< power-of-two convolution size
   std::vector<cplx> chirp;                  ///< c[t] = exp(-pi i t^2 / n)
   std::vector<cplx> chirp_fft;              ///< FFT_conv_n of padded conj chirp
-  std::shared_ptr<const PlanNode> conv_plan;  ///< pow2 plan of size conv_n
+  std::shared_ptr<const InplaceRadix2Plan> conv_plan;  ///< size conv_n
 
   /// Scratch (complex elements) needed to execute this subtree. Nonzero only
   /// when a Bluestein node exists below; see executor.hpp for the layout
@@ -57,8 +60,9 @@ struct PlanNode {
 };
 
 /// Appends every twiddle/chirp table in the subtree rooted at `node` to
-/// `out` (recursing through sub and conv_plan). This is the span set sealed
-/// by the fft-plan registry: flipping any cached table bit changes the seal.
+/// `out` (recursing through sub, and sealing conv_plan through its
+/// collect_state). This is the span set sealed by the fft-plan registry:
+/// flipping any cached table bit changes the seal.
 void collect_plan_state(const PlanNode& node, StateSpans& out);
 
 /// Builds (or fetches from the process-wide cache) the plan for an n-point

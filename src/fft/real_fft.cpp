@@ -28,11 +28,17 @@ void RealFftPlan::r2c(const double* in, cplx* out) const {
   // fuses the pack copy into the bit-reversal, and the Hermitian unpack is
   // fused into the final butterfly pass (the half-spectrum falls out of the
   // last stage in one sweep instead of butterfly-sweep + unpack-sweep).
+  const auto& kernels = simd::fft_kernels();
   cplx* z = out;
   if (nc_ >= 8) {
     const auto last =
         cplan_->forward_copy_open_last(reinterpret_cast<const cplx*>(in), z);
-    finalize_open_last(out, last);
+    if (last.radix == 4) {
+      kernels.r2c_last_stage4(out, nc_, last.w1a, last.w2a, wq_.data());
+    } else {
+      kernels.r2c_last_stage16(out, nc_, last.w1a, last.w2a, last.w1b,
+                               last.w2b, wq_.data());
+    }
     return;
   }
   if (nc_ > 1) {
@@ -40,37 +46,7 @@ void RealFftPlan::r2c(const double* in, cplx* out) const {
   } else {
     std::memcpy(static_cast<void*>(out), in, n_ * sizeof(double));
   }
-  simd::fft_kernels().r2c_finalize(out, z, nc_, wq_.data());
-}
-
-void RealFftPlan::r2c_strided(const double* in, std::size_t stride,
-                              cplx* out) const {
-  if (stride == 1) {
-    r2c(in, out);
-    return;
-  }
-  double* packed = reinterpret_cast<double*>(out);
-  for (std::size_t j = 0; j < n_; ++j) packed[j] = in[j * stride];
-  cplx* z = out;
-  if (nc_ >= 8) {
-    // Same fused last stage as the compact path, so strided output stays
-    // bitwise identical to r2c on the gathered signal.
-    finalize_open_last(out, cplan_->forward_open_last(z));
-    return;
-  }
-  if (nc_ > 1) cplan_->forward(z);
-  simd::fft_kernels().r2c_finalize(out, z, nc_, wq_.data());
-}
-
-void RealFftPlan::finalize_open_last(
-    cplx* out, const InplaceRadix2Plan::OpenLastStage& last) const {
-  const auto& kernels = simd::fft_kernels();
-  if (last.radix == 4) {
-    kernels.r2c_last_stage4(out, nc_, last.w1a, last.w2a, wq_.data());
-  } else {
-    kernels.r2c_last_stage16(out, nc_, last.w1a, last.w2a, last.w1b,
-                             last.w2b, wq_.data());
-  }
+  kernels.r2c_finalize(out, z, nc_, wq_.data());
 }
 
 void RealFftPlan::c2r(const cplx* in, double* out) const {

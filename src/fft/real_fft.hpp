@@ -44,12 +44,6 @@ class RealFftPlan {
   /// in and out must not overlap.
   void r2c(const double* in, cplx* out) const;
 
-  /// r2c over the strided signal in[0], in[stride], ..., in[(n-1)*stride].
-  /// stride == 1 is the contiguous fast path; other strides gather-pack
-  /// first (the odd-stride fallback), then run the identical pipeline, so
-  /// results are bitwise equal to r2c on a compacted copy.
-  void r2c_strided(const double* in, std::size_t stride, cplx* out) const;
-
   /// out[0..n) = 1/n-normalized real inverse of the half-spectrum
   /// in[0..n/2]. in and out must not overlap. Only in[0..n/2] is read; the
   /// imaginary parts of in[0] and in[n/2] are ignored (they are
@@ -74,12 +68,6 @@ class RealFftPlan {
   static std::shared_ptr<const RealFftPlan> get(std::size_t n);
 
  private:
-  /// Dispatch the fused last-butterfly + Hermitian-unpack kernel matching
-  /// the open-last descriptor (requires nc_ >= 8; out holds the nc packed
-  /// values with the last stage still open, gets the nc+1 half-spectrum).
-  void finalize_open_last(cplx* out,
-                          const InplaceRadix2Plan::OpenLastStage& last) const;
-
   std::size_t n_;
   std::size_t nc_;
   std::shared_ptr<const InplaceRadix2Plan> cplan_;

@@ -332,29 +332,41 @@ TEST(OfflineAbft, ExponentBitFlipOutsideUpdateGateReexecutes) {
 TEST(OfflineAbft, TopExponentBitFlipIsRebuiltAsAnErasure) {
   // Bit 62 of a component in (-1, 1) scales it by 2^1024 (~1e308): the
   // weighted sums overflow, so the element cannot be located from the dual
-  // ratio. It is rebuilt from the plain checksum of the others instead and
-  // the transform re-executed over the repaired input.
-  for (std::size_t n : {std::size_t{512}, std::size_t{4096}}) {
-    for (bool imag_part : {false, true}) {
-      auto x = random_vector(n, InputDistribution::kUniform, 29);
-      const auto pristine = x;
-      Injector inj;
-      inj.schedule(FaultSpec::bit_flip(Phase::kInputAfterChecksum, 0, 100, 62,
-                                       imag_part));
-      Options opts = Options::offline_opt(true);
-      opts.max_correctable_errors = 1;
-      opts.injector = &inj;
-      std::vector<cplx> out(n);
-      Stats stats;
-      abft::offline_transform(x.data(), out.data(), n, opts, stats);
-      SCOPED_TRACE("n=" + std::to_string(n) +
-                   (imag_part ? " imag" : " real"));
-      expect_near_plain_fft(pristine, out);
-      expect_repaired(x, pristine);
-      EXPECT_EQ(inj.fired_count(), 1u);
-      EXPECT_EQ(stats.mem_errors_detected, 1u);
-      EXPECT_EQ(stats.mem_errors_corrected, 1u);
-      EXPECT_EQ(stats.full_restarts, 1u);
+  // ratio or the syndrome moments. In a component in [1, 2) it sets every
+  // exponent bit and the element turns NaN, which poisons every sum. Either
+  // way it is rebuilt from the plain checksum of the others instead, under
+  // the dual (t = 1) and the moment (t = 2) decoder alike, and the
+  // transform re-executed over the repaired input.
+  for (int t : {1, 2}) {
+    for (bool nan : {false, true}) {
+      for (std::size_t n : {std::size_t{512}, std::size_t{4096}}) {
+        for (bool imag_part : {false, true}) {
+          auto x = random_vector(n, InputDistribution::kUniform, 29);
+          if (nan) {
+            for (cplx& v : x) v = {1.5 + 0.5 * v.real(), 1.5 + 0.5 * v.imag()};
+          }
+          const auto pristine = x;
+          Injector inj;
+          inj.schedule(FaultSpec::bit_flip(Phase::kInputAfterChecksum, 0, 100,
+                                           62, imag_part));
+          Options opts = Options::offline_opt(true);
+          opts.max_correctable_errors = t;
+          opts.injector = &inj;
+          std::vector<cplx> out(n);
+          Stats stats;
+          abft::offline_transform(x.data(), out.data(), n, opts, stats);
+          SCOPED_TRACE("t=" + std::to_string(t) + (nan ? " nan" : " huge") +
+                       " n=" + std::to_string(n) +
+                       (imag_part ? " imag" : " real"));
+          expect_near_plain_fft(pristine, out);
+          expect_repaired(x, pristine);
+          EXPECT_EQ(inj.fired_count(), 1u);
+          EXPECT_EQ(stats.mem_errors_detected, 1u);
+          EXPECT_EQ(stats.mem_errors_corrected, 1u);
+          EXPECT_EQ(stats.multi_errors_corrected, 0u);
+          EXPECT_EQ(stats.full_restarts, 1u);
+        }
+      }
     }
   }
 }

@@ -160,14 +160,25 @@ TEST(CobraBitReversal, PlanSelectsCobraBySizeThreshold) {
   const fft::InplaceRadix2Plan big(1 << 10, tuning);
   EXPECT_TRUE(big.cobra_enabled());
   EXPECT_EQ(big.cobra_tile_bits(), 4u);
-  // Below the threshold both permute entry points walk the same pair-swap
-  // list; above it the COBRA walk must still be the same permutation.
-  const auto x = iota_vector(1 << 10);
-  auto a = x;
-  auto b = x;
-  big.permute_pairswap(a.data());
-  big.permute_cobra(b.data());
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)), 0);
+  // The same size below its threshold walks the pair-swap list instead; the
+  // permutation choice must not change a bit of either direction.
+  tuning.cobra_min_log2 = 11;
+  const fft::InplaceRadix2Plan pairswap(1 << 10, tuning);
+  EXPECT_FALSE(pairswap.cobra_enabled());
+  const auto x = random_vector(1 << 10, InputDistribution::kUniform, 1010);
+  for (bool inverse : {false, true}) {
+    auto a = x;
+    auto b = x;
+    if (inverse) {
+      pairswap.inverse(a.data());
+      big.inverse(b.data());
+    } else {
+      pairswap.forward(a.data());
+      big.forward(b.data());
+    }
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)), 0)
+        << "inverse=" << inverse;
+  }
 }
 
 }  // namespace

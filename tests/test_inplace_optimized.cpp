@@ -1,25 +1,29 @@
-// The optimized in-place path (COBRA permutation + fused opener + radix-16
-// tail + fused inverse scaling) must be BIT-identical to the retained PR 4
-// reference schedule (pair-swap permute + radix-4 stages + separate 1/n
+// The in-place engine (COBRA permutation + fused opener + cache-blocked
+// stages + radix-16 tail + fused inverse scaling) must be BIT-identical to
+// a plain unblocked schedule kept here as the oracle (pair-swap permute,
+// one radix-4 stage per level pair over the whole array, separate 1/n
 // sweep) on every compiled-in backend: permutation and tiling reorder no
 // butterfly, the radix-16 pass runs its two radix-4 stages' exact operation
 // sequences in registers, and the fused scaling multiplies already-rounded
 // results (radix-8 grouping was rejected — it cannot reproduce the radix-4
-// FMA rounding; see fft/inplace_radix2.hpp). Also
-// re-runs a fault-injection campaign through the ABFT in-place wrapper at a
-// size that takes the COBRA path.
+// FMA rounding; see fft/inplace_radix2.hpp). Also re-runs a fault-injection
+// campaign through the ABFT in-place wrapper at a size that takes the COBRA
+// path.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "abft/inplace.hpp"
 #include "abft/options.hpp"
 #include "common/complex.hpp"
 #include "common/error.hpp"
+#include "common/math_util.hpp"
 #include "common/rng.hpp"
 #include "dft/reference_dft.hpp"
 #include "fault/injector.hpp"
+#include "fft/bit_reversal.hpp"
 #include "fft/fft.hpp"
 #include "fft/inplace_radix2.hpp"
 #include "simd/dispatch.hpp"
@@ -42,6 +46,44 @@ struct BackendGuard {
   Backend prev = simd::active_backend();
   ~BackendGuard() { simd::set_backend(prev); }
 };
+
+// The oracle: a reverse_bits swap walk, the twiddle-free opener, then one
+// radix-4 stage per pair of levels over the whole array with freshly
+// computed twiddles w1 = omega_n^(j n / 2^s), w2 = omega_n^(j n / 2^(s+1)),
+// then a separate 1/n sweep for the inverse. No blocking, no COBRA, no
+// radix-16 fusion, no fused scaling.
+std::vector<cplx> oracle_transform(std::vector<cplx> x, bool inverse) {
+  const std::size_t n = x.size();
+  const unsigned log2n = log2_floor(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t r = fft::reverse_bits(i, log2n);
+    if (i < r) std::swap(x[i], x[r]);
+  }
+  const auto& k = simd::fft_kernels();
+  unsigned s = 1;
+  if (log2n & 1u) {
+    k.radix2_stage0(x.data(), n);
+    s = 2;
+  }
+  for (; s + 1 <= log2n; s += 2) {
+    const std::size_t len = std::size_t{1} << (s + 1);
+    if (len == 4) {
+      k.radix4_first_stage(x.data(), n, inverse);
+      continue;
+    }
+    std::vector<cplx> w1(len / 4), w2(len / 4);
+    for (std::size_t j = 0; j < len / 4; ++j) {
+      w1[j] = omega(n, j * (n >> s));
+      w2[j] = omega(n, j * (n >> (s + 1)));
+    }
+    k.radix4_stage(x.data(), n, len, w1.data(), w2.data(), inverse, 1.0);
+  }
+  if (inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (cplx& v : x) v *= inv_n;
+  }
+  return x;
+}
 
 void expect_bitwise_equal(const std::vector<cplx>& got,
                           const std::vector<cplx>& want, const char* what,
@@ -66,8 +108,7 @@ TEST(InplaceOptimized, ForwardBitIdenticalToReferenceUpTo2_20) {
     const auto plan = InplaceRadix2Plan::get(n);
     for (Backend b : available_backends()) {
       ASSERT_TRUE(simd::set_backend(b));
-      auto ref = x;
-      plan->forward_radix4_reference(ref.data());
+      const auto ref = oracle_transform(x, /*inverse=*/false);
       auto got = x;
       plan->forward(got.data());
       expect_bitwise_equal(got, ref, "forward", n, b);
@@ -83,8 +124,7 @@ TEST(InplaceOptimized, InverseBitIdenticalToReferenceIncludingFusedScaling) {
     const auto plan = InplaceRadix2Plan::get(n);
     for (Backend b : available_backends()) {
       ASSERT_TRUE(simd::set_backend(b));
-      auto ref = x;
-      plan->inverse_radix4_reference(ref.data());
+      const auto ref = oracle_transform(x, /*inverse=*/true);
       auto got = x;
       plan->inverse(got.data());
       expect_bitwise_equal(got, ref, "inverse", n, b);
@@ -115,13 +155,11 @@ TEST(InplaceOptimized, SmallWindowPlansExerciseRadix16BitIdentically) {
     const auto x = random_vector(n, InputDistribution::kUniform, 3000 + log2n);
     for (Backend b : available_backends()) {
       ASSERT_TRUE(simd::set_backend(b));
-      auto ref = x;
-      plan.forward_radix4_reference(ref.data());
+      const auto ref = oracle_transform(x, /*inverse=*/false);
       auto got = x;
       plan.forward(got.data());
       expect_bitwise_equal(got, ref, "small-window forward", n, b);
-      auto iref = x;
-      plan.inverse_radix4_reference(iref.data());
+      const auto iref = oracle_transform(x, /*inverse=*/true);
       auto igot = x;
       plan.inverse(igot.data());
       expect_bitwise_equal(igot, iref, "small-window inverse", n, b);
@@ -129,10 +167,8 @@ TEST(InplaceOptimized, SmallWindowPlansExerciseRadix16BitIdentically) {
   }
 }
 
-// The default-tuned 2^20 plan must actually take the new path: COBRA on and
-// the whole-array tail cut from the reference's three radix-4 passes (at
-// its 2^15 window) to a single radix-16 pass at the 2^16 window (this pins
-// the acceptance-criteria configuration).
+// The default-tuned 2^20 plan must actually take the fast path: COBRA on and
+// the whole-array tail a single radix-16 pass at the 2^16 window.
 TEST(InplaceOptimized, DefaultPlanAt2_20UsesCobraAndFusedTail) {
   const auto plan = InplaceRadix2Plan::get(std::size_t{1} << 20);
   EXPECT_TRUE(plan->cobra_enabled());

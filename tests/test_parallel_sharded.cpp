@@ -39,7 +39,9 @@ void expect_matches_sequential(const std::vector<cplx>& x,
 TEST(ShardedFuture, AsyncSubmitCompletesWithReport) {
   const std::size_t p = 4, n = 4096;
   const auto x = random_vector(n, InputDistribution::kUniform, 71);
-  auto fut = parallel::submit_parallel(p, x, ParallelOptions::opt_ft_fftw());
+  ParallelOptions opts = ParallelOptions::opt_ft_fftw();
+  opts.max_correctable_errors = 1;  // pin the 2-value message trailer
+  auto fut = parallel::submit_parallel(p, x, opts);
   ASSERT_TRUE(fut.valid());
   fut.wait();
   EXPECT_TRUE(fut.ready());
@@ -139,6 +141,7 @@ TEST(ShardedCampaign, RankFailureRecoversWithinRestartBudget) {
 
   // Without a failover budget the node loss propagates, taxonomy intact.
   ParallelOptions failing = ParallelOptions::opt_ft_fftw();
+  failing.max_correctable_errors = 1;  // pin the 2-value message trailer
   failing.net.fail_rank = 1;
   failing.net.fail_phase = 2;
   EXPECT_THROW(parallel::submit_parallel(p, x, failing).get(),

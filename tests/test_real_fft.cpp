@@ -1,7 +1,7 @@
 // Real-input transforms (fft/real_fft.hpp): half-spectrum correctness
 // against an independent real DFT, round-trip bit-stability, bitwise
-// backend agreement of the packed pipeline, the strided gather fallback,
-// edge-bin structure, and the "real-plan" cache row.
+// backend agreement of the packed pipeline, edge-bin structure, and the
+// "real-plan" cache row.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -211,22 +211,6 @@ TEST(RealFft, PipelineAgreesAcrossBackends) {
       }
       EXPECT_LT(worst_back, 1e-12 * (scale / std::max<double>(n, 1) + 1.0))
           << "n=" << n << " backend=" << simd::backend_name(b);
-    }
-  }
-}
-
-TEST(RealFft, StridedGatherMatchesCompactedBitwise) {
-  for (std::size_t n : {2u, 8u, 64u, 1024u}) {
-    for (std::size_t stride : {2u, 3u, 7u}) {
-      const auto wide = random_signal(n * stride, 6000 + n * stride);
-      std::vector<double> compact(n);
-      for (std::size_t j = 0; j < n; ++j) compact[j] = wide[j * stride];
-      const auto plan = fft::RealFftPlan::get(n);
-      std::vector<cplx> a(n / 2 + 1), b(n / 2 + 1);
-      plan->r2c_strided(wide.data(), stride, a.data());
-      plan->r2c(compact.data(), b.data());
-      EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)))
-          << "n=" << n << " stride=" << stride;
     }
   }
 }
