@@ -70,7 +70,7 @@ class InplaceRun {
       e_in_ = frame_.take<double>(blk_);
       syn1_ = frame_.take<checksum::SyndromeSet>(nm > 0 ? blk_ : 0);
       checksum::input_slot_checksums(
-          x_, k_, blk_, opts_.combined_checksums ? ck_ : nullptr, nm,
+          x_, k_, blk_, opts_.optimized ? ck_ : nullptr, nm,
           s1_.data(), s2_.data(), e_in_.data(), syn1_.data());
     }
     if (inj() != nullptr) inj()->apply(Phase::kInputAfterChecksum, 0, x_, n_);
@@ -86,7 +86,7 @@ class InplaceRun {
   // stays untouched until its own output has verified, so a retry never
   // needs the array.
   void layer1() {
-    const bool combined_ccg = opts_.memory_ft && opts_.combined_checksums;
+    const bool combined_ccg = opts_.memory_ft && opts_.optimized;
     const std::size_t batch = plan_.layer1_batch();
     const std::span<cplx> stage = frame_.take<cplx>(batch * k_);
     const std::span<cplx> ostage = frame_.take<cplx>(batch * k_);
@@ -117,7 +117,7 @@ class InplaceRun {
     }
 
     // Naive hierarchy (Fig. 2): verify the input slot before use.
-    if (!opts_.postpone_mcv) repair_input_slot(i, buf);
+    if (!opts_.optimized) repair_input_slot(i, buf);
     cplx ccg =
         combined_ccg ? s1_[i] : checksum::weighted_sum(ck_, buf, k_);
 
@@ -133,7 +133,7 @@ class InplaceRun {
         },
         [&] {
           if (!repair_input_slot(i, buf)) return false;
-          if (!opts_.combined_checksums) {
+          if (!opts_.optimized) {
             ccg = checksum::weighted_sum(ck_, buf, k_);
           }
           return true;
@@ -157,7 +157,7 @@ class InplaceRun {
     // Combined checksums carry the large (rA) weights: computational-scale
     // threshold. Classic ones use the summation-scale memory threshold.
     const double eta =
-        opts_.combined_checksums ? eta_comp(e_in_[i]) : eta_mem(e_in_[i]);
+        opts_.optimized ? eta_comp(e_in_[i]) : eta_mem(e_in_[i]);
     stats_.eta_mem = std::max(stats_.eta_mem, eta);
     // Multi-error budget (t > 1): decode the slot's 2t-moment syndromes
     // instead of the dual-only repair, so a burst cannot be "explained" by
@@ -166,7 +166,7 @@ class InplaceRun {
     return repair_region(
         {{s1_[i], s2_[i]}, syn1_.empty() ? nullptr : &syn1_[i],
          plan_.max_errors(), plan_.syndrome_nodes_k()},
-        buf, 1, opts_.combined_checksums ? ck_ : nullptr, k_, eta,
+        buf, 1, opts_.optimized ? ck_ : nullptr, k_, eta,
         opts_.max_retries, RepairTally::of(stats_, true),
         "inplace ABFT: layer-1 input memory error not localizable");
   }

@@ -44,10 +44,11 @@ void krk_digit_reverse_permute(cplx* data, std::size_t k, std::size_t r);
 
 /// Protected in-place forward DFT of data[0..n). Uses O(sqrt(n) * r)
 /// auxiliary buffers plus a layer-1 staging block of at most 2 * 32768
-/// elements. Honors opts.memory_ft, postpone_mcv
-/// (naive mode verifies every block before use; optimized mode postpones
-/// into the computational checks), eta_override, max_retries and injector;
-/// contiguous staging is inherent to the algorithm.
+/// elements. Honors opts.memory_ft, optimized (naive mode verifies every
+/// block before use against classic checksums; optimized mode postpones into
+/// the computational checks, whose rA weights double as the memory
+/// checksum), eta_override, max_retries and injector; contiguous staging is
+/// inherent to the algorithm.
 /// Output is in natural order. Throws UncorrectableError when verification
 /// cannot be satisfied within the fault model.
 void inplace_online_transform(cplx* data, std::size_t n, const Options& opts,

@@ -77,7 +77,7 @@ void offline_transform(cplx* in, cplx* out, const ProtectionPlan& plan,
   double energy;
   const cplx* mem_weights = nullptr;  // nullptr = classic all-ones r1/r2
   if (opts.memory_ft) {
-    if (opts.combined_checksums) {
+    if (opts.optimized) {
       // Section 4.1: r1' = rA, r2'_j = j (rA)_j; the plain component doubles
       // as the CCG product.
       const auto d = checksum::dual_weighted_sum_energy(ra, in, n);
@@ -164,7 +164,7 @@ void offline_transform(cplx* in, cplx* out, const ProtectionPlan& plan,
         if (!opts.memory_ft ||
             !repair_region(
                 mem_ref, in, 1, mem_weights, n,
-                opts.combined_checksums ? eta : eta_mem, opts.max_retries,
+                opts.optimized ? eta : eta_mem, opts.max_retries,
                 RepairTally::of(stats, false),
                 "offline ABFT: input memory error detected but could not "
                 "be localized",

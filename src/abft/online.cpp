@@ -44,11 +44,7 @@ class OnlineRun {
         opts_(opts),
         stats_(stats),
         fftm_(m_),
-        fftk_(k_) {
-    // Postponing the first-layer MCV into the CCV is only sound when the
-    // memory checksum *is* the computational one (section 4.1 + 4.2).
-    postpone1_ = opts_.postpone_mcv && opts_.combined_checksums;
-  }
+        fftk_(k_) {}
 
   void run() {
     setup();
@@ -74,7 +70,7 @@ class OnlineRun {
       s2_ = frame_.take<cplx>(k_);
       syn1_ = frame_.take<checksum::SyndromeSet>(nm > 0 ? k_ : 0);
       checksum::input_slot_checksums(
-          x_, m_, k_, opts_.combined_checksums ? cm_ : nullptr, nm,
+          x_, m_, k_, opts_.optimized ? cm_ : nullptr, nm,
           s1_.data(), s2_.data(), e_in_.data(), syn1_.data());
     }
     if (inj() != nullptr) inj()->apply(Phase::kInputAfterChecksum, 0, x_, n_);
@@ -82,7 +78,7 @@ class OnlineRun {
 
   // ---------------------------------------------------------- first layer
   void first_layer() {
-    if (opts_.memory_ft && opts_.incremental_mcg) {
+    if (opts_.memory_ft && opts_.optimized) {
       take_column_sums();
     } else if (opts_.memory_ft) {
       r1_ = frame_.take<DualSum>(k_);  // every slot written by its sub-FFT
@@ -96,17 +92,16 @@ class OnlineRun {
     // k]) once, i.e. a ~512 KiB staging block; 1 = unbuffered.
     const std::size_t batch = plan_.layer1_batch();
     const std::span<cplx> bufblock =
-        frame_.take<cplx>(opts_.contiguous_buffering ? batch * m_ : 0);
+        frame_.take<cplx>(opts_.optimized ? batch * m_ : 0);
 
     for (std::size_t i0 = 0; i0 < k_; i0 += batch) {
       const std::size_t bw = std::min(batch, k_ - i0);
-      if (opts_.contiguous_buffering) {
+      if (opts_.optimized) {
         transpose_tiled(x_ + i0, k_, bufblock.data(), m_, m_, bw);
       }
       for (std::size_t il = 0; il < bw; ++il) {
         run_sub_fft(i0 + il,
-                    opts_.contiguous_buffering ? bufblock.data() + il * m_
-                                               : nullptr);
+                    opts_.optimized ? bufblock.data() + il * m_ : nullptr);
       }
     }
   }
@@ -119,12 +114,10 @@ class OnlineRun {
   [[gnu::noinline]] void run_sub_fft(std::size_t i, cplx* buf) {
     cplx ccg{0.0, 0.0};  // reference value the CCV compares against
     const bool have_cmcg = opts_.memory_ft;
-    const bool combined_ccg = have_cmcg && opts_.combined_checksums;
+    const bool combined_ccg = have_cmcg && opts_.optimized;
 
-    if (have_cmcg && !postpone1_) {
-      // Naive hierarchy (Fig. 2): verify the input slot before use.
-      if (verify_and_repair_input(i) && buf != nullptr) regather(i, buf);
-    }
+    // Naive hierarchy (Fig. 2, unbuffered): verify the input slot before use.
+    if (have_cmcg && !opts_.optimized) verify_and_repair_input(i);
 
     if (combined_ccg) {
       // Section 4.1: the stored combined checksum IS the CCG product.
@@ -159,17 +152,16 @@ class OnlineRun {
           // Postponed discrimination: is the input slot itself corrupted?
           if (!opts_.memory_ft || !verify_and_repair_input(i)) return false;
           if (buf != nullptr) regather(i, buf);
-          if (!opts_.combined_checksums) {
+          if (!opts_.optimized) {
             // Classic checksums: the CCG product must be rebuilt from the
-            // repaired input.
-            ccg = buf != nullptr ? checksum::weighted_sum(cm_, buf, m_)
-                                 : checksum::weighted_sum(cm_, x_ + i, m_, k_);
+            // repaired (unbuffered) input.
+            ccg = checksum::weighted_sum(cm_, x_ + i, m_, k_);
           }
           return true;
         });
 
     if (opts_.memory_ft) {
-      if (opts_.incremental_mcg) {
+      if (opts_.optimized) {
         // Section 4.3: fold this sub-FFT's verified output into the second
         // layer's column sums while it is still cache-hot.
         fold_row(i, yi);
@@ -213,7 +205,7 @@ class OnlineRun {
   /// found and fixed.
   bool verify_and_repair_input(std::size_t i) {
     const double eta_mem = threshold(
-        opts_.combined_checksums ? plan_.eta_m().comp : plan_.eta_m().mem,
+        opts_.optimized ? plan_.eta_m().comp : plan_.eta_m().mem,
         e_in_[i], m_, opts_.eta_override);
     stats_.eta_mem = std::max(stats_.eta_mem, eta_mem);
     // Multi-error budget (t > 1): decode the slot's 2t-moment syndromes
@@ -225,7 +217,7 @@ class OnlineRun {
     return repair_region(
         {{s1_[i], s2_[i]}, syn1_.empty() ? nullptr : &syn1_[i],
          plan_.max_errors(), plan_.syndrome_nodes_m()},
-        x_ + i, k_, opts_.combined_checksums ? cm_ : nullptr, m_, eta_mem,
+        x_ + i, k_, opts_.optimized ? cm_ : nullptr, m_, eta_mem,
         opts_.max_retries, RepairTally::of(stats_, true),
         "online ABFT: input memory error detected but not localizable");
   }
@@ -235,7 +227,7 @@ class OnlineRun {
     if (inj() != nullptr) inj()->apply(Phase::kIntermediate, 0, out_, n_);
     if (!opts_.memory_ft) return;
 
-    if (!opts_.incremental_mcg) {
+    if (!opts_.optimized) {
       // Fig. 2 regeneration pass: verify every row checksum, then build the
       // column checksums the second layer verifies against. This touches
       // every element a second time — the cost section 4.3 eliminates.
@@ -252,20 +244,14 @@ class OnlineRun {
                       "online ABFT: intermediate memory error not localizable");
         fold_row(i, yi);
       }
+      return;
     }
 
-    if (opts_.postpone_mcv) {
-      // Section 4.2: the postponed final MCV recomputes a failing column
-      // from the intermediate, kept column-major (column c at backup_ + c*k)
-      // in the caller's input (paper's choice) or an n-element scratch
-      // block. second_layer copies each verified staged block into it;
-      // unstaged, one tiled transpose fills it here and the column MCV
-      // refreshes the slot of a column it repairs.
-      backup_ = opts_.backup_in_input ? x_ : frame_.take<cplx>(n_).data();
-      if (!opts_.contiguous_buffering) {
-        transpose_tiled(out_, m_, backup_, k_, k_, m_);
-      }
-    }
+    // Section 4.2: the postponed final MCV recomputes a failing column from
+    // the intermediate, kept column-major (column c at backup_ + c*k) in the
+    // caller's input (paper's choice) or an n-element scratch block.
+    // second_layer copies each verified staged block into it.
+    backup_ = opts_.backup_in_input ? x_ : frame_.take<cplx>(n_).data();
   }
 
   // ---------------------------------------------------------- second layer
@@ -274,7 +260,7 @@ class OnlineRun {
     tw_ = frame_.take<cplx>(k_);
     res_ = frame_.take<cplx>(k_);
     col_ccv_ = frame_.take<cplx>(m_);
-    if (opts_.memory_ft && !opts_.postpone_mcv) f1_ = frame_.take<DualSum>(m_);
+    if (opts_.memory_ft && !opts_.optimized) f1_ = frame_.take<DualSum>(m_);
 
     // Stage `s` columns at a time (section 4.4 on the second layer, the
     // paper's "s k-FFTs"; the plan resolves s = 32768 / k): one tiled
@@ -285,13 +271,13 @@ class OnlineRun {
     // is the postponed backup.
     const std::size_t s = plan_.layer2_cols();
     const std::span<cplx> stage =
-        frame_.take<cplx>(opts_.contiguous_buffering ? s * k_ : 0);
+        frame_.take<cplx>(opts_.optimized ? s * k_ : 0);
     const std::span<cplx> ostage =
-        frame_.take<cplx>(opts_.contiguous_buffering ? s * k_ : 0);
+        frame_.take<cplx>(opts_.optimized ? s * k_ : 0);
 
     for (std::size_t c0 = 0; c0 < m_; c0 += s) {
       const std::size_t sc = std::min(s, m_ - c0);
-      if (opts_.contiguous_buffering) {
+      if (opts_.optimized) {
         transpose_tiled(out_ + c0, m_, stage.data(), k_, k_, sc);
         for (std::size_t c = 0; c < sc; ++c) {
           process_column(c0 + c, stage.data() + c * k_, 1,
@@ -339,11 +325,9 @@ class OnlineRun {
                       opts_.max_retries, RepairTally::of(stats_, false),
                       "online ABFT: column memory error not localizable",
                       /*flagged=*/true);
-        // Refresh the staged column or, unstaged, its slot in the backup.
-        cplx* copy = col != out_ + c   ? const_cast<cplx*>(col)
-                     : backup_ != nullptr ? backup_ + c * k_
-                                          : nullptr;
-        if (copy != nullptr) {
+        // Refresh the staged column (unstaged, col is the intermediate).
+        if (opts_.optimized) {
+          cplx* copy = const_cast<cplx*>(col);
           for (std::size_t i = 0; i < k_; ++i) copy[i] = out_[i * m_ + c];
         }
       }
@@ -371,7 +355,7 @@ class OnlineRun {
     // Remember the column checksum for the postponed final verification;
     // the caller scatters `res` to the natural-order positions {c + m*j}.
     col_ccv_[c] = ccg;
-    if (opts_.memory_ft && !opts_.postpone_mcv) {
+    if (opts_.memory_ft && !opts_.optimized) {
       f1_[c] = checksum::dual_weighted_sum(nullptr, res, k_);
     }
   }
@@ -400,7 +384,7 @@ class OnlineRun {
       ++stats_.verifications;
       if (std::abs(rx - col_ccv_[c]) <= eta) continue;
 
-      if (!opts_.postpone_mcv) {
+      if (!opts_.optimized) {
         // Naive hierarchy: localize directly with the stored output duals.
         repair_region(
             {f1_[c]}, out_ + c, m_, nullptr, k_,
@@ -441,7 +425,6 @@ class OnlineRun {
   const cplx* ck_;                   //   owned by the shared plan
   const Options& opts_;
   Stats& stats_;
-  bool postpone1_ = false;
   fft::Fft fftm_, fftk_;             // layer-1 and layer-2 sub-FFT engines
 
   scratch::Frame frame_;             // holds every buffer below

@@ -10,11 +10,12 @@
 // With opts.memory_ft the section-3.2 hierarchy is layered on top: dual
 // checksums over the input (slot per sub-FFT), incrementally generated dual
 // checksums and energies over the intermediate columns, and a postponed
-// final verification of the output, with the section-4 optimizations
-// (combined checksums, verification postponing, incremental generation,
-// contiguous buffering) individually switchable for ablation. Column
-// thresholds scale with the verified first-layer outputs, and the postponed
-// recovery recomputes from a column-major backup the second layer writes.
+// final verification of the output. opts.optimized selects the section-4
+// hierarchy as a whole (combined checksums, verification postponing,
+// incremental generation, contiguous buffering) or the paper's naive one.
+// Column thresholds scale with the verified first-layer outputs, and the
+// postponed recovery recomputes from a column-major backup the second layer
+// writes.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +32,7 @@ class ProtectionPlan;
 /// Requirements: n composite with a split n = m*k, m,k >= 2, and neither
 /// factor divisible by 3 (always true for powers of two). `in` is non-const:
 /// memory-fault corrections repair it, and when
-/// opts.memory_ft && opts.postpone_mcv && opts.backup_in_input the
+/// opts.memory_ft && opts.optimized && opts.backup_in_input the
 /// intermediate result is parked in it column-major (element i of column c
 /// at in[c*k + i]; the paper's zero-extra-memory backup), destroying the
 /// original contents.

@@ -1,10 +1,10 @@
 // Configuration and statistics for the fault-tolerant FFT schemes.
 //
 // The paper evaluates named scheme variants (Fig. 7's Offline, Opt-Offline,
-// CFTO-Online, Online, Opt-Online); here each variant is a combination of
-// orthogonal switches so the ablation benchmarks can toggle one optimization
-// at a time. The named presets below reproduce the paper's configurations
-// exactly.
+// CFTO-Online, Online, Opt-Online); here each variant is a scheme, the
+// memory_ft switch and the one `optimized` switch that selects the
+// section-4 hierarchy as a whole. The named presets below reproduce the
+// paper's configurations exactly.
 #pragma once
 
 #include <algorithm>
@@ -31,22 +31,19 @@ struct Options {
   /// (section 3.2 hierarchy; off = section 3.1 computational-only).
   bool memory_ft = false;
 
-  /// Section 4.1: reuse the computational weights (rA) as the memory
-  /// checksum r1' so input MCV and CCG become the same dot product.
-  bool combined_checksums = true;
-
-  /// Section 4.2: postpone input MCVs into the CCV after each sub-FFT, and
-  /// compute the index-weighted localization sum only when a mismatch is
-  /// detected.
-  bool postpone_mcv = true;
-
-  /// Section 4.3: accumulate the second-layer memory checksums incrementally
-  /// while first-layer outputs are written, instead of a regeneration pass.
-  bool incremental_mcg = true;
-
-  /// Section 4.4: stage strided sub-FFT inputs through a contiguous buffer
-  /// so checksum and transform read the data once from cache.
-  bool contiguous_buffering = true;
+  /// The section-4 hierarchy as one set, as Fig. 7 evaluates it: combined
+  /// checksums (4.1: the computational weights rA double as the memory
+  /// checksum, so input MCV and CCG are one dot product), postponed
+  /// verification (4.2: input MCVs fold into the CCV after each sub-FFT and
+  /// the localization sum runs only on a mismatch), incremental generation
+  /// (4.3: second-layer checksums accumulate while first-layer outputs are
+  /// written) and contiguous buffering (4.4: strided sub-FFT inputs are
+  /// staged so checksum and transform read them once from cache). Off = the
+  /// paper's naive hierarchy. The four are one switch because they are not
+  /// independent: postponing the input MCV into the CCV is sound only when
+  /// the memory checksum is the computational one, and the postponed
+  /// backup is written from the staged second-layer blocks.
+  bool optimized = true;
 
   /// Maximum number of simultaneously corrupted elements the memory-fault
   /// repair will correct per protected region (PR 9). The default 1 (from
@@ -59,7 +56,7 @@ struct Options {
   /// back to recompute. Derived intermediate checksums stay single-error —
   /// escalation guards the long-lived input/backup regions where spatial
   /// multi-bit bursts actually land.
-  int max_correctable_errors = static_cast<int>(env_long("FTFFT_MAX_ERRORS", 1));
+  int max_correctable_errors = max_errors_default();
 
   /// Detection threshold override; 0 = derive from the round-off model and
   /// the measured input energy.
@@ -87,10 +84,7 @@ struct Options {
     Options o;
     o.mode = Mode::kOffline;
     o.memory_ft = memory;
-    o.combined_checksums = false;
-    o.postpone_mcv = false;
-    o.incremental_mcg = false;
-    o.contiguous_buffering = false;
+    o.optimized = false;
     return o;
   }
 
@@ -109,10 +103,7 @@ struct Options {
     Options o;
     o.mode = Mode::kOnline;
     o.memory_ft = memory;
-    o.combined_checksums = false;
-    o.postpone_mcv = false;
-    o.incremental_mcg = false;
-    o.contiguous_buffering = false;
+    o.optimized = false;
     return o;
   }
 

@@ -18,7 +18,7 @@ constexpr std::size_t kStageElems = 32768;
 struct PlanKey {
   std::size_t n;
   Scheme scheme;
-  bool contiguous_buffering;
+  bool optimized;
   int max_errors;
   bool operator==(const PlanKey&) const = default;
 };
@@ -27,7 +27,7 @@ struct PlanKeyHash {
   std::size_t operator()(const PlanKey& key) const noexcept {
     std::size_t h = key.n;
     h = h * 31 + static_cast<std::size_t>(key.scheme);
-    h = h * 31 + static_cast<std::size_t>(key.contiguous_buffering);
+    h = h * 31 + static_cast<std::size_t>(key.optimized);
     h = h * 31 + static_cast<std::size_t>(key.max_errors);
     return h;
   }
@@ -64,7 +64,7 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
       wk_ = checksum::shared_input_checksum_vector(k_);
       eta_m_ = eta_coeffs(m_);
       eta_k_ = eta_coeffs(k_);
-      if (opts.contiguous_buffering) {
+      if (opts.optimized) {
         layer1_batch_ = std::clamp<std::size_t>(
             kStageElems / m_, std::min<std::size_t>(4, k_), k_);
         layer2_cols_ = std::clamp<std::size_t>(
@@ -87,7 +87,7 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
       eta_block_ = eta_coeffs(blk_);
       eta_whole_ = eta_coeffs(n);
       // Layer 1 always stages (it is the scheme's input backup), so the
-      // width ignores contiguous_buffering: same rule as kOnline's layer 1.
+      // width ignores `optimized`: same rule as kOnline's layer 1.
       layer1_batch_ = std::clamp<std::size_t>(
           kStageElems / k_, std::min<std::size_t>(4, blk_), blk_);
       if (max_errors_ > 1) {
@@ -103,11 +103,10 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
 std::shared_ptr<const ProtectionPlan> ProtectionPlan::get(std::size_t n,
                                                           Scheme scheme,
                                                           const Options& opts) {
-  // The staging layout only shapes kOnline plans; normalize the irrelevant
-  // combinations out of the key so option sweeps don't dilute the LRU with
-  // identical entries.
-  const PlanKey key{n, scheme,
-                    scheme == Scheme::kOnline && opts.contiguous_buffering,
+  // `optimized` (through the staging layout) only shapes kOnline plans;
+  // normalize it out of the other schemes' keys so option sweeps don't
+  // dilute the LRU with identical entries.
+  const PlanKey key{n, scheme, scheme == Scheme::kOnline && opts.optimized,
                     checksum::clamp_max_errors(opts.max_correctable_errors)};
   return plan_cache.get_or_build(key, [&] {
     return std::make_shared<const ProtectionPlan>(n, scheme, opts);

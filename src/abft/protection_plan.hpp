@@ -53,9 +53,9 @@ class ProtectionPlan {
   /// per-call setup used to throw for unsupported sizes. Prefer get().
   ProtectionPlan(std::size_t n, Scheme scheme, const Options& opts);
 
-  /// Cached resolution keyed on (n, scheme, checksum-relevant Options
-  /// fields: contiguous_buffering, max_correctable_errors).
-  /// Thread-safe.
+  /// Cached resolution keyed on (n, scheme, the Options fields that shape
+  /// the setup: `optimized` for kOnline, whose staging layout it selects,
+  /// and max_correctable_errors). Thread-safe.
   static std::shared_ptr<const ProtectionPlan> get(std::size_t n,
                                                    Scheme scheme,
                                                    const Options& opts);
@@ -142,8 +142,8 @@ class ProtectionPlan {
   /// Staging layout (section 4.4), resolved once: sub-FFTs gathered per
   /// first-layer staging block (kOnline and kOnlineInplace, 32768 / sub-FFT
   /// size clamped to [min(4, count), count]) and columns staged per
-  /// second-layer pass (kOnline). kOnline's are both 1 when
-  /// contiguous_buffering is off; kOnlineInplace always stages.
+  /// second-layer pass (kOnline). kOnline's are both 1 in the naive
+  /// hierarchy (`optimized` off); kOnlineInplace always stages.
   [[nodiscard]] std::size_t layer1_batch() const noexcept {
     return layer1_batch_;
   }

@@ -93,6 +93,10 @@ bool env_flag(const char* name, bool fallback) {
   return fallback;
 }
 
+int max_errors_default() {
+  return static_cast<int>(env_long("FTFFT_MAX_ERRORS", 1));
+}
+
 std::size_t plan_cache_capacity() {
   // Generous default: a serving process juggling 64 distinct
   // (size, options) combinations per cache is already unusual, and each

@@ -59,6 +59,11 @@ long env_long(const char* name, long fallback);
 /// warn-once on unrecognized text).
 bool env_flag(const char* name, bool fallback);
 
+/// Process default for the max_correctable_errors knobs, from
+/// FTFFT_MAX_ERRORS (default 1). Read on every call, so a process that
+/// changes the variable sees the new value in the next options it builds.
+int max_errors_default();
+
 /// LRU capacity for each process-wide plan cache, from FTFFT_PLAN_CACHE_CAP
 /// (default generous; 0 = unbounded). Read once at first use.
 std::size_t plan_cache_capacity();

@@ -28,11 +28,9 @@ FtPlan::FtPlan(std::size_t n, PlanConfig config) : n_(n), config_(config) {
 }
 
 abft::Options make_abft_options(const PlanConfig& config) {
-  abft::Options o = config.optimized
-                        ? abft::Options::online_opt(
-                              config.memory_fault_tolerance)
-                        : abft::Options::online_naive(
-                              config.memory_fault_tolerance);
+  abft::Options o;
+  o.memory_ft = config.memory_fault_tolerance;
+  o.optimized = config.optimized;
   switch (config.protection) {
     case Protection::kNone:
       o.mode = abft::Mode::kNone;

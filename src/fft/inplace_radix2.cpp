@@ -34,11 +34,8 @@ InplaceRadix2Plan::InplaceRadix2Plan(std::size_t n,
       bit_reverse_.push_back(rev);
     }
   }
-  twiddle_half_.resize(n / 2 == 0 ? 1 : n / 2);
-  for (std::size_t k = 0; k < n / 2; ++k) twiddle_half_[k] = omega(n, k);
   // Pack the fused radix-4 schedule's per-stage twiddles contiguously in j
-  // (see FusedStage). Values are copies out of twiddle_half_, so the scalar
-  // backend computes bit-identical results to the historic strided reads.
+  // (see FusedStage).
   unsigned s = (log2n_ & 1u) ? 2 : 1;
   std::size_t total = 0;
   for (unsigned t = s; t + 1 <= log2n_; t += 2) {
@@ -53,11 +50,11 @@ InplaceRadix2Plan::InplaceRadix2Plan(std::size_t n,
     st.len = std::size_t{1} << (s + 1);
     st.w1_off = stage_twiddles_.size();
     for (std::size_t j = 0; j < quarter; ++j) {
-      stage_twiddles_.push_back(twiddle_half_[j * step1]);
+      stage_twiddles_.push_back(omega(n_, j * step1));
     }
     st.w2_off = stage_twiddles_.size();
     for (std::size_t j = 0; j < quarter; ++j) {
-      stage_twiddles_.push_back(twiddle_half_[j * step2]);
+      stage_twiddles_.push_back(omega(n_, j * step2));
     }
     stages_.push_back(st);
   }

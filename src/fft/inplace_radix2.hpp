@@ -125,7 +125,6 @@ class InplaceRadix2Plan {
   /// the registry seal and evicts the entry at the next verified acquire.
   void collect_state(StateSpans& out) const {
     out.add_vec(bit_reverse_);
-    out.add_vec(twiddle_half_);
     out.add_vec(stages_);
     out.add_vec(stage_twiddles_);
     out.add_vec(tail_);
@@ -148,7 +147,7 @@ class InplaceRadix2Plan {
   /// butterfly j of the stage — w1 = omega_{len/2}^j and w2 = omega_{len}^j
   /// — are repacked contiguously in j (offsets into stage_twiddles_) so the
   /// SIMD kernels load them with unit stride instead of gathering from
-  /// twiddle_half_ at a per-stage stride.
+  /// a table of omega_n^k at a per-stage stride.
   struct FusedStage {
     std::size_t len;     ///< block length 2^(s+1)
     std::size_t w1_off;  ///< quarter = len/4 entries
@@ -171,7 +170,6 @@ class InplaceRadix2Plan {
   unsigned log2n_;
   unsigned block_log2_;
   std::vector<std::size_t> bit_reverse_;  // only entries with i < rev(i)
-  std::vector<cplx> twiddle_half_;        // omega_n^k, k in [0, n/2)
   std::vector<FusedStage> stages_;        // fused radix-4 schedule
   std::vector<cplx> stage_twiddles_;      // packed per-stage w1/w2 runs
   std::size_t blocked_stage_count_;       // stages_ with len <= cache window

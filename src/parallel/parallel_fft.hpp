@@ -60,8 +60,7 @@ struct ParallelOptions {
   /// decodes bursts through checksum::repair_errors. Clamped to
   /// [1, checksum::kMaxCorrectableErrors] at plan resolution. Default from
   /// FTFFT_MAX_ERRORS.
-  int max_correctable_errors =
-      static_cast<int>(env_long("FTFFT_MAX_ERRORS", 1));
+  int max_correctable_errors = max_errors_default();
 
   static ParallelOptions fftw() { return {false, false, false, 0, 4, {}}; }
   static ParallelOptions ft_fftw() { return {true, false, true, 0, 4, {}}; }

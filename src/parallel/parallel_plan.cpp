@@ -90,8 +90,7 @@ std::shared_ptr<const ParallelPlan> warm_plans(std::size_t p, std::size_t n,
                                                bool protect,
                                                int max_correctable_errors) {
   if (max_correctable_errors <= 0) {
-    max_correctable_errors =
-        static_cast<int>(env_long("FTFFT_MAX_ERRORS", 1));
+    max_correctable_errors = max_errors_default();
   }
   return ParallelPlan::get(p, n, protect, max_correctable_errors);
 }

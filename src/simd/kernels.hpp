@@ -1,6 +1,6 @@
 // Per-backend kernel tables for the SIMD-dispatched hot paths.
 //
-// Three layers go through these tables (see ISSUE/ROADMAP: SIMD codelets):
+// Four layers go through these tables:
 //   * the in-place radix-4 butterfly stages (fft/inplace_radix2.cpp), which
 //     run every power-of-two fft::Fft from 512 points up,
 //   * the recursive executor's combine loop and the size-4/8/16 leaf

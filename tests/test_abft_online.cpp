@@ -303,7 +303,6 @@ TEST(OnlineAbft, RejectsTinySizes) {
 struct BackupLayout {
   const char* name;
   bool backup_in_input;
-  bool contiguous_buffering;
 };
 
 class OnlineBackup : public ::testing::TestWithParam<BackupLayout> {
@@ -313,7 +312,6 @@ class OnlineBackup : public ::testing::TestWithParam<BackupLayout> {
   Options options() const {
     Options o = Options::online_opt(true);
     o.backup_in_input = GetParam().backup_in_input;
-    o.contiguous_buffering = GetParam().contiguous_buffering;
     return o;
   }
 
@@ -392,9 +390,8 @@ TEST_P(OnlineBackup, RecomputeUsesTheRepairedIntermediate) {
 
 INSTANTIATE_TEST_SUITE_P(
     Layouts, OnlineBackup,
-    ::testing::Values(BackupLayout{"scratch", false, true},
-                      BackupLayout{"in_input", true, true},
-                      BackupLayout{"unstaged", false, false}),
+    ::testing::Values(BackupLayout{"scratch", false},
+                      BackupLayout{"in_input", true}),
     [](const ::testing::TestParamInfo<BackupLayout>& pi) {
       return std::string(pi.param.name);
     });

@@ -137,5 +137,29 @@ TEST(FtPlan, VersionStringPresent) {
   EXPECT_NE(std::strstr(FtPlan::version(), "ftfft"), nullptr);
 }
 
+TEST(MakeAbftOptions, OptimizedSwitchGivesTheOnlinePresetFieldForField) {
+  for (const bool memory : {false, true}) {
+    for (const bool optimized : {false, true}) {
+      PlanConfig config;
+      config.memory_fault_tolerance = memory;
+      config.optimized = optimized;
+      const abft::Options got = make_abft_options(config);
+      const abft::Options want = optimized
+                                     ? abft::Options::online_opt(memory)
+                                     : abft::Options::online_naive(memory);
+      SCOPED_TRACE(testing::Message()
+                   << "memory=" << memory << " optimized=" << optimized);
+      EXPECT_EQ(got.mode, want.mode);
+      EXPECT_EQ(got.memory_ft, want.memory_ft);
+      EXPECT_EQ(got.optimized, want.optimized);
+      EXPECT_EQ(got.max_correctable_errors, want.max_correctable_errors);
+      EXPECT_EQ(got.eta_override, want.eta_override);
+      EXPECT_EQ(got.max_retries, want.max_retries);
+      EXPECT_EQ(got.injector, want.injector);
+      EXPECT_EQ(got.backup_in_input, want.backup_in_input);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ftfft

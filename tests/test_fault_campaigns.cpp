@@ -9,6 +9,7 @@
 #include "abft/inplace.hpp"
 #include "abft/online.hpp"
 #include "abft/options.hpp"
+#include "abft/protected_fft.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "fault/bitflip.hpp"
@@ -18,6 +19,7 @@
 namespace ftfft {
 namespace {
 
+using abft::Mode;
 using abft::Options;
 using abft::Stats;
 using fault::FaultSpec;
@@ -137,28 +139,52 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CampaignSeed, ::testing::Range(0, 25),
                          });
 
 TEST(Campaign, EveryOptimizationComboSurvivesTheSameFaultLoad) {
-  // All 16 combinations of the section-4 switches handle the same
-  // (memory + computational) fault load correctly.
+  // Both section-4 hierarchies (naive and optimized) of every scheme handle
+  // the same load: one input memory set after the checksums plus one
+  // computational fault at the scheme's own output phase.
+  struct Scheme {
+    const char* name;
+    Mode mode;
+    bool inplace;
+    Phase out_phase;  // the scheme's computational output phase
+    std::size_t unit;
+  };
+  const Scheme schemes[] = {
+      {"online", Mode::kOnline, false, Phase::kMFftOutput, 9},
+      {"inplace", Mode::kOnline, true, Phase::kMFftOutput, 9},
+      {"offline", Mode::kOffline, false, Phase::kWholeFftOutput, 0},
+  };
   auto x = random_vector(kN, InputDistribution::kUniform, 777);
   const auto want = truth(x);
-  for (int mask = 0; mask < 16; ++mask) {
-    Injector inj;
-    inj.schedule(FaultSpec::memory_set(Phase::kInputAfterChecksum, 0, 321,
-                                       {44.0, -4.0}));
-    inj.schedule(
-        FaultSpec::computational(Phase::kMFftOutput, 9, 3, {7.0, 7.0}));
-    Options opts = Options::online_opt(true);
-    opts.combined_checksums = (mask & 1) != 0;
-    opts.postpone_mcv = (mask & 2) != 0;
-    opts.incremental_mcg = (mask & 4) != 0;
-    opts.contiguous_buffering = (mask & 8) != 0;
-    opts.injector = &inj;
-    std::vector<cplx> out(kN);
-    Stats stats;
-    auto copy = x;
-    abft::online_transform(copy.data(), out.data(), kN, opts, stats);
-    EXPECT_LT(max_dev(out, want), 1e-8) << "mask=" << mask;
-    EXPECT_EQ(inj.fired_count(), 2u) << "mask=" << mask;
+  for (const Scheme& scheme : schemes) {
+    for (const bool optimized : {false, true}) {
+      SCOPED_TRACE(testing::Message() << scheme.name
+                                      << " optimized=" << optimized);
+      Injector inj;
+      inj.schedule(FaultSpec::memory_set(Phase::kInputAfterChecksum, 0, 321,
+                                         {44.0, -4.0}));
+      inj.schedule(
+          FaultSpec::computational(scheme.out_phase, scheme.unit, 3,
+                                   {7.0, 7.0}));
+      Options opts = Options::online_opt(true);
+      opts.mode = scheme.mode;
+      opts.optimized = optimized;
+      opts.injector = &inj;
+      std::vector<cplx> out = x;
+      Stats stats;
+      if (scheme.inplace) {
+        abft::protected_transform_inplace(out.data(), kN, opts, stats);
+      } else {
+        auto copy = x;
+        abft::protected_transform(copy.data(), out.data(), kN, opts, stats);
+      }
+      EXPECT_LT(max_dev(out, want), 1e-8);
+      EXPECT_EQ(inj.fired_count(), 2u);
+      // The input set is repaired in place; the computational fault costs a
+      // re-execution (the offline restart covers both).
+      EXPECT_EQ(stats.mem_errors_corrected, 1u);
+      EXPECT_GE(stats.sub_fft_retries + stats.full_restarts, 1u);
+    }
   }
 }
 

@@ -151,9 +151,9 @@ TEST(ProtectionPlan, CachedResolutionReturnsSameInstance) {
   // Different scheme or checksum-relevant option = different plan.
   const auto c = ProtectionPlan::get(1 << 10, Scheme::kOnlineInplace, opts);
   EXPECT_NE(a.get(), c.get());
-  Options unbuffered = opts;
-  unbuffered.contiguous_buffering = false;
-  const auto d = ProtectionPlan::get(1 << 10, Scheme::kOnline, unbuffered);
+  Options naive = opts;
+  naive.optimized = false;
+  const auto d = ProtectionPlan::get(1 << 10, Scheme::kOnline, naive);
   EXPECT_NE(a.get(), d.get());
   // Fields irrelevant to the setup (injector, retries, eta override,
   // memory_ft) share the entry.
