@@ -98,77 +98,49 @@ class InplaceRun {
       const std::size_t bw = std::min(batch, blk_ - i0);
       transpose_tiled(x_ + i0, blk_, stage.data(), k_, k_, bw);
       for (std::size_t il = 0; il < bw; ++il) {
-        layer1_unit(i0 + il, stage.data() + il * k_,
-                    ostage.data() + il * k_, combined_ccg);
+        const std::size_t i = i0 + il;
+        cplx* buf = stage.data() + il * k_;
+        cplx* res = ostage.data() + il * k_;
+        // Threshold scale: the CMCG slot energy under memory FT, else a sweep.
+        double energy = opts_.memory_ft ? e_in_[i] : 0.0;
+        if (!(energy > 0.0)) {
+          energy = 0.0;
+          for (std::size_t s = 0; s < k_; ++s) energy += norm2(buf[s]);
+        }
+        SubFft unit{fftk_, buf, 1, res, combined_ccg ? s1_[i] : cplx{},
+                    combined_ccg ? nullptr : ck_, eta_comp(energy),
+                    &Stats::eta_m, inj(), Phase::kMFftOutput, i,
+                    "inplace ABFT: layer-1 sub-FFT kept failing verification"};
+        if (opts_.memory_ft) {
+          // Repairs go to the staged column: the scatter overwrites the
+          // array slot. Combined checksums carry the large (rA) weights and
+          // take the computational threshold, classic ones the memory
+          // threshold; t > 1 decodes through the slot's syndromes, as
+          // online does.
+          unit.repair = {
+              {{s1_[i], s2_[i]}, syn1_.empty() ? nullptr : &syn1_[i],
+               plan_.max_errors(), plan_.syndrome_nodes_k()},
+              buf, 1, opts_.optimized ? ck_ : nullptr,
+              opts_.optimized ? eta_comp(e_in_[i]) : eta_mem(e_in_[i]),
+              /*count_check=*/true, /*record_eta=*/true,
+              /*before_run=*/!opts_.optimized,
+              "inplace ABFT: layer-1 input memory error not localizable"};
+        }
+        run_sub_fft(unit, opts_.max_retries, stats_);
+
+        // Fold the verified output into the per-block checksums that
+        // protect the window until layer 2 consumes the block.
+        if (opts_.memory_ft) {
+          const double id = static_cast<double>(i);
+          for (std::size_t s = 0; s < k_; ++s) {
+            b1_[s].plain += res[s];
+            b1_[s].indexed += id * res[s];
+            e_blk_[s] += norm2(res[s]);
+          }
+        }
       }
       transpose_tiled(ostage.data(), k_, x_ + i0, blk_, bw, k_);
     }
-  }
-
-  // One protected layer-1 sub-FFT from its staged input column `buf` into
-  // `res`, then the fold of the verified output into the per-block
-  // checksums that protect the window until layer 2 consumes the block.
-  void layer1_unit(std::size_t i, cplx* buf, cplx* res, bool combined_ccg) {
-    // Threshold scale: the CMCG slot energy under memory FT, else a sweep.
-    double energy = opts_.memory_ft ? e_in_[i] : 0.0;
-    if (!(energy > 0.0)) {
-      energy = 0.0;
-      for (std::size_t s = 0; s < k_; ++s) energy += norm2(buf[s]);
-    }
-
-    // Naive hierarchy (Fig. 2): verify the input slot before use.
-    if (!opts_.optimized) repair_input_slot(i, buf);
-    cplx ccg =
-        combined_ccg ? s1_[i] : checksum::weighted_sum(ck_, buf, k_);
-
-    const double eta = eta_comp(energy);
-    stats_.eta_m = std::max(stats_.eta_m, eta);
-    verify_with_retry(
-        stats_, &Stats::sub_fft_retries, opts_.max_retries,
-        "inplace ABFT: layer-1 sub-FFT kept failing verification",
-        [&] {
-          fftk_.execute(buf, res);
-          if (inj() != nullptr) inj()->apply(Phase::kMFftOutput, i, res, k_);
-          return omega3_check(res, k_, ccg, eta);
-        },
-        [&] {
-          if (!repair_input_slot(i, buf)) return false;
-          if (!opts_.optimized) {
-            ccg = checksum::weighted_sum(ck_, buf, k_);
-          }
-          return true;
-        });
-
-    if (opts_.memory_ft) {
-      const double id = static_cast<double>(i);
-      for (std::size_t s = 0; s < k_; ++s) {
-        b1_[s].plain += res[s];
-        b1_[s].indexed += id * res[s];
-        e_blk_[s] += norm2(res[s]);
-      }
-    }
-  }
-
-  /// Verifies the layer-1 input slot against its CMCG checksums using the
-  /// gathered buffer and repairs a localized corruption (in the buffer —
-  /// the array positions are about to be overwritten by the scatter).
-  bool repair_input_slot(std::size_t i, cplx* buf) {
-    if (!opts_.memory_ft) return false;
-    // Combined checksums carry the large (rA) weights: computational-scale
-    // threshold. Classic ones use the summation-scale memory threshold.
-    const double eta =
-        opts_.optimized ? eta_comp(e_in_[i]) : eta_mem(e_in_[i]);
-    stats_.eta_mem = std::max(stats_.eta_mem, eta);
-    // Multi-error budget (t > 1): decode the slot's 2t-moment syndromes
-    // instead of the dual-only repair, so a burst cannot be "explained" by
-    // one wrong-index write that merely balances the two dual values —
-    // every hypothesis must reproduce all 2t moments.
-    return repair_region(
-        {{s1_[i], s2_[i]}, syn1_.empty() ? nullptr : &syn1_[i],
-         plan_.max_errors(), plan_.syndrome_nodes_k()},
-        buf, 1, opts_.optimized ? ck_ : nullptr, k_, eta,
-        opts_.max_retries, RepairTally::of(stats_, true),
-        "inplace ABFT: layer-1 input memory error not localizable");
   }
 
   // Layers 2+3, block by block. Each block of blk_ = r*k contiguous
@@ -207,18 +179,12 @@ class InplaceRun {
         cplx* src = bb.data() + t * k_;
         const std::size_t unit = b * r_ + t;
         const auto se = checksum::weighted_sum_energy(ck_, src, k_);
-        const cplx ccg = se.sum;
-        const double eta = eta_comp(se.energy);
-        stats_.eta_k = std::max(stats_.eta_k, eta);
-        verify_with_retry(
-            stats_, &Stats::sub_fft_retries, opts_.max_retries,
-            "inplace ABFT: layer-3 sub-FFT kept failing verification", [&] {
-              fftk_.execute(src, seg.data());
-              if (inj() != nullptr) {
-                inj()->apply(Phase::kKFftOutput, unit, seg.data(), k_);
-              }
-              return omega3_check(seg.data(), k_, ccg, eta);
-            });
+        run_sub_fft({fftk_, src, 1, seg.data(), se.sum, nullptr,
+                     eta_comp(se.energy), &Stats::eta_k, inj(),
+                     Phase::kKFftOutput, unit,
+                     "inplace ABFT: layer-3 sub-FFT kept failing "
+                     "verification"},
+                    opts_.max_retries, stats_);
         // Output MCG for the postponed final verification (dual sums allow
         // direct correction — an in-place plan has no backup to recompute
         // from once the block is overwritten). With a multi-error budget
@@ -232,7 +198,7 @@ class InplaceRun {
                                                plan_.syndrome_moments(),
                                                plan_.syndrome_nodes_k());
         }
-        fccv_[unit] = ccg;
+        fccv_[unit] = se.sum;
         e_seg_[unit] = se.energy;
         std::memcpy(src, seg.data(), k_ * sizeof(cplx));
       }

@@ -100,78 +100,58 @@ class OnlineRun {
         transpose_tiled(x_ + i0, k_, bufblock.data(), m_, m_, bw);
       }
       for (std::size_t il = 0; il < bw; ++il) {
-        run_sub_fft(i0 + il,
-                    opts_.optimized ? bufblock.data() + il * m_ : nullptr);
-      }
-    }
-  }
+        const std::size_t i = i0 + il;
+        // The staged contiguous column, or (naive) strided straight off x_.
+        cplx* col = opts_.optimized ? bufblock.data() + il * m_ : x_ + i;
+        const std::size_t stride = opts_.optimized ? 1 : k_;
+        cplx* yi = out_ + i * m_;
+        cplx ccg{0.0, 0.0};
+        if (!opts_.memory_ft) {
+          // No CMCG slot: the CCG dot also measures the threshold scale.
+          const auto se = checksum::weighted_sum_energy(cm_, col, m_, stride);
+          ccg = se.sum;
+          e_in_[i] = se.energy;
+        } else if (opts_.optimized) {
+          ccg = s1_[i];  // section 4.1: the stored combined checksum
+        }
+        // Naive memory FT reads the input a second time (strided) for the
+        // CCG: the read the buffering optimization removes.
+        SubFft unit{fftm_, col, stride, yi, ccg,
+                    opts_.memory_ft && !opts_.optimized ? cm_ : nullptr,
+                    threshold(plan_.eta_m().comp, e_in_[i], m_,
+                              opts_.eta_override),
+                    &Stats::eta_m, inj(), Phase::kMFftOutput, i,
+                    "online ABFT: m-point sub-FFT kept failing verification"};
+        if (opts_.memory_ft) {
+          // Postponed discrimination on the slot in the caller's array (the
+          // naive hierarchy, Fig. 2, also verifies it before use). At t > 1
+          // its 2t-moment syndromes decode a burst that one wrong-index
+          // write balancing the two duals would otherwise "explain".
+          unit.repair = {
+              {{s1_[i], s2_[i]}, syn1_.empty() ? nullptr : &syn1_[i],
+               plan_.max_errors(), plan_.syndrome_nodes_m()},
+              x_ + i, k_, opts_.optimized ? cm_ : nullptr,
+              threshold(opts_.optimized ? plan_.eta_m().comp
+                                        : plan_.eta_m().mem,
+                        e_in_[i], m_, opts_.eta_override),
+              /*count_check=*/true, /*record_eta=*/true,
+              /*before_run=*/!opts_.optimized,
+              "online ABFT: input memory error detected but not localizable"};
+        }
+        run_sub_fft(unit, opts_.max_retries, stats_);
 
-  // One protected m-point sub-FFT. `buf` is the staged contiguous input
-  // (nullptr = unbuffered strided execution straight off x_). Kept out of
-  // line, like second_layer: GCC 12 inlines both once they are this small,
-  // and that layout measured ~2% slower (perfbench online_comp_x and
-  // online_mem_x on an AVX-512 Xeon).
-  [[gnu::noinline]] void run_sub_fft(std::size_t i, cplx* buf) {
-    cplx ccg{0.0, 0.0};  // reference value the CCV compares against
-    const bool have_cmcg = opts_.memory_ft;
-    const bool combined_ccg = have_cmcg && opts_.optimized;
-
-    // Naive hierarchy (Fig. 2, unbuffered): verify the input slot before use.
-    if (have_cmcg && !opts_.optimized) verify_and_repair_input(i);
-
-    if (combined_ccg) {
-      // Section 4.1: the stored combined checksum IS the CCG product.
-      ccg = s1_[i];
-    } else {
-      // Unbuffered, the CCG reads the input strided a second time: the
-      // expensive read the buffering optimization removes.
-      const auto se = buf != nullptr
-                          ? checksum::weighted_sum_energy(cm_, buf, m_)
-                          : checksum::weighted_sum_energy(cm_, x_ + i, m_, k_);
-      ccg = se.sum;
-      if (!have_cmcg) e_in_[i] = se.energy;
-    }
-
-    const double eta =
-        threshold(plan_.eta_m().comp, e_in_[i], m_, opts_.eta_override);
-    stats_.eta_m = std::max(stats_.eta_m, eta);
-    cplx* yi = out_ + i * m_;
-    verify_with_retry(
-        stats_, &Stats::sub_fft_retries, opts_.max_retries,
-        "online ABFT: m-point sub-FFT kept failing verification",
-        [&] {
-          if (buf != nullptr) {
-            fftm_.execute(buf, yi);
-          } else {
-            fftm_.execute_strided(x_ + i, k_, yi, 1);
-          }
-          if (inj() != nullptr) inj()->apply(Phase::kMFftOutput, i, yi, m_);
-          return omega3_check(yi, m_, ccg, eta);
-        },
-        [&] {
-          // Postponed discrimination: is the input slot itself corrupted?
-          if (!opts_.memory_ft || !verify_and_repair_input(i)) return false;
-          if (buf != nullptr) regather(i, buf);
-          if (!opts_.optimized) {
-            // Classic checksums: the CCG product must be rebuilt from the
-            // repaired (unbuffered) input.
-            ccg = checksum::weighted_sum(cm_, x_ + i, m_, k_);
-          }
-          return true;
-        });
-
-    if (opts_.memory_ft) {
-      if (opts_.optimized) {
-        // Section 4.3: fold this sub-FFT's verified output into the second
-        // layer's column sums while it is still cache-hot.
-        fold_row(i, yi);
-      } else {
-        // Naive hierarchy: row checksums and energy over this sub-FFT's
-        // verified output; the column checksums are regenerated in a
-        // separate pass later.
-        const auto row = checksum::dual_weighted_sum_energy(nullptr, yi, m_);
-        r1_[i] = row.sums;
-        e_row_[i] = row.energy;
+        if (opts_.memory_ft && opts_.optimized) {
+          // Section 4.3: fold the verified output into the second layer's
+          // column sums while it is still cache-hot.
+          fold_row(i, yi);
+        } else if (opts_.memory_ft) {
+          // Naive hierarchy: row checksums and energy over the verified
+          // output; the column checksums are regenerated in a separate
+          // pass later.
+          const auto row = checksum::dual_weighted_sum_energy(nullptr, yi, m_);
+          r1_[i] = row.sums;
+          e_row_[i] = row.energy;
+        }
       }
     }
   }
@@ -192,34 +172,6 @@ class OnlineRun {
       o2_[c] += id * yi[c];
       e_mid_[c] += norm2(yi[c]);
     }
-  }
-
-  // Refreshes the staged copy of sub-FFT i's input (rare repair path).
-  void regather(std::size_t i, cplx* buf) {
-    for (std::size_t t = 0; t < m_; ++t) buf[t] = x_[t * k_ + i];
-  }
-
-  /// Recomputes the stored input checksums of sub-FFT slot i over the
-  /// (strided) input and repairs a localized memory error (iterating until
-  /// the residual clears the threshold). Returns true if a corruption was
-  /// found and fixed.
-  bool verify_and_repair_input(std::size_t i) {
-    const double eta_mem = threshold(
-        opts_.optimized ? plan_.eta_m().comp : plan_.eta_m().mem,
-        e_in_[i], m_, opts_.eta_override);
-    stats_.eta_mem = std::max(stats_.eta_mem, eta_mem);
-    // Multi-error budget (t > 1): decode the slot's 2t-moment syndromes
-    // instead of the dual-only repair. The duals carry two values, so a
-    // multi-error burst whose residual ratio lands near an integer can be
-    // "explained" by one wrong-index write the dual repair accepts; the
-    // syndrome decoder checks every hypothesis against all 2t moments and
-    // decodes the burst at its true count.
-    return repair_region(
-        {{s1_[i], s2_[i]}, syn1_.empty() ? nullptr : &syn1_[i],
-         plan_.max_errors(), plan_.syndrome_nodes_m()},
-        x_ + i, k_, opts_.optimized ? cm_ : nullptr, m_, eta_mem,
-        opts_.max_retries, RepairTally::of(stats_, true),
-        "online ABFT: input memory error detected but not localizable");
   }
 
   // ------------------------------------------------------- between layers
@@ -255,6 +207,9 @@ class OnlineRun {
   }
 
   // ---------------------------------------------------------- second layer
+  // Kept out of line, like run_sub_fft: GCC 12 inlines it once it is this
+  // small, and that layout measured ~2% slower (perfbench online_comp_x and
+  // online_mem_x on an AVX-512 Xeon).
   [[gnu::noinline]] void second_layer() {
     // Every column writes its own col_ccv_ / f1_ slot.
     tw_ = frame_.take<cplx>(k_);
@@ -343,14 +298,10 @@ class OnlineRun {
     const double eta =
         threshold(plan_.eta_k().comp, opts_.memory_ft ? e_mid_[c] : se.energy,
                   k_, opts_.eta_override);
-    stats_.eta_k = std::max(stats_.eta_k, eta);
-    verify_with_retry(
-        stats_, &Stats::sub_fft_retries, opts_.max_retries,
-        "online ABFT: k-point sub-FFT kept failing verification", [&] {
-          fftk_.execute(tw_.data(), res);
-          if (inj() != nullptr) inj()->apply(Phase::kKFftOutput, c, res, k_);
-          return omega3_check(res, k_, ccg, eta);
-        });
+    run_sub_fft({fftk_, tw_.data(), 1, res, ccg, nullptr, eta, &Stats::eta_k,
+                 inj(), Phase::kKFftOutput, c,
+                 "online ABFT: k-point sub-FFT kept failing verification"},
+                opts_.max_retries, stats_);
 
     // Remember the column checksum for the postponed final verification;
     // the caller scatters `res` to the natural-order positions {c + m*j}.

@@ -1,7 +1,10 @@
 #include "abft/unit_check.hpp"
 
+#include <algorithm>
+
 #include "checksum/memory_checksum.hpp"
 #include "common/error.hpp"
+#include "fft/fft.hpp"
 
 namespace ftfft::abft {
 
@@ -36,6 +39,53 @@ bool repair_region(const StoredSums& stored, cplx* data, std::size_t stride,
   ++tally.corrected;
   if (errors >= 2) tally.multi += static_cast<std::size_t>(errors);
   return true;
+}
+
+void run_sub_fft(const SubFft& unit, int max_retries, Stats& stats) {
+  const std::size_t n = unit.engine.size();
+  const SlotRepair& rep = unit.repair;
+  const auto repair = [&] {
+    if (rep.data == nullptr) return false;
+    if (rep.record_eta) stats.eta_mem = std::max(stats.eta_mem, rep.eta);
+    if (!repair_region(rep.stored, rep.data, rep.stride, rep.w, n, rep.eta,
+                       max_retries, RepairTally::of(stats, rep.count_check),
+                       rep.what)) {
+      return false;
+    }
+    if (rep.data != unit.in) {  // refresh the staged copy
+      for (std::size_t t = 0; t < n; ++t) {
+        unit.in[t * unit.stride] = rep.data[t * rep.stride];
+      }
+    }
+    return true;
+  };
+  const auto take_ccg = [&] {
+    return unit.ccg_w == nullptr
+               ? unit.ccg
+               : checksum::weighted_sum(unit.ccg_w, unit.in, n, unit.stride);
+  };
+
+  if (rep.before_run) repair();
+  cplx ccg = take_ccg();
+  stats.*unit.eta_stat = std::max(stats.*unit.eta_stat, unit.eta);
+  verify_with_retry(
+      stats, &Stats::sub_fft_retries, max_retries, unit.what,
+      [&] {
+        if (unit.stride == 1) {
+          unit.engine.execute(unit.in, unit.out);
+        } else {
+          unit.engine.execute_strided(unit.in, unit.stride, unit.out, 1);
+        }
+        if (unit.inj != nullptr) {
+          unit.inj->apply(unit.phase, unit.index, unit.out, n);
+        }
+        return omega3_check(unit.out, n, ccg, unit.eta);
+      },
+      [&] {
+        if (!repair()) return false;
+        ccg = take_ccg();
+        return true;
+      });
 }
 
 }  // namespace ftfft::abft

@@ -7,8 +7,10 @@
 // unit on a computational error, locate and correct a memory error, and give
 // up with UncorrectableError when the fault model is violated. The online,
 // in-place, offline and real schemes and both parallel paths run every check
-// through these three functions, so the counting rules (see Stats) and the
-// point where a unit gives up live here.
+// through threshold, repair_region and verify_with_retry, so the counting
+// rules (see Stats) and the point where a unit gives up live here. Every
+// sub-FFT — the online m- and k-point layers, in-place layers 1 and 3 and
+// sharded FFT1 — runs through run_sub_fft, built on the three.
 #pragma once
 
 #include <cmath>
@@ -19,6 +21,10 @@
 #include "checksum/multi_error.hpp"
 #include "common/complex.hpp"
 #include "roundoff/model.hpp"
+
+namespace ftfft::fft {
+class Fft;
+}
 
 namespace ftfft::abft {
 
@@ -124,5 +130,50 @@ void verify_with_retry(Stats& stats, std::size_t Stats::*retries,
   verify_with_retry(stats, retries, max_retries, what, run,
                     [] { return false; });
 }
+
+/// The input repair of a sub-FFT unit (Fig. 4): repair_region over the
+/// slot data[0], data[stride], ... against its stored sums (weights w). A
+/// repaired slot that is not the unit's input (the caller's array behind a
+/// staged copy) refreshes the input from it.
+struct SlotRepair {
+  StoredSums stored;
+  cplx* data = nullptr;  ///< nullptr: the unit has no input repair
+  std::size_t stride = 1;
+  const cplx* w = nullptr;
+  double eta = 0.0;
+  bool count_check = false;  ///< RepairTally::of(stats, count_check)
+  bool record_eta = false;   ///< a re-check widens stats.eta_mem to eta
+  bool before_run = false;   ///< also re-check before the first attempt
+  const char* what = nullptr;
+};
+
+/// One protected sub-FFT: `engine` over in[0], in[stride], ... into the
+/// contiguous `out`, the injector's (phase, index) hook on the output, and
+/// the omega3 check against the CCG within eta (widening stats.*eta_stat).
+/// The CCG is `ccg`, or the dot ccg_w . in (retaken after a repair) when
+/// ccg_w is non-null.
+struct SubFft {
+  fft::Fft& engine;
+  cplx* in;
+  std::size_t stride;
+  cplx* out;
+  cplx ccg;
+  const cplx* ccg_w;
+  double eta;
+  double Stats::*eta_stat;
+  fault::Injector* inj;
+  fault::Phase phase;
+  std::size_t index;
+  const char* what;  ///< thrown when the retries are spent
+  SlotRepair repair{};
+};
+
+/// Runs `unit` through verify_with_retry (stats.sub_fft_retries); a failed
+/// check asks the input repair whether a memory fault caused it. Kept out
+/// of line, as the online layer-1 unit it replaces was: inlined into that
+/// loop it measured ~2% slower (GCC 12, perfbench online_comp_x and
+/// online_mem_x on an AVX-512 Xeon).
+[[gnu::noinline]] void run_sub_fft(const SubFft& unit, int max_retries,
+                                   Stats& stats);
 
 }  // namespace ftfft::abft

@@ -41,6 +41,7 @@
 #include "common/error.hpp"
 #include "common/math_util.hpp"
 #include "common/scratch.hpp"
+#include "common/tile_transpose.hpp"
 #include "common/timer.hpp"
 #include "engine/batch_engine.hpp"
 #include "fft/fft.hpp"
@@ -78,7 +79,7 @@ struct ShardedState {
   // dominant cost of a fresh 2*N-double block is not the allocation but
   // faulting its pages in, and glibc hands blocks this size straight back
   // to the OS on free — pooling keeps the pages warm across submissions.
-  // A rank's per-phase working buffers (checksum slots, FFT1 tile, staged
+  // A rank's per-phase working buffers (checksum slots, FFT1 staging, staged
   // blocks) never outlive its phase task: they live on a frame of the
   // running worker's scratch workspace (common/scratch.hpp).
   std::vector<cplx> in;  ///< owned input; faults injected at submission
@@ -208,52 +209,6 @@ void fold_fft1_checksums(const ParallelPlan& plan, std::size_t src,
   }
 }
 
-/// FFT1 in place over the `cols` p-point columns of a row-major p x cols
-/// tile (column c at data[c], data[cols + c], ...; it is FFT1 column
-/// u = u0 + c).
-/// Each column is gathered into a buffer, the Fig. 4 restart backup.
-/// Protected runs verify column u against its CMCG sums s1[u], s2[u] and
-/// energy e[u], retry, and repair a localized input memory fault in the
-/// backup.
-void fft1_columns(const ParallelPlan& plan, const ParallelOptions& opts,
-                  fft::Fft& fftp, cplx* data, std::size_t u0,
-                  std::size_t cols, const cplx* s1,
-                  const cplx* s2, const double* e, fault::Injector& inj,
-                  abft::Stats& stats) {
-  const std::size_t p = plan.p();
-  scratch::Frame frame;
-  const std::span<cplx> buf = frame.take<cplx>(p);
-  const std::span<cplx> res = frame.take<cplx>(p);
-  for (std::size_t c = 0; c < cols; ++c) {
-    const std::size_t u = u0 + c;
-    for (std::size_t t = 0; t < p; ++t) buf[t] = data[t * cols + c];
-    if (!opts.protect) {
-      fftp.execute(buf.data(), res.data());
-    } else {
-      const double eta =
-          abft::threshold(plan.eta_fft1_coeff(), e[u], p, opts.eta_override);
-      stats.eta_m = std::max(stats.eta_m, eta);
-      const checksum::DualSum sums{s1[u], s2[u]};
-      abft::verify_with_retry(
-          stats, &abft::Stats::sub_fft_retries, opts.max_retries,
-          "parallel ABFT: FFT1 column kept failing verification",
-          [&] {
-            fftp.execute(buf.data(), res.data());
-            inj.apply(fault::Phase::kRankFft1Output, u, res.data(), p);
-            return abft::omega3_check(res.data(), p, sums.plain, eta);
-          },
-          [&] {
-            // Memory-vs-compute discrimination on the backed-up input.
-            return abft::repair_region(
-                {sums}, buf.data(), 1, plan.cp(), p, eta, opts.max_retries,
-                abft::RepairTally::of(stats, false),
-                "parallel ABFT: FFT1 input memory error not localizable");
-          });
-    }
-    for (std::size_t t = 0; t < p; ++t) data[t * cols + c] = res[t];
-  }
-}
-
 // ----------------------------------------------------------------- phases
 
 /// Bytes one transposed block puts on the link: the block alone unchecked;
@@ -342,25 +297,40 @@ void phase1(ShardedState& st, std::size_t r, TransposeStats& tstats,
     }
   }
 
-  // FFT1 over columns (stride bsz), gathered through an L1-resident tile of
-  // rows so the p-strided column walk never leaves cache: copy tc columns'
-  // worth of every row in, transform columns from the tile, copy back.
+  // FFT1 over the bsz columns (stride bsz), staged tc at a time: one tiled
+  // transpose gathers them contiguous, each runs as a sub-FFT from its
+  // staged column (the Fig. 4 input backup, repaired in place on a located
+  // memory fault, dual-only at every t) and a second transpose scatters the
+  // results back.
   fft::Fft fftp(p);
   const std::size_t tc =
       std::max<std::size_t>(4, std::size_t{1024} / (p == 0 ? 1 : p));
-  const std::span<cplx> tile = frame.take<cplx>(p * tc);
+  const std::span<cplx> stage = frame.take<cplx>(p * tc);
+  const std::span<cplx> ostage = frame.take<cplx>(p * tc);
   for (std::size_t u0 = 0; u0 < bsz; u0 += tc) {
     const std::size_t cols = std::min(tc, bsz - u0);
-    for (std::size_t t = 0; t < p; ++t) {
-      std::memcpy(tile.data() + t * cols, slice + t * bsz + u0,
-                  cols * sizeof(cplx));
+    transpose_tiled(slice + u0, bsz, stage.data(), p, p, cols);
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t u = u0 + c;
+      cplx* col = stage.data() + c * p;
+      cplx* res = ostage.data() + c * p;
+      if (!protect) {
+        fftp.execute(col, res);
+        continue;
+      }
+      const double eta = abft::threshold(plan.eta_fft1_coeff(), e_col[u], p,
+                                         opts.eta_override);
+      abft::SubFft unit{fftp, col, 1, res, s1[u], nullptr, eta,
+                        &abft::Stats::eta_m, &st.injectors[r],
+                        fault::Phase::kRankFft1Output, u,
+                        "parallel ABFT: FFT1 column kept failing verification"};
+      unit.repair = {{{s1[u], s2[u]}}, col, 1, plan.cp(), eta,
+                     /*count_check=*/false, /*record_eta=*/false,
+                     /*before_run=*/false,
+                     "parallel ABFT: FFT1 input memory error not localizable"};
+      abft::run_sub_fft(unit, opts.max_retries, stats);
     }
-    fft1_columns(plan, opts, fftp, tile.data(), u0, cols, s1.data(),
-                 s2.data(), e_col.data(), st.injectors[r], stats);
-    for (std::size_t t = 0; t < p; ++t) {
-      std::memcpy(slice + t * bsz + u0, tile.data() + t * cols,
-                  cols * sizeof(cplx));
-    }
+    transpose_tiled(ostage.data(), p, slice + u0, bsz, cols, p);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <ostream>
 #include <vector>
 
 #include "abft/options.hpp"
@@ -304,6 +305,12 @@ struct BackupLayout {
   const char* name;
   bool backup_in_input;
 };
+
+// Test listings print the layout's name, not the bytes of the struct (whose
+// pointer would move with every unrelated string literal).
+void PrintTo(const BackupLayout& layout, std::ostream* os) {
+  *os << layout.name;
+}
 
 class OnlineBackup : public ::testing::TestWithParam<BackupLayout> {
  protected:

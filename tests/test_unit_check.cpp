@@ -1,7 +1,7 @@
 // The shared protection-unit primitive (abft/unit_check.hpp): the threshold
-// step, region repair and the verify-retry loop, plus the counting rules
-// every scheme inherits from it — the same reading when retries run out and
-// batch totals that carry every counter.
+// step, region repair, the verify-retry loop and the sub-FFT unit built on
+// them, plus the counting rules every scheme inherits from it — the same
+// reading when retries run out and batch totals that carry every counter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,9 +16,11 @@
 #include "abft/unit_check.hpp"
 #include "checksum/dot.hpp"
 #include "checksum/multi_error.hpp"
+#include "checksum/weights.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "engine/batch_engine.hpp"
+#include "fft/fft.hpp"
 #include "roundoff/model.hpp"
 
 namespace ftfft {
@@ -144,6 +146,131 @@ TEST(UnitCheck, VerifyWithRetryThrowsOnceRetriesAreSpent) {
   EXPECT_EQ(stats.verifications, 3u);
   EXPECT_EQ(stats.full_restarts, 2u);
   EXPECT_EQ(stats.comp_errors_detected, 2u);
+}
+
+// run_sub_fft over a kN-point column against a stored CCG (rA . column,
+// the section-4.1 identity omega3 . FFT(x) = rA . x), with no input repair
+// until a test adds one.
+constexpr std::size_t kN = 64;
+
+abft::SubFft sub_fft(fft::Fft& engine, cplx* in, cplx* out, cplx ccg,
+                     double eta) {
+  return {engine,  in, 1, out, ccg, nullptr, eta, &Stats::eta_m,
+          nullptr, Phase::kMFftOutput, 0, "sub-FFT kept failing"};
+}
+
+cplx ccg_of(const cplx* col) {
+  return checksum::weighted_sum(
+      checksum::input_checksum_vector(kN).data(), col, kN);
+}
+
+// The online layout: the slot lives at stride 3 in the caller's array and
+// the unit runs from a staged copy. The slot changes after its sums were
+// taken and before it was staged, so the first attempt fails; the repair
+// restores the slot, refreshes the staged copy and the re-run passes.
+// Integer-valued data keeps the all-ones dual sums and the repair exact.
+TEST(UnitCheck, SubFftRepairsTheSlotBehindAStagedColumn) {
+  fft::Fft engine(kN);
+  const std::size_t stride = 3;
+  const auto r = random_vector(kN * stride, InputDistribution::kUniform, 21);
+  std::vector<cplx> slot(kN * stride);
+  for (std::size_t i = 0; i < slot.size(); ++i) {
+    slot[i] = {std::round(8.0 * r[i].real()), std::round(8.0 * r[i].imag())};
+  }
+  const auto pristine = slot;
+  const auto stored =
+      checksum::dual_weighted_sum(nullptr, slot.data(), kN, stride);
+  std::vector<cplx> col(kN), clean_out(kN), out(kN);
+  for (std::size_t t = 0; t < kN; ++t) col[t] = slot[t * stride];
+  const cplx ccg = ccg_of(col.data());
+  Stats clean;
+  abft::run_sub_fft(sub_fft(engine, col.data(), clean_out.data(), ccg, 1e-8),
+                    4, clean);
+  EXPECT_EQ(clean.verifications, 1u);
+
+  slot[17 * stride] += cplx{5.0, -2.0};
+  for (std::size_t t = 0; t < kN; ++t) col[t] = slot[t * stride];
+  abft::SubFft u = sub_fft(engine, col.data(), out.data(), ccg, 1e-8);
+  u.repair = {{stored}, slot.data(), stride, nullptr, 1e-8,
+              /*count_check=*/true, /*record_eta=*/true,
+              /*before_run=*/false, "input not localizable"};
+  Stats stats;
+  abft::run_sub_fft(u, 4, stats);
+  EXPECT_EQ(std::memcmp(out.data(), clean_out.data(), kN * sizeof(cplx)), 0);
+  EXPECT_EQ(std::memcmp(slot.data(), pristine.data(),
+                        slot.size() * sizeof(cplx)),
+            0);
+  EXPECT_EQ(stats.mem_errors_detected, 1u);
+  EXPECT_EQ(stats.mem_errors_corrected, 1u);
+  EXPECT_EQ(stats.sub_fft_retries, 1u);
+  EXPECT_EQ(stats.comp_errors_detected, 0u);
+  EXPECT_EQ(stats.verifications, 3u);  // two attempts and the re-check
+  EXPECT_EQ(stats.eta_mem, 1e-8);
+}
+
+// At t = 2 the column's 2t-moment syndromes decode a two-element burst in
+// the staged column itself (the in-place layout), which the re-run then
+// transforms.
+TEST(UnitCheck, SubFftDecodesATwoElementBurstThroughItsSyndromes) {
+  fft::Fft engine(kN);
+  auto col = random_vector(kN, InputDistribution::kNormal, 22);
+  const auto pristine = col;
+  const auto syn = checksum::syndrome_sum(nullptr, col.data(), kN, 1, 4);
+  const cplx ccg = ccg_of(col.data());
+  std::vector<cplx> clean_out(kN), out(kN);
+  auto clean_in = col;
+  Stats clean;
+  abft::run_sub_fft(
+      sub_fft(engine, clean_in.data(), clean_out.data(), ccg, 1e-9), 4, clean);
+
+  col[9] += cplx{3.0, 1.0};
+  col[40] += cplx{-2.0, 4.0};
+  abft::SubFft u = sub_fft(engine, col.data(), out.data(), ccg, 1e-9);
+  u.repair = {{{}, &syn, 2, nullptr}, col.data(), 1, nullptr, 1e-9,
+              /*count_check=*/true, /*record_eta=*/true,
+              /*before_run=*/false, "burst not localizable"};
+  Stats stats;
+  abft::run_sub_fft(u, 4, stats);
+  EXPECT_LT(max_dev(col, pristine), 1e-12);
+  EXPECT_LT(max_dev(out, clean_out), 1e-11);
+  EXPECT_EQ(stats.mem_errors_detected, 1u);
+  EXPECT_EQ(stats.mem_errors_corrected, 1u);
+  EXPECT_EQ(stats.multi_errors_corrected, 2u);
+  EXPECT_EQ(stats.sub_fft_retries, 1u);
+  EXPECT_EQ(stats.comp_errors_detected, 0u);
+}
+
+// A check no attempt can pass (eta below any round-off) is a persistent
+// computational fault: the clean input slot re-checks clean every time, and
+// once the r retries are spent the unit throws the caller's text. The
+// repair is configured as sharded FFT1 configures it: its re-check is not
+// counted as a verification and leaves eta_mem alone.
+TEST(UnitCheck, SubFftPersistentComputationalFaultSpendsTheRetries) {
+  fft::Fft engine(kN);
+  const auto ra = checksum::input_checksum_vector(kN);
+  auto col = random_vector(kN, InputDistribution::kNormal, 23);
+  const auto pristine = col;
+  const auto stored = checksum::dual_weighted_sum(ra.data(), col.data(), kN);
+  std::vector<cplx> out(kN);
+  abft::SubFft u =
+      sub_fft(engine, col.data(), out.data(), stored.plain, 1e-30);
+  u.repair = {{stored}, col.data(), 1, ra.data(), 1e-9,
+              /*count_check=*/false, /*record_eta=*/false,
+              /*before_run=*/false, "input not localizable"};
+  Stats stats;
+  const int r = 3;
+  try {
+    abft::run_sub_fft(u, r, stats);
+    ADD_FAILURE() << "no throw";
+  } catch (const UncorrectableError& e) {
+    EXPECT_STREQ(e.what(), "sub-FFT kept failing");
+  }
+  EXPECT_EQ(stats.sub_fft_retries, std::size_t{r});
+  EXPECT_EQ(stats.comp_errors_detected, std::size_t{r});
+  EXPECT_EQ(stats.verifications, std::size_t{r} + 1);
+  EXPECT_EQ(stats.mem_errors_detected, 0u);
+  EXPECT_EQ(stats.eta_mem, 0.0);
+  EXPECT_EQ(std::memcmp(col.data(), pristine.data(), kN * sizeof(cplx)), 0);
 }
 
 // One counting rule when retries run out: with max_retries = 2 every scheme
