@@ -225,11 +225,10 @@ int main() {
   }
 
   // ----------------------------------------------- scheduler observability
-  // The admission-control counters a serving deployment scrapes: replay
-  // the job stream as mixed-priority traffic (every third job high, every
-  // third low and sheddable, deadlines on the high class) and print the
-  // per-class scheduler snapshot — the feed for FTFFT_ENGINE_QUEUE_CAP and
-  // the priority/deadline defaults.
+  // The per-class counters a deployment scrapes: replay the job stream as
+  // mixed-priority traffic (every third job high, every third low) and
+  // print the per-class scheduler snapshot — the feed for
+  // FTFFT_ENGINE_QUEUE_CAP.
   {
     const std::size_t jobs = 24;
     const std::size_t lanes_per_job = 4;
@@ -247,23 +246,7 @@ int main() {
     std::vector<engine::BatchFuture> futures;
     futures.reserve(jobs);
     for (std::size_t j = 0; j < jobs; ++j) {
-      switch (j % 3) {
-        case 0:
-          opts.submit.priority = engine::Priority::kHigh;
-          opts.submit.deadline = std::chrono::seconds(5);
-          opts.submit.cancellable = false;
-          break;
-        case 1:
-          opts.submit.priority = engine::Priority::kNormal;
-          opts.submit.deadline = std::chrono::nanoseconds{-1};
-          opts.submit.cancellable = false;
-          break;
-        default:
-          opts.submit.priority = engine::Priority::kLow;
-          opts.submit.deadline = std::chrono::nanoseconds{-1};
-          opts.submit.cancellable = true;
-          break;
-      }
+      opts.submit.priority = static_cast<engine::Priority>(j % 3);
       futures.push_back(eng.submit_batch(
           {all_lanes.data() + j * lanes_per_job, lanes_per_job}, n, opts));
     }
@@ -274,15 +257,13 @@ int main() {
                 jobs,
                 st.queue_cap == 0 ? "unbounded"
                                   : std::to_string(st.queue_cap).c_str());
-    TablePrinter sched({"class", "jobs", "lanes", "shed", "expired",
-                        "queue p50 (us)", "queue p99 (us)", "run p99 (ms)"});
+    TablePrinter sched({"class", "jobs", "lanes", "queue p50 (us)",
+                        "queue p99 (us)", "run p99 (ms)"});
     for (const auto p : {engine::Priority::kHigh, engine::Priority::kNormal,
                          engine::Priority::kLow}) {
       const auto& c = st.at(p);
       sched.add_row({engine::priority_name(p), std::to_string(c.jobs_completed),
                      std::to_string(c.lanes_completed),
-                     std::to_string(c.shed_lanes),
-                     std::to_string(c.deadline_expired_lanes),
                      TablePrinter::fixed(c.queue_wait.p50 * 1e6, 1),
                      TablePrinter::fixed(c.queue_wait.p99 * 1e6, 1),
                      TablePrinter::fixed(c.run.p99 * 1e3, 2)});

@@ -77,58 +77,69 @@ int main() {
   std::printf("checksum verifications across all waves: %zu\n",
               verifications.load());
 
-  // 4. Overload: a private one-worker engine with a tiny pending-lane cap
-  // shows the admission control a serving front door leans on — priority
-  // classes, deadlines, backpressure and load shedding.
+  // 4. Overload drill: a private one-worker engine with a pending-lane cap
+  // of 8 shows the engine's scheduling under load — a full queue blocks
+  // the submitter, a higher class overtakes queued work, and a ticket
+  // cancels what has not started.
   engine::BatchEngine eng(1);
-  eng.set_queue_cap(4);
+  eng.set_queue_cap(8);
+  std::atomic<std::size_t> background_run{0};
+  const auto background_lane = [&background_run](std::size_t,
+                                                 abft::Stats&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    background_run.fetch_add(1);
+  };
+  // Two low-class jobs of four lanes fill the queue (chunk = 1: the worker
+  // re-checks the queues after every lane).
+  const engine::SubmitOptions low{engine::Priority::kLow};
+  auto first = eng.submit_tasks(4, background_lane, low, /*chunk=*/1);
+  auto rest = eng.submit_tasks(4, background_lane, low, /*chunk=*/1);
 
-  // A low-priority, cancellable background job fills the queue (chunk = 1
-  // so the worker claims one item at a time and the rest stay sheddable).
-  engine::SubmitOptions background;
-  background.priority = engine::Priority::kLow;
-  background.cancellable = true;
-  auto bg = eng.submit_tasks(
-      4,
-      [](std::size_t, abft::Stats&) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      },
-      background, /*chunk=*/1);
-
-  // The queue is at capacity: same-class traffic submitted with a zero
-  // admission timeout is refused immediately with QueueFullError instead
-  // of waiting for space.
-  engine::SubmitOptions fail_fast = background;
-  fail_fast.admission_timeout = std::chrono::nanoseconds::zero();
-  const char* outcome = "admitted";
-  try {
-    (void)eng.submit_tasks(2, [](std::size_t, abft::Stats&) {}, fail_fast);
-  } catch (const QueueFullError&) {
-    outcome = "rejected (queue full)";
-  }
-  std::printf("fail-fast submit with the queue full: %s\n", outcome);
-
-  // A high-priority transform wave with a deadline sheds the cancellable
-  // background lanes instead of queueing behind them.
   const std::size_t hot_n = 1024;
-  std::vector<std::vector<cplx>> hot_in(2), hot_out(2,
-                                                    std::vector<cplx>(hot_n));
-  std::vector<engine::Lane> hot_lanes(2);
-  for (std::size_t l = 0; l < 2; ++l) {
+  std::vector<std::vector<cplx>> hot_in(4);
+  std::vector<std::vector<cplx>> hot_out(4, std::vector<cplx>(hot_n));
+  std::vector<engine::Lane> hot_lanes(4);
+  for (std::size_t l = 0; l < 4; ++l) {
     hot_in[l] = random_vector(hot_n, InputDistribution::kUniform, 7000 + l);
     hot_lanes[l] = {hot_in[l].data(), hot_out[l].data(), nullptr};
   }
   engine::BatchOptions hot_opts;
   hot_opts.abft = make_abft_options(config);
   hot_opts.submit.priority = engine::Priority::kHigh;
-  hot_opts.submit.deadline = std::chrono::milliseconds(250);
-  const auto hot = eng.submit_batch(hot_lanes, hot_n, hot_opts).get();
-  std::printf("urgent wave: %zu lanes, deadline %s\n", hot.lanes,
-              hot.deadline_expired_lanes == 0 ? "met" : "missed");
 
-  const auto bg_report = bg.get();
-  std::printf("background job: %zu of %zu lanes shed under overload\n",
-              bg_report.shed_lanes, bg_report.lanes);
+  // The queue is full, so the high-class wave blocks its submitter thread
+  // until the first background job retires its lanes. Once admitted it
+  // overtakes the queued low-class job at the next lane boundary, and the
+  // low job's ticket cancels its lanes that have not started.
+  engine::BatchFuture hot;
+  double blocked_ms = 0.0;
+  std::size_t run_before_hot = 0;
+  std::thread front_door([&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    hot = eng.submit_batch(hot_lanes, hot_n, hot_opts);
+    blocked_ms = std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+    hot.then([&](engine::BatchReport&) {
+      run_before_hot = background_run.load();
+    });
+    rest.ticket().cancel();
+  });
+  front_door.join();
+  const auto hot_report = hot.get();
+  const auto first_report = first.get();
+  const auto rest_report = rest.get();
+  std::printf("urgent wave: blocked %.1f ms on the full queue, %zu lanes, "
+              "%zu failed\n",
+              blocked_ms, hot_report.lanes, hot_report.failed_lanes);
+  std::printf("background lanes run before the urgent wave finished: %zu "
+              "of 8\n",
+              run_before_hot);
+  std::printf("background jobs: first %zu of %zu lanes run, rest %zu of %zu "
+              "lanes cancelled\n",
+              first_report.lanes - first_report.failed_lanes,
+              first_report.lanes, rest_report.cancelled_lanes,
+              rest_report.lanes);
 
   // 5. The per-class scheduler snapshot a monitoring loop would scrape.
   const auto sched = eng.scheduler_stats();
@@ -136,10 +147,10 @@ int main() {
                        engine::Priority::kLow}) {
     const auto& c = sched.at(p);
     std::printf(
-        "class %-6s  jobs %zu/%zu (rejected %zu)  shed lanes %zu  "
+        "class %-6s  jobs %zu/%zu  lanes run %zu, cancelled %zu  "
         "p99 queue wait %.1f us\n",
         engine::priority_name(p), c.jobs_completed, c.jobs_submitted,
-        c.jobs_rejected, c.shed_lanes, c.queue_wait.p99 * 1e6);
+        c.lanes_completed, c.lanes_cancelled, c.queue_wait.p99 * 1e6);
   }
-  return 0;
+  return hot_report.all_ok() ? 0 : 1;
 }

@@ -19,18 +19,9 @@
 //
 // FTFFT_ENGINE_QUEUE_CAP bounds each BatchEngine's pending-lane count
 // (lanes, not jobs, so a 1000-lane batch occupies 1000 slots; 0/unset =
-// unbounded). When the cap is reached, admission of a higher-priority job
-// may shed queued cancellable lower-class lanes; otherwise a submission
-// waits up to SubmitOptions::admission_timeout, then throws QueueFullError
-// (admission_timeout = 0 fails fast). Read at engine construction;
-// BatchEngine::set_queue_cap overrides at runtime.
-//
-// FTFFT_ENGINE_DEFAULT_PRIORITY ("high" | "normal" | "low"; default
-// "normal") names the scheduling class a submission with
-// Priority::kDefault resolves to, and FTFFT_ENGINE_DEFAULT_DEADLINE_MS
-// (default 0 = no deadline) the completion budget a submission with a zero
-// deadline inherits — a deployment-wide latency contract without touching
-// call sites. Both read at engine construction.
+// unbounded). A submission that does not fit blocks until enough queued
+// lanes retire; the engine's own worker threads bypass the cap. Read at
+// engine construction; BatchEngine::set_queue_cap overrides at runtime.
 //
 // The paper's experiments ran at N = 2^25..2^28 sequential and N = 2^31..2^34
 // on 128..1024 cores of Tianhe-2. This reproduction defaults to sizes that a

@@ -30,29 +30,6 @@ class CancelledError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-/// Thrown by engine admission control when a bounded work queue
-/// (FTFFT_ENGINE_QUEUE_CAP) cannot accept a submission: immediately when the
-/// admission timeout is zero, or after the optional admission timeout
-/// elapsed without space freeing up. Backpressure, not a machine
-/// fault: the caller should retry later, shed load upstream, or submit at a
-/// higher priority.
-class QueueFullError : public std::runtime_error {
- public:
-  explicit QueueFullError(const std::string& what)
-      : std::runtime_error(what) {}
-};
-
-/// Carried by batch-report lanes whose submission deadline
-/// (engine::SubmitOptions::deadline) passed before the lane started
-/// executing. The engine never silently runs work late: once the deadline
-/// expires, every not-yet-started lane of the job fails fast with this
-/// error; lanes already executing run to completion.
-class DeadlineExceededError : public std::runtime_error {
- public:
-  explicit DeadlineExceededError(const std::string& what)
-      : std::runtime_error(what) {}
-};
-
 /// Thrown by the parallel runtime when a simulated rank fails outright
 /// (NetworkModel::fail_rank — a modeled node loss, not a data fault).
 /// submit_parallel absorbs a bounded number of these by restarting the

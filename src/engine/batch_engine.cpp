@@ -5,10 +5,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <limits>
-#include <list>
+#include <deque>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -116,7 +113,6 @@ LatencyPercentiles percentiles(std::vector<double> samples,
     return samples[std::min(samples.size() - 1, rank)];
   };
   out.p50 = at(0.50);
-  out.p90 = at(0.90);
   out.p99 = at(0.99);
   return out;
 }
@@ -223,10 +219,6 @@ struct BatchEngine::Impl {
   // snapshot; lifetime counts and maxima are tracked separately.
   static constexpr std::size_t kLatencyRingCap = 4096;
 
-  // Sentinel for "no queued deadline" in next_deadline_ns_.
-  static constexpr std::int64_t kNoDeadline =
-      std::numeric_limits<std::int64_t>::max();
-
   // Runs item `index` of a job: the transform of lane `index` for batch
   // submissions, the caller's callable for task fan-outs. Built once per
   // job at submission (plans resolved, lanes copied) and shared by every
@@ -234,59 +226,42 @@ struct BatchEngine::Impl {
   // BatchReport::per_lane slot.
   using ItemFn = std::function<void(std::size_t index, abft::Stats& stats)>;
 
-  // One queued submission. Heap-owned and held in its class's queue list;
-  // kept alive by shared_ptrs held by the queue, by every worker currently
+  // One queued submission. Heap-owned and held in its class's queue; kept
+  // alive by shared_ptrs held by the queue, by every worker currently
   // draining it, and (through `state`) by the caller's
-  // BatchFuture/BatchTicket. All non-atomic fields below the scheduling
-  // block are written by the submitting thread before the job is published
-  // under the queue mutex and never mutated afterwards; the queue/timing
-  // block is guarded by mu_.
+  // BatchFuture/BatchTicket. The fields above the first-claim block are
+  // written by the submitting thread before the job is published under
+  // the queue mutex and never mutated afterwards; the first-claim block is
+  // guarded by mu_.
   struct Job {
     std::size_t count = 0;  // items; never mutated after publication
     const char* kind = "lane";  // "lane" | "task", for skip messages
     ItemFn run;                 // released by finish()
     std::shared_ptr<detail::BatchShared> state;
-
-    // Scheduling state, resolved once by apply_submit before publication.
     Priority priority = Priority::kNormal;
-    bool cancellable = false;
-    bool has_deadline = false;
     Clock::time_point submit_time{};
-    Clock::time_point deadline{};
-    std::chrono::nanoseconds admission_timeout{-1};
+    std::size_t chunk = 1;
 
-    // Queue membership and first-claim timing, guarded by mu_.
-    bool in_queue = false;
-    std::list<std::shared_ptr<Job>>::iterator queue_pos{};
+    // First-claim timing, guarded by mu_.
     bool started = false;
     Clock::time_point start_time{};
 
     std::atomic<std::size_t> cursor{0};
     std::atomic<std::size_t> remaining{0};
-    // Skip-path tallies: release increments in skip_item pair with the
-    // acquire loads in finish().
+    // Skip-path tally: release increments in skip_item pair with the
+    // acquire load in finish().
     std::atomic<std::size_t> cancelled{0};
-    std::atomic<std::size_t> shed_count{0};
-    std::atomic<std::size_t> expired_count{0};
-    // Set (under mu_) when admission picked this job as a shedding victim;
-    // every not-yet-started item then fails via skip_item.
-    std::atomic<bool> shed_flag{false};
-    std::size_t chunk = 1;
   };
 
   // Lifetime scheduler counters + latency rings of one class, guarded by
-  // stats_mu_. Lock order where both are needed: mu_ before stats_mu_
-  // (in practice they are never nested — stats are recorded after mu_ is
+  // stats_mu_ (never nested inside mu_: stats are recorded after mu_ is
   // released).
   struct ClassAccum {
     std::size_t jobs_submitted = 0;
     std::size_t jobs_completed = 0;
-    std::size_t jobs_rejected = 0;
     std::size_t lanes_submitted = 0;
     std::size_t lanes_completed = 0;
     std::size_t lanes_cancelled = 0;
-    std::size_t shed_lanes = 0;
-    std::size_t deadline_expired_lanes = 0;
     std::vector<double> wait_ring, run_ring;
     std::size_t wait_next = 0, run_next = 0;
     std::size_t wait_count = 0, run_count = 0;
@@ -295,34 +270,13 @@ struct BatchEngine::Impl {
 
   explicit Impl(std::size_t num_threads)
       : num_threads_(resolve_threads(num_threads)),
-        queue_cap_(env_size("FTFFT_ENGINE_QUEUE_CAP", 0)),
-        default_priority_(resolve_default_priority()),
-        default_deadline_(std::chrono::milliseconds(static_cast<std::int64_t>(
-            env_size("FTFFT_ENGINE_DEFAULT_DEADLINE_MS", 0)))) {}
+        queue_cap_(env_size("FTFFT_ENGINE_QUEUE_CAP", 0)) {}
 
   static std::size_t resolve_threads(std::size_t requested) {
     if (requested != 0) return requested;
     const std::size_t from_env = env_size("FTFFT_ENGINE_THREADS", 0);
     if (from_env != 0) return from_env;
     return std::max(1u, std::thread::hardware_concurrency());
-  }
-
-  // FTFFT_ENGINE_DEFAULT_PRIORITY names the class a SubmitOptions with
-  // Priority::kDefault resolves to. Read per engine construction (tests
-  // build throwaway engines after setenv), invalid values warn once per
-  // engine and fall back to normal — same spirit as env_size's validation.
-  static Priority resolve_default_priority() {
-    const char* raw = std::getenv("FTFFT_ENGINE_DEFAULT_PRIORITY");
-    if (raw == nullptr || raw[0] == '\0') return Priority::kNormal;
-    const std::string v(raw);
-    if (v == "high") return Priority::kHigh;
-    if (v == "normal") return Priority::kNormal;
-    if (v == "low") return Priority::kLow;
-    std::fprintf(stderr,
-                 "ftfft: ignoring invalid FTFFT_ENGINE_DEFAULT_PRIORITY=\"%s\""
-                 " (expected high|normal|low); using normal\n",
-                 raw);
-    return Priority::kNormal;
   }
 
   // Drains the queues: workers keep pulling jobs after stop_ is set and
@@ -349,37 +303,7 @@ struct BatchEngine::Impl {
   }
 
   static std::size_t class_index(Priority p) noexcept {
-    const int raw = static_cast<int>(p);
-    if (raw < 0 || raw >= static_cast<int>(kNumPriorities)) {
-      return static_cast<std::size_t>(Priority::kNormal);
-    }
-    return static_cast<std::size_t>(raw);
-  }
-
-  static std::int64_t to_ns(Clock::time_point tp) {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               tp.time_since_epoch())
-        .count();
-  }
-
-  // Resolves the submission's scheduling knobs against the engine's env
-  // defaults; runs on the submitting thread before the job is published.
-  // `submitted` is when the submitting call started, so the deadline and
-  // the queue wait include plan resolution.
-  void apply_submit(Job& job, const SubmitOptions& submit,
-                    Clock::time_point submitted) const {
-    job.submit_time = submitted;
-    Priority p = submit.priority == Priority::kDefault ? default_priority_
-                                                       : submit.priority;
-    job.priority = static_cast<Priority>(class_index(p));
-    job.cancellable = submit.cancellable;
-    job.admission_timeout = submit.admission_timeout;
-    std::chrono::nanoseconds rel = submit.deadline;
-    if (rel.count() == 0) rel = default_deadline_;  // 0 = inherit env default
-    if (rel.count() > 0) {
-      job.has_deadline = true;
-      job.deadline = job.submit_time + rel;
-    }
+    return static_cast<std::size_t>(p);
   }
 
   void worker_loop() {
@@ -391,66 +315,43 @@ struct BatchEngine::Impl {
         cv_work_.wait(lock, [&] { return stop_ || queued_jobs_ > 0; });
         if (queued_jobs_ == 0) return;  // stop_ set and queues drained
         job = pick_locked();
-        if (job == nullptr) continue;
       }
-      work_on(*job, /*preemptible=*/true);
+      work_on(*job);
     }
   }
 
-  void note_started_locked(Job& job, Clock::time_point now) {
-    if (!job.started) {
-      job.started = true;
-      job.start_time = now;
-    }
-  }
-
-  // Chooses the job workers should claim from next: an expired class front
-  // anywhere beats live work (draining it is near-free skips and releases
-  // its pending-lane slots immediately); otherwise the highest-priority
-  // non-empty class front. Within a class the front is the EDF minimum —
-  // deadlined jobs sit sorted ahead of the deadline-free FIFO tail — so if
-  // a class front is not expired, nothing behind it in that class is.
+  // The front of the highest-priority non-empty class; stamps its first
+  // claim. Only class fronts are ever claimed, so an exhausted job that
+  // is still queued is its class's front.
   std::shared_ptr<Job> pick_locked() {
-    const auto now = Clock::now();
-    std::shared_ptr<Job> first;
     for (auto& q : queues_) {
       if (q.empty()) continue;
-      const std::shared_ptr<Job>& front = q.front();
-      if (front->has_deadline && now >= front->deadline) {
-        note_started_locked(*front, now);
-        return front;
+      Job& front = *q.front();
+      if (!front.started) {
+        front.started = true;
+        front.start_time = Clock::now();
       }
-      if (first == nullptr) first = front;
+      return q.front();
     }
-    if (first != nullptr) note_started_locked(*first, now);
-    return first;
+    return nullptr;
   }
 
-  // True when a worker between chunks should return to the scheduler: new
-  // work arrived (sched_version_ bumped by every enqueue) or a queued
-  // deadline passed. Cancelled/shed/expired jobs are exempt — their
-  // remaining items are near-free skips, and finishing the sweep is what
-  // frees queue capacity and fulfills the future fastest.
+  // True when a worker between chunks should return to the scheduler
+  // because new work arrived (sched_version_ is bumped by every enqueue).
+  // A cancelled job is exempt: its remaining items are near-free skips,
+  // and finishing the sweep is what frees queue capacity and fulfills the
+  // future fastest.
   [[nodiscard]] bool should_reschedule(const Job& job,
                                        std::uint64_t seen) const {
-    if (job.state->cancel.load(std::memory_order_relaxed) ||
-        job.shed_flag.load(std::memory_order_relaxed)) {
-      return false;
-    }
-    if (job.has_deadline && Clock::now() >= job.deadline) return false;
-    if (sched_version_.load(std::memory_order_acquire) != seen) return true;
-    const std::int64_t next =
-        next_deadline_ns_.load(std::memory_order_relaxed);
-    return next != kNoDeadline && to_ns(Clock::now()) >= next;
+    return !job.state->cancel.load(std::memory_order_relaxed) &&
+           sched_version_.load(std::memory_order_acquire) != seen;
   }
 
-  // Claims chunks of the job's items until its cursor is exhausted — or,
-  // when preemptible, until the scheduler has something more urgent — then
-  // retires an exhausted job from its class queue (so workers move on
-  // while stragglers finish this one) and, if this worker ran the job's
-  // final item, fulfills its future. preemptible=false on the shed-drain
-  // path, which must complete in one call.
-  void work_on(Job& job, bool preemptible) {
+  // Claims chunks of the job's items until its cursor is exhausted or the
+  // scheduler has new work, then retires an exhausted job from its class
+  // queue (so workers move on while stragglers finish this one) and, if
+  // this worker ran the job's final item, fulfills its future.
+  void work_on(Job& job) {
     const std::size_t count = job.count;
     const std::uint64_t seen = sched_version_.load(std::memory_order_acquire);
     std::size_t done = 0;
@@ -473,7 +374,7 @@ struct BatchEngine::Impl {
         const std::size_t end = std::min(begin + job.chunk, count);
         for (std::size_t i = begin; i < end; ++i) run_item(job, i);
         done += end - begin;
-        if (preemptible && should_reschedule(job, seen)) break;
+        if (should_reschedule(job, seen)) break;
       }
     }
     if (exhausted) retire_from_queue(job);
@@ -483,54 +384,33 @@ struct BatchEngine::Impl {
     }
   }
 
-  // Removes an exhausted job from its class queue. Idempotent: several
-  // workers can exhaust the cursor concurrently and each call this.
+  // Removes an exhausted job from the front of its class queue.
+  // Idempotent: several workers can exhaust the cursor concurrently and
+  // each call this; only the first still finds the job at the front.
   void retire_from_queue(Job& job) {
     std::scoped_lock lock(mu_);
-    if (!job.in_queue) return;
-    queues_[class_index(job.priority)].erase(job.queue_pos);
-    job.in_queue = false;
+    auto& q = queues_[class_index(job.priority)];
+    if (q.empty() || q.front().get() != &job) return;
+    q.pop_front();
     --queued_jobs_;
-    refresh_next_deadline_locked();
   }
 
-  // Checks, in taxonomy order, whether this item must fail fast instead of
-  // executing: ticket cancellation, overload shedding, deadline expiry.
-  // Items already executing are never touched — this runs before the item
-  // starts. The messages name the job's kind, "lane" or "task" (they are
-  // part of the report contract).
+  // Fails the item fast when its ticket was cancelled. Items already
+  // executing are never touched — this runs before the item starts. The
+  // messages name the job's kind, "lane" or "task" (they are part of the
+  // report contract).
   bool skip_item(Job& job, std::size_t index) {
+    if (!job.state->cancel.load(std::memory_order_relaxed)) return false;
     const char* kind = job.kind;
     BatchReport& report = job.state->report;
-    if (job.state->cancel.load(std::memory_order_relaxed)) {
-      report.errors[index] = std::string(kind) + " cancelled before execution";
-      report.exceptions[index] = std::make_exception_ptr(CancelledError(
-          std::string("BatchEngine: ") + kind + " cancelled before execution"));
-      // Release pairs with the acquire load in finish(): the finishing
-      // worker must observe every increment (and the error slots written
-      // above) without leaning on the release sequence of `remaining`.
-      job.cancelled.fetch_add(1, std::memory_order_release);
-      return true;
-    }
-    if (job.shed_flag.load(std::memory_order_acquire)) {
-      report.errors[index] =
-          std::string(kind) + " shed under overload (queue full)";
-      report.exceptions[index] = std::make_exception_ptr(
-          CancelledError(std::string("BatchEngine: cancellable ") + kind +
-                         " shed under overload (queue full)"));
-      job.shed_count.fetch_add(1, std::memory_order_release);
-      return true;
-    }
-    if (job.has_deadline && Clock::now() >= job.deadline) {
-      report.errors[index] =
-          std::string(kind) + " deadline exceeded before execution";
-      report.exceptions[index] = std::make_exception_ptr(DeadlineExceededError(
-          std::string("BatchEngine: ") + kind +
-          " deadline exceeded before execution"));
-      job.expired_count.fetch_add(1, std::memory_order_release);
-      return true;
-    }
-    return false;
+    report.errors[index] = std::string(kind) + " cancelled before execution";
+    report.exceptions[index] = std::make_exception_ptr(CancelledError(
+        std::string("BatchEngine: ") + kind + " cancelled before execution"));
+    // Release pairs with the acquire load in finish(): the finishing
+    // worker must observe every increment (and the error slots written
+    // above) without leaning on the release sequence of `remaining`.
+    job.cancelled.fetch_add(1, std::memory_order_release);
+    return true;
   }
 
   // One item of any job kind: fail fast through skip_item, otherwise run
@@ -553,32 +433,24 @@ struct BatchEngine::Impl {
   // Tallies the finished job's report, releases its pending-lane slots and
   // fulfills its future. Runs on the thread that completed the last item;
   // every other worker has already subtracted its contribution, so the
-  // report slots are quiescent. The first-claim timing is read back under
-  // mu_ because a worker may set it concurrently with a shed-drain finish.
+  // report slots are quiescent. Every finisher claimed the job through
+  // pick_locked, so the first-claim time is set.
   void finish(Job& job) {
     detail::BatchShared& state = *job.state;
     const auto fin = Clock::now();
-    bool started = false;
     Clock::time_point start_time{};
     {
       std::scoped_lock lock(mu_);
-      started = job.started;
       start_time = job.start_time;
       pending_lanes_ -= job.count;
     }
     cv_space_.notify_all();
-    double wait_s = 0.0;
-    double run_s = 0.0;
+    const double wait_s = secs(start_time - job.submit_time);
+    const double run_s = secs(fin - start_time);
     try {
       BatchReport& report = state.report;
       // Acquire pairs with the release increments in skip_item.
       report.cancelled_lanes = job.cancelled.load(std::memory_order_acquire);
-      report.shed_lanes = job.shed_count.load(std::memory_order_acquire);
-      report.deadline_expired_lanes =
-          job.expired_count.load(std::memory_order_acquire);
-      report.priority = job.priority;
-      wait_s = secs((started ? start_time : fin) - job.submit_time);
-      run_s = started ? secs(fin - start_time) : 0.0;
       report.queue_wait_seconds = wait_s;
       report.run_seconds = run_s;
       for (std::size_t i = 0; i < report.lanes; ++i) {
@@ -591,7 +463,7 @@ struct BatchEngine::Impl {
     } catch (...) {
       state.error = std::current_exception();
     }
-    record_completion(job, state.report, wait_s, run_s, started);
+    record_completion(job, state.report.cancelled_lanes, wait_s, run_s);
     inflight_jobs_.fetch_sub(1, std::memory_order_acq_rel);
     // Destroy the item closure before publishing completion: closures own
     // caller state (the sharded FFT's phase chain keeps its shared state
@@ -624,33 +496,21 @@ struct BatchEngine::Impl {
     c.lanes_submitted += job.count;
   }
 
-  void note_rejected(const Job& job) {
-    std::scoped_lock lock(stats_mu_);
-    ++stats_[class_index(job.priority)].jobs_rejected;
-  }
-
-  void record_completion(const Job& job, const BatchReport& report,
-                         double wait_s, double run_s, bool started) {
+  void record_completion(const Job& job, std::size_t cancelled, double wait_s,
+                         double run_s) {
     std::scoped_lock lock(stats_mu_);
     ClassAccum& c = stats_[class_index(job.priority)];
     ++c.jobs_completed;
-    const std::size_t skipped = report.cancelled_lanes + report.shed_lanes +
-                                report.deadline_expired_lanes;
-    const std::size_t items = job.count;
-    c.lanes_completed += items > skipped ? items - skipped : 0;
-    c.lanes_cancelled += report.cancelled_lanes;
-    c.shed_lanes += report.shed_lanes;
-    c.deadline_expired_lanes += report.deadline_expired_lanes;
+    c.lanes_completed += job.count - cancelled;
+    c.lanes_cancelled += cancelled;
     push_sample(c.wait_ring, c.wait_next, c.wait_count, c.wait_max, wait_s);
-    if (started) {
-      push_sample(c.run_ring, c.run_next, c.run_count, c.run_max, run_s);
-    }
+    push_sample(c.run_ring, c.run_next, c.run_count, c.run_max, run_s);
   }
 
-  // The one job builder: item count, kind, item closure and resolved
-  // scheduling knobs. `count` >= 1 (empty submissions never build a job).
+  // The one job builder: item count, kind, item closure and scheduling
+  // class. `count` >= 1 (empty submissions never build a job).
   std::shared_ptr<Job> make_job(std::size_t count, const char* kind,
-                                ItemFn run, const SubmitOptions& submit,
+                                ItemFn run, Priority priority,
                                 std::size_t chunk,
                                 Clock::time_point submitted) {
     auto state = std::make_shared<detail::BatchShared>();
@@ -664,158 +524,66 @@ struct BatchEngine::Impl {
     job->kind = kind;
     job->run = std::move(run);
     job->state = std::move(state);
-    job->remaining.store(count, std::memory_order_relaxed);
+    job->priority = priority;
+    job->submit_time = submitted;
     job->chunk = pick_chunk(count, num_threads_, chunk);
-    apply_submit(*job, submit, submitted);
+    job->remaining.store(count, std::memory_order_relaxed);
     return job;
   }
 
-  // Inserts a made job into its class queue in EDF position: deadlined
-  // jobs sorted ascending by deadline ahead of the deadline-free FIFO
-  // tail. Bumps sched_version_ so workers between chunks re-consult the
-  // scheduler, and refreshes the earliest-queued-deadline hint.
-  void enqueue_locked(const std::shared_ptr<Job>& job) {
-    spawn_workers_locked();
-    auto& q = queues_[class_index(job->priority)];
-    auto pos = q.end();
-    if (job->has_deadline) {
-      pos = q.begin();
-      while (pos != q.end() && (*pos)->has_deadline &&
-             (*pos)->deadline <= job->deadline) {
-        ++pos;
-      }
-    }
-    job->queue_pos = q.insert(pos, job);
-    job->in_queue = true;
-    ++queued_jobs_;
-    sched_version_.fetch_add(1, std::memory_order_release);
-    refresh_next_deadline_locked();
-  }
-
-  // Earliest deadline among the class fronts (the EDF ordering makes each
-  // front its class's minimum) — the cheap hint workers poll between
-  // chunks so an expiring queued job gets drained promptly.
-  void refresh_next_deadline_locked() {
-    std::int64_t next = kNoDeadline;
-    for (const auto& q : queues_) {
-      if (!q.empty() && q.front()->has_deadline) {
-        next = std::min(next, to_ns(q.front()->deadline));
-      }
-    }
-    next_deadline_ns_.store(next, std::memory_order_relaxed);
-  }
-
-  // Picks (and flags) the queued job admission should shed to make room
-  // for a submission of class `incoming`: cancellable jobs of a class
-  // strictly below it, lowest class first, newest first within a class —
-  // the least valuable queued work goes first, and equal-class work is
-  // never shed. Returns null when nothing is sheddable.
-  std::shared_ptr<Job> pop_shed_victim_locked(Priority incoming) {
-    const int inc = static_cast<int>(class_index(incoming));
-    for (int c = static_cast<int>(kNumPriorities) - 1; c > inc; --c) {
-      auto& q = queues_[static_cast<std::size_t>(c)];
-      for (auto it = q.rbegin(); it != q.rend(); ++it) {
-        Job& cand = **it;
-        if (!cand.cancellable) continue;
-        if (cand.shed_flag.load(std::memory_order_relaxed)) continue;
-        cand.shed_flag.store(true, std::memory_order_release);
-        return *it;
-      }
-    }
-    return nullptr;
-  }
-
-  // Runs the shed victim's remaining items on the shedding thread — every
-  // claim lands in skip_item (shed_flag is set), so this is a fast
-  // bookkeeping sweep that frees the victim's pending-lane slots and
-  // fulfills its future without waiting for a worker. Items a worker
-  // claimed before the flag was set still run to completion (only
-  // not-yet-started lanes are shed).
-  void drain_shed(Job& job) {
-    Impl* prev = t_pool_thread;
-    t_pool_thread = this;  // callbacks run here may re-submit; never block
-    work_on(job, /*preemptible=*/false);
-    t_pool_thread = prev;
-  }
-
   // Admission control: accounts the job's items against the pending-lane
-  // cap, shedding lower-class cancellable queued work to make room, then
-  // waiting for space up to the admission timeout. On success the job is
-  // queued in EDF position and workers are woken (only as many as it has
-  // chunks — a stream of small jobs must not thundering-herd the whole
-  // pool awake; workers re-check the queues before parking, so no job is
-  // stranded by waking too few). Throws QueueFullError when the timeout
-  // elapses (at once for a zero timeout) with the queue still full.
+  // cap, blocking until they fit, then appends the job to its class queue,
+  // bumps sched_version_ so workers between chunks re-consult the
+  // scheduler, and wakes only as many workers as the job has chunks — a
+  // stream of small jobs must not thundering-herd the whole pool awake;
+  // workers re-check the queues before parking, so no job is stranded by
+  // waking too few.
   void admit(const std::shared_ptr<Job>& job) {
     const std::size_t need = job->count;
     const bool pool_thread = t_pool_thread == this;
     std::size_t wakes = 0;
     {
       std::unique_lock lock(mu_);
-      const std::chrono::nanoseconds timeout = job->admission_timeout;
-      Clock::time_point wait_deadline{};
-      if (timeout.count() > 0) {
-        wait_deadline = Clock::now() + timeout;
-      }
-      for (;;) {
+      // A job bigger than the cap is admitted once the queue is otherwise
+      // empty, so oversized submissions make progress instead of waiting
+      // forever. A pool thread never blocks on its own engine's cap: a
+      // worker submitting a continuation (sharded rank phases,
+      // then-callbacks) must stay runnable or admission could deadlock the
+      // pool. A stopping engine admits through too — its draining workers
+      // run everything enqueued before join.
+      cv_space_.wait(lock, [&] {
         const std::size_t cap = queue_cap_;
-        // A job bigger than the cap is admitted once the queue is
-        // otherwise empty, so oversized submissions make progress instead
-        // of waiting forever.
-        if (cap == 0 || pending_lanes_ + need <= cap ||
-            (need > cap && pending_lanes_ == 0)) {
-          break;
-        }
-        // Never block a pool thread on its own engine's cap: a worker
-        // submitting a continuation (sharded rank phases, then-callbacks)
-        // must stay runnable or admission could deadlock the pool. A
-        // stopping engine admits through too — its draining workers run
-        // everything enqueued before join.
-        if (pool_thread || stop_) break;
-        if (std::shared_ptr<Job> victim =
-                pop_shed_victim_locked(job->priority)) {
-          lock.unlock();
-          drain_shed(*victim);
-          lock.lock();
-          continue;
-        }
-        if (timeout.count() == 0 ||
-            (timeout.count() > 0 && Clock::now() >= wait_deadline)) {
-          const std::size_t pending = pending_lanes_;
-          lock.unlock();
-          note_rejected(*job);
-          throw QueueFullError(
-              "BatchEngine: pending-lane queue cap reached (cap " +
-              std::to_string(cap) + ", pending " + std::to_string(pending) +
-              ", requested " + std::to_string(need) + ")");
-        }
-        if (timeout.count() > 0) {
-          cv_space_.wait_until(lock, wait_deadline);
-        } else {
-          cv_space_.wait(lock);
-        }
-      }
+        return cap == 0 || pending_lanes_ + need <= cap ||
+               (need > cap && pending_lanes_ == 0) || pool_thread || stop_;
+      });
+      spawn_workers_locked();
+      queues_[class_index(job->priority)].push_back(job);
       pending_lanes_ += need;
-      enqueue_locked(job);
+      ++queued_jobs_;
+      sched_version_.fetch_add(1, std::memory_order_release);
       wakes = std::min(num_threads_, (need + job->chunk - 1) / job->chunk);
     }
     for (std::size_t i = 0; i < wakes; ++i) cv_work_.notify_one();
     note_admitted(*job);
   }
 
-  // The one submission path: builds the job and admits it. An empty
-  // submission is ready before anyone looks; a rejected job gives back its
-  // in-flight count.
+  // The one submission path: validates the class, builds the job and
+  // admits it. An empty submission is ready before anyone looks; a job
+  // whose admission throws (no memory or thread for the pool) gives back
+  // its in-flight count.
   BatchFuture submit(Clock::time_point submitted, std::size_t count,
                      const char* kind, ItemFn run,
                      const SubmitOptions& options, std::size_t chunk) {
+    ftfft::detail::require(
+        class_index(options.priority) < kNumPriorities,
+        "BatchEngine: priority must be kHigh, kNormal or kLow");
     if (count == 0) {
       auto state = std::make_shared<detail::BatchShared>();
       state->ready.store(true, std::memory_order_release);
       return BatchFuture(std::move(state));
     }
-    std::shared_ptr<Job> job =
-        make_job(count, kind, std::move(run), options, chunk, submitted);
+    std::shared_ptr<Job> job = make_job(count, kind, std::move(run),
+                                        options.priority, chunk, submitted);
     inflight_jobs_.fetch_add(1, std::memory_order_relaxed);
     try {
       admit(job);
@@ -839,12 +607,9 @@ struct BatchEngine::Impl {
       PriorityClassStats& s = out.classes[c];
       s.jobs_submitted = a.jobs_submitted;
       s.jobs_completed = a.jobs_completed;
-      s.jobs_rejected = a.jobs_rejected;
       s.lanes_submitted = a.lanes_submitted;
       s.lanes_completed = a.lanes_completed;
       s.lanes_cancelled = a.lanes_cancelled;
-      s.shed_lanes = a.shed_lanes;
-      s.deadline_expired_lanes = a.deadline_expired_lanes;
       s.queue_wait = percentiles(a.wait_ring, a.wait_count, a.wait_max);
       s.run = percentiles(a.run_ring, a.run_count, a.run_max);
     }
@@ -856,9 +621,8 @@ struct BatchEngine::Impl {
     stats_.fill(ClassAccum{});
   }
 
-  // Set while a thread is executing engine work (worker loops and the
-  // shed-drain sweep): submissions from such threads never block on the
-  // admission cap — a parked continuation would deadlock the pool.
+  // Set on worker threads: their submissions never block on the admission
+  // cap — a parked continuation would deadlock the pool.
   static thread_local Impl* t_pool_thread;
 
   const std::size_t num_threads_;
@@ -868,20 +632,17 @@ struct BatchEngine::Impl {
   mutable std::mutex mu_;
   std::condition_variable cv_work_;   // workers: queued work available
   std::condition_variable cv_space_;  // submitters: pending lanes freed
-  std::array<std::list<std::shared_ptr<Job>>, kNumPriorities> queues_;
+  std::array<std::deque<std::shared_ptr<Job>>, kNumPriorities> queues_;
   std::size_t queued_jobs_ = 0;   // jobs currently linked into queues_
   std::size_t pending_lanes_ = 0; // admitted, not yet finished
   std::size_t queue_cap_;         // 0 = unbounded
   bool stop_ = false;
 
-  // Lock-free hints workers poll between chunks (see should_reschedule).
+  // Bumped by every enqueue; workers poll it between chunks (see
+  // should_reschedule).
   std::atomic<std::uint64_t> sched_version_{0};
-  std::atomic<std::int64_t> next_deadline_ns_{kNoDeadline};
 
-  const Priority default_priority_;
-  const std::chrono::nanoseconds default_deadline_;  // 0 = none
-
-  mutable std::mutex stats_mu_;  // ordered after mu_; never nested inside it
+  mutable std::mutex stats_mu_;  // never nested inside mu_
   std::array<ClassAccum, kNumPriorities> stats_{};
 };
 
@@ -1064,10 +825,6 @@ BatchFuture BatchEngine::submit_tasks(
 BatchEngine& BatchEngine::shared() {
   static BatchEngine instance;
   return instance;
-}
-
-SchedulerStats scheduler_stats() {
-  return BatchEngine::shared().scheduler_stats();
 }
 
 }  // namespace ftfft::engine

@@ -1,51 +1,38 @@
-// Queued, multi-threaded execution of protected transforms with
-// serving-grade admission control.
+// Queued, multi-threaded execution of protected transforms.
 //
 // The paper's online ABFT scheme protects one transform at a time; a
 // production deployment runs many independent transforms ("lanes") in
-// flight at once, and a serving layer on top of it cannot afford to block
-// a request thread for every batch. BatchEngine therefore separates
-// submission from completion. There are three entry points —
-// submit_batch (complex lanes), submit_real_batch (r2c/c2r lanes) and
-// submit_tasks (generic work items) — and each builds the same kind of
-// job: an item count plus one item function, resolved once at submission
-// (plans, lane copies). The job enters a per-class work queue through one
-// admission path and the call immediately returns a BatchFuture; callers
-// that want to block call .get(). A persistent pool of worker threads
-// pulls items across all queued jobs — items of a job are claimed from
-// its atomic cursor in contiguous chunks, and a worker that exhausts a
-// job's cursor moves on to the next job while stragglers finish the
-// previous one, so checksum setup, transform and verification of
-// consecutive batches overlap (the CPU analogue of TurboFFT's pipelined
-// batching). Every item, whatever its kind, runs through one runner with
-// one skip path and one failure-isolation path.
+// flight at once, and a caller cannot afford to block a thread for every
+// batch. BatchEngine therefore separates submission from completion. There are
+// three entry points — submit_batch (complex lanes), submit_real_batch (r2c/c2r
+// lanes) and submit_tasks (generic work items) — and each builds the same kind
+// of job: an item count plus one item function, resolved once at submission
+// (plans, lane copies). The job enters its class's work queue through one
+// admission path and the call immediately returns a BatchFuture; callers that
+// want to block call .get(). A persistent pool of worker threads pulls items
+// across all queued jobs — items of a job are claimed from its atomic cursor in
+// contiguous chunks, and a worker that exhausts a job's cursor moves on to the
+// next job while stragglers finish the previous one, so checksum setup,
+// transform and verification of consecutive batches overlap (the CPU analogue
+// of TurboFFT's pipelined batching). Every item, whatever its kind, runs
+// through one runner with one skip path (ticket cancellation) and one
+// failure-isolation path.
 //
-// Scheduling is something you could put behind an RPC front door:
+// Scheduling:
 //
-//  * Priority classes + EDF. Every submission carries SubmitOptions — a
-//    priority class, an optional deadline and a cancellable marker.
-//    Workers always claim from the highest-priority non-empty class;
-//    within a class, jobs with deadlines run earliest-deadline-first
-//    ahead of deadline-free jobs, which keep FIFO order among
-//    themselves. Workers re-consult the scheduler between lane chunks,
-//    so a high-priority arrival overtakes a half-drained low-priority
-//    job at the next chunk boundary (no preemption of running lanes).
-//  * Bounded-queue backpressure. FTFFT_ENGINE_QUEUE_CAP (or
-//    set_queue_cap) bounds the pending-lane count — lanes, not jobs, so
-//    a 1000-lane batch occupies 1000 slots. When full, a submission waits
-//    for space up to SubmitOptions::admission_timeout, then throws
-//    QueueFullError; admission_timeout = 0 is the fail-fast form.
-//  * Deadline enforcement. A lane whose job deadline passes before it
-//    starts fails fast with DeadlineExceededError — queued work is never
-//    silently run late. Lanes already executing run to completion.
-//  * Load shedding. When admission finds the queue full, it sheds
-//    not-yet-started lanes of queued *cancellable* jobs of any class
-//    strictly below the incoming submission's, via the same skip path as
-//    BatchTicket::cancel (CancelledError per lane, counted as
-//    shed_lanes), before rejecting or blocking.
+//  * Three priority classes, each a FIFO queue. Workers always claim from
+//    the highest non-empty class and re-check between lane chunks, so a
+//    high arrival overtakes a half-drained low job at the next chunk
+//    boundary (running lanes are never preempted).
+//  * One pending-lane cap. FTFFT_ENGINE_QUEUE_CAP (or set_queue_cap)
+//    bounds the pending lanes of all classes together — lanes, not jobs,
+//    so a 1000-lane batch occupies 1000 slots. A submission that does not
+//    fit blocks until enough lanes retire. Pool threads (phase
+//    continuations of the sharded FFT, then-callbacks) bypass the cap so
+//    a full queue cannot deadlock the pool.
 //  * Observability. BatchReport carries the job's queue-wait and run
-//    latency; scheduler_stats() aggregates per-class latency percentiles
-//    and admission/shed/expiry counters engine-wide.
+//    latency; scheduler_stats() aggregates per-class counters and latency
+//    percentiles.
 //
 // Shared, immutable state (decomposition plans, twiddle tables, and the
 // ABFT ProtectionPlan with its checksum vectors and threshold coefficients)
@@ -119,17 +106,15 @@ enum class RealDirection {
 };
 
 /// Priority class of a submission. Lower value = more urgent; workers
-/// always drain the highest non-empty class first. kDefault resolves to
-/// FTFFT_ENGINE_DEFAULT_PRIORITY ("high" | "normal" | "low"; normal when
-/// unset), read at engine construction.
+/// always drain the highest non-empty class first. Submitting any other
+/// value throws std::invalid_argument.
 enum class Priority : int {
-  kHigh = 0,    ///< latency-sensitive serving traffic
+  kHigh = 0,    ///< latency-sensitive traffic, sharded rank phases
   kNormal = 1,  ///< the default class
-  kLow = 2,     ///< batch/background work; first in line for shedding
-  kDefault = 3  ///< resolve from the environment at submission
+  kLow = 2,     ///< batch/background work
 };
 
-/// Number of real scheduling classes (kDefault is a resolution marker).
+/// Number of scheduling classes.
 inline constexpr std::size_t kNumPriorities = 3;
 
 /// Stable lowercase class name ("high" | "normal" | "low") for logs and
@@ -139,26 +124,8 @@ const char* priority_name(Priority p) noexcept;
 /// Per-submission scheduling knobs, carried by BatchOptions::submit and by
 /// the submit_tasks parameter.
 struct SubmitOptions {
-  /// Scheduling class; kDefault resolves from FTFFT_ENGINE_DEFAULT_PRIORITY.
-  Priority priority = Priority::kDefault;
-  /// Completion budget relative to submission. A lane that has not started
-  /// when the deadline passes fails fast with DeadlineExceededError (lanes
-  /// already executing finish). 0 inherits FTFFT_ENGINE_DEFAULT_DEADLINE_MS
-  /// (unset/0 = no deadline); negative = explicitly no deadline. Within a
-  /// class, deadlined jobs run earliest-deadline-first ahead of
-  /// deadline-free ones.
-  std::chrono::nanoseconds deadline{0};
-  /// Marks this submission's not-yet-started lanes as sheddable: when the
-  /// queue is full, admission of a strictly higher-priority job may skip
-  /// them (CancelledError per lane, counted in BatchReport::shed_lanes)
-  /// instead of rejecting the newcomer.
-  bool cancellable = false;
-  /// How long a submission may wait for queue space when the pending-lane
-  /// cap is reached (and shedding cannot make room) before throwing
-  /// QueueFullError: negative (default) = wait as long as it takes, 0 =
-  /// fail immediately (the fail-fast path of a serving front door),
-  /// positive = bounded wait.
-  std::chrono::nanoseconds admission_timeout{-1};
+  /// Scheduling class.
+  Priority priority = Priority::kNormal;
 };
 
 /// Batch-wide execution knobs beyond the per-lane ABFT options.
@@ -171,7 +138,7 @@ struct BatchOptions {
   /// Stage every lane input through worker scratch so the caller's input
   /// buffers are never written (fault repair then fixes the staged copy).
   bool preserve_inputs = false;
-  /// Scheduling class, deadline, shedding eligibility, admission timeout.
+  /// Scheduling class.
   SubmitOptions submit{};
 };
 
@@ -180,7 +147,6 @@ struct BatchOptions {
 struct LatencyPercentiles {
   std::size_t count = 0;
   double p50 = 0.0;
-  double p90 = 0.0;
   double p99 = 0.0;
   double max = 0.0;
 };
@@ -189,12 +155,14 @@ struct LatencyPercentiles {
 struct PriorityClassStats {
   std::size_t jobs_submitted = 0;  ///< admitted to the queue
   std::size_t jobs_completed = 0;  ///< futures fulfilled
-  std::size_t jobs_rejected = 0;   ///< QueueFullError refusals
   std::size_t lanes_submitted = 0;
   std::size_t lanes_completed = 0;  ///< executed (success or lane failure)
   std::size_t lanes_cancelled = 0;  ///< skipped via BatchTicket::cancel
-  std::size_t shed_lanes = 0;       ///< skipped by overload shedding
-  std::size_t deadline_expired_lanes = 0;  ///< failed fast past deadline
+  /// The next three are always 0; kept only until the benchmark stops
+  /// reading them (no engine code writes them).
+  std::size_t jobs_rejected = 0;
+  std::size_t shed_lanes = 0;
+  std::size_t deadline_expired_lanes = 0;
   LatencyPercentiles queue_wait;  ///< submission -> first worker claim
   LatencyPercentiles run;         ///< first claim -> future fulfilled
 };
@@ -214,15 +182,9 @@ struct SchedulerStats {
 struct BatchReport {
   std::size_t lanes = 0;         ///< lanes submitted
   std::size_t failed_lanes = 0;  ///< lanes whose transform threw or was
-                                 ///< cancelled/shed/expired
+                                 ///< cancelled
   std::size_t cancelled_lanes = 0;  ///< lanes skipped by BatchTicket::cancel
                                     ///< (also counted in failed_lanes)
-  std::size_t shed_lanes = 0;  ///< lanes skipped by overload shedding
-                               ///< (CancelledError; also in failed_lanes)
-  std::size_t deadline_expired_lanes = 0;  ///< lanes failed fast past the
-                                           ///< deadline (DeadlineExceededError;
-                                           ///< also in failed_lanes)
-  Priority priority = Priority::kNormal;  ///< resolved scheduling class
   double queue_wait_seconds = 0.0;  ///< submission -> first worker claim
   double run_seconds = 0.0;         ///< first claim -> completion
   abft::Stats totals;            ///< per_lane merged by Stats::operator+=
@@ -313,12 +275,12 @@ class BatchFuture {
 /// condition variable while the queues are empty, so an engine is cheap to
 /// construct. Submission is thread-safe: any number of threads may call
 /// the submit_* methods concurrently; jobs are claimed highest
-/// priority class first (EDF within a class, FIFO among deadline-free
-/// jobs) and may complete out of order (a small job queued behind a large
-/// one finishes as soon as its lanes are done). Destroying the engine
-/// drains the queues: every admitted job runs to completion (or fails fast
-/// past its deadline) and every future is fulfilled before the destructor
-/// returns — no future is ever dropped.
+/// priority class first (FIFO within a class) and may complete out of
+/// order (a small job queued behind a large one finishes as soon as its
+/// lanes are done). Destroying the engine drains the queues: every
+/// admitted job runs to completion (cancelled lanes are skipped) and every
+/// future is fulfilled before the destructor returns — no future is ever
+/// dropped.
 class BatchEngine {
  public:
   /// num_threads = 0 honors FTFFT_ENGINE_THREADS, then falls back to
@@ -338,8 +300,8 @@ class BatchEngine {
   /// from FTFFT_ENGINE_QUEUE_CAP at construction.
   [[nodiscard]] std::size_t queue_cap() const;
 
-  /// Replaces the pending-lane bound at runtime (0 = unbounded). Raising
-  /// the cap wakes submitters blocked on admission.
+  /// Replaces the pending-lane bound at runtime (0 = unbounded). Every
+  /// call wakes submitters blocked on admission to re-check the new cap.
   void set_queue_cap(std::size_t cap);
 
   /// Snapshot of the per-class scheduler counters and latency percentiles.
@@ -352,13 +314,13 @@ class BatchEngine {
   void reset_scheduler_stats();
 
   /// Queues the protected n-point transform of every lane and returns
-  /// once admitted — immediately while the pending-lane count is under the
-  /// queue cap; otherwise after shedding/waiting per opts.submit (throws
-  /// QueueFullError when the admission timeout elapses with the queue
-  /// still full). The lane descriptors are copied; the in/out buffers they
-  /// point to must stay alive until the future is ready. Lane failures are
-  /// reported, not thrown; misuse (n == 0, null lane pointers) throws
-  /// std::invalid_argument synchronously before anything is queued. A
+  /// once admitted — immediately while the lanes fit under the queue cap;
+  /// otherwise after blocking until enough queued lanes retire. The lane
+  /// descriptors are copied; the in/out buffers they point to must stay
+  /// alive until the future is ready. Lane failures are reported, not
+  /// thrown; misuse (n == 0, null lane pointers, a priority outside
+  /// kHigh..kLow) throws std::invalid_argument synchronously before
+  /// anything is queued. A
   /// batch-wide injector (opts.abft.injector) mutates per-fault state on
   /// apply and is therefore rejected for multi-lane batches on a
   /// multi-thread engine — schedule per-lane injectors instead.
@@ -391,8 +353,8 @@ class BatchEngine {
   /// phase work items are plain callables, not transform lanes, so they
   /// must not re-enter this engine synchronously (a blocking wait inside
   /// fn on this engine's own futures can deadlock the pool). `submit`
-  /// carries the scheduling class/deadline/shedding marker exactly like
-  /// BatchOptions::submit does for transform batches.
+  /// carries the scheduling class exactly like BatchOptions::submit does
+  /// for transform batches.
   BatchFuture submit_tasks(std::size_t count,
                            std::function<void(std::size_t, abft::Stats&)> fn,
                            const SubmitOptions& submit = {},
@@ -408,10 +370,5 @@ class BatchEngine {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Scheduler snapshot of the process-wide shared engine — the serving
-/// front door's monitoring hook (per-class queue-wait/run percentiles,
-/// admission rejections, shed and expired lane counts).
-[[nodiscard]] SchedulerStats scheduler_stats();
 
 }  // namespace ftfft::engine

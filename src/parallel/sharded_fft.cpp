@@ -565,18 +565,15 @@ void on_phase_done(const std::shared_ptr<ShardedState>& st, int phase,
 
 void start_phase(const std::shared_ptr<ShardedState>& st, int phase) {
   st->phase_start = std::chrono::steady_clock::now();
-  // Rank phases run at high priority, non-cancellable and deadline-free:
-  // a phase fan-out is continuation work for a transform that already
-  // holds scratch and partial state, so it must be neither starved behind
-  // newly arriving batches nor shed/expired mid-pipeline (a rank restart
+  // Rank phases run at high priority: a phase fan-out is continuation
+  // work for a transform that already holds scratch and partial state, so
+  // it must not starve behind newly arriving batches (a rank restart
   // resubmits through here and has to win queue position to make the
   // failover budget meaningful). Phases submitted from worker callbacks
-  // additionally bypass the admission cap (see BatchEngine's pool-thread
-  // rule), so a saturated queue cannot deadlock the chain.
+  // also bypass the admission cap (see BatchEngine's pool-thread rule),
+  // so a full queue cannot deadlock the chain.
   engine::SubmitOptions rank_submit;
   rank_submit.priority = engine::Priority::kHigh;
-  rank_submit.deadline = std::chrono::nanoseconds{-1};
-  rank_submit.cancellable = false;
   st->eng
       ->submit_tasks(st->p,
                      [st, phase](std::size_t r, abft::Stats&) {
