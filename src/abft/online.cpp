@@ -273,9 +273,10 @@ class OnlineRun {
         // Mismatch: repair the authoritative intermediate iteratively, then
         // refresh the staged copy. Derived checksums (these column duals
         // are accumulated from sub-FFT outputs, not generated over stored
-        // data) deliberately stay single-error: a multi-error burst in the
-        // short-lived intermediate is already caught by the postponed final
-        // MCV, whose recovery recomputes the column from the backup.
+        // data) stay single-error: a multi-error burst inside one column is
+        // not localizable and is refused here with UncorrectableError. The
+        // postponed final MCV could not recover it either, as its backup is
+        // copied from this same staged column.
         repair_region({{o1_[c], o2_[c]}}, out_ + c, m_, nullptr, k_, eta_mem,
                       opts_.max_retries, RepairTally::of(stats_, false),
                       "online ABFT: column memory error not localizable",

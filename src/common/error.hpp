@@ -1,10 +1,12 @@
 // Error taxonomy for the fault-tolerant FFT library.
 //
 // Ordinary misuse (bad sizes, null spans) throws std::invalid_argument.
-// Fault-tolerance gives up only when the single-fault-per-unit model is
-// violated (e.g. a verification keeps failing after max_retries); that is an
-// UncorrectableError so callers can distinguish "your input is wrong" from
-// "the machine is broken beyond the fault model".
+// Fault-tolerance gives up only when the fault model (at most t corrupted
+// elements per protected unit) is violated, e.g. a verification keeps
+// failing after max_retries; that is an UncorrectableError so callers can
+// distinguish "your input is wrong" from "the machine is broken beyond the
+// fault model", on the sequential schemes and the distributed six-step path
+// alike. The only other library type, CancelledError, marks cancelled work.
 #pragma once
 
 #include <cstddef>
@@ -27,17 +29,6 @@ class UncorrectableError : public std::runtime_error {
 class CancelledError : public std::runtime_error {
  public:
   explicit CancelledError(const std::string& what)
-      : std::runtime_error(what) {}
-};
-
-/// Thrown by the parallel runtime when a simulated rank fails outright
-/// (NetworkModel::fail_rank — a modeled node loss, not a data fault).
-/// submit_parallel absorbs a bounded number of these by restarting the
-/// transform from its input (ParallelOptions::max_rank_restarts) and
-/// propagates the one past that budget.
-class RankFailedError : public std::runtime_error {
- public:
-  explicit RankFailedError(const std::string& what)
       : std::runtime_error(what) {}
 };
 

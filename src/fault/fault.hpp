@@ -5,7 +5,7 @@
 // fault by overwriting/bit-flipping one stored element. Faults here are
 // addressed by (phase, unit): the phase names a well-defined hook point in
 // an ABFT orchestrator (e.g. "output of m-point sub-FFT"), the unit
-// disambiguates which sub-FFT / rank / DMR copy.
+// disambiguates which sub-FFT / transposed message / DMR copy.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +27,9 @@ enum class Phase : std::uint8_t {
   kKFftOutput,            ///< output of one k-point sub-FFT (computational)
   kFinalOutput,           ///< final output memory (e3)
   kWholeFftOutput,        ///< output of a monolithic FFT (offline scheme)
-  kCommBlock,             ///< a block in flight during a parallel transpose
+  kCommBlock,             ///< a block in flight during a parallel transpose:
+                          ///< on the receiving rank, unit = s * p + q for
+                          ///< transpose s (0, 1, 2) and sender q
   kRankLocalInput,        ///< a rank's local data before its protected FFT
   kRankFft1Output,        ///< output of one p-point FFT in parallel FFT1
   kRankFft2Output,        ///< output inside parallel FFT2
@@ -51,7 +53,7 @@ enum class Kind : std::uint8_t {
 /// re-executed computation is clean, matching the paper's fault model).
 struct FaultSpec {
   Phase phase = Phase::kInputAfterChecksum;
-  std::size_t unit = 0;     ///< sub-FFT index / rank / DMR copy
+  std::size_t unit = 0;     ///< sub-FFT index / message / DMR copy
   std::size_t element = 0;  ///< element offset within the hooked span
   Kind kind = Kind::kAddConstant;
   cplx value{0.0, 0.0};     ///< added or assigned, per kind

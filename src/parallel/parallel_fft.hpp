@@ -46,12 +46,7 @@ struct ParallelOptions {
   NetworkModel net{};
 
   // Appended after the positionally-initialized preset fields, so the four
-  // Fig. 8 variants inherit these defaults.
-
-  /// Whole-transform restarts allowed when a modeled rank failure
-  /// (NetworkModel::fail_rank) kills a phase; past the budget the
-  /// RankFailedError propagates.
-  int max_rank_restarts = 0;
+  // Fig. 8 variants inherit its default.
 
   /// Maximum simultaneously corrupted elements per transposed block the
   /// message checksums can correct (PR 9; abft::Options has the same knob
@@ -86,9 +81,6 @@ struct TransposeStats {
   std::size_t comm_multi_corrected = 0;
   std::size_t bytes_sent = 0;
   /// Blocks received over the (simulated) link, resident block excluded.
-  /// Also the counter the NetworkModel::corrupt_every campaign knob ticks
-  /// against, so a rank's corruption pattern is a pure function of its
-  /// message count — deterministic across host thread schedules.
   std::size_t messages_received = 0;
 
   TransposeStats& operator+=(const TransposeStats& o) {
@@ -111,7 +103,6 @@ struct ParallelReport {
   std::size_t bytes_per_rank = 0;
   abft::Stats stats;          ///< summed over ranks
   TransposeStats comm_stats;  ///< summed over ranks
-  std::size_t rank_restarts = 0;  ///< whole-transform restarts absorbed
   std::array<PhaseBreakdown, 3> phases{};  ///< per-phase comm/compute split
 };
 
@@ -129,8 +120,12 @@ class ParallelFuture;
 /// and, when protect is set, n_loc acceptable to abft::inplace_shape (any
 /// power of two >= 4 is). `input` is taken by value and owned by the
 /// submission. `arm` schedules faults per simulated rank before anything
-/// runs. Misuse (bad geometry) throws std::invalid_argument synchronously;
-/// execution failures surface from ParallelFuture::get.
+/// runs; a Phase::kCommBlock fault on rank r hits the block it receives
+/// from sender q != r in transpose s (0, 1, 2) at unit s * p + q, between
+/// the sender's checksum and the receiver's verification (on the
+/// unprotected variants nothing verifies it). Misuse (bad geometry) throws
+/// std::invalid_argument synchronously; execution failures surface from
+/// ParallelFuture::get.
 ParallelFuture submit_parallel(
     std::size_t p, std::vector<cplx> input, const ParallelOptions& opts,
     const std::function<void(std::size_t rank, fault::Injector&)>& arm = {},
@@ -154,8 +149,8 @@ class ParallelFuture {
   void wait() const;
 
   /// Blocks until completion, then moves the spectrum out (and copies the
-  /// report, when asked). Rethrows the first rank failure — preserving the
-  /// library's error taxonomy (UncorrectableError, RankFailedError) — and
+  /// report, when asked). Rethrows the first rank failure (an
+  /// UncorrectableError when a fault lies beyond the model) and is
   /// one-shot: the future becomes invalid afterwards.
   std::vector<cplx> get(ParallelReport* report = nullptr);
 

@@ -21,7 +21,6 @@
 // alpha-beta cost of the phase's p - 1 messages (network_model.hpp).
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -29,7 +28,6 @@
 #include <mutex>
 #include <span>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -67,13 +65,9 @@ struct ShardedState {
   // zero-fills even under a default-init allocator, and at 2^22 the two
   // value-initialization passes a vector resize would do are a measurable
   // slice of the whole transform). The final spectrum must come back as a
-  // std::vector, so `out` points into one of the two vectors we own:
-  //  - normally the input vector itself — after phase 1 nobody reads it,
-  //    so the phase-3 scatter recycles it and get() moves it out with no
-  //    allocation, no zero-fill and no copy;
-  //  - when a modeled rank failure may trigger a whole-transform restart
-  //    (fail_rank armed and max_rank_restarts > 0), the input must stay
-  //    pristine for the re-run, so `out` is a separate zero-filled vector.
+  // std::vector, and the input vector is it: after phase 1 nobody reads the
+  // input, so the phase-3 scatter recycles it and get() moves it out with no
+  // allocation, no zero-fill and no copy.
   // The raw stores come from a process-wide pool (scratch_take/scratch_put)
   // and go back to it when the transform completes: for huge transforms the
   // dominant cost of a fresh 2*N-double block is not the allocation but
@@ -82,14 +76,11 @@ struct ShardedState {
   // A rank's per-phase working buffers (checksum slots, FFT1 staging, staged
   // blocks) never outlive its phase task: they live on a frame of the
   // running worker's scratch workspace (common/scratch.hpp).
-  std::vector<cplx> in;  ///< owned input; faults injected at submission
-  std::vector<cplx> a;   ///< restart mode only: separate output vector
+  std::vector<cplx> in;  ///< owned input, then the final spectrum
   std::unique_ptr<double[]> s1_store, s2_store;  ///< uninitialized scratch
   std::size_t store_doubles = 0;  ///< pooled size of each raw store
   cplx* buf1 = nullptr;  ///< phase-1 output / phase-2 input
   cplx* buf2 = nullptr;  ///< phase-2 output / phase-3 input
-  cplx* out = nullptr;   ///< final spectrum (in.data() or a.data())
-  bool out_is_input = false;
 
   std::vector<fault::Injector> injectors;  ///< one per simulated rank
 
@@ -100,11 +91,6 @@ struct ShardedState {
   std::array<std::vector<double>, 3> phase_cpu;
   std::array<std::vector<double>, 3> phase_comm;
   std::array<double, 3> phase_wall{};
-
-  /// One-shot latch for the modeled rank failure: a restart models failover
-  /// onto a replacement node, so the fault does not refire.
-  std::atomic<bool> fail_fired{false};
-  int restarts_done = 0;
 
   std::chrono::steady_clock::time_point phase_start{};
 
@@ -221,20 +207,21 @@ std::size_t message_bytes(const ShardedState& st) {
   return (st.bsz + trailer) * sizeof(cplx) + sizeof(double);
 }
 
-/// One transposed block, pulled straight from the previous phase's shared
-/// array: the copy IS the message. A checksummed pull generates the
-/// sender's dual sums and block energy inside the copy pass (under a
-/// multi-error budget the 2t syndrome moments follow over the copied
-/// block), then the modeled link corruption, the injected kCommBlock fault
-/// and the verification hit the received data — the in-flight window
-/// between sender and receiver. Returns the sender's sums and energy; the
+/// One transposed block of transpose `s` (0, 1, 2), pulled straight from
+/// the previous phase's shared array: the copy IS the message. A
+/// checksummed pull generates the sender's dual sums and block energy
+/// inside the copy pass (under a multi-error budget the 2t syndrome moments
+/// follow over the copied block), then the injected kCommBlock fault (unit
+/// s * p + q) and the verification hit the received data — the in-flight
+/// window between sender and receiver. An unchecked pull takes the fault
+/// too, and nothing verifies it. Returns the sender's sums and energy; the
 /// resident block (q == r) gets them from the same copy but sends no
 /// message. An unchecked pull returns zeros.
-checksum::DualSumEnergy pull_block(ShardedState& st, std::size_t r,
-                                   std::size_t q, const cplx* src, cplx* dst,
-                                   bool checksums, TransposeStats& tstats) {
+checksum::DualSumEnergy pull_block(ShardedState& st, std::size_t s,
+                                   std::size_t r, std::size_t q,
+                                   const cplx* src, cplx* dst, bool checksums,
+                                   TransposeStats& tstats) {
   const std::size_t bsz = st.bsz;
-  const NetworkModel& net = st.opts.net;
   checksum::DualSumEnergy sent;
   if (checksums) {
     sent.sums = checksum::copy_dual_sum(dst, src, bsz, &sent.energy);
@@ -251,17 +238,9 @@ checksum::DualSumEnergy pull_block(ShardedState& st, std::size_t r,
                                  st.plan->syndrome_nodes_block());
     stored = {{}, &syn, t_max, st.plan->syndrome_nodes_block()};
   }
-  // The corruption clock ticks on this rank's receive count across the
-  // whole transform (previous phases live in rank_comm, the current one in
-  // tstats).
   ++tstats.messages_received;
-  const std::size_t nth =
-      st.rank_comm[r].messages_received + tstats.messages_received;
-  if (net.corrupt_every != 0 && nth % net.corrupt_every == 0) {
-    corrupt_in_flight(dst);
-  }
+  st.injectors[r].apply(fault::Phase::kCommBlock, s * st.p + q, dst, bsz);
   if (!checksums) return sent;  // silent: nothing verifies this variant
-  st.injectors[r].apply(fault::Phase::kCommBlock, q, dst, bsz);
   // Scaled by the sender's energy, measured before the in-flight window: a
   // corruption of the block cannot inflate its own threshold.
   verify_block(dst, bsz, stored,
@@ -289,7 +268,7 @@ void phase1(ShardedState& st, std::size_t r, TransposeStats& tstats,
   for (std::size_t q = 0; q < p; ++q) {
     const cplx* src = st.in.data() + q * n_loc + r * bsz;
     cplx* dst = slice + q * bsz;
-    pull_block(st, r, q, src, dst, checksums, tstats);
+    pull_block(st, 0, r, q, src, dst, checksums, tstats);
     if (protect) {
       // CMCG fused into reception, accumulated in ascending q.
       fold_fft1_checksums(plan, q, dst, bsz, s1.data(), s2.data(),
@@ -355,11 +334,11 @@ void phase2(ShardedState& st, std::size_t r, TransposeStats& tstats,
     cplx* dst = slice + q * bsz;
     const std::size_t j0 = r * q * bsz;
     if (protect) {
-      pull_block(st, r, q, src, stage, checksums, tstats);
+      pull_block(st, 1, r, q, src, stage, checksums, tstats);
       stats.dmr_mismatches += abft::dmr_twiddle_multiply(
           plan.twiddles(), stage, 1, dst, bsz, r, j0, q, &st.injectors[r]);
     } else {
-      pull_block(st, r, q, src, dst, checksums, tstats);
+      pull_block(st, 1, r, q, src, dst, checksums, tstats);
       abft::twiddle_multiply(plan.twiddles(), dst, bsz, r, j0);
     }
   }
@@ -393,7 +372,7 @@ void phase3(ShardedState& st, std::size_t r, TransposeStats& tstats,
       frame.take<checksum::DualSumEnergy>(checksums ? p : 0);
   for (std::size_t q = 0; q < p; ++q) {
     const cplx* src = st.buf2 + q * n_loc + r * bsz;
-    const auto sent = pull_block(st, r, q, src, loc + q * bsz, checksums,
+    const auto sent = pull_block(st, 2, r, q, src, loc + q * bsz, checksums,
                                  tstats);
     if (checksums) guards[q] = sent;
   }
@@ -401,7 +380,7 @@ void phase3(ShardedState& st, std::size_t r, TransposeStats& tstats,
   // bsz x p scatter into natural order, u-chunked so the p-strided write
   // window (p * tu * 16 bytes) stays L1-resident instead of touching p
   // cache lines per element across the whole slice.
-  cplx* out = st.out + r * n_loc;
+  cplx* out = st.in.data() + r * n_loc;
   const std::size_t tu =
       std::max<std::size_t>(8, std::size_t{1024} / (p == 0 ? 1 : p));
   for (std::size_t u0 = 0; u0 < bsz; u0 += tu) {
@@ -425,17 +404,6 @@ void phase3(ShardedState& st, std::size_t r, TransposeStats& tstats,
 }
 
 void run_phase(ShardedState& st, int phase, std::size_t r) {
-  const NetworkModel& net = st.opts.net;
-  // Failure check before any work or accounting: a failed attempt leaves no
-  // partial stats behind. exchange() makes the loss one-shot, so a restart
-  // (modeling failover to a spare node) succeeds.
-  if (r == net.fail_rank && net.fail_phase == phase + 1 &&
-      !st.fail_fired.exchange(true)) {
-    throw RankFailedError(
-        "parallel fft: rank failed entering transpose phase " +
-        std::to_string(phase + 1));
-  }
-
   ThreadCpuTimer cpu;
   TransposeStats tstats;
   abft::Stats astats;
@@ -451,13 +419,9 @@ void run_phase(ShardedState& st, int phase, std::size_t r) {
   st.phase_cpu[phase][r] = t;
   st.rank_cpu[r] += t;
 
-  // Modeled communication of this rank's p-1 exchanges, plus the
-  // straggler penalty.
-  double comm = static_cast<double>(st.p - 1) * net.cost(message_bytes(st));
-  if (r == net.stall_rank) {
-    comm += static_cast<double>(st.p - 1) * net.stall_seconds;
-  }
-  st.phase_comm[phase][r] = comm;
+  // Modeled communication of this rank's p-1 exchanges.
+  st.phase_comm[phase][r] =
+      static_cast<double>(st.p - 1) * st.opts.net.cost(message_bytes(st));
 }
 
 // Completes the transform, on success and on every error path. The raw
@@ -473,20 +437,8 @@ void fulfill(const std::shared_ptr<ShardedState>& st, std::exception_ptr err) {
   st->cv.notify_all();
 }
 
-void reset_accumulators(ShardedState& st) {
-  std::fill(st.rank_stats.begin(), st.rank_stats.end(), abft::Stats{});
-  std::fill(st.rank_comm.begin(), st.rank_comm.end(), TransposeStats{});
-  std::fill(st.rank_cpu.begin(), st.rank_cpu.end(), 0.0);
-  for (int ph = 0; ph < 3; ++ph) {
-    std::fill(st.phase_cpu[ph].begin(), st.phase_cpu[ph].end(), 0.0);
-    std::fill(st.phase_comm[ph].begin(), st.phase_comm[ph].end(), 0.0);
-  }
-  st.phase_wall.fill(0.0);
-}
-
 void finalize(const std::shared_ptr<ShardedState>& st) {
   ParallelReport rep;
-  rep.rank_restarts = static_cast<std::size_t>(st->restarts_done);
   for (std::size_t r = 0; r < st->p; ++r) {
     rep.stats += st->rank_stats[r];
     rep.comm_stats += st->rank_comm[r];
@@ -530,25 +482,11 @@ void on_phase_done(const std::shared_ptr<ShardedState>& st, int phase,
             .count();
     if (rep.failed_lanes != 0) {
       std::exception_ptr first;
-      bool all_rank_failures = true;
       for (const auto& ep : rep.exceptions) {
-        if (!ep) continue;
-        if (!first) first = ep;
-        try {
-          std::rethrow_exception(ep);
-        } catch (const RankFailedError&) {
-        } catch (...) {
-          all_rank_failures = false;
+        if (ep) {
+          first = ep;
+          break;
         }
-      }
-      if (all_rank_failures &&
-          st->restarts_done < st->opts.max_rank_restarts) {
-        // Modeled node loss with failover budget left: restart the whole
-        // transform from the (still intact, still fault-injected) input.
-        ++st->restarts_done;
-        reset_accumulators(*st);
-        start_phase(st, 0);
-        return;
       }
       fulfill(st, first);
       return;
@@ -567,11 +505,9 @@ void start_phase(const std::shared_ptr<ShardedState>& st, int phase) {
   st->phase_start = std::chrono::steady_clock::now();
   // Rank phases run at high priority: a phase fan-out is continuation
   // work for a transform that already holds scratch and partial state, so
-  // it must not starve behind newly arriving batches (a rank restart
-  // resubmits through here and has to win queue position to make the
-  // failover budget meaningful). Phases submitted from worker callbacks
-  // also bypass the admission cap (see BatchEngine's pool-thread rule),
-  // so a full queue cannot deadlock the chain.
+  // it must not starve behind newly arriving batches. Phases submitted from
+  // worker callbacks also bypass the admission cap (see BatchEngine's
+  // pool-thread rule), so a full queue cannot deadlock the chain.
   engine::SubmitOptions rank_submit;
   rank_submit.priority = engine::Priority::kHigh;
   st->eng
@@ -605,20 +541,11 @@ ParallelFuture submit_parallel(
   st->plan = std::move(plan);
   st->eng = engine != nullptr ? engine : &engine::BatchEngine::shared();
   st->in = std::move(input);
-  st->out_is_input = opts.net.fail_rank == NetworkModel::kNoRank ||
-                     opts.max_rank_restarts == 0;
   st->store_doubles = 2 * n;
+  st->s1_store = scratch_take(st->store_doubles);
   st->s2_store = scratch_take(st->store_doubles);
+  st->buf1 = reinterpret_cast<cplx*>(st->s1_store.get());
   st->buf2 = reinterpret_cast<cplx*>(st->s2_store.get());
-  if (st->out_is_input) {
-    st->s1_store = scratch_take(st->store_doubles);
-    st->buf1 = reinterpret_cast<cplx*>(st->s1_store.get());
-    st->out = st->in.data();
-  } else {
-    st->a.resize(n);  // restart mode: keep `in` pristine for the re-run
-    st->buf1 = st->a.data();
-    st->out = st->a.data();
-  }
   st->injectors.resize(p);
   if (arm) {
     for (std::size_t r = 0; r < p; ++r) arm(r, st->injectors[r]);
@@ -660,7 +587,7 @@ std::vector<cplx> ParallelFuture::get(ParallelReport* report) {
   auto st = std::move(state_);  // one-shot
   if (st->error) std::rethrow_exception(st->error);
   if (report != nullptr) *report = st->report;
-  return std::move(st->out_is_input ? st->in : st->a);
+  return std::move(st->in);
 }
 
 }  // namespace ftfft::parallel

@@ -453,7 +453,6 @@ TEST(EngineSched, PoolThreadsBypassTheCapInAShardedPhaseChain) {
   EXPECT_EQ(report.comm_stats.messages_received,
             want_report.comm_stats.messages_received);
   EXPECT_EQ(report.bytes_per_rank, want_report.bytes_per_rank);
-  EXPECT_EQ(report.rank_restarts, want_report.rank_restarts);
 }
 
 // ----------------------------------------------------------- drain semantics

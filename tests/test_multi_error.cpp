@@ -5,6 +5,7 @@
 // degradation beyond the budget).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -373,6 +374,64 @@ TEST(MultiErrorScheme, InplaceDoubleFaultInOneSlot) {
     abft::inplace_online_transform(data.data(), kN, opts, stats);
     EXPECT_LT(max_dev(data, want), 1e-8);
     EXPECT_EQ(stats.multi_errors_corrected, 2u);
+  }
+}
+
+// A t = 2 two-element memory burst in the intermediate, on every two-layer
+// path: inside one online column (n = 4096, m = k = 64: elements 57 and 121)
+// and across two (n = 65536: 12345 and 12422). Some paths decode the burst,
+// others refuse it (their intermediate checksums are single-error); none
+// may return a wrong spectrum.
+TEST(MultiErrorScheme, IntermediateBurstIsCorrectedOrRefusedNeverSilent) {
+  struct Burst {
+    std::size_t n, a, b;
+  };
+  struct Path {
+    const char* name;
+    bool inplace;
+    Options opts;
+  };
+  Options in_input = Options::online_opt(true);
+  in_input.backup_in_input = true;
+  const Path paths[] = {
+      {"online optimized, scratch backup", false, Options::online_opt(true)},
+      {"online optimized, backup in input", false, in_input},
+      {"online naive", false, Options::online_naive(true)},
+      {"in-place optimized", true, Options::online_opt(true)},
+      {"in-place naive", true, Options::online_naive(true)},
+  };
+  for (const Burst& burst : {Burst{4096, 57, 121}, Burst{65536, 12345, 12422}}) {
+    const auto x =
+        random_vector(burst.n, InputDistribution::kNormal, 7 + burst.n);
+    const auto want = truth(x);
+    double peak = 0.0;
+    for (const cplx& v : want) peak = std::max(peak, std::abs(v));
+    for (const Path& path : paths) {
+      SCOPED_TRACE(testing::Message() << path.name << ", n = " << burst.n);
+      fault::Injector inj;
+      inj.schedule(FaultSpec::memory_set(Phase::kIntermediate, 0, burst.a,
+                                         {40.0, 9.0}));
+      inj.schedule(FaultSpec::memory_set(Phase::kIntermediate, 0, burst.b,
+                                         {-12.0, 5.0}));
+      Options opts = path.opts;
+      opts.max_correctable_errors = 2;
+      opts.injector = &inj;
+      auto in = x;
+      std::vector<cplx> out(burst.n);
+      Stats stats;
+      try {
+        if (path.inplace) {
+          abft::inplace_online_transform(in.data(), burst.n, opts, stats);
+          out = in;
+        } else {
+          abft::online_transform(in.data(), out.data(), burst.n, opts, stats);
+        }
+      } catch (const UncorrectableError&) {
+        continue;  // refused: reported, not silent
+      }
+      EXPECT_EQ(inj.fired_count(), 2u);
+      EXPECT_LE(max_dev(out, want), 1e-9 * peak);
+    }
   }
 }
 

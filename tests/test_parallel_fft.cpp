@@ -1,7 +1,7 @@
 // The distributed six-step FFT (submit_parallel): every Fig. 8 variant
 // against the sequential engine, determinism across engine worker counts,
-// one fault class per test (computation, communication, memory, modeled
-// link and rank faults) and the modeled network cost.
+// one fault class per test (computation, communication in every transpose,
+// memory) and the modeled network cost.
 #include "parallel/parallel_fft.hpp"
 
 #include <gtest/gtest.h>
@@ -9,9 +9,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dft/reference_dft.hpp"
 #include "engine/batch_engine.hpp"
@@ -284,37 +284,54 @@ TEST(ParallelFft, ChargesTwoTMomentTrailerUnderMultiErrorBudget) {
   EXPECT_EQ(report.bytes_per_rank, 9864u);
 }
 
+/// Arms, on every rank, one mantissa flip (bit 44 of the real part of
+/// element 0, ~2^-8 relative) in the block of its `nth` received message
+/// (1-based, counting the p - 1 non-resident blocks of each transpose in
+/// sender order).
+std::function<void(std::size_t, fault::Injector&)> flip_nth_message(
+    std::size_t p, std::size_t nth) {
+  return [p, nth](std::size_t rank, fault::Injector& inj) {
+    const std::size_t s = (nth - 1) / (p - 1);
+    std::size_t q = (nth - 1) % (p - 1);
+    if (q >= rank) ++q;  // skip the resident block
+    inj.schedule(fault::FaultSpec::bit_flip(fault::Phase::kCommBlock,
+                                            s * p + q, 0, 44, false));
+  };
+}
+
 TEST(ParallelFft, LinkCorruptionCorrectedIdenticallyOnBothPaths) {
-  // Modeled link corruption (every 5th received block per rank): each rank
-  // receives 9 blocks across the three transposes, so exactly one fires per
-  // rank, and all are repaired in place. The corruption clock counts each
-  // rank's own messages, so a one-worker and a four-worker engine see the
-  // same faults and return the same bits.
+  // Link corruption in each rank's 5th received block (transpose 2, unit
+  // p + q): all are repaired in place. The faults are addressed per rank and
+  // message, so a one-worker and a four-worker engine see the same faults
+  // and return the same bits.
   const std::size_t p = 4, n = 1024;
   auto x = random_vector(n, InputDistribution::kUniform, 49);
-  ParallelOptions opts = ParallelOptions::opt_ft_fftw();
-  opts.net.corrupt_every = 5;
+  const ParallelOptions opts = ParallelOptions::opt_ft_fftw();
+  const auto arm = flip_nth_message(p, 5);
   engine::BatchEngine one(1), four(4);
   ParallelReport r1, r4;
-  const auto got1 = parallel::submit_parallel(p, x, opts, {}, &one).get(&r1);
-  const auto got4 = parallel::submit_parallel(p, x, opts, {}, &four).get(&r4);
+  const auto got1 = parallel::submit_parallel(p, x, opts, arm, &one).get(&r1);
+  const auto got4 =
+      parallel::submit_parallel(p, x, opts, arm, &four).get(&r4);
   expect_matches_sequential(x, got1);
   EXPECT_EQ(std::memcmp(got1.data(), got4.data(), n * sizeof(cplx)), 0);
   for (const ParallelReport* r : {&r1, &r4}) {
     EXPECT_EQ(r->comm_stats.comm_errors_detected, p);
     EXPECT_EQ(r->comm_stats.comm_errors_corrected, p);
+    EXPECT_EQ(r->comm_stats.messages_received, 3 * p * (p - 1));
   }
 }
 
 TEST(ParallelFft, LinkCorruptionSilentlyPoisonsUnprotectedVariant) {
-  // The same link fault under the unprotected variants: nothing verifies
-  // the message, so the corruption lands in the spectrum — the failure mode
-  // the paper's checksummed communication exists to close.
+  // The same link fault under an unprotected variant (each rank's 7th
+  // message, transpose 3): nothing verifies the message, so the corruption
+  // lands in the spectrum — the failure mode the paper's checksummed
+  // communication exists to close.
   const std::size_t p = 4, n = 1024;
   auto x = random_vector(n, InputDistribution::kUniform, 51);
-  ParallelOptions opts = ParallelOptions::opt_fftw();
-  opts.net.corrupt_every = 7;
-  const auto got = parallel::submit_parallel(p, x, opts).get();
+  const auto got = parallel::submit_parallel(p, x, ParallelOptions::opt_fftw(),
+                                             flip_nth_message(p, 7))
+                       .get();
   const auto want = fft::fft(x);
   const double tol = 1e-9 * static_cast<double>(n);
   bool corrupted = false;
@@ -322,29 +339,6 @@ TEST(ParallelFft, LinkCorruptionSilentlyPoisonsUnprotectedVariant) {
     corrupted = std::abs(got[j] - want[j]) > tol;
   }
   EXPECT_TRUE(corrupted);
-}
-
-TEST(ParallelFft, RankFailurePropagatesWithoutRestartBudget) {
-  const std::size_t p = 4, n = 1024;
-  auto x = random_vector(n, InputDistribution::kUniform, 53);
-  ParallelOptions opts = ParallelOptions::opt_ft_fftw();
-  opts.net.fail_rank = 2;
-  opts.net.fail_phase = 2;
-  ASSERT_EQ(opts.max_rank_restarts, 0);
-  EXPECT_THROW(parallel::submit_parallel(p, x, opts).get(), RankFailedError);
-}
-
-TEST(ParallelFft, StragglerRankSlowsSimulatedMakespan) {
-  const std::size_t p = 4, n = 4096;
-  auto x = random_vector(n, InputDistribution::kUniform, 55);
-  ParallelReport clean, stalled;
-  parallel::submit_parallel(p, x, ParallelOptions::ft_fftw()).get(&clean);
-  ParallelOptions opts = ParallelOptions::ft_fftw();
-  opts.net.stall_rank = 1;
-  opts.net.stall_seconds = 1e-3;
-  const auto got = parallel::submit_parallel(p, x, opts).get(&stalled);
-  expect_matches_sequential(x, got);
-  EXPECT_GT(stalled.makespan, clean.makespan + 1e-3);
 }
 
 TEST(ParallelFft, RejectsBadGeometry) {

@@ -1,6 +1,6 @@
 // Engine-sharded parallel FFT: async API, plan caching, fault campaigns
-// over the modeled network (link corruption, stragglers, rank failure with
-// restart recovery) and the modeled overlap charge.
+// (computation, memory and link faults in every transpose) and the modeled
+// overlap charge.
 //
 // Every campaign asserts exact deterministic counter values, so running
 // this suite under FTFFT_SIMD=scalar / avx2 / neon (CI does) proves the
@@ -49,7 +49,6 @@ TEST(ShardedFuture, AsyncSubmitCompletesWithReport) {
   const auto got = fut.get(&report);
   EXPECT_FALSE(fut.valid()) << "get() is one-shot";
   expect_matches_sequential(x, got);
-  EXPECT_EQ(report.rank_restarts, 0u);
   EXPECT_EQ(report.stats.comp_errors_detected, 0u);
   EXPECT_EQ(report.comm_stats.comm_errors_detected, 0u);
   // Three phases ran and were timed; comm/compute split is per phase.
@@ -135,74 +134,31 @@ TEST(ShardedCampaign, Fft2LayerFaultsMatchReferencePath) {
   EXPECT_EQ(sh.comm_stats.comm_errors_detected, 0u);
 }
 
-TEST(ShardedCampaign, RankFailureRecoversWithinRestartBudget) {
+TEST(ShardedCampaign, TwoElementBurstInTransposeThreeCorrectedAtT2) {
+  // A two-element burst in one block of transpose 3 (rank 2's message from
+  // sender 1, unit 2p + 1): under a two-error budget the 2t syndrome moments
+  // of the message decode both elements, so the spectrum is exact with one
+  // block repaired and two elements corrected by the multi-error decoder.
   const std::size_t p = 4, n = 4096;
-  const auto x = random_vector(n, InputDistribution::kUniform, 75);
-
-  // Without a failover budget the node loss propagates, taxonomy intact.
-  ParallelOptions failing = ParallelOptions::opt_ft_fftw();
-  failing.max_correctable_errors = 1;  // pin the 2-value message trailer
-  failing.net.fail_rank = 1;
-  failing.net.fail_phase = 2;
-  EXPECT_THROW(parallel::submit_parallel(p, x, failing).get(),
-               RankFailedError);
-
-  // With one restart allowed, the transform completes exactly and the
-  // report shows the absorbed failover; counters equal a clean run's.
-  ParallelOptions recovering = failing;
-  recovering.max_rank_restarts = 1;
+  const auto x = random_vector(n, InputDistribution::kNormal, 78);
+  ParallelOptions opts = ParallelOptions::opt_ft_fftw();
+  opts.max_correctable_errors = 2;
+  const auto arm = [](std::size_t rank, fault::Injector& inj) {
+    if (rank != 2) return;
+    const std::size_t unit = 2 * p + 1;
+    inj.schedule(fault::FaultSpec::computational(fault::Phase::kCommBlock,
+                                                 unit, 5, {8.0, -3.0}));
+    inj.schedule(fault::FaultSpec::computational(fault::Phase::kCommBlock,
+                                                 unit, 200, {-2.0, 6.0}));
+  };
   ParallelReport report;
-  const auto got = parallel::submit_parallel(p, x, recovering).get(&report);
+  const auto got = parallel::submit_parallel(p, x, opts, arm).get(&report);
   expect_matches_sequential(x, got);
-  EXPECT_EQ(report.rank_restarts, 1u);
+  EXPECT_EQ(report.comm_stats.comm_errors_detected, 1u);
+  EXPECT_EQ(report.comm_stats.comm_errors_corrected, 1u);
+  EXPECT_EQ(report.comm_stats.comm_multi_corrected, 2u);
+  EXPECT_EQ(report.stats.mem_errors_detected, 0u);
   EXPECT_EQ(report.stats.comp_errors_detected, 0u);
-  EXPECT_EQ(report.comm_stats.comm_errors_detected, 0u);
-  // Accumulators were reset on restart: bytes reflect one clean pass.
-  const std::size_t bsz = n / (p * p);
-  // Three transposes of p - 1 messages: block, dual pair, block energy.
-  EXPECT_EQ(report.bytes_per_rank,
-            3 * (p - 1) * ((bsz + 2) * sizeof(cplx) + sizeof(double)));
-}
-
-TEST(ShardedCampaign, RankFailurePlusTransientFaultStillExact) {
-  // A transient FFT1 fault on one rank and a node loss on another, with a
-  // restart budget: the restarted run recomputes from the (corrected-once)
-  // input and still delivers the exact spectrum.
-  const std::size_t p = 4, n = 1024;
-  const auto x = random_vector(n, InputDistribution::kNormal, 76);
-  ParallelOptions opts = ParallelOptions::opt_ft_fftw();
-  opts.net.fail_rank = 2;
-  opts.net.fail_phase = 1;
-  opts.max_rank_restarts = 1;
-  ParallelReport report;
-  const auto got =
-      parallel::submit_parallel(p, x, opts,
-                                [](std::size_t rank, fault::Injector& inj) {
-                                  if (rank == 0) {
-                                    inj.schedule(
-                                        fault::FaultSpec::computational(
-                                            fault::Phase::kRankFft1Output, 1,
-                                            1, {5.0, 5.0}));
-                                  }
-                                })
-          .get(&report);
-  expect_matches_sequential(x, got);
-  EXPECT_EQ(report.rank_restarts, 1u);
-}
-
-TEST(ShardedCampaign, StragglerRankRaisesModeledComm) {
-  const std::size_t p = 4, n = 4096;
-  const auto x = random_vector(n, InputDistribution::kUniform, 77);
-  ParallelReport clean, stalled;
-  parallel::submit_parallel(p, x, ParallelOptions::opt_ft_fftw()).get(&clean);
-  ParallelOptions opts = ParallelOptions::opt_ft_fftw();
-  opts.net.stall_rank = 1;
-  opts.net.stall_seconds = 1e-3;
-  const auto got = parallel::submit_parallel(p, x, opts).get(&stalled);
-  expect_matches_sequential(x, got);
-  // Three phases x (p-1) stalled messages each.
-  EXPECT_GE(stalled.max_comm,
-            clean.max_comm + 3.0 * static_cast<double>(p - 1) * 1e-3 * 0.999);
 }
 
 TEST(ShardedCampaign, OverlapChargesMaxNotSumPerPhase) {
