@@ -9,7 +9,9 @@
 // ProtectionPlan amortization (setup once per batch instead of per lane),
 // and a third times single transforms on the recursive codelet tree against
 // the in-place engine at 2^7..2^12, the crossover behind
-// fft::kInplaceEngineMinSize. A fourth table measures
+// fft::kInplaceEngineMinSize, with a column for the engine's bit-reversed
+// entry point (the protected sub-FFTs' path) at 2^8..2^12. A fourth table
+// measures
 // the async submission pipeline: the same work split into many jobs,
 // submitted blocking one-by-one vs queued all at once through
 // submit_batch futures (workers flow into the next job while stragglers
@@ -273,17 +275,23 @@ int main() {
 
   // The measurement behind fft::kInplaceEngineMinSize: below the crossover
   // the recursive codelet tree beats the in-place engine, above it the
-  // engine wins. Both run out of place on the same input.
+  // engine wins. Both run out of place on the same input. The bit-reversed
+  // column times the engine from a pre-permuted copy of that input
+  // (forward_bit_reversed, what the protected schemes' staged sub-FFTs
+  // run), from 2^8 up.
   std::printf("\nrecursive tree vs in-place engine (single transform, "
               "engine from n = %zu)\n\n",
               fft::kInplaceEngineMinSize);
-  TablePrinter kernel_table(
-      {"n", "tree (us)", "engine (us)", "tree / engine"});
+  TablePrinter kernel_table({"n", "tree (us)", "engine (us)", "bit-rev (us)",
+                             "tree / engine", "tree / bit-rev"});
   for (std::size_t kn = 1u << 7; kn <= 1u << 12; kn *= 2) {
     const auto tree = fft::make_plan(kn);
     const auto plan = fft::InplaceRadix2Plan::get(kn);
     const auto base = random_vector(kn, InputDistribution::kUniform, 7);
-    std::vector<cplx> work(kn);
+    std::vector<cplx> work(kn), reversed(kn);
+    for (std::size_t i = 0; i < kn; ++i) {
+      reversed[i] = base[plan->bit_reversal()[i]];
+    }
     // Each timed sample runs `calls` transforms so sub-microsecond sizes
     // stay well above the timer's resolution.
     const int kernel_reps = static_cast<int>(scaled_runs(40));
@@ -298,11 +306,20 @@ int main() {
         plan->forward_copy(base.data(), work.data());
       }
     }) / static_cast<double>(calls);
-    char ratio[32];
-    std::snprintf(ratio, sizeof ratio, "%.2f", tt / te);
+    std::string tb = "-", ratio_b = "-";
+    if (kn >= 1u << 8) {
+      const double b = bench::time_best(kernel_reps, [&] {
+        for (std::size_t c = 0; c < calls; ++c) {
+          plan->forward_bit_reversed(reversed.data(), work.data());
+        }
+      }) / static_cast<double>(calls);
+      tb = TablePrinter::fixed(b * 1e6, 2);
+      ratio_b = TablePrinter::fixed(tt / b, 2);
+    }
     kernel_table.add_row({bench::size_label(kn),
                           TablePrinter::fixed(tt * 1e6, 2),
-                          TablePrinter::fixed(te * 1e6, 2), ratio});
+                          TablePrinter::fixed(te * 1e6, 2), tb,
+                          TablePrinter::fixed(tt / te, 2), ratio_b});
   }
   kernel_table.print();
 

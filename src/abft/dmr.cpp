@@ -86,10 +86,14 @@ std::size_t dmr_twiddle_multiply(const TwiddleTables& tables,
                                  std::size_t factor_step, std::size_t j0,
                                  std::size_t unit, fault::Injector* injector,
                                  const cplx* weights,
-                                 checksum::SumEnergy* se) {
+                                 checksum::SumEnergy* se,
+                                 const std::uint32_t* perm) {
   ftfft::detail::require(
       len == 0 || j0 + (len - 1) * factor_step < tables.n(),
       "dmr_twiddle_multiply: exponent j0 + (len-1)*step >= n");
+  ftfft::detail::require(perm == nullptr || len % 2 == 0,
+                         "dmr_twiddle_multiply: a permuted store needs even "
+                         "len");
   // The hook only exists for injection: without an armed kTwiddleDmrCopy
   // fault both copies stay in registers (one pass instead of two).
   InjectorHook hook{injector, unit};
@@ -97,7 +101,7 @@ std::size_t dmr_twiddle_multiply(const TwiddleTables& tables,
       injector != nullptr && injector->pending(fault::Phase::kTwiddleDmrCopy);
   return simd::fft_kernels().dmr_twiddle(
       src, stride, dst, len, j0, factor_step, tables.view(), true,
-      strike ? &InjectorHook::call : nullptr, &hook, weights, se);
+      strike ? &InjectorHook::call : nullptr, &hook, weights, se, perm);
 }
 
 void twiddle_multiply(const TwiddleTables& tables, cplx* data,
@@ -106,7 +110,7 @@ void twiddle_multiply(const TwiddleTables& tables, cplx* data,
                          "twiddle_multiply: exponent j0 + (len-1)*step >= n");
   simd::fft_kernels().dmr_twiddle(data, 1, data, len, j0, step,
                                   tables.view(), false, nullptr, nullptr,
-                                  nullptr, nullptr);
+                                  nullptr, nullptr, nullptr);
 }
 
 }  // namespace ftfft::abft

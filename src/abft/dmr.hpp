@@ -97,14 +97,18 @@ std::size_t dmr_twiddle_multiply(const cplx* src, std::size_t stride,
 /// (then `se` must be too), *se receives the weighted sum and the energy
 /// of the verified outputs, bit-identical to
 /// checksum::weighted_sum_energy(weights, dst, len): the second layer's
-/// computational checksum rides the twiddle pass.
+/// computational checksum rides the twiddle pass. A non-null `perm` (an
+/// involution, len even) stores output i at dst[perm[i]], so the pass
+/// writes the next sub-FFT's input in bit-reversed order; the hook, the
+/// vote and the sums still see natural order.
 std::size_t dmr_twiddle_multiply(const TwiddleTables& tables,
                                  const cplx* src, std::size_t stride,
                                  cplx* dst, std::size_t len,
                                  std::size_t factor_step, std::size_t j0,
                                  std::size_t unit, fault::Injector* injector,
                                  const cplx* weights = nullptr,
-                                 checksum::SumEnergy* se = nullptr);
+                                 checksum::SumEnergy* se = nullptr,
+                                 const std::uint32_t* perm = nullptr);
 
 /// Unprotected single pass of the same kernel: data[i] *=
 /// omega_n^(j0 + i * step) in place, bitwise equal to the DMR output.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <cstdint>
 #include <span>
 
 #include "abft/dmr.hpp"
@@ -40,7 +40,8 @@ class InplaceRun {
         ck_(plan.weights_k()),
         opts_(opts),
         stats_(stats),
-        fftk_(k_) {}
+        fftk_(k_),
+        rev_k_(fftk_.bit_reversal()) {}
 
   void run() {
     setup();
@@ -80,11 +81,12 @@ class InplaceRun {
   // plan_.layer1_batch() columns at a time (the 32768-element staging rule
   // the online scheme's layer 1 uses: B = 64 at k = 512, 128 at k = 256).
   // One tiled transpose (kTransposeTile) gathers the B strided columns into
-  // `stage`; every unit then runs exactly as if unbatched from its own
-  // staged column into `ostage`, and one tiled transpose scatters the B
-  // verified results back. A staged column is the Fig. 4 input backup: it
-  // stays untouched until its own output has verified, so a retry never
-  // needs the array.
+  // `stage` (reading the source rows in bit-reversed order on the in-place
+  // engine, so each staged column is the sub-FFT's permuted input); every
+  // unit then runs exactly as if unbatched from its own staged column into
+  // `ostage`, and one tiled transpose scatters the B verified results back.
+  // A staged column is the Fig. 4 input backup: it stays untouched until
+  // its own output has verified, so a retry never needs the array.
   void layer1() {
     const bool combined_ccg = opts_.memory_ft && opts_.optimized;
     const std::size_t batch = plan_.layer1_batch();
@@ -96,36 +98,44 @@ class InplaceRun {
     }
     for (std::size_t i0 = 0; i0 < blk_; i0 += batch) {
       const std::size_t bw = std::min(batch, blk_ - i0);
-      transpose_tiled(x_ + i0, blk_, stage.data(), k_, k_, bw);
+      if (rev_k_ != nullptr) {
+        transpose_tiled_rows(x_ + i0, blk_, rev_k_, stage.data(), k_, k_, bw);
+      } else {
+        transpose_tiled(x_ + i0, blk_, stage.data(), k_, k_, bw);
+      }
       for (std::size_t il = 0; il < bw; ++il) {
         const std::size_t i = i0 + il;
         cplx* buf = stage.data() + il * k_;
         cplx* res = ostage.data() + il * k_;
-        // Threshold scale: the CMCG slot energy under memory FT, else a sweep.
+        // Threshold scale: the CMCG slot energy under memory FT, else a
+        // sweep in natural order.
         double energy = opts_.memory_ft ? e_in_[i] : 0.0;
         if (!(energy > 0.0)) {
           energy = 0.0;
-          for (std::size_t s = 0; s < k_; ++s) energy += norm2(buf[s]);
+          for (std::size_t s = 0; s < k_; ++s) {
+            energy += norm2(buf[rev_k_ != nullptr ? rev_k_[s] : s]);
+          }
         }
         SubFft unit{fftk_, buf, 1, res, combined_ccg ? s1_[i] : cplx{},
                     combined_ccg ? nullptr : ck_, eta_comp(energy),
                     &Stats::eta_m, inj(), Phase::kMFftOutput, i,
                     "inplace ABFT: layer-1 sub-FFT kept failing verification"};
         if (opts_.memory_ft) {
-          // Repairs go to the staged column: the scatter overwrites the
-          // array slot. Combined checksums carry the large (rA) weights and
-          // take the computational threshold, classic ones the memory
-          // threshold; t > 1 decodes through the slot's syndromes, as
-          // online does.
+          // Repairs go to the slot in the caller's array and refresh the
+          // staged column, as online's do (the scatter later overwrites the
+          // slot). Combined checksums carry the large (rA) weights and take
+          // the computational threshold, classic ones the memory threshold;
+          // t > 1 decodes through the slot's syndromes.
           unit.repair = {
               {{s1_[i], s2_[i]}, syn1_.empty() ? nullptr : &syn1_[i],
                plan_.max_errors(), plan_.syndrome_nodes_k()},
-              buf, 1, opts_.optimized ? ck_ : nullptr,
+              x_ + i, blk_, opts_.optimized ? ck_ : nullptr,
               opts_.optimized ? eta_comp(e_in_[i]) : eta_mem(e_in_[i]),
               /*count_check=*/true, /*record_eta=*/true,
               /*before_run=*/!opts_.optimized,
               "inplace ABFT: layer-1 input memory error not localizable"};
         }
+        unit.perm = rev_k_;
         run_sub_fft(unit, opts_.max_retries, stats_);
 
         // Fold the verified output into the per-block checksums that
@@ -145,10 +155,15 @@ class InplaceRun {
 
   // Layers 2+3, block by block. Each block of blk_ = r*k contiguous
   // elements gets: MCV, TM1 (DMR), the r-point middle layer + TM2 (DMR,
-  // skipped when r == 1), then r protected k-point sub-FFTs.
+  // skipped when r == 1), then r protected k-point sub-FFTs, whose results
+  // go straight back into the block. The pass that writes the layer-3
+  // inputs — TM1 when r == 1, else the middle layer — stores them in the
+  // k-point engine's bit-reversed order when it has one.
   void layers2and3() {
     const std::span<cplx> bb = frame_.take<cplx>(blk_);  // staged block
-    const std::span<cplx> seg = frame_.take<cplx>(k_);   // layer-3 result
+    // Layer-3 inputs: the middle layer reads all of bb before any column
+    // is complete, so it writes them to a block of their own.
+    const std::span<cplx> l3 = r_ > 1 ? frame_.take<cplx>(blk_) : bb;
     if (r_ > 1) mid_ = frame_.take<cplx>(4 * r_);
     // Every layer-3 unit writes its own slot of the per-segment state.
     f1_ = frame_.take<DualSum>(k_ * r_);
@@ -168,23 +183,35 @@ class InplaceRun {
                       "inplace ABFT: block memory error not localizable");
       }
 
-      // TM1: element offset i of block b gets omega_n^(i*b).
+      // TM1: element offset i of block b gets omega_n^(i*b). When r == 1
+      // the block is the one layer-3 input, and its CCG and energy ride
+      // the pass, in natural order.
+      const bool direct = r_ == 1;
+      checksum::SumEnergy tm1;
       stats_.dmr_mismatches += dmr_twiddle_multiply(
-          *plan_.twiddles(), block, 1, bb.data(), blk_, b, 0, b, inj());
+          *plan_.twiddles(), block, 1, bb.data(), blk_, b, 0, b, inj(),
+          direct ? ck_ : nullptr, direct ? &tm1 : nullptr,
+          direct ? rev_k_ : nullptr);
 
-      if (r_ > 1) middle_layer(b, bb.data());
+      if (!direct) middle_layer(b, bb.data(), l3.data());
 
-      // Layer 3: r contiguous k-point sub-FFTs within the staged block.
+      // Layer 3: r k-point sub-FFTs, each from its segment of l3 into its
+      // segment of the block.
       for (std::size_t t = 0; t < r_; ++t) {
-        cplx* src = bb.data() + t * k_;
+        cplx* src = l3.data() + t * k_;
+        cplx* seg = block + t * k_;
         const std::size_t unit = b * r_ + t;
-        const auto se = checksum::weighted_sum_energy(ck_, src, k_);
-        run_sub_fft({fftk_, src, 1, seg.data(), se.sum, nullptr,
-                     eta_comp(se.energy), &Stats::eta_k, inj(),
-                     Phase::kKFftOutput, unit,
-                     "inplace ABFT: layer-3 sub-FFT kept failing "
-                     "verification"},
-                    opts_.max_retries, stats_);
+        const auto se =
+            direct ? tm1
+            : rev_k_ != nullptr
+                ? checksum::weighted_sum_energy_at(ck_, src, rev_k_, k_)
+                : checksum::weighted_sum_energy(ck_, src, k_);
+        SubFft sub{fftk_, src, 1, seg, se.sum, nullptr,
+                   eta_comp(se.energy), &Stats::eta_k, inj(),
+                   Phase::kKFftOutput, unit,
+                   "inplace ABFT: layer-3 sub-FFT kept failing verification"};
+        sub.perm = rev_k_;
+        run_sub_fft(sub, opts_.max_retries, stats_);
         // Output MCG for the postponed final verification (dual sums allow
         // direct correction — an in-place plan has no backup to recompute
         // from once the block is overwritten). With a multi-error budget
@@ -192,25 +219,25 @@ class InplaceRun {
         // the longest-lived stored state of the in-place scheme and direct
         // correction is its ONLY recovery, so this is where a burst would
         // otherwise be fatal.
-        f1_[unit] = checksum::dual_weighted_sum(nullptr, seg.data(), k_);
+        f1_[unit] = checksum::dual_weighted_sum(nullptr, seg, k_);
         if (!fsyn_.empty()) {
-          fsyn_[unit] = checksum::syndrome_sum(nullptr, seg.data(), k_, 1,
+          fsyn_[unit] = checksum::syndrome_sum(nullptr, seg, k_, 1,
                                                plan_.syndrome_moments(),
                                                plan_.syndrome_nodes_k());
         }
         fccv_[unit] = se.sum;
         e_seg_[unit] = se.energy;
-        std::memcpy(src, seg.data(), k_ * sizeof(cplx));
       }
-      std::memcpy(block, bb.data(), blk_ * sizeof(cplx));
     }
   }
 
   // DMR-protected middle layer: k_ r-point sub-FFTs at stride k_ within the
   // block, fused with the TM2 twiddle omega_blk^(i*t) = omega_n^(i*t*k).
   // Everything is computed twice — each pass reading its own table pair —
-  // and voted with a third, table-free evaluation on mismatch.
-  void middle_layer(std::size_t b, cplx* bb) {
+  // and voted with a third, table-free evaluation on mismatch. The voted
+  // column i lands at offset rev_k_[i] (or i) of each layer-3 segment in
+  // `out`.
+  void middle_layer(std::size_t b, const cplx* bb, cplx* out) {
     const TwiddleTables& tw = *plan_.twiddles();
     cplx* in = mid_.data();
     cplx* out1 = in + r_;
@@ -218,11 +245,11 @@ class InplaceRun {
     cplx* out3 = out2 + r_;
     for (std::size_t i = 0; i < k_; ++i) {
       for (std::size_t s = 0; s < r_; ++s) in[s] = bb[s * k_ + i];
-      auto pass = [&](cplx* out, int copy) {
-        dft::codelet_dft(r_, in, 1, out, 1);
+      auto pass = [&](cplx* dst, int copy) {
+        dft::codelet_dft(r_, in, 1, dst, 1);
         for (std::size_t t = 0; t < r_; ++t) {
           const std::size_t j = i * t * k_;
-          out[t] = cmul(out[t], copy < 2 ? tw.twiddle(j, copy)
+          dst[t] = cmul(dst[t], copy < 2 ? tw.twiddle(j, copy)
                                          : tw.exact_twiddle(j));
         }
       };
@@ -239,7 +266,8 @@ class InplaceRun {
           ++stats_.dmr_mismatches;
         }
       }
-      for (std::size_t t = 0; t < r_; ++t) bb[t * k_ + i] = out1[t];
+      const std::size_t at = rev_k_ != nullptr ? rev_k_[i] : i;
+      for (std::size_t t = 0; t < r_; ++t) out[t * k_ + at] = out1[t];
     }
   }
 
@@ -301,6 +329,7 @@ class InplaceRun {
   const Options& opts_;
   Stats& stats_;
   fft::Fft fftk_;                 // layer-1 and layer-3 sub-FFT engine
+  const std::uint32_t* rev_k_;    // its staged input order (null: natural)
 
   scratch::Frame frame_;          // holds every buffer below
   std::span<cplx> s1_, s2_;       // CMCG slots (layer-1 inputs)

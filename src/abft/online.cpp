@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "abft/dmr.hpp"
@@ -44,7 +45,9 @@ class OnlineRun {
         opts_(opts),
         stats_(stats),
         fftm_(m_),
-        fftk_(k_) {}
+        fftk_(k_),
+        rev_m_(opts.optimized ? fftm_.bit_reversal() : nullptr),
+        rev_k_(fftk_.bit_reversal()) {}
 
   void run() {
     setup();
@@ -89,14 +92,19 @@ class OnlineRun {
     // batch of `batch` strided sub-FFT inputs into contiguous columns of
     // `bufblock`, then every checksum/FFT pass runs over contiguous
     // buffers. The plan resolves batch = 32768 / m (clamped to [min(4, k),
-    // k]) once, i.e. a ~512 KiB staging block; 1 = unbuffered.
+    // k]) once, i.e. a ~512 KiB staging block; 1 = unbuffered. On the
+    // in-place engine the gather reads the source rows in bit-reversed
+    // order, so each staged column is already the sub-FFT's permuted input.
     const std::size_t batch = plan_.layer1_batch();
     const std::span<cplx> bufblock =
         frame_.take<cplx>(opts_.optimized ? batch * m_ : 0);
 
     for (std::size_t i0 = 0; i0 < k_; i0 += batch) {
       const std::size_t bw = std::min(batch, k_ - i0);
-      if (opts_.optimized) {
+      if (rev_m_ != nullptr) {
+        transpose_tiled_rows(x_ + i0, k_, rev_m_, bufblock.data(), m_, m_,
+                             bw);
+      } else if (opts_.optimized) {
         transpose_tiled(x_ + i0, k_, bufblock.data(), m_, m_, bw);
       }
       for (std::size_t il = 0; il < bw; ++il) {
@@ -107,8 +115,12 @@ class OnlineRun {
         cplx* yi = out_ + i * m_;
         cplx ccg{0.0, 0.0};
         if (!opts_.memory_ft) {
-          // No CMCG slot: the CCG dot also measures the threshold scale.
-          const auto se = checksum::weighted_sum_energy(cm_, col, m_, stride);
+          // No CMCG slot: the CCG dot also measures the threshold scale,
+          // summed in natural order.
+          const auto se =
+              rev_m_ != nullptr
+                  ? checksum::weighted_sum_energy_at(cm_, col, rev_m_, m_)
+                  : checksum::weighted_sum_energy(cm_, col, m_, stride);
           ccg = se.sum;
           e_in_[i] = se.energy;
         } else if (opts_.optimized) {
@@ -138,6 +150,7 @@ class OnlineRun {
               /*before_run=*/!opts_.optimized,
               "online ABFT: input memory error detected but not localizable"};
         }
+        unit.perm = rev_m_;
         run_sub_fft(unit, opts_.max_retries, stats_);
 
         if (opts_.memory_ft && opts_.optimized) {
@@ -289,20 +302,22 @@ class OnlineRun {
       }
     }
 
-    // Twiddle (DMR), tw_[i] = col[i] * omega_n^(i*c); the CCG and the
-    // column energy ride the same pass.
+    // Twiddle (DMR), tw_[i] = col[i] * omega_n^(i*c), stored in the k-point
+    // engine's bit-reversed order when it has one; the CCG and the column
+    // energy ride the same pass, in natural order.
     checksum::SumEnergy se;
     stats_.dmr_mismatches +=
         dmr_twiddle_multiply(*plan_.twiddles(), col, stride, tw_.data(), k_, c,
-                             0, c, inj(), ck_, &se);
+                             0, c, inj(), ck_, &se, rev_k_);
     const cplx ccg = se.sum;
     const double eta =
         threshold(plan_.eta_k().comp, opts_.memory_ft ? e_mid_[c] : se.energy,
                   k_, opts_.eta_override);
-    run_sub_fft({fftk_, tw_.data(), 1, res, ccg, nullptr, eta, &Stats::eta_k,
-                 inj(), Phase::kKFftOutput, c,
-                 "online ABFT: k-point sub-FFT kept failing verification"},
-                opts_.max_retries, stats_);
+    SubFft unit{fftk_, tw_.data(), 1, res, ccg, nullptr, eta, &Stats::eta_k,
+                inj(), Phase::kKFftOutput, c,
+                "online ABFT: k-point sub-FFT kept failing verification"};
+    unit.perm = rev_k_;
+    run_sub_fft(unit, opts_.max_retries, stats_);
 
     // Remember the column checksum for the postponed final verification;
     // the caller scatters `res` to the natural-order positions {c + m*j}.
@@ -378,6 +393,8 @@ class OnlineRun {
   const Options& opts_;
   Stats& stats_;
   fft::Fft fftm_, fftk_;             // layer-1 and layer-2 sub-FFT engines
+  const std::uint32_t* rev_m_;       // staged layer-1 input order (null:
+  const std::uint32_t* rev_k_;       //   natural); layer-2 input order
 
   scratch::Frame frame_;             // holds every buffer below
   std::span<cplx> s1_, s2_;          // CMCG slots per first-layer sub-FFT

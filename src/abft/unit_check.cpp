@@ -1,6 +1,7 @@
 #include "abft/unit_check.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "checksum/memory_checksum.hpp"
 #include "common/error.hpp"
@@ -44,6 +45,9 @@ bool repair_region(const StoredSums& stored, cplx* data, std::size_t stride,
 void run_sub_fft(const SubFft& unit, int max_retries, Stats& stats) {
   const std::size_t n = unit.engine.size();
   const SlotRepair& rep = unit.repair;
+  assert(unit.perm == nullptr ||
+         (unit.perm == unit.engine.bit_reversal() && unit.stride == 1 &&
+          rep.data != unit.in));
   const auto repair = [&] {
     if (rep.data == nullptr) return false;
     if (rep.record_eta) stats.eta_mem = std::max(stats.eta_mem, rep.eta);
@@ -52,7 +56,11 @@ void run_sub_fft(const SubFft& unit, int max_retries, Stats& stats) {
                        rep.what)) {
       return false;
     }
-    if (rep.data != unit.in) {  // refresh the staged copy
+    if (unit.perm != nullptr) {  // refresh the staged copy, permuted
+      for (std::size_t t = 0; t < n; ++t) {
+        unit.in[unit.perm[t]] = rep.data[t * rep.stride];
+      }
+    } else if (rep.data != unit.in) {  // refresh the staged copy
       for (std::size_t t = 0; t < n; ++t) {
         unit.in[t * unit.stride] = rep.data[t * rep.stride];
       }
@@ -60,9 +68,13 @@ void run_sub_fft(const SubFft& unit, int max_retries, Stats& stats) {
     return true;
   };
   const auto take_ccg = [&] {
-    return unit.ccg_w == nullptr
-               ? unit.ccg
-               : checksum::weighted_sum(unit.ccg_w, unit.in, n, unit.stride);
+    if (unit.ccg_w == nullptr) return unit.ccg;
+    if (unit.perm != nullptr) {
+      return checksum::weighted_sum_energy_at(unit.ccg_w, unit.in, unit.perm,
+                                              n)
+          .sum;
+    }
+    return checksum::weighted_sum(unit.ccg_w, unit.in, n, unit.stride);
   };
 
   if (rep.before_run) repair();
@@ -71,7 +83,9 @@ void run_sub_fft(const SubFft& unit, int max_retries, Stats& stats) {
   verify_with_retry(
       stats, &Stats::sub_fft_retries, max_retries, unit.what,
       [&] {
-        if (unit.stride == 1) {
+        if (unit.perm != nullptr) {
+          unit.engine.execute_bit_reversed(unit.in, unit.out);
+        } else if (unit.stride == 1) {
           unit.engine.execute(unit.in, unit.out);
         } else {
           unit.engine.execute_strided(unit.in, unit.stride, unit.out, 1);

@@ -10,11 +10,15 @@
 // through threshold, repair_region and verify_with_retry, so the counting
 // rules (see Stats) and the point where a unit gives up live here. Every
 // sub-FFT — the online m- and k-point layers, in-place layers 1 and 3 and
-// sharded FFT1 — runs through run_sub_fft, built on the three.
+// sharded FFT1 — runs through run_sub_fft, built on the three. Where the
+// sub-FFT runs on the in-place engine, the online and in-place schemes
+// stage its input in bit-reversed order and the unit carries that
+// permutation (SubFft::perm), so the engine starts at its butterflies.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "abft/options.hpp"
 #include "checksum/dot.hpp"
@@ -152,6 +156,14 @@ struct SlotRepair {
 /// the omega3 check against the CCG within eta (widening stats.*eta_stat).
 /// The CCG is `ccg`, or the dot ccg_w . in (retaken after a repair) when
 /// ccg_w is non-null.
+///
+/// A staged input may be held in the engine's bit-reversed order: then
+/// `perm` is engine.bit_reversal(), stride is 1 and in[i] holds element
+/// perm[i]. Every attempt runs engine.execute_bit_reversed (bitwise the
+/// natural-order transform), a slot repair refreshes in[perm[t]], and a
+/// retaken CCG sums in natural order through perm, so the unit computes
+/// what it would on a natural-order copy. The input repair must then name
+/// the caller's natural-order slot, not the staged copy.
 struct SubFft {
   fft::Fft& engine;
   cplx* in;
@@ -166,6 +178,7 @@ struct SubFft {
   std::size_t index;
   const char* what;  ///< thrown when the retries are spent
   SlotRepair repair{};
+  const std::uint32_t* perm = nullptr;  ///< in's order, or natural
 };
 
 /// Runs `unit` through verify_with_retry (stats.sub_fft_retries); a failed

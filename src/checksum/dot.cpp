@@ -99,6 +99,11 @@ SumEnergy weighted_sum_energy(const cplx* w, const cplx* x, std::size_t n,
   return out;
 }
 
+SumEnergy weighted_sum_energy_at(const cplx* w, const cplx* x,
+                                 const std::uint32_t* idx, std::size_t n) {
+  return simd::checksum_kernels().weighted_sum_energy_at(w, x, idx, n);
+}
+
 DualSumEnergy dual_weighted_sum_energy(const cplx* w, const cplx* x,
                                        std::size_t n, std::size_t stride) {
   if (stride == 1) {

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "common/complex.hpp"
 
@@ -69,6 +70,14 @@ struct SumEnergy {
 [[nodiscard]] SumEnergy weighted_sum_energy(const cplx* w, const cplx* x,
                                             std::size_t n,
                                             std::size_t stride = 1);
+
+/// weighted_sum_energy of x[idx[0]], x[idx[1]], ..., x[idx[n-1]]: bitwise
+/// the unit-stride sweep over that gathered copy, so a buffer held in a
+/// permuted order (a bit-reversed staged sub-FFT input) yields the sums of
+/// its natural order without being put back into it.
+[[nodiscard]] SumEnergy weighted_sum_energy_at(const cplx* w, const cplx* x,
+                                               const std::uint32_t* idx,
+                                               std::size_t n);
 
 /// dual_weighted_sum fused with energy (w == nullptr means all-ones).
 struct DualSumEnergy {

@@ -1,6 +1,8 @@
 // Cache-tiled transposes: the one data-movement primitive behind every
 // protected-scheme gather and scatter (section 4.4 contiguous buffering,
-// the in-place scheme's layer-1 staging and its k*r*k digit reversal).
+// the in-place scheme's layer-1 staging and its k*r*k digit reversal). The
+// layer-1 gathers read their source rows in bit-reversed order
+// (transpose_tiled_rows), so the staged sub-FFT inputs need no permutation.
 //
 // A naive strided gather touches one element per cache line and, at
 // power-of-two strides, maps every access of a column to the same L1 set.
@@ -14,6 +16,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 
 #include "common/complex.hpp"
@@ -54,6 +57,31 @@ inline void transpose_tiled(const cplx* src, std::size_t ss, cplx* dst,
     for (std::size_t r0 = 0; r0 < rows; r0 += kTransposeTile) {
       detail::transpose_tile(src + r0 * ss + c0, ss, dst + c0 * ds + r0, ds,
                              std::min(kTransposeTile, rows - r0), bc);
+    }
+  }
+}
+
+/// transpose_tiled reading the source rows in the order `order`:
+/// dst[c*ds + r] = src[order[r]*ss + c]. With order = the bit reversal of
+/// the row index, each destination row is a staged sub-FFT input in the
+/// order fft::Fft::execute_bit_reversed reads, at the cost of a plain
+/// transpose.
+inline void transpose_tiled_rows(const cplx* src, std::size_t ss,
+                                 const std::uint32_t* order, cplx* dst,
+                                 std::size_t ds, std::size_t rows,
+                                 std::size_t cols) {
+  const cplx* row[kTransposeTile];
+  for (std::size_t c0 = 0; c0 < cols; c0 += kTransposeTile) {
+    const std::size_t bc = std::min(kTransposeTile, cols - c0);
+    for (std::size_t r0 = 0; r0 < rows; r0 += kTransposeTile) {
+      const std::size_t br = std::min(kTransposeTile, rows - r0);
+      for (std::size_t r = 0; r < br; ++r) {
+        row[r] = src + order[r0 + r] * ss + c0;
+      }
+      for (std::size_t c = 0; c < bc; ++c) {
+        cplx* d = dst + (c0 + c) * ds + r0;
+        for (std::size_t r = 0; r < br; ++r) d[r] = row[r][c];
+      }
     }
   }
 }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -49,6 +50,22 @@ class Fft {
   /// Out-of-place with arbitrary strides.
   void execute_strided(const cplx* in, std::size_t is, cplx* out,
                        std::size_t os);
+
+  /// Forward transform of input held in bit-reversed order (in[i] =
+  /// x[bit_reversal()[i]], unit stride, in and out disjoint), bitwise equal
+  /// to execute(x, out). Only for engines whose bit_reversal() is non-null.
+  void execute_bit_reversed(const cplx* in, cplx* out) const {
+    inplace_->forward_bit_reversed(in, out);
+  }
+
+  /// The input permutation execute_bit_reversed() expects, or nullptr when
+  /// this engine has none (inverse direction, or a size off the in-place
+  /// engine): callers that stage a sub-FFT's input then write it in this
+  /// order, else in natural order.
+  [[nodiscard]] const std::uint32_t* bit_reversal() const noexcept {
+    return inplace_ && dir_ == Direction::kForward ? inplace_->bit_reversal()
+                                                   : nullptr;
+  }
 
   /// In place. For power-of-two sizes this runs the iterative radix-2 engine
   /// with O(1) auxiliary space; other sizes stage through the instance

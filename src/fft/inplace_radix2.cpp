@@ -18,21 +18,15 @@ InplaceRadix2Plan::InplaceRadix2Plan(std::size_t n)
 InplaceRadix2Plan::InplaceRadix2Plan(std::size_t n,
                                      const InplaceTuning& tuning)
     : n_(n) {
-  if (!is_pow2(n)) {
+  if (!is_pow2(n) || log2_floor(n) > 32) {
     throw std::invalid_argument(
-        "InplaceRadix2Plan: size must be a power of two");
+        "InplaceRadix2Plan: size must be a power of two up to 2^32");
   }
   log2n_ = log2_floor(n);
   block_log2_ = tuning.block_log2;
-  // Store only the swap pairs (i, rev(i)) with i < rev(i) so the permutation
-  // pass touches each element once.
-  bit_reverse_.reserve(n / 2);
+  bit_reverse_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t rev = reverse_bits(i, log2n_);
-    if (i < rev) {
-      bit_reverse_.push_back(i);
-      bit_reverse_.push_back(rev);
-    }
+    bit_reverse_[i] = static_cast<std::uint32_t>(reverse_bits(i, log2n_));
   }
   // Pack the fused radix-4 schedule's per-stage twiddles contiguously in j
   // (see FusedStage).
@@ -100,6 +94,16 @@ InplaceRadix2Plan::InplaceRadix2Plan(std::size_t n,
         std::make_unique<CobraBitReversal>(log2n_, tuning.cobra_tile_bits);
     if (cobra->tile_bits() >= 2) cobra_ = std::move(cobra);
   }
+  // Below it, the pair-swap walk: only the pairs (i, rev(i)) with
+  // i < rev(i), so the pass touches each element once.
+  if (!cobra_) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i < bit_reverse_[i]) {
+        swap_pairs_.push_back(static_cast<std::uint32_t>(i));
+        swap_pairs_.push_back(bit_reverse_[i]);
+      }
+    }
+  }
 }
 
 bool InplaceRadix2Plan::permute(const cplx* src, cplx* dst,
@@ -124,8 +128,8 @@ bool InplaceRadix2Plan::permute(const cplx* src, cplx* dst,
   // Below the COBRA threshold the array is cache-resident and the
   // vectorized pair-swap walk beats a scalar per-element gather, so the
   // copy stays separate — it is cheap at these sizes.
-  for (std::size_t p = 0; p + 1 < bit_reverse_.size(); p += 2) {
-    std::swap(dst[bit_reverse_[p]], dst[bit_reverse_[p + 1]]);
+  for (std::size_t p = 0; p + 1 < swap_pairs_.size(); p += 2) {
+    std::swap(dst[swap_pairs_[p]], dst[swap_pairs_[p + 1]]);
   }
   return false;
 }
@@ -205,6 +209,24 @@ void InplaceRadix2Plan::forward(cplx* data) const {
 
 void InplaceRadix2Plan::forward_copy(const cplx* src, cplx* dst) const {
   run(src, dst, /*inverse=*/false);
+}
+
+void InplaceRadix2Plan::forward_bit_reversed(const cplx* src,
+                                             cplx* dst) const {
+  const auto& kernels = simd::fft_kernels();
+  // The opener reads src and writes dst, so no copy or permutation pass
+  // runs; its pairs/quadruples are independent, so one whole-array pass
+  // computes what the windowed openers would.
+  if (n_ == 1) {
+    dst[0] = src[0];
+  } else if (log2n_ & 1u) {
+    kernels.radix2_stage0_from(dst, src, n_);
+  } else {
+    kernels.radix4_first_stage_from(dst, src, n_, /*inverse=*/false);
+  }
+  blocked_pass(dst, /*inverse=*/false, /*skip_opener=*/true, /*scale=*/1.0,
+               blocked_stage_count_);
+  tail_pass(dst, /*inverse=*/false, /*scale=*/1.0, tail_.size());
 }
 
 void InplaceRadix2Plan::inverse(cplx* data) const {

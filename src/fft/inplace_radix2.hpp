@@ -16,7 +16,9 @@
 //      Above it, a COBRA cache-blocked bit-reversal (fft/bit_reversal.hpp)
 //      with the twiddle-free opener stage fused into the tile write-back;
 //      forward_copy() gathers straight from its source while source and
-//      destination fit the cache window together.
+//      destination fit the cache window together. forward_bit_reversed()
+//      skips this step: its input is already in bit-reversed order, and
+//      its opener reads the source and writes the destination.
 //   2. Fused radix-4 stages (two radix-2 levels each) whose blocks fit the
 //      cache window, run window by window in one streaming pass.
 //   3. The whole-array tail beyond the window, with consecutive radix-4
@@ -32,6 +34,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -63,7 +66,8 @@ struct InplaceTuning {
 /// Immutable after construction; shareable across threads.
 class InplaceRadix2Plan {
  public:
-  /// n must be a power of two >= 1. Uses the default InplaceTuning.
+  /// n must be a power of two, 1 <= n <= 2^32. Uses the default
+  /// InplaceTuning.
   explicit InplaceRadix2Plan(std::size_t n);
   InplaceRadix2Plan(std::size_t n, const InplaceTuning& tuning);
 
@@ -77,6 +81,21 @@ class InplaceRadix2Plan {
   /// (CobraBitReversal::run_copy), which saves one full read+write sweep of
   /// the array against copy+forward.
   void forward_copy(const cplx* src, cplx* dst) const;
+
+  /// Forward DFT of input already in bit-reversed order: dst = FFT(x) for
+  /// src[i] = x[bit_reversal()[i]] (src/dst disjoint, src untouched),
+  /// bitwise equal to forward_copy(x, dst). Only the butterflies run: the
+  /// opener reads src and writes dst, so the copy and permutation pass of
+  /// forward_copy() disappear. The protected schemes write each staged
+  /// sub-FFT input in this order during a staging pass they make anyway.
+  void forward_bit_reversed(const cplx* src, cplx* dst) const;
+
+  /// The permutation forward_bit_reversed() expects: entry i is the
+  /// log2(n)-bit reversal of i (an involution). n entries, sealed with the
+  /// plan (collect_state).
+  [[nodiscard]] const std::uint32_t* bit_reversal() const noexcept {
+    return bit_reverse_.data();
+  }
 
   /// Descriptor of the final whole-array butterfly pass withheld by
   /// forward_copy_open_last(): one radix-4 pass (radix == 4; twiddle packs
@@ -125,6 +144,7 @@ class InplaceRadix2Plan {
   /// the registry seal and evicts the entry at the next verified acquire.
   void collect_state(StateSpans& out) const {
     out.add_vec(bit_reverse_);
+    out.add_vec(swap_pairs_);
     out.add_vec(stages_);
     out.add_vec(stage_twiddles_);
     out.add_vec(tail_);
@@ -132,9 +152,11 @@ class InplaceRadix2Plan {
   }
 
  private:
-  /// The one permutation choice: bit-reverses src into dst (src == dst runs
-  /// in place). Above the COBRA threshold the opener stage rides the tile
-  /// write-back; returns whether it did, so the stage passes skip it.
+  /// The permutation of every entry point but forward_bit_reversed():
+  /// bit-reverses src into dst (src == dst runs in place). Below the COBRA
+  /// threshold, a copy and the pair-swap walk; above it, the COBRA tiles,
+  /// with the opener stage riding the tile write-back. Returns whether the
+  /// opener ran, so the stage passes skip it.
   bool permute(const cplx* src, cplx* dst, bool inverse) const;
   /// The permutation and every butterfly pass, src -> dst.
   void run(const cplx* src, cplx* dst, bool inverse) const;
@@ -169,7 +191,8 @@ class InplaceRadix2Plan {
   std::size_t n_;
   unsigned log2n_;
   unsigned block_log2_;
-  std::vector<std::size_t> bit_reverse_;  // only entries with i < rev(i)
+  std::vector<std::uint32_t> bit_reverse_;  // rev(i) for every i < n
+  std::vector<std::uint32_t> swap_pairs_;   // (i, rev(i)), i < rev(i); no COBRA
   std::vector<FusedStage> stages_;        // fused radix-4 schedule
   std::vector<cplx> stage_twiddles_;      // packed per-stage w1/w2 runs
   std::size_t blocked_stage_count_;       // stages_ with len <= cache window

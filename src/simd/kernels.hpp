@@ -48,6 +48,12 @@ struct ChecksumKernels {
   double (*energy)(const cplx* x, std::size_t n);
   checksum::SumEnergy (*weighted_sum_energy)(const cplx* w, const cplx* x,
                                              std::size_t n);
+  /// weighted_sum_energy of the stream x[idx[0]], x[idx[1]], ...: bitwise
+  /// that sweep over the gathered copy, so a buffer held in permuted order
+  /// (a bit-reversed staged sub-FFT input) is summed in natural order.
+  checksum::SumEnergy (*weighted_sum_energy_at)(const cplx* w, const cplx* x,
+                                                const std::uint32_t* idx,
+                                                std::size_t n);
   checksum::DualSumEnergy (*dual_weighted_sum_energy)(const cplx* w,
                                                       const cplx* x,
                                                       std::size_t n);
@@ -182,11 +188,17 @@ struct FftKernels {
   /// cw is non-null, *se receives sum_i cw[i]*dst[i] and sum_i |dst[i]|^2
   /// over the verified outputs, with the exact accumulator structure of
   /// weighted_sum_energy (bit-identical to that sweep on the same backend).
+  /// perm (redundant only; an involution, len even) stores the verified
+  /// element i at dst[perm[i]] — the bit-reversed input order of the next
+  /// sub-FFT — while the hook, the vote and the sums still see natural
+  /// order: without a hook copy 1 is stored permuted from registers, and a
+  /// hooked or voted run is permuted after its vote.
   std::size_t (*dmr_twiddle)(const cplx* src, std::size_t stride, cplx* dst,
                              std::size_t len, std::size_t j0,
                              std::size_t step, const TwiddleTableView& t,
                              bool redundant, TwiddleHook hook, void* hook_ctx,
-                             const cplx* cw, checksum::SumEnergy* se);
+                             const cplx* cw, checksum::SumEnergy* se,
+                             const std::uint32_t* perm);
 };
 
 /// Backend tables. A getter returns nullptr when that backend is not

@@ -216,6 +216,7 @@ constexpr ChecksumKernels kAvx2Checksum = {
     impl::k_dual_weighted_sum<V>,
     impl::k_energy<V>,
     impl::k_weighted_sum_energy<V>,
+    impl::k_weighted_sum_energy_at<V>,
     impl::k_dual_weighted_sum_energy<V>,
     impl::k_omega3_weighted_sum<V>,
     impl::k_copy_dual_sum<V>,

@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 
 #include "checksum/dot.hpp"
 #include "common/complex.hpp"
@@ -220,23 +222,42 @@ double k_energy(const cplx* x, std::size_t n) {
   return acc;
 }
 
-template <class V>
-checksum::SumEnergy k_weighted_sum_energy(const cplx* w, const cplx* x,
-                                          std::size_t n) {
+/// Reads element j of a natural-order stream: straight from x, or
+/// (Indexed) from x[idx[j]], so a permuted buffer is summed in natural order.
+template <class V, bool Indexed>
+struct StreamLoad {
+  const cplx* x;
+  const std::uint32_t* idx;
+  V operator()(std::size_t j) const {
+    if constexpr (!Indexed) {
+      return V::load(x + j);
+    } else {
+      const cplx* p[V::width];
+      for (std::size_t l = 0; l < V::width; ++l) p[l] = x + idx[j + l];
+      return V::gather_ptrs(p);
+    }
+  }
+  cplx at(std::size_t j) const { return Indexed ? x[idx[j]] : x[j]; }
+};
+
+template <class V, bool Indexed>
+checksum::SumEnergy weighted_sum_energy_of(const cplx* w,
+                                           StreamLoad<V, Indexed> x,
+                                           std::size_t n) {
   constexpr std::size_t W = V::width;
   V s0 = V::zero(), s1 = V::zero();
   V e0 = V::zero(), e1 = V::zero();
   std::size_t j = 0;
   for (; j + 2 * W <= n; j += 2 * W) {
-    const V v0 = V::load(x + j);
-    const V v1 = V::load(x + j + W);
+    const V v0 = x(j);
+    const V v1 = x(j + W);
     s0 = s0 + V::load(w + j).cmul(v0);
     s1 = s1 + V::load(w + j + W).cmul(v1);
     e0 = v0.fmadd_elem(v0, e0);
     e1 = v1.fmadd_elem(v1, e1);
   }
   for (; j + W <= n; j += W) {
-    const V v0 = V::load(x + j);
+    const V v0 = x(j);
     s0 = s0 + V::load(w + j).cmul(v0);
     e0 = v0.fmadd_elem(v0, e0);
   }
@@ -244,10 +265,23 @@ checksum::SumEnergy k_weighted_sum_energy(const cplx* w, const cplx* x,
   out.sum = (s0 + s1).hsum();
   out.energy = (e0 + e1).hsum_slots();
   for (; j < n; ++j) {
-    out.sum += cmul(w[j], x[j]);
-    out.energy += norm2(x[j]);
+    out.sum += cmul(w[j], x.at(j));
+    out.energy += norm2(x.at(j));
   }
   return out;
+}
+
+template <class V>
+checksum::SumEnergy k_weighted_sum_energy(const cplx* w, const cplx* x,
+                                          std::size_t n) {
+  return weighted_sum_energy_of<V, false>(w, {x, nullptr}, n);
+}
+
+template <class V>
+checksum::SumEnergy k_weighted_sum_energy_at(const cplx* w, const cplx* x,
+                                             const std::uint32_t* idx,
+                                             std::size_t n) {
+  return weighted_sum_energy_of<V, true>(w, {x, idx}, n);
 }
 
 template <class V>
@@ -888,20 +922,39 @@ void twiddle_write(const cplx* src, std::size_t stride, cplx* dst,
 
 /// Copies 1 and 2 of lanes [i, i+W): copy 2 from pair 1, copy 1 either
 /// already in dst (InRegs == false, after the hook) or evaluated here from
-/// pair 0 and stored. Clears `agree` on any lane mismatch; returns copy 1.
+/// pair 0 and stored, at dst[perm[i + l]] when perm is non-null. Clears
+/// `agree` on any lane mismatch; returns copy 1.
 template <class V, bool InRegs>
 inline V dmr_lanes(const cplx* src, std::size_t stride, cplx* dst,
                    std::size_t i, std::size_t j, std::size_t step,
-                   const TwiddleTableView& t, bool& agree) {
+                   const TwiddleTableView& t, const std::uint32_t* perm,
+                   bool& agree) {
   const V x = V::gather(src + i * stride, stride);
   const V c2 = x.cmul_nofma(table_twiddles<V>(t, 1, j, step));
-  V c1 = V::load(dst + i);
+  V c1;
   if constexpr (InRegs) {
     c1 = x.cmul_nofma(table_twiddles<V>(t, 0, j, step));
-    c1.store(dst + i);
+    if (perm == nullptr) {
+      c1.store(dst + i);
+    } else {
+      cplx lanes[V::width];
+      c1.store(lanes);
+      for (std::size_t l = 0; l < V::width; ++l) dst[perm[i + l]] = lanes[l];
+    }
+  } else {
+    c1 = V::load(dst + i);
   }
   agree = agree && V::all_eq(c1, c2);
   return c1;
+}
+
+/// dst[perm[i]] = dst[i] for an involution perm: one swap per pair.
+inline void permute_involution(cplx* dst, std::size_t len,
+                               const std::uint32_t* perm) {
+  for (std::size_t i = 0; i < len; ++i) {
+    const std::size_t j = perm[i];
+    if (i < j) std::swap(dst[i], dst[j]);
+  }
 }
 
 /// Verify pass. The vector loop only flags disagreement; faults are rare,
@@ -909,11 +962,16 @@ inline V dmr_lanes(const cplx* src, std::size_t stride, cplx* dst,
 /// (copy 2 recomputed bitwise, mismatches voted) and its weighted sum
 /// recomputed over the voted output with the same accumulator structure.
 /// Either way the optional sum + energy follow weighted_sum_energy's order.
+/// With perm (InRegs only, len a multiple of W), copy 1 is stored permuted
+/// while the sums still run in natural order; a flagged run is re-verified
+/// in natural order, recomputing copy 1 (bitwise the stored one), and
+/// permuted after the vote.
 template <class V, bool InRegs>
 std::size_t twiddle_verify(const cplx* src, std::size_t stride, cplx* dst,
                            std::size_t len, std::size_t j0, std::size_t step,
                            const TwiddleTableView& t, const cplx* cw,
-                           checksum::SumEnergy* se) {
+                           checksum::SumEnergy* se,
+                           const std::uint32_t* perm) {
   constexpr std::size_t W = V::width;
   bool agree = true;
   std::size_t i = 0;
@@ -922,14 +980,15 @@ std::size_t twiddle_verify(const cplx* src, std::size_t stride, cplx* dst,
   if (cw == nullptr) {
     for (; i + W <= len; i += W) {
       (void)dmr_lanes<V, InRegs>(src, stride, dst, i, j0 + i * step, step, t,
-                                 agree);
+                                 perm, agree);
     }
   } else {
     for (; i + 2 * W <= len; i += 2 * W) {
       const V v0 = dmr_lanes<V, InRegs>(src, stride, dst, i, j0 + i * step,
-                                        step, t, agree);
+                                        step, t, perm, agree);
       const V v1 = dmr_lanes<V, InRegs>(src, stride, dst, i + W,
-                                        j0 + (i + W) * step, step, t, agree);
+                                        j0 + (i + W) * step, step, t, perm,
+                                        agree);
       s0 = s0 + V::load(cw + i).cmul(v0);
       s1 = s1 + V::load(cw + i + W).cmul(v1);
       e0 = v0.fmadd_elem(v0, e0);
@@ -937,10 +996,17 @@ std::size_t twiddle_verify(const cplx* src, std::size_t stride, cplx* dst,
     }
     for (; i + W <= len; i += W) {
       const V v0 = dmr_lanes<V, InRegs>(src, stride, dst, i, j0 + i * step,
-                                        step, t, agree);
+                                        step, t, perm, agree);
       s0 = s0 + V::load(cw + i).cmul(v0);
       e0 = v0.fmadd_elem(v0, e0);
     }
+  }
+  if (perm != nullptr && !agree) {
+    const std::size_t mismatches = scalar_twiddle_verify_range(
+        src, stride, dst, 0, len, j0, step, t, /*both=*/true);
+    if (cw != nullptr) *se = k_weighted_sum_energy<V>(cw, dst, len);
+    permute_involution(dst, len, perm);
+    return mismatches;
   }
   std::size_t mismatches = scalar_twiddle_verify_range(
       src, stride, dst, i, len, j0, step, t, InRegs);
@@ -966,17 +1032,23 @@ std::size_t k_dmr_twiddle(const cplx* src, std::size_t stride, cplx* dst,
                           std::size_t len, std::size_t j0, std::size_t step,
                           const TwiddleTableView& t, bool redundant,
                           TwiddleHook hook, void* hook_ctx, const cplx* cw,
-                          checksum::SumEnergy* se) {
+                          checksum::SumEnergy* se,
+                          const std::uint32_t* perm) {
   if (!redundant) {
     twiddle_write<V>(src, stride, dst, len, j0, step, t);
     return 0;
   }
   if (hook == nullptr) {
-    return twiddle_verify<V, true>(src, stride, dst, len, j0, step, t, cw, se);
+    return twiddle_verify<V, true>(src, stride, dst, len, j0, step, t, cw, se,
+                                   perm);
   }
+  // The hook sees copy 1 in natural order; the vote runs on it there.
   twiddle_write<V>(src, stride, dst, len, j0, step, t);
   hook(hook_ctx, dst, len);
-  return twiddle_verify<V, false>(src, stride, dst, len, j0, step, t, cw, se);
+  const std::size_t mismatches = twiddle_verify<V, false>(
+      src, stride, dst, len, j0, step, t, cw, se, nullptr);
+  if (perm != nullptr) permute_involution(dst, len, perm);
+  return mismatches;
 }
 
 // ============================================== vertical DFTs for combine

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -232,6 +233,17 @@ struct UpdateCase {
   InputDistribution dist;
 };
 
+std::string update_case_label(const UpdateCase& c) {
+  return "n" + std::to_string(c.n) +
+         (c.dist == InputDistribution::kUniform ? "_uniform" : "_normal");
+}
+
+// Test listings print the case's label, not the bytes of the struct (whose
+// padding is uninitialised and changed from run to run).
+void PrintTo(const UpdateCase& c, std::ostream* os) {
+  *os << update_case_label(c);
+}
+
 class OfflineAbftUpdate : public ::testing::TestWithParam<UpdateCase> {};
 
 TEST_P(OfflineAbftUpdate, InGateInputFaultUpdatesSpectrum) {
@@ -259,9 +271,7 @@ TEST_P(OfflineAbftUpdate, InGateInputFaultUpdatesSpectrum) {
 
 std::string update_case_name(
     const ::testing::TestParamInfo<UpdateCase>& pi) {
-  return "n" + std::to_string(pi.param.n) +
-         (pi.param.dist == InputDistribution::kUniform ? "_uniform"
-                                                       : "_normal");
+  return update_case_label(pi.param);
 }
 
 INSTANTIATE_TEST_SUITE_P(

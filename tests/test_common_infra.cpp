@@ -1,6 +1,7 @@
 // Infrastructure pieces: timers, env knobs, error helpers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -47,6 +48,22 @@ TEST(TileTranspose, RectangularMatchesNaiveLoop) {
       transpose_tiled(src.data(), ss, got.data(), ds, rows, cols);
       EXPECT_TRUE(bitwise_equal(got, want))
           << rows << "x" << cols << " pad " << pad;
+      // The row-ordered gather, here reading the rows backwards.
+      std::vector<std::uint32_t> order(rows);
+      for (std::size_t r = 0; r < rows; ++r) {
+        order[r] = static_cast<std::uint32_t>(rows - 1 - r);
+      }
+      std::vector<cplx> want_rows(cols * ds, cplx{-1.0, -1.0});
+      auto got_rows = want_rows;
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          want_rows[c * ds + r] = src[order[r] * ss + c];
+        }
+      }
+      transpose_tiled_rows(src.data(), ss, order.data(), got_rows.data(), ds,
+                           rows, cols);
+      EXPECT_TRUE(bitwise_equal(got_rows, want_rows))
+          << rows << "x" << cols << " pad " << pad << " (row order)";
     }
   }
 }

@@ -13,6 +13,7 @@
 #include "common/seal.hpp"
 #include "fault/bitflip.hpp"
 #include "fault/injector.hpp"
+#include "fft/bit_reversal.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
 
@@ -220,7 +221,7 @@ TEST(DmrTwiddle, BackendsBitwiseIdentical) {
       const auto* s = tables_list.front();
       s->dmr_twiddle(run.src, run.stride, ref.data(), run.len, run.j0,
                      run.step, view, true, nullptr, nullptr, nullptr,
-                     nullptr);
+                     nullptr, nullptr);
       for (const auto* kt : tables_list) {
         for (bool redundant : {false, true}) {
           std::vector<cplx> src(run.src,
@@ -228,7 +229,7 @@ TEST(DmrTwiddle, BackendsBitwiseIdentical) {
           std::fill(got.begin(), got.end(), cplx{0, 0});
           const std::size_t mism = kt->dmr_twiddle(
               src.data(), run.stride, got.data(), run.len, run.j0, run.step,
-              view, redundant, nullptr, nullptr, nullptr, nullptr);
+              view, redundant, nullptr, nullptr, nullptr, nullptr, nullptr);
           EXPECT_EQ(mism, 0u);
           EXPECT_TRUE(same_bits(got, ref))
               << "n=" << n << " stride=" << run.stride << " step=" << run.step
@@ -239,10 +240,29 @@ TEST(DmrTwiddle, BackendsBitwiseIdentical) {
   }
 }
 
+// Bit-reversal of the low `bits` bits of every index below 2^bits.
+std::vector<std::uint32_t> bit_reversal(unsigned bits) {
+  std::vector<std::uint32_t> rev(std::size_t{1} << bits);
+  for (std::size_t i = 0; i < rev.size(); ++i) {
+    rev[i] = static_cast<std::uint32_t>(fft::reverse_bits(i, bits));
+  }
+  return rev;
+}
+
+// out[i] = in[perm[i]].
+std::vector<cplx> gathered(const std::vector<cplx>& in,
+                           const std::vector<std::uint32_t>& perm) {
+  std::vector<cplx> out(in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) out[i] = in[perm[i]];
+  return out;
+}
+
 // The fused CCG: on each backend the weighted sum and energy returned by
 // the twiddle pass equal that backend's weighted_sum_energy sweep over the
 // output bitwise, with and without a hook (two-pass vs in-register DMR),
-// including an odd-length tail.
+// including an odd-length tail. A bit-reversed store (even lengths) leaves
+// the sums those of the natural order and puts the same elements at the
+// reversed positions.
 TEST(DmrTwiddle, FusedChecksumMatchesWeightedSumEnergy) {
   const std::size_t n = 1 << 16;
   const auto tw = TwiddleTables::get(n);
@@ -258,6 +278,7 @@ TEST(DmrTwiddle, FusedChecksumMatchesWeightedSumEnergy) {
   const auto fts = runnable_tables();
   ASSERT_EQ(fts.size(), cks.size());
   const auto no_op = [](void*, cplx*, std::size_t) {};
+  const auto rev = bit_reversal(8);
   for (std::size_t len : {std::size_t{256}, std::size_t{255}, std::size_t{7}}) {
     const auto x = random_vector(len, InputDistribution::kUniform, 50 + len);
     const auto w = random_vector(len, InputDistribution::kNormal, 60 + len);
@@ -266,12 +287,24 @@ TEST(DmrTwiddle, FusedChecksumMatchesWeightedSumEnergy) {
         std::vector<cplx> out(len);
         checksum::SumEnergy se;
         fts[b]->dmr_twiddle(x.data(), 1, out.data(), len, 3, 17, view, true,
-                            hooked ? +no_op : nullptr, nullptr, w.data(), &se);
+                            hooked ? +no_op : nullptr, nullptr, w.data(), &se,
+                            nullptr);
         const auto want = cks[b]->weighted_sum_energy(w.data(), out.data(),
                                                       len);
         EXPECT_EQ(se.sum.real(), want.sum.real()) << b << " len=" << len;
         EXPECT_EQ(se.sum.imag(), want.sum.imag()) << b << " len=" << len;
         EXPECT_EQ(se.energy, want.energy) << b << " len=" << len;
+        if (len != rev.size()) continue;
+        std::vector<cplx> pout(len);
+        checksum::SumEnergy pse;
+        fts[b]->dmr_twiddle(x.data(), 1, pout.data(), len, 3, 17, view, true,
+                            hooked ? +no_op : nullptr, nullptr, w.data(), &pse,
+                            rev.data());
+        EXPECT_TRUE(same_bits(pout, gathered(out, rev)))
+            << b << " hooked=" << hooked;
+        EXPECT_EQ(pse.sum.real(), want.sum.real()) << b;
+        EXPECT_EQ(pse.sum.imag(), want.sum.imag()) << b;
+        EXPECT_EQ(pse.energy, want.energy) << b;
       }
     }
   }
@@ -280,7 +313,8 @@ TEST(DmrTwiddle, FusedChecksumMatchesWeightedSumEnergy) {
 // Table-corruption drill: flip a bit in one entry of one table copy. The
 // vote must restore the clean output bitwise, and the mismatch count must
 // equal the number of elements whose exponent reads that entry — on every
-// backend, in-register and two-pass alike.
+// backend, in-register and two-pass alike, stored in natural or in
+// bit-reversed order.
 TEST(DmrTwiddle, TableCorruptionDrillRepairsBitwise) {
   const std::size_t n = 1 << 16, len = 4096, step = 13, j0 = 7;
   const auto x = random_vector(len, InputDistribution::kUniform, 8);
@@ -292,6 +326,8 @@ TEST(DmrTwiddle, TableCorruptionDrillRepairsBitwise) {
   std::vector<cplx> clean(len);
   abft::dmr_twiddle_multiply(TwiddleTables(n), x.data(), 1, clean.data(), len,
                              step, j0, 0, nullptr);
+  const auto rev = bit_reversal(12);  // len = 2^12
+  const auto clean_rev = gathered(clean, rev);
   for (std::size_t span = 0; span < 4; ++span) {  // hi0, lo0, hi1, lo1
     const bool hi = span % 2 == 0;
     const std::size_t entry = hi ? probe >> shift : probe & mask;
@@ -314,13 +350,18 @@ TEST(DmrTwiddle, TableCorruptionDrillRepairsBitwise) {
 
     for (const auto* kt : runnable_tables()) {
       for (bool hooked : {false, true}) {
-        std::vector<cplx> out(len);
-        const std::size_t mism = kt->dmr_twiddle(
-            x.data(), 1, out.data(), len, j0, step, tables.view(), true,
-            hooked ? +no_op : nullptr, nullptr, nullptr, nullptr);
-        EXPECT_EQ(mism, readers) << "span " << span << " hooked=" << hooked;
-        EXPECT_TRUE(same_bits(out, clean))
-            << "span " << span << " hooked=" << hooked;
+        for (bool permuted : {false, true}) {
+          std::vector<cplx> out(len);
+          const std::size_t mism = kt->dmr_twiddle(
+              x.data(), 1, out.data(), len, j0, step, tables.view(), true,
+              hooked ? +no_op : nullptr, nullptr, nullptr, nullptr,
+              permuted ? rev.data() : nullptr);
+          EXPECT_EQ(mism, readers) << "span " << span << " hooked=" << hooked
+                                   << " permuted=" << permuted;
+          EXPECT_TRUE(same_bits(out, permuted ? clean_rev : clean))
+              << "span " << span << " hooked=" << hooked
+              << " permuted=" << permuted;
+        }
       }
     }
     // And through the public entry point on the active backend.

@@ -6,11 +6,13 @@
 // butterfly, the radix-16 pass runs its two radix-4 stages' exact operation
 // sequences in registers, and the fused scaling multiplies already-rounded
 // results (radix-8 grouping was rejected — it cannot reproduce the radix-4
-// FMA rounding; see fft/inplace_radix2.hpp). Also re-runs a fault-injection
-// campaign through the ABFT in-place wrapper at a size that takes the COBRA
-// path.
+// FMA rounding; see fft/inplace_radix2.hpp). The bit-reversed entry point
+// must equal forward_copy of the natural input bitwise. Also re-runs a
+// fault-injection campaign through the ABFT in-place wrapper at a size that
+// takes the COBRA path.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -164,6 +166,58 @@ TEST(InplaceOptimized, SmallWindowPlansExerciseRadix16BitIdentically) {
       plan.inverse(igot.data());
       expect_bitwise_equal(igot, iref, "small-window inverse", n, b);
     }
+  }
+}
+
+// forward_bit_reversed over the bit-reversed input equals forward_copy of
+// the natural input bitwise on every backend: odd and even log2n (radix-2
+// and radix-4 openers read straight from the source), both sides of the
+// COBRA threshold, and small-window plans whose schedules block and tail at
+// these sizes. fft::Fft exposes the entry point exactly where it runs the
+// in-place engine forward.
+TEST(InplaceOptimized, BitReversedEntryEqualsForwardCopyBitwise) {
+  BackendGuard guard;
+  InplaceTuning small_window;
+  small_window.block_log2 = 8;
+  small_window.cobra_tile_bits = 4;
+  small_window.cobra_min_log2 = 9;
+  for (unsigned log2n = 1; log2n <= 14; ++log2n) {
+    const std::size_t n = std::size_t{1} << log2n;
+    const auto x = random_vector(n, InputDistribution::kNormal, 4000 + log2n);
+    const auto shared = InplaceRadix2Plan::get(n);
+    const InplaceRadix2Plan tuned(n, small_window);
+    for (const InplaceRadix2Plan* plan : {shared.get(), &tuned}) {
+      const std::uint32_t* rev = plan->bit_reversal();
+      std::vector<cplx> xr(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(rev[i], fft::reverse_bits(i, log2n)) << "n=" << n;
+        xr[i] = x[rev[i]];
+      }
+      const auto staged = xr;
+      for (Backend b : available_backends()) {
+        ASSERT_TRUE(simd::set_backend(b));
+        std::vector<cplx> want(n), got(n);
+        plan->forward_copy(x.data(), want.data());
+        plan->forward_bit_reversed(xr.data(), got.data());
+        expect_bitwise_equal(got, want, "bit-reversed entry", n, b);
+        expect_bitwise_equal(xr, staged, "bit-reversed source", n, b);
+      }
+    }
+  }
+  for (std::size_t n : {std::size_t{256}, std::size_t{512}, std::size_t{2048},
+                        std::size_t{4096}}) {
+    fft::Fft forward(n);
+    EXPECT_EQ(forward.bit_reversal() != nullptr, fft::uses_inplace_engine(n))
+        << "n=" << n;
+    EXPECT_EQ(fft::Fft(n, fft::Direction::kInverse).bit_reversal(), nullptr);
+    if (forward.bit_reversal() == nullptr) continue;
+    const auto x = random_vector(n, InputDistribution::kUniform, 4100 + n);
+    std::vector<cplx> xr(n), want(n), got(n);
+    for (std::size_t i = 0; i < n; ++i) xr[i] = x[forward.bit_reversal()[i]];
+    forward.execute(x.data(), want.data());
+    forward.execute_bit_reversed(xr.data(), got.data());
+    expect_bitwise_equal(got, want, "Fft::execute_bit_reversed", n,
+                         simd::active_backend());
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "dft/reference_dft.hpp"
 #include "fault/bitflip.hpp"
 #include "fault/injector.hpp"
+#include "fft/bit_reversal.hpp"
 #include "fft/fft.hpp"
 #include "fft/inplace_radix2.hpp"
 #include "simd/dispatch.hpp"
@@ -209,6 +211,40 @@ TEST(SimdChecksum, CopyDualSumEnergyMatchesEnergy) {
       EXPECT_EQ(std::memcmp(&bare, &want, sizeof(bare)), 0)
           << "n=" << n << " backend=" << name;
       EXPECT_EQ(std::memcmp(dst2.data(), x.data(), n * sizeof(cplx)), 0)
+          << "n=" << n << " backend=" << name;
+    }
+  }
+}
+
+TEST(SimdChecksum, WeightedSumEnergyAtSumsTheGatheredStreamBitwise) {
+  // A staged sub-FFT input held in bit-reversed order is summed in natural
+  // order through the index table: bitwise the unit-stride sweep over the
+  // gathered copy, whose sum is also weighted_sum's, on every backend.
+  BackendGuard guard;
+  for (std::size_t n : kSizes) {
+    if (n == 0) continue;
+    const auto x = random_vector(n, InputDistribution::kNormal, 808 + n);
+    const auto w = random_vector(n, InputDistribution::kUniform, 909 + n);
+    std::vector<std::uint32_t> idx(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      idx[i] = static_cast<std::uint32_t>(
+          is_pow2(n) ? fft::reverse_bits(i, log2_floor(n)) : n - 1 - i);
+    }
+    std::vector<cplx> gathered(n);
+    for (std::size_t i = 0; i < n; ++i) gathered[i] = x[idx[i]];
+    for (Backend b : available_backends()) {
+      ASSERT_TRUE(simd::set_backend(b));
+      const char* name = simd::backend_name(b);
+      const auto got =
+          checksum::weighted_sum_energy_at(w.data(), x.data(), idx.data(), n);
+      const auto want =
+          checksum::weighted_sum_energy(w.data(), gathered.data(), n);
+      const cplx sum = checksum::weighted_sum(w.data(), gathered.data(), n);
+      EXPECT_EQ(std::memcmp(&got.sum, &want.sum, sizeof(cplx)), 0)
+          << "n=" << n << " backend=" << name;
+      EXPECT_EQ(std::memcmp(&got.sum, &sum, sizeof(cplx)), 0)
+          << "n=" << n << " backend=" << name;
+      EXPECT_EQ(std::memcmp(&got.energy, &want.energy, sizeof(double)), 0)
           << "n=" << n << " backend=" << name;
     }
   }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -208,6 +209,65 @@ TEST(UnitCheck, SubFftRepairsTheSlotBehindAStagedColumn) {
   EXPECT_EQ(stats.eta_mem, 1e-8);
 }
 
+// The same layout with the staged column in the 512-point engine's
+// bit-reversed order, as the online and in-place schemes stage on the
+// in-place engine: the unit runs execute_bit_reversed, the repair restores
+// the slot in natural order and refreshes the staged copy through the
+// permutation, and the output is bitwise that of the natural-order
+// transform. The second unit takes its CCG as a dot over the staged column
+// (ccg_w) and re-checks the slot before running, so that CCG is taken after
+// the repair, through the permutation.
+TEST(UnitCheck, SubFftRepairsTheSlotBehindABitReversedStagedColumn) {
+  constexpr std::size_t n = 512;
+  fft::Fft engine(n);
+  const std::uint32_t* rev = engine.bit_reversal();
+  ASSERT_NE(rev, nullptr);
+  const auto ra = checksum::input_checksum_vector(n);
+  const std::size_t stride = 3;
+  const auto r = random_vector(n * stride, InputDistribution::kUniform, 24);
+  std::vector<cplx> pristine(n * stride);
+  for (std::size_t i = 0; i < pristine.size(); ++i) {
+    pristine[i] = {std::round(8.0 * r[i].real()),
+                   std::round(8.0 * r[i].imag())};
+  }
+  const auto stored =
+      checksum::dual_weighted_sum(nullptr, pristine.data(), n, stride);
+  std::vector<cplx> natural(n), clean_out(n), staged_clean(n);
+  for (std::size_t t = 0; t < n; ++t) natural[t] = pristine[t * stride];
+  for (std::size_t p = 0; p < n; ++p) staged_clean[p] = natural[rev[p]];
+  const cplx ccg = checksum::weighted_sum(ra.data(), natural.data(), n);
+  engine.execute(natural.data(), clean_out.data());
+
+  for (bool retaken : {false, true}) {
+    auto slot = pristine;
+    slot[17 * stride] += cplx{5.0, -2.0};
+    std::vector<cplx> col(n), out(n);
+    for (std::size_t p = 0; p < n; ++p) col[p] = slot[rev[p] * stride];
+    abft::SubFft u = sub_fft(engine, col.data(), out.data(), ccg, 1e-8);
+    u.ccg_w = retaken ? ra.data() : nullptr;
+    u.repair = {{stored}, slot.data(), stride, nullptr, 1e-8,
+                /*count_check=*/true, /*record_eta=*/true,
+                /*before_run=*/retaken, "input not localizable"};
+    u.perm = rev;
+    Stats stats;
+    abft::run_sub_fft(u, 4, stats);
+    EXPECT_EQ(std::memcmp(out.data(), clean_out.data(), n * sizeof(cplx)), 0)
+        << "retaken=" << retaken;
+    EXPECT_EQ(std::memcmp(slot.data(), pristine.data(),
+                          slot.size() * sizeof(cplx)),
+              0);
+    EXPECT_EQ(std::memcmp(col.data(), staged_clean.data(), n * sizeof(cplx)),
+              0);
+    EXPECT_EQ(stats.mem_errors_detected, 1u);
+    EXPECT_EQ(stats.mem_errors_corrected, 1u);
+    EXPECT_EQ(stats.comp_errors_detected, 0u);
+    // Re-check first: one clean attempt. Else a failed attempt, the
+    // repair's re-check and the passing re-run.
+    EXPECT_EQ(stats.sub_fft_retries, retaken ? 0u : 1u);
+    EXPECT_EQ(stats.verifications, retaken ? 2u : 3u);
+  }
+}
+
 // At t = 2 the column's 2t-moment syndromes decode a two-element burst in
 // the staged column itself (the in-place layout), which the re-run then
 // transforms.
@@ -324,6 +384,152 @@ TEST(UnitCheck, RetriesExhaustedReadTheSameInEveryScheme) {
     EXPECT_EQ(s.comp_errors_detected, 2u);
     EXPECT_EQ(s.full_restarts, 2u);
     EXPECT_EQ(s.verifications, 3u);
+  }
+}
+
+// ---- Bit-reversed staging at n = 2^18: both schemes split it 512 x 512,
+// the in-place engine's smallest size, so every sub-FFT input is staged in
+// bit-reversed order. A fault on each path the permutation rides must
+// leave the spectrum bitwise that of a clean run. With the same split and
+// the same sub-FFTs and twiddles, the online and in-place spectra agree
+// bitwise too.
+
+struct StagingConfig {
+  const char* name;
+  bool inplace;
+  bool memory;
+  bool backup_in_input;
+};
+
+constexpr StagingConfig kStagingConfigs[] = {
+    {"online_scratch", false, true, false},
+    {"online_in_input", false, true, true},
+    {"online_comp", false, false, false},
+    {"inplace_memory", true, true, false},
+    {"inplace_comp", true, false, false}};
+
+constexpr std::size_t kStagedN = std::size_t{1} << 18;
+
+// Runs `c` over x (which the scheme may repair or overwrite) and returns
+// the spectrum.
+std::vector<cplx> run_staged(const StagingConfig& c, std::vector<cplx>& x,
+                             int t, fault::Injector* inj, Stats& stats) {
+  Options o = Options::online_opt(c.memory);
+  o.backup_in_input = c.backup_in_input;
+  o.max_correctable_errors = t;
+  o.injector = inj;
+  if (c.inplace) {
+    abft::inplace_online_transform(x.data(), x.size(), o, stats);
+    return x;
+  }
+  std::vector<cplx> out(x.size());
+  abft::online_transform(x.data(), out.data(), x.size(), o, stats);
+  return out;
+}
+
+bool same_bits(const std::vector<cplx>& a, const std::vector<cplx>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+// A kInputAfterChecksum fault in one layer-1 slot (t = 1) and a two-element
+// burst in one slot (t = 2). The repair restores the slot in the caller's
+// array and refreshes the bit-reversed staged copy; the reference is the
+// clean run over the input that repair restores, which the online scheme
+// with a scratch backup leaves in the caller's array.
+TEST(UnitCheck, BitReversedStagingRepairsSlotFaultsBitwiseAt2_18) {
+  ASSERT_NE(fft::Fft(512).bit_reversal(), nullptr);
+  const auto x = random_vector(kStagedN, InputDistribution::kNormal, 31);
+  for (int t : {1, 2}) {
+    const auto arm = [t](fault::Injector& inj) {
+      inj.schedule(FaultSpec::memory_set(Phase::kInputAfterChecksum, 0, 12345,
+                                         {30.0, -12.0}));
+      if (t == 2) {  // same slot (column 12345 mod 512), nine rows on
+        inj.schedule(FaultSpec::memory_set(Phase::kInputAfterChecksum, 0,
+                                           12345 + 9 * 512, {-3.0, 7.0}));
+      }
+    };
+    auto repaired = x;
+    {
+      fault::Injector inj;
+      arm(inj);
+      Stats s;
+      (void)run_staged(kStagingConfigs[0], repaired, t, &inj, s);
+    }
+    EXPECT_LT(max_dev(repaired, x), 1e-10) << "t=" << t;
+    auto clean_in = repaired;
+    Stats clean_stats;
+    const auto clean =
+        run_staged(kStagingConfigs[0], clean_in, t, nullptr, clean_stats);
+    EXPECT_EQ(clean_stats.mem_errors_detected, 0u);
+    for (const StagingConfig& c : kStagingConfigs) {
+      if (!c.memory) continue;
+      auto in = x;
+      fault::Injector inj;
+      arm(inj);
+      Stats s;
+      const auto got = run_staged(c, in, t, &inj, s);
+      EXPECT_TRUE(same_bits(got, clean)) << c.name << " t=" << t;
+      EXPECT_EQ(s.mem_errors_corrected, 1u) << c.name << " t=" << t;
+      EXPECT_EQ(s.multi_errors_corrected, t == 2 ? 2u : 0u) << c.name;
+      EXPECT_EQ(s.comp_errors_detected, 0u) << c.name;
+    }
+  }
+}
+
+// A kTwiddleDmrCopy fault in online layer 2 / in-place TM1, whose no-fault
+// path stores the next sub-FFT's input bit-reversed: the hooked copy is
+// voted in natural order and permuted afterwards, with memory FT on and
+// off.
+TEST(UnitCheck, BitReversedStagingVotesOutATwiddleFaultBitwiseAt2_18) {
+  const auto x = random_vector(kStagedN, InputDistribution::kUniform, 32);
+  for (const StagingConfig& c : kStagingConfigs) {
+    auto clean_in = x;
+    Stats clean_stats;
+    const auto clean = run_staged(c, clean_in, 1, nullptr, clean_stats);
+    EXPECT_EQ(clean_stats.dmr_mismatches, 0u);
+    auto in = x;
+    fault::Injector inj;
+    inj.schedule(
+        FaultSpec::computational(Phase::kTwiddleDmrCopy, 3, 9, {1.5, -2.0}));
+    Stats s;
+    const auto got = run_staged(c, in, 1, &inj, s);
+    EXPECT_EQ(inj.fired_count(), 1u) << c.name;
+    EXPECT_EQ(s.dmr_mismatches, 1u) << c.name;
+    EXPECT_EQ(s.comp_errors_detected, 0u) << c.name;
+    EXPECT_TRUE(same_bits(got, clean)) << c.name;
+  }
+}
+
+// n = 2^19 splits k * r * k = 512 * 2 * 512 in place: the DMR middle layer
+// writes the layer-3 inputs bit-reversed into their own block. A fault in
+// either DMR copy is voted out bitwise, and the clean spectrum is the
+// transform.
+TEST(UnitCheck, BitReversedMiddleLayerVotesOutFaultsBitwiseAt2_19) {
+  const std::size_t n = std::size_t{1} << 19;
+  ASSERT_EQ(abft::inplace_shape(n).r, 2u);
+  const auto x = random_vector(n, InputDistribution::kNormal, 33);
+  for (bool memory : {false, true}) {
+    const Options o = Options::online_opt(memory);
+    auto clean = x;
+    Stats clean_stats;
+    abft::inplace_online_transform(clean.data(), n, o, clean_stats);
+    const auto want = fft::fft(x);
+    double peak = 0.0;
+    for (const cplx& v : want) peak = std::max(peak, std::abs(v));
+    EXPECT_LT(max_dev(clean, want), 1e-9 * peak);
+    for (Phase phase : {Phase::kTwiddleDmrCopy, Phase::kMiddleDmrCopy}) {
+      fault::Injector inj;
+      inj.schedule(FaultSpec::computational(phase, 5, 1, {2.0, 1.0}));
+      Options fo = o;
+      fo.injector = &inj;
+      auto got = x;
+      Stats s;
+      abft::inplace_online_transform(got.data(), n, fo, s);
+      EXPECT_EQ(inj.fired_count(), 1u);
+      EXPECT_EQ(s.dmr_mismatches, 1u) << "memory=" << memory;
+      EXPECT_TRUE(same_bits(got, clean)) << "memory=" << memory;
+    }
   }
 }
 
