@@ -132,6 +132,54 @@ BENCHMARK_CAPTURE(BM_Energy, dispatched, true)
     ->RangeMultiplier(16)
     ->Range(1 << 10, 1 << 18);
 
+// The memory-FT slot fold: one weighted row of the CMCG (the online
+// column-sum fold is the same kernel with a null weight) folded into the
+// per-slot dual sums and energies. Widths are the slot counts of 2^16-2^24
+// transforms.
+void BM_FoldRow(benchmark::State& state, bool dispatched) {
+  use_backend(state, dispatched);
+  const auto width = static_cast<std::size_t>(state.range(0));
+  auto row = random_vector(width, InputDistribution::kUniform, 12);
+  const cplx w = checksum::input_checksum_vector(width)[1];
+  std::vector<cplx> a1(width), a2(width);
+  std::vector<double> e(width);
+  for (auto _ : state) {
+    checksum::fold_row(row.data(), width, &w, 3.0, a1.data(), a2.data(),
+                       e.data());
+    benchmark::DoNotOptimize(a1.data());
+    benchmark::DoNotOptimize(a2.data());
+    benchmark::DoNotOptimize(e.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(width));
+}
+BENCHMARK_CAPTURE(BM_FoldRow, scalar, false)
+    ->RangeMultiplier(2)
+    ->Range(1 << 8, 1 << 12);
+BENCHMARK_CAPTURE(BM_FoldRow, dispatched, true)
+    ->RangeMultiplier(2)
+    ->Range(1 << 8, 1 << 12);
+
+// The four-chain plain sum of the online column check and the in-place
+// permutation guard.
+void BM_PlainSum(benchmark::State& state, bool dispatched) {
+  use_backend(state, dispatched);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  auto x = random_vector(n, InputDistribution::kUniform, 13);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(checksum::plain_sum(x.data(), n));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK_CAPTURE(BM_PlainSum, scalar, false)
+    ->RangeMultiplier(2)
+    ->Range(1 << 8, 1 << 12);
+BENCHMARK_CAPTURE(BM_PlainSum, dispatched, true)
+    ->RangeMultiplier(2)
+    ->Range(1 << 8, 1 << 12);
+
 void BM_Omega3Sum(benchmark::State& state) {
   use_backend(state, true);
   const auto n = static_cast<std::size_t>(state.range(0));

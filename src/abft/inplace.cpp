@@ -93,7 +93,8 @@ class InplaceRun {
     const std::span<cplx> stage = frame_.take<cplx>(batch * k_);
     const std::span<cplx> ostage = frame_.take<cplx>(batch * k_);
     if (opts_.memory_ft) {
-      b1_ = frame_.take_zeroed<DualSum>(k_);
+      b1_ = frame_.take_zeroed<cplx>(k_);
+      b2_ = frame_.take_zeroed<cplx>(k_);
       e_blk_ = frame_.take_zeroed<double>(k_);
     }
     for (std::size_t i0 = 0; i0 < blk_; i0 += batch) {
@@ -141,12 +142,8 @@ class InplaceRun {
         // Fold the verified output into the per-block checksums that
         // protect the window until layer 2 consumes the block.
         if (opts_.memory_ft) {
-          const double id = static_cast<double>(i);
-          for (std::size_t s = 0; s < k_; ++s) {
-            b1_[s].plain += res[s];
-            b1_[s].indexed += id * res[s];
-            e_blk_[s] += norm2(res[s]);
-          }
+          checksum::fold_row(res, k_, nullptr, static_cast<double>(i),
+                             b1_.data(), b2_.data(), e_blk_.data());
         }
       }
       transpose_tiled(ostage.data(), k_, x_ + i0, blk_, bw, k_);
@@ -176,7 +173,7 @@ class InplaceRun {
     for (std::size_t b = 0; b < k_; ++b) {
       cplx* block = x_ + b * blk_;
       if (opts_.memory_ft) {
-        repair_region({b1_[b]}, block, 1, nullptr, blk_,
+        repair_region({{b1_[b], b2_[b]}}, block, 1, nullptr, blk_,
                       threshold(plan_.eta_block().mem, e_blk_[b], blk_,
                                 opts_.eta_override),
                       opts_.max_retries, RepairTally::of(stats_, true),
@@ -300,14 +297,13 @@ class InplaceRun {
         }
       }
       // Permutation-invariant guard over the swap pass below.
-      for (std::size_t t = 0; t < n_; ++t) presum += x_[t];
+      presum = checksum::plain_sum(x_, n_);
     }
 
     krk_digit_reverse_permute(x_, k_, r_);
 
     if (opts_.memory_ft) {
-      cplx postsum{0, 0};
-      for (std::size_t t = 0; t < n_; ++t) postsum += x_[t];
+      const cplx postsum = checksum::plain_sum(x_, n_);
       ++stats_.verifications;
       const double eta = threshold(plan_.eta_whole().mem,
                                    checksum::energy(x_, n_), n_,
@@ -335,7 +331,8 @@ class InplaceRun {
   std::span<cplx> s1_, s2_;       // CMCG slots (layer-1 inputs)
   std::span<checksum::SyndromeSet> syn1_;  // per-slot 2t moments (t > 1)
   std::span<double> e_in_;
-  std::span<DualSum> b1_;         // per-block checksums (intermediate window)
+  std::span<cplx> b1_, b2_;       // per-block dual checksums (intermediate
+                                  //   window): plain and indexed
   std::span<double> e_blk_;
   std::span<cplx> mid_;           // middle layer (r > 1): gather, 2 DMR
                                   //   copies and the vote, r each

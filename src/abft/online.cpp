@@ -179,12 +179,8 @@ class OnlineRun {
   // Folds verified sub-FFT output row i into the column checksums and
   // column energies the second layer verifies against.
   void fold_row(std::size_t i, const cplx* yi) {
-    const double id = static_cast<double>(i);
-    for (std::size_t c = 0; c < m_; ++c) {
-      o1_[c] += yi[c];
-      o2_[c] += id * yi[c];
-      e_mid_[c] += norm2(yi[c]);
-    }
+    checksum::fold_row(yi, m_, nullptr, static_cast<double>(i), o1_.data(),
+                       o2_.data(), e_mid_.data());
   }
 
   // ------------------------------------------------------- between layers
@@ -215,7 +211,7 @@ class OnlineRun {
     // Section 4.2: the postponed final MCV recomputes a failing column from
     // the intermediate, kept column-major (column c at backup_ + c*k) in the
     // caller's input (paper's choice) or an n-element scratch block.
-    // second_layer copies each verified staged block into it.
+    // second_layer stages each block of columns straight into it.
     backup_ = opts_.backup_in_input ? x_ : frame_.take<cplx>(n_).data();
   }
 
@@ -235,24 +231,23 @@ class OnlineRun {
     // transpose (kTransposeTile) loads the strided intermediate into a
     // column-major block, every per-column pass then runs contiguous, and
     // a second tiled transpose writes the verified results back to their
-    // natural-order rows. A done block of staged (and MCV-repaired) columns
-    // is the postponed backup.
+    // natural-order rows. With memory FT the block is gathered straight
+    // into its place in the postponed backup (column c at backup_ + c*k),
+    // which the MCV repair refreshes and the DMR twiddle reads; only
+    // computational FT takes a staging block of its own.
     const std::size_t s = plan_.layer2_cols();
     const std::span<cplx> stage =
-        frame_.take<cplx>(opts_.optimized ? s * k_ : 0);
+        frame_.take<cplx>(opts_.optimized && backup_ == nullptr ? s * k_ : 0);
     const std::span<cplx> ostage =
         frame_.take<cplx>(opts_.optimized ? s * k_ : 0);
 
     for (std::size_t c0 = 0; c0 < m_; c0 += s) {
       const std::size_t sc = std::min(s, m_ - c0);
       if (opts_.optimized) {
-        transpose_tiled(out_ + c0, m_, stage.data(), k_, k_, sc);
+        cplx* block = backup_ != nullptr ? backup_ + c0 * k_ : stage.data();
+        transpose_tiled(out_ + c0, m_, block, k_, k_, sc);
         for (std::size_t c = 0; c < sc; ++c) {
-          process_column(c0 + c, stage.data() + c * k_, 1,
-                         ostage.data() + c * k_);
-        }
-        if (backup_ != nullptr) {
-          std::copy_n(stage.data(), sc * k_, backup_ + c0 * k_);
+          process_column(c0 + c, block + c * k_, 1, ostage.data() + c * k_);
         }
         // out[j*m + c] gets result element j of column c.
         transpose_tiled(ostage.data(), k_, out_ + c0, m_, sc, k_);
@@ -289,7 +284,7 @@ class OnlineRun {
         // data) stay single-error: a multi-error burst inside one column is
         // not localizable and is refused here with UncorrectableError. The
         // postponed final MCV could not recover it either, as its backup is
-        // copied from this same staged column.
+        // this same staged column.
         repair_region({{o1_[c], o2_[c]}}, out_ + c, m_, nullptr, k_, eta_mem,
                       opts_.max_retries, RepairTally::of(stats_, false),
                       "online ABFT: column memory error not localizable",

@@ -59,6 +59,7 @@ double energy(const cplx* x, std::size_t n, std::size_t stride) {
 }
 
 cplx plain_sum(const cplx* x, std::size_t n, std::size_t stride) {
+  if (stride == 1) return simd::checksum_kernels().plain_sum(x, n);
   cplx acc[4] = {};  // four chains hide the add latency
   std::size_t j = 0;
   for (; j + 4 <= n; j += 4) {
@@ -80,6 +81,11 @@ cplx omega3_weighted_sum(const cplx* x, std::size_t n, std::size_t stride) {
   if (j < n) b0 += x[j * stride];
   if (j + 1 < n) b1 += x[(j + 1) * stride];
   return b0 + cmul(omega3_pow(1), b1) + cmul(omega3_pow(2), b2);
+}
+
+void fold_row(const cplx* row, std::size_t width, const cplx* w, double r,
+              cplx* a1, cplx* a2, double* e) {
+  simd::checksum_kernels().fold_row(row, width, w, r, a1, a2, e);
 }
 
 DualSum copy_dual_sum(cplx* dst, const cplx* src, std::size_t n,

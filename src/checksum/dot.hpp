@@ -46,7 +46,9 @@ struct DualSum {
                                         std::size_t n, std::size_t stride = 1);
 
 /// Plain sum_j x_j: the all-ones checksum without its localization half.
-/// Not dispatched: a complex add is already one 128-bit vector add.
+/// Four add chains in a fixed order; stride 1 runs the dispatched kernel,
+/// which keeps that order lane by lane, so every stride and backend gives
+/// the same bits.
 [[nodiscard]] cplx plain_sum(const cplx* x, std::size_t n,
                              std::size_t stride = 1);
 
@@ -98,5 +100,14 @@ struct DualSumEnergy {
 /// scale ride the pack/unpack copy instead of further sweeps.
 DualSum copy_dual_sum(cplx* dst, const cplx* src, std::size_t n,
                       double* energy = nullptr);
+
+/// Slot checksum fold of one row of a row-major block (the CMCG of section
+/// 3.2, the section-4.3 column sums, the sharded FFT1 fold): for i < width,
+/// with p = w[0] * row[i] (p = row[i] when w is null), a1[i] += p,
+/// a2[i] += r * p and e[i] += |row[i]|^2. Dispatched; no product is fused
+/// into its add, so the slots are bitwise those of the plain loop on every
+/// backend.
+void fold_row(const cplx* row, std::size_t width, const cplx* w, double r,
+              cplx* a1, cplx* a2, double* e);
 
 }  // namespace ftfft::checksum

@@ -109,24 +109,17 @@ void input_slot_checksums(const cplx* x, std::size_t rows, std::size_t width,
     std::fill_n(syn, width, init);
   }
   const double inv_rows = 1.0 / static_cast<double>(rows);
-  // Slots are independent, so vectorizing the slot loop (restrict locals,
-  // syndromes folded in their own loop) leaves every sum bit-identical.
+  // The unweighted CMCG keeps multiplying by 1 + 0i, as it always has: a
+  // null weight would skip the product and move the signed-zero and
+  // non-finite bits of its sums.
+  const cplx one{1.0, 0.0};
   for (std::size_t r = 0; r < rows; ++r) {
-    const cplx wr = w != nullptr ? w[r] : cplx{1.0, 0.0};
-    const double rd = static_cast<double>(r);
-    const cplx* __restrict row = x + r * width;
-    cplx* __restrict a1 = s1;
-    cplx* __restrict a2 = s2;
-    double* __restrict e = energy;
-    for (std::size_t i = 0; i < width; ++i) {
-      const cplx p = cmul(wr, row[i]);
-      a1[i] += p;
-      a2[i] += rd * p;
-      e[i] += norm2(row[i]);
-    }
+    const cplx* wr = w != nullptr ? w + r : &one;
+    const cplx* row = x + r * width;
+    fold_row(row, width, wr, static_cast<double>(r), s1, s2, energy);
     if (moments > 0) {
       for (std::size_t i = 0; i < width; ++i) {
-        syn[i].accumulate(r, cmul(wr, row[i]), inv_rows);
+        syn[i].accumulate(r, cmul(*wr, row[i]), inv_rows);
       }
     }
   }

@@ -179,22 +179,6 @@ void verify_block(cplx* block, std::size_t len, const abft::StoredSums& stored,
       "block transpose: received block failed verification beyond repair");
 }
 
-/// CMCG fused into reception: folds received block `src` (len elements,
-/// one per FFT1 column) into the column checksums s1 += cp[src] x,
-/// s2 += src cp[src] x and energies e += |x|^2.
-void fold_fft1_checksums(const ParallelPlan& plan, std::size_t src,
-                         const cplx* block, std::size_t len, cplx* s1,
-                         cplx* s2, double* e) {
-  const cplx w = plan.cp()[src];
-  const double sd = static_cast<double>(src);
-  for (std::size_t u = 0; u < len; ++u) {
-    const cplx pterm = cmul(w, block[u]);
-    s1[u] += pterm;
-    s2[u] += sd * pterm;
-    e[u] += norm2(block[u]);
-  }
-}
-
 // ----------------------------------------------------------------- phases
 
 /// Bytes one transposed block puts on the link: the block alone unchecked;
@@ -270,9 +254,10 @@ void phase1(ShardedState& st, std::size_t r, TransposeStats& tstats,
     cplx* dst = slice + q * bsz;
     pull_block(st, 0, r, q, src, dst, checksums, tstats);
     if (protect) {
-      // CMCG fused into reception, accumulated in ascending q.
-      fold_fft1_checksums(plan, q, dst, bsz, s1.data(), s2.data(),
-                          e_col.data());
+      // CMCG fused into reception, accumulated in ascending q: the received
+      // block is row q of the FFT1 columns, weighted by cp[q].
+      checksum::fold_row(dst, bsz, plan.cp() + q, static_cast<double>(q),
+                         s1.data(), s2.data(), e_col.data());
     }
   }
 

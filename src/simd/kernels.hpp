@@ -5,7 +5,9 @@
 //     run every power-of-two fft::Fft from 512 points up,
 //   * the recursive executor's combine loop and the size-4/8/16 leaf
 //     codelets (fft/executor.cpp, dft/codelets.cpp),
-//   * the stride-1 checksum dot products (checksum/dot.cpp),
+//   * the stride-1 checksum dot products (checksum/dot.cpp) and the slot
+//     checksum fold of the memory-FT bookkeeping (CMCG, the section-4.3
+//     column sums, the sharded FFT1 fold),
 //   * the table-driven DMR twiddle multiply between the ABFT layers
 //     (abft/dmr.cpp).
 //
@@ -74,6 +76,15 @@ struct ChecksumKernels {
   /// means all-ones. moments <= 8.
   void (*syndrome_dot)(const cplx* w, const cplx* x, const double* nodes2,
                        std::size_t n, int moments, cplx* out);
+  /// checksum::fold_row. Every product is rounded before its add
+  /// (cmul_nofma, scale_nofma, add_norm2_to) and a vector backend's odd
+  /// tail lane runs in the contraction-pinned scalar TU, so the slots are
+  /// bitwise equal across backends and to the plain per-element loop.
+  void (*fold_row)(const cplx* row, std::size_t width, const cplx* w,
+                   double r, cplx* a1, cplx* a2, double* e);
+  /// checksum::plain_sum at stride 1: the strided loop's four add chains
+  /// held lane by lane, so bitwise equal to it on every backend.
+  cplx (*plain_sum)(const cplx* x, std::size_t n);
 };
 
 /// FFT butterfly/combine kernels.
@@ -241,6 +252,12 @@ void scalar_radix4_first_stage_from_range(cplx* dst, const cplx* src,
 void scalar_r2c_finalize_range(cplx* dst, const cplx* src, std::size_t nc,
                                const cplx* wq, std::size_t begin,
                                std::size_t end);
+
+/// Reference fold_row over slots [begin, end) (the vector backends' odd
+/// tail lane).
+void scalar_fold_row_range(const cplx* row, std::size_t begin,
+                           std::size_t end, const cplx* w, double r,
+                           cplx* a1, cplx* a2, double* e);
 
 /// Reference pair sweep of c2r_prepare over k in [begin, end).
 void scalar_c2r_prepare_range(cplx* dst, const cplx* src, std::size_t nc,

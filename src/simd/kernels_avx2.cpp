@@ -221,6 +221,8 @@ constexpr ChecksumKernels kAvx2Checksum = {
     impl::k_omega3_weighted_sum<V>,
     impl::k_copy_dual_sum<V>,
     impl::k_syndrome_dot<V>,
+    impl::k_fold_row<V>,
+    impl::k_plain_sum<V>,
 };
 
 }  // namespace

@@ -329,6 +329,54 @@ checksum::DualSumEnergy k_dual_weighted_sum_energy(const cplx* w,
   return out;
 }
 
+/// Slot checksum fold (see kernels.hpp): no product is fused into its add.
+template <class V, bool Weighted>
+void fold_row_t(const cplx* row, std::size_t width, const cplx* w, double r,
+                cplx* a1, cplx* a2, double* e) {
+  constexpr std::size_t W = V::width;
+  const V wv = V::broadcast(Weighted ? *w : cplx{1.0, 0.0});
+  std::size_t i = 0;
+  for (; i + W <= width; i += W) {
+    const V x = V::load(row + i);
+    const V p = Weighted ? x.cmul_nofma(wv) : x;
+    (V::load(a1 + i) + p).store(a1 + i);
+    (V::load(a2 + i) + p.scale_nofma(r)).store(a2 + i);
+    x.add_norm2_to(e + i);
+  }
+  if (i < width) scalar_fold_row_range(row, i, width, w, r, a1, a2, e);
+}
+
+template <class V>
+void k_fold_row(const cplx* row, std::size_t width, const cplx* w, double r,
+                cplx* a1, cplx* a2, double* e) {
+  if (w != nullptr) {
+    fold_row_t<V, true>(row, width, w, r, a1, a2, e);
+  } else {
+    fold_row_t<V, false>(row, width, w, r, a1, a2, e);
+  }
+}
+
+/// Four-chain plain sum (see kernels.hpp): 4 / width vector chains hold the
+/// four scalar chains lane by lane; only adds, so no contraction to pin.
+template <class V>
+cplx k_plain_sum(const cplx* x, std::size_t n) {
+  constexpr std::size_t W = V::width;
+  constexpr std::size_t K = 4 / W;
+  static_assert(K * W == 4);
+  V acc[K];
+  for (std::size_t k = 0; k < K; ++k) acc[k] = V::zero();
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    for (std::size_t k = 0; k < K; ++k) {
+      acc[k] = acc[k] + V::load(x + j + k * W);
+    }
+  }
+  cplx c[4];
+  for (std::size_t k = 0; k < K; ++k) acc[k].store(c + k * W);
+  for (; j < n; ++j) c[0] += x[j];
+  return (c[0] + c[1]) + (c[2] + c[3]);
+}
+
 template <class V>
 cplx k_omega3_weighted_sum(const cplx* x, std::size_t n) {
   constexpr std::size_t W = V::width;

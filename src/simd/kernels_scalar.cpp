@@ -117,6 +117,19 @@ void scalar_r2c_finalize_range(cplx* dst, const cplx* src, std::size_t nc,
   }
 }
 
+void scalar_fold_row_range(const cplx* row, std::size_t begin,
+                           std::size_t end, const cplx* w, double r,
+                           cplx* a1, cplx* a2, double* e) {
+  // The width-1 shape of impl::fold_row_t: this TU pins contraction off, so
+  // a vector backend's tail lane rounds exactly like its vector lanes.
+  for (std::size_t i = begin; i < end; ++i) {
+    const cplx p = w != nullptr ? cmul(row[i], *w) : row[i];
+    a1[i] += p;
+    a2[i] += cplx{p.real() * r, p.imag() * r};
+    e[i] += norm2(row[i]);
+  }
+}
+
 void scalar_c2r_prepare_range(cplx* dst, const cplx* src, std::size_t nc,
                               const cplx* wq, bool conjugate,
                               std::size_t begin, std::size_t end) {
@@ -248,6 +261,8 @@ constexpr ChecksumKernels kScalarChecksum = {
     impl::k_omega3_weighted_sum<V>,
     impl::k_copy_dual_sum<V>,
     impl::k_syndrome_dot<V>,
+    impl::k_fold_row<V>,
+    impl::k_plain_sum<V>,
 };
 
 }  // namespace

@@ -5,7 +5,9 @@
 // kernel templates in kernels_impl.hpp need: loads/stores, add/sub, complex
 // multiply, +/-i rotation, elementwise (real) FMA for energy and
 // index-weighted sums, and the pointer gather + lane compare of the DMR
-// twiddle kernel.
+// twiddle kernel. The *_nofma ops and add_norm2_to round every product
+// before it is added, on every backend, for the kernels whose outputs must
+// be bitwise identical across backends.
 //
 // Backends:
 //   ScalarVec - width 1, plain std::complex arithmetic. This is the
@@ -91,6 +93,13 @@ struct ScalarVec {
   ScalarVec scale(double s) const noexcept {
     return {cplx{v.real() * s, v.imag() * s}};
   }
+  /// scale whose product no later add may absorb into an FMA (the other
+  /// backends hide it from contraction; this TU never contracts).
+  ScalarVec scale_nofma(double s) const noexcept { return scale(s); }
+
+  /// e[l] += |lane l|^2 for every lane: both squares rounded, then added
+  /// (norm2's order), never contracted.
+  void add_norm2_to(double* e) const noexcept { e[0] += norm2(v); }
 
   /// Complex lanes in reverse order (width-1: identity). The Hermitian
   /// pair sweep of the real-transform post-pass walks one pointer forward
@@ -188,6 +197,21 @@ struct Avx2Vec {
   Avx2Vec scale(double s) const noexcept {
     return {_mm256_mul_pd(v, _mm256_set1_pd(s))};
   }
+  Avx2Vec scale_nofma(double s) const noexcept {
+    __m256d p = _mm256_mul_pd(v, _mm256_set1_pd(s));
+    // The empty asm hides the product's origin, so an add it feeds cannot
+    // be contracted into an FMA (this TU is built with -mfma).
+    asm("" : "+x"(p));
+    return {p};
+  }
+
+  void add_norm2_to(double* e) const noexcept {
+    const __m256d sq = _mm256_mul_pd(v, v);
+    // hadd of [re0^2, im0^2] and [re1^2, im1^2]: norm2 of each lane.
+    const __m128d n2 = _mm_hadd_pd(_mm256_castpd256_pd128(sq),
+                                   _mm256_extractf128_pd(sq, 1));
+    _mm_storeu_pd(e, _mm_add_pd(_mm_loadu_pd(e), n2));
+  }
 
   Avx2Vec reversed() const noexcept {
     return {_mm256_permute2f128_pd(v, v, 1)};  // swap the two cplx lanes
@@ -267,7 +291,11 @@ struct NeonVec {
     // (negation is exact and IEEE addition commutes).
     const double sgn_raw[2] = {-1.0, 1.0};
     const float64x2_t t = vmulq_f64(vmulq_f64(xs, wi), vld1q_f64(sgn_raw));
-    return {vaddq_f64(t, vmulq_f64(v, wr))};
+    // GCC's vmulq/vaddq are plain vector ops it may fuse into an fmla; the
+    // empty asm keeps the xr*wr / xi*wr product rounded on its own.
+    float64x2_t rr = vmulq_f64(v, wr);
+    asm("" : "+w"(rr));
+    return {vaddq_f64(t, rr)};
   }
   NeonVec conj_() const noexcept {
     const double sgn_raw[2] = {1.0, -1.0};
@@ -290,6 +318,17 @@ struct NeonVec {
 
   NeonVec scale(double s) const noexcept {
     return {vmulq_n_f64(v, s)};
+  }
+  NeonVec scale_nofma(double s) const noexcept {
+    float64x2_t p = vmulq_n_f64(v, s);
+    asm("" : "+w"(p));  // keep a following add from fusing into an fmla
+    return {p};
+  }
+
+  void add_norm2_to(double* e) const noexcept {
+    float64x2_t sq = vmulq_f64(v, v);
+    asm("" : "+w"(sq));
+    e[0] += vaddvq_f64(sq);
   }
 
   NeonVec reversed() const noexcept { return *this; }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "abft/options.hpp"
+#include "abft/protection_plan.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/ftfft.hpp"
@@ -297,9 +298,10 @@ TEST(OnlineAbft, RejectsTinySizes) {
                std::invalid_argument);
 }
 
-// ---- Memory faults against the column-major, stage-written backup at
-// n = 2^16 (m = k = 256): the column scale comes from the verified layer-1
-// outputs and the postponed recovery recomputes from the backup.
+// ---- Memory faults against the column-major backup the second layer
+// stages into, at n = 2^16 (m = k = 256) and n = 2^18 (m = k = 512, eight
+// stage blocks of 64 columns): the column scale comes from the verified
+// layer-1 outputs and the postponed recovery recomputes from the backup.
 
 struct BackupLayout {
   const char* name;
@@ -328,8 +330,8 @@ class OnlineBackup : public ::testing::TestWithParam<BackupLayout> {
     auto x = input;
     Options o = options();
     o.injector = inj;
-    std::vector<cplx> out(kN);
-    abft::online_transform(x.data(), out.data(), kN, o, stats);
+    std::vector<cplx> out(x.size());
+    abft::online_transform(x.data(), out.data(), x.size(), o, stats);
     return out;
   }
 };
@@ -393,6 +395,63 @@ TEST_P(OnlineBackup, RecomputeUsesTheRepairedIntermediate) {
   EXPECT_EQ(stats.mem_errors_corrected, 2u);
   EXPECT_LE(inf_diff(out.data(), clean.data(), kN),
             1e-12 * inf_norm(clean.data(), kN));
+}
+
+// At 2^18 the second layer stages eight blocks of s = 64 columns; column
+// 500 sits in the last one, so its backup is the last block the gather wrote.
+constexpr std::size_t kBig = std::size_t{1} << 18;
+constexpr std::size_t kBigM = 512;
+constexpr std::size_t kLastBlockCol = 500;
+
+TEST_P(OnlineBackup, LastStageBlockOutputFaultRecomputesBitwiseAt2_18) {
+  const auto plan =
+      abft::ProtectionPlan::get(kBig, abft::Scheme::kOnline, options());
+  ASSERT_EQ(plan->m(), kBigM);
+  ASSERT_EQ(plan->m() / plan->layer2_cols(), 8u);
+  ASSERT_GE(kLastBlockCol, kBigM - plan->layer2_cols());
+  const auto x = random_vector(kBig, InputDistribution::kNormal, 69);
+  Stats clean_stats;
+  const auto clean = run(x, nullptr, clean_stats);
+  Injector inj;
+  inj.schedule(FaultSpec::memory_set(Phase::kFinalOutput, 0,
+                                     kLastBlockCol + kBigM * 77,
+                                     {50.0, -20.0}));
+  Stats stats;
+  const auto out = run(x, &inj, stats);
+  EXPECT_EQ(inj.fired_count(), 1u);
+  EXPECT_EQ(stats.mem_errors_detected, 1u);
+  EXPECT_EQ(stats.mem_errors_corrected, 1u);
+  EXPECT_EQ(std::memcmp(out.data(), clean.data(), kBig * sizeof(cplx)), 0);
+}
+
+TEST_P(OnlineBackup, LastStageBlockIntermediateFaultRepairedByColumnCheckAt2_18) {
+  // The column check repairs the intermediate and refreshes the staged
+  // column, which is the backup itself: an output fault in the same column
+  // then recomputes exactly the spectrum of the repaired run.
+  const auto x = random_vector(kBig, InputDistribution::kUniform, 71);
+  Stats clean_stats;
+  const auto clean = run(x, nullptr, clean_stats);
+  const std::size_t at = kLastBlockCol + kBigM * 300;
+  Injector inj;
+  inj.schedule(FaultSpec::bit_flip(Phase::kIntermediate, 0, at, 52, true));
+  Stats stats;
+  const auto repaired = run(x, &inj, stats);
+  EXPECT_EQ(inj.fired_count(), 1u);
+  EXPECT_EQ(stats.mem_errors_detected, 1u);
+  EXPECT_EQ(stats.mem_errors_corrected, 1u);
+  EXPECT_LE(inf_diff(repaired.data(), clean.data(), kBig),
+            1e-12 * inf_norm(clean.data(), kBig));
+
+  Injector inj2;
+  inj2.schedule(FaultSpec::bit_flip(Phase::kIntermediate, 0, at, 52, true));
+  inj2.schedule(FaultSpec::memory_set(Phase::kFinalOutput, 0,
+                                      kLastBlockCol + kBigM * 9,
+                                      {50.0, -20.0}));
+  Stats stats2;
+  const auto out = run(x, &inj2, stats2);
+  EXPECT_EQ(inj2.fired_count(), 2u);
+  EXPECT_EQ(stats2.mem_errors_corrected, 2u);
+  EXPECT_EQ(std::memcmp(out.data(), repaired.data(), kBig * sizeof(cplx)), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -250,6 +250,111 @@ TEST(SimdChecksum, WeightedSumEnergyAtSumsTheGatheredStreamBitwise) {
   }
 }
 
+// The slot fold loop of the CMCG and of the online, in-place and sharded
+// column sums, as each site ran it before the fold_row kernel: the oracle the
+// kernel must equal bitwise. Every product is rounded before its add, as the
+// baseline-ISA build of those loops did; GCC is told not to contract here on
+// targets whose baseline has FMA.
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("fp-contract=off")))
+#endif
+void loop_fold_row(const cplx* row, std::size_t width, const cplx* w,
+                   double r, cplx* a1, cplx* a2, double* e) {
+  for (std::size_t i = 0; i < width; ++i) {
+    const cplx p = w != nullptr ? cmul(*w, row[i]) : row[i];
+    a1[i] += p;
+    a2[i] += r * p;
+    e[i] += norm2(row[i]);
+  }
+}
+
+/// n values with both signs of zero mixed into either component.
+std::vector<cplx> signed_zero_mix(std::size_t n, std::uint64_t seed) {
+  auto x = random_vector(n, InputDistribution::kNormal, seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (i % 5) {
+      case 1: x[i] = {0.0, x[i].imag()}; break;
+      case 2: x[i] = {x[i].real(), -0.0}; break;
+      case 3: x[i] = {-0.0, (i % 2 == 0) ? 0.0 : -0.0}; break;
+      default: break;
+    }
+  }
+  return x;
+}
+
+TEST(SimdChecksum, FoldRowMatchesScalarLoopBitwise) {
+  BackendGuard guard;
+  const cplx weights[] = {cplx{0.7, -1.3}, cplx{1.0, 0.0}, cplx{-0.0, 2.5}};
+  for (std::size_t width = 1; width <= 67; ++width) {
+    const auto row = signed_zero_mix(width, 1100 + width);
+    const auto acc = signed_zero_mix(2 * width, 1200 + width);
+    std::vector<double> e0(width);
+    for (std::size_t i = 0; i < width; ++i) {
+      e0[i] = (i % 3 == 0) ? -0.0 : norm2(acc[i]);
+    }
+    for (const double r : {0.0, 4095.0}) {
+      for (const cplx* w : {static_cast<const cplx*>(nullptr), &weights[0],
+                            &weights[1], &weights[2]}) {
+        std::vector<cplx> w1(acc.begin(), acc.begin() + width);
+        std::vector<cplx> w2(acc.begin() + width, acc.end());
+        std::vector<double> we = e0;
+        loop_fold_row(row.data(), width, w, r, w1.data(), w2.data(),
+                      we.data());
+        for (Backend b : available_backends()) {
+          ASSERT_TRUE(simd::set_backend(b));
+          std::vector<cplx> g1(acc.begin(), acc.begin() + width);
+          std::vector<cplx> g2(acc.begin() + width, acc.end());
+          std::vector<double> ge = e0;
+          checksum::fold_row(row.data(), width, w, r, g1.data(), g2.data(),
+                             ge.data());
+          const std::string where =
+              "width=" + std::to_string(width) + " r=" + std::to_string(r) +
+              " w=" + (w == nullptr ? std::string("null")
+                                    : std::to_string(w - weights)) +
+              " backend=" + simd::backend_name(b);
+          EXPECT_EQ(std::memcmp(g1.data(), w1.data(), width * sizeof(cplx)),
+                    0)
+              << where;
+          EXPECT_EQ(std::memcmp(g2.data(), w2.data(), width * sizeof(cplx)),
+                    0)
+              << where;
+          EXPECT_EQ(std::memcmp(ge.data(), we.data(), width * sizeof(double)),
+                    0)
+              << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdChecksum, PlainSumKernelMatchesFourChainLoop) {
+  // The stride-1 kernel keeps the strided loop's four chains lane by lane,
+  // so the in-place permutation guard and the online column MCV sum in the
+  // same order whatever the stride or backend.
+  BackendGuard guard;
+  for (std::size_t n = 0; n <= 67; ++n) {
+    const auto x = signed_zero_mix(n == 0 ? 1 : n, 1300 + n);
+    cplx acc[4] = {};
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      for (std::size_t u = 0; u < 4; ++u) acc[u] += x[j + u];
+    }
+    for (; j < n; ++j) acc[0] += x[j];
+    const cplx want = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    std::vector<cplx> spread(2 * x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) spread[2 * i] = x[i];
+    for (Backend b : available_backends()) {
+      ASSERT_TRUE(simd::set_backend(b));
+      const cplx got = checksum::plain_sum(x.data(), n);
+      const cplx strided = checksum::plain_sum(spread.data(), n, 2);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(cplx)), 0)
+          << "n=" << n << " backend=" << simd::backend_name(b);
+      EXPECT_EQ(std::memcmp(&strided, &want, sizeof(cplx)), 0)
+          << "n=" << n << " backend=" << simd::backend_name(b);
+    }
+  }
+}
+
 TEST(SimdChecksum, BackendResultsAreDeterministic) {
   BackendGuard guard;
   const std::size_t n = 4099;
