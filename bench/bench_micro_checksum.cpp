@@ -58,10 +58,11 @@ BENCHMARK_CAPTURE(BM_DualWeightedSum, dispatched, true)
     ->Range(1 << 10, 1 << 18);
 
 // Syndrome generation for the multi-error budget (PR 9): 2t weighted
-// moment sums per protected block. t = 1 is the opt-in floor (twice the
-// dual-checksum moments), t = 4 the decoder's ceiling; the dispatched
-// variant runs the SIMD syndrome_dot kernel over the plan-cached node
-// table, the scalar variant generates u = j / n on the fly.
+// moment sums per protected block. t = 1 is the dual pair, which
+// syndrome_sum takes from the dual kernel of the selected backend; t = 4
+// is the decoder's ceiling. Above t = 1 the dispatched variant runs the
+// SIMD syndrome_dot kernel over the plan-cached node table, the scalar
+// variant generates u = j / n on the fly.
 void BM_SyndromeSum(benchmark::State& state, int t, bool dispatched) {
   use_backend(state, dispatched);
   const auto n = static_cast<std::size_t>(state.range(0));

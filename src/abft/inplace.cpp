@@ -176,7 +176,7 @@ class InplaceRun {
         repair_region({{b1_[b], b2_[b]}}, block, 1, nullptr, blk_,
                       threshold(plan_.eta_block().mem, e_blk_[b], blk_,
                                 opts_.eta_override),
-                      opts_.max_retries, RepairTally::of(stats_, true),
+                      RepairTally::of(stats_, true),
                       "inplace ABFT: block memory error not localizable");
       }
 
@@ -290,7 +290,7 @@ class InplaceRun {
           repair_region(
               {f1_[unit], fsyn_.empty() ? nullptr : &fsyn_[unit],
                plan_.max_errors(), plan_.syndrome_nodes_k()},
-              seg, 1, nullptr, k_, eta_mem(e_seg_[unit]), opts_.max_retries,
+              seg, 1, nullptr, k_, eta_mem(e_seg_[unit]),
               RepairTally::of(stats_, false),
               "inplace ABFT: final output memory error not localizable",
               /*flagged=*/true);

@@ -151,21 +151,17 @@ void offline_transform(cplx* in, cplx* out, const ProtectionPlan& plan,
         // repair. Combined checksums carry the O(n)-magnitude (rA) weights,
         // so their comparison threshold is the computational eta.
         //
-        // With a multi-error budget (t > 1) the 2t-moment syndromes are
-        // decoded instead of the duals. This is not just an escalation —
-        // the dual checksums carry exactly two values, so a two-error burst
-        // whose residual ratio lands near an integer can be "explained" by
-        // one wrong-index write that the dual repair accepts (and, with
-        // combined checksums, the CCV then passes by construction). The
-        // syndrome decoder checks every hypothesis against all 2t moments,
-        // so a single-error fix of a multi-error burst is rejected and the
-        // burst decodes at its true count.
+        // The duals are the t = 1 moment set; with a multi-error budget
+        // (t > 1) the 2t-moment syndromes are decoded instead. Either way
+        // the decoder accepts a hypothesis only when it reproduces every
+        // stored moment, so a one-element write that balances the plain
+        // sum of a burst but not its index-weighted sum is refused (with
+        // combined checksums the CCV would pass it by construction).
         checksum::Corrections fix;
         if (!opts.memory_ft ||
             !repair_region(
                 mem_ref, in, 1, mem_weights, n,
-                opts.optimized ? eta : eta_mem, opts.max_retries,
-                RepairTally::of(stats, false),
+                opts.optimized ? eta : eta_mem, RepairTally::of(stats, false),
                 "offline ABFT: input memory error detected but could not "
                 "be localized",
                 /*flagged=*/false, &fix)) {

@@ -201,7 +201,7 @@ class OnlineRun {
         const double eta_mem =
             threshold(plan_.eta_m().mem, e_row_[i], m_, opts_.eta_override);
         repair_region({r1_[i]}, yi, 1, nullptr, m_, eta_mem,
-                      opts_.max_retries, RepairTally::of(stats_, true),
+                      RepairTally::of(stats_, true),
                       "online ABFT: intermediate memory error not localizable");
         fold_row(i, yi);
       }
@@ -286,7 +286,7 @@ class OnlineRun {
         // postponed final MCV could not recover it either, as its backup is
         // this same staged column.
         repair_region({{o1_[c], o2_[c]}}, out_ + c, m_, nullptr, k_, eta_mem,
-                      opts_.max_retries, RepairTally::of(stats_, false),
+                      RepairTally::of(stats_, false),
                       "online ABFT: column memory error not localizable",
                       /*flagged=*/true);
         // Refresh the staged column (unstaged, col is the intermediate).
@@ -351,7 +351,7 @@ class OnlineRun {
         repair_region(
             {f1_[c]}, out_ + c, m_, nullptr, k_,
             threshold(plan_.eta_k().mem, e_mid_[c], k_, opts_.eta_override),
-            opts_.max_retries, RepairTally::of(stats_, false),
+            RepairTally::of(stats_, false),
             "online ABFT: final output memory error not localizable",
             /*flagged=*/true);
         continue;

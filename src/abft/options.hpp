@@ -46,16 +46,15 @@ struct Options {
   bool optimized = true;
 
   /// Maximum number of simultaneously corrupted elements the memory-fault
-  /// repair will correct per protected region (PR 9). The default 1 (from
-  /// FTFFT_MAX_ERRORS, clamped to [1, checksum::kMaxCorrectableErrors] at
-  /// plan resolution) keeps today's dual-checksum single-error path
-  /// bit-for-bit. t > 1 additionally maintains 2t weighted moment sums
-  /// (syndromes) over each protected input region and, when the
-  /// single-error locate fails its residual check, escalates to the
-  /// Reed-Solomon-style decoder in checksum/multi_error.hpp before falling
-  /// back to recompute. Derived intermediate checksums stay single-error —
-  /// escalation guards the long-lived input/backup regions where spatial
-  /// multi-bit bursts actually land.
+  /// repair will correct per protected region. The default 1 comes
+  /// from FTFFT_MAX_ERRORS, clamped to [1, checksum::kMaxCorrectableErrors]
+  /// at plan resolution. One decoder, checksum::repair_errors, repairs every
+  /// region: at t = 1 from the region's dual checksums, which are its
+  /// 2-moment set. t > 1 additionally maintains 2t weighted moment sums
+  /// (syndromes) over each protected input region and decodes those
+  /// instead. Derived intermediate checksums keep their dual pair and so
+  /// correct one error per region — the syndromes guard the long-lived
+  /// input/backup regions where spatial multi-bit bursts actually land.
   int max_correctable_errors = max_errors_default();
 
   /// Detection threshold override; 0 = derive from the round-off model and

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "checksum/memory_checksum.hpp"
 #include "common/error.hpp"
 #include "fft/fft.hpp"
 
@@ -12,33 +11,20 @@ namespace ftfft::abft {
 void uncorrectable(const char* what) { throw UncorrectableError(what); }
 
 bool repair_region(const StoredSums& stored, cplx* data, std::size_t stride,
-                   const cplx* w, std::size_t n, double eta, int max_iters,
+                   const cplx* w, std::size_t n, double eta,
                    const RepairTally& tally, const char* what, bool flagged,
                    checksum::Corrections* applied) {
-  bool mismatch, corrected;
-  int errors = 1;
-  if (stored.syn != nullptr) {
-    const auto rep =
-        checksum::repair_errors(*stored.syn, data, stride, w, n, eta,
-                                stored.max_errors, /*max_iters=*/6,
-                                stored.nodes);
-    mismatch = rep.mismatch;
-    corrected = rep.corrected;
-    errors = rep.errors;
-    if (applied != nullptr) *applied = rep.applied;
-  } else {
-    const auto rep = checksum::repair_single_error(stored.dual, data, stride,
-                                                   w, n, eta, max_iters);
-    mismatch = rep.mismatch;
-    corrected = rep.corrected;
-    if (applied != nullptr) *applied = rep.applied;
-  }
+  const checksum::SyndromeSet dual = checksum::dual_moments(stored.dual, n);
+  const auto rep = checksum::repair_errors(
+      stored.syn != nullptr ? *stored.syn : dual, data, stride, w, n, eta,
+      stored.max_errors, checksum::kRepairRounds, stored.nodes);
+  if (applied != nullptr) *applied = rep.applied;
   if (tally.verifications != nullptr) ++*tally.verifications;
-  if (!mismatch && !flagged) return false;
+  if (!rep.mismatch && !flagged) return false;
   ++tally.detected;
-  if (!corrected) uncorrectable(what);
+  if (!rep.corrected) uncorrectable(what);
   ++tally.corrected;
-  if (errors >= 2) tally.multi += static_cast<std::size_t>(errors);
+  if (rep.errors >= 2) tally.multi += static_cast<std::size_t>(rep.errors);
   return true;
 }
 
@@ -52,8 +38,7 @@ void run_sub_fft(const SubFft& unit, int max_retries, Stats& stats) {
     if (rep.data == nullptr) return false;
     if (rep.record_eta) stats.eta_mem = std::max(stats.eta_mem, rep.eta);
     if (!repair_region(rep.stored, rep.data, rep.stride, rep.w, n, rep.eta,
-                       max_retries, RepairTally::of(stats, rep.count_check),
-                       rep.what)) {
+                       RepairTally::of(stats, rep.count_check), rep.what)) {
       return false;
     }
     if (unit.perm != nullptr) {  // refresh the staged copy, permuted

@@ -66,9 +66,10 @@ struct RepairTally {
   }
 };
 
-/// Checksums stored over a region: the dual pair, or (syn != nullptr) the
-/// 2t syndrome moments decoded for up to max_errors corruptions with the
-/// plan-cached node table `nodes` (may be null).
+/// Checksums stored over a region: the dual pair, decoded as its t = 1
+/// moment set, or (syn != nullptr) the 2t syndrome moments decoded for up
+/// to max_errors corruptions with the plan-cached node table `nodes` (may
+/// be null).
 struct StoredSums {
   checksum::DualSum dual{};
   const checksum::SyndromeSet* syn = nullptr;
@@ -78,14 +79,14 @@ struct StoredSums {
 
 /// Recomputes `stored` over the n elements data[0], data[stride], ...
 /// (generation weights w, nullptr = all ones), and locates and corrects a
-/// mismatch beyond eta in place (the dual path iterates up to max_iters
-/// rounds). Returns true when a fault was found and corrected, false when
-/// the region verifies. Throws UncorrectableError(what) when a mismatch
-/// cannot be localized. `flagged`: the caller already saw a mismatch with
-/// a cheaper check, so a region that then verifies clean also throws.
-/// `applied` (when non-null) receives the corrections the repair made.
+/// mismatch beyond eta in place through checksum::repair_errors. Returns
+/// true when a fault was found and corrected, false when the region
+/// verifies. Throws UncorrectableError(what) when a mismatch cannot be
+/// localized. `flagged`: the caller already saw a mismatch with a cheaper
+/// check, so a region that then verifies clean also throws. `applied`
+/// (when non-null) receives the corrections the repair made.
 bool repair_region(const StoredSums& stored, cplx* data, std::size_t stride,
-                   const cplx* w, std::size_t n, double eta, int max_iters,
+                   const cplx* w, std::size_t n, double eta,
                    const RepairTally& tally, const char* what,
                    bool flagged = false,
                    checksum::Corrections* applied = nullptr);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/plan_registry.hpp"
 #include "common/seal.hpp"
@@ -10,10 +11,13 @@
 namespace ftfft::checksum {
 namespace {
 
-// Same integer-confidence slack as locate_single_error: the recovered node,
-// mapped back to index space, may sit this far from an integer before the
-// localization is declared unreliable.
+// How far a recovered node, mapped back to index space, may sit from an
+// integer before the localization is declared unreliable. 0.25 splits the
+// distance to the neighboring index evenly between round-off slack and
+// mislocation guard.
 constexpr double kIndexSlack = 0.25;
+
+constexpr double kEpsilon = std::numeric_limits<double>::epsilon();
 
 // Residual acceptance: a correct hypothesis reproduces every moment up to
 // accumulated round-off. The absolute term allows a few etas of slack per
@@ -134,6 +138,33 @@ bool locator_roots(int e, const cplx* lam, cplx* roots) {
   return durand_kerner(e, lam, roots);
 }
 
+bool finite(const SyndromeSet& syn) {
+  for (int m = 0; m < syn.moments; ++m) {
+    if (!std::isfinite(syn.s[m].real()) || !std::isfinite(syn.s[m].imag())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Index of the element with the largest weighted term |w_j x_j| (w ==
+// nullptr: all ones), a non-finite one first.
+std::size_t largest_weighted_term(const cplx* data, std::size_t stride,
+                                  const cplx* w, std::size_t n) {
+  std::size_t j = 0;
+  double top = -1.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double mag =
+        std::abs(data[i * stride]) * (w == nullptr ? 1.0 : std::abs(w[i]));
+    if (!(mag <= top)) {  // NaN wins
+      top = mag;
+      j = i;
+      if (std::isnan(mag)) break;
+    }
+  }
+  return j;
+}
+
 }  // namespace
 
 int clamp_max_errors(int requested) noexcept {
@@ -146,6 +177,9 @@ SyndromeSet syndrome_sum(const cplx* w, const cplx* x, std::size_t n,
   SyndromeSet out;
   out.moments = std::clamp(moments, 1, kMaxMoments);
   if (n == 0) return out;
+  if (out.moments == 2) {
+    return dual_moments(dual_weighted_sum(w, x, n, stride), n);
+  }
   if (stride == 1 && nodes2 != nullptr) {
     simd::checksum_kernels().syndrome_dot(w, x, nodes2, n, out.moments,
                                           out.s.data());
@@ -206,7 +240,7 @@ MultiLocateResult locate_errors(const SyndromeSet& stored,
     cplx roots[kMaxCorrectableErrors];
     if (!locator_roots(e, lam, roots)) continue;
 
-    // Snap roots to integer indices with the single-error confidence slack.
+    // Snap roots to integer indices within the confidence slack.
     std::size_t idx[kMaxCorrectableErrors];
     double u[kMaxCorrectableErrors];
     bool ok = true;
@@ -266,22 +300,6 @@ void apply_corrections(cplx* data, std::size_t stride,
   }
 }
 
-std::size_t largest_weighted_term(const cplx* data, std::size_t stride,
-                                  const cplx* w, std::size_t n) {
-  std::size_t j = 0;
-  double top = -1.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double mag =
-        std::abs(data[i * stride]) * (w == nullptr ? 1.0 : std::abs(w[i]));
-    if (!(mag <= top)) {  // NaN wins
-      top = mag;
-      j = i;
-      if (std::isnan(mag)) break;
-    }
-  }
-  return j;
-}
-
 MultiRepairResult repair_errors(const SyndromeSet& stored, cplx* data,
                                 std::size_t stride, const cplx* w,
                                 std::size_t n, double eta, int max_errors,
@@ -292,9 +310,35 @@ MultiRepairResult repair_errors(const SyndromeSet& stored, cplx* data,
         syndrome_sum(w, data, n, stride, stored.moments, nodes2);
     return !locate_errors(stored, cur, w, n, eta, max_errors).mismatch;
   };
+  // Set when the rounds cannot converge: a recomputed moment is not finite,
+  // or a correction is so large that its eps-relative rounding residue alone
+  // exceeds eta (each round shrinks that residue by a factor of ~eps, so a
+  // ~1e308 corruption needs some twenty rounds). A repair that then fails
+  // gets one erasure rebuild: the element with the largest weighted term is
+  // recomputed from the stored plain sum of the others, (s0 - sum_{i != j}
+  // w_i x_i) / w_j, and kept only if the data then verify.
+  bool too_large = false;
+  const auto give_up = [&] {
+    if (!too_large) return out;
+    const std::size_t j = largest_weighted_term(data, stride, w, n);
+    cplx& x = data[j * stride];
+    const cplx old = x;
+    x = cplx{0.0, 0.0};
+    const cplx rest = dual_weighted_sum(w, data, n, stride).plain;
+    x = (stored.s[0] - rest) / (w == nullptr ? cplx{1.0, 0.0} : w[j]);
+    if (verifies()) {
+      out.applied.add(j, old - x);
+      out.corrected = true;
+      out.errors = 1;
+    } else {
+      x = old;
+    }
+    return out;
+  };
   for (int iter = 0; iter < max_iters; ++iter) {
     const SyndromeSet cur =
         syndrome_sum(w, data, n, stride, stored.moments, nodes2);
+    too_large = too_large || !finite(cur);
     const MultiLocateResult loc =
         locate_errors(stored, cur, w, n, eta, max_errors);
     if (!loc.mismatch) {
@@ -302,32 +346,18 @@ MultiRepairResult repair_errors(const SyndromeSet& stored, cplx* data,
       return out;
     }
     out.mismatch = true;
-    if (!loc.valid) {
-      // Not explainable by <= t errors. A non-finite element poisons every
-      // moment, so it gets one erasure rebuild instead.
-      bool finite = true;
-      for (int m = 0; m < cur.moments; ++m) {
-        finite = finite && std::isfinite(cur.s[m].real()) &&
-                 std::isfinite(cur.s[m].imag());
-      }
-      if (!finite &&
-          rebuild_largest(stored.s[0], data, stride, w, n, out.applied,
-                          verifies)) {
-        out.corrected = true;
-        out.errors = 1;
-      }
-      return out;
-    }
+    if (!loc.valid) return give_up();  // not explainable by <= t errors
+    too_large =
+        too_large || kEpsilon * std::abs(cur.s[0] - stored.s[0]) > eta;
     apply_corrections(data, stride, loc);
     for (int i = 0; i < loc.count; ++i) {
       out.applied.add(loc.index[i], loc.delta[i]);
     }
     out.errors = loc.count;
-    ++out.iterations;
   }
-  // Ran out of iterations: check whether the last correction landed.
+  // Ran out of rounds: check whether the last correction landed.
   out.corrected = verifies();
-  return out;
+  return out.corrected ? out : give_up();
 }
 
 namespace {

@@ -1,19 +1,24 @@
-// Multi-error localization and correction from higher-moment syndromes
-// (Reed-Solomon/Prony-style generalization of memory_checksum.hpp; see
-// Roche 2018 for the theory of error correction in fast transforms).
+// Memory-error localization and correction from weighted moment sums
+// (Reed-Solomon/Prony-style; see Roche 2018 for the theory of error
+// correction in fast transforms). This is the one decoder every protected
+// region goes through, at every correction budget.
 //
-// The dual checksums of section 4.1 carry two moments of the weighted data
-// and therefore pin down one corrupted element. Storing 2t moments
+// Storing 2t moments of the weighted data
 //   S_m = sum_j u_j^m * w_j * x_j,   m = 0..2t-1,   u_j = j / n,
 // pins down up to t simultaneous corruptions: with errors delta_i at
 // indices j_i, the syndrome differences are d_m = sum_i E_i u_{j_i}^m
 // (E_i = w_{j_i} * delta_i), i.e. a t-term exponential sum whose nodes are
 // the roots of a degree-t error-locator polynomial. The decoder solves the
 // Hankel key equation for the locator, extracts its roots (closed form for
-// t <= 2, Durand-Kerner beyond), snaps them to integer indices with the
-// same confidence slack locate_single_error uses, recovers the error
-// values from a small Vandermonde solve, and accepts only when the
-// reconstruction reproduces every stored moment within tolerance.
+// t <= 2, Durand-Kerner beyond), snaps them to integer indices within a
+// confidence slack, recovers the error values from a small Vandermonde
+// solve, and accepts only when the reconstruction reproduces every stored
+// moment within tolerance.
+//
+// The dual checksums of section 4.1 are the t = 1 moment set: S_0 is the
+// plain sum and S_1 the index-weighted sum times 1/n (dual_moments), and
+// syndrome_sum generates a 2-moment set through the dual kernel, so a dual
+// pair decodes here like any other.
 //
 // Nodes are normalized to [0, 1) rather than using raw indices j^m: the
 // raw-moment Hankel/Vandermonde systems are catastrophically ill-conditioned
@@ -21,9 +26,8 @@
 // nodes keep every solve O(1)-conditioned and still separate adjacent
 // indices at n = 2^20 well inside the 0.25 confidence slack.
 //
-// S_0 equals the plain dual-checksum sum over the same weights, so the
-// round-off tolerance eta derived for the plain sum bounds every moment
-// (|u_j| < 1 only shrinks the accumulated terms).
+// The round-off tolerance eta derived for the plain sum S_0 bounds every
+// moment (|u_j| < 1 only shrinks the accumulated terms).
 #pragma once
 
 #include <array>
@@ -41,6 +45,9 @@ namespace ftfft::checksum {
 /// constant change plus threshold re-validation.
 inline constexpr int kMaxCorrectableErrors = 4;
 inline constexpr int kMaxMoments = 2 * kMaxCorrectableErrors;
+
+/// Locate/correct rounds of one repair session (repair_errors).
+inline constexpr int kRepairRounds = 6;
 
 /// Clamps a requested correction capacity into [1, kMaxCorrectableErrors].
 [[nodiscard]] int clamp_max_errors(int requested) noexcept;
@@ -70,12 +77,25 @@ struct SyndromeSet {
   }
 };
 
+/// The dual pair over n elements as the t = 1 moment set:
+/// s[0] = d.plain, s[1] = d.indexed * (1 / n).
+[[nodiscard]] inline SyndromeSet dual_moments(const DualSum& d,
+                                              std::size_t n) noexcept {
+  SyndromeSet out;
+  out.moments = 2;
+  out.s[0] = d.plain;
+  out.s[1] = d.indexed * (1.0 / static_cast<double>(n));
+  return out;
+}
+
 /// Computes the 2t moment sums over x (w == nullptr means all-ones).
-/// `nodes2` is the plan-cached duplicated node table from
-/// shared_syndrome_nodes(n) — when given and stride == 1 the reduction runs
-/// through the active SIMD backend's syndrome_dot kernel; otherwise a scalar
-/// loop generates u = j / n on the fly (identical values: both sides
-/// multiply by the same precomputed 1/n).
+/// Two moments are dual_moments of dual_weighted_sum, so they match the
+/// dual checksums the fused kernels store. Otherwise `nodes2` is the
+/// plan-cached duplicated node table from shared_syndrome_nodes(n) — when
+/// given and stride == 1 the reduction runs through the active SIMD
+/// backend's syndrome_dot kernel; otherwise a scalar loop generates
+/// u = j / n on the fly (identical values: both sides multiply by the same
+/// precomputed 1/n).
 [[nodiscard]] SyndromeSet syndrome_sum(const cplx* w, const cplx* x,
                                        std::size_t n, std::size_t stride,
                                        int moments,
@@ -101,8 +121,7 @@ struct MultiLocateResult {
 /// `max_errors` simultaneous corruptions. A non-finite difference counts as
 /// a mismatch that cannot be located. Tries error counts e = 1..t in
 /// ascending order and accepts the first hypothesis whose reconstruction
-/// explains every moment within tolerance, so a single error decodes
-/// through the same path as the dual-checksum scheme.
+/// explains every moment within tolerance.
 [[nodiscard]] MultiLocateResult locate_errors(const SyndromeSet& stored,
                                               const SyndromeSet& current,
                                               const cplx* w, std::size_t n,
@@ -141,59 +160,32 @@ struct Corrections {
   }
 };
 
-/// Index of the element with the largest weighted term |w_j x_j| (w ==
-/// nullptr: all ones), a non-finite one first.
-[[nodiscard]] std::size_t largest_weighted_term(const cplx* data,
-                                                std::size_t stride,
-                                                const cplx* w, std::size_t n);
-
-/// Erasure repair shared by the dual and the syndrome decoder, for a
-/// corruption too large to locate (non-finite data, overflowing sums): the
-/// element with the largest weighted term is rebuilt from the plain sum of
-/// the others, (s0 - sum_{i != j} w_i x_i) / w_j, where s0 is the stored
-/// plain sum. It is kept, and recorded in `applied`, only if `verifies()`
-/// then accepts the data; otherwise it is restored and false returned.
-template <class Verifies>
-bool rebuild_largest(cplx s0, cplx* data, std::size_t stride, const cplx* w,
-                     std::size_t n, Corrections& applied, Verifies verifies) {
-  const std::size_t j = largest_weighted_term(data, stride, w, n);
-  cplx& x = data[j * stride];
-  const cplx old = x;
-  x = cplx{0.0, 0.0};
-  const cplx rest = dual_weighted_sum(w, data, n, stride).plain;
-  x = (s0 - rest) / (w == nullptr ? cplx{1.0, 0.0} : w[j]);
-  if (verifies()) {
-    applied.add(j, old - x);
-    return true;
-  }
-  x = old;
-  return false;
-}
-
-/// Outcome of an iterative multi-error repair session.
+/// Outcome of an iterative repair session.
 struct MultiRepairResult {
   bool mismatch = false;   ///< syndromes disagreed at least once
   bool corrected = false;  ///< data now verifies against `stored`
   int errors = 0;          ///< errors corrected in the final decode
-  int iterations = 0;      ///< locate/correct rounds performed
   Corrections applied;     ///< every correction, summed per element
 };
 
 /// Locates and corrects up to `max_errors` corrupted elements, iterating
-/// until the recomputed syndromes match `stored` within eta — the same
-/// residue-shrink discipline as repair_single_error: a huge corruption's
-/// first recovered delta carries an eps * |corruption| rounding residue that
-/// itself exceeds eta, and each round shrinks it by ~eps. A non-finite
-/// mismatch (a NaN or Inf element) that does not decode is retried once as
-/// an erasure (rebuild_largest from S_0), kept only if every stored moment
-/// then matches within eta. Returns corrected == false when the mismatch is
-/// not explainable by <= max_errors corruptions (graceful degradation:
-/// detected, uncorrected).
+/// until the recomputed syndromes match `stored` within eta. Iteration
+/// matters: when the corruption is huge (an exponent-bit flip), the first
+/// recovered delta carries an eps * |corruption| rounding residue that
+/// itself exceeds eta; each round shrinks the residue by ~eps until it
+/// vanishes below threshold. A corruption too large for that (a recomputed
+/// moment is not finite, or one correction's rounding residue alone exceeds
+/// eta — a top exponent-bit flip) that the rounds fail to repair is retried
+/// once as an erasure: the element with the largest weighted term |w_j x_j|
+/// (a non-finite one first) is rebuilt from S_0 and the other elements, and
+/// kept only if every stored moment then matches within eta. Returns
+/// corrected == false when the mismatch is not explainable by <= max_errors
+/// corruptions (graceful degradation: detected, uncorrected).
 [[nodiscard]] MultiRepairResult repair_errors(const SyndromeSet& stored,
                                               cplx* data, std::size_t stride,
                                               const cplx* w, std::size_t n,
                                               double eta, int max_errors,
-                                              int max_iters = 6,
+                                              int max_iters = kRepairRounds,
                                               const double* nodes2 = nullptr);
 
 }  // namespace ftfft::checksum

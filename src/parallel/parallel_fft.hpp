@@ -50,9 +50,9 @@ struct ParallelOptions {
 
   /// Maximum simultaneously corrupted elements per transposed block the
   /// message checksums can correct (PR 9; abft::Options has the same knob
-  /// for the sequential schemes). 1 = today's dual-checksum payload
-  /// bit-for-bit; t > 1 ships 2t syndrome moments per block instead and
-  /// decodes bursts through checksum::repair_errors. Clamped to
+  /// for the sequential schemes). 1 ships the dual checksums, the 2-moment
+  /// set; t > 1 ships 2t syndrome moments per block instead. Either way
+  /// checksum::repair_errors decodes the received block. Clamped to
   /// [1, checksum::kMaxCorrectableErrors] at plan resolution. Default from
   /// FTFFT_MAX_ERRORS.
   int max_correctable_errors = max_errors_default();

@@ -171,9 +171,9 @@ using detail::ShardedState;
 /// budget): repairs what it locates into the comm counters of `stats` and
 /// throws UncorrectableError when the damage is not localizable.
 void verify_block(cplx* block, std::size_t len, const abft::StoredSums& stored,
-                  double eta, int max_retries, TransposeStats& stats) {
+                  double eta, TransposeStats& stats) {
   abft::repair_region(
-      stored, block, 1, nullptr, len, eta, max_retries,
+      stored, block, 1, nullptr, len, eta,
       {stats.comm_errors_detected, stats.comm_errors_corrected,
        stats.comm_multi_corrected},
       "block transpose: received block failed verification beyond repair");
@@ -230,7 +230,7 @@ checksum::DualSumEnergy pull_block(ShardedState& st, std::size_t s,
   verify_block(dst, bsz, stored,
                abft::threshold(st.plan->eta_block_coeff(), sent.energy, bsz,
                                st.opts.eta_override),
-               st.opts.max_retries, tstats);
+               tstats);
   return sent;
 }
 
@@ -383,7 +383,7 @@ void phase3(ShardedState& st, std::size_t r, TransposeStats& tstats,
         {guards[q].sums}, out + q, p, nullptr, bsz,
         abft::threshold(plan.eta_block_coeff(), guards[q].energy, bsz,
                         opts.eta_override),
-        opts.max_retries, abft::RepairTally::of(stats, true),
+        abft::RepairTally::of(stats, true),
         "parallel ABFT: final output memory error not localizable");
   }
 }

@@ -341,12 +341,12 @@ TEST(OfflineAbft, ExponentBitFlipOutsideUpdateGateReexecutes) {
 
 TEST(OfflineAbft, TopExponentBitFlipIsRebuiltAsAnErasure) {
   // Bit 62 of a component in (-1, 1) scales it by 2^1024 (~1e308): the
-  // weighted sums overflow, so the element cannot be located from the dual
-  // ratio or the syndrome moments. In a component in [1, 2) it sets every
-  // exponent bit and the element turns NaN, which poisons every sum. Either
-  // way it is rebuilt from the plain checksum of the others instead, under
-  // the dual (t = 1) and the moment (t = 2) decoder alike, and the
-  // transform re-executed over the repaired input.
+  // weighted sums overflow, so the element cannot be located from the
+  // moments. In a component in [1, 2) it sets every exponent bit and the
+  // element turns NaN, which poisons every sum. Either way it is rebuilt
+  // from the plain checksum of the others instead, from the dual pair
+  // (t = 1) and the four moments (t = 2) alike, and the transform
+  // re-executed over the repaired input.
   for (int t : {1, 2}) {
     for (bool nan : {false, true}) {
       for (std::size_t n : {std::size_t{512}, std::size_t{4096}}) {
@@ -377,6 +377,44 @@ TEST(OfflineAbft, TopExponentBitFlipIsRebuiltAsAnErasure) {
           EXPECT_EQ(stats.full_restarts, 1u);
         }
       }
+    }
+  }
+}
+
+TEST(OfflineAbft, CloseInputPairAtT1IsRefusedOrRightNeverSilent) {
+  // Two input elements 17 apart set after the checksums: outside the t = 1
+  // model, so the transform must throw or still return the right spectrum.
+  // The dual decoder the one decoder replaced "corrected" such a pair at a
+  // third element in 5 of these 8 cases, and the combined checksums then
+  // passed the wrong spectrum's check by construction. The reference DFT
+  // (O(n^2)) is only taken for a run that returns.
+  for (std::size_t n : {std::size_t{4096}, std::size_t{16384},
+                        std::size_t{65536}, std::size_t{100000}}) {
+    for (auto dist : {InputDistribution::kUniform, InputDistribution::kNormal}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   (dist == InputDistribution::kNormal ? " normal"
+                                                       : " uniform"));
+      auto x = random_vector(n, dist, 7 + n);
+      const auto pristine = x;
+      Injector inj;
+      inj.schedule(FaultSpec::memory_set(Phase::kInputAfterChecksum, 0, n / 6,
+                                         {40.0, 9.0}));
+      inj.schedule(FaultSpec::memory_set(Phase::kInputAfterChecksum, 0,
+                                         n / 6 + 17, {-12.0, 5.0}));
+      Options opts = Options::offline_opt(true);
+      opts.max_correctable_errors = 1;
+      opts.injector = &inj;
+      std::vector<cplx> out(n);
+      Stats stats;
+      try {
+        abft::offline_transform(x.data(), out.data(), n, opts, stats);
+      } catch (const UncorrectableError&) {
+        EXPECT_EQ(stats.mem_errors_corrected, 0u);
+        continue;
+      }
+      const auto want = dft::reference_dft(pristine);
+      EXPECT_LE(inf_diff(out.data(), want.data(), n),
+                1e-9 * inf_norm(want.data(), n));
     }
   }
 }

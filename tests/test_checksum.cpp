@@ -223,6 +223,16 @@ TEST(Dot, EnergyFusedVariantsMatchPlain) {
 
 // ---------------------------------------------------------------- locate
 
+// The t = 1 locate of the one memory-error decoder: a dual pair is the
+// 2-moment set checksum::dual_moments makes of it.
+checksum::MultiLocateResult locate_dual(const DualSum& stored,
+                                        const DualSum& cur, const cplx* w,
+                                        std::size_t n, double eta) {
+  return checksum::locate_errors(checksum::dual_moments(stored, n),
+                                 checksum::dual_moments(cur, n), w, n, eta,
+                                 /*max_errors=*/1);
+}
+
 class LocateWeights : public ::testing::TestWithParam<bool> {};
 
 TEST_P(LocateWeights, FindsAndCorrectsSingleError) {
@@ -238,13 +248,14 @@ TEST_P(LocateWeights, FindsAndCorrectsSingleError) {
   auto corrupted = x;
   corrupted[victim] += delta;
   const DualSum cur = checksum::dual_weighted_sum(w, corrupted.data(), n);
-  const auto loc = checksum::locate_single_error(stored, cur, w, n, 1e-9);
+  const auto loc = locate_dual(stored, cur, w, n, 1e-9);
   ASSERT_TRUE(loc.mismatch);
   ASSERT_TRUE(loc.valid);
-  EXPECT_EQ(loc.index, victim);
-  EXPECT_NEAR(std::abs(loc.delta - delta), 0.0, 1e-9);
+  EXPECT_EQ(loc.count, 1);
+  EXPECT_EQ(loc.index[0], victim);
+  EXPECT_NEAR(std::abs(loc.delta[0] - delta), 0.0, 1e-9);
 
-  checksum::apply_correction(corrupted.data(), 1, loc);
+  checksum::apply_corrections(corrupted.data(), 1, loc);
   for (std::size_t j = 0; j < n; ++j) {
     EXPECT_NEAR(std::abs(corrupted[j] - x[j]), 0.0, 1e-9) << j;
   }
@@ -259,7 +270,7 @@ INSTANTIATE_TEST_SUITE_P(ClassicAndCombined, LocateWeights,
 TEST(Locate, CleanDataReportsNoMismatch) {
   auto x = random_vector(64, InputDistribution::kNormal, 50);
   const DualSum s = checksum::dual_weighted_sum(nullptr, x.data(), 64);
-  const auto loc = checksum::locate_single_error(s, s, nullptr, 64, 1e-12);
+  const auto loc = locate_dual(s, s, nullptr, 64, 1e-12);
   EXPECT_FALSE(loc.mismatch);
   EXPECT_FALSE(loc.valid);
 }
@@ -271,9 +282,9 @@ TEST(Locate, DoubleErrorDetectedButNotLocalized) {
   x[3] += cplx{1.0, 0.7};
   x[40] += cplx{-0.6, 2.0};
   const DualSum cur = checksum::dual_weighted_sum(nullptr, x.data(), n);
-  const auto loc = checksum::locate_single_error(stored, cur, nullptr, n, 1e-9);
+  const auto loc = locate_dual(stored, cur, nullptr, n, 1e-9);
   EXPECT_TRUE(loc.mismatch);
-  EXPECT_FALSE(loc.valid);  // ratio lands off-integer / off-real
+  EXPECT_FALSE(loc.valid);  // no one-element hypothesis fits both moments
 }
 
 TEST(Locate, ErrorAtIndexZero) {
@@ -282,9 +293,9 @@ TEST(Locate, ErrorAtIndexZero) {
   const DualSum stored = checksum::dual_weighted_sum(nullptr, x.data(), n);
   x[0] += cplx{2.0, 0.0};
   const DualSum cur = checksum::dual_weighted_sum(nullptr, x.data(), n);
-  const auto loc = checksum::locate_single_error(stored, cur, nullptr, n, 1e-9);
+  const auto loc = locate_dual(stored, cur, nullptr, n, 1e-9);
   ASSERT_TRUE(loc.valid);
-  EXPECT_EQ(loc.index, 0u);
+  EXPECT_EQ(loc.index[0], 0u);
 }
 
 TEST(Locate, ErrorAtLastIndex) {
@@ -293,9 +304,9 @@ TEST(Locate, ErrorAtLastIndex) {
   const DualSum stored = checksum::dual_weighted_sum(nullptr, x.data(), n);
   x[n - 1] += cplx{0.0, -3.0};
   const DualSum cur = checksum::dual_weighted_sum(nullptr, x.data(), n);
-  const auto loc = checksum::locate_single_error(stored, cur, nullptr, n, 1e-9);
+  const auto loc = locate_dual(stored, cur, nullptr, n, 1e-9);
   ASSERT_TRUE(loc.valid);
-  EXPECT_EQ(loc.index, n - 1);
+  EXPECT_EQ(loc.index[0], n - 1);
 }
 
 TEST(Locate, StridedCorrection) {
@@ -307,10 +318,10 @@ TEST(Locate, StridedCorrection) {
   flat[7 * stride] += cplx{1.5, 1.5};
   const DualSum cur =
       checksum::dual_weighted_sum(nullptr, flat.data(), n, stride);
-  const auto loc = checksum::locate_single_error(stored, cur, nullptr, n, 1e-9);
+  const auto loc = locate_dual(stored, cur, nullptr, n, 1e-9);
   ASSERT_TRUE(loc.valid);
-  EXPECT_EQ(loc.index, 7u);
-  checksum::apply_correction(flat.data(), stride, loc);
+  EXPECT_EQ(loc.index[0], 7u);
+  checksum::apply_corrections(flat.data(), stride, loc);
   for (std::size_t j = 0; j < flat.size(); ++j) {
     EXPECT_NEAR(std::abs(flat[j] - pristine[j]), 0.0, 1e-9);
   }

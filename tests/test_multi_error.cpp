@@ -1,12 +1,17 @@
 // Multi-error localization and correction (PR 9): the 2t-moment syndrome
-// decoder of checksum/multi_error.hpp, its escalation wiring inside the
-// sequential ABFT schemes and the parallel transpose, and the invariants the
-// single-error baseline keeps (bit-for-bit behavior at t = 1, graceful
+// decoder of checksum/multi_error.hpp, its wiring inside the sequential
+// ABFT schemes and the parallel transpose, and the invariants every budget
+// keeps (the dual pair decodes as the t = 1 moment set, graceful
 // degradation beyond the budget).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <numbers>
 #include <vector>
 
 #include "abft/inplace.hpp"
@@ -14,7 +19,6 @@
 #include "abft/online.hpp"
 #include "abft/options.hpp"
 #include "checksum/dot.hpp"
-#include "checksum/memory_checksum.hpp"
 #include "checksum/multi_error.hpp"
 #include "checksum/weights.hpp"
 #include "common/error.hpp"
@@ -22,6 +26,7 @@
 #include "fault/injector.hpp"
 #include "fft/fft.hpp"
 #include "parallel/parallel_fft.hpp"
+#include "roundoff/model.hpp"
 #include "simd/dispatch.hpp"
 
 namespace ftfft {
@@ -83,17 +88,18 @@ TEST(MultiError, SingleErrorDecodesThroughTheMultiPath) {
   }
 }
 
-// The pin the escalation is built on: the dual checksums *cannot* localize
-// two simultaneous corruptions. If this ever starts passing as corrected,
-// the single-error path has silently changed semantics.
+// The pin the syndromes are built on: the dual checksums, the t = 1 moment
+// set, *cannot* localize two simultaneous corruptions. If this ever starts
+// passing as corrected, the t = 1 decode has silently changed semantics.
 TEST(MultiError, DualChecksumRefusesTheDoubleError) {
   const std::size_t n = 128;
   auto x = random_vector(n, InputDistribution::kUniform, 903);
   const DualSum stored = checksum::dual_weighted_sum(nullptr, x.data(), n);
   x[17] += cplx{1.0, 0.7};
   x[90] += cplx{-0.6, 2.0};
-  const auto rep =
-      checksum::repair_single_error(stored, x.data(), 1, nullptr, n, 1e-9);
+  const auto rep = checksum::repair_errors(checksum::dual_moments(stored, n),
+                                           x.data(), 1, nullptr, n, 1e-9,
+                                           /*max_errors=*/1);
   EXPECT_TRUE(rep.mismatch);
   EXPECT_FALSE(rep.corrected);
 }
@@ -225,6 +231,214 @@ TEST(MultiError, NodeTableKernelAgreesWithScalarOnEveryBackend) {
           << "backend=" << simd::backend_name(b) << " moment=" << m;
     }
   }
+}
+
+// ------------------------------------------- t = 1: the dual decoder oracle
+
+// The single-error decoder that repaired dual-checksum regions before every
+// region went through repair_errors: repair_single_error with its locate
+// step and erasure fallback, copied as it was when it was removed (only the
+// result type is cut down to what the comparison reads). The one decoder
+// must repair every single error it repaired, bit for bit.
+namespace dual_oracle {
+
+constexpr double kIndexSlack = 0.25;
+constexpr double kEpsilon = std::numeric_limits<double>::epsilon();
+
+struct LocateResult {
+  bool mismatch = false;
+  bool valid = false;
+  std::size_t index = 0;
+  cplx delta{0.0, 0.0};
+};
+
+struct RepairResult {
+  bool mismatch = false;
+  bool corrected = false;
+};
+
+bool finite(const DualSum& s) {
+  return std::isfinite(s.plain.real()) && std::isfinite(s.plain.imag()) &&
+         std::isfinite(s.indexed.real()) && std::isfinite(s.indexed.imag());
+}
+
+LocateResult locate_single_error(const DualSum& stored, const DualSum& current,
+                                 const cplx* w, std::size_t n, double eta) {
+  LocateResult out;
+  const cplx d1 = current.plain - stored.plain;
+  const cplx d2 = current.indexed - stored.indexed;
+  if (std::abs(d1) <= eta) return out;
+  out.mismatch = true;
+  const cplx ratio = d2 / d1;
+  const double idx = ratio.real();
+  const double rounded = std::round(idx);
+  const double imag_slack = kIndexSlack * (1.0 + std::abs(rounded));
+  if (!std::isfinite(idx) || !std::isfinite(ratio.imag()) ||
+      std::abs(idx - rounded) > kIndexSlack ||
+      std::abs(ratio.imag()) > imag_slack || rounded < 0.0 ||
+      rounded >= static_cast<double>(n)) {
+    return out;
+  }
+  out.valid = true;
+  out.index = static_cast<std::size_t>(rounded);
+  out.delta = (w == nullptr) ? d1 : d1 / w[out.index];
+  return out;
+}
+
+std::size_t largest_weighted_term(const cplx* data, std::size_t stride,
+                                  const cplx* w, std::size_t n) {
+  std::size_t j = 0;
+  double top = -1.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double mag =
+        std::abs(data[i * stride]) * (w == nullptr ? 1.0 : std::abs(w[i]));
+    if (!(mag <= top)) {
+      top = mag;
+      j = i;
+      if (std::isnan(mag)) break;
+    }
+  }
+  return j;
+}
+
+RepairResult repair_single_error(const DualSum& stored, cplx* data,
+                                 std::size_t stride, const cplx* w,
+                                 std::size_t n, double eta, int max_iters) {
+  RepairResult out;
+  bool too_large = false;
+  const auto give_up = [&] {
+    if (too_large) {  // rebuild_largest, verified against both duals
+      const std::size_t j = largest_weighted_term(data, stride, w, n);
+      cplx& x = data[j * stride];
+      const cplx old = x;
+      x = cplx{0.0, 0.0};
+      const cplx rest = checksum::dual_weighted_sum(w, data, n, stride).plain;
+      x = (stored.plain - rest) / (w == nullptr ? cplx{1.0, 0.0} : w[j]);
+      const DualSum cur = checksum::dual_weighted_sum(w, data, n, stride);
+      out.corrected = std::abs(cur.plain - stored.plain) <= eta &&
+                      std::abs(cur.indexed - stored.indexed) <= eta;
+      if (!out.corrected) x = old;
+    }
+    return out;
+  };
+  for (int iter = 0; iter < max_iters; ++iter) {
+    const DualSum cur = checksum::dual_weighted_sum(w, data, n, stride);
+    too_large = too_large || !finite(cur);
+    const LocateResult loc = locate_single_error(stored, cur, w, n, eta);
+    if (!loc.mismatch) {
+      out.corrected = out.mismatch;
+      return out;
+    }
+    out.mismatch = true;
+    if (!loc.valid) return give_up();
+    too_large = too_large ||
+                kEpsilon * std::abs(cur.plain - stored.plain) > eta;
+    if (loc.valid) data[loc.index * stride] -= loc.delta;
+  }
+  const DualSum cur = checksum::dual_weighted_sum(w, data, n, stride);
+  out.corrected = !locate_single_error(stored, cur, w, n, eta).mismatch;
+  return out.corrected ? out : give_up();
+}
+
+}  // namespace dual_oracle
+
+// One dual-checksummed region (U(-1,1) or N(0,1) data, all-ones or rA
+// weights) with its threshold: the memory coefficient for all-ones sums,
+// the computational one for rA sums, as the schemes pick them.
+struct DualRegion {
+  std::size_t n;
+  AlignedVector<cplx> ra;
+  std::vector<cplx> x;
+  const cplx* w;
+  DualSum stored;
+  double eta;
+
+  DualRegion(std::size_t n_, bool weighted, InputDistribution dist)
+      : n(n_),
+        ra(weighted ? checksum::input_checksum_vector(n_)
+                    : AlignedVector<cplx>{}),
+        x(random_vector(n_, dist, 77 + n_)),
+        w(weighted ? ra.data() : nullptr) {
+    const auto de = checksum::dual_weighted_sum_energy(w, x.data(), n);
+    stored = de.sums;
+    eta = roundoff::eta_from_coeff(
+        weighted ? roundoff::practical_eta_coeff(n)
+                 : roundoff::practical_eta_memory_coeff(n),
+        std::sqrt(de.energy / (2.0 * static_cast<double>(n))));
+  }
+
+  // Repairs `faulty` with the oracle and with the one decoder at the same
+  // round budget. Where the oracle finds the region clean or corrects it,
+  // the decoder must agree bit for bit; where only the decoder corrects,
+  // the data must be back within 1e-9 of pristine. (The oracle's callers
+  // passed Options::max_retries, 4 by default, as its round budget; the
+  // budgets part only on corruptions that need a fifth or sixth round,
+  // which the old path rebuilt as erasures instead.)
+  void check(const std::vector<cplx>& faulty) const {
+    auto old_data = faulty;
+    auto new_data = faulty;
+    const auto old_rep = dual_oracle::repair_single_error(
+        stored, old_data.data(), 1, w, n, eta, checksum::kRepairRounds);
+    const auto new_rep = checksum::repair_errors(
+        checksum::dual_moments(stored, n), new_data.data(), 1, w, n, eta,
+        /*max_errors=*/1);
+    if (old_rep.corrected || !old_rep.mismatch) {
+      EXPECT_EQ(new_rep.mismatch, old_rep.mismatch);
+      EXPECT_EQ(new_rep.corrected, old_rep.corrected);
+      EXPECT_EQ(std::memcmp(new_data.data(), old_data.data(),
+                            n * sizeof(cplx)),
+                0);
+    } else if (new_rep.corrected) {
+      EXPECT_LE(inf_diff(new_data.data(), x.data(), n), 1e-9);
+    }
+  }
+};
+
+void for_each_dual_region(const std::function<void(const DualRegion&)>& f) {
+  for (std::size_t n : {std::size_t{256}, std::size_t{4096},
+                        std::size_t{65536}, std::size_t{100000}}) {
+    for (bool weighted : {false, true}) {
+      for (auto dist : {InputDistribution::kUniform,
+                        InputDistribution::kNormal}) {
+        SCOPED_TRACE(testing::Message()
+                     << "n=" << n << " rA=" << weighted
+                     << " normal=" << (dist == InputDistribution::kNormal));
+        f(DualRegion(n, weighted, dist));
+      }
+    }
+  }
+}
+
+TEST(DualDecoderOracle, SingleDeltasRepairAsTheDualDecoderDid) {
+  for_each_dual_region([](const DualRegion& r) {
+    Rng rng(5 + r.n + (r.w != nullptr));
+    for (int k = 0; k < 40; ++k) {
+      auto faulty = r.x;
+      const double mag = std::pow(10.0, rng.uniform(-6.0, 12.0));
+      const double phase = rng.uniform(0.0, 2.0 * std::numbers::pi);
+      faulty[rng.below(r.n)] +=
+          cplx{mag * std::cos(phase), mag * std::sin(phase)};
+      r.check(faulty);
+    }
+  });
+}
+
+TEST(DualDecoderOracle, BitFlipsRepairAsTheDualDecoderDid) {
+  for_each_dual_region([](const DualRegion& r) {
+    Rng rng(17 + r.n + (r.w != nullptr));
+    for (unsigned bit = 40; bit <= 62; ++bit) {
+      for (int k = 0; k < 4; ++k) {
+        auto faulty = r.x;
+        double* part =
+            reinterpret_cast<double*>(&faulty[rng.below(r.n)]) + rng.below(2);
+        std::uint64_t bits;
+        std::memcpy(&bits, part, sizeof bits);
+        bits ^= std::uint64_t{1} << bit;
+        std::memcpy(part, &bits, sizeof bits);
+        r.check(faulty);
+      }
+    }
+  });
 }
 
 // ------------------------------------------------- scheme escalation (e2e)

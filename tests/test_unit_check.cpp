@@ -66,13 +66,13 @@ TEST(UnitCheck, RepairRegionCorrectsOneStridedError) {
                                                   stride);
   Counters c;
   EXPECT_FALSE(abft::repair_region({stored}, data.data(), stride, nullptr, n,
-                                   1e-9, 4, c.tally(), "clean"));
+                                   1e-9, c.tally(), "clean"));
   EXPECT_EQ(c.checks, 1u);
   EXPECT_EQ(c.detected, 0u);
 
   data[17 * stride] += cplx{5.0, -2.0};
   EXPECT_TRUE(abft::repair_region({stored}, data.data(), stride, nullptr, n,
-                                  1e-9, 4, c.tally(), "one error"));
+                                  1e-9, c.tally(), "one error"));
   EXPECT_LT(max_dev(data, clean), 1e-12);
   EXPECT_EQ(c.checks, 2u);
   EXPECT_EQ(c.detected, 1u);
@@ -88,7 +88,7 @@ TEST(UnitCheck, RepairRegionThrowsWhenNotLocalizable) {
   data[40] += cplx{0.0, 7.0};
   Counters c;
   EXPECT_THROW(abft::repair_region({stored}, data.data(), 1, nullptr, n, 1e-9,
-                                   4, c.tally(), "two errors"),
+                                   c.tally(), "two errors"),
                UncorrectableError);
   EXPECT_EQ(c.detected, 1u);
   EXPECT_EQ(c.corrected, 0u);
@@ -102,7 +102,7 @@ TEST(UnitCheck, FlaggedRegionThatVerifiesCleanThrows) {
   const auto stored = checksum::dual_weighted_sum(nullptr, data.data(), n);
   Counters c;
   EXPECT_THROW(abft::repair_region({stored}, data.data(), 1, nullptr, n, 1e-9,
-                                   4, c.tally(), "flagged", /*flagged=*/true),
+                                   c.tally(), "flagged", /*flagged=*/true),
                UncorrectableError);
   EXPECT_EQ(c.detected, 1u);
 }
@@ -116,11 +116,52 @@ TEST(UnitCheck, SyndromeRepairCountsEveryDecodedElement) {
   data[200] += cplx{-2.0, 4.0};
   Counters c;
   EXPECT_TRUE(abft::repair_region({{}, &syn, 2, nullptr}, data.data(), 1,
-                                  nullptr, n, 1e-9, 4, c.tally(), "burst"));
+                                  nullptr, n, 1e-9, c.tally(), "burst"));
   EXPECT_LT(max_dev(data, clean), 1e-9);
   EXPECT_EQ(c.detected, 1u);
   EXPECT_EQ(c.corrected, 1u);
   EXPECT_EQ(c.multi, 2u);
+}
+
+// Region probe at t = 1: two deltas a few elements apart in one unweighted
+// dual-checksummed region are outside the t = 1 model, so the repair must
+// refuse them or get them right, never report a wrong repair as corrected.
+// The dual decoder it replaced was silent on about half of such pairs: it
+// accepted a one-element hypothesis once the plain sum balanced, without
+// rechecking the index-weighted sum. At t = 2 the moments themselves cannot
+// see some close mislocations in long regions (ROADMAP item 1, cause (ii)),
+// so this probe stays at t = 1.
+TEST(RegionProbe, ClosePairsAtT1AreNeverSilent) {
+  for (std::size_t n : {std::size_t{1} << 12, std::size_t{1} << 14,
+                        std::size_t{1} << 16}) {
+    const auto pristine =
+        random_vector(n, InputDistribution::kUniform, 4321 + n);
+    const auto de =
+        checksum::dual_weighted_sum_energy(nullptr, pristine.data(), n);
+    const double eta = roundoff::eta_from_coeff(
+        roundoff::practical_eta_memory_coeff(n),
+        std::sqrt(de.energy / (2.0 * static_cast<double>(n))));
+    Rng rng(1234 + n + 1);
+    std::vector<cplx> data;
+    int silent = 0, refused = 0, right = 0;
+    for (int trial = 0; trial < 1000; ++trial) {
+      data = pristine;
+      const std::size_t gap = 1 + rng.below(64);
+      const std::size_t j = rng.below(n - gap);
+      data[j] += cplx{rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)};
+      data[j + gap] += cplx{rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)};
+      Counters c;
+      try {
+        abft::repair_region({de.sums}, data.data(), 1, nullptr, n, eta,
+                            c.tally(), "close pair");
+        ++(max_dev(data, pristine) > 1e-9 ? silent : right);
+      } catch (const UncorrectableError&) {
+        ++refused;
+      }
+    }
+    EXPECT_EQ(silent, 0) << "n=" << n << " refused=" << refused
+                         << " right=" << right;
+  }
 }
 
 TEST(UnitCheck, VerifyWithRetrySplitsMemoryFromComputationalFaults) {
